@@ -154,9 +154,13 @@ def report_cmd(config_path, seed, jobs, out_dir):
     path = os.path.join(cfg.output_dir, "manifest.json")
     if not os.path.exists(path):
         _fail("manifest-missing", f"no manifest at {path}")
-    with open(path) as fh:
-        manifest = json.load(fh)
-    click.echo(pipeline.report(manifest))
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+        text = pipeline.report(manifest)
+    except (OSError, ValueError, AttributeError, TypeError) as exc:
+        _fail("manifest-unreadable", f"{path}: {exc}")
+    click.echo(text)
 
 
 @main.command()

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.optimize import brentq, least_squares, minimize_scalar
+from scipy.optimize import least_squares, minimize_scalar
 
 from .geometry import (GratingFootprint, IonPose, LayerStack,
-                       wavelength_in_medium)
+                       ray_vacuum_angle, wavelength_in_medium)
 from .library import (ExtrapolationError, ParamLibrary, UnitCellParams,
                       feature_check, interpolate)
 
@@ -84,12 +84,17 @@ def diffracted_intensity(kappa, alpha, x, form: str = "integral"):
     a = _as_profile(alpha, x)
     if np.any(k < 0) or np.any(a < 0):
         raise ValueError("kappa and alpha must be nonnegative")
+    return k * _guided_fraction(k, a, x, form)
+
+
+def _guided_fraction(k, a, x, form: str):
+    """Guided power left at each x: exp(-int_0^x [k+a] dx') for the
+    integral form, exp(-[k(x)+a(x)] x) for the literal one."""
     if form == "literal":
-        return k * np.exp(-(k + a) * x)
+        return np.exp(-(k + a) * x)
     if form != "integral":
         raise ValueError(f"unknown form {form!r}")
-    atten = cumulative_trapezoid(k + a, x, initial=0.0)
-    return k * np.exp(-atten)
+    return np.exp(-cumulative_trapezoid(k + a, x, initial=0.0))
 
 
 def residual_power(kappa, alpha, x) -> float:
@@ -119,12 +124,22 @@ def ideal_kappa(i_ion, x, alpha=0.0, kappa_cap: float = 1e8):
 
 
 @dataclass
+class FitStart:
+    """Outcome of one least-squares start of :func:`fit_kappa`."""
+    status: int              # least_squares status: 0 = max_nfev hit,
+                             # -1 = start raised (no usable residual)
+    nfev: int                # residual evaluations of this start
+    relative_l2: float       # ||I_fit - I_ion|| / ||I_ion|| at its optimum
+
+
+@dataclass
 class FitReport:
     residual: float          # sum of squared intensity mismatch
     relative_l2: float       # ||I_fit - I_ion|| / ||I_ion||
     residual_power: float    # guided power left at the grating end
     infeasible: bool         # kappa_max too small to deplete the guide
-    n_evaluations: int
+    n_evaluations: int       # residual plus Jacobian evaluations
+    starts: list = field(default_factory=list)  # FitStart per start
 
 
 def _fit_ansatz_to_curve(x, target, length):
@@ -152,22 +167,24 @@ def _fit_ansatz_to_curve(x, target, length):
 
 
 def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf,
-              init: KappaAnsatz | None = None, n_restarts: int = 3,
-              form: str = "integral"):
+              init: KappaAnsatz | None = None, form: str = "integral"):
     """Fit the smooth kappa(x) ansatz so its diffracted intensity matches
     a normalized target profile.
 
-    Two stages: first the pointwise-ideal unconstrained kappa is computed
-    and the ansatz is fit to that curve directly; then the coefficients are
-    refined by a derivative-free simplex search on the intensity mismatch
-    with penalties enforcing 0 <= kappa <= kappa_max.
+    The pointwise-ideal kappa is computed and the ansatz fit to that curve
+    directly; from there, and from a slow-exponential start, the
+    coefficients are refined by least squares on the intensity mismatch
+    with penalties enforcing 0 <= kappa <= kappa_max.  The residual is
+    closed-form in kappa exp(-int kappa), so its Jacobian is analytic.
 
     Returns (KappaAnsatz, FitReport).
     """
     x = np.asarray(x, dtype=float)
     i_target = _as_profile(i_ion, x)
+    a_prof = _as_profile(alpha, x)
     length = float(x[-1])
-    cap = kappa_max if np.isfinite(kappa_max) else 50.0 / length
+    capped = bool(np.isfinite(kappa_max))
+    cap = kappa_max if capped else 50.0 / length
     k_ideal = ideal_kappa(i_target, x, alpha, kappa_cap=cap)
     start = init or _fit_ansatz_to_curve(x, k_ideal, length)
 
@@ -182,53 +199,90 @@ def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf,
         return KappaAnsatz(*(z * scale)[:5], B=float(z[5] * scale[5]),
                            length=length)
 
+    def forward(z):
+        """Raw and clipped kappa, and the diffracted intensity with the
+        attenuation factor it carries."""
+        k_raw = unpack(z)(x)
+        k = np.clip(k_raw, 0.0, kappa_max if capped else None)
+        atten = _guided_fraction(k, a_prof, x, form)
+        return k_raw, k, k * atten, atten
+
     def residuals(z):
         nonlocal evaluations
         evaluations += 1
-        k = unpack(z)(x)
+        k_raw, k, i_fit, _ = forward(z)
         # soft walls keep kappa inside [0, kappa_max]
-        pen = [100.0 * np.minimum(k / k_scale, 0.0)]
-        if np.isfinite(kappa_max):
-            pen.append(100.0 * np.maximum((k - kappa_max) / kappa_max, 0.0))
-        k = np.clip(k, 0.0, kappa_max if np.isfinite(kappa_max) else None)
-        i_fit = diffracted_intensity(k, alpha, x, form=form)
-        if np.isfinite(kappa_max):
+        rows = [(i_fit - i_target) / i_norm,
+                100.0 * np.minimum(k_raw / k_scale, 0.0)]
+        if capped:
+            rows.append(100.0 * np.maximum((k_raw - kappa_max) / kappa_max,
+                                           0.0))
             # when the profile match is capped, still drain the guide:
             # penalize residual power beyond a few percent at the end
             r_end = residual_power(k, alpha, x)
-            pen.append(np.array([10.0 * max(r_end - 0.05, 0.0)]))
-        return np.concatenate([(i_fit - i_target) / i_norm] + pen)
+            rows.append(np.array([10.0 * max(r_end - 0.05, 0.0)]))
+        return np.concatenate(rows)
+
+    def jacobian(z):
+        nonlocal evaluations
+        evaluations += 1
+        k_raw, k, _, atten = forward(z)
+        c = z * scale
+        grow = np.exp(c[5] * x)
+        # d kappa_raw / d z_j for the six scaled coefficients
+        dk_raw = np.column_stack([x**3, x**2, x, np.ones_like(x), grow,
+                                  c[4] * x * grow]) * scale
+        inside = (k_raw > 0.0) & (k_raw < kappa_max)
+        dk = dk_raw * inside[:, None]
+        if form == "literal":
+            d_atten = x[:, None] * dk
+        else:
+            d_atten = cumulative_trapezoid(dk, x, axis=0, initial=0.0)
+        d_i = (dk - k[:, None] * d_atten) * atten[:, None]
+        rows = [d_i / i_norm,
+                (100.0 / k_scale) * dk_raw * (k_raw < 0.0)[:, None]]
+        if capped:
+            rows.append((100.0 / kappa_max) * dk_raw
+                        * (k_raw > kappa_max)[:, None])
+            r_end = residual_power(k, alpha, x)
+            d_end = -10.0 * r_end * np.trapezoid(dk, x, axis=0)
+            rows.append(d_end[None, :] * (r_end > 0.05))
+        return np.concatenate(rows)
 
     n_match = len(x)
-    starts = [start.coefficients() / scale]
-    for bl in np.linspace(3.0, 30.0, n_restarts + 1):
-        starts.append(np.array([0.0, 0.0, 0.0, 0.5, 1e-3, bl]))
+    starts = [start.coefficients() / scale,
+              np.array([0.0, 0.0, 0.0, 0.5, 1e-3, 3.0])]
     best_z, best_val = None, np.inf
+    outcomes = []
     for z_init in starts:
         try:
-            res = least_squares(residuals, z_init, max_nfev=5000)
+            # converging starts need well under 200 evaluations; the cap
+            # bounds the cost of a stuck one, which reports status 0
+            res = least_squares(residuals, z_init, jac=jacobian,
+                                max_nfev=1000)
         except (ValueError, FloatingPointError):
+            outcomes.append(FitStart(status=-1, nfev=0, relative_l2=np.nan))
             continue
         val = float(np.linalg.norm(res.fun[:n_match]))
+        outcomes.append(FitStart(status=int(res.status), nfev=int(res.nfev),
+                                 relative_l2=val))
         if np.isfinite(val) and val < best_val:
             best_val, best_z = val, res.x
     if best_z is None:
         raise FitDivergenceError("no coefficient start converged")
 
     ansatz = unpack(best_z)
-    k_fit = np.clip(ansatz(x), 0.0,
-                    kappa_max if np.isfinite(kappa_max) else None)
+    k_fit = np.clip(ansatz(x), 0.0, kappa_max if capped else None)
     i_fit = diffracted_intensity(k_fit, alpha, x, form=form)
     rel_l2 = float(np.linalg.norm(i_fit - i_target) / i_norm)
     res_power = residual_power(k_fit, alpha, x)
     # the constraint is hopeless when even constant kappa_max leaves more
     # than 10% of the light in the guide
-    infeasible = (np.isfinite(kappa_max)
-                  and np.exp(-kappa_max * length) > 0.10
+    infeasible = (capped and np.exp(-kappa_max * length) > 0.10
                   and res_power > 0.10)
     report = FitReport(residual=best_val, relative_l2=rel_l2,
                        residual_power=res_power, infeasible=infeasible,
-                       n_evaluations=evaluations)
+                       n_evaluations=evaluations, starts=outcomes)
     return ansatz, report
 
 
@@ -244,26 +298,10 @@ def diffraction_angle_at(x: float, pose: IonPose, stack: LayerStack,
     thickness below vacuum, pose.height above the interface.
     """
     rho = pose.x_ion - x
-    t_c = pose.cladding_thickness
-    h_v = pose.height_above_surface
-    if rho == 0.0:
-        return 0.0
-    r = abs(rho)
-    n_clad = stack.cladding_index
-
-    # Snell-consistent split of the horizontal run between the two media
-    def mismatch(theta_c):
-        s = min(n_clad * np.sin(theta_c), 1.0 - 1e-15)
-        theta_v = np.arcsin(s)
-        return t_c * np.tan(theta_c) + h_v * np.tan(theta_v) - r
-    if t_c == 0.0:
-        theta_v = np.arctan2(r, h_v)
-        theta_c = np.arcsin(np.sin(theta_v) / n_clad)
-    else:
-        hi = min(np.arcsin(min(1.0 / n_clad, 1.0)) - 1e-12,
-                 np.arctan2(r, t_c) + 0.5)
-        theta_c = brentq(mismatch, 0.0, hi, xtol=1e-14)
-    return float(np.copysign(theta_c, rho)) if signed else float(theta_c)
+    theta_v = ray_vacuum_angle(abs(rho), pose.height_above_surface,
+                               pose.cladding_thickness, stack.cladding_index)
+    theta_c = float(np.arcsin(np.sin(theta_v) / stack.cladding_index))
+    return float(np.copysign(theta_c, rho)) if signed else theta_c
 
 
 # ---------------------------------------------------------------------------
@@ -350,27 +388,17 @@ def slab_phase_map(x_source: float, n_slab: float,
     raise ValueError(f"unknown phase-map mode {mode!r}")
 
 
-def _exit_path_length(x: float, y: float, focus, cladding_thickness: float,
-                      n_clad: float) -> float:
-    """Optical path from a grating-plane point up to the focal point,
-    with one refraction at the cladding/vacuum interface (Fermat)."""
+def _exit_path_length(x, y, focus, cladding_thickness: float,
+                      n_clad: float):
+    """Optical path from grating-plane points up to the focal point, with
+    one refraction at the cladding/vacuum interface (Fermat).  Vectorized
+    over ``x`` and ``y``."""
     fx, fy, fz = focus  # fz measured above the cladding/vacuum interface
     rho = np.hypot(fx - x, fy - y)
-    t_c = cladding_thickness
-    if t_c == 0.0:
-        return float(np.sqrt(rho**2 + fz**2))
-    if rho == 0.0:
-        return float(n_clad * t_c + fz)
-
-    def mismatch(theta_c):
-        s = min(n_clad * np.sin(theta_c), 1.0 - 1e-15)
-        return t_c * np.tan(theta_c) + fz * np.tan(np.arcsin(s)) - rho
-
-    hi = np.arcsin(min(1.0 / n_clad, 1.0)) - 1e-12
-    theta_c = brentq(mismatch, 0.0, hi, xtol=1e-14)
-    s = min(n_clad * np.sin(theta_c), 1.0 - 1e-15)
-    theta_v = np.arcsin(s)
-    return float(n_clad * t_c / np.cos(theta_c) + fz / np.cos(theta_v))
+    theta_v = ray_vacuum_angle(rho, fz, cladding_thickness, n_clad)
+    s = np.sin(theta_v) / n_clad
+    return n_clad * cladding_thickness / np.sqrt(1.0 - s * s) \
+        + fz / np.cos(theta_v)
 
 
 def curve_tooth(tooth: ToothSpec, focus, phase_map, stack: LayerStack,
@@ -380,30 +408,52 @@ def curve_tooth(tooth: ToothSpec, focus, phase_map, stack: LayerStack,
     """Per-y longitudinal offsets making the total optical path constant.
 
     For each y the offset u solves phase(x+u, y)/k0 + exit path(x+u, y) =
-    (value at y=0, u=0); solved by bisection to ``tol`` meters.  Samples
-    that fail to bracket a root truncate the tooth (flag set).
+    (value at y=0, u=0), for all y at once, by bracketed false position
+    (Illinois variant) to ``tol`` meters.  Samples that fail to bracket a
+    root within ``max_offset`` truncate the tooth (flag set).
     """
     if y_samples is None:
         y_samples = np.linspace(-15e-6, 15e-6, 61)
     k0 = 2 * np.pi / wavelength
     n_clad = stack.cladding_index
     t_c = pose.cladding_thickness
+    ys = np.atleast_1d(np.asarray(y_samples, dtype=float))
 
     def total(u, y):
         x = tooth.x + u
         return (phase_map(x, y) / k0
                 + _exit_path_length(x, y, focus, t_c, n_clad))
 
-    reference = total(0.0, 0.0)
-    samples = []
-    for y in np.atleast_1d(y_samples):
-        f = lambda u: total(u, y) - reference
-        lo, hi = -max_offset, max_offset
-        if f(lo) * f(hi) > 0:
-            tooth.truncated = True
-            continue
-        u = brentq(f, lo, hi, xtol=tol)
-        samples.append((float(y), float(u)))
+    # the y = 0 reference and both bracket ends in one evaluation
+    n = len(ys)
+    ends = total(np.concatenate([[0.0], np.full(n, -max_offset),
+                                 np.full(n, max_offset)]),
+                 np.concatenate([[0.0], ys, ys]))
+    f_lo, f_hi = ends[1:n + 1] - ends[0], ends[n + 1:] - ends[0]
+    bracketed = f_lo * f_hi <= 0
+    if not np.all(bracketed):
+        tooth.truncated = True
+    ys, f_lo, f_hi = ys[bracketed], f_lo[bracketed], f_hi[bracketed]
+    lo = np.full_like(ys, -max_offset)
+    hi = np.full_like(ys, max_offset)
+    u = np.where(f_lo == 0.0, lo, hi)
+    side = np.zeros(ys.shape, dtype=int)   # endpoint kept last step
+    for _ in range(200):
+        denom = np.where(f_hi != f_lo, f_hi - f_lo, 1.0)
+        nxt = np.clip(hi - f_hi * (hi - lo) / denom, lo, hi)
+        if np.all(np.abs(nxt - u) < tol):
+            u = nxt
+            break
+        u = nxt
+        f_u = total(u, ys) - ends[0]
+        left = f_u * f_lo > 0      # root lies in [u, hi]
+        # Illinois: halve the function value at an endpoint kept twice
+        f_hi = np.where(left & (side == 1), 0.5 * f_hi, f_hi)
+        f_lo = np.where(~left & (side == -1), 0.5 * f_lo, f_lo)
+        lo, f_lo = np.where(left, u, lo), np.where(left, f_u, f_lo)
+        hi, f_hi = np.where(left, hi, u), np.where(left, f_hi, f_u)
+        side = np.where(left, 1, -1)
+    samples = [(float(y), float(v)) for y, v in zip(ys, u)]
     tooth.curvature = samples
     return samples
 
@@ -438,16 +488,20 @@ def default_zone_period(stack: LayerStack,
     return period
 
 
-def _snap(v: float) -> float:
-    return round(v * 1e9) * 1e-9
+def _snap(v):
+    """Round to integer nanometers (vectorized; -0.0 comes out as 0.0)."""
+    return (np.rint(np.asarray(v) * 1e9) + 0.0) * 1e-9
 
 
-def _offset_at(tooth: ToothSpec, y: float) -> float:
+def curvature_offsets(tooth: ToothSpec, y) -> np.ndarray:
+    """Longitudinal offsets of a curved tooth at transverse positions y,
+    linearly interpolated between its curvature samples (zero if it has
+    none)."""
+    y = np.asarray(y, dtype=float)
     if not tooth.curvature:
-        return 0.0
-    ys = np.array([s[0] for s in tooth.curvature])
-    us = np.array([s[1] for s in tooth.curvature])
-    return float(np.interp(y, ys, us))
+        return np.zeros_like(y)
+    ys, us = np.array(tooth.curvature).T
+    return np.interp(y, ys, us)
 
 
 def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
@@ -458,7 +512,8 @@ def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
 
     Zone A carries each tooth as designed; zone B repeats it shifted
     longitudinally by the tooth's phase shift delta.  Vertices snap to
-    integer nanometers so exports round-trip exactly.
+    integer nanometers so exports round-trip exactly.  Polygons are listed
+    stripe by stripe, tooth by tooth within a stripe.
     """
     lam_m = wavelength_in_medium(wavelength, stack.cladding_index)
     if not zone_period < lam_m:
@@ -468,30 +523,38 @@ def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
         raise LayoutError("zone width below the fabrication minimum")
     half_w = footprint.y_extent / 2
     n_stripes = int(np.ceil(footprint.y_extent / (zone_period / 2)))
+    stripe = np.arange(n_stripes)
+    y0 = -half_w + stripe * zone_period / 2
+    y1 = np.minimum(y0 + zone_period / 2, half_w)
+    stripe, y0, y1 = stripe[y1 > y0], y0[y1 > y0], y1[y1 > y0]
     upper, lower = [], []
-    for s in range(n_stripes):
-        y0 = -half_w + s * zone_period / 2
-        y1 = min(y0 + zone_period / 2, half_w)
-        if y1 <= y0:
-            continue
-        yc = 0.5 * (y0 + y1)
-        zone_b = s % 2 == 1
+    if teeth and len(stripe):
         for tooth in teeth:
-            shift = tooth.params.delta if zone_b else 0.0
-            base = tooth.x + _offset_at(tooth, yc) + shift
-            for layer_polys, duty, dx in (
-                    (upper, tooth.params.dcu, 0.0),
-                    (lower, tooth.params.dcl, tooth.params.dx)):
+            for duty in (tooth.params.dcu, tooth.params.dcl):
                 width = duty * tooth.pitch
-                if width <= 0.0:
-                    continue
                 if 0.0 < width < min_feature:
                     raise LayoutError(
                         f"tooth at x={tooth.x * 1e6:.3f} um emits a "
                         f"{width * 1e9:.0f} nm feature after curvature")
-                xa, xb = _snap(base + dx), _snap(base + dx + width)
-                ya, yb = _snap(y0), _snap(y1)
-                layer_polys.append([(xa, ya), (xb, ya), (xb, yb), (xa, yb)])
+        x_lead, pitch, dcu, dcl, dx, delta = np.array(
+            [(t.x, t.pitch, t.params.dcu, t.params.dcl, t.params.dx,
+              t.params.delta) for t in teeth]).T
+        # (stripe, tooth) leading edges: curvature offset at the stripe
+        # centre, plus the phase shift in zone-B stripes
+        offsets = np.column_stack([curvature_offsets(t, 0.5 * (y0 + y1))
+                                   for t in teeth])
+        base = (x_lead + offsets) + np.where(stripe[:, None] % 2 == 1,
+                                             delta, 0.0)
+        ya, yb = _snap(y0).tolist(), _snap(y1).tolist()
+        for polys, width, shift in ((upper, dcu * pitch, np.zeros_like(dx)),
+                                    (lower, dcl * pitch, dx)):
+            cols = width > 0.0
+            xa = _snap(base[:, cols] + shift[cols])
+            xb = _snap(base[:, cols] + shift[cols] + width[cols])
+            for row_a, row_b, y_lo, y_hi in zip(xa.tolist(), xb.tolist(),
+                                                ya, yb):
+                polys.extend([(a, y_lo), (b, y_lo), (b, y_hi), (a, y_hi)]
+                             for a, b in zip(row_a, row_b))
     return GratingLayout(upper=upper, lower=lower, zone_period=zone_period,
                          metadata=metadata or {})
 

@@ -187,21 +187,53 @@ def wavelength_in_medium(wavelength: float, n_medium: float) -> float:
 # ---------------------------------------------------------------------------
 # Solid angle through the refracting cladding
 
-def _horizontal_reach(theta: float, pose: IonPose, n_clad: float) -> float:
-    """Horizontal distance from ion nadir where a ray at vacuum polar angle
-    ``theta`` lands on the grating plane, after refracting into the cladding."""
+def _horizontal_reach(theta, height: float, cladding_thickness: float,
+                      n_clad: float):
+    """Horizontal run of a ray leaving a point ``height`` above the
+    cladding/vacuum interface at vacuum polar angle ``theta``, down through
+    ``cladding_thickness`` of cladding to the grating plane (Snell at the
+    interface).  Vectorized over ``theta``."""
     s = np.sin(theta) / n_clad
-    return (pose.height_above_surface * np.tan(theta)
-            + pose.cladding_thickness * s / np.sqrt(1.0 - s * s))
+    return (height * np.tan(theta)
+            + cladding_thickness * s / np.sqrt(1.0 - s * s))
 
 
-def vacuum_angle_for_point(rho: float, pose: IonPose, n_clad: float) -> float:
-    """Vacuum polar angle of the ray reaching horizontal distance ``rho``."""
-    if rho <= 0:
-        return 0.0
-    hi = np.pi / 2 - 1e-9
-    return brentq(lambda t: _horizontal_reach(t, pose, n_clad) - rho,
-                  0.0, hi, xtol=1e-14)
+def _reach_slope(theta, height: float, cladding_thickness: float,
+                 n_clad: float):
+    """Derivative of :func:`_horizontal_reach` with respect to theta."""
+    s = np.sin(theta) / n_clad
+    return (height / np.cos(theta) ** 2
+            + cladding_thickness * (np.cos(theta) / n_clad)
+            / (1.0 - s * s) ** 1.5)
+
+
+def ray_vacuum_angle(rho, height: float, cladding_thickness: float,
+                     n_clad: float):
+    """Inverse of :func:`_horizontal_reach`: the vacuum polar angle of the
+    refracted ray whose horizontal run is ``rho`` (>= 0).
+
+    Vectorized over ``rho``.  The reach increases monotonically with theta;
+    Newton's method starts at the paraxial angle and converges
+    quadratically, and a step leaving the shrinking bracket falls back to
+    bisection.  Iterates until the largest step is below 1e-15 rad.
+    """
+    rho = np.asarray(rho, dtype=float)
+    z_eff = height + cladding_thickness / n_clad
+    theta = np.arctan(rho / z_eff)
+    lo, hi = np.zeros_like(theta), np.full_like(theta, np.pi / 2)
+    for _ in range(100):
+        f = _horizontal_reach(theta, height, cladding_thickness, n_clad) - rho
+        slope = _reach_slope(theta, height, cladding_thickness, n_clad)
+        lo = np.where(f < 0.0, theta, lo)
+        hi = np.where(f > 0.0, theta, hi)
+        nxt = theta - f / slope
+        outside = (nxt < lo) | (nxt > hi)
+        if outside.any():
+            nxt = np.where(outside, 0.5 * (lo + hi), nxt)
+        elif np.max(np.abs(nxt - theta)) <= 1e-15:
+            return nxt
+        theta = nxt
+    return theta
 
 
 class ApertureProjection:
@@ -221,12 +253,10 @@ class ApertureProjection:
         self.pose = pose
         self.n_cladding = n_cladding
         theta = np.linspace(0.0, theta_max, n_grid)
-        s = np.sin(theta) / n_cladding
-        rho = (pose.height_above_surface * np.tan(theta)
-               + pose.cladding_thickness * s / np.sqrt(1.0 - s * s))
-        drho = (pose.height_above_surface / np.cos(theta) ** 2
-                + pose.cladding_thickness * (np.cos(theta) / n_cladding)
-                / (1.0 - s * s) ** 1.5)
+        rho = _horizontal_reach(theta, pose.height_above_surface,
+                                pose.cladding_thickness, n_cladding)
+        drho = _reach_slope(theta, pose.height_above_surface,
+                            pose.cladding_thickness, n_cladding)
         zeff = pose.height_above_surface + pose.cladding_thickness / n_cladding
         weight = np.empty_like(rho)
         weight[0] = 1.0 / zeff**2

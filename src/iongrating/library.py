@@ -258,6 +258,11 @@ def pso_optimize(angle: float, delta_frac: float = 0.0,
             return np.inf
         try:
             entry = evaluate_cell(params, angle, config)
+        except FigureOfMeritUndefinedError:
+            # a cell that neither couples nor loses light scores like an
+            # infeasible one instead of aborting the angle
+            cache[key] = (np.inf, None)
+            return np.inf
         except (fdtd.ResolutionError, fdtd.DepletionError,
                 fdtd.ConvergenceError, ValueError) as exc:
             raise type(exc)(f"{exc} (particle {key})") from exc

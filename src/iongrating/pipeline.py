@@ -9,6 +9,7 @@ manifest lists every artifact with its checksum.
 import hashlib
 import json
 import os
+import warnings
 from importlib import metadata
 
 import numpy as np
@@ -56,16 +57,43 @@ def _sha256_file(path) -> str:
 
 
 def _stage_key(name: str, cfg_slice, upstream_keys) -> str:
+    # the package version is part of every key, so artifacts written by
+    # another release are recomputed rather than served from cache
     blob = json.dumps({"stage": name, "config": cfg_slice,
-                       "upstream": upstream_keys, "version": 1},
+                       "upstream": upstream_keys, "version": __version__},
                       sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    """Write through a temporary file and rename, so an interrupted write
+    never leaves a truncated file behind."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _read_previous_stages(manifest_path) -> dict:
+    """Stage entries of an earlier run; an unreadable manifest counts as
+    no earlier run, with a warning."""
+    if not os.path.exists(manifest_path):
+        return {}
+    try:
+        with open(manifest_path) as fh:
+            stages = json.load(fh).get("stages", {})
+        if not isinstance(stages, dict):
+            raise ValueError("'stages' is not a mapping")
+    except (OSError, ValueError, AttributeError) as exc:
+        warnings.warn(f"ignoring unreadable manifest {manifest_path}: {exc}",
+                      RuntimeWarning, stacklevel=3)
+        return {}
+    return stages
 
 
 def _config_slices(config: PipelineConfig) -> dict:
@@ -192,6 +220,14 @@ def _run_emission(config, ctx, stage_dir):
 
 def _run_library(config, ctx, stage_dir):
     lib = _build_library(config)
+    if not lib.complete:
+        failed = [e for e in lib.entries.values() if e.error is not None]
+        first = failed[0] if failed else None
+        detail = (f"; first at {np.rad2deg(first.angle):.2f} deg, delta "
+                  f"fraction {first.delta_frac:g}: {first.error}"
+                  if first else "")
+        raise StageError("library", f"{len(failed)} of {len(lib.entries)} "
+                         f"unit-cell entries failed{detail}")
     ctx["library"] = lib
     path = os.path.join(stage_dir, "library.json")
     liblib.save_library(lib, path)
@@ -243,6 +279,8 @@ def _run_design(config, ctx, stage_dir):
                "fit_relative_l2": fit.relative_l2,
                "fit_residual_power": fit.residual_power,
                "fit_infeasible": fit.infeasible,
+               "fit_status": [s.status for s in fit.starts],
+               "fit_nfev": [s.nfev for s in fit.starts],
                "drained_power": float(np.sum(drained)),
                "undiffracted_power": residual,
                "zone_period": zone_period}
@@ -472,11 +510,8 @@ def run_pipeline(config: PipelineConfig, out_dir=None, jobs: int = 1,
     out_dir = out_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     slices = _config_slices(config)
-    previous = {}
     manifest_path = os.path.join(out_dir, "manifest.json")
-    if os.path.exists(manifest_path):
-        with open(manifest_path) as fh:
-            previous = json.load(fh).get("stages", {})
+    previous = _read_previous_stages(manifest_path)
 
     stages = {}
     ctx = {}
@@ -536,6 +571,12 @@ def _fmt(value, digits=4):
     return f"{value:.{digits}g}"
 
 
+def _fmt_list(values):
+    """Space-separated list; manifests from before per-start diagnostics
+    have none."""
+    return " ".join(str(v) for v in values) if values else "n/a"
+
+
 def report(manifest: dict) -> str:
     """One-page text summary of a run manifest."""
     stages = manifest.get("stages", {})
@@ -561,6 +602,10 @@ def report(manifest: dict) -> str:
                   f"  teeth                     {get('design', 'n_teeth')}",
                   f"  fit relative L2           "
                   f"{_fmt(get('design', 'fit_relative_l2'))}",
+                  f"  fit status per start      "
+                  f"{_fmt_list(get('design', 'fit_status'))}",
+                  f"  fit evaluations per start "
+                  f"{_fmt_list(get('design', 'fit_nfev'))}",
                   f"  undiffracted power        "
                   f"{_fmt(get('design', 'undiffracted_power'))}"]
     if "overlap" in stages:

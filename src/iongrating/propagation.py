@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constants import DESIGN_WAVELENGTH, N_SIO2
+from .designer import curvature_offsets, tooth_power_accounting
 
 __all__ = [
     "FieldGrid", "PaddingError", "angular_spectrum_propagate",
@@ -106,33 +107,28 @@ def synthesize_near_field(teeth, footprint, stack,
     y = y0 + pixel_size * np.arange(ny)
     in_width = np.abs(y) <= footprint.y_extent / 2
 
-    # per-tooth drained power and emitted-wavefront phase accumulator
-    residual = 1.0
+    rows = np.nonzero(in_width)[0]
+    drained, _ = tooth_power_accounting(teeth)
+    # emitted-wavefront phase accumulated up to each tooth
     phase_acc = 0.0
-    for t in teeth:
-        frac = 1.0 - np.exp(-(t.kappa + t.alpha) * t.pitch)
-        share = t.kappa / (t.kappa + t.alpha) if t.kappa + t.alpha else 0.0
-        drained = residual * frac * share
-        residual *= 1.0 - frac
+    for t, power in zip(teeth, drained):
         kx = k0 * n_clad * np.sin(t.angle)
         # local slab index consistent with this tooth's grating equation
         n_slab = n_clad * np.sin(t.angle) + wavelength / t.pitch
-        if drained > 0.0:
-            amp = np.sqrt(drained / t.pitch)
-            if t.curvature:
-                ys = np.array([s[0] for s in t.curvature])
-                us = np.array([s[1] for s in t.curvature])
-                u = np.interp(y, ys, us)
-            else:
-                u = np.zeros_like(y)
-            for j in np.nonzero(in_width)[0]:
-                lo, hi = t.x + u[j], t.x + u[j] + t.pitch
-                cols = (x >= lo) & (x < hi)
-                if not np.any(cols):
-                    continue
-                phase = (phase_acc + kx * (x[cols] - lo)
-                         + k0 * n_slab * u[j])
-                grid[j, cols] = amp * np.exp(1j * phase)
+        if power > 0.0:
+            amp = np.sqrt(power / t.pitch)
+            u = curvature_offsets(t, y)[rows]
+            lo = t.x + u
+            hi = lo + t.pitch
+            # (row, column) pairs this tooth covers, searched only within
+            # the columns spanned by any row; later teeth overwrite
+            c0, c1 = np.searchsorted(x, [lo.min(), hi.max()])
+            span = x[c0:c1]
+            r, c = np.nonzero((span >= lo[:, None]) & (span < hi[:, None]))
+            c += c0
+            phase = (phase_acc + kx * (x[c] - lo[r])
+                     + (k0 * n_slab * u)[r])
+            grid[rows[r], c] = amp * np.exp(1j * phase)
         phase_acc += kx * t.pitch
 
     result = FieldGrid(grid, pixel_size, z=0.0, polarization=polarization,

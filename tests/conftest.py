@@ -13,8 +13,8 @@ WAVELENGTH = 422e-9
 
 
 @pytest.fixture(scope="session")
-def focused_design():
-    """Near field of a design aimed at the nominal ion position."""
+def focused_teeth():
+    """Curved teeth of a design aimed at the nominal ion position."""
     stack = default_stack()
     pose = IonPose()
     footprint = GratingFootprint()
@@ -36,4 +36,11 @@ def focused_design():
     for t in teeth:
         curve_tooth(t, focus, phase, stack, pose,
                     y_samples=np.linspace(-15e-6, 15e-6, 31))
-    return propagation.synthesize_near_field(teeth, footprint, stack)
+    return teeth
+
+
+@pytest.fixture(scope="session")
+def focused_design(focused_teeth):
+    """Near field of a design aimed at the nominal ion position."""
+    return propagation.synthesize_near_field(
+        focused_teeth, GratingFootprint(), default_stack())

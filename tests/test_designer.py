@@ -148,6 +148,62 @@ def test_constrained_fit_drains_guide(ion_profile):
     assert not report.infeasible
 
 
+def test_fit_reports_every_start(ion_profile):
+    # the pipeline's default cap: both starts converge, and the fit stays
+    # within 1e-3 of the five-start finite-difference fit (0.05405)
+    x, prof = ion_profile
+    _, report = fit_kappa(prof, x, alpha=0.0, kappa_max=0.6e6)
+    assert len(report.starts) == 2
+    assert all(s.status > 0 for s in report.starts)
+    assert report.relative_l2 <= 0.05505
+    assert report.relative_l2 == pytest.approx(
+        min(s.relative_l2 for s in report.starts), rel=1e-12)
+    # residual and Jacobian calls both count
+    assert report.n_evaluations > sum(s.nfev for s in report.starts)
+    assert report.n_evaluations < 2000
+
+
+@pytest.mark.parametrize("form", ["integral", "literal"])
+def test_fit_jacobian_matches_central_differences(monkeypatch, ion_profile,
+                                                  form):
+    x, prof = ion_profile
+    kappa_max = 0.1e6
+    # a start that dips below zero near x = 0, exceeds the cap past
+    # x ~ 21 um, and leaves enough light in the guide that the
+    # residual-power penalty is active
+    init = KappaAnsatz(0.0, 0.0, 0.17e6 / 30e-6, -0.03e6, 0.01e6,
+                       2.0 / 30e-6, 30e-6)
+    calls = []
+    real = designer.least_squares
+
+    def spy(fun, x0, jac, **kwargs):
+        calls.append((fun, np.array(x0), jac))
+        return real(fun, x0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(designer, "least_squares", spy)
+    fit_kappa(prof, x, alpha=0.0, kappa_max=kappa_max, init=init, form=form)
+    fun, z0, jac = calls[0]
+    analytic = jac(z0)
+    numeric = np.empty_like(analytic)
+    pattern = fun(z0) != 0.0
+    for j in range(len(z0)):
+        h = 1e-6 * max(abs(z0[j]), 1.0)
+        up, down = z0.copy(), z0.copy()
+        up[j] += h
+        down[j] -= h
+        f_up, f_down = fun(up), fun(down)
+        # no sample crosses a clip boundary within the step: the active
+        # penalty rows (kappa < 0, kappa > cap, residual power) stay put
+        assert np.array_equal(f_up != 0.0, pattern)
+        assert np.array_equal(f_down != 0.0, pattern)
+        numeric[:, j] = (f_up - f_down) / (2 * h)
+    n = len(x)
+    assert pattern[n:2 * n].any() and pattern[2 * n:3 * n].any()
+    assert pattern[-1]
+    np.testing.assert_allclose(analytic, numeric, rtol=1e-6,
+                               atol=1e-6 * np.abs(analytic).max())
+
+
 # ---------------------------------------------------------------------------
 # Discretization against a synthetic library
 
@@ -347,6 +403,56 @@ def test_emit_layout_polygons_pass_audits():
         assert polygon_is_simple(poly)
         xs = [p[0] for p in poly]
         assert max(xs) - min(xs) >= 0.12e-6 - 1e-9
+
+
+def _per_stripe_layout(teeth, zone_period, footprint, min_feature=0.12e-6):
+    """Reference layout: curvature interpolated per (stripe, tooth)."""
+    snap = lambda v: round(v * 1e9) * 1e-9
+    half_w = footprint.y_extent / 2
+    n_stripes = int(np.ceil(footprint.y_extent / (zone_period / 2)))
+    upper, lower = [], []
+    for s in range(n_stripes):
+        y0 = -half_w + s * zone_period / 2
+        y1 = min(y0 + zone_period / 2, half_w)
+        if y1 <= y0:
+            continue
+        yc = 0.5 * (y0 + y1)
+        for tooth in teeth:
+            offset = 0.0
+            if tooth.curvature:
+                ys = np.array([c[0] for c in tooth.curvature])
+                us = np.array([c[1] for c in tooth.curvature])
+                offset = float(np.interp(yc, ys, us))
+            shift = tooth.params.delta if s % 2 == 1 else 0.0
+            base = tooth.x + offset + shift
+            for polys, duty, dx in ((upper, tooth.params.dcu, 0.0),
+                                    (lower, tooth.params.dcl,
+                                     tooth.params.dx)):
+                width = duty * tooth.pitch
+                if width <= 0.0:
+                    continue
+                assert width >= min_feature
+                xa, xb = snap(base + dx), snap(base + dx + width)
+                ya, yb = snap(y0), snap(y1)
+                polys.append([(xa, ya), (xb, ya), (xb, yb), (xa, yb)])
+    return upper, lower
+
+
+def test_emit_layout_matches_per_stripe_reference(focused_teeth):
+    period = default_zone_period(STACK)
+    teeth = [ToothSpec(x=t.x, pitch=t.pitch, angle=t.angle, kappa=t.kappa,
+                       alpha=t.alpha, curvature=t.curvature,
+                       params=UnitCellParams(t.pitch, 0.5, 0.6, t.params.dx,
+                                             0.3 * t.pitch))
+             for t in focused_teeth]
+    teeth[3].curvature = []          # an uncurved tooth among curved ones
+    layout = emit_layout(teeth, period, FOOTPRINT, STACK)
+    upper, lower = _per_stripe_layout(teeth, period, FOOTPRINT)
+    assert layout.upper == upper and layout.lower == lower
+    # identical floats, not merely equal ones (no negative zeros)
+    flat = lambda polys: [v for p in polys for xy in p for v in xy]
+    assert ([repr(v) for v in flat(layout.upper + layout.lower)]
+            == [repr(v) for v in flat(upper + lower)])
 
 
 def test_emit_layout_rejects_bad_zone_period():

@@ -10,7 +10,9 @@ from iongrating.geometry import (
     LayerStack,
     NoGuidedModeError,
     default_stack,
+    _horizontal_reach,
     effective_index,
+    ray_vacuum_angle,
     solid_angle_fraction,
     wavelength_in_medium,
 )
@@ -160,3 +162,29 @@ class TestDomainTypes:
     def test_pose_standoff(self):
         pose = IonPose()
         assert pose.z_ion == pytest.approx(55e-6)
+
+
+# ---------------------------------------------------------------------------
+# Refracted ion-to-plane ray
+
+@pytest.mark.parametrize("height, cladding, n_clad", [
+    (50e-6, 5e-6, 1.47),    # nominal pose
+    (50e-6, 0.0, 1.47),     # no cladding: theta = arctan(rho / h)
+    (2e-6, 40e-6, 2.0),     # cladding-dominated reach
+])
+def test_ray_inverse_matches_brentq(height, cladding, n_clad):
+    rho = np.concatenate([[0.0, 1e-12], np.linspace(0.1e-6, 300e-6, 97)])
+
+    def reach(theta):
+        s = np.sin(theta) / n_clad
+        return height * np.tan(theta) + cladding * s / np.sqrt(1.0 - s * s)
+
+    oracle = [0.0 if r == 0.0 else
+              brentq(lambda t: reach(t) - r, 0.0, np.pi / 2 - 1e-9,
+                     xtol=1e-15) for r in rho]
+    theta = ray_vacuum_angle(rho, height, cladding, n_clad)
+    assert theta[0] == 0.0
+    assert np.max(np.abs(theta - oracle)) <= 1e-12
+    # and it inverts the forward map the aperture projection tabulates
+    back = _horizontal_reach(theta, height, cladding, n_clad)
+    assert np.allclose(back, rho, rtol=1e-12, atol=1e-18)

@@ -100,6 +100,22 @@ def test_pso_degenerate_infeasible_bounds():
         pso_minimize(lambda x: np.inf, [(0.5, 0.5)], SwarmConfig(4, 3))
 
 
+def test_pso_scores_uncoupled_cells_as_infeasible(monkeypatch):
+    # cells with dcu < 0.5 neither couple nor lose light; the swarm must
+    # skip them rather than abort the angle
+    def fake_cell(params, angle, config):
+        fom = figure_of_merit(params.dcu - 0.5 if params.dcu >= 0.5 else 0.0,
+                              0.1 if params.dcu >= 0.5 else 0.0)
+        return LibraryEntry(angle=angle, delta_frac=0.0, params=params,
+                            kappa=params.dcu, alpha=0.1, fom=fom)
+
+    monkeypatch.setattr(library, "evaluate_cell", fake_cell)
+    entry = pso_optimize(np.deg2rad(8.0), 0.0, KernelConfig(),
+                         SwarmConfig(n_particles=6, iterations=4, seed=3))
+    assert entry.params.dcu >= 0.5
+    assert np.isfinite(entry.fom)
+
+
 # ---------------------------------------------------------------------------
 # Interpolation on a synthetic library (closed-form kappa surface)
 

@@ -2,13 +2,14 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from iongrating import pipeline
+from iongrating import library as liblib, pipeline
 from iongrating.cli import main
 from iongrating.config import (PipelineConfig, default_config_dict,
                                load_config, write_default_config)
@@ -109,6 +110,72 @@ def test_seed_change_recomputes_only_detection(run_dir, tmp_path):
     assert "detect" not in manifest["cached_stages"]
     assert set(manifest["cached_stages"]) == set(pipeline.STAGES) - {
         "detect"}
+
+
+def test_version_change_recomputes_every_stage(run_dir, tmp_path,
+                                               monkeypatch):
+    out, _, _ = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    cfg = load_config(overrides={**FAST, "output_dir": str(copy)})
+    monkeypatch.setattr(pipeline, "__version__", "0.0.0+other")
+    manifest = pipeline.run_pipeline(cfg)
+    assert manifest["cached_stages"] == []
+
+
+def test_truncated_manifest_is_treated_as_empty(run_dir, tmp_path):
+    out, _, _ = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    path = copy / "manifest.json"
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    cfg = load_config(overrides={**FAST, "output_dir": str(copy)})
+    with pytest.warns(RuntimeWarning, match="unreadable manifest"):
+        manifest = pipeline.run_pipeline(cfg)
+    assert manifest["cached_stages"] == []
+    # the rewritten manifest is whole again, and no temporary is left
+    assert json.loads(path.read_text())["stages"].keys() == set(
+        pipeline.STAGES)
+    assert [p for p in os.listdir(copy) if ".tmp" in p] == []
+
+
+def test_design_summary_reports_fit_starts(run_dir):
+    _, _, manifest = run_dir
+    design = manifest["stages"]["design"]["summary"]
+    assert len(design["fit_status"]) == len(design["fit_nfev"]) == 2
+    assert all(status > 0 for status in design["fit_status"])
+    assert design["fit_relative_l2"] <= 0.05505
+    text = pipeline.report(manifest)
+    statuses = " ".join(str(v) for v in design["fit_status"])
+    assert f"fit status per start      {statuses}" in text
+
+
+def _failing_fdtd_config(tmp_path):
+    return load_config(overrides={
+        **FAST, "output_dir": str(tmp_path),
+        "library": {"mode": "fdtd", "angles_deg": [8.0],
+                    "delta_fracs": [0.0, 1.0],
+                    "swarm": {"n_particles": 2, "iterations": 1}}})
+
+
+def test_failed_library_entries_fail_the_stage(tmp_path, monkeypatch):
+    def no_coupling(params, angle, config):
+        liblib.figure_of_merit(0.0, 0.0)
+
+    monkeypatch.setattr(liblib, "evaluate_cell", no_coupling)
+    cfg = _failing_fdtd_config(tmp_path)
+    with pytest.raises(pipeline.StageError, match="2 of 2 unit-cell entries "
+                       "failed.*InfeasibleSwarmError"):
+        pipeline.run_pipeline(cfg, stages=["library"])
+    # and the CLI turns it into a single error line
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg.raw))
+    result = CliRunner().invoke(main, ["library", "--config",
+                                       str(cfg_path)])
+    assert result.exit_code == 1
+    assert result.output.startswith("stage-error: library: ")
+    assert len(result.output.strip().splitlines()) == 1
 
 
 def test_stage_subset_runs_dependencies(tmp_path):
@@ -224,6 +291,17 @@ def test_cli_errors_are_single_line(tmp_path):
                                   "--out", str(tmp_path)])
     assert result.exit_code == 1
     assert result.output.startswith("config-error: ")
+
+
+def test_cli_report_on_truncated_manifest(run_dir, tmp_path):
+    out, _, _ = run_dir
+    text = (out / "manifest.json").read_text()
+    (tmp_path / "manifest.json").write_text(text[:len(text) // 2])
+    result = CliRunner().invoke(main, ["report", "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    lines = [l for l in result.output.splitlines() if l]
+    assert len(lines) == 1
+    assert lines[0].startswith("manifest-unreadable: ")
 
 
 def test_cli_rabi_verb(tmp_path):

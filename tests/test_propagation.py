@@ -231,6 +231,57 @@ def test_uniform_design_exponential_envelope():
     assert np.allclose(ratios, np.exp(-kappa * pitch / 2), rtol=1e-9)
 
 
+def _looped_near_field(teeth, footprint, stack, wavelength=WAVELENGTH,
+                       shape=(512, 512), pixel_size=0.1e-6):
+    """Reference synthesis: one tooth and one in-width row at a time."""
+    ny, nx = shape
+    n_clad = stack.cladding_index
+    k0 = 2 * np.pi / wavelength
+    grid = np.zeros((ny, nx), dtype=complex)
+    x0 = footprint.x_extent / 2 - nx * pixel_size / 2
+    y0 = -ny * pixel_size / 2
+    x = x0 + pixel_size * np.arange(nx)
+    y = y0 + pixel_size * np.arange(ny)
+    in_width = np.abs(y) <= footprint.y_extent / 2
+    residual, phase_acc = 1.0, 0.0
+    for t in teeth:
+        frac = 1.0 - np.exp(-(t.kappa + t.alpha) * t.pitch)
+        share = t.kappa / (t.kappa + t.alpha) if t.kappa + t.alpha else 0.0
+        drained = residual * frac * share
+        residual *= 1.0 - frac
+        kx = k0 * n_clad * np.sin(t.angle)
+        n_slab = n_clad * np.sin(t.angle) + wavelength / t.pitch
+        if drained > 0.0:
+            amp = np.sqrt(drained / t.pitch)
+            if t.curvature:
+                ys = np.array([s[0] for s in t.curvature])
+                us = np.array([s[1] for s in t.curvature])
+                u = np.interp(y, ys, us)
+            else:
+                u = np.zeros_like(y)
+            for j in np.nonzero(in_width)[0]:
+                lo, hi = t.x + u[j], t.x + u[j] + t.pitch
+                cols = (x >= lo) & (x < hi)
+                phase = (phase_acc + kx * (x[cols] - lo)
+                         + k0 * n_slab * u[j])
+                grid[j, cols] = amp * np.exp(1j * phase)
+        phase_acc += kx * t.pitch
+    return grid / np.sqrt(np.sum(np.abs(grid) ** 2) * pixel_size**2)
+
+
+def test_synthesis_equals_looped_reference(focused_teeth):
+    f = synthesize_near_field(focused_teeth, FOOTPRINT, STACK)
+    assert np.array_equal(f.data, _looped_near_field(focused_teeth,
+                                                     FOOTPRINT, STACK))
+    # uncurved teeth that overlap their neighbours: later teeth overwrite
+    teeth = _uniform_teeth(pitch=0.35e-6)
+    for i, t in enumerate(teeth):
+        t.x = i * 0.25e-6
+    f = synthesize_near_field(teeth, FOOTPRINT, STACK)
+    assert np.array_equal(f.data, _looped_near_field(teeth, FOOTPRINT,
+                                                     STACK))
+
+
 def test_focus_lands_at_ion(focused_design):
     z_ion = POSE.cladding_thickness + POSE.height_above_surface
     out = propagate_to_height(focused_design, z_ion,
