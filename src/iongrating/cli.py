@@ -30,8 +30,6 @@ def _common(fn):
                   "built-in defaults.")
     @click.option("--seed", type=int, default=None,
                   help="Override every stage seed with this value.")
-    @click.option("--jobs", type=int, default=1, show_default=True,
-                  help="Maximum parallel workers.")
     @click.option("--out", "out_dir", type=click.Path(), default=None,
                   help="Output directory (default from config).")
     @functools.wraps(fn)
@@ -53,10 +51,10 @@ def _load(config_path, seed, out_dir):
         _fail("config-error", str(exc))
 
 
-def _run_stages(cfg, jobs, stage):
+def _run_stages(cfg, stage):
     """Run ``stage`` (and its dependencies) only."""
     try:
-        manifest = pipeline.run_pipeline(cfg, jobs=jobs, stages=[stage])
+        manifest = pipeline.run_pipeline(cfg, stages=[stage])
     except pipeline.StageError as exc:
         _fail("stage-error", str(exc))
     return manifest
@@ -84,9 +82,9 @@ def init_config(path):
 def _stage_verb(name, stage):
     @main.command(name)
     @_common
-    def verb(config_path, seed, jobs, out_dir):
+    def verb(config_path, seed, out_dir):
         cfg = _load(config_path, seed, out_dir)
-        manifest = _run_stages(cfg, jobs, stage)
+        manifest = _run_stages(cfg, stage)
         _echo_stage(manifest, stage)
     verb.__doc__ = f"Run the pipeline through the {stage} stage."
     return verb
@@ -96,7 +94,6 @@ library = _stage_verb("library", "library")
 design = _stage_verb("design", "design")
 synthesize = _stage_verb("synthesize", "synthesize")
 overlap_cmd = _stage_verb("overlap", "overlap")
-map_cmd = _stage_verb("map", "overlap")
 crosstalk = _stage_verb("crosstalk", "crosstalk")
 detect = _stage_verb("detect", "detect")
 
@@ -106,11 +103,11 @@ detect = _stage_verb("detect", "detect")
 @click.option("--dz", type=float, default=None,
               help="Propagate the stored near field by this extra "
               "distance (m) instead of to the ion plane.")
-def propagate(config_path, seed, jobs, out_dir, dz):
+def propagate(config_path, seed, out_dir, dz):
     """Propagate the synthesized near field to the ion plane (or by
     --dz)."""
     cfg = _load(config_path, seed, out_dir)
-    manifest = _run_stages(cfg, jobs, "propagate")
+    manifest = _run_stages(cfg, "propagate")
     if dz is not None:
         base = os.path.join(cfg.output_dir if out_dir is None else out_dir,
                             manifest["stages"]["synthesize"]
@@ -120,7 +117,7 @@ def propagate(config_path, seed, jobs, out_dir, dz):
                 load_field(base), dz, cfg.stack.cladding_index)
         except Exception as exc:
             _fail("propagation-error", str(exc))
-        path = os.path.join(os.path.dirname(base), f"field_dz_{dz:g}.csv")
+        path = os.path.join(os.path.dirname(base), f"field_dz_{dz:g}.npz")
         save_field(field, path)
         _, i_max, idx = beam_cross_section(field)
         click.echo(json.dumps({"path": path, "peak_intensity": i_max,
@@ -133,11 +130,11 @@ def propagate(config_path, seed, jobs, out_dir, dz):
 
 @main.command()
 @_common
-def pipeline_cmd(config_path, seed, jobs, out_dir):
+def pipeline_cmd(config_path, seed, out_dir):
     """Run every stage and print the report."""
     cfg = _load(config_path, seed, out_dir)
     try:
-        manifest = pipeline.run_pipeline(cfg, jobs=jobs)
+        manifest = pipeline.run_pipeline(cfg)
     except pipeline.StageError as exc:
         _fail("stage-error", str(exc))
     click.echo(pipeline.report(manifest))
@@ -148,7 +145,7 @@ main.add_command(pipeline_cmd, "pipeline")
 
 @main.command("report")
 @_common
-def report_cmd(config_path, seed, jobs, out_dir):
+def report_cmd(config_path, seed, out_dir):
     """Render the report for an existing run manifest."""
     cfg = _load(config_path, seed, out_dir)
     path = os.path.join(cfg.output_dir, "manifest.json")

@@ -233,11 +233,7 @@ class Fdtd2D:
     def add_line_source(self, i: int, profile: np.ndarray,
                         ramp_periods: float = 5.0, amplitude: float = 1.0):
         """Soft out-of-plane-field line source across the column x index i."""
-        self._sources.append(("line", i, profile, ramp_periods, amplitude))
-
-    def add_point_source(self, i: int, j: int, ramp_periods: float = 5.0,
-                         amplitude: float = 1.0):
-        self._sources.append(("point", (i, j), None, ramp_periods, amplitude))
+        self._sources.append((i, profile, ramp_periods, amplitude))
 
     # -- stepping ---------------------------------------------------------
 
@@ -266,14 +262,11 @@ class Fdtd2D:
 
         self.step_index += 1
         t = self.step_index * self.grid.time_step
-        for kind, loc, profile, ramp_p, amp in self._sources:
+        for i, profile, ramp_p, amp in self._sources:
             ramp_t = ramp_p * 2 * np.pi / self.omega
             env = 1.0 if t >= ramp_t else 0.5 * (1 - np.cos(np.pi * t / ramp_t))
             drive = amp * env * np.sin(self.omega * t)
-            if kind == "line":
-                self.F[loc, :] += profile * drive
-            else:
-                self.F[loc] += drive
+            self.F[i, :] += profile * drive
 
     def run_periods(self, n_periods: int, accumulators=None):
         """Advance n_periods; if accumulators are given, feed them each step."""
@@ -472,10 +465,6 @@ def grating_effective_index(stack: LayerStack, params, cell_size: float,
 
 
 _reference_cache: dict = {}
-
-
-def clear_reference_cache():
-    _reference_cache.clear()
 
 
 def _stack_key(stack: LayerStack):
@@ -704,21 +693,3 @@ def far_field_angle_spectrum(result: CellResult,
                          total=float(np.sum(power)), peak_angle=peak,
                          truncation_warning=trunc)
 
-
-# ---------------------------------------------------------------------------
-# Exports
-
-def material_map_to_csv(material: MaterialMap, path):
-    nx, nz = material.n.shape
-    header = f"# nx={nx} ny={nz} cell_size={material.cell_size} z_offset={material.z0}"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(header + "\n")
-        np.savetxt(f, material.n, delimiter=",")
-
-
-def cell_result_to_text(result: CellResult) -> str:
-    fields = ["p_in", "p_t", "p_d", "p_up", "p_down", "p_trans",
-              "p_reflected", "length", "peak_angle", "target_angle",
-              "periods_run"]
-    lines = [f"{name} = {getattr(result, name)}" for name in fields]
-    return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -280,6 +280,19 @@ def pso_optimize(angle: float, delta_frac: float = 0.0,
 # ---------------------------------------------------------------------------
 # Library assembly
 
+def _lerp(a, b, t):
+    """The linear blend every library lookup uses."""
+    return (1 - t) * a + t * b
+
+
+def _blend_params(a: UnitCellParams, b: UnitCellParams,
+                  t: float) -> UnitCellParams:
+    """Field-by-field :func:`_lerp` of two cell geometries."""
+    return UnitCellParams(**{f.name: _lerp(getattr(a, f.name),
+                                           getattr(b, f.name), t)
+                             for f in fields(UnitCellParams)})
+
+
 @dataclass
 class ParamLibrary:
     """Rectangular (angle x relative-phase-shift) table of optimized cells."""
@@ -318,16 +331,8 @@ class ParamLibrary:
     def _interp_column(self, angle: float, j: int):
         i0, i1, t = self._angle_weights(angle)
         e0, e1 = self.entries[(i0, j)], self.entries[(i1, j)]
-        kappa = (1 - t) * e0.kappa + t * e1.kappa
-        alpha = (1 - t) * e0.alpha + t * e1.alpha
-        p0, p1 = e0.params, e1.params
-        params = UnitCellParams(
-            pitch=(1 - t) * p0.pitch + t * p1.pitch,
-            dcu=(1 - t) * p0.dcu + t * p1.dcu,
-            dcl=(1 - t) * p0.dcl + t * p1.dcl,
-            dx=(1 - t) * p0.dx + t * p1.dx,
-            delta=(1 - t) * p0.delta + t * p1.delta)
-        return kappa, alpha, params
+        return (_lerp(e0.kappa, e1.kappa, t), _lerp(e0.alpha, e1.alpha, t),
+                _blend_params(e0.params, e1.params, t))
 
 
 @dataclass
@@ -365,16 +370,9 @@ def interpolate(library: ParamLibrary, angle: float,
     s = float(np.clip(s, 0.0, 1.0))
     _, a_hi, p_hi = cols[j - 1]
     _, a_lo, p_lo = cols[j]
-    params = UnitCellParams(
-        pitch=(1 - s) * p_hi.pitch + s * p_lo.pitch,
-        dcu=(1 - s) * p_hi.dcu + s * p_lo.dcu,
-        dcl=(1 - s) * p_hi.dcl + s * p_lo.dcl,
-        dx=(1 - s) * p_hi.dx + s * p_lo.dx,
-        delta=(1 - s) * p_hi.delta + s * p_lo.delta)
-    kappa = (1 - s) * k_hi + s * k_lo
-    alpha = (1 - s) * a_hi + s * a_lo
-    return InterpolationResult(params, float(kappa), float(alpha),
-                               clamped=False)
+    return InterpolationResult(_blend_params(p_hi, p_lo, s),
+                               float(_lerp(k_hi, k_lo, s)),
+                               float(_lerp(a_hi, a_lo, s)), clamped=False)
 
 
 def _entry_key(angle: float, delta_frac: float, config: KernelConfig,
@@ -396,11 +394,6 @@ def _entry_key(angle: float, delta_frac: float, config: KernelConfig,
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
-def _entry_to_dict(e: LibraryEntry) -> dict:
-    d = asdict(e)
-    return d
-
-
 def _entry_from_dict(d: dict) -> LibraryEntry:
     d = dict(d)
     d["params"] = UnitCellParams(**d["params"])
@@ -408,15 +401,14 @@ def _entry_from_dict(d: dict) -> LibraryEntry:
 
 
 def build_library(angles, delta_fracs=None, config: KernelConfig | None = None,
-                  swarm: SwarmConfig | None = None, cache_dir=None,
-                  reoptimize_per_delta: bool = False) -> ParamLibrary:
+                  swarm: SwarmConfig | None = None,
+                  cache_dir=None) -> ParamLibrary:
     """Assemble the (angle x phase-shift) library.
 
-    By default the swarm runs once per angle at zero phase shift and the
-    winning geometry is re-simulated at each phase-shift grid point; this
-    keeps kappa(delta) on a single geometry family and the build at desk
-    scale.  ``reoptimize_per_delta`` re-runs the swarm at every grid node
-    instead.  Entries are cached by a content hash of their full inputs, so
+    The swarm runs once per angle at zero phase shift and the winning
+    geometry is re-simulated at each phase-shift grid point; this keeps
+    kappa(delta) on a single geometry family and the build at desk
+    scale.  Entries are cached by a content hash of their full inputs, so
     builds are resumable and independent of job order.
     """
     config = config or KernelConfig()
@@ -441,7 +433,7 @@ def build_library(angles, delta_fracs=None, config: KernelConfig | None = None,
         os.makedirs(cache_dir, exist_ok=True)
         tmp = path + f".tmp{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(_entry_to_dict(entry), f)
+            json.dump(asdict(entry), f)
         os.replace(tmp, path)  # atomic insert-if-absent
         return entry
 
@@ -450,12 +442,11 @@ def build_library(angles, delta_fracs=None, config: KernelConfig | None = None,
     for i, angle in enumerate(angles):
         base: LibraryEntry | None = None
         for j, frac in enumerate(delta_fracs):
-            key = _entry_key(angle, frac, config, swarm) + (
-                "-re" if reoptimize_per_delta else "")
+            key = _entry_key(angle, frac, config, swarm)
 
             def compute(angle=angle, frac=frac):
                 nonlocal base
-                if reoptimize_per_delta or frac == 0.0:
+                if frac == 0.0:
                     return pso_optimize(angle, frac, config, swarm)
                 params = replace(base.params,
                                  delta=frac * base.params.pitch / 2)
@@ -496,7 +487,7 @@ def save_library(library: ParamLibrary, path) -> None:
         "min_feature": library.min_feature,
         "complete": library.complete,
         "provenance": library.provenance,
-        "entries": [{"i": i, "j": j, **_entry_to_dict(e)}
+        "entries": [{"i": i, "j": j, **asdict(e)}
                     for (i, j), e in sorted(library.entries.items())],
     }
     with open(path, "w", encoding="utf-8") as f:

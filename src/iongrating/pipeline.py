@@ -278,7 +278,7 @@ def _run_design(config, ctx, stage_dir):
     summary = {"n_teeth": len(teeth),
                "fit_relative_l2": fit.relative_l2,
                "fit_residual_power": fit.residual_power,
-               "fit_infeasible": fit.infeasible,
+               "fit_infeasible": bool(fit.infeasible),
                "fit_status": [s.status for s in fit.starts],
                "fit_nfev": [s.nfev for s in fit.starts],
                "drained_power": float(np.sum(drained)),
@@ -340,7 +340,7 @@ def _run_synthesize(config, ctx, stage_dir):
             teeth, config.footprint, config.stack, config.wavelength,
             polarization=pol, shape=shape, pixel_size=s)
         ctx[f"near_{pol}"] = field
-        path = os.path.join(stage_dir, f"near_field_{pol.lower()}.csv")
+        path = os.path.join(stage_dir, f"near_field_{pol.lower()}.npz")
         propagation.save_field(field, path)
         artifacts[f"near_{pol.lower()}"] = path
         summary[f"power_{pol.lower()}"] = field.power()
@@ -360,7 +360,7 @@ def _run_propagate(config, ctx, stage_dir):
             ctx[f"near_{pol}"], z_ion, config.pose.cladding_thickness,
             config.stack.cladding_index).normalize()
         ctx[f"ion_{pol}"] = at_ion
-        path = os.path.join(stage_dir, f"ion_plane_{pol.lower()}.csv")
+        path = os.path.join(stage_dir, f"ion_plane_{pol.lower()}.npz")
         propagation.save_field(at_ion, path)
         artifacts[f"ion_{pol.lower()}"] = path
         _, i_max, idx = propagation.beam_cross_section(at_ion)
@@ -492,7 +492,7 @@ def _closure(names) -> tuple:
     return tuple(s for s in STAGES if s in wanted)
 
 
-def run_pipeline(config: PipelineConfig, out_dir=None, jobs: int = 1,
+def run_pipeline(config: PipelineConfig, out_dir=None,
                  stages=None) -> dict:
     """Execute stages in dependency order and write the manifest.
 
@@ -502,7 +502,6 @@ def run_pipeline(config: PipelineConfig, out_dir=None, jobs: int = 1,
     disk.  Returns the manifest dict; it is also written to
     ``<out_dir>/manifest.json``.
     """
-    del jobs  # stage bodies are vectorized; accepted for CLI symmetry
     for name in stages or ():
         if name not in STAGES:
             raise StageError(name, "unknown stage")

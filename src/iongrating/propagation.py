@@ -9,6 +9,7 @@ attenuating evanescent components.  The cladding traversal uses the
 cladding index for its thickness, then vacuum above.
 """
 
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -243,89 +244,60 @@ def gaussian_field(waist: float, shape=(512, 512),
 # ---------------------------------------------------------------------------
 # Field I/O
 
-_HEADER_KEYS = ("pixel_size", "z", "polarization", "x0", "y0",
-                "wavelength", "normalized", "intensity_only")
+# header fields stored beside ``data``, each as a 0-d array, with the type
+# it is read back as
+_HEADER = {"pixel_size": float, "z": float, "polarization": str,
+           "x0": float, "y0": float, "wavelength": float,
+           "normalized": bool, "intensity_only": bool}
 
 
 def save_field(fieldgrid: FieldGrid, path) -> None:
-    """Lossless CSV export: header lines, then real and imaginary parts.
+    """Lossless ``.npz`` export: a ``data`` array (complex128, or float64
+    for intensity-only fields) and one 0-d array per header field.
 
-    Intensity-only fields write a single ``# intensity`` matrix instead of
-    the real/imaginary pair.
+    Members carry zipfile's fixed 1980 timestamp, so the same field always
+    gives the same bytes; ``path`` is used as given.
     """
-    with open(path, "w") as fh:
-        fh.write("# field grid v1\n")
-        for key in _HEADER_KEYS:
-            value = getattr(fieldgrid, key)
-            if isinstance(value, bool):
-                value = int(value)
-            elif isinstance(value, float):
-                value = repr(value)
-            fh.write(f"# {key} = {value}\n")
-        if fieldgrid.intensity_only:
-            sections = (("intensity", np.abs(fieldgrid.data).astype(float)),)
-        else:
-            sections = (("real", fieldgrid.data.real),
-                        ("imag", fieldgrid.data.imag))
-        for name, block in sections:
-            fh.write(f"# {name}\n")
-            np.savetxt(fh, block, delimiter=",", fmt="%.17g")
+    if fieldgrid.intensity_only:
+        data = np.abs(fieldgrid.data).astype(np.float64)
+    else:
+        data = np.asarray(fieldgrid.data, dtype=np.complex128)
+    members = {"data": data}
+    for key, kind in _HEADER.items():
+        members[key] = np.asarray(kind(getattr(fieldgrid, key)))
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in members.items():
+            # zip64 lets a member pass 2 GiB (a 16384^2 complex grid)
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w",
+                              force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
 
 
 def load_field(path) -> FieldGrid:
-    """Inverse of :func:`save_field`; raises ValueError naming the first
-    malformed line."""
-    header = {}
-    blocks = {}
-    current = None
-    with open(path) as fh:
-        lines = fh.readlines()
-    if not lines or lines[0].strip() != "# field grid v1":
-        raise ValueError(f"{path}: line 1 is not a field-grid signature")
-    for ln, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body in ("real", "imag", "intensity"):
-                current = body
-                blocks[current] = []
-                continue
-            if "=" not in body:
-                raise ValueError(f"{path}: malformed header at line {ln}")
-            key, _, value = body.partition("=")
-            header[key.strip()] = value.strip()
-            continue
-        if current is None:
-            raise ValueError(f"{path}: data before a section tag at "
-                             f"line {ln}")
+    """Inverse of :func:`save_field`; raises ValueError naming the path
+    for anything that is not a field file."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not an .npz field file") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not an .npz field file")
+    with archive:
+        missing = [k for k in ("data", *_HEADER) if k not in archive.files]
+        if missing:
+            raise ValueError(f"{path}: field file lacks {', '.join(missing)}")
         try:
-            blocks[current].append([float(v) for v in line.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad matrix row at line {ln}") from exc
-
-    missing = [k for k in _HEADER_KEYS if k not in header]
-    if missing:
-        raise ValueError(f"{path}: header missing {missing}")
-    intensity_only = bool(int(header["intensity_only"]))
-    if intensity_only:
-        if "intensity" not in blocks:
-            raise ValueError(f"{path}: intensity-only file lacks an "
-                             f"intensity block")
-        data = np.asarray(blocks["intensity"], dtype=float)
-    else:
-        if "real" not in blocks or "imag" not in blocks:
-            raise ValueError(f"{path}: expected real and imag blocks")
-        re = np.asarray(blocks["real"], dtype=float)
-        im = np.asarray(blocks["imag"], dtype=float)
-        if re.shape != im.shape:
-            raise ValueError(f"{path}: real {re.shape} and imag {im.shape} "
-                             f"dimensions differ")
-        data = re + 1j * im
-    return FieldGrid(
-        data, float(header["pixel_size"]), z=float(header["z"]),
-        polarization=header["polarization"], x0=float(header["x0"]),
-        y0=float(header["y0"]), wavelength=float(header["wavelength"]),
-        normalized=bool(int(header["normalized"])),
-        intensity_only=intensity_only)
+            data = archive["data"]
+            header = {key: kind(archive[key].item())
+                      for key, kind in _HEADER.items()}
+        except (ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: unreadable field member ({exc})") \
+                from exc
+    expected = np.dtype(np.float64 if header["intensity_only"]
+                        else np.complex128)
+    if data.dtype != expected:
+        raise ValueError(f"{path}: data is {data.dtype}, expected {expected}")
+    try:
+        return FieldGrid(data, **header)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

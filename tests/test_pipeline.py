@@ -9,7 +9,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from iongrating import library as liblib, pipeline
+from iongrating import library as liblib, pipeline, propagation
 from iongrating.cli import main
 from iongrating.config import (PipelineConfig, default_config_dict,
                                load_config, write_default_config)
@@ -123,6 +123,33 @@ def test_version_change_recomputes_every_stage(run_dir, tmp_path,
     assert manifest["cached_stages"] == []
 
 
+def test_run_from_csv_field_release_recomputes(run_dir, tmp_path,
+                                              monkeypatch):
+    """Release 0.2.0 stored fields as CSV, which load_field refuses; its
+    stage keys differ, so such a run recomputes instead of loading them."""
+    out, _, _ = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    cfg = load_config(overrides={**FAST, "output_dir": str(copy)})
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "__version__", "0.2.0")
+        pipeline.run_pipeline(cfg)
+    manifest_path = copy / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for stage in ("synthesize", "propagate"):
+        entry = manifest["stages"][stage]
+        for name, rel in entry["artifact_names"].items():
+            csv = rel.replace(".npz", ".csv")
+            os.remove(copy / rel)
+            (copy / csv).write_text("# field grid v1\n")
+            entry["artifact_names"][name] = csv
+            del entry["artifacts"][rel]
+            entry["artifacts"][csv] = pipeline._sha256_file(copy / csv)
+    manifest_path.write_text(json.dumps(manifest))
+    manifest = pipeline.run_pipeline(cfg)
+    assert manifest["cached_stages"] == []
+
+
 def test_truncated_manifest_is_treated_as_empty(run_dir, tmp_path):
     out, _, _ = run_dir
     copy = tmp_path / "run"
@@ -149,6 +176,32 @@ def test_design_summary_reports_fit_starts(run_dir):
     text = pipeline.report(manifest)
     statuses = " ".join(str(v) for v in design["fit_status"])
     assert f"fit status per start      {statuses}" in text
+
+
+def test_fit_infeasible_is_a_json_bool(run_dir):
+    out, _, _ = run_dir
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stages"]["design"]["summary"]["fit_infeasible"] is False
+
+
+def test_field_artifacts_are_npz(run_dir):
+    out, _, manifest = run_dir
+    names = {**manifest["stages"]["synthesize"]["artifact_names"],
+             **manifest["stages"]["propagate"]["artifact_names"]}
+    assert sorted(os.path.basename(p) for p in names.values()) == [
+        "ion_plane_te.npz", "ion_plane_tm.npz",
+        "near_field_te.npz", "near_field_tm.npz"]
+    for rel in names.values():
+        assert propagation.load_field(out / rel).data.shape == (512, 512)
+
+
+def test_cold_runs_record_identical_checksums(run_dir, tmp_path):
+    _, _, manifest = run_dir
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
+    again = pipeline.run_pipeline(cfg)
+    assert again["cached_stages"] == []
+    for name, stage in manifest["stages"].items():
+        assert again["stages"][name]["artifacts"] == stage["artifacts"], name
 
 
 def _failing_fdtd_config(tmp_path):
@@ -320,6 +373,28 @@ def test_cli_rabi_verb(tmp_path):
     assert result.exit_code == 0
     data = np.loadtxt(out_path, delimiter=",")
     assert data.shape == (3, 2)
+
+
+def test_cli_propagate_dz_writes_a_loadable_field(run_dir):
+    out, _, _ = run_dir
+    cfg_path = out / "fast.yaml"
+    cfg_path.write_text(yaml.safe_dump({**FAST, "output_dir": str(out)}))
+    result = CliRunner().invoke(main, ["propagate", "--config",
+                                       str(cfg_path), "--dz", "2e-06"])
+    assert result.exit_code == 0, result.output
+    path = json.loads(result.output)["path"]
+    assert os.path.basename(path) == "field_dz_2e-06.npz"
+    field = propagation.load_field(path)
+    near = propagation.load_field(out / "synthesize" / "near_field_te.npz")
+    assert field.z == pytest.approx(near.z + 2e-6)
+    assert field.data.shape == near.data.shape
+
+
+def test_cli_has_no_jobs_option_or_map_verb():
+    runner = CliRunner()
+    result = runner.invoke(main, ["design", "--jobs", "2"])
+    assert result.exit_code == 2 and "--jobs" in result.output
+    assert "map" not in main.commands
 
 
 def test_cli_writes_only_under_out(run_dir, tmp_path, monkeypatch):

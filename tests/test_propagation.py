@@ -1,5 +1,7 @@
 """Tests for scalar field synthesis, propagation, and field I/O."""
 
+import zipfile
+
 import numpy as np
 import pytest
 from scipy.special import fresnel
@@ -310,55 +312,96 @@ def test_brightest_plane_near_ion_height(focused_design):
 def test_field_io_round_trip(tmp_path):
     g = angular_spectrum_propagate(gaussian_field(1e-6, shape=(64, 64)),
                                    2e-6)
-    path = tmp_path / "field.csv"
+    path = tmp_path / "field.npz"
     save_field(g, path)
     back = load_field(path)
     assert np.array_equal(back.data, g.data)
-    assert back.pixel_size == g.pixel_size
-    assert back.z == g.z
-    assert back.polarization == g.polarization
-    assert back.x0 == g.x0 and back.y0 == g.y0
-    assert back.normalized == g.normalized
+    assert back.data.dtype == np.complex128
+    for key in ("pixel_size", "z", "polarization", "x0", "y0",
+                "wavelength", "normalized", "intensity_only"):
+        assert getattr(back, key) == getattr(g, key), key
 
 
 def test_field_io_intensity_only(tmp_path):
     g = FieldGrid(np.random.Generator(np.random.Philox(5)).random((8, 8)),
                   0.1e-6, intensity_only=True)
-    path = tmp_path / "meas.csv"
+    path = tmp_path / "meas.npz"
     save_field(g, path)
     back = load_field(path)
     assert back.intensity_only
+    assert back.data.dtype == np.float64
     assert np.array_equal(back.data, g.data)
     intensity, _, _ = beam_cross_section(back)
     assert intensity.sum() * back.pixel_size**2 == pytest.approx(1.0)
 
 
-def test_field_io_corrupt_header(tmp_path):
-    g = gaussian_field(1e-6, shape=(8, 8))
-    path = tmp_path / "field.csv"
-    save_field(g, path)
-    lines = path.read_text().splitlines()
-    lines[2] = "# corrupted header entry"
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="line 3"):
-        load_field(bad)
+def test_field_io_rewrite_is_byte_identical(tmp_path):
+    g = gaussian_field(1e-6, shape=(16, 16))
+    first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_field(g, first)
+    save_field(g, second)
+    assert first.read_bytes() == second.read_bytes()
 
 
-def test_field_io_missing_signature(tmp_path):
+def test_field_io_keeps_the_given_path(tmp_path):
+    path = tmp_path / "field.dat"
+    save_field(gaussian_field(1e-6, shape=(8, 8)), path)
+    assert [p.name for p in tmp_path.iterdir()] == ["field.dat"]
+    assert load_field(path).data.shape == (8, 8)
+
+
+def test_field_io_rejects_text_file(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("1,2,3\n")
-    with pytest.raises(ValueError, match="line 1"):
+    with pytest.raises(ValueError, match="junk.csv"):
         load_field(path)
 
 
-def test_field_io_dimension_mismatch(tmp_path):
-    g = gaussian_field(1e-6, shape=(8, 8))
-    path = tmp_path / "field.csv"
-    save_field(g, path)
-    lines = [ln for ln in path.read_text().splitlines()]
-    del lines[-1]  # drop one imaginary-part row
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="dimensions differ"):
+def test_field_io_rejects_bare_npy(tmp_path):
+    path = tmp_path / "bare.npy"
+    np.save(path, np.zeros((8, 8), dtype=complex))
+    with pytest.raises(ValueError, match="bare.npy"):
+        load_field(path)
+
+
+def test_field_io_truncated_file(tmp_path):
+    path = tmp_path / "field.npz"
+    save_field(gaussian_field(1e-6, shape=(8, 8)), path)
+    blob = path.read_bytes()
+    bad = tmp_path / "cut.npz"
+    bad.write_bytes(blob[:len(blob) // 2])
+    with pytest.raises(ValueError, match="cut.npz"):
+        load_field(bad)
+
+
+def test_field_io_missing_header_key(tmp_path):
+    path = tmp_path / "field.npz"
+    save_field(gaussian_field(1e-6, shape=(8, 8)), path)
+    bad = tmp_path / "nopix.npz"
+    with zipfile.ZipFile(path) as src, zipfile.ZipFile(bad, "w") as dst:
+        for info in src.infolist():
+            if info.filename != "pixel_size.npy":
+                dst.writestr(info, src.read(info))
+    with pytest.raises(ValueError, match=r"nopix\.npz.*pixel_size"):
+        load_field(bad)
+
+
+@pytest.mark.parametrize("member, array", [
+    ("polarization", np.array("TE", dtype=object)),    # pickled
+    ("data", np.zeros((8, 8))),                         # real, not complex
+    ("data", np.zeros(8, dtype=complex)),               # not 2-D
+    ("pixel_size", np.array(-1.0)),                     # not positive
+])
+def test_field_io_rejects_bad_member(tmp_path, member, array):
+    path = tmp_path / "field.npz"
+    save_field(gaussian_field(1e-6, shape=(8, 8)), path)
+    bad = tmp_path / "edited.npz"
+    with zipfile.ZipFile(path) as src, zipfile.ZipFile(bad, "w") as dst:
+        for info in src.infolist():
+            if info.filename == f"{member}.npy":
+                with dst.open(info, "w") as fh:
+                    np.lib.format.write_array(fh, array)
+            else:
+                dst.writestr(info, src.read(info))
+    with pytest.raises(ValueError, match="edited.npz"):
         load_field(bad)
