@@ -15,12 +15,11 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import least_squares, minimize_scalar
 
+from .constants import DESIGN_WAVELENGTH
 from .geometry import (GratingFootprint, IonPose, LayerStack,
                        ray_vacuum_angle, wavelength_in_medium)
 from .library import (ExtrapolationError, ParamLibrary, UnitCellParams,
                       feature_check, interpolate)
-
-DESIGN_WAVELENGTH = 422e-9
 
 
 class FitDivergenceError(Exception):
@@ -348,7 +347,7 @@ def discretize(ansatz: KappaAnsatz, library: ParamLibrary,
     return teeth
 
 
-def tooth_power_accounting(teeth, x_grid=None):
+def tooth_power_accounting(teeth):
     """Per-tooth drained power vs. the continuous-intensity integral.
 
     Returns (drained array, residual after last tooth).  Power removed by

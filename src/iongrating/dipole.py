@@ -139,15 +139,6 @@ def dipole_field_cartesian(component: DipoleComponent, axis: QuantizationAxis,
     return (e_th[..., None] * theta_hat + e_ph[..., None] * phi_hat)
 
 
-def unit_power_dipole_norm(wavelength: float) -> float:
-    """Magnitude p0 scaling the dipole polarization vector to unit radiated
-    power, p0 = sqrt(3 lambda^4 / (4 pi^3 c^3 mu0))  [A m s / sqrt(W)]."""
-    if wavelength <= 0:
-        raise ValueError("wavelength must be > 0")
-    return np.sqrt(3.0 * wavelength**4
-                   / (4.0 * np.pi**3 * constants.C0**3 * constants.MU0))
-
-
 # ---------------------------------------------------------------------------
 # Aperture integrals
 

@@ -53,10 +53,6 @@ class LayerStack:
             if g not in names:
                 raise ValueError(f"guiding layer {g!r} not in stack")
 
-    @property
-    def guiding_layers(self) -> tuple[Layer, ...]:
-        return tuple(l for l in self.layers if l.name in self.guiding)
-
     def index_profile(self):
         """(indices, thicknesses) of the inner layers, bottom to top."""
         return (np.array([l.refractive_index for l in self.layers]),

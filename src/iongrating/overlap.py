@@ -73,6 +73,8 @@ class CrosstalkReport:
 
 def dipole_moment_scale(wavelength: float = DESIGN_WAVELENGTH) -> float:
     """Dipole moment p0 emitting unit power, sqrt(3 lambda^4/(4 pi^3 c^3 mu0))."""
+    if wavelength <= 0:
+        raise ValueError("wavelength must be > 0")
     return np.sqrt(3.0 * wavelength**4 / (4.0 * np.pi**3 * C0**3 * MU0))
 
 

@@ -1,11 +1,15 @@
 """Stage orchestration: dependency-ordered execution with content caching.
 
 Each stage hashes its configuration slice together with the keys of the
-stages it depends on; a stage whose key and artifacts are unchanged from
-the previous run is reloaded from disk instead of recomputed.  The run
-manifest lists every artifact with its checksum.
+stages it depends on; a stage whose key and artifact checksums are
+unchanged from the previous run is not recomputed.  A stage reads its
+inputs from the artifacts of the stages it depends on, whether those ran
+now or earlier, so a fully cached run parses no artifact.  The run
+manifest lists every artifact with its checksum and is rewritten after
+each recomputed stage.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,22 +24,6 @@ from .config import PipelineConfig
 
 __all__ = ["StageError", "STAGES", "analytic_library", "report",
            "run_pipeline"]
-
-STAGES = ("solid_angle", "emission", "library", "design", "synthesize",
-          "propagate", "overlap", "crosstalk", "detect")
-
-_DEPENDS = {
-    "solid_angle": (),
-    "emission": (),
-    "library": (),
-    "design": ("emission", "library"),
-    "synthesize": ("design",),
-    "propagate": ("synthesize",),
-    "overlap": ("propagate",),
-    "crosstalk": ("propagate",),
-    "detect": (),
-}
-
 
 class StageError(Exception):
     """A pipeline stage failed; carries the stage name and cause."""
@@ -109,11 +97,15 @@ def _config_slices(config: PipelineConfig) -> dict:
     det = {k: getattr(config.detection, k)
            for k in ("bright_rate", "dark_rate", "window", "threshold",
                      "bins", "d_lifetime", "shelving_failure")}
+    lib = {**base, **config.library, "seed": config.seeds["library"]}
+    path = config.library.get("path")
+    if config.library["mode"] == "file" and path and os.path.isfile(path):
+        # a rewritten library file must recompute the stage
+        lib["file_sha256"] = _sha256_file(path)
     return {
         "solid_angle": base,
         "emission": {**base, "axis": config.designer["quantization_axis"]},
-        "library": {**base, **config.library,
-                    "seed": config.seeds["library"]},
+        "library": lib,
         "design": {**base, **config.designer},
         "synthesize": {**base, **config.propagation},
         "propagate": base,
@@ -166,7 +158,7 @@ def _build_library(config: PipelineConfig) -> liblib.ParamLibrary:
     if mode == "file":
         path = config.library.get("path")
         if not path or not os.path.exists(path):
-            raise StageError("design", "library required: no unit-cell "
+            raise StageError("library", "library required: no unit-cell "
                              "library file at "
                              f"{path!r}; build one with the library verb")
         return liblib.load_library(path)
@@ -183,8 +175,9 @@ def _build_library(config: PipelineConfig) -> liblib.ParamLibrary:
 
 
 # ---------------------------------------------------------------------------
-# Stage bodies: each returns (summary dict, artifacts dict name->path)
-# and stores in-memory products on the context.
+# Stage bodies: each reads the artifacts of the stages it depends on from
+# ``inputs`` (artifact name -> path) and returns (summary dict, artifacts
+# dict name->path).
 
 def _axis(config: PipelineConfig) -> dipole.QuantizationAxis:
     name = config.designer["quantization_axis"]
@@ -194,7 +187,7 @@ def _axis(config: PipelineConfig) -> dipole.QuantizationAxis:
         raise StageError("emission", f"unknown quantization axis {name!r}")
 
 
-def _run_solid_angle(config, ctx, stage_dir):
+def _run_solid_angle(config, inputs, stage_dir):
     fraction = geometry.solid_angle_fraction(
         config.footprint, config.pose, config.stack.cladding_index)
     summary = {"solid_angle_fraction": fraction,
@@ -204,11 +197,10 @@ def _run_solid_angle(config, ctx, stage_dir):
     return summary, {"solid_angle": path}
 
 
-def _run_emission(config, ctx, stage_dir):
+def _run_emission(config, inputs, stage_dir):
     x, profile = dipole.ion_intensity_profile(
         _axis(config), config.footprint, config.pose, 512,
         n_cladding=config.stack.cladding_index)
-    ctx["emission"] = (x, profile)
     path = os.path.join(stage_dir, "emission_profile.csv")
     np.savetxt(path, np.column_stack([x, profile]), delimiter=",",
                header="x_m,intensity_per_m", fmt="%.17g")
@@ -218,7 +210,7 @@ def _run_emission(config, ctx, stage_dir):
         {"emission_profile": path}
 
 
-def _run_library(config, ctx, stage_dir):
+def _run_library(config, inputs, stage_dir):
     lib = _build_library(config)
     if not lib.complete:
         failed = [e for e in lib.entries.values() if e.error is not None]
@@ -228,7 +220,6 @@ def _run_library(config, ctx, stage_dir):
                   if first else "")
         raise StageError("library", f"{len(failed)} of {len(lib.entries)} "
                          f"unit-cell entries failed{detail}")
-    ctx["library"] = lib
     path = os.path.join(stage_dir, "library.json")
     liblib.save_library(lib, path)
     kappas = lib.kappa_grid()
@@ -238,13 +229,10 @@ def _run_library(config, ctx, stage_dir):
             "kappa_peak": float(np.nanmax(kappas))}, {"library": path}
 
 
-def _load_library_artifact(config, ctx, artifacts):
-    ctx["library"] = liblib.load_library(artifacts["library"])
-
-
-def _run_design(config, ctx, stage_dir):
-    x, profile = ctx["emission"]
-    lib = ctx["library"]
+def _run_design(config, inputs, stage_dir):
+    x, profile = np.loadtxt(inputs["emission_profile"], delimiter=",",
+                            unpack=True)
+    lib = liblib.load_library(inputs["library"])
     dz_cfg = config.designer
     ansatz, fit = designer.fit_kappa(
         profile, x, alpha=dz_cfg["alpha"], kappa_max=dz_cfg["kappa_max"],
@@ -263,17 +251,10 @@ def _run_design(config, ctx, stage_dir):
                                                config.wavelength)
     layout = designer.emit_layout(teeth, zone_period, config.footprint,
                                   config.stack, config.wavelength)
-    ctx["teeth"] = teeth
     layout_path = os.path.join(stage_dir, "layout.txt")
     designer.export_layout(layout, layout_path)
     teeth_path = os.path.join(stage_dir, "teeth.json")
-    _write_json(teeth_path, [
-        {"x": t.x, "pitch": t.pitch, "angle": t.angle, "kappa": t.kappa,
-         "alpha": t.alpha, "clamped": t.clamped, "truncated": t.truncated,
-         "curvature": t.curvature,
-         "params": {"pitch": t.params.pitch, "dcu": t.params.dcu,
-                    "dcl": t.params.dcl, "dx": t.params.dx,
-                    "delta": t.params.delta}} for t in teeth])
+    _write_json(teeth_path, [dataclasses.asdict(t) for t in teeth])
     drained, residual = designer.tooth_power_accounting(teeth)
     summary = {"n_teeth": len(teeth),
                "fit_relative_l2": fit.relative_l2,
@@ -290,18 +271,13 @@ def _run_design(config, ctx, stage_dir):
                      "design": summary_path}
 
 
-def _load_design_artifact(config, ctx, artifacts):
-    with open(artifacts["teeth"]) as fh:
+def _read_teeth(path) -> list:
+    """The teeth that ``_run_design`` wrote to ``teeth.json``."""
+    with open(path) as fh:
         rows = json.load(fh)
-    teeth = []
-    for row in rows:
-        params = liblib.UnitCellParams(**row["params"])
-        teeth.append(designer.ToothSpec(
-            x=row["x"], pitch=row["pitch"], params=params,
-            angle=row["angle"], kappa=row["kappa"], alpha=row["alpha"],
-            clamped=row["clamped"], truncated=row["truncated"],
-            curvature=[tuple(s) for s in row["curvature"]]))
-    ctx["teeth"] = teeth
+    return [designer.ToothSpec(**{
+        **row, "params": liblib.UnitCellParams(**row["params"]),
+        "curvature": [tuple(s) for s in row["curvature"]]}) for row in rows]
 
 
 def _tm_teeth(config, teeth):
@@ -321,25 +297,21 @@ def _tm_teeth(config, teeth):
         s = (n_tm - config.wavelength / t.pitch) / n_clad
         if not -1.0 < s < 1.0:
             continue  # this period does not outcouple the TM mode
-        out.append(designer.ToothSpec(
-            x=t.x, pitch=t.pitch, params=t.params, angle=float(np.arcsin(s)),
-            kappa=t.kappa, alpha=t.alpha, clamped=t.clamped,
-            truncated=t.truncated, curvature=t.curvature))
+        out.append(dataclasses.replace(t, angle=float(np.arcsin(s))))
     if not out:
         raise StageError("synthesize", "no tooth outcouples the TM mode")
     return out
 
 
-def _run_synthesize(config, ctx, stage_dir):
+def _run_synthesize(config, inputs, stage_dir):
     shape = tuple(config.propagation["shape"])
     s = config.propagation["pixel_size"]
+    teeth = _read_teeth(inputs["teeth"])
     artifacts, summary = {}, {}
-    for pol, teeth in (("TE", ctx["teeth"]),
-                       ("TM", _tm_teeth(config, ctx["teeth"]))):
+    for pol, pol_teeth in (("TE", teeth), ("TM", _tm_teeth(config, teeth))):
         field = propagation.synthesize_near_field(
-            teeth, config.footprint, config.stack, config.wavelength,
+            pol_teeth, config.footprint, config.stack, config.wavelength,
             polarization=pol, shape=shape, pixel_size=s)
-        ctx[f"near_{pol}"] = field
         path = os.path.join(stage_dir, f"near_field_{pol.lower()}.npz")
         propagation.save_field(field, path)
         artifacts[f"near_{pol.lower()}"] = path
@@ -347,19 +319,14 @@ def _run_synthesize(config, ctx, stage_dir):
     return summary, artifacts
 
 
-def _load_synthesize_artifact(config, ctx, artifacts):
-    ctx["near_TE"] = propagation.load_field(artifacts["near_te"])
-    ctx["near_TM"] = propagation.load_field(artifacts["near_tm"])
-
-
-def _run_propagate(config, ctx, stage_dir):
+def _run_propagate(config, inputs, stage_dir):
     z_ion = config.pose.z_ion
     artifacts, summary = {}, {}
     for pol in ("TE", "TM"):
+        near = propagation.load_field(inputs[f"near_{pol.lower()}"])
         at_ion = propagation.propagate_to_height(
-            ctx[f"near_{pol}"], z_ion, config.pose.cladding_thickness,
+            near, z_ion, config.pose.cladding_thickness,
             config.stack.cladding_index).normalize()
-        ctx[f"ion_{pol}"] = at_ion
         path = os.path.join(stage_dir, f"ion_plane_{pol.lower()}.npz")
         propagation.save_field(at_ion, path)
         artifacts[f"ion_{pol.lower()}"] = path
@@ -369,13 +336,9 @@ def _run_propagate(config, ctx, stage_dir):
     return summary, artifacts
 
 
-def _load_propagate_artifact(config, ctx, artifacts):
-    ctx["ion_TE"] = propagation.load_field(artifacts["ion_te"])
-    ctx["ion_TM"] = propagation.load_field(artifacts["ion_tm"])
-
-
-def _run_overlap(config, ctx, stage_dir):
-    te, tm = ctx["ion_TE"], ctx["ion_TM"]
+def _run_overlap(config, inputs, stage_dir):
+    te, tm = (propagation.load_field(inputs[n])
+              for n in ("ion_te", "ion_tm"))
     pose = config.pose
     m = overlap.collection_map(
         te, tm, (pose.x_ion - 5e-6, pose.x_ion + 5e-6),
@@ -397,13 +360,13 @@ def _run_overlap(config, ctx, stage_dir):
                "peak_x": m.peak[0], "peak_y": m.peak[1],
                "eta_intensity_formula": eta5, "z": m.z}
     _write_json(meta_path, summary)
-    ctx["maps"] = m
     return summary, {"collection_map": map_path,
                      "collection_map_meta": meta_path}
 
 
-def _run_crosstalk(config, ctx, stage_dir):
-    te, tm = ctx["ion_TE"], ctx["ion_TM"]
+def _run_crosstalk(config, inputs, stage_dir):
+    te, tm = (propagation.load_field(inputs[n])
+              for n in ("ion_te", "ion_tm"))
     pose = config.pose
     proj = overlap.SIGMA_MODE_PROJECTION_SQ
     extent_x = (pose.x_ion - 8e-6, pose.x_ion + 8e-6)
@@ -423,7 +386,7 @@ def _run_crosstalk(config, ctx, stage_dir):
     return summary, {"crosstalk": path}
 
 
-def _run_detect(config, ctx, stage_dir):
+def _run_detect(config, inputs, stage_dir):
     cfg = config.detection
     trials = config.detection_trials
     bright = detection.bright_fidelity_analytic(cfg)
@@ -453,29 +416,19 @@ def _run_detect(config, ctx, stage_dir):
     return summary, artifacts
 
 
-_RUNNERS = {
-    "solid_angle": _run_solid_angle,
-    "emission": _run_emission,
-    "library": _run_library,
-    "design": _run_design,
-    "synthesize": _run_synthesize,
-    "propagate": _run_propagate,
-    "overlap": _run_overlap,
-    "crosstalk": _run_crosstalk,
-    "detect": _run_detect,
+# name -> (stages whose artifacts the runner reads, runner), in run order
+_STAGES = {
+    "solid_angle": ((), _run_solid_angle),
+    "emission": ((), _run_emission),
+    "library": ((), _run_library),
+    "design": (("emission", "library"), _run_design),
+    "synthesize": (("design",), _run_synthesize),
+    "propagate": (("synthesize",), _run_propagate),
+    "overlap": (("propagate",), _run_overlap),
+    "crosstalk": (("propagate",), _run_crosstalk),
+    "detect": ((), _run_detect),
 }
-
-# stages whose in-memory products downstream stages need when the stage
-# itself is satisfied from cache
-_LOADERS = {
-    "emission": lambda cfg, ctx, arts: ctx.__setitem__(
-        "emission", tuple(np.loadtxt(arts["emission_profile"],
-                                     delimiter=",", unpack=True))),
-    "library": _load_library_artifact,
-    "design": _load_design_artifact,
-    "synthesize": _load_synthesize_artifact,
-    "propagate": _load_propagate_artifact,
-}
+STAGES = tuple(_STAGES)
 
 
 def _closure(names) -> tuple:
@@ -483,7 +436,7 @@ def _closure(names) -> tuple:
 
     def visit(n):
         if n not in wanted:
-            for dep in _DEPENDS[n]:
+            for dep in _STAGES[n][0]:
                 visit(dep)
             wanted.add(n)
 
@@ -498,9 +451,10 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
 
     ``stages`` limits the run to the named stages plus their
     dependencies; by default everything runs.  Stages whose configuration
-    slice, upstream keys, and artifacts are unchanged are reloaded from
-    disk.  Returns the manifest dict; it is also written to
-    ``<out_dir>/manifest.json``.
+    slice, upstream keys, and artifact checksums are unchanged are not
+    recomputed.  The manifest is written to ``<out_dir>/manifest.json``
+    after each recomputed stage, so a failure keeps the stages before it
+    cached, and once more at the end.  Returns the manifest dict.
     """
     for name in stages or ():
         if name not in STAGES:
@@ -511,55 +465,53 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
     slices = _config_slices(config)
     manifest_path = os.path.join(out_dir, "manifest.json")
     previous = _read_previous_stages(manifest_path)
+    header = {"config_hash": _stage_key("config", config.raw, {}),
+              "versions": {"iongrating": __version__,
+                           "numpy": metadata.version("numpy"),
+                           "scipy": metadata.version("scipy")}}
+    entries, cached, keys = {}, [], {}
 
-    stages = {}
-    ctx = {}
-    keys = {}
+    def write_manifest():
+        merged = {**previous, **entries}
+        manifest = {**header,
+                    "stages": {n: merged[n] for n in STAGES if n in merged}}
+        _write_json(manifest_path, manifest)
+        return manifest
+
     for name in selected:
+        depends, runner = _STAGES[name]
         keys[name] = _stage_key(name, slices[name],
-                                {d: keys[d] for d in _DEPENDS[name]})
-        stage_dir = os.path.join(out_dir, name)
-        cached = previous.get(name)
-        if (cached and cached.get("key") == keys[name]
+                                {d: keys[d] for d in depends})
+        prev = previous.get(name)
+        if (prev and prev.get("key") == keys[name]
                 and all(os.path.exists(os.path.join(out_dir, p))
                         and _sha256_file(os.path.join(out_dir, p)) == c
-                        for p, c in cached["artifacts"].items())):
-            if name in _LOADERS:
-                arts = {n: os.path.join(out_dir, p)
-                        for n, p in cached["artifact_names"].items()}
-                _LOADERS[name](config, ctx, arts)
-            stages[name] = {**cached, "cached": True}
+                        for p, c in prev["artifacts"].items())):
+            entries[name] = prev
+            cached.append(name)
             continue
+        inputs = {n: os.path.join(out_dir, p) for d in depends
+                  for n, p in entries[d]["artifact_names"].items()}
+        stage_dir = os.path.join(out_dir, name)
         os.makedirs(stage_dir, exist_ok=True)
         try:
-            summary, artifacts = _RUNNERS[name](config, ctx, stage_dir)
+            summary, artifacts = runner(config, inputs, stage_dir)
         except StageError:
             raise
         except Exception as exc:
             raise StageError(name, str(exc)) from exc
         rel = {n: os.path.relpath(p, out_dir) for n, p in artifacts.items()}
-        stages[name] = {
+        entries[name] = {
             "key": keys[name],
             "summary": summary,
             "artifact_names": rel,
             "artifacts": {p: _sha256_file(os.path.join(out_dir, p))
                           for p in rel.values()},
-            "cached": False,
         }
+        write_manifest()
 
-    merged = {n: s for n, s in previous.items() if n not in stages}
-    merged.update({n: {k: v for k, v in s.items() if k != "cached"}
-                   for n, s in stages.items()})
-    manifest = {
-        "config_hash": _stage_key("config", config.raw, {}),
-        "stages": {n: merged[n] for n in STAGES if n in merged},
-        "versions": {"iongrating": __version__,
-                     "numpy": metadata.version("numpy"),
-                     "scipy": metadata.version("scipy")},
-    }
-    _write_json(manifest_path, manifest)
-    manifest["cached_stages"] = [n for n, s in stages.items()
-                                 if s.get("cached")]
+    manifest = write_manifest()
+    manifest["cached_stages"] = cached
     return manifest
 
 

@@ -15,9 +15,9 @@ from iongrating.dipole import (
     fraction_on_aperture,
     ion_intensity_profile,
     sigma_share,
-    unit_power_dipole_norm,
 )
 from iongrating.geometry import GratingFootprint, IonPose, solid_angle_fraction
+from iongrating.overlap import dipole_moment_scale
 
 # high-precision evaluation of sqrt(3 lam^4 / (4 pi^3 c^3 mu0)) at 422 nm,
 # frozen as a regression constant
@@ -139,13 +139,16 @@ class TestIntensityProfile:
 
 class TestDipoleNorm:
     def test_wavelength_scaling(self):
-        assert unit_power_dipole_norm(844e-9) == pytest.approx(
-            4 * unit_power_dipole_norm(422e-9), rel=1e-12)
+        assert dipole_moment_scale(844e-9) == pytest.approx(
+            4 * dipole_moment_scale(422e-9), rel=1e-12)
 
     def test_frozen_value(self):
-        assert unit_power_dipole_norm(422e-9) == pytest.approx(P0_422NM,
-                                                               rel=1e-12)
+        assert dipole_moment_scale(422e-9) == pytest.approx(P0_422NM,
+                                                            rel=1e-12)
 
     def test_positive(self):
         for lam in (1e-9, 422e-9, 1e-3):
-            assert unit_power_dipole_norm(lam) > 0
+            assert dipole_moment_scale(lam) > 0
+        for lam in (0.0, -422e-9):
+            with pytest.raises(ValueError, match="wavelength"):
+                dipole_moment_scale(lam)

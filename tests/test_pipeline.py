@@ -244,8 +244,96 @@ def test_missing_library_file_fails_before_solver(tmp_path):
         **FAST, "output_dir": str(tmp_path),
         "library": {"mode": "file", "path": str(tmp_path / "absent.json")},
     })
-    with pytest.raises(pipeline.StageError, match="library required"):
+    with pytest.raises(pipeline.StageError, match="library required") as exc:
         pipeline.run_pipeline(cfg)
+    assert exc.value.stage == "library"
+
+
+def test_rewritten_library_file_recomputes(tmp_path):
+    lib_path = tmp_path / "lib.json"
+    base = load_config()
+    liblib.save_library(pipeline.analytic_library(base), lib_path)
+    cfg = load_config(overrides={
+        **FAST, "output_dir": str(tmp_path / "run"),
+        "library": {"mode": "file", "path": str(lib_path)}})
+    first = pipeline.run_pipeline(cfg, stages=["design"])
+    again = pipeline.run_pipeline(cfg, stages=["design"])
+    assert again["cached_stages"] == ["emission", "library", "design"]
+    # same path and configuration, new contents
+    stronger = load_config(overrides={"library": {
+        "kappa0": 1.1 * base.library["kappa0"]}})
+    liblib.save_library(pipeline.analytic_library(stronger), lib_path)
+    after = pipeline.run_pipeline(cfg, stages=["design"])
+    assert after["cached_stages"] == ["emission"]
+    assert after["stages"]["library"]["summary"]["kappa_peak"] == \
+        pytest.approx(1.1 * first["stages"]["library"]["summary"]
+                      ["kappa_peak"])
+
+
+def test_failure_keeps_earlier_stages_cached(tmp_path, monkeypatch):
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("propagation failed")
+
+    with monkeypatch.context() as m:
+        m.setattr(propagation, "propagate_to_height", broken)
+        with pytest.raises(pipeline.StageError,
+                           match="propagate: propagation failed"):
+            pipeline.run_pipeline(cfg)
+    manifest = pipeline.run_pipeline(cfg)
+    assert manifest["cached_stages"] == [
+        "solid_angle", "emission", "library", "design", "synthesize"]
+
+
+def test_rejected_cached_artifact_is_a_stage_error(run_dir, tmp_path):
+    """A cached upstream artifact whose checksum verifies but whose
+    content its reader rejects fails the stage that reads it."""
+    out, _, _ = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    rel = os.path.join("synthesize", "near_field_te.npz")
+    (copy / rel).write_bytes(b"not a field file")
+    manifest_path = copy / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["stages"]["synthesize"]["artifacts"][rel] = \
+        pipeline._sha256_file(copy / rel)
+    del manifest["stages"]["propagate"]
+    manifest_path.write_text(json.dumps(manifest))
+    cfg = load_config(overrides={**FAST, "output_dir": str(copy)})
+    with pytest.raises(pipeline.StageError,
+                       match="not an .npz field file") as exc:
+        pipeline.run_pipeline(cfg)
+    assert exc.value.stage == "propagate"
+
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({**FAST, "output_dir": str(copy)}))
+    result = CliRunner().invoke(main, ["pipeline", "--config",
+                                       str(cfg_path)])
+    assert result.exit_code == 1
+    lines = [l for l in result.output.splitlines() if l]
+    assert len(lines) == 1
+    assert lines[0].startswith("stage-error: propagate: ")
+
+
+def test_cached_rerun_reads_no_artifact(run_dir, tmp_path, monkeypatch):
+    out, _, _ = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    cfg = load_config(overrides={**FAST, "output_dir": str(copy)})
+    # brings back any stage another test recomputed under other settings
+    pipeline.run_pipeline(cfg)
+    before = (copy / "manifest.json").read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cached rerun read an artifact")
+
+    monkeypatch.setattr(propagation, "load_field", refuse)
+    monkeypatch.setattr(liblib, "load_library", refuse)
+    monkeypatch.setattr(pipeline, "_read_teeth", refuse)
+    manifest = pipeline.run_pipeline(cfg)
+    assert manifest["cached_stages"] == list(pipeline.STAGES)
+    assert (copy / "manifest.json").read_bytes() == before
 
 
 def test_analytic_library_apodization():
