@@ -5,7 +5,6 @@ Every verb reads a layered YAML configuration (defaults overridden by
 on error with a single-line ``error-code: message`` diagnostic on stderr.
 """
 
-import functools
 import json
 import os
 import sys
@@ -24,18 +23,18 @@ def _fail(code: str, message: str):
     sys.exit(1)
 
 
+_config_option = click.option(
+    "--config", "config_path", type=click.Path(exists=True), default=None,
+    help="YAML configuration overriding the built-in defaults.")
+_seed_option = click.option("--seed", type=int, default=None,
+                            help="Override every stage seed with this value.")
+_out_option = click.option("--out", "out_dir", type=click.Path(),
+                           default=None,
+                           help="Output directory (default from config).")
+
+
 def _common(fn):
-    @click.option("--config", "config_path", type=click.Path(exists=True),
-                  default=None, help="YAML configuration overriding the "
-                  "built-in defaults.")
-    @click.option("--seed", type=int, default=None,
-                  help="Override every stage seed with this value.")
-    @click.option("--out", "out_dir", type=click.Path(), default=None,
-                  help="Output directory (default from config).")
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        return fn(*args, **kwargs)
-    return wrapper
+    return _config_option(_seed_option(_out_option(fn)))
 
 
 def _load(config_path, seed, out_dir):
@@ -144,10 +143,11 @@ main.add_command(pipeline_cmd, "pipeline")
 
 
 @main.command("report")
-@_common
-def report_cmd(config_path, seed, out_dir):
+@_config_option
+@_out_option
+def report_cmd(config_path, out_dir):
     """Render the report for an existing run manifest."""
-    cfg = _load(config_path, seed, out_dir)
+    cfg = _load(config_path, None, out_dir)
     path = os.path.join(cfg.output_dir, "manifest.json")
     if not os.path.exists(path):
         _fail("manifest-missing", f"no manifest at {path}")

@@ -565,27 +565,22 @@ def polygon_is_simple(poly) -> bool:
     return len(poly) >= 3 and max(xs) > min(xs) and max(ys) > min(ys)
 
 
-def export_layout(layout: GratingLayout, path, fmt: str = "table") -> None:
-    """Write the layout as a lossless polygon table or an SVG rendering.
+def export_layout(layout: GratingLayout, path) -> None:
+    """Write the layout as a lossless polygon table.
 
-    Table schema: one line per polygon, ``layer index x0 y0 x1 y1 ...``
-    with vertices in integer nanometers.
+    Schema: one line per polygon, ``layer index x0 y0 x1 y1 ...`` with
+    vertices in integer nanometers.
     """
-    if fmt == "table":
-        lines = [f"# grating layout, zone_period_nm="
-                 f"{round(layout.zone_period * 1e9)}"]
-        for layer_id, polys in (("upper", layout.upper),
-                                ("lower", layout.lower)):
-            for i, poly in enumerate(polys):
-                coords = " ".join(f"{round(x * 1e9)} {round(y * 1e9)}"
-                                  for x, y in poly)
-                lines.append(f"{layer_id} {i} {coords}")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
-    elif fmt == "svg":
-        _export_svg(layout, path)
-    else:
-        raise ValueError(f"unknown layout format {fmt!r}")
+    lines = [f"# grating layout, zone_period_nm="
+             f"{round(layout.zone_period * 1e9)}"]
+    for layer_id, polys in (("upper", layout.upper),
+                            ("lower", layout.lower)):
+        for i, poly in enumerate(polys):
+            coords = " ".join(f"{round(x * 1e9)} {round(y * 1e9)}"
+                              for x, y in poly)
+            lines.append(f"{layer_id} {i} {coords}")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def import_layout(path) -> GratingLayout:
@@ -604,27 +599,3 @@ def import_layout(path) -> GratingLayout:
             poly = list(zip(vals[0::2], vals[1::2]))
             (upper if layer == "upper" else lower).append(poly)
     return GratingLayout(upper=upper, lower=lower, zone_period=zone_period)
-
-
-def _export_svg(layout: GratingLayout, path) -> None:
-    polys = layout.upper + layout.lower
-    if polys:
-        xs = [p[0] for poly in polys for p in poly]
-        ys = [p[1] for poly in polys for p in poly]
-        x0, y0 = min(xs) * 1e9, min(ys) * 1e9
-        w = max(xs) * 1e9 - x0 or 1.0
-        h = max(ys) * 1e9 - y0 or 1.0
-    else:
-        x0 = y0 = 0.0
-        w = h = 1.0
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-             f'viewBox="{x0:.0f} {y0:.0f} {w:.0f} {h:.0f}">']
-    for polys_l, color in ((layout.upper, "#1f77b4"),
-                           (layout.lower, "#d62728")):
-        for poly in polys_l:
-            pts = " ".join(f"{x * 1e9:.0f},{y * 1e9:.0f}" for x, y in poly)
-            parts.append(f'<polygon points="{pts}" fill="{color}" '
-                         f'fill-opacity="0.6"/>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(parts) + "\n")

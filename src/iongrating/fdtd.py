@@ -354,6 +354,27 @@ def _zone_averaged_index_row(x, x0, length, pitch, duty, offset, delta,
     return np.sqrt(eps)
 
 
+def _cross_section(stack: LayerStack, params):
+    """The stack bottom to top as (layer, z of its bottom, teeth).
+
+    ``teeth`` is the (duty, offset) of a toothed layer and None otherwise.
+    The toothed layers are the guiding layers with an index above the
+    cladding: the topmost takes (dcu, 0) and the rest (dcl, dx).  With
+    ``params`` None no layer is toothed.
+    """
+    toothed = [i for i, l in enumerate(stack.layers)
+               if l.name in stack.guiding
+               and l.refractive_index > stack.cladding_index]
+    zb = 0.0
+    for i, layer in enumerate(stack.layers):
+        teeth = None
+        if params is not None and i in toothed:
+            teeth = ((params.dcu, 0.0) if i == toothed[-1]
+                     else (params.dcl, params.dx))
+        yield layer, zb, teeth
+        zb += layer.thickness
+
+
 def unit_cell_material_map(stack: LayerStack, params, n_periods: int,
                            cell_size: float, pml_cells: int = 12,
                            clad_pad: float = 1.1e-6,
@@ -381,25 +402,16 @@ def unit_cell_material_map(stack: LayerStack, params, n_periods: int,
 
     n = np.full((nx, nz), n_clad)
     x0 = margin_in  # grating starts here
-    zb = 0.0
-    guiding = set(stack.guiding)
-    grating_layers = [l.name for l in stack.layers
-                      if l.name in guiding and
-                      l.refractive_index > stack.cladding_index]
-    for layer in stack.layers:
+    for layer, zb, teeth in _cross_section(stack, params):
         zsel = (z >= zb) & (z < zb + layer.thickness)
-        if params is not None and layer.name in grating_layers:
-            if layer.name == grating_layers[-1]:
-                duty, offset = params.dcu, 0.0
-            else:
-                duty, offset = params.dcl, params.dx
+        if teeth is None:
+            row = np.full(nx, layer.refractive_index)
+        else:
+            duty, offset = teeth
             row = _zone_averaged_index_row(
                 x, x0, length, params.pitch, duty, offset, params.delta,
                 layer.refractive_index, n_clad)
-        else:
-            row = np.full(nx, layer.refractive_index)
         n[:, zsel] = row[:, None]
-        zb += layer.thickness
 
     meta = {
         "i_src": pml_cells + int(round(0.35e-6 / d)),
@@ -447,30 +459,19 @@ def grating_effective_index(stack: LayerStack, params, cell_size: float,
     nz = int(round((sum(l.thickness for l in stack.layers) + 2.2e-6) / d))
     z = np.arange(nz) * d - 1.1e-6
     n = np.full(nz, clad)
-    guiding = set(stack.guiding)
-    grating_layers = [l.name for l in stack.layers
-                      if l.name in guiding and l.refractive_index > clad]
-    zb = 0.0
-    for layer in stack.layers:
+    for layer, zb, teeth in _cross_section(stack, params):
         sel = (z >= zb) & (z < zb + layer.thickness)
-        if layer.name in grating_layers:
-            duty = params.dcu if layer.name == grating_layers[-1] else params.dcl
+        if teeth is None:
+            n[sel] = layer.refractive_index
+        else:
+            duty, _ = teeth
             eps = duty * layer.refractive_index**2 + (1 - duty) * clad**2
             n[sel] = np.sqrt(eps)
-        else:
-            n[sel] = layer.refractive_index
-        zb += layer.thickness
     n_eff, _ = slab_mode_profile(n, d, wavelength, polarization)
     return n_eff
 
 
 _reference_cache: dict = {}
-
-
-def _stack_key(stack: LayerStack):
-    return (tuple((l.name, l.thickness, l.refractive_index)
-                  for l in stack.layers),
-            stack.cladding_index, tuple(stack.guiding))
 
 
 def _run_to_steady_state(sim: Fdtd2D, monitors, min_periods: int,
@@ -536,13 +537,14 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
                                      pml_cells)
     meta = grating.meta
 
-    ref_key = (_stack_key(stack), polarization, round(cell_size * 1e12),
+    ref_key = (stack, polarization, round(cell_size * 1e12),
                grating.n.shape, pml_cells)
     if ref_key not in _reference_cache:
-        # tooth-free reference spanning the identical domain and grid
+        # tooth-free reference spanning the identical domain and grid: the
+        # grating map's first column lies in the left PML, before any tooth
         reference = MaterialMap(
-            n=_uniform_like(grating, stack), cell_size=cell_size,
-            z0=grating.z0, meta=dict(meta))
+            n=np.repeat(grating.n[:1], grating.n.shape[0], axis=0),
+            cell_size=cell_size, z0=grating.z0, meta=dict(meta))
         col = reference.n[meta["i_in"] - 2, :]
         n_eff, profile = slab_mode_profile(col, cell_size, wavelength,
                                            polarization)
@@ -598,20 +600,6 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
         result.p_d = float(np.sum(spec.power[window])) * scale
     result.truncation_warning = spec.truncation_warning
     return result
-
-
-def _uniform_like(material: MaterialMap, stack: LayerStack):
-    """Tooth-free index map with the same shape as ``material``."""
-    nx, nz = material.n.shape
-    d = material.cell_size
-    n = np.full((nx, nz), stack.cladding_index)
-    z = np.arange(nz) * d + material.z0
-    zb = 0.0
-    for layer in stack.layers:
-        zsel = (z >= zb) & (z < zb + layer.thickness)
-        n[:, zsel] = layer.refractive_index
-        zb += layer.thickness
-    return n
 
 
 # ---------------------------------------------------------------------------

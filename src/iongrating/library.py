@@ -380,9 +380,7 @@ def _entry_key(angle: float, delta_frac: float, config: KernelConfig,
     payload = {
         "angle": round(angle, 12), "delta_frac": round(delta_frac, 12),
         "wavelength": config.wavelength,
-        "stack": [(l.name, l.thickness, l.refractive_index)
-                  for l in config.stack.layers],
-        "cladding": config.stack.cladding_index,
+        "stack": asdict(config.stack),
         "polarization": config.polarization,
         "n_periods": config.n_periods,
         "ppw": config.points_per_wavelength,

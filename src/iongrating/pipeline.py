@@ -69,7 +69,8 @@ def _write_json(path, payload) -> None:
 
 def _read_previous_stages(manifest_path) -> dict:
     """Stage entries of an earlier run; an unreadable manifest counts as
-    no earlier run, with a warning."""
+    no earlier run, and a malformed stage entry as a stage that has not
+    run, each with a warning."""
     if not os.path.exists(manifest_path):
         return {}
     try:
@@ -81,14 +82,21 @@ def _read_previous_stages(manifest_path) -> dict:
         warnings.warn(f"ignoring unreadable manifest {manifest_path}: {exc}",
                       RuntimeWarning, stacklevel=3)
         return {}
-    return stages
+    usable = {}
+    for name, entry in stages.items():
+        if (isinstance(entry, dict) and isinstance(entry.get("key"), str)
+                and isinstance(entry.get("artifacts"), dict)
+                and isinstance(entry.get("artifact_names"), dict)):
+            usable[name] = entry
+        else:
+            warnings.warn(f"ignoring malformed stage {name!r} in manifest "
+                          f"{manifest_path}", RuntimeWarning, stacklevel=3)
+    return usable
 
 
 def _config_slices(config: PipelineConfig) -> dict:
-    stack = [(l.name, l.thickness, l.refractive_index)
-             for l in config.stack.layers]
-    base = {"wavelength": config.wavelength, "stack": stack,
-            "cladding": config.stack.cladding_index,
+    base = {"wavelength": config.wavelength,
+            "stack": dataclasses.asdict(config.stack),
             "footprint": (config.footprint.x_extent,
                           config.footprint.y_extent),
             "pose": (config.pose.x_ion, config.pose.y_ion,
@@ -368,16 +376,11 @@ def _run_crosstalk(config, inputs, stage_dir):
     te, tm = (propagation.load_field(inputs[n])
               for n in ("ion_te", "ion_tm"))
     pose = config.pose
-    proj = overlap.SIGMA_MODE_PROJECTION_SQ
     extent_x = (pose.x_ion - 8e-6, pose.x_ion + 8e-6)
     extent_y = (pose.y_ion - 8e-6, pose.y_ion + 8e-6)
-    m_te = overlap.collection_map(te, te, extent_x, extent_y, 0.1e-6,
-                                  projection_sq=(proj, 0.0),
-                                  wavelength=config.wavelength)
-    m_tm = overlap.collection_map(tm, tm, extent_x, extent_y, 0.1e-6,
-                                  projection_sq=(proj, 0.0),
-                                  wavelength=config.wavelength)
-    rep = overlap.crosstalk_metrics(m_te.eta, m_tm.eta, m_te.x, m_te.y)
+    m = overlap.collection_map(te, tm, extent_x, extent_y, 0.1e-6,
+                               wavelength=config.wavelength)
+    rep = overlap.crosstalk_metrics(m.eta_te, m.eta_tm, m.x, m.y)
     summary = {"tm_te_power_ratio": rep.power_ratio,
                "tm_suppression_db": rep.suppression_db,
                "maxima_offset": rep.offset}

@@ -484,13 +484,3 @@ def test_export_empty_layout(tmp_path):
     path = tmp_path / "empty.txt"
     export_layout(layout, path)
     assert import_layout(path).upper == []
-
-
-def test_export_svg(tmp_path):
-    period = default_zone_period(STACK)
-    fp = GratingFootprint(x_extent=1e-6, y_extent=2e-6)
-    layout = emit_layout(_tiny_teeth(), period, fp, STACK)
-    path = tmp_path / "layout.svg"
-    export_layout(layout, path, fmt="svg")
-    text = path.read_text()
-    assert text.startswith("<svg") and "<polygon" in text

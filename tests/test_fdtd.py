@@ -1,5 +1,7 @@
 """Tests for the 2D unit-cell FDTD solver and observable extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,7 @@ def test_mode_solver_matches_transfer_matrix():
     # the finite-difference eigenmode index should agree with the
     # semi-analytic transfer-matrix dispersion up to discretization error
     material = fdtd.unit_cell_material_map(STACK, None, 0, CELL)
-    col = fdtd._uniform_like(material, STACK)[5, :]
+    col = material.n[5, :]
     for pol in ("TE", "TM"):
         n_fd, profile = fdtd.slab_mode_profile(col, CELL, WAVELENGTH, pol)
         n_tmm = geometry.effective_index(STACK, WAVELENGTH, pol)
@@ -79,6 +81,30 @@ def test_zone_average_row_limits():
     inside = (x >= 0) & (x < 3e-6)
     expected = np.sqrt(0.5 * (n_t**2 + n_g**2))
     assert np.allclose(row_h[inside], expected, atol=1e-9)
+
+
+def test_cross_section_teeth_follow_guiding():
+    p = params(dcu=0.5, dcl=0.4, dx=0.05e-6)
+    teeth = [t for _, _, t in fdtd._cross_section(STACK, p)]
+    # the spacer is guiding but cladding-index, so it carries no teeth
+    assert teeth == [(0.4, 0.05e-6), None, (0.5, 0.0)]
+    lower_only = dataclasses.replace(STACK, guiding=("lower_nitride",))
+    assert [t for _, _, t in fdtd._cross_section(lower_only, p)] == [
+        (0.5, 0.0), None, None]
+    assert all(t is None for _, _, t in fdtd._cross_section(STACK, None))
+    bottoms = [zb for _, zb, _ in fdtd._cross_section(STACK, p)]
+    assert bottoms == pytest.approx([0.0, 100e-9, 190e-9])
+
+
+def test_grating_map_first_column_is_tooth_free():
+    # run_unit_cell builds its reference from this column
+    grating = fdtd.unit_cell_material_map(STACK, params(), 8, CELL)
+    plain = fdtd.unit_cell_material_map(STACK, None, 8, CELL)
+    assert np.array_equal(grating.n[0], plain.n[0])
+    assert np.array_equal(plain.n, np.repeat(plain.n[:1], plain.n.shape[0],
+                                             axis=0))
+    assert not np.array_equal(grating.n, np.repeat(
+        grating.n[:1], grating.n.shape[0], axis=0))
 
 
 def test_extract_kappa_alpha_formulas():
@@ -146,9 +172,6 @@ def test_uniform_waveguide_transmits():
     # stray launch radiation stays below a couple of percent
     material = fdtd.unit_cell_material_map(STACK, None, 0, CELL,
                                            margin_out=3.0e-6)
-    material = fdtd.MaterialMap(n=fdtd._uniform_like(material, STACK),
-                                cell_size=CELL, z0=material.z0,
-                                meta=material.meta)
     col = material.n[material.meta["i_in"] - 2, :]
     _, profile = fdtd.slab_mode_profile(col, CELL, WAVELENGTH, "TE")
     sim, monitors, _ = fdtd._simulate(material, WAVELENGTH, "TE", profile,

@@ -1,5 +1,7 @@
 """Tests for unit-cell optimization and the interpolation library."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,17 @@ def test_save_load_round_trip(tmp_path):
     for key, e in lib.entries.items():
         b = back.entries[key]
         assert b.kappa == e.kappa and b.params == e.params
+
+
+def test_entry_key_covers_the_whole_stack():
+    stack = default_stack()
+    upper_only = replace(stack, guiding=("upper_nitride",))
+    swarm = SwarmConfig()
+    keys = {library._entry_key(0.1, 0.0, KernelConfig(stack=s), swarm)
+            for s in (stack, upper_only,
+                      replace(stack, cladding_index=1.45),
+                      replace(stack, design_wavelength=400e-9))}
+    assert len(keys) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Configuration layering, stage orchestration/caching, and the CLI."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -270,6 +271,66 @@ def test_rewritten_library_file_recomputes(tmp_path):
                       ["kappa_peak"])
 
 
+def test_guiding_change_recomputes_library_and_design(tmp_path):
+    # the 24 um aperture needs no angle whose single-layer pitch falls
+    # below the feature limit
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path / "run"),
+                                 "footprint": {"x_extent": 24e-6}})
+    first = pipeline.run_pipeline(cfg, stages=["design"])
+    # only the upper nitride carries teeth: new pitches, same layers
+    upper_only = dataclasses.replace(cfg, stack=dataclasses.replace(
+        cfg.stack, guiding=("upper_nitride",)))
+    after = pipeline.run_pipeline(upper_only, stages=["design"])
+    # every stage keys on the whole stack
+    assert after["cached_stages"] == []
+    fresh = pipeline.run_pipeline(upper_only, out_dir=str(tmp_path / "new"),
+                                  stages=["design"])
+    rel = os.path.join("library", "library.json")
+    checksum = lambda m: m["stages"]["library"]["artifacts"][rel]
+    assert checksum(after) == checksum(fresh) != checksum(first)
+
+
+_MALFORMED_ENTRIES = pytest.mark.parametrize("malform", [
+    lambda entry: 3,
+    lambda entry: {k: v for k, v in entry.items() if k != "artifacts"},
+    lambda entry: {k: v for k, v in entry.items() if k != "artifact_names"},
+], ids=["not-a-mapping", "no-artifacts", "no-artifact-names"])
+
+
+def _malform_stage(out, stage, malform):
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["stages"][stage] = malform(manifest["stages"][stage])
+    path.write_text(json.dumps(manifest))
+
+
+@_MALFORMED_ENTRIES
+def test_malformed_stage_entry_recomputes(tmp_path, malform):
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
+    first = pipeline.run_pipeline(cfg, stages=["solid_angle"])
+    _malform_stage(tmp_path, "solid_angle", malform)
+    with pytest.warns(RuntimeWarning, match="malformed stage 'solid_angle'"):
+        again = pipeline.run_pipeline(cfg, stages=["solid_angle"])
+    assert again["cached_stages"] == []
+    assert again["stages"] == first["stages"]
+    assert json.loads((tmp_path / "manifest.json").read_text())[
+        "stages"] == first["stages"]
+
+
+@_MALFORMED_ENTRIES
+def test_cli_malformed_stage_entry_recomputes(tmp_path, malform):
+    runner = CliRunner()
+    args = ["library", "--out", str(tmp_path)]
+    first = runner.invoke(main, args)
+    assert first.exit_code == 0, first.output
+    _malform_stage(tmp_path, "library", malform)
+    with pytest.warns(RuntimeWarning, match="malformed stage 'library'"):
+        result = runner.invoke(main, args)
+    # an uncaught exception would print a traceback
+    assert result.exception is None and result.exit_code == 0, result.output
+    assert json.loads(result.output) == json.loads(first.output)
+
+
 def test_failure_keeps_earlier_stages_cached(tmp_path, monkeypatch):
     cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
 
@@ -415,6 +476,16 @@ def test_cli_report_and_ledger(run_dir):
     result = runner.invoke(main, ["ledger", "--which", "measured"])
     assert result.exit_code == 0
     assert "-47.68" in result.output
+
+
+def test_cli_report_takes_no_seed(run_dir):
+    out, _, _ = run_dir
+    runner = CliRunner()
+    result = runner.invoke(main, ["report", "--out", str(out),
+                                  "--seed", "1"])
+    assert result.exit_code == 2 and "--seed" in result.output
+    result = runner.invoke(main, ["report", "--out", str(out)])
+    assert result.exit_code == 0 and "run summary" in result.output
 
 
 def test_cli_errors_are_single_line(tmp_path):
