@@ -69,7 +69,7 @@ def default_config_dict() -> dict:
 
 _CONFIG_COMMENTS = {
     "wavelength": "fluorescence wavelength, m",
-    "stack": "null selects the built-in alumina/SiN bilayer stack",
+    "stack": "null selects the built-in SiN/SiO2/SiN bilayer stack",
     "footprint": "grating extent, m",
     "pose": "ion standoff: 50 um vacuum above 5 um oxide, 28 um along x",
     "library": "unit-cell table; analytic mode needs no field solver",
@@ -93,14 +93,14 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _stack_from_entry(entry, wavelength: float) -> LayerStack:
+def _stack_from_entry(entry) -> LayerStack:
     if entry is None:
         return default_stack()
     layers = tuple(Layer(l["name"], float(l["thickness"]),
                          float(l["refractive_index"]))
                    for l in entry["layers"])
     guiding = tuple(entry.get("guiding", [l.name for l in layers]))
-    return LayerStack(layers=layers, design_wavelength=wavelength,
+    return LayerStack(layers=layers,
                       cladding_index=float(entry["cladding_index"]),
                       guiding=guiding)
 
@@ -139,8 +139,7 @@ class PipelineConfig:
         trials = int(det.pop("trials"))
         return cls(
             wavelength=float(merged["wavelength"]),
-            stack=_stack_from_entry(merged["stack"],
-                                    float(merged["wavelength"])),
+            stack=_stack_from_entry(merged["stack"]),
             footprint=GratingFootprint(**merged["footprint"]),
             pose=IonPose(**merged["pose"]),
             library=merged["library"],

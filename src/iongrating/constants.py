@@ -15,9 +15,6 @@ ETA0 = MU0 * C0             # vacuum impedance [ohm]
 # overridable through the stack configuration.
 N_SIO2 = 1.47
 N_SIN = 2.05
-N_ALUMINA = 1.65
-N_ITO = 1.90
-N_VACUUM = 1.0
 
 DESIGN_WAVELENGTH = 422e-9  # m
 

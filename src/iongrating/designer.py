@@ -18,7 +18,7 @@ from scipy.optimize import least_squares, minimize_scalar
 from .constants import DESIGN_WAVELENGTH
 from .geometry import (GratingFootprint, IonPose, LayerStack,
                        ray_vacuum_angle, wavelength_in_medium)
-from .library import (ExtrapolationError, ParamLibrary, UnitCellParams,
+from .library import (MIN_FEATURE, ParamLibrary, UnitCellParams,
                       feature_check, interpolate)
 
 
@@ -56,14 +56,13 @@ class KappaAnsatz:
     def coefficients(self):
         return np.array([self.a, self.b, self.c, self.d, self.A, self.B])
 
-    def is_nonnegative(self, n_check: int = 1024) -> bool:
-        x = np.linspace(0.0, self.length, n_check)
+    def is_nonnegative(self) -> bool:
+        x = np.linspace(0.0, self.length, 1024)
         return bool(np.all(self(x) >= -1e-9 * max(1.0, np.max(np.abs(self(x))))))
 
 
 def _as_profile(f, x):
-    if callable(f):
-        return np.asarray(f(x), dtype=float)
+    """A scalar or sampled profile as an array over ``x``."""
     out = np.asarray(f, dtype=float)
     if out.ndim == 0:
         return np.full_like(np.asarray(x, dtype=float), float(out))
@@ -138,14 +137,17 @@ class FitReport:
     residual_power: float    # guided power left at the grating end
     infeasible: bool         # kappa_max too small to deplete the guide
     n_evaluations: int       # residual plus Jacobian evaluations
-    starts: list = field(default_factory=list)  # FitStart per start
+    starts: list             # FitStart per start
 
 
-def _fit_ansatz_to_curve(x, target, length):
-    """Least-squares ansatz coefficients for a sampled kappa curve.
+def _fit_ansatz_to_curve(x, target, length, cap):
+    """Least-squares ansatz coefficients for a sampled kappa curve, lowered
+    by its overshoot of ``cap`` so that it starts inside the cap wall.
 
     Linear in (a, b, c, d, A) for fixed exponential rate B; the rate is
-    found by a bounded scalar search.
+    found by a bounded scalar search.  A start above the cap begins deep
+    in the wall penalty, which the least squares first clears by switching
+    the exponential off, and then stalls.
     """
     basis = np.column_stack([x**3, x**2, x, np.ones_like(x)])
 
@@ -162,7 +164,9 @@ def _fit_ansatz_to_curve(x, target, length):
                           method="bounded",
                           options={"xatol": 1e-4 / length})
     coef, _ = solve(res.x)
-    return KappaAnsatz(*coef, B=float(res.x), length=float(length))
+    ansatz = KappaAnsatz(*coef, B=float(res.x), length=float(length))
+    ansatz.d -= max(float(np.max(ansatz(x))) - cap, 0.0)
+    return ansatz
 
 
 def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf,
@@ -185,7 +189,7 @@ def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf,
     capped = bool(np.isfinite(kappa_max))
     cap = kappa_max if capped else 50.0 / length
     k_ideal = ideal_kappa(i_target, x, alpha, kappa_cap=cap)
-    start = init or _fit_ansatz_to_curve(x, k_ideal, length)
+    start = init or _fit_ansatz_to_curve(x, k_ideal, length, cap)
 
     k_scale = max(float(np.median(k_ideal)), 1.0)
     scale = np.array([length**-3, length**-2, length**-1, 1.0,
@@ -288,8 +292,8 @@ def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf,
 # ---------------------------------------------------------------------------
 # Geometry: required diffraction angle along the grating
 
-def diffraction_angle_at(x: float, pose: IonPose, stack: LayerStack,
-                         signed: bool = True) -> float:
+def diffraction_angle_at(x: float, pose: IonPose,
+                         stack: LayerStack) -> float:
     """Cladding-frame polar angle of the ray from (x, grating plane) to the
     ion, refracted at the cladding/vacuum interface (Fermat path).
 
@@ -300,7 +304,7 @@ def diffraction_angle_at(x: float, pose: IonPose, stack: LayerStack,
     theta_v = ray_vacuum_angle(abs(rho), pose.height_above_surface,
                                pose.cladding_thickness, stack.cladding_index)
     theta_c = float(np.arcsin(np.sin(theta_v) / stack.cladding_index))
-    return float(np.copysign(theta_c, rho)) if signed else theta_c
+    return float(np.copysign(theta_c, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +404,20 @@ def _exit_path_length(x, y, focus, cladding_thickness: float,
         + fz / np.cos(theta_v)
 
 
+# curve_tooth solves each offset to this many meters, within this bracket
+_CURVE_TOL = 1e-10
+_MAX_OFFSET = 5e-6
+
+
 def curve_tooth(tooth: ToothSpec, focus, phase_map, stack: LayerStack,
                 pose: IonPose, wavelength: float = DESIGN_WAVELENGTH,
-                y_samples=None, tol: float = 1e-10,
-                max_offset: float = 5e-6) -> list:
+                y_samples=None) -> list:
     """Per-y longitudinal offsets making the total optical path constant.
 
     For each y the offset u solves phase(x+u, y)/k0 + exit path(x+u, y) =
     (value at y=0, u=0), for all y at once, by bracketed false position
-    (Illinois variant) to ``tol`` meters.  Samples that fail to bracket a
-    root within ``max_offset`` truncate the tooth (flag set).
+    (Illinois variant) to 1e-10 m.  Samples that fail to bracket a root
+    within 5 um truncate the tooth (flag set).
     """
     if y_samples is None:
         y_samples = np.linspace(-15e-6, 15e-6, 61)
@@ -425,22 +433,22 @@ def curve_tooth(tooth: ToothSpec, focus, phase_map, stack: LayerStack,
 
     # the y = 0 reference and both bracket ends in one evaluation
     n = len(ys)
-    ends = total(np.concatenate([[0.0], np.full(n, -max_offset),
-                                 np.full(n, max_offset)]),
+    ends = total(np.concatenate([[0.0], np.full(n, -_MAX_OFFSET),
+                                 np.full(n, _MAX_OFFSET)]),
                  np.concatenate([[0.0], ys, ys]))
     f_lo, f_hi = ends[1:n + 1] - ends[0], ends[n + 1:] - ends[0]
     bracketed = f_lo * f_hi <= 0
     if not np.all(bracketed):
         tooth.truncated = True
     ys, f_lo, f_hi = ys[bracketed], f_lo[bracketed], f_hi[bracketed]
-    lo = np.full_like(ys, -max_offset)
-    hi = np.full_like(ys, max_offset)
+    lo = np.full_like(ys, -_MAX_OFFSET)
+    hi = np.full_like(ys, _MAX_OFFSET)
     u = np.where(f_lo == 0.0, lo, hi)
     side = np.zeros(ys.shape, dtype=int)   # endpoint kept last step
     for _ in range(200):
         denom = np.where(f_hi != f_lo, f_hi - f_lo, 1.0)
         nxt = np.clip(hi - f_hi * (hi - lo) / denom, lo, hi)
-        if np.all(np.abs(nxt - u) < tol):
+        if np.all(np.abs(nxt - u) < _CURVE_TOL):
             u = nxt
             break
         u = nxt
@@ -466,12 +474,10 @@ class GratingLayout:
     upper: list              # list of polygons; polygon = [(x, y), ...] in m
     lower: list
     zone_period: float       # Lambda_y
-    metadata: dict = field(default_factory=dict)
 
 
 def default_zone_period(stack: LayerStack,
-                        wavelength: float = DESIGN_WAVELENGTH,
-                        min_feature: float = 0.12e-6) -> float:
+                        wavelength: float = DESIGN_WAVELENGTH) -> float:
     """Largest comfortable sub-wavelength A/B zone period.
 
     0.9x the wavelength in the cladding, provided each half-period zone
@@ -479,8 +485,8 @@ def default_zone_period(stack: LayerStack,
     """
     lam_m = wavelength_in_medium(wavelength, stack.cladding_index)
     period = 0.9 * lam_m
-    if period / 2 < min_feature:
-        period = 2 * min_feature
+    if period / 2 < MIN_FEATURE:
+        period = 2 * MIN_FEATURE
     if period >= lam_m:
         raise LayoutError("no zone period satisfies both the sub-wavelength "
                           "and minimum-feature constraints")
@@ -504,9 +510,8 @@ def curvature_offsets(tooth: ToothSpec, y) -> np.ndarray:
 
 
 def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
-                stack: LayerStack, wavelength: float = DESIGN_WAVELENGTH,
-                min_feature: float = 0.12e-6,
-                metadata: dict | None = None) -> GratingLayout:
+                stack: LayerStack,
+                wavelength: float = DESIGN_WAVELENGTH) -> GratingLayout:
     """Stripe the footprint into A/B zones and emit per-layer polygons.
 
     Zone A carries each tooth as designed; zone B repeats it shifted
@@ -518,7 +523,7 @@ def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
     if not zone_period < lam_m:
         raise LayoutError(f"zone period {zone_period * 1e9:.0f} nm is not "
                           f"sub-wavelength ({lam_m * 1e9:.0f} nm)")
-    if zone_period / 2 < min_feature:
+    if zone_period / 2 < MIN_FEATURE:
         raise LayoutError("zone width below the fabrication minimum")
     half_w = footprint.y_extent / 2
     n_stripes = int(np.ceil(footprint.y_extent / (zone_period / 2)))
@@ -531,7 +536,7 @@ def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
         for tooth in teeth:
             for duty in (tooth.params.dcu, tooth.params.dcl):
                 width = duty * tooth.pitch
-                if 0.0 < width < min_feature:
+                if 0.0 < width < MIN_FEATURE:
                     raise LayoutError(
                         f"tooth at x={tooth.x * 1e6:.3f} um emits a "
                         f"{width * 1e9:.0f} nm feature after curvature")
@@ -554,8 +559,7 @@ def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
                                                 ya, yb):
                 polys.extend([(a, y_lo), (b, y_lo), (b, y_hi), (a, y_hi)]
                              for a, b in zip(row_a, row_b))
-    return GratingLayout(upper=upper, lower=lower, zone_period=zone_period,
-                         metadata=metadata or {})
+    return GratingLayout(upper=upper, lower=lower, zone_period=zone_period)
 
 
 def polygon_is_simple(poly) -> bool:
@@ -569,16 +573,21 @@ def export_layout(layout: GratingLayout, path) -> None:
     """Write the layout as a lossless polygon table.
 
     Schema: one line per polygon, ``layer index x0 y0 x1 y1 ...`` with
-    vertices in integer nanometers.
+    vertices in integer nanometers.  The polygons of a layer share one
+    vertex count (emit_layout writes rectangles), so each layer is
+    rounded as one array and formatted in one call.
     """
     lines = [f"# grating layout, zone_period_nm="
              f"{round(layout.zone_period * 1e9)}"]
     for layer_id, polys in (("upper", layout.upper),
                             ("lower", layout.lower)):
-        for i, poly in enumerate(polys):
-            coords = " ".join(f"{round(x * 1e9)} {round(y * 1e9)}"
-                              for x, y in poly)
-            lines.append(f"{layer_id} {i} {coords}")
+        if not polys:
+            continue
+        n = len(polys)
+        nm = np.rint(np.asarray(polys) * 1e9).astype(np.int64).reshape(n, -1)
+        rows = np.column_stack([np.arange(n), nm])
+        row = layer_id + " %d" * rows.shape[1]
+        lines.append("\n".join([row] * n) % tuple(rows.ravel().tolist()))
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 

@@ -86,7 +86,7 @@ class ApertureDecomposition:
     fraction_of_total: float
 
 
-def dipole_field(component: DipoleComponent, theta, phi=0.0):
+def dipole_field(component: DipoleComponent, theta):
     """Complex (theta-hat, phi-hat) field of one decay channel.
 
     Angles are measured from the quantization axis.  Normalized so the
@@ -155,7 +155,7 @@ def _aperture_directions(xs, ys, pose: IonPose, proj: ApertureProjection):
     return u, proj.weight(rho)
 
 
-def _decompose_once(axis, footprint, pose, n_cladding, n_quad):
+def _decompose_once(axis, footprint, pose, n_quad):
     gx, wx = np.polynomial.legendre.leggauss(n_quad)
     gy, wy = np.polynomial.legendre.leggauss(n_quad)
     hx, hy = footprint.x_extent / 2, footprint.y_extent / 2
@@ -164,7 +164,7 @@ def _decompose_once(axis, footprint, pose, n_cladding, n_quad):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     W = hx * hy * np.outer(wx, wy)
 
-    proj = ApertureProjection(pose, n_cladding)
+    proj = ApertureProjection(pose, constants.N_SIO2)
     u, dens = _aperture_directions(X, Y, pose, proj)
 
     # local TE/TM basis in the transverse plane of each direction
@@ -191,24 +191,22 @@ def _decompose_once(axis, footprint, pose, n_cladding, n_quad):
 
 
 def fraction_on_aperture(axis: QuantizationAxis, footprint: GratingFootprint,
-                         pose: IonPose,
-                         n_cladding: float = constants.N_SIO2,
-                         n_quad: int = 128, check_tol: float = 1e-3):
-    """Per-channel aperture-incident fraction and TE/TM split.
+                         pose: IonPose):
+    """Per-channel aperture-incident fraction and TE/TM split, through the
+    default oxide cladding.
 
-    Tensor-product Gauss-Legendre quadrature over the aperture with a
-    convergence check at 1.5x the node count; raises QuadratureError if the
-    refinement moves any fraction by more than ``check_tol`` (absolute).
+    Tensor-product Gauss-Legendre quadrature over the aperture on 128 and
+    192 nodes per axis; raises QuadratureError if the refinement moves any
+    fraction by more than 1e-3 (absolute).
     """
     if footprint.area == 0:
         zero = ApertureDecomposition(0.0, 0.0, 0.0, 0.0)
         return {kind: zero for kind in COMPONENTS}
-    coarse = _decompose_once(axis, footprint, pose, n_cladding, n_quad)
-    fine = _decompose_once(axis, footprint, pose, n_cladding,
-                           int(n_quad * 1.5))
+    coarse = _decompose_once(axis, footprint, pose, 128)
+    fine = _decompose_once(axis, footprint, pose, 192)
     for kind in COMPONENTS:
         if abs(coarse[kind].fraction_incident
-               - fine[kind].fraction_incident) > check_tol:
+               - fine[kind].fraction_incident) > 1e-3:
             raise QuadratureError(
                 f"aperture quadrature not converged for {kind}")
     return fine
@@ -223,18 +221,18 @@ def sigma_share(decomposition) -> float:
 
 def ion_intensity_profile(axis: QuantizationAxis, footprint: GratingFootprint,
                           pose: IonPose, n_points: int,
-                          n_cladding: float = constants.N_SIO2,
-                          n_quad_y: int = 256):
+                          n_cladding: float = constants.N_SIO2):
     """Marginal (y-integrated) aperture-plane fluorescence intensity vs x.
 
     Sums all decay channels weighted by branching, integrates across the
-    aperture width at each x sample, and normalizes to unit integral over
-    the footprint.  Returns (x, intensity) with intensity in 1/m.
+    aperture width at each x sample (256 Gauss-Legendre nodes), and
+    normalizes to unit integral over the footprint.  Returns (x, intensity)
+    with intensity in 1/m.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     xs = np.linspace(0.0, footprint.x_extent, n_points)
-    gy, wy = np.polynomial.legendre.leggauss(n_quad_y)
+    gy, wy = np.polynomial.legendre.leggauss(256)
     hy = footprint.y_extent / 2
     ys = hy * gy
     X, Y = np.meshgrid(xs, ys, indexing="ij")

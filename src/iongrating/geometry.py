@@ -41,13 +41,10 @@ class LayerStack:
     waveguide (the two grating layers plus the spacer between them).
     """
     layers: tuple[Layer, ...]
-    design_wavelength: float = constants.DESIGN_WAVELENGTH
     cladding_index: float = constants.N_SIO2
     guiding: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.design_wavelength <= 0:
-            raise ValueError("design wavelength must be > 0")
         names = [l.name for l in self.layers]
         for g in self.guiding:
             if g not in names:
@@ -67,7 +64,6 @@ def default_stack() -> LayerStack:
             Layer("spacer_oxide", 90e-9, constants.N_SIO2),
             Layer("upper_nitride", 100e-9, constants.N_SIN),
         ),
-        design_wavelength=constants.DESIGN_WAVELENGTH,
         cladding_index=constants.N_SIO2,
         guiding=("lower_nitride", "spacer_oxide", "upper_nitride"),
     )
@@ -136,19 +132,19 @@ def _dispersion(beta: float, k0: float, ns, ds, cladding_index: float,
     return (v + g * u).real
 
 
-def effective_index(stack: LayerStack, wavelength: float | None = None,
-                    polarization: str = "TE", tol: float = 1e-10) -> float:
+def effective_index(stack: LayerStack, wavelength: float,
+                    polarization: str = "TE") -> float:
     """Fundamental slab-mode effective index of the stack.
 
     Scans the dispersion function between the cladding and peak core index
-    and bisects the highest-index sign change (the fundamental mode).
+    and bisects the highest-index sign change (the fundamental mode) to
+    1e-10 in index.
 
     Raises NoGuidedModeError if no guided mode exists.
     """
     if polarization not in ("TE", "TM"):
         raise ValueError("polarization must be 'TE' or 'TM'")
-    lam = stack.design_wavelength if wavelength is None else wavelength
-    k0 = 2 * np.pi / lam
+    k0 = 2 * np.pi / wavelength
     ns, ds = stack.index_profile()
     n_max = float(ns.max(initial=stack.cladding_index))
     if n_max <= stack.cladding_index:
@@ -167,7 +163,7 @@ def effective_index(stack: LayerStack, wavelength: float | None = None,
             beta = brentq(
                 _dispersion, a, b,
                 args=(k0, ns, ds, stack.cladding_index, polarization),
-                xtol=tol * k0)
+                xtol=1e-10 * k0)
             return beta / k0
     raise NoGuidedModeError(
         f"no guided {polarization} mode (contrast too low or layers too thin)")
@@ -237,18 +233,17 @@ class ApertureProjection:
     emission directions.
 
     Tabulates the vacuum polar angle theta(rho) and the direction-space
-    density dOmega/dA on a dense grid once, then evaluates by monotone
-    interpolation.  With zero cladding the density reduces to the familiar
-    z dA / r^3 projection.
+    density dOmega/dA once, on 6000 angles up to 1e-6 rad short of grazing,
+    then evaluates by monotone interpolation.  With zero cladding the
+    density reduces to the familiar z dA / r^3 projection.
     """
 
-    def __init__(self, pose: IonPose, n_cladding: float = constants.N_SIO2,
-                 theta_max: float = np.pi / 2 - 1e-6, n_grid: int = 6000):
+    def __init__(self, pose: IonPose, n_cladding: float = constants.N_SIO2):
         from scipy.interpolate import PchipInterpolator
 
         self.pose = pose
         self.n_cladding = n_cladding
-        theta = np.linspace(0.0, theta_max, n_grid)
+        theta = np.linspace(0.0, np.pi / 2 - 1e-6, 6000)
         rho = _horizontal_reach(theta, pose.height_above_surface,
                                 pose.cladding_thickness, n_cladding)
         drho = _reach_slope(theta, pose.height_above_surface,
@@ -271,13 +266,12 @@ class ApertureProjection:
 
 
 def solid_angle_fraction(footprint: GratingFootprint, pose: IonPose,
-                         n_cladding: float = constants.N_SIO2,
-                         tol: float = 1e-5) -> float:
+                         n_cladding: float = constants.N_SIO2) -> float:
     """Fraction of total emission solid angle subtended by the footprint.
 
-    Integrates the direction-space measure over the aperture, accounting for
-    refraction at the vacuum/cladding interface (the grating appears closer
-    than its physical standoff).
+    Integrates the direction-space measure over the aperture, to 1e-5 of
+    the full sphere, accounting for refraction at the vacuum/cladding
+    interface (the grating appears closer than its physical standoff).
     """
     if footprint.area == 0:
         return 0.0
@@ -290,5 +284,5 @@ def solid_angle_fraction(footprint: GratingFootprint, pose: IonPose,
     omega, _ = integrate.dblquad(
         integrand, 0.0, footprint.x_extent,
         -footprint.y_extent / 2, footprint.y_extent / 2,
-        epsabs=tol * 4 * np.pi, epsrel=1e-7)
+        epsabs=1e-5 * 4 * np.pi, epsrel=1e-7)
     return omega / (4 * np.pi)

@@ -110,17 +110,15 @@ def feature_check(params: UnitCellParams,
 
 
 def pitch_for_angle(angle: float, dcu: float, dcl: float,
-                    stack: LayerStack, wavelength: float,
-                    polarization: str = "TE",
-                    cell_size: float | None = None) -> float:
+                    stack: LayerStack, wavelength: float, polarization: str,
+                    cell_size: float) -> float:
     """Grating-equation pitch for a cladding-frame diffraction angle.
 
-    Uses the duty-averaged local effective index of the toothed section,
-    solved self-consistently (the index itself is pitch-independent in the
-    zone-averaged model, so a single pass suffices).
+    Uses the duty-averaged local effective index of the toothed section on
+    the unit-cell grid of ``cell_size``, solved self-consistently (the
+    index itself is pitch-independent in the zone-averaged model, so a
+    single pass suffices).
     """
-    if cell_size is None:
-        cell_size = fdtd.default_cell_size(stack, wavelength)
     probe = UnitCellParams(pitch=1e-6, dcu=dcu, dcl=dcl, dx=0.0, delta=0.0)
     n_local = fdtd.grating_effective_index(stack, probe, cell_size,
                                            wavelength, polarization)

@@ -55,7 +55,7 @@ class CollectionMap:
     eta_te: np.ndarray
     eta_tm: np.ndarray
     z: float
-    peak: tuple = field(default=None)  # (x, y) of the map maximum
+    peak: tuple = field(init=False)  # (x, y) of the map maximum
 
     def __post_init__(self):
         if np.any(self.eta < 0):
@@ -78,17 +78,16 @@ def dipole_moment_scale(wavelength: float = DESIGN_WAVELENGTH) -> float:
     return np.sqrt(3.0 * wavelength**4 / (4.0 * np.pi**3 * C0**3 * MU0))
 
 
-def coupling_field_overlap(p, e_g, wavelength: float = DESIGN_WAVELENGTH,
-                           omega0: float | None = None) -> float:
-    """Mode-overlap coupling efficiency (1/16) w0^2 |p . E_g*|^2.
+def coupling_field_overlap(p, e_g) -> float:
+    """Mode-overlap coupling efficiency (1/16) w0^2 |p . E_g*|^2 at the
+    design wavelength.
 
     ``p`` is the dipole polarization vector in A m s / sqrt(W) (its
     magnitude p0 for unit emitted power), ``e_g`` the unit-power-normalized
     grating field at the ion in V/(m sqrt(W)); both may be complex
     3-vectors or scalars.
     """
-    if omega0 is None:
-        omega0 = 2.0 * np.pi * C0 / wavelength
+    omega0 = 2.0 * np.pi * C0 / DESIGN_WAVELENGTH
     p = np.atleast_1d(np.asarray(p, dtype=complex))
     e_g = np.atleast_1d(np.asarray(e_g, dtype=complex))
     if p.shape != e_g.shape:
@@ -126,24 +125,21 @@ def efficiency_from_intensity(i_max: float, pixel_size: float,
 
 
 def combine_intensity_profiles(field_te: FieldGrid,
-                               field_tm: FieldGrid,
-                               weights=(0.5, 0.5)) -> np.ndarray:
+                               field_tm: FieldGrid) -> np.ndarray:
     """Unit-total-power combination of per-mode intensity profiles.
 
     Each field's |E|^2 is normalized to unit total and the two are summed
-    with the given weights (default equal weight).  Returns the unit-less
-    per-pixel profile used by :func:`efficiency_from_intensity`.
+    with equal weight.  Returns the unit-less per-pixel profile used by
+    :func:`efficiency_from_intensity`.
     """
     _check_grids_match(field_te, field_tm)
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise ValueError("combination weights must sum to one")
     out = np.zeros(field_te.data.shape, dtype=float)
-    for w, f in zip(weights, (field_te, field_tm)):
+    for f in (field_te, field_tm):
         intensity = np.abs(f.data) ** 2
         total = intensity.sum()
         if total <= 0.0:
             raise ValueError(f"{f.polarization} field carries no power")
-        out += w * intensity / total
+        out += 0.5 * intensity / total
     return out
 
 
@@ -222,13 +218,12 @@ def collection_map(field_te: FieldGrid, field_tm: FieldGrid,
 
 
 def crosstalk_metrics(te_map: np.ndarray, tm_map: np.ndarray,
-                      x=None, y=None, pixel_size: float = 1.0
-                      ) -> CrosstalkReport:
+                      x, y) -> CrosstalkReport:
     """TM-into-TE crosstalk figures from two per-mode maps on one grid.
 
-    Suppression is 10 log10(TM/TE) evaluated at the TE maximum (negative
-    when TM sits below TE there); the offset is the distance between the
-    two maxima.
+    ``x`` and ``y`` are the grid's column and row coordinates.  Suppression
+    is 10 log10(TM/TE) evaluated at the TE maximum (negative when TM sits
+    below TE there); the offset is the distance between the two maxima.
     """
     te = np.asarray(te_map, dtype=float)
     tm = np.asarray(tm_map, dtype=float)
@@ -243,12 +238,6 @@ def crosstalk_metrics(te_map: np.ndarray, tm_map: np.ndarray,
     at_te_max = tm[j_te] / te[j_te]
     suppression = float(10.0 * np.log10(at_te_max)) if at_te_max > 0 \
         else -np.inf
-    if x is not None and y is not None:
-        x = np.asarray(x)
-        y = np.asarray(y)
-        dx = x[j_te[1]] - x[j_tm[1]]
-        dy = y[j_te[0]] - y[j_tm[0]]
-    else:
-        dx = pixel_size * (j_te[1] - j_tm[1])
-        dy = pixel_size * (j_te[0] - j_tm[0])
+    dx = x[j_te[1]] - x[j_tm[1]]
+    dy = y[j_te[0]] - y[j_tm[0]]
     return CrosstalkReport(ratio, suppression, float(np.hypot(dx, dy)))

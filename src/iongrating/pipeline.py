@@ -95,13 +95,17 @@ def _read_previous_stages(manifest_path) -> dict:
 
 
 def _config_slices(config: PipelineConfig) -> dict:
-    base = {"wavelength": config.wavelength,
-            "stack": dataclasses.asdict(config.stack),
+    # the ion-to-aperture ray geometry: all that solid_angle and emission
+    # read of the device
+    rays = {"cladding_index": config.stack.cladding_index,
             "footprint": (config.footprint.x_extent,
                           config.footprint.y_extent),
             "pose": (config.pose.x_ion, config.pose.y_ion,
                      config.pose.height_above_surface,
                      config.pose.cladding_thickness)}
+    base = {"wavelength": config.wavelength,
+            "stack": dataclasses.asdict(config.stack),
+            "footprint": rays["footprint"], "pose": rays["pose"]}
     det = {k: getattr(config.detection, k)
            for k in ("bright_rate", "dark_rate", "window", "threshold",
                      "bins", "d_lifetime", "shelving_failure")}
@@ -111,8 +115,8 @@ def _config_slices(config: PipelineConfig) -> dict:
         # a rewritten library file must recompute the stage
         lib["file_sha256"] = _sha256_file(path)
     return {
-        "solid_angle": base,
-        "emission": {**base, "axis": config.designer["quantization_axis"]},
+        "solid_angle": rays,
+        "emission": {**rays, "axis": config.designer["quantization_axis"]},
         "library": lib,
         "design": {**base, **config.designer},
         "synthesize": {**base, **config.propagation},
@@ -128,11 +132,19 @@ def _config_slices(config: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 # Library construction
 
+def _cell_size(config: PipelineConfig) -> float:
+    """The unit-cell grid spacing every effective index is taken on, TE
+    and TM alike."""
+    return fdtd.default_cell_size(config.stack, config.wavelength,
+                                  config.library["points_per_wavelength"])
+
+
 def analytic_library(config: PipelineConfig) -> liblib.ParamLibrary:
     """Design-grade library from the grating equation, no field solver.
 
-    Pitches come from the duty-averaged local effective index; the
-    coupling strength follows the two-zone interference model
+    Pitches come from the duty-averaged local effective index on the
+    unit-cell grid of ``library.points_per_wavelength``; the coupling
+    strength follows the two-zone interference model
     kappa(delta) = kappa0 cos^2(pi delta / pitch), which vanishes at the
     half-pitch shift.  Labeled analytic in the provenance.
     """
@@ -140,10 +152,11 @@ def analytic_library(config: PipelineConfig) -> liblib.ParamLibrary:
     angles = [np.deg2rad(a) for a in lib_cfg["angles_deg"]]
     fracs = list(lib_cfg["delta_fracs"])
     dcu, dcl = lib_cfg["duty_upper"], lib_cfg["duty_lower"]
+    cell = _cell_size(config)
     entries = {}
     for i, angle in enumerate(angles):
         pitch = liblib.pitch_for_angle(angle, dcu, dcl, config.stack,
-                                       config.wavelength)
+                                       config.wavelength, "TE", cell)
         for j, frac in enumerate(fracs):
             delta = frac * pitch / 2.0
             kappa = lib_cfg["kappa0"] * np.cos(np.pi * delta / pitch) ** 2
@@ -295,9 +308,8 @@ def _tm_teeth(config, teeth):
     steers TM emission to a shallower angle via the grating equation; this
     is the source of the TE/TM focal displacement.
     """
-    cell = fdtd.default_cell_size(config.stack, config.wavelength,
-                                  config.library["points_per_wavelength"])
-    n_tm = fdtd.grating_effective_index(config.stack, teeth[0].params, cell,
+    n_tm = fdtd.grating_effective_index(config.stack, teeth[0].params,
+                                        _cell_size(config),
                                         config.wavelength, "TM")
     n_clad = config.stack.cladding_index
     out = []
@@ -521,8 +533,8 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
 # ---------------------------------------------------------------------------
 # Reporting
 
-def _fmt(value, digits=4):
-    return f"{value:.{digits}g}"
+def _fmt(value):
+    return f"{value:.4g}"
 
 
 def _fmt_list(values):

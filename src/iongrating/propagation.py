@@ -10,7 +10,7 @@ cladding index for its thickness, then vacuum above.
 """
 
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,8 +34,7 @@ class FieldGrid:
 
     ``data[j, i]`` is the sample at ``(x0 + i * pixel_size,
     y0 + j * pixel_size)``.  ``z`` is the plane height above the grating
-    plane.  ``intensity_only`` marks measured |E|^2 data with no phase,
-    usable for intensity bookkeeping but not for propagation or overlaps.
+    plane.
     """
     data: np.ndarray
     pixel_size: float
@@ -45,8 +44,6 @@ class FieldGrid:
     y0: float = 0.0
     wavelength: float = DESIGN_WAVELENGTH
     normalized: bool = False
-    intensity_only: bool = False
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.data = np.asarray(self.data)
@@ -140,12 +137,13 @@ def synthesize_near_field(teeth, footprint, stack,
 # ---------------------------------------------------------------------------
 # Angular-spectrum propagation
 
-def _edge_energy_fraction(data: np.ndarray, band: int = 2) -> float:
+def _edge_energy_fraction(data: np.ndarray) -> float:
+    """Share of the energy within two pixels of the grid edge."""
     p = np.abs(data) ** 2
     total = p.sum()
     if total == 0.0:
         return 0.0
-    interior = p[band:-band, band:-band].sum()
+    interior = p[2:-2, 2:-2].sum()
     return float(1.0 - interior / total)
 
 
@@ -159,9 +157,6 @@ def angular_spectrum_propagate(fieldgrid: FieldGrid, dz: float,
     ``dz``).  Raises PaddingError when more than 1% of the energy sits
     within two pixels of the grid edge.
     """
-    if fieldgrid.intensity_only:
-        raise ValueError("intensity-only fields carry no phase and cannot "
-                         "be propagated")
     s = fieldgrid.pixel_size
     lam_m = fieldgrid.wavelength / medium_index
     if s > lam_m / 2:
@@ -213,10 +208,7 @@ def beam_cross_section(fieldgrid: FieldGrid):
     Returns ``(intensity, i_max, (row, col))`` where the intensity grid
     satisfies sum(I) * s^2 = 1 and ``i_max`` is the brightest pixel value.
     """
-    if fieldgrid.intensity_only:
-        intensity = np.abs(fieldgrid.data).astype(float)
-    else:
-        intensity = np.abs(fieldgrid.data) ** 2
+    intensity = np.abs(fieldgrid.data) ** 2
     total = intensity.sum() * fieldgrid.pixel_size**2
     if total <= 0.0:
         raise ValueError("zero field has no cross section")
@@ -225,20 +217,17 @@ def beam_cross_section(fieldgrid: FieldGrid):
     return intensity, float(intensity[idx]), (int(idx[0]), int(idx[1]))
 
 
-def gaussian_field(waist: float, shape=(512, 512),
-                   pixel_size: float = 0.1e-6,
-                   wavelength: float = DESIGN_WAVELENGTH,
-                   polarization: str = "TE") -> FieldGrid:
-    """Unit-power fundamental Gaussian at its waist, centered on the grid."""
+def gaussian_field(waist: float, shape=(512, 512)) -> FieldGrid:
+    """Unit-power fundamental Gaussian at its waist, centered on a grid of
+    0.1 um pixels, at the design wavelength."""
     ny, nx = shape
-    x0, y0 = -nx * pixel_size / 2, -ny * pixel_size / 2
-    x = x0 + pixel_size * np.arange(nx)
-    y = y0 + pixel_size * np.arange(ny)
+    s = 0.1e-6
+    x0, y0 = -nx * s / 2, -ny * s / 2
+    x = x0 + s * np.arange(nx)
+    y = y0 + s * np.arange(ny)
     r2 = x[None, :] ** 2 + y[:, None] ** 2
     data = np.exp(-r2 / waist**2).astype(complex)
-    grid = FieldGrid(data, pixel_size, z=0.0, polarization=polarization,
-                     x0=x0, y0=y0, wavelength=wavelength)
-    return grid.normalize()
+    return FieldGrid(data, s, x0=x0, y0=y0).normalize()
 
 
 # ---------------------------------------------------------------------------
@@ -248,21 +237,17 @@ def gaussian_field(waist: float, shape=(512, 512),
 # it is read back as
 _HEADER = {"pixel_size": float, "z": float, "polarization": str,
            "x0": float, "y0": float, "wavelength": float,
-           "normalized": bool, "intensity_only": bool}
+           "normalized": bool}
 
 
 def save_field(fieldgrid: FieldGrid, path) -> None:
-    """Lossless ``.npz`` export: a ``data`` array (complex128, or float64
-    for intensity-only fields) and one 0-d array per header field.
+    """Lossless ``.npz`` export: a complex128 ``data`` array and one 0-d
+    array per header field.
 
     Members carry zipfile's fixed 1980 timestamp, so the same field always
     gives the same bytes; ``path`` is used as given.
     """
-    if fieldgrid.intensity_only:
-        data = np.abs(fieldgrid.data).astype(np.float64)
-    else:
-        data = np.asarray(fieldgrid.data, dtype=np.complex128)
-    members = {"data": data}
+    members = {"data": np.asarray(fieldgrid.data, dtype=np.complex128)}
     for key, kind in _HEADER.items():
         members[key] = np.asarray(kind(getattr(fieldgrid, key)))
     with zipfile.ZipFile(path, "w") as archive:
@@ -293,10 +278,8 @@ def load_field(path) -> FieldGrid:
         except (ValueError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{path}: unreadable field member ({exc})") \
                 from exc
-    expected = np.dtype(np.float64 if header["intensity_only"]
-                        else np.complex128)
-    if data.dtype != expected:
-        raise ValueError(f"{path}: data is {data.dtype}, expected {expected}")
+    if data.dtype != np.complex128:
+        raise ValueError(f"{path}: data is {data.dtype}, expected complex128")
     try:
         return FieldGrid(data, **header)
     except ValueError as exc:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from iongrating import dipole, propagation
+from iongrating import dipole, fdtd, propagation
 from iongrating.designer import (ToothSpec, curve_tooth, diffraction_angle_at,
                                  fit_kappa, slab_phase_map)
 from iongrating.geometry import GratingFootprint, IonPose, default_stack
@@ -21,10 +21,12 @@ def focused_teeth():
     x, prof = dipole.ion_intensity_profile(dipole.QuantizationAxis.z(),
                                            footprint, pose, 512)
     ansatz, _ = fit_kappa(prof, x, alpha=0.0, kappa_max=0.6e6)
+    cell = fdtd.default_cell_size(stack, WAVELENGTH)
     teeth, xx = [], 0.0
     while xx < footprint.x_extent:
         angle = diffraction_angle_at(xx, pose, stack)
-        pitch = pitch_for_angle(angle, 0.5, 0.5, stack, WAVELENGTH)
+        pitch = pitch_for_angle(angle, 0.5, 0.5, stack, WAVELENGTH, "TE",
+                                cell)
         k = max(float(ansatz(np.array([xx]))[0]), 0.0)
         teeth.append(ToothSpec(
             x=xx, pitch=pitch,

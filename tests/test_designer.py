@@ -84,7 +84,7 @@ def test_zero_kappa_zero_intensity():
 def test_negative_kappa_rejected():
     x = np.linspace(0.0, 1e-6, 10)
     with pytest.raises(ValueError):
-        diffracted_intensity(lambda s: -np.ones_like(s), 0.0, x)
+        diffracted_intensity(-np.ones_like(x), 0.0, x)
 
 
 def test_integral_form_power_balance(ion_profile):
@@ -161,6 +161,16 @@ def test_fit_reports_every_start(ion_profile):
     # residual and Jacobian calls both count
     assert report.n_evaluations > sum(s.nfev for s in report.starts)
     assert report.n_evaluations < 2000
+
+
+@pytest.mark.parametrize("kappa_max", [0.6e6, 1e6, 2e6, np.inf])
+def test_every_fit_start_converges(ion_profile, kappa_max):
+    # no start may stop at the evaluation cap (status 0)
+    x, prof = ion_profile
+    _, report = fit_kappa(prof, x, alpha=0.0, kappa_max=kappa_max)
+    assert report.starts
+    assert all(s.status > 0 for s in report.starts), report.starts
+    assert report.n_evaluations < 1000
 
 
 @pytest.mark.parametrize("form", ["integral", "literal"])
@@ -477,6 +487,23 @@ def test_export_import_round_trip(tmp_path):
     path2 = tmp_path / "layout2.txt"
     export_layout(back, path2)
     assert path.read_text() == path2.read_text()
+
+
+def test_export_matches_per_vertex_writer(tmp_path, focused_teeth):
+    # byte-for-byte reference: the table written one vertex at a time
+    layout = emit_layout(focused_teeth, default_zone_period(STACK),
+                         FOOTPRINT, STACK)
+    lines = [f"# grating layout, zone_period_nm="
+             f"{round(layout.zone_period * 1e9)}"]
+    for layer_id, polys in (("upper", layout.upper),
+                            ("lower", layout.lower)):
+        for i, poly in enumerate(polys):
+            coords = " ".join(f"{round(x * 1e9)} {round(y * 1e9)}"
+                              for x, y in poly)
+            lines.append(f"{layer_id} {i} {coords}")
+    path = tmp_path / "layout.txt"
+    export_layout(layout, path)
+    assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
 def test_export_empty_layout(tmp_path):

@@ -222,16 +222,6 @@ def test_adaptive_timing_defaults():
     assert mixed == pytest.approx((bright + 0.008) / 2, rel=1e-12)
 
 
-def test_adaptive_timing_full_window_convention():
-    censored, _ = adaptive_timing(DetectionConfig(), trials=10**5, seed=2)
-    full, _ = adaptive_timing(DetectionConfig(), trials=10**5, seed=2,
-                              convention="full-window")
-    assert full > censored
-    with pytest.raises(ValueError):
-        adaptive_timing(DetectionConfig(), trials=10**4, seed=0,
-                        convention="typo")
-
-
 def test_adaptive_timing_fast_limit():
     cfg = DetectionConfig(bright_rate=1e9)
     bright, _ = adaptive_timing(cfg, trials=10**4, seed=3)
@@ -282,8 +272,12 @@ def test_rabi_thermal_decay_vs_cold():
 
 
 def test_rabi_cutoff_guard():
-    with pytest.raises(ValueError):
-        rabi_thermal(0.0, RabiModel(omega0=1.0, n_bar=19, n_cutoff=5))
+    # the Fock cutoff follows n-bar and always keeps > 0.999 of the
+    # thermal weight
+    for n_bar in (0.0, 0.5, 1.0, 3.0, 19.0, 150.0):
+        model = RabiModel(omega0=1.0, n_bar=n_bar)
+        assert model.weights().sum() > 0.999
+        assert rabi_thermal(0.0, model) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         rabi_thermal(-1.0, RabiModel(omega0=1.0))
 

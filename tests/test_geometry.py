@@ -18,10 +18,10 @@ from iongrating.geometry import (
 )
 
 
-def single_layer_stack(thickness=100e-9, n_core=2.0, n_clad=1.45, lam=422e-9):
+def single_layer_stack(thickness=100e-9, n_core=2.0, n_clad=1.45):
     return LayerStack(
         layers=(Layer("core", thickness, n_core),),
-        design_wavelength=lam, cladding_index=n_clad, guiding=("core",))
+        cladding_index=n_clad, guiding=("core",))
 
 
 def symmetric_slab_neff_oracle(thickness, n_core, n_clad, lam):
@@ -41,11 +41,11 @@ class TestEffectiveIndex:
     def test_zero_contrast_no_mode(self):
         stack = single_layer_stack(n_core=1.45, n_clad=1.45)
         with pytest.raises(NoGuidedModeError):
-            effective_index(stack)
+            effective_index(stack, 422e-9)
 
     def test_single_layer_matches_symmetric_slab_oracle(self):
         stack = single_layer_stack()
-        neff = effective_index(stack, polarization="TE")
+        neff = effective_index(stack, 422e-9, "TE")
         oracle = symmetric_slab_neff_oracle(100e-9, 2.0, 1.45, 422e-9)
         assert 1.45 < neff < 2.0
         assert neff == pytest.approx(oracle, abs=1e-8)
@@ -53,20 +53,20 @@ class TestEffectiveIndex:
     def test_monotone_in_thickness(self):
         prev = 0.0
         for t in np.linspace(50e-9, 200e-9, 7):
-            neff = effective_index(single_layer_stack(thickness=t))
+            neff = effective_index(single_layer_stack(thickness=t), 422e-9)
             assert neff > prev
             prev = neff
 
     def test_te_tm_within_bounds(self):
         stack = default_stack()
         for pol in ("TE", "TM"):
-            neff = effective_index(stack, polarization=pol)
+            neff = effective_index(stack, 422e-9, pol)
             assert stack.cladding_index < neff < 2.05
 
     def test_tm_below_te(self):
         stack = default_stack()
-        assert effective_index(stack, polarization="TM") < \
-            effective_index(stack, polarization="TE")
+        assert effective_index(stack, 422e-9, "TM") < \
+            effective_index(stack, 422e-9, "TE")
 
 
 class TestWavelengthInMedium:

@@ -57,11 +57,12 @@ def test_params_validation():
 def test_pitch_for_angle_monotone_and_consistent():
     stack = default_stack()
     angles = np.deg2rad([2.0, 8.0, 14.0])
-    pitches = [pitch_for_angle(a, 0.5, 0.5, stack, 422e-9) for a in angles]
+    cell = fdtd.default_cell_size(stack, 422e-9)
+    pitches = [pitch_for_angle(a, 0.5, 0.5, stack, 422e-9, "TE", cell)
+               for a in angles]
     # steeper forward angles need longer pitch
     assert pitches[0] < pitches[1] < pitches[2]
     # round trip through the grating equation
-    cell = fdtd.default_cell_size(stack, 422e-9)
     p = UnitCellParams(pitches[1], 0.5, 0.5, 0, 0)
     n_loc = fdtd.grating_effective_index(stack, p, cell, 422e-9, "TE")
     sin_back = (n_loc - 422e-9 / pitches[1]) / stack.cladding_index
@@ -194,9 +195,8 @@ def test_entry_key_covers_the_whole_stack():
     swarm = SwarmConfig()
     keys = {library._entry_key(0.1, 0.0, KernelConfig(stack=s), swarm)
             for s in (stack, upper_only,
-                      replace(stack, cladding_index=1.45),
-                      replace(stack, design_wavelength=400e-9))}
-    assert len(keys) == 4
+                      replace(stack, cladding_index=1.45))}
+    assert len(keys) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -111,8 +111,6 @@ def test_combined_profile_unit_total():
     te, tm = _random_field_pair()
     comb = combine_intensity_profiles(te, tm)
     assert comb.sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        combine_intensity_profiles(te, tm, weights=(0.7, 0.6))
 
 
 def test_combined_profile_rejects_empty_mode():
@@ -197,7 +195,7 @@ def test_te_tm_argmax_offset():
 def test_crosstalk_identical_maps():
     te, _ = _random_field_pair()
     m = np.abs(te.data) ** 2
-    report = crosstalk_metrics(m, m)
+    report = crosstalk_metrics(m, m, te.x, te.y)
     assert report.suppression_db == pytest.approx(0.0, abs=1e-12)
     assert report.offset == 0.0
     assert report.power_ratio == pytest.approx(1.0, rel=1e-12)
@@ -206,17 +204,18 @@ def test_crosstalk_identical_maps():
 def test_crosstalk_scaled_map():
     te, _ = _random_field_pair()
     m = np.abs(te.data) ** 2
-    report = crosstalk_metrics(m, 0.05 * m)
+    report = crosstalk_metrics(m, 0.05 * m, te.x, te.y)
     assert report.suppression_db == pytest.approx(10 * np.log10(0.05),
                                                   rel=1e-9)
     assert report.power_ratio == pytest.approx(0.05, rel=1e-12)
 
 
 def test_crosstalk_zero_te():
+    xy = np.arange(5.0)
     with pytest.raises(ValueError):
-        crosstalk_metrics(np.zeros((4, 4)), np.ones((4, 4)))
+        crosstalk_metrics(np.zeros((4, 4)), np.ones((4, 4)), xy, xy)
     with pytest.raises(ValueError):
-        crosstalk_metrics(np.ones((4, 4)), np.ones((5, 5)))
+        crosstalk_metrics(np.ones((4, 4)), np.ones((5, 5)), xy, xy)
 
 
 # ---------------------------------------------------------------------------

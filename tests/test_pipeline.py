@@ -281,13 +281,26 @@ def test_guiding_change_recomputes_library_and_design(tmp_path):
     upper_only = dataclasses.replace(cfg, stack=dataclasses.replace(
         cfg.stack, guiding=("upper_nitride",)))
     after = pipeline.run_pipeline(upper_only, stages=["design"])
-    # every stage keys on the whole stack
-    assert after["cached_stages"] == []
+    # every stage that reads the stack's layers keys on the whole stack;
+    # emission reads only the cladding index
+    assert after["cached_stages"] == ["emission"]
     fresh = pipeline.run_pipeline(upper_only, out_dir=str(tmp_path / "new"),
                                   stages=["design"])
     rel = os.path.join("library", "library.json")
     checksum = lambda m: m["stages"]["library"]["artifacts"][rel]
     assert checksum(after) == checksum(fresh) != checksum(first)
+
+
+def test_layer_change_keeps_ray_geometry_stages_cached(tmp_path):
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
+    stages = ["solid_angle", "emission", "library"]
+    pipeline.run_pipeline(cfg, stages=stages)
+    layers = list(cfg.stack.layers)
+    layers[1] = dataclasses.replace(layers[1], thickness=120e-9)
+    thicker = dataclasses.replace(cfg, stack=dataclasses.replace(
+        cfg.stack, layers=tuple(layers)))
+    after = pipeline.run_pipeline(thicker, stages=stages)
+    assert after["cached_stages"] == ["solid_angle", "emission"]
 
 
 _MALFORMED_ENTRIES = pytest.mark.parametrize("malform", [

@@ -127,12 +127,6 @@ def test_edge_energy_triggers_padding_error():
         angular_spectrum_propagate(g, 1e-6)
 
 
-def test_intensity_only_cannot_propagate():
-    g = FieldGrid(np.ones((8, 8)), 0.1e-6, intensity_only=True)
-    with pytest.raises(ValueError):
-        angular_spectrum_propagate(g, 1e-6)
-
-
 def test_fresnel_slit_oracle():
     # 4 um slit propagated 50 um vs. the Fresnel-integral solution
     s, nx, ny, z = 0.05e-6, 4096, 512, 50e-6
@@ -318,21 +312,27 @@ def test_field_io_round_trip(tmp_path):
     assert np.array_equal(back.data, g.data)
     assert back.data.dtype == np.complex128
     for key in ("pixel_size", "z", "polarization", "x0", "y0",
-                "wavelength", "normalized", "intensity_only"):
+                "wavelength", "normalized"):
         assert getattr(back, key) == getattr(g, key), key
 
 
-def test_field_io_intensity_only(tmp_path):
-    g = FieldGrid(np.random.Generator(np.random.Philox(5)).random((8, 8)),
-                  0.1e-6, intensity_only=True)
-    path = tmp_path / "meas.npz"
-    save_field(g, path)
-    back = load_field(path)
-    assert back.intensity_only
-    assert back.data.dtype == np.float64
-    assert np.array_equal(back.data, g.data)
-    intensity, _, _ = beam_cross_section(back)
-    assert intensity.sum() * back.pixel_size**2 == pytest.approx(1.0)
+def test_field_io_rejects_intensity_only_file(tmp_path):
+    # the intensity-only variant (float64 |E|^2 data flagged by an
+    # intensity_only member) is no longer a field file
+    path = tmp_path / "field.npz"
+    save_field(gaussian_field(1e-6, shape=(8, 8)), path)
+    bad = tmp_path / "meas.npz"
+    with zipfile.ZipFile(path) as src, zipfile.ZipFile(bad, "w") as dst:
+        for info in src.infolist():
+            if info.filename == "data.npy":
+                with dst.open(info, "w") as fh:
+                    np.lib.format.write_array(fh, np.ones((8, 8)))
+            else:
+                dst.writestr(info, src.read(info))
+        with dst.open(zipfile.ZipInfo("intensity_only.npy"), "w") as fh:
+            np.lib.format.write_array(fh, np.asarray(True))
+    with pytest.raises(ValueError, match=r"meas\.npz: data is float64"):
+        load_field(bad)
 
 
 def test_field_io_rewrite_is_byte_identical(tmp_path):
