@@ -7,6 +7,9 @@ plane; TM: Hy out of plane), graded-conductivity convolutional PML on all
 boundaries, a guided-mode line source, and single-frequency phasor monitors
 from which diffraction observables (P_T, P_D, up/down split, emission
 angle) are extracted.
+
+CPML memory lives only in the absorbing slabs, where its recursion
+coefficients are nonzero.  A step allocates no grid-sized array.
 """
 
 from dataclasses import dataclass, field
@@ -49,6 +52,8 @@ class SimulationGrid:
             raise ValueError("time step exceeds the Courant limit")
         if self.pml_cells < 8:
             raise ValueError("absorbing layers must be >= 8 cells")
+        if min(self.nx, self.nz) < 2 * self.pml_cells + 4:
+            raise ValueError("grid too small for its absorbing layers")
 
 
 @dataclass
@@ -116,6 +121,27 @@ def _pml_profiles(n: int, pml: int, d: float, dt: float, m: int = 4,
     depth_h = np.maximum(pml - idx_h, idx_h - (n - 1 - pml)) / pml
     b_h, a_h = coeffs(depth_h)
     return (b_e, a_e), (b_h, a_h)
+
+
+def _cpml_slabs(diff: np.ndarray, axis: int, b: np.ndarray, a: np.ndarray,
+                pml: int):
+    """(slab of diff, psi, b, a, scratch) for the pml + 1 nodes at each end
+    of ``diff`` along ``axis``; beyond them b = a = 0, so psi stays 0."""
+    slabs = []
+    for s in (slice(None, pml + 1), slice(-pml - 1, None)):
+        d = diff[s] if axis == 0 else diff[:, s]
+        along = (s, None) if axis == 0 else (None, s)
+        b_s, a_s = (np.broadcast_to(p[along], d.shape).copy() for p in (b, a))
+        slabs.append((d, np.zeros(d.shape), b_s, a_s, np.empty(d.shape)))
+    return slabs
+
+
+def _add_psi(slabs):
+    """Advance each slab's CPML recursion and add it to its difference."""
+    for d, psi, b, a, scratch in slabs:
+        psi *= b
+        psi += np.multiply(a, d, out=scratch)
+        d += psi
 
 
 # ---------------------------------------------------------------------------
@@ -201,33 +227,46 @@ class Fdtd2D:
         d, dt = self.grid.cell_size, self.grid.time_step
         eps = self.material.epsr
 
+        # Every array is stored as whole rows of nz nodes, so each update
+        # is one contiguous pass.  Ga's one padding column feeds only F's
+        # first and last column, whose update coefficient is 0.
         self.F = np.zeros((nx, nz))              # out-of-plane field
-        self.Ga = np.zeros((nx, nz - 1))         # in-plane, d/dz partner
+        self._ga = np.zeros((nx, nz))            # Ga plus its padding
+        self.Ga = self._ga[:, :-1]               # in-plane, d/dz partner
         self.Gb = np.zeros((nx - 1, nz))         # in-plane, d/dx partner
 
         if self.polarization == "TE":
             # F=Ey; Ga=Hx at (i, j+1/2); Gb=Hz at (i+1/2, j)
-            self.cF = dt / (constants.EPS0 * eps * d)
-            self.cGa = dt / (constants.MU0 * d)
-            self.cGb = dt / (constants.MU0 * d)
+            sign = 1.0
+            cF = dt / (constants.EPS0 * eps[1:-1] * d)
+            cGa = cGb = dt / (constants.MU0 * d)
         else:
             # F=Hy; Ga=Ex at (i, j+1/2); Gb=Ez at (i+1/2, j)
+            sign = -1.0
+            cF = np.full((nx - 2, nz), dt / (constants.MU0 * d))
             eps_a = 0.5 * (eps[:, :-1] + eps[:, 1:])
             eps_b = 0.5 * (eps[:-1, :] + eps[1:, :])
-            self.cF = np.full((nx, nz), dt / (constants.MU0 * d))
-            self.cGa = dt / (constants.EPS0 * eps_a * d)
-            self.cGb = dt / (constants.EPS0 * eps_b * d)
+            cGa = np.pad(dt / (constants.EPS0 * eps_a * d), ((0, 0), (0, 1)))
+            cGb = dt / (constants.EPS0 * eps_b * d)
+        cF[:, [0, -1]] = 0.0
+        # update coefficients with the curl signs folded in
+        self.cGa, self.cGb, self.cF = sign * cGa, -sign * cGb, sign * cF
+
+        # two difference buffers, each used twice per step: along z for Ga
+        # and then (its first nx - 2 rows) for F; along x likewise
+        self._dFz = np.zeros((nx, nz))
+        self._dFx = np.empty((nx - 1, nz))
+        self._dGaz = self._dFz[:-2]
+        self._dGbx = self._dFx[:-1]
 
         (bex, aex), (bhx, ahx) = _pml_profiles(nx, self.pml, d, dt)
         (bez, aez), (bhz, ahz) = _pml_profiles(nz, self.pml, d, dt)
-        self.bex, self.aex = bex[1:-1, None], aex[1:-1, None]
-        self.bez, self.aez = bez[None, 1:-1], aez[None, 1:-1]
-        self.bhx, self.ahx = bhx[:, None], ahx[:, None]
-        self.bhz, self.ahz = bhz[None, :], ahz[None, :]
-        self.psi_Ga = np.zeros_like(self.Ga)
-        self.psi_Gb = np.zeros_like(self.Gb)
-        self.psi_Fx = np.zeros((nx - 2, nz))
-        self.psi_Fz = np.zeros((nx, nz - 2))
+        self._psi_Ga = _cpml_slabs(self._dFz[:, :-1], 1, bhz, ahz, self.pml)
+        self._psi_Gb = _cpml_slabs(self._dFx, 0, bhx, ahx, self.pml)
+        self._psi_Fx = _cpml_slabs(self._dGbx, 0, bex[1:-1], aex[1:-1],
+                                   self.pml)
+        self._psi_Fz = _cpml_slabs(self._dGaz[:, 1:-1], 1, bez[1:-1],
+                                   aez[1:-1], self.pml)
         self.step_index = 0
 
     def add_line_source(self, i: int, profile: np.ndarray,
@@ -238,27 +277,30 @@ class Fdtd2D:
     # -- stepping ---------------------------------------------------------
 
     def _step(self):
-        F, Ga, Gb = self.F, self.Ga, self.Gb
-        sign = 1.0 if self.polarization == "TE" else -1.0
+        F, ga, Gb = self.F, self._ga, self.Gb
+        # z differences in one pass over the flat rows: the difference that
+        # straddles two rows lands in a padding column
+        f, g, nz = F.reshape(-1), ga.reshape(-1), self.grid.nz
 
-        dFz = F[:, 1:] - F[:, :-1]
-        self.psi_Ga *= self.bhz
-        self.psi_Ga += self.ahz * dFz
-        Ga += sign * self.cGa * (dFz + self.psi_Ga)
+        dFz = self._dFz
+        np.subtract(f[1:], f[:-1], out=dFz.reshape(-1)[:-1])
+        _add_psi(self._psi_Ga)
+        dFz *= self.cGa
+        ga += dFz
 
-        dFx = F[1:, :] - F[:-1, :]
-        self.psi_Gb *= self.bhx
-        self.psi_Gb += self.ahx * dFx
-        Gb += -sign * self.cGb * (dFx + self.psi_Gb)
+        dFx = np.subtract(F[1:], F[:-1], out=self._dFx)
+        _add_psi(self._psi_Gb)
+        dFx *= self.cGb
+        Gb += dFx
 
-        dGbx = Gb[1:, :] - Gb[:-1, :]
-        self.psi_Fx *= self.bex
-        self.psi_Fx += self.aex * dGbx
-        dGaz = Ga[:, 1:] - Ga[:, :-1]
-        self.psi_Fz *= self.bez
-        self.psi_Fz += self.aez * dGaz
-        F[1:-1, 1:-1] += sign * self.cF[1:-1, 1:-1] * (
-            (dGaz + self.psi_Fz)[1:-1, :] - (dGbx + self.psi_Fx)[:, 1:-1])
+        dGbx = np.subtract(Gb[1:], Gb[:-1], out=self._dGbx)
+        _add_psi(self._psi_Fx)
+        dGaz = self._dGaz
+        np.subtract(g[nz:-nz], g[nz - 1:-nz - 1], out=dGaz.reshape(-1))
+        _add_psi(self._psi_Fz)
+        dGaz -= dGbx
+        dGaz *= self.cF
+        F[1:-1] += dGaz
 
         self.step_index += 1
         t = self.step_index * self.grid.time_step

@@ -278,6 +278,8 @@ def _run_design(config, inputs, stage_dir):
     _write_json(teeth_path, [dataclasses.asdict(t) for t in teeth])
     drained, residual = designer.tooth_power_accounting(teeth)
     summary = {"n_teeth": len(teeth),
+               "n_clamped": sum(bool(t.clamped) for t in teeth),
+               "n_truncated": sum(bool(t.truncated) for t in teeth),
                "fit_relative_l2": fit.relative_l2,
                "fit_residual_power": fit.residual_power,
                "fit_infeasible": bool(fit.infeasible),
@@ -350,10 +352,24 @@ def _run_propagate(config, inputs, stage_dir):
         path = os.path.join(stage_dir, f"ion_plane_{pol.lower()}.npz")
         propagation.save_field(at_ion, path)
         artifacts[f"ion_{pol.lower()}"] = path
-        _, i_max, idx = propagation.beam_cross_section(at_ion)
-        summary[f"peak_x_{pol.lower()}"] = float(at_ion.x[idx[1]])
-        summary[f"peak_y_{pol.lower()}"] = float(at_ion.y[idx[0]])
+        x, y = _peak_position(at_ion, (config.pose.x_ion, config.pose.y_ion))
+        summary[f"peak_x_{pol.lower()}"] = x
+        summary[f"peak_y_{pol.lower()}"] = y
     return summary, artifacts
+
+
+def _peak_position(fieldgrid, ion_xy):
+    """(x, y) of the brightest pixel nearest the ion.
+
+    Pixels within a relative 1e-9 of the maximum count as tied, so last-bit
+    noise cannot choose the side of a mirror-symmetric field; an exact
+    distance tie goes to +y."""
+    intensity, i_max, _ = propagation.beam_cross_section(fieldgrid)
+    rows, cols = np.nonzero(intensity >= i_max * (1.0 - 1e-9))
+    x, y = fieldgrid.x[cols], fieldgrid.y[rows]
+    dist2 = (x - ion_xy[0]) ** 2 + (y - ion_xy[1]) ** 2
+    k = np.lexsort((-y, dist2))[0]
+    return float(x[k]), float(y[k])
 
 
 def _run_overlap(config, inputs, stage_dir):
@@ -566,6 +582,9 @@ def report(manifest: dict) -> str:
         lines += ["",
                   "design",
                   f"  teeth                     {get('design', 'n_teeth')}",
+                  f"  clamped / truncated teeth "
+                  f"{get('design', 'n_clamped')} / "
+                  f"{get('design', 'n_truncated')}",
                   f"  fit relative L2           "
                   f"{_fmt(get('design', 'fit_relative_l2'))}",
                   f"  fit status per start      "

@@ -163,6 +163,98 @@ def test_far_field_plane_wave_oracle():
     assert not spec.truncation_warning
 
 
+def test_grid_rejects_overlapping_absorbing_layers():
+    dt = 0.5 * CELL / (constants.C0 * np.sqrt(2.0))
+    with pytest.raises(ValueError):
+        fdtd.SimulationGrid(cell_size=CELL, time_step=dt, nx=27, nz=50)
+
+
+def _full_grid_cpml(sim):
+    """Coefficients, CPML profiles and psi arrays over the whole grid, as
+    the full-grid update kept them."""
+    nx, nz = sim.grid.nx, sim.grid.nz
+    d, dt = sim.grid.cell_size, sim.grid.time_step
+    eps = sim.material.epsr
+    if sim.polarization == "TE":
+        cF = dt / (constants.EPS0 * eps * d)
+        cGa = cGb = dt / (constants.MU0 * d)
+    else:
+        cF = np.full((nx, nz), dt / (constants.MU0 * d))
+        cGa = dt / (constants.EPS0 * 0.5 * (eps[:, :-1] + eps[:, 1:]) * d)
+        cGb = dt / (constants.EPS0 * 0.5 * (eps[:-1, :] + eps[1:, :]) * d)
+    (bex, aex), (bhx, ahx) = fdtd._pml_profiles(nx, sim.pml, d, dt)
+    (bez, aez), (bhz, ahz) = fdtd._pml_profiles(nz, sim.pml, d, dt)
+    return dict(
+        cF=cF, cGa=cGa, cGb=cGb,
+        bex=bex[1:-1, None], aex=aex[1:-1, None],
+        bez=bez[None, 1:-1], aez=aez[None, 1:-1],
+        bhx=bhx[:, None], ahx=ahx[:, None],
+        bhz=bhz[None, :], ahz=ahz[None, :],
+        psi_Ga=np.zeros((nx, nz - 1)), psi_Gb=np.zeros((nx - 1, nz)),
+        psi_Fx=np.zeros((nx - 2, nz)), psi_Fz=np.zeros((nx, nz - 2)))
+
+
+def _full_grid_step(sim, c):
+    """One step of the full-grid CPML update, psi carried everywhere."""
+    F, Ga, Gb = sim.F, sim.Ga, sim.Gb
+    sign = 1.0 if sim.polarization == "TE" else -1.0
+
+    dFz = F[:, 1:] - F[:, :-1]
+    c["psi_Ga"] *= c["bhz"]
+    c["psi_Ga"] += c["ahz"] * dFz
+    Ga += sign * c["cGa"] * (dFz + c["psi_Ga"])
+
+    dFx = F[1:, :] - F[:-1, :]
+    c["psi_Gb"] *= c["bhx"]
+    c["psi_Gb"] += c["ahx"] * dFx
+    Gb += -sign * c["cGb"] * (dFx + c["psi_Gb"])
+
+    dGbx = Gb[1:, :] - Gb[:-1, :]
+    c["psi_Fx"] *= c["bex"]
+    c["psi_Fx"] += c["aex"] * dGbx
+    dGaz = Ga[:, 1:] - Ga[:, :-1]
+    c["psi_Fz"] *= c["bez"]
+    c["psi_Fz"] += c["aez"] * dGaz
+    F[1:-1, 1:-1] += sign * c["cF"][1:-1, 1:-1] * (
+        (dGaz + c["psi_Fz"])[1:-1, :] - (dGbx + c["psi_Fx"])[:, 1:-1])
+
+    sim.step_index += 1
+    t = sim.step_index * sim.grid.time_step
+    for i, profile, ramp_p, amp in sim._sources:
+        ramp_t = ramp_p * 2 * np.pi / sim.omega
+        env = 1.0 if t >= ramp_t else 0.5 * (1 - np.cos(np.pi * t / ramp_t))
+        sim.F[i, :] += profile * (amp * env * np.sin(sim.omega * t))
+
+
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+def test_slab_cpml_step_matches_full_grid_update(pol):
+    # a coarse grating cell whose source sits 0.35 um from the left PML
+    cell = 2 * CELL
+    material = fdtd.unit_cell_material_map(STACK, params(), 4, cell,
+                                           margin_in=0.9e-6,
+                                           margin_out=0.5e-6, clad_pad=0.6e-6)
+    col = material.n[material.meta["i_in"] - 2, :]
+    _, profile = fdtd.slab_mode_profile(col, cell, WAVELENGTH, pol)
+    lean, full = (fdtd.Fdtd2D(material, WAVELENGTH, pol) for _ in range(2))
+    for sim in (lean, full):
+        sim.add_line_source(material.meta["i_src"], profile, ramp_periods=1)
+    state = _full_grid_cpml(full)
+    for _ in range(150):
+        lean._step()
+        _full_grid_step(full, state)
+    assert np.array_equal(lean.F, full.F)
+    assert np.array_equal(lean.Ga, full.Ga)
+    assert np.array_equal(lean.Gb, full.Gb)
+    # the absorbing layers were reached, and psi stayed 0 outside them
+    w = lean.pml + 1
+    assert np.any(state["psi_Gb"][:w] != 0)
+    assert np.any(state["psi_Ga"][:, -w:] != 0)
+    assert not np.any(state["psi_Gb"][w:-w])
+    assert not np.any(state["psi_Ga"][:, w:-w])
+    assert not np.any(state["psi_Fx"][w:-w])
+    assert not np.any(state["psi_Fz"][:, w:-w])
+
+
 # ---------------------------------------------------------------------------
 # Full simulation behavior
 

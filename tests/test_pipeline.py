@@ -179,6 +179,55 @@ def test_design_summary_reports_fit_starts(run_dir):
     assert f"fit status per start      {statuses}" in text
 
 
+def test_design_summary_counts_clamped_and_truncated_teeth(tmp_path):
+    # an ion 25 um off axis puts the outer curve samples of some teeth
+    # beyond the offset bracket, and a weak library cannot meet every
+    # fitted kappa
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path),
+                                 "pose": {"y_ion": 25e-6},
+                                 "library": {"kappa0": 0.2e6}})
+    manifest = pipeline.run_pipeline(cfg, stages=["design"])
+    entry = manifest["stages"]["design"]
+    summary = entry["summary"]
+    teeth = json.loads((tmp_path / entry["artifact_names"]["teeth"])
+                       .read_text())
+    n_clamped = sum(bool(t["clamped"]) for t in teeth)
+    n_truncated = sum(bool(t["truncated"]) for t in teeth)
+    assert 0 < n_truncated < len(teeth) and 0 < n_clamped < len(teeth)
+    assert (summary["n_clamped"], summary["n_truncated"]) == (
+        n_clamped, n_truncated)
+    design = json.loads((tmp_path / entry["artifact_names"]["design"])
+                        .read_text())
+    assert (design["n_clamped"], design["n_truncated"]) == (
+        n_clamped, n_truncated)
+    assert (f"clamped / truncated teeth {n_clamped} / {n_truncated}"
+            in pipeline.report(manifest))
+
+
+def test_peak_position_ignores_last_bit_ties():
+    # a plane mirrored in y about the ion, peaked at y = +-0.8 um
+    s = 0.1e-6
+    y = -1.6e-6 + s * np.arange(33)
+    x = -1.0e-6 + s * np.arange(21)
+    half = (np.exp(-((y - 0.8e-6) / 0.5e-6) ** 2)[:, None]
+            * np.exp(-(x / 0.5e-6) ** 2)[None, :])
+    data = half + half[::-1]
+    assert np.array_equal(data, data[::-1])
+    peaks, rows = set(), set()
+    for nudged in (None, 8, 24):
+        d = data.copy()
+        if nudged is not None:
+            d[nudged, 10] = np.nextafter(d[nudged, 10], np.inf)
+        field = propagation.FieldGrid(d, s, x0=-1.0e-6, y0=-1.6e-6)
+        rows.add(propagation.beam_cross_section(field)[2][0])
+        peaks.add(pipeline._peak_position(field, (0.0, 0.0)))
+    assert rows == {8, 24}          # a bare argmax flips with one ulp
+    assert len(peaks) == 1
+    x_peak, y_peak = peaks.pop()
+    assert x_peak == pytest.approx(0.0, abs=1e-12)
+    assert y_peak == pytest.approx(0.8e-6)
+
+
 def test_fit_infeasible_is_a_json_bool(run_dir):
     out, _, _ = run_dir
     manifest = json.loads((out / "manifest.json").read_text())
