@@ -562,13 +562,6 @@ def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
     return GratingLayout(upper=upper, lower=lower, zone_period=zone_period)
 
 
-def polygon_is_simple(poly) -> bool:
-    """Axis-aligned rectangles are simple iff they have positive area."""
-    xs = [p[0] for p in poly]
-    ys = [p[1] for p in poly]
-    return len(poly) >= 3 and max(xs) > min(xs) and max(ys) > min(ys)
-
-
 def export_layout(layout: GratingLayout, path) -> None:
     """Write the layout as a lossless polygon table.
 
@@ -591,20 +584,3 @@ def export_layout(layout: GratingLayout, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
-
-def import_layout(path) -> GratingLayout:
-    upper, lower = [], []
-    zone_period = 0.0
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                zone_period = float(line.split("=")[1]) * 1e-9
-                continue
-            parts = line.split()
-            layer, vals = parts[0], [int(v) * 1e-9 for v in parts[2:]]
-            poly = list(zip(vals[0::2], vals[1::2]))
-            (upper if layer == "upper" else lower).append(poly)
-    return GratingLayout(upper=upper, lower=lower, zone_period=zone_period)

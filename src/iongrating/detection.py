@@ -16,9 +16,8 @@ from scipy.stats import poisson
 __all__ = [
     "DetectionConfig", "LedgerEntry", "LossLedger", "RabiModel",
     "adaptive_timing", "bright_fidelity_analytic", "dark_fidelity_mc",
-    "histogram_sim", "load_ledger", "measured_loss_ledger",
-    "emission_loss_ledger", "improved_loss_ledger", "ratio_method",
-    "rabi_thermal", "save_histogram", "save_ledger",
+    "histogram_sim", "measured_loss_ledger", "emission_loss_ledger",
+    "improved_loss_ledger", "ratio_method", "rabi_thermal", "save_ledger",
 ]
 
 
@@ -84,20 +83,6 @@ def save_ledger(ledger: LossLedger, path) -> None:
         writer.writerow(["label", "db", "sigma_db", "group"])
         for e in ledger.entries:
             writer.writerow([e.label, repr(e.db), repr(e.sigma_db), e.group])
-
-
-def load_ledger(path) -> LossLedger:
-    ledger = LossLedger()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["label", "db", "sigma_db", "group"]:
-            raise ValueError(f"{path}: unrecognized ledger header {header}")
-        for row in reader:
-            if len(row) != 4:
-                raise ValueError(f"{path}: malformed row {row}")
-            ledger.add(row[0], float(row[1]), float(row[2]), row[3])
-    return ledger
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +262,3 @@ def rabi_thermal(t, model: RabiModel):
     phases = 0.5 * omega_n[:, None] * t_flat[None, :]
     p = (w[:, None] * np.cos(phases) ** 2).sum(axis=0)
     return p.reshape(t.shape) if t.ndim else float(p[0])
-
-
-def save_histogram(hist: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["count", "frequency"])
-        for k, v in enumerate(np.asarray(hist)):
-            writer.writerow([k, int(v)])

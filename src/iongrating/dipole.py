@@ -52,11 +52,6 @@ class QuantizationAxis:
     def z(cls):
         return cls((0.0, 0.0, 1.0))
 
-    @classmethod
-    def of(cls, v):
-        v = np.asarray(v, dtype=float)
-        return cls(tuple(v / np.linalg.norm(v)))
-
 
 @dataclass(frozen=True)
 class DipoleComponent:

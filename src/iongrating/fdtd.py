@@ -8,8 +8,13 @@ boundaries, a guided-mode line source, and single-frequency phasor monitors
 from which diffraction observables (P_T, P_D, up/down split, emission
 angle) are extracted.
 
-CPML memory lives only in the absorbing slabs, where its recursion
-coefficients are nonzero.  A step allocates no grid-sized array.
+Fields, update coefficients and CPML memory are float32; the monitor
+phasors and fluxes accumulate in double precision.  CPML memory lives only
+in the absorbing slabs, where its recursion coefficients are nonzero.  A
+step allocates no grid-sized array.  A run stops once the four monitor
+fluxes are measured steady: after one transit of the grid plus the source
+ramp, the largest change of a flux relative to itself must stay below
+1e-5 for three consecutive optical periods.
 """
 
 from dataclasses import dataclass, field
@@ -126,13 +131,15 @@ def _pml_profiles(n: int, pml: int, d: float, dt: float, m: int = 4,
 def _cpml_slabs(diff: np.ndarray, axis: int, b: np.ndarray, a: np.ndarray,
                 pml: int):
     """(slab of diff, psi, b, a, scratch) for the pml + 1 nodes at each end
-    of ``diff`` along ``axis``; beyond them b = a = 0, so psi stays 0."""
+    of ``diff`` along ``axis``, in the dtype of ``diff``; beyond them
+    b = a = 0, so psi stays 0."""
     slabs = []
     for s in (slice(None, pml + 1), slice(-pml - 1, None)):
         d = diff[s] if axis == 0 else diff[:, s]
         along = (s, None) if axis == 0 else (None, s)
-        b_s, a_s = (np.broadcast_to(p[along], d.shape).copy() for p in (b, a))
-        slabs.append((d, np.zeros(d.shape), b_s, a_s, np.empty(d.shape)))
+        b_s, a_s = (np.broadcast_to(p[along], d.shape).astype(d.dtype)
+                    for p in (b, a))
+        slabs.append((d, np.zeros_like(d), b_s, a_s, np.empty_like(d)))
     return slabs
 
 
@@ -227,13 +234,15 @@ class Fdtd2D:
         d, dt = self.grid.cell_size, self.grid.time_step
         eps = self.material.epsr
 
-        # Every array is stored as whole rows of nz nodes, so each update
-        # is one contiguous pass.  Ga's one padding column feeds only F's
-        # first and last column, whose update coefficient is 0.
-        self.F = np.zeros((nx, nz))              # out-of-plane field
-        self._ga = np.zeros((nx, nz))            # Ga plus its padding
+        # Every array is float32 and stored as whole rows of nz nodes, so
+        # each update is one contiguous pass.  Ga's one padding column
+        # feeds only F's first and last column, whose update coefficient
+        # is 0.
+        f32 = np.float32
+        self.F = np.zeros((nx, nz), f32)         # out-of-plane field
+        self._ga = np.zeros((nx, nz), f32)       # Ga plus its padding
         self.Ga = self._ga[:, :-1]               # in-plane, d/dz partner
-        self.Gb = np.zeros((nx - 1, nz))         # in-plane, d/dx partner
+        self.Gb = np.zeros((nx - 1, nz), f32)    # in-plane, d/dx partner
 
         if self.polarization == "TE":
             # F=Ey; Ga=Hx at (i, j+1/2); Gb=Hz at (i+1/2, j)
@@ -250,12 +259,13 @@ class Fdtd2D:
             cGb = dt / (constants.EPS0 * eps_b * d)
         cF[:, [0, -1]] = 0.0
         # update coefficients with the curl signs folded in
-        self.cGa, self.cGb, self.cF = sign * cGa, -sign * cGb, sign * cF
+        self.cGa, self.cGb, self.cF = (np.asarray(c, f32) for c in
+                                       (sign * cGa, -sign * cGb, sign * cF))
 
         # two difference buffers, each used twice per step: along z for Ga
         # and then (its first nx - 2 rows) for F; along x likewise
-        self._dFz = np.zeros((nx, nz))
-        self._dFx = np.empty((nx - 1, nz))
+        self._dFz = np.zeros((nx, nz), f32)
+        self._dFx = np.empty((nx - 1, nz), f32)
         self._dGaz = self._dFz[:-2]
         self._dGbx = self._dFx[:-1]
 
@@ -342,13 +352,15 @@ class LineMonitor:
         self._n = 0
 
     def accumulate(self, sim: Fdtd2D, ph_f: complex, ph_g: complex):
+        # the float32 fields are widened first, so the phasors accumulate
+        # in complex128
         i, s = self.index, self.span
         if self.orientation == "v":
-            f = sim.F[i, s]
-            g = 0.5 * (sim.Gb[i - 1, s] + sim.Gb[i, s])
+            f = sim.F[i, s].astype(float)
+            g = 0.5 * (sim.Gb[i - 1, s].astype(float) + sim.Gb[i, s])
         else:
-            f = sim.F[s, i]
-            g = 0.5 * (sim.Ga[s, i - 1] + sim.Ga[s, i])
+            f = sim.F[s, i].astype(float)
+            g = 0.5 * (sim.Ga[s, i - 1].astype(float) + sim.Ga[s, i])
         self._f = self._f + f * ph_f
         self._g = self._g + g * ph_g
         self._n += 1
@@ -517,27 +529,37 @@ _reference_cache: dict = {}
 
 
 def _run_to_steady_state(sim: Fdtd2D, monitors, min_periods: int,
-                         max_periods: int, rel_tol: float = 1e-3):
+                         max_periods: int, rel_tol: float = 1e-5):
+    """Step min_periods, then measure the monitor fluxes over each further
+    period until the largest change of a flux relative to itself stays
+    below rel_tol for three consecutive periods.  Returns the periods
+    run."""
     sim.run_periods(min_periods)
-    prev = None
+    prev, change, steady = None, np.nan, 0
     for n in range(min_periods, max_periods):
         for m in monitors:
             m.reset()
         sim.run_periods(1, accumulators=monitors)
         powers = np.array([m.flux(sim) for m in monitors])
-        scale = max(np.max(np.abs(powers)), 1e-300)
-        if prev is not None and np.max(np.abs(powers - prev)) < rel_tol * scale:
-            return n + 1
+        if prev is not None:
+            change = float(np.max(np.abs(powers - prev)
+                                  / np.maximum(np.abs(powers), 1e-300)))
+            steady = steady + 1 if change < rel_tol else 0
+            if steady == 3:
+                return n + 1
         prev = powers
     raise ConvergenceError(
-        f"monitors not steady after {max_periods} optical periods")
+        f"monitors not steady after {max_periods} optical periods: last "
+        f"relative flux change {change:.3g} per period, tolerance "
+        f"{rel_tol:g} for 3 periods in a row")
 
 
 def _simulate(material: MaterialMap, wavelength: float, polarization: str,
               profile: np.ndarray, pml_cells: int, max_periods: int):
     meta = material.meta
     sim = Fdtd2D(material, wavelength, polarization, pml_cells=pml_cells)
-    sim.add_line_source(meta["i_src"], profile)
+    ramp = 5.0
+    sim.add_line_source(meta["i_src"], profile, ramp_periods=ramp)
 
     nz, nx = sim.grid.nz, sim.grid.nx
     zspan = slice(meta["j_bot"], meta["j_top"] + 1)
@@ -548,10 +570,11 @@ def _simulate(material: MaterialMap, wavelength: float, polarization: str,
     mon_bot = LineMonitor("h", meta["j_bot"], xspan)
     monitors = [mon_in, mon_out, mon_top, mon_bot]
 
+    # one transit of the grid at the highest index, after the source ramp
     n_max = float(np.max(material.n))
     transit = nx * sim.grid.cell_size * n_max / constants.C0
     period = wavelength / constants.C0
-    min_periods = int(np.ceil(3 * transit / period)) + 8  # + source ramp
+    min_periods = int(np.ceil(transit / period + ramp))
     periods = _run_to_steady_state(sim, monitors, min_periods, max_periods)
     return sim, monitors, periods
 
@@ -564,8 +587,10 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
     """Simulate a short fixed-period grating section and extract observables.
 
     Launches the fundamental guided mode, runs the continuous-wave source to
-    steady state (cycle-averaged monitor powers changing < 0.1 % per optical
-    period), and returns flux-derived powers normalized to unit input.
+    steady state (after one transit of the grid plus the source ramp, each
+    of the four cycle-averaged monitor fluxes changes by less than 1e-5 of
+    itself per optical period, three periods in a row), and returns
+    flux-derived powers normalized to unit input.
     A tooth-free reference run calibrates the input power; references are
     cached per stack/grid/polarization.
     """

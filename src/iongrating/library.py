@@ -19,8 +19,7 @@ from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
-from . import constants
-from . import fdtd
+from . import __version__, fdtd
 from .geometry import LayerStack, default_stack
 
 MIN_FEATURE = 0.12e-6
@@ -79,6 +78,8 @@ class LibraryEntry:
     fom: float
     directivity: float = float("nan")
     peak_angle: float = float("nan")
+    periods_run: int = 0    # optical periods the solver ran the cell for
+    closure: float = float("nan")  # |1 - sum of the four monitor powers|
     error: str | None = None
 
 
@@ -159,7 +160,11 @@ def evaluate_cell(params: UnitCellParams, angle: float,
                         delta_frac=params.delta / (params.pitch / 2),
                         params=params, kappa=kappa, alpha=alpha,
                         fom=figure_of_merit(kappa, alpha),
-                        directivity=direct, peak_angle=result.peak_angle)
+                        directivity=direct, peak_angle=result.peak_angle,
+                        periods_run=result.periods_run,
+                        closure=abs(1.0 - (result.p_trans
+                                           + result.p_reflected
+                                           + result.p_up + result.p_down)))
 
 
 @dataclass
@@ -359,7 +364,7 @@ def interpolate(library: ParamLibrary, angle: float,
     if kappa_target >= kappas[0]:
         kappa, alpha, params = cols[0]
         return InterpolationResult(params, kappa, alpha,
-                                   clamped=kappa_target > kappas[0])
+                                   clamped=bool(kappa_target > kappas[0]))
     # kappa decreases with delta; find the bracketing delta interval
     j = int(np.searchsorted(-kappas, -kappa_target, side="left"))
     j = min(max(j, 1), len(kappas) - 1)
@@ -385,6 +390,7 @@ def _entry_key(angle: float, delta_frac: float, config: KernelConfig,
         "swarm": (swarm.n_particles, swarm.iterations, swarm.inertia,
                   swarm.cognitive, swarm.social, swarm.seed),
         "schema": SCHEMA_VERSION,
+        "version": __version__,
     }
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:24]

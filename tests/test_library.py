@@ -199,6 +199,35 @@ def test_entry_key_covers_the_whole_stack():
     assert len(keys) == 3
 
 
+def test_entry_cache_does_not_serve_another_version(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_cell(params, angle, config):
+        calls.append(params)
+        return LibraryEntry(angle=angle, delta_frac=0.0, params=params,
+                            kappa=params.dcu, alpha=0.1,
+                            fom=figure_of_merit(params.dcu, 0.1))
+
+    monkeypatch.setattr(library, "evaluate_cell", fake_cell)
+    # at 20 deg the pitch leaves every duty cycle of the box manufacturable
+    angle = np.deg2rad(20.0)
+    config, swarm = KernelConfig(), SwarmConfig(n_particles=2, iterations=1)
+    key = library._entry_key(angle, 0.0, config, swarm)
+
+    def build():
+        calls.clear()
+        lib = build_library([angle], [0.0], config, swarm,
+                            cache_dir=str(tmp_path))
+        assert lib.complete
+        return len(calls)
+
+    assert build() > 0
+    assert build() == 0               # served from the entry cache
+    monkeypatch.setattr(library, "__version__", "0.0.0")
+    assert library._entry_key(angle, 0.0, config, swarm) != key
+    assert build() > 0                # another solver version recomputes
+
+
 # ---------------------------------------------------------------------------
 # End-to-end optimization through the solver (small swarm, shared cache)
 
@@ -223,6 +252,10 @@ def test_build_library_entries_valid(built_library):
     assert 0.0 < e0.fom <= 1.0
     assert e0.kappa > 0 and e0.alpha >= 0
     assert feature_check(e0.params, lib.min_feature) == []
+    # the solver diagnostics travel with each entry
+    for e in lib.entries.values():
+        assert 0 < e.periods_run < 400
+        assert 0.0 <= e.closure <= 0.05
     # average duty cycle of optimized cells stays near one half
     assert 0.5 * (e0.params.dcu + e0.params.dcl) == pytest.approx(0.5,
                                                                   abs=0.1)

@@ -191,9 +191,13 @@ def test_design_summary_counts_clamped_and_truncated_teeth(tmp_path):
     summary = entry["summary"]
     teeth = json.loads((tmp_path / entry["artifact_names"]["teeth"])
                        .read_text())
-    n_clamped = sum(bool(t["clamped"]) for t in teeth)
-    n_truncated = sum(bool(t["truncated"]) for t in teeth)
-    assert 0 < n_truncated < len(teeth) and 0 < n_clamped < len(teeth)
+    # both flags are JSON bools, also where the library clamped the tooth
+    assert all(type(t["clamped"]) is bool and type(t["truncated"]) is bool
+               for t in teeth)
+    n_clamped = sum(t["clamped"] for t in teeth)
+    n_truncated = sum(t["truncated"] for t in teeth)
+    assert n_clamped == 14
+    assert 0 < n_truncated < len(teeth) and n_clamped < len(teeth)
     assert (summary["n_clamped"], summary["n_truncated"]) == (
         n_clamped, n_truncated)
     design = json.loads((tmp_path / entry["artifact_names"]["design"])
@@ -260,6 +264,40 @@ def _failing_fdtd_config(tmp_path):
         "library": {"mode": "fdtd", "angles_deg": [8.0],
                     "delta_fracs": [0.0, 1.0],
                     "swarm": {"n_particles": 2, "iterations": 1}}})
+
+
+def test_fdtd_library_summary_reports_solver_diagnostics(tmp_path,
+                                                        monkeypatch):
+    def fake_cell(params, angle, config):
+        frac = params.delta / (params.pitch / 2)
+        return liblib.LibraryEntry(
+            angle=angle, delta_frac=frac, params=params,
+            kappa=1e5 * (1.0 - frac) + 1e3, alpha=1e4,
+            fom=liblib.figure_of_merit(1e5 * (1.0 - frac) + 1e3, 1e4),
+            periods_run=40 + int(20 * frac), closure=0.01 + 0.02 * frac)
+
+    monkeypatch.setattr(liblib, "evaluate_cell", fake_cell)
+    # at 20 deg the pitch leaves every duty cycle of the box manufacturable
+    cfg = load_config(overrides={
+        **FAST, "output_dir": str(tmp_path),
+        "library": {"mode": "fdtd", "angles_deg": [20.0],
+                    "delta_fracs": [0.0, 1.0],
+                    "swarm": {"n_particles": 2, "iterations": 1}}})
+    manifest = pipeline.run_pipeline(cfg, stages=["library"])
+    summary = manifest["stages"]["library"]["summary"]
+    assert summary["max_periods_run"] == 60
+    assert summary["max_closure"] == pytest.approx(0.03)
+    text = pipeline.report(manifest)
+    assert "max periods run           60" in text
+    assert "max energy closure        0.03" in text
+
+
+def test_analytic_manifest_has_no_solver_diagnostics(run_dir):
+    out, _, manifest = run_dir
+    summary = manifest["stages"]["library"]["summary"]
+    assert "max_periods_run" not in summary and "max_closure" not in summary
+    assert "NaN" not in (out / "manifest.json").read_text()
+    assert "unit-cell solver" not in pipeline.report(manifest)
 
 
 def test_failed_library_entries_fail_the_stage(tmp_path, monkeypatch):
