@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
-from .geometry import ApertureProjection, GratingFootprint, IonPose
+from .geometry import GratingFootprint, IonPose, refracted_ray
 
 PI = "pi"
 SIGMA_PLUS = "sigma+"
@@ -137,17 +137,17 @@ def dipole_field_cartesian(component: DipoleComponent, axis: QuantizationAxis,
 # ---------------------------------------------------------------------------
 # Aperture integrals
 
-def _aperture_directions(xs, ys, pose: IonPose, proj: ApertureProjection):
+def _aperture_directions(xs, ys, pose: IonPose, n_cladding: float):
     """Unit emission directions (ion frame) reaching aperture points and the
     direction-space density dOmega/dA at those points."""
     dx = xs - pose.x_ion
     dy = ys - pose.y_ion
-    rho = np.hypot(dx, dy)
-    theta = proj.vacuum_angle(rho)
+    theta, density = refracted_ray(np.hypot(dx, dy), pose.height_above_surface,
+                                   pose.cladding_thickness, n_cladding)
     phi = np.arctan2(dy, dx)
     st, ct = np.sin(theta), np.cos(theta)
     u = np.stack([st * np.cos(phi), st * np.sin(phi), -ct], axis=-1)
-    return u, proj.weight(rho)
+    return u, density
 
 
 def _decompose_once(axis, footprint, pose, n_quad):
@@ -159,8 +159,7 @@ def _decompose_once(axis, footprint, pose, n_quad):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     W = hx * hy * np.outer(wx, wy)
 
-    proj = ApertureProjection(pose, constants.N_SIO2)
-    u, dens = _aperture_directions(X, Y, pose, proj)
+    u, dens = _aperture_directions(X, Y, pose, constants.N_SIO2)
 
     # local TE/TM basis in the transverse plane of each direction
     yhat = np.array([0.0, 1.0, 0.0])
@@ -232,8 +231,7 @@ def ion_intensity_profile(axis: QuantizationAxis, footprint: GratingFootprint,
     ys = hy * gy
     X, Y = np.meshgrid(xs, ys, indexing="ij")
 
-    proj = ApertureProjection(pose, n_cladding)
-    u, dens = _aperture_directions(X, Y, pose, proj)
+    u, dens = _aperture_directions(X, Y, pose, n_cladding)
     inten = np.zeros(X.shape)
     for kind in COMPONENTS:
         field = dipole_field_cartesian(DipoleComponent(kind), axis, u)

@@ -42,6 +42,18 @@ class DirectivityUndefinedError(ValueError):
     """No diffracted power; up/down split is undefined."""
 
 
+PML_CELLS = 12            # absorbing-layer thickness on every boundary
+COURANT = 0.99            # time step as a fraction of the 2D Courant limit
+RAMP_PERIODS = 5.0        # raised-cosine turn-on of the line source
+# unit-cell margins around the layer stack and the grating section, m
+CLAD_PAD = 1.1e-6         # cladding above and below the stack
+MARGIN_IN = 1.3e-6        # guide before the grating: source, input monitor
+MARGIN_OUT = 1.0e-6       # guide after the grating: output monitor
+ANGULAR_WINDOW = np.deg2rad(20.0)  # half-width of the desired order, rad
+MAX_PERIODS = 400         # optical periods a run may take to turn steady
+PAD_FACTOR = 8            # zero padding of the top-monitor FFT
+
+
 @dataclass(frozen=True)
 class SimulationGrid:
     """Uniform Yee grid with absorbing boundary layers."""
@@ -49,15 +61,12 @@ class SimulationGrid:
     time_step: float      # s
     nx: int
     nz: int
-    pml_cells: int = 12
 
     def __post_init__(self):
         courant = self.cell_size / (constants.C0 * np.sqrt(2.0))
         if self.time_step > courant * (1 + 1e-12):
             raise ValueError("time step exceeds the Courant limit")
-        if self.pml_cells < 8:
-            raise ValueError("absorbing layers must be >= 8 cells")
-        if min(self.nx, self.nz) < 2 * self.pml_cells + 4:
+        if min(self.nx, self.nz) < 2 * PML_CELLS + 4:
             raise ValueError("grid too small for its absorbing layers")
 
 
@@ -66,7 +75,6 @@ class MaterialMap:
     """Refractive-index map sampled at out-of-plane field nodes."""
     n: np.ndarray         # (nx, nz) refractive index
     cell_size: float
-    z0: float             # z of node j=0 relative to the bottom of the stack
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -80,8 +88,8 @@ class MaterialMap:
 
 @dataclass
 class CellResult:
-    """Flux-monitor observables of one unit-cell run, normalized to P_in=1."""
-    p_in: float
+    """Flux-monitor observables of one unit-cell run, normalized to unit
+    input power."""
     p_t: float            # total power lost from the guided mode over L
     p_d: float            # power in the desired upward order (angular window)
     p_up: float           # total upward power
@@ -91,13 +99,11 @@ class CellResult:
     length: float         # grating section length L
     peak_angle: float     # rad, in the cladding
     target_angle: float   # rad
-    angular_window: float # rad, half-width used for p_d
     n_cladding: float
     wavelength: float
     cell_size: float
     top_field: np.ndarray # complex phasor along the top monitor
     top_x: np.ndarray
-    truncation_warning: bool = False
     periods_run: int = 0
     polarization: str = "TE"
 
@@ -105,9 +111,10 @@ class CellResult:
 # ---------------------------------------------------------------------------
 # CPML profile helpers
 
-def _pml_profiles(n: int, pml: int, d: float, dt: float, m: int = 4,
-                  alpha_max: float = 0.24):
-    """(b, a) CPML recursion coefficients at integer and half-integer nodes."""
+def _pml_profiles(n: int, d: float, dt: float):
+    """(b, a) CPML recursion coefficients at integer and half-integer nodes:
+    a grading of order 4 and a frequency shift falling from 0.24 S/m."""
+    pml, m, alpha_max = PML_CELLS, 4, 0.24
     sigma_max = 0.8 * (m + 1) / (constants.ETA0 * d)
 
     def coeffs(depth_frac):
@@ -128,13 +135,13 @@ def _pml_profiles(n: int, pml: int, d: float, dt: float, m: int = 4,
     return (b_e, a_e), (b_h, a_h)
 
 
-def _cpml_slabs(diff: np.ndarray, axis: int, b: np.ndarray, a: np.ndarray,
-                pml: int):
-    """(slab of diff, psi, b, a, scratch) for the pml + 1 nodes at each end
-    of ``diff`` along ``axis``, in the dtype of ``diff``; beyond them
-    b = a = 0, so psi stays 0."""
+def _cpml_slabs(diff: np.ndarray, axis: int, b: np.ndarray, a: np.ndarray):
+    """(slab of diff, psi, b, a, scratch) for the PML_CELLS + 1 nodes at
+    each end of ``diff`` along ``axis``, in the dtype of ``diff``; beyond
+    them b = a = 0, so psi stays 0."""
+    w = PML_CELLS + 1
     slabs = []
-    for s in (slice(None, pml + 1), slice(-pml - 1, None)):
+    for s in (slice(None, w), slice(-w, None)):
         d = diff[s] if axis == 0 else diff[:, s]
         along = (s, None) if axis == 0 else (None, s)
         b_s, a_s = (np.broadcast_to(p[along], d.shape).astype(d.dtype)
@@ -198,6 +205,14 @@ def slab_mode_profile(n_column: np.ndarray, cell: float, wavelength: float,
 # ---------------------------------------------------------------------------
 # The kernel
 
+def _drive(t: float, omega: float) -> float:
+    """Line-source amplitude at time t: a unit sine at omega under a
+    raised-cosine ramp of RAMP_PERIODS."""
+    ramp_t = RAMP_PERIODS * 2 * np.pi / omega
+    env = 1.0 if t >= ramp_t else 0.5 * (1 - np.cos(np.pi * t / ramp_t))
+    return env * np.sin(omega * t)
+
+
 class Fdtd2D:
     """Single-frequency 2D FDTD run over a fixed index map.
 
@@ -206,26 +221,24 @@ class Fdtd2D:
     """
 
     def __init__(self, material: MaterialMap, wavelength: float,
-                 polarization: str = "TE", pml_cells: int = 12,
-                 courant: float = 0.99):
+                 polarization: str):
         if polarization not in ("TE", "TM"):
             raise ValueError("polarization must be 'TE' or 'TM'")
         self.material = material
         self.wavelength = wavelength
         self.polarization = polarization
-        self.pml = pml_cells
 
         d = material.cell_size
         nx, nz = material.n.shape
-        dt_max = courant * d / (constants.C0 * np.sqrt(2.0))
+        dt_max = COURANT * d / (constants.C0 * np.sqrt(2.0))
         period = wavelength / constants.C0
         self.steps_per_period = int(np.ceil(period / dt_max))
         dt = period / self.steps_per_period
-        self.grid = SimulationGrid(d, dt, nx, nz, pml_cells)
+        self.grid = SimulationGrid(d, dt, nx, nz)
         self.omega = 2 * np.pi * constants.C0 / wavelength
 
         self._init_fields()
-        self._sources = []
+        self.source = None
 
     # -- setup ------------------------------------------------------------
 
@@ -269,20 +282,20 @@ class Fdtd2D:
         self._dGaz = self._dFz[:-2]
         self._dGbx = self._dFx[:-1]
 
-        (bex, aex), (bhx, ahx) = _pml_profiles(nx, self.pml, d, dt)
-        (bez, aez), (bhz, ahz) = _pml_profiles(nz, self.pml, d, dt)
-        self._psi_Ga = _cpml_slabs(self._dFz[:, :-1], 1, bhz, ahz, self.pml)
-        self._psi_Gb = _cpml_slabs(self._dFx, 0, bhx, ahx, self.pml)
-        self._psi_Fx = _cpml_slabs(self._dGbx, 0, bex[1:-1], aex[1:-1],
-                                   self.pml)
+        (bex, aex), (bhx, ahx) = _pml_profiles(nx, d, dt)
+        (bez, aez), (bhz, ahz) = _pml_profiles(nz, d, dt)
+        self._psi_Ga = _cpml_slabs(self._dFz[:, :-1], 1, bhz, ahz)
+        self._psi_Gb = _cpml_slabs(self._dFx, 0, bhx, ahx)
+        self._psi_Fx = _cpml_slabs(self._dGbx, 0, bex[1:-1], aex[1:-1])
         self._psi_Fz = _cpml_slabs(self._dGaz[:, 1:-1], 1, bez[1:-1],
-                                   aez[1:-1], self.pml)
+                                   aez[1:-1])
         self.step_index = 0
 
-    def add_line_source(self, i: int, profile: np.ndarray,
-                        ramp_periods: float = 5.0, amplitude: float = 1.0):
-        """Soft out-of-plane-field line source across the column x index i."""
-        self._sources.append((i, profile, ramp_periods, amplitude))
+    def add_line_source(self, i: int, profile: np.ndarray):
+        """Soft out-of-plane-field line source across the column x index i,
+        of unit amplitude and turned on over RAMP_PERIODS; it replaces any
+        earlier one."""
+        self.source = (i, profile)
 
     # -- stepping ---------------------------------------------------------
 
@@ -313,12 +326,10 @@ class Fdtd2D:
         F[1:-1] += dGaz
 
         self.step_index += 1
-        t = self.step_index * self.grid.time_step
-        for i, profile, ramp_p, amp in self._sources:
-            ramp_t = ramp_p * 2 * np.pi / self.omega
-            env = 1.0 if t >= ramp_t else 0.5 * (1 - np.cos(np.pi * t / ramp_t))
-            drive = amp * env * np.sin(self.omega * t)
-            self.F[i, :] += profile * drive
+        if self.source is not None:
+            i, profile = self.source
+            F[i, :] += profile * _drive(self.step_index * self.grid.time_step,
+                                        self.omega)
 
     def run_periods(self, n_periods: int, accumulators=None):
         """Advance n_periods; if accumulators are given, feed them each step."""
@@ -430,32 +441,30 @@ def _cross_section(stack: LayerStack, params):
 
 
 def unit_cell_material_map(stack: LayerStack, params, n_periods: int,
-                           cell_size: float, pml_cells: int = 12,
-                           clad_pad: float = 1.1e-6,
-                           margin_in: float = 1.3e-6,
-                           margin_out: float = 1.0e-6) -> MaterialMap:
+                           cell_size: float) -> MaterialMap:
     """Cross-section index map for a short fixed-period grating section.
 
     ``params`` may be None for the uniform (tooth-free) reference
-    waveguide.  The returned map's ``meta`` carries the source, monitor,
-    and grating-span indices used by run_unit_cell.
+    waveguide.  The returned map's ``meta`` carries the source and monitor
+    indices and the section length used by run_unit_cell.
     """
     d = cell_size
+    pml = PML_CELLS
     n_clad = stack.cladding_index
     length = 0.0 if params is None else n_periods * params.pitch
 
-    x_total = margin_in + length + margin_out
-    nx = int(round(x_total / d)) + 2 * pml_cells
-    x = (np.arange(nx) - pml_cells) * d  # x=0 at inner edge of left PML
+    x_total = MARGIN_IN + length + MARGIN_OUT
+    nx = int(round(x_total / d)) + 2 * pml
+    x = (np.arange(nx) - pml) * d  # x=0 at inner edge of left PML
 
     thicknesses = [l.thickness for l in stack.layers]
     stack_h = sum(thicknesses)
-    z_total = stack_h + 2 * clad_pad
-    nz = int(round(z_total / d)) + 2 * pml_cells
-    z = (np.arange(nz) - pml_cells) * d - clad_pad  # z=0 at stack bottom
+    z_total = stack_h + 2 * CLAD_PAD
+    nz = int(round(z_total / d)) + 2 * pml
+    z = (np.arange(nz) - pml) * d - CLAD_PAD  # z=0 at stack bottom
 
     n = np.full((nx, nz), n_clad)
-    x0 = margin_in  # grating starts here
+    x0 = MARGIN_IN  # grating starts here
     for layer, zb, teeth in _cross_section(stack, params):
         zsel = (z >= zb) & (z < zb + layer.thickness)
         if teeth is None:
@@ -468,21 +477,19 @@ def unit_cell_material_map(stack: LayerStack, params, n_periods: int,
         n[:, zsel] = row[:, None]
 
     meta = {
-        "i_src": pml_cells + int(round(0.35e-6 / d)),
-        "i_in": pml_cells + int(round(0.8e-6 / d)),
-        "i_out": nx - pml_cells - int(round(0.5e-6 / d)),
-        "j_bot": int(round((clad_pad - 0.75e-6) / d)) + pml_cells,
-        "j_top": int(round((clad_pad + stack_h + 0.75e-6) / d)) + pml_cells,
-        "grating_span": (x0, x0 + length),
-        "x_origin_index": pml_cells,
-        "stack_height": stack_h,
+        "i_src": pml + int(round(0.35e-6 / d)),
+        "i_in": pml + int(round(0.8e-6 / d)),
+        "i_out": nx - pml - int(round(0.5e-6 / d)),
+        "j_bot": int(round((CLAD_PAD - 0.75e-6) / d)) + pml,
+        "j_top": int(round((CLAD_PAD + stack_h + 0.75e-6) / d)) + pml,
+        "x_origin_index": pml,
         "length": length,
     }
-    return MaterialMap(n=n, cell_size=d, z0=float(z[0]), meta=meta)
+    return MaterialMap(n=n, cell_size=d, meta=meta)
 
 
 def default_cell_size(stack: LayerStack, wavelength: float,
-                      points_per_wavelength: int = 20) -> float:
+                      points_per_wavelength: int) -> float:
     n_max = max([l.refractive_index for l in stack.layers]
                 + [stack.cladding_index])
     return wavelength / (points_per_wavelength * n_max)
@@ -510,8 +517,9 @@ def grating_effective_index(stack: LayerStack, params, cell_size: float,
     """
     d = cell_size
     clad = stack.cladding_index
-    nz = int(round((sum(l.thickness for l in stack.layers) + 2.2e-6) / d))
-    z = np.arange(nz) * d - 1.1e-6
+    nz = int(round((sum(l.thickness for l in stack.layers) + 2 * CLAD_PAD)
+                   / d))
+    z = np.arange(nz) * d - CLAD_PAD
     n = np.full(nz, clad)
     for layer, zb, teeth in _cross_section(stack, params):
         sel = (z >= zb) & (z < zb + layer.thickness)
@@ -555,11 +563,10 @@ def _run_to_steady_state(sim: Fdtd2D, monitors, min_periods: int,
 
 
 def _simulate(material: MaterialMap, wavelength: float, polarization: str,
-              profile: np.ndarray, pml_cells: int, max_periods: int):
+              profile: np.ndarray, max_periods: int = MAX_PERIODS):
     meta = material.meta
-    sim = Fdtd2D(material, wavelength, polarization, pml_cells=pml_cells)
-    ramp = 5.0
-    sim.add_line_source(meta["i_src"], profile, ramp_periods=ramp)
+    sim = Fdtd2D(material, wavelength, polarization)
+    sim.add_line_source(meta["i_src"], profile)
 
     nz, nx = sim.grid.nz, sim.grid.nx
     zspan = slice(meta["j_bot"], meta["j_top"] + 1)
@@ -574,16 +581,14 @@ def _simulate(material: MaterialMap, wavelength: float, polarization: str,
     n_max = float(np.max(material.n))
     transit = nx * sim.grid.cell_size * n_max / constants.C0
     period = wavelength / constants.C0
-    min_periods = int(np.ceil(transit / period + ramp))
+    min_periods = int(np.ceil(transit / period + RAMP_PERIODS))
     periods = _run_to_steady_state(sim, monitors, min_periods, max_periods)
     return sim, monitors, periods
 
 
 def run_unit_cell(params, n_periods: int, wavelength: float,
-                  stack: LayerStack, polarization: str = "TE",
-                  cell_size: float | None = None, pml_cells: int = 12,
-                  angular_window_deg: float = 20.0,
-                  max_periods: int = 400) -> CellResult:
+                  stack: LayerStack, polarization: str,
+                  cell_size: float) -> CellResult:
     """Simulate a short fixed-period grating section and extract observables.
 
     Launches the fundamental guided mode, runs the continuous-wave source to
@@ -596,27 +601,23 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
     """
     if n_periods < 4:
         raise ValueError("n_periods must be >= 4")
-    if cell_size is None:
-        cell_size = default_cell_size(stack, wavelength)
     _check_resolution(params, cell_size)
 
-    grating = unit_cell_material_map(stack, params, n_periods, cell_size,
-                                     pml_cells)
+    grating = unit_cell_material_map(stack, params, n_periods, cell_size)
     meta = grating.meta
 
-    ref_key = (stack, polarization, round(cell_size * 1e12),
-               grating.n.shape, pml_cells)
+    ref_key = (stack, polarization, round(cell_size * 1e12), grating.n.shape)
     if ref_key not in _reference_cache:
         # tooth-free reference spanning the identical domain and grid: the
         # grating map's first column lies in the left PML, before any tooth
         reference = MaterialMap(
             n=np.repeat(grating.n[:1], grating.n.shape[0], axis=0),
-            cell_size=cell_size, z0=grating.z0, meta=dict(meta))
+            cell_size=cell_size, meta=dict(meta))
         col = reference.n[meta["i_in"] - 2, :]
         n_eff, profile = slab_mode_profile(col, cell_size, wavelength,
                                            polarization)
         sim_r, mons_r, _ = _simulate(reference, wavelength, polarization,
-                                     profile, pml_cells, max_periods)
+                                     profile)
         ref_flux = [m.flux(sim_r) for m in mons_r]
         _reference_cache[ref_key] = (ref_flux, n_eff, profile)
     ref_flux, n_eff, profile = _reference_cache[ref_key]
@@ -625,7 +626,7 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
     norm = ref_flux[1]
 
     sim, monitors, periods = _simulate(grating, wavelength, polarization,
-                                       profile, pml_cells, max_periods)
+                                       profile)
     mon_in, mon_out, mon_top, mon_bot = monitors
     p_trans = mon_out.flux(sim) / norm
     p_up = max((mon_top.flux(sim) - ref_flux[2]) / norm, 0.0)
@@ -649,10 +650,9 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
     e_top = np.asarray(e_top) / np.sqrt(norm)
 
     result = CellResult(
-        p_in=1.0, p_t=p_t, p_d=np.nan, p_up=p_up, p_down=p_down,
+        p_t=p_t, p_d=np.nan, p_up=p_up, p_down=p_down,
         p_trans=p_trans, p_reflected=p_reflected,
         length=meta["length"], peak_angle=np.nan, target_angle=target,
-        angular_window=np.deg2rad(angular_window_deg),
         n_cladding=stack.cladding_index, wavelength=wavelength,
         cell_size=cell_size, top_field=e_top, top_x=xs,
         periods_run=periods, polarization=polarization)
@@ -661,11 +661,10 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
     if np.isnan(target):
         result.p_d = p_up
     else:
-        window = np.abs(spec.theta - target) <= result.angular_window
+        window = np.abs(spec.theta - target) <= ANGULAR_WINDOW
         # scale bin powers so their total matches the flux-monitor p_up
         scale = p_up / spec.total if spec.total > 0 else 0.0
         result.p_d = float(np.sum(spec.power[window])) * scale
-    result.truncation_warning = spec.truncation_warning
     return result
 
 
@@ -675,14 +674,15 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
 def extract_kappa_alpha(result: CellResult):
     """Grating strength kappa and excess loss alpha [1/m] from a cell run.
 
-    kappa + alpha = -ln(1 - P_T/P_in) / L, split in proportion P_D : rest.
+    kappa + alpha = -ln(1 - P_T) / L with P_T per unit input, split in
+    proportion P_D : rest.
     """
-    if result.p_t >= result.p_in:
+    if result.p_t >= 1.0:
         raise DepletionError("guided mode fully depleted over the section")
     if result.length <= 0:
         raise ValueError("zero-length section")
-    p_t = min(max(result.p_t, 0.0), result.p_in)
-    total = -np.log(1.0 - p_t / result.p_in) / result.length
+    p_t = min(max(result.p_t, 0.0), 1.0)
+    total = -np.log(1.0 - p_t) / result.length
     ratio = 0.0 if p_t == 0 else min(max(result.p_d / p_t, 0.0), 1.0)
     kappa = total * ratio
     return kappa, total - kappa
@@ -703,11 +703,9 @@ class AngleSpectrum:
     density: np.ndarray    # dP/dtheta
     total: float
     peak_angle: float
-    truncation_warning: bool
 
 
-def far_field_angle_spectrum(result: CellResult,
-                             pad_factor: int = 8) -> AngleSpectrum:
+def far_field_angle_spectrum(result: CellResult) -> AngleSpectrum:
     """Upward angular power distribution from the top-monitor phasor line.
 
     Spatial Fourier transform into plane waves in the cladding; evanescent
@@ -721,13 +719,7 @@ def far_field_angle_spectrum(result: CellResult,
     k0n = 2 * np.pi / lam * result.n_cladding
     omega = 2 * np.pi * constants.C0 / lam
 
-    edge = max(1, n_samples // 20)
-    tot_e = float(np.sum(np.abs(e) ** 2))
-    edge_e = float(np.sum(np.abs(e[:edge]) ** 2)
-                   + np.sum(np.abs(e[-edge:]) ** 2))
-    trunc = tot_e > 0 and edge_e > 0.05 * tot_e
-
-    npad = pad_factor * n_samples
+    npad = PAD_FACTOR * n_samples
     ft = np.fft.fft(e, n=npad)
     kx = 2 * np.pi * np.fft.fftfreq(npad, dx)
     prop = np.abs(kx) < k0n
@@ -745,6 +737,5 @@ def far_field_angle_spectrum(result: CellResult,
     density = power / dkx * dkx_dtheta
     peak = float(theta[np.argmax(density)]) if len(theta) else np.nan
     return AngleSpectrum(theta=theta, power=power, density=density,
-                         total=float(np.sum(power)), peak_angle=peak,
-                         truncation_warning=trunc)
+                         total=float(np.sum(power)), peak_angle=peak)
 

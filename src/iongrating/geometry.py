@@ -1,8 +1,13 @@
 """Chip layer stack, grating aperture, emitter pose, and derived geometry.
 
 Provides the slab-mode effective index (multilayer transfer matrix) and the
-solid-angle fraction subtended by the grating aperture as seen from the ion,
-including refraction through the oxide cladding.
+refracted ion-to-plane ray: a ray leaves the ion in vacuum, bends at the
+cladding surface and reaches the grating plane at horizontal distance rho.
+:func:`_horizontal_reach` maps its vacuum angle to rho, and
+:func:`ray_vacuum_angle` is the one inverse of that map.  On it rest the
+direction-space density of :func:`refracted_ray` (the emission the grating
+sees), the solid-angle fraction subtended by the aperture, and the
+designer's diffraction angles and focusing curvature.
 """
 
 from dataclasses import dataclass, field
@@ -207,7 +212,8 @@ def ray_vacuum_angle(rho, height: float, cladding_thickness: float,
     Vectorized over ``rho``.  The reach increases monotonically with theta;
     Newton's method starts at the paraxial angle and converges
     quadratically, and a step leaving the shrinking bracket falls back to
-    bisection.  Iterates until the largest step is below 1e-15 rad.
+    bisection.  Iterates until the largest step, Newton or bisection, is
+    below 1e-15 rad.
     """
     rho = np.asarray(rho, dtype=float)
     z_eff = height + cladding_thickness / n_clad
@@ -221,48 +227,32 @@ def ray_vacuum_angle(rho, height: float, cladding_thickness: float,
         nxt = theta - f / slope
         outside = (nxt < lo) | (nxt > hi)
         if outside.any():
+            # once the bracket is an ulp wide, Newton leaves it and the
+            # bisection step is the one that must meet the tolerance
             nxt = np.where(outside, 0.5 * (lo + hi), nxt)
-        elif np.max(np.abs(nxt - theta)) <= 1e-15:
+        if np.max(np.abs(nxt - theta)) <= 1e-15:
             return nxt
         theta = nxt
     return theta
 
 
-class ApertureProjection:
-    """Refraction-aware mapping between the grating plane and ion-frame
-    emission directions.
+def refracted_ray(rho, height: float, cladding_thickness: float,
+                  n_clad: float):
+    """The refracted ray from the emitter to horizontal distance ``rho`` on
+    the grating plane: its vacuum polar angle theta and the direction-space
+    density dOmega/dA = sin(theta) / (rho dRho/dTheta) there.
 
-    Tabulates the vacuum polar angle theta(rho) and the direction-space
-    density dOmega/dA once, on 6000 angles up to 1e-6 rad short of grazing,
-    then evaluates by monotone interpolation.  With zero cladding the
-    density reduces to the familiar z dA / r^3 projection.
+    Vectorized over ``rho``; at rho = 0 the density takes its limit
+    1 / z_eff^2, with z_eff = height + cladding_thickness / n_clad.  With no
+    cladding the density is the familiar z / r^3 projection.
     """
-
-    def __init__(self, pose: IonPose, n_cladding: float = constants.N_SIO2):
-        from scipy.interpolate import PchipInterpolator
-
-        self.pose = pose
-        self.n_cladding = n_cladding
-        theta = np.linspace(0.0, np.pi / 2 - 1e-6, 6000)
-        rho = _horizontal_reach(theta, pose.height_above_surface,
-                                pose.cladding_thickness, n_cladding)
-        drho = _reach_slope(theta, pose.height_above_surface,
-                            pose.cladding_thickness, n_cladding)
-        zeff = pose.height_above_surface + pose.cladding_thickness / n_cladding
-        weight = np.empty_like(rho)
-        weight[0] = 1.0 / zeff**2
-        weight[1:] = np.sin(theta[1:]) / (rho[1:] * drho[1:])
-        self.rho_max = rho[-1]
-        self._theta = PchipInterpolator(rho, theta, extrapolate=False)
-        self._weight = PchipInterpolator(rho, weight, extrapolate=False)
-
-    def vacuum_angle(self, rho):
-        """Vacuum polar angle of the ray reaching horizontal distance rho."""
-        return np.nan_to_num(self._theta(rho), nan=np.pi / 2)
-
-    def weight(self, rho):
-        """dOmega/dA on the grating plane at horizontal distance rho."""
-        return np.nan_to_num(self._weight(rho), nan=0.0)
+    rho = np.asarray(rho, dtype=float)
+    theta = ray_vacuum_angle(rho, height, cladding_thickness, n_clad)
+    slope = _reach_slope(theta, height, cladding_thickness, n_clad)
+    z_eff = height + cladding_thickness / n_clad
+    weight = np.divide(np.sin(theta), rho * slope,
+                       out=np.full_like(rho, 1.0 / z_eff**2), where=rho > 0)
+    return theta, weight
 
 
 def solid_angle_fraction(footprint: GratingFootprint, pose: IonPose,
@@ -275,11 +265,11 @@ def solid_angle_fraction(footprint: GratingFootprint, pose: IonPose,
     """
     if footprint.area == 0:
         return 0.0
-    proj = ApertureProjection(pose, n_cladding)
 
     def integrand(y, x):
         rho = np.hypot(x - pose.x_ion, y - pose.y_ion)
-        return proj.weight(rho)
+        return refracted_ray(rho, pose.height_above_surface,
+                             pose.cladding_thickness, n_cladding)[1]
 
     omega, _ = integrate.dblquad(
         integrand, 0.0, footprint.x_extent,

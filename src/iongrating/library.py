@@ -167,13 +167,15 @@ def evaluate_cell(params: UnitCellParams, angle: float,
                                            + result.p_up + result.p_down)))
 
 
+# swarm velocity update: inertia, and the pulls toward each particle's own
+# best and the swarm's best
+INERTIA, COGNITIVE, SOCIAL = 0.72, 1.49, 1.49
+
+
 @dataclass
 class SwarmConfig:
     n_particles: int = 24
     iterations: int = 60
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
     seed: int = 0
 
 
@@ -192,17 +194,12 @@ def pso_minimize(objective, bounds, config: SwarmConfig):
     pbest_val = np.array([objective(p) for p in pos])
     g = int(np.argmin(pbest_val))
     gbest, gbest_val = pbest[g].copy(), pbest_val[g]
-    if not np.isfinite(gbest_val):
-        # all particles may still recover through the velocity update, but
-        # a fully infeasible start with zero extent cannot
-        if np.all(hi == lo):
-            raise InfeasibleSwarmError("degenerate bounds, no feasible point")
     for _ in range(config.iterations):
         r1 = rng.random((config.n_particles, ndim))
         r2 = rng.random((config.n_particles, ndim))
-        vel = (config.inertia * vel
-               + config.cognitive * r1 * (pbest - pos)
-               + config.social * r2 * (gbest - pos))
+        vel = (INERTIA * vel
+               + COGNITIVE * r1 * (pbest - pos)
+               + SOCIAL * r2 * (gbest - pos))
         pos = np.clip(pos + vel, lo, hi)
         for i in range(config.n_particles):
             v = objective(pos[i])
@@ -222,21 +219,20 @@ def pso_minimize(objective, bounds, config: SwarmConfig):
 DUTY_BOUNDS = (0.3, 0.7)
 
 
-def _candidate_params(x, angle: float, delta_frac: float,
-                      config: KernelConfig):
-    """Map a swarm position (dcu, dcl, dx_frac) to concrete cell geometry."""
+def _candidate_params(x, angle: float, config: KernelConfig):
+    """Map a swarm position (dcu, dcl, dx_frac) to concrete cell geometry
+    without a phase shift."""
     dcu, dcl, dx_frac = x
     pitch = pitch_for_angle(angle, dcu, dcl, config.stack, config.wavelength,
                             config.polarization, config.cell_size)
     return UnitCellParams(pitch=pitch, dcu=dcu, dcl=dcl,
-                          dx=dx_frac * pitch,
-                          delta=delta_frac * pitch / 2)
+                          dx=dx_frac * pitch, delta=0.0)
 
 
-def pso_optimize(angle: float, delta_frac: float = 0.0,
-                 config: KernelConfig | None = None,
+def pso_optimize(angle: float, config: KernelConfig | None = None,
                  swarm: SwarmConfig | None = None) -> LibraryEntry:
-    """Search (DCU, DCL, dx) for the best figure of merit at one angle.
+    """Search (DCU, DCL, dx) for the best figure of merit at one angle,
+    without a phase shift.
 
     The pitch is tied to the target angle through the grating equation, so
     only the duty cycles and the bilayer offset are free.  Infeasible
@@ -252,7 +248,7 @@ def pso_optimize(angle: float, delta_frac: float = 0.0,
         if key in cache:
             return cache[key][0]
         try:
-            params = _candidate_params(key, angle, delta_frac, config)
+            params = _candidate_params(key, angle, config)
         except LibraryError:
             cache[key] = (np.inf, None)
             return np.inf
@@ -387,8 +383,7 @@ def _entry_key(angle: float, delta_frac: float, config: KernelConfig,
         "polarization": config.polarization,
         "n_periods": config.n_periods,
         "ppw": config.points_per_wavelength,
-        "swarm": (swarm.n_particles, swarm.iterations, swarm.inertia,
-                  swarm.cognitive, swarm.social, swarm.seed),
+        "swarm": (swarm.n_particles, swarm.iterations, swarm.seed),
         "schema": SCHEMA_VERSION,
         "version": __version__,
     }
@@ -402,7 +397,7 @@ def _entry_from_dict(d: dict) -> LibraryEntry:
     return LibraryEntry(**d)
 
 
-def build_library(angles, delta_fracs=None, config: KernelConfig | None = None,
+def build_library(angles, delta_fracs, config: KernelConfig | None = None,
                   swarm: SwarmConfig | None = None,
                   cache_dir=None) -> ParamLibrary:
     """Assemble the (angle x phase-shift) library.
@@ -416,8 +411,6 @@ def build_library(angles, delta_fracs=None, config: KernelConfig | None = None,
     config = config or KernelConfig()
     swarm = swarm or SwarmConfig()
     angles = sorted(float(a) for a in angles)
-    if delta_fracs is None:
-        delta_fracs = list(np.linspace(0.0, 1.0, 6))
     delta_fracs = sorted(float(f) for f in delta_fracs)
     if not angles or not delta_fracs:
         raise ValueError("angle and delta grids must be nonempty")
@@ -449,7 +442,7 @@ def build_library(angles, delta_fracs=None, config: KernelConfig | None = None,
             def compute(angle=angle, frac=frac):
                 nonlocal base
                 if frac == 0.0:
-                    return pso_optimize(angle, frac, config, swarm)
+                    return pso_optimize(angle, config, swarm)
                 params = replace(base.params,
                                  delta=frac * base.params.pitch / 2)
                 return evaluate_cell(params, angle, config)

@@ -149,15 +149,18 @@ def _check_grids_match(a: FieldGrid, b: FieldGrid) -> None:
         raise ValueError("TE and TM grids do not share a raster")
 
 
-def _mode_eta(fieldgrid: FieldGrid, j: int, i: int, projection_sq: float,
-              wavelength: float) -> float:
-    # Eq. 3 with the scalar per-mode field: |p . E*|^2 =
-    # p0^2 * projection_sq * 2 c mu0 * I_density
-    i_density = np.abs(fieldgrid.data[j, i]) ** 2
+def _mode_etas(field_te: FieldGrid, field_tm: FieldGrid, index,
+               projection_sq, wavelength: float):
+    """Per-mode field-overlap coupling (TE, TM) at the pixels ``index``.
+
+    Eq. 3 with the scalar per-mode field: |p . E*|^2 =
+    p0^2 * projection_sq * 2 c mu0 * I_density.
+    """
     omega0 = 2.0 * np.pi * C0 / wavelength
-    p0 = dipole_moment_scale(wavelength)
-    return float(omega0**2 / 16.0 * p0**2 * projection_sq
-                 * 2.0 * C0 * MU0 * i_density)
+    scale = (omega0**2 / 16.0 * dipole_moment_scale(wavelength) ** 2
+             * 2.0 * C0 * MU0)
+    return tuple(scale * q * np.abs(f.data[index]) ** 2
+                 for f, q in zip((field_te, field_tm), projection_sq))
 
 
 def coupling_at_point(field_te: FieldGrid, field_tm: FieldGrid,
@@ -177,9 +180,10 @@ def coupling_at_point(field_te: FieldGrid, field_tm: FieldGrid,
     if not (0 <= i < nx and 0 <= j < ny):
         raise ValueError(f"ion position ({x * 1e6:.2f}, {y * 1e6:.2f}) um "
                          f"outside the field grid")
-    eta = (_mode_eta(field_te, j, i, projection_sq[0], wavelength)
-           + _mode_eta(field_tm, j, i, projection_sq[1], wavelength))
-    return CouplingResult(eta, "field-overlap", "TE+TM", (x, y))
+    eta_te, eta_tm = _mode_etas(field_te, field_tm, (j, i), projection_sq,
+                                wavelength)
+    return CouplingResult(float(eta_te + eta_tm), "field-overlap", "TE+TM",
+                          (x, y))
 
 
 def collection_map(field_te: FieldGrid, field_tm: FieldGrid,
@@ -206,13 +210,8 @@ def collection_map(field_te: FieldGrid, field_tm: FieldGrid,
     s = field_te.pixel_size
     ii = np.rint((xs - field_te.x0) / s).astype(int)
     jj = np.rint((ys - field_te.y0) / s).astype(int)
-    omega0 = 2.0 * np.pi * C0 / wavelength
-    scale = (omega0**2 / 16.0 * dipole_moment_scale(wavelength) ** 2
-             * 2.0 * C0 * MU0)
-    i_te = np.abs(field_te.data[np.ix_(jj, ii)]) ** 2
-    i_tm = np.abs(field_tm.data[np.ix_(jj, ii)]) ** 2
-    eta_te = scale * projection_sq[0] * i_te
-    eta_tm = scale * projection_sq[1] * i_tm
+    eta_te, eta_tm = _mode_etas(field_te, field_tm, np.ix_(jj, ii),
+                                projection_sq, wavelength)
     return CollectionMap(xs, ys, eta_te + eta_tm, eta_te, eta_tm,
                          z=field_te.z)
 

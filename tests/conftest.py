@@ -21,7 +21,7 @@ def focused_teeth():
     x, prof = dipole.ion_intensity_profile(dipole.QuantizationAxis.z(),
                                            footprint, pose, 512)
     ansatz, _ = fit_kappa(prof, x, alpha=0.0, kappa_max=0.6e6)
-    cell = fdtd.default_cell_size(stack, WAVELENGTH)
+    cell = fdtd.default_cell_size(stack, WAVELENGTH, 20)
     teeth, xx = [], 0.0
     while xx < footprint.x_extent:
         angle = diffraction_angle_at(xx, pose, stack)

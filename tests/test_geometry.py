@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from iongrating import geometry
 from iongrating.geometry import (
-    ApertureProjection,
     GratingFootprint,
     IonPose,
     Layer,
@@ -13,6 +13,7 @@ from iongrating.geometry import (
     _horizontal_reach,
     effective_index,
     ray_vacuum_angle,
+    refracted_ray,
     solid_angle_fraction,
     wavelength_in_medium,
 )
@@ -140,12 +141,18 @@ class TestSolidAngle:
 
     def test_zero_cladding_reduces_to_projection(self):
         # with no cladding the density must equal z dA / r^3 exactly
-        pose = IonPose(cladding_thickness=0.0)
-        proj = ApertureProjection(pose, 1.47)
-        z = pose.height_above_surface
-        for rho in (0.0, 5e-6, 20e-6, 40e-6):
-            expected = z / (rho**2 + z**2) ** 1.5
-            assert proj.weight(rho) == pytest.approx(expected, rel=1e-7)
+        z = 50e-6
+        rho = np.array([0.0, 5e-6, 20e-6, 40e-6])
+        _, weight = refracted_ray(rho, z, 0.0, 1.47)
+        expected = z / (rho**2 + z**2) ** 1.5
+        assert weight == pytest.approx(expected, rel=1e-12)
+
+    def test_density_continuous_at_the_foot_of_the_ion(self):
+        pose = IonPose()
+        _, weight = refracted_ray(np.array([0.0, 1e-12]),
+                                  pose.height_above_surface,
+                                  pose.cladding_thickness, 1.47)
+        assert weight[1] == pytest.approx(weight[0], rel=1e-9)
 
 
 class TestDomainTypes:
@@ -185,6 +192,30 @@ def test_ray_inverse_matches_brentq(height, cladding, n_clad):
     theta = ray_vacuum_angle(rho, height, cladding, n_clad)
     assert theta[0] == 0.0
     assert np.max(np.abs(theta - oracle)) <= 1e-12
-    # and it inverts the forward map the aperture projection tabulates
+    # and it inverts the forward map
     back = _horizontal_reach(theta, height, cladding, n_clad)
+    assert np.allclose(back, rho, rtol=1e-12, atol=1e-18)
+
+
+def test_ray_inverse_stops_once_converged(monkeypatch):
+    # the 512 x 256 emission grid of the nominal pose: the bisection step
+    # taken once the bracket is an ulp wide must end the iteration
+    pose, footprint = IonPose(), GratingFootprint()
+    gy, _ = np.polynomial.legendre.leggauss(256)
+    x, y = np.meshgrid(np.linspace(0.0, footprint.x_extent, 512),
+                       footprint.y_extent / 2 * gy, indexing="ij")
+    rho = np.hypot(x - pose.x_ion, y - pose.y_ion)
+    steps = []
+    slope = geometry._reach_slope
+
+    def counted(*args):
+        steps.append(1)
+        return slope(*args)
+
+    monkeypatch.setattr(geometry, "_reach_slope", counted)
+    theta = ray_vacuum_angle(rho, pose.height_above_surface,
+                             pose.cladding_thickness, 1.47)
+    assert len(steps) <= 8
+    back = _horizontal_reach(theta, pose.height_above_surface,
+                             pose.cladding_thickness, 1.47)
     assert np.allclose(back, rho, rtol=1e-12, atol=1e-18)

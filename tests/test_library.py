@@ -57,7 +57,7 @@ def test_params_validation():
 def test_pitch_for_angle_monotone_and_consistent():
     stack = default_stack()
     angles = np.deg2rad([2.0, 8.0, 14.0])
-    cell = fdtd.default_cell_size(stack, 422e-9)
+    cell = fdtd.default_cell_size(stack, 422e-9, 20)
     pitches = [pitch_for_angle(a, 0.5, 0.5, stack, 422e-9, "TE", cell)
                for a in angles]
     # steeper forward angles need longer pitch
@@ -113,7 +113,7 @@ def test_pso_scores_uncoupled_cells_as_infeasible(monkeypatch):
                             kappa=params.dcu, alpha=0.1, fom=fom)
 
     monkeypatch.setattr(library, "evaluate_cell", fake_cell)
-    entry = pso_optimize(np.deg2rad(8.0), 0.0, KernelConfig(),
+    entry = pso_optimize(np.deg2rad(8.0), KernelConfig(),
                          SwarmConfig(n_particles=6, iterations=4, seed=3))
     assert entry.params.dcu >= 0.5
     assert np.isfinite(entry.fom)
