@@ -56,10 +56,6 @@ class KappaAnsatz:
     def coefficients(self):
         return np.array([self.a, self.b, self.c, self.d, self.A, self.B])
 
-    def is_nonnegative(self) -> bool:
-        x = np.linspace(0.0, self.length, 1024)
-        return bool(np.all(self(x) >= -1e-9 * max(1.0, np.max(np.abs(self(x))))))
-
 
 def _as_profile(f, x):
     """A scalar or sampled profile as an array over ``x``."""

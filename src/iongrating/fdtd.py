@@ -8,13 +8,17 @@ boundaries, a guided-mode line source, and single-frequency phasor monitors
 from which diffraction observables (P_T, P_D, up/down split, emission
 angle) are extracted.
 
-Fields, update coefficients and CPML memory are float32; the monitor
-phasors and fluxes accumulate in double precision.  CPML memory lives only
-in the absorbing slabs, where its recursion coefficients are nonzero.  A
-step allocates no grid-sized array.  A run stops once the four monitor
-fluxes are measured steady: after one transit of the grid plus the source
-ramp, the largest change of a flux relative to itself must stay below
-1e-5 for three consecutive optical periods.
+Fields, update coefficients and CPML memory are float32.  CPML memory
+lives only in the absorbing slabs, where its recursion coefficients are
+nonzero: the x slabs of each field are two blocks of whole rows, and its z
+slabs one strided band whose chunks each join the end of one row to the
+start of the next.  The monitors copy their raw lines into one period of
+rows per step, and once per period fold them into double-precision
+phasors, step by step in order, so the sums equal a per-step accumulation
+bit for bit.  A step allocates no grid-sized array.  A run stops once the
+four monitor fluxes are measured steady: after one transit of the grid
+plus the source ramp, the largest change of a flux relative to itself
+must stay below 1e-5 for three consecutive optical periods.
 """
 
 from dataclasses import dataclass, field
@@ -135,19 +139,45 @@ def _pml_profiles(n: int, d: float, dt: float):
     return (b_e, a_e), (b_h, a_h)
 
 
-def _cpml_slabs(diff: np.ndarray, axis: int, b: np.ndarray, a: np.ndarray):
-    """(slab of diff, psi, b, a, scratch) for the PML_CELLS + 1 nodes at
-    each end of ``diff`` along ``axis``, in the dtype of ``diff``; beyond
-    them b = a = 0, so psi stays 0."""
+def _cpml_slabs(diff: np.ndarray, b: np.ndarray, a: np.ndarray):
+    """(slab of diff, psi, b, a, scratch) for the PML_CELLS + 1 rows at
+    each end of ``diff``, in its dtype; beyond them b = a = 0, so psi
+    stays 0."""
     w = PML_CELLS + 1
     slabs = []
     for s in (slice(None, w), slice(-w, None)):
-        d = diff[s] if axis == 0 else diff[:, s]
-        along = (s, None) if axis == 0 else (None, s)
-        b_s, a_s = (np.broadcast_to(p[along], d.shape).astype(d.dtype)
+        d = diff[s]
+        b_s, a_s = (np.broadcast_to(p[s, None], d.shape).astype(d.dtype)
                     for p in (b, a))
         slabs.append((d, np.zeros_like(d), b_s, a_s, np.empty_like(d)))
     return slabs
+
+
+def _cpml_band(buf: np.ndarray, nz: int, rows: int, pad: int,
+               b: np.ndarray, a: np.ndarray):
+    """[(band, psi, b, a, scratch)] for the z slabs of ``rows`` rows of nz
+    nodes, stored in ``buf`` from offset PML_CELLS + 2 on.
+
+    Chunk k of the band starts at offset k * nz and holds the right slab of
+    row k - 1, ``pad`` padding nodes and the left slab of row k, so both
+    ends of every row take one strided pass.  The slabs span the
+    PML_CELLS + 1 nodes at each end of ``b`` and ``a``; on the padding,
+    on row -1 and on row ``rows``, b = a = 0, so psi stays 0 there.
+    """
+    w = PML_CELLS + 1
+    shape = (rows + 1, 2 * w + pad)
+    band = np.lib.stride_tricks.as_strided(
+        buf, shape, (nz * buf.itemsize, buf.itemsize))
+
+    def coeffs(p):
+        chunk = np.concatenate([p[-w:], np.zeros(pad), p[:w]])
+        c = np.tile(chunk, (rows + 1, 1)).astype(buf.dtype)
+        c[0, :w] = 0.0
+        c[-1, w + pad:] = 0.0
+        return c
+
+    return [(band, np.zeros(shape, buf.dtype), coeffs(b), coeffs(a),
+             np.empty(shape, buf.dtype))]
 
 
 def _add_psi(slabs):
@@ -276,19 +306,24 @@ class Fdtd2D:
                                        (sign * cGa, -sign * cGb, sign * cF))
 
         # two difference buffers, each used twice per step: along z for Ga
-        # and then (its first nx - 2 rows) for F; along x likewise
-        self._dFz = np.zeros((nx, nz), f32)
+        # and then (its first nx - 2 rows) for F; along x likewise.  The z
+        # buffer has PML_CELLS + 2 spare nodes before it and PML_CELLS + 1
+        # after, for the chunks of its CPML bands at rows -1 and nx
+        w = PML_CELLS + 1
+        dz = np.zeros(w + 1 + nx * nz + w, f32)
+        self._dFz = dz[w + 1:w + 1 + nx * nz].reshape(nx, nz)
         self._dFx = np.empty((nx - 1, nz), f32)
         self._dGaz = self._dFz[:-2]
         self._dGbx = self._dFx[:-1]
 
         (bex, aex), (bhx, ahx) = _pml_profiles(nx, d, dt)
         (bez, aez), (bhz, ahz) = _pml_profiles(nz, d, dt)
-        self._psi_Ga = _cpml_slabs(self._dFz[:, :-1], 1, bhz, ahz)
-        self._psi_Gb = _cpml_slabs(self._dFx, 0, bhx, ahx)
-        self._psi_Fx = _cpml_slabs(self._dGbx, 0, bex[1:-1], aex[1:-1])
-        self._psi_Fz = _cpml_slabs(self._dGaz[:, 1:-1], 1, bez[1:-1],
-                                   aez[1:-1])
+        # Ga's z differences fill columns 0..nz-2 of each row, and F's
+        # columns 1..nz-2
+        self._psi_Ga = _cpml_band(dz, nz, nx, 1, bhz, ahz)
+        self._psi_Gb = _cpml_slabs(self._dFx, bhx, ahx)
+        self._psi_Fx = _cpml_slabs(self._dGbx, bex[1:-1], aex[1:-1])
+        self._psi_Fz = _cpml_band(dz, nz, nx - 2, 2, bez[1:-1], aez[1:-1])
         self.step_index = 0
 
     def add_line_source(self, i: int, profile: np.ndarray):
@@ -332,29 +367,51 @@ class Fdtd2D:
                                         self.omega)
 
     def run_periods(self, n_periods: int, accumulators=None):
-        """Advance n_periods; if accumulators are given, feed them each step."""
-        for _ in range(n_periods * self.steps_per_period):
-            self._step()
-            if accumulators is not None:
-                t = self.step_index * self.grid.time_step
-                ph_f = np.exp(1j * self.omega * t)
-                ph_g = np.exp(1j * self.omega * (t + 0.5 * self.grid.time_step))
-                for acc in accumulators:
-                    acc.accumulate(self, ph_f, ph_g)
+        """Advance n_periods.  If accumulators are given, each step copies
+        their lines into rows, and each period they fold the rows into
+        their phasors."""
+        spp = self.steps_per_period
+        if accumulators is None:
+            for _ in range(n_periods * spp):
+                self._step()
+            return
+        copies = [c for acc in accumulators for c in acc.copies]
+        dt = self.grid.time_step
+        for _ in range(n_periods):
+            for k in range(spp):
+                self._step()
+                for rows, line in copies:
+                    rows[k] = line
+            t = (self.step_index - spp + 1 + np.arange(spp)) * dt
+            ph_f = np.exp(1j * self.omega * t)
+            ph_g = np.exp(1j * self.omega * (t + 0.5 * dt))
+            for acc in accumulators:
+                acc.fold(ph_f, ph_g)
 
 
 class LineMonitor:
-    """Single-frequency phasor accumulator on a grid line.
+    """Single-frequency phasor accumulator on a grid line of ``sim``.
 
     orientation 'v': vertical line at x index i spanning z slice;
-    orientation 'x': horizontal line at z index j spanning x slice.
+    orientation 'h': horizontal line at z index j spanning x slice.
     Phasors use the convention f(t) = Re(F exp(-i w t)).
     """
 
-    def __init__(self, orientation: str, index: int, span: slice):
+    def __init__(self, sim: Fdtd2D, orientation: str, index: int,
+                 span: slice):
         self.orientation = orientation
-        self.index = index
-        self.span = span
+        i, s = index, span
+        if orientation == "v":
+            lines = sim.F[i, s], sim.Gb[i - 1, s], sim.Gb[i, s]
+        else:
+            lines = sim.F[s, i], sim.Ga[s, i - 1], sim.Ga[s, i]
+        # one period of the raw float32 lines, copied in step by step, and
+        # the double-precision work arrays that fold them
+        n = len(lines[0])
+        self._rows = np.empty((3, sim.steps_per_period, n), np.float32)
+        self.copies = list(zip(self._rows, lines))
+        self._wide = np.empty((sim.steps_per_period, n))
+        self._terms = np.empty((sim.steps_per_period, n), complex)
         self.reset()
 
     def reset(self):
@@ -362,19 +419,24 @@ class LineMonitor:
         self._g = 0.0
         self._n = 0
 
-    def accumulate(self, sim: Fdtd2D, ph_f: complex, ph_g: complex):
-        # the float32 fields are widened first, so the phasors accumulate
-        # in complex128
-        i, s = self.index, self.span
-        if self.orientation == "v":
-            f = sim.F[i, s].astype(float)
-            g = 0.5 * (sim.Gb[i - 1, s].astype(float) + sim.Gb[i, s])
-        else:
-            f = sim.F[s, i].astype(float)
-            g = 0.5 * (sim.Ga[s, i - 1].astype(float) + sim.Ga[s, i])
-        self._f = self._f + f * ph_f
-        self._g = self._g + g * ph_g
-        self._n += 1
+    def _fold(self, acc, ph):
+        """acc plus the work rows at phases ph.  numpy sums axis 0 row by
+        row, in order, so this equals adding them step by step."""
+        terms = np.multiply(self._wide, ph[:, None], out=self._terms)
+        terms[0] += acc
+        return terms.sum(axis=0)
+
+    def fold(self, ph_f: np.ndarray, ph_g: np.ndarray):
+        """Add one period of recorded lines at the phases of their steps."""
+        f_rows, ga_rows, gb_rows = self._rows
+        wide = self._wide
+        np.copyto(wide, f_rows)
+        self._f = self._fold(self._f, ph_f)
+        np.copyto(wide, ga_rows)
+        wide += gb_rows
+        wide *= 0.5
+        self._g = self._fold(self._g, ph_g)
+        self._n += len(ph_f)
 
     def phasors(self):
         return 2.0 * self._f / self._n, 2.0 * self._g / self._n
@@ -571,10 +633,10 @@ def _simulate(material: MaterialMap, wavelength: float, polarization: str,
     nz, nx = sim.grid.nz, sim.grid.nx
     zspan = slice(meta["j_bot"], meta["j_top"] + 1)
     xspan = slice(meta["i_in"], meta["i_out"] + 1)
-    mon_in = LineMonitor("v", meta["i_in"], zspan)
-    mon_out = LineMonitor("v", meta["i_out"], zspan)
-    mon_top = LineMonitor("h", meta["j_top"], xspan)
-    mon_bot = LineMonitor("h", meta["j_bot"], xspan)
+    mon_in = LineMonitor(sim, "v", meta["i_in"], zspan)
+    mon_out = LineMonitor(sim, "v", meta["i_out"], zspan)
+    mon_top = LineMonitor(sim, "h", meta["j_top"], xspan)
+    mon_bot = LineMonitor(sim, "h", meta["j_bot"], xspan)
     monitors = [mon_in, mon_out, mon_top, mon_bot]
 
     # one transit of the grid at the highest index, after the source ramp

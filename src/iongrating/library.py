@@ -229,8 +229,8 @@ def _candidate_params(x, angle: float, config: KernelConfig):
                           dx=dx_frac * pitch, delta=0.0)
 
 
-def pso_optimize(angle: float, config: KernelConfig | None = None,
-                 swarm: SwarmConfig | None = None) -> LibraryEntry:
+def pso_optimize(angle: float, config: KernelConfig,
+                 swarm: SwarmConfig) -> LibraryEntry:
     """Search (DCU, DCL, dx) for the best figure of merit at one angle,
     without a phase shift.
 
@@ -239,8 +239,6 @@ def pso_optimize(angle: float, config: KernelConfig | None = None,
     geometries (sub-minimum features) score zero.  Ties in figure of merit
     are broken toward larger kappa.
     """
-    config = config or KernelConfig()
-    swarm = swarm or SwarmConfig()
     cache: dict = {}
 
     def objective(x):
@@ -397,9 +395,8 @@ def _entry_from_dict(d: dict) -> LibraryEntry:
     return LibraryEntry(**d)
 
 
-def build_library(angles, delta_fracs, config: KernelConfig | None = None,
-                  swarm: SwarmConfig | None = None,
-                  cache_dir=None) -> ParamLibrary:
+def build_library(angles, delta_fracs, config: KernelConfig,
+                  swarm: SwarmConfig, cache_dir=None) -> ParamLibrary:
     """Assemble the (angle x phase-shift) library.
 
     The swarm runs once per angle at zero phase shift and the winning
@@ -408,8 +405,6 @@ def build_library(angles, delta_fracs, config: KernelConfig | None = None,
     scale.  Entries are cached by a content hash of their full inputs, so
     builds are resumable and independent of job order.
     """
-    config = config or KernelConfig()
-    swarm = swarm or SwarmConfig()
     angles = sorted(float(a) for a in angles)
     delta_fracs = sorted(float(f) for f in delta_fracs)
     if not angles or not delta_fracs:

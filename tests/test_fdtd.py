@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,130 @@ def test_slab_cpml_step_matches_full_grid_update(pol):
     assert not np.any(state["psi_Ga"][:, w:-w])
     assert not np.any(state["psi_Fx"][w:-w])
     assert not np.any(state["psi_Fz"][:, w:-w])
+
+
+def _coarse_sim(pol):
+    """A driven simulation of the coarse grating cell of the slab test."""
+    cell = 3 * CELL
+    material = fdtd.unit_cell_material_map(STACK, params(), 4, cell)
+    col = material.n[material.meta["i_in"] - 2, :]
+    _, profile = fdtd.slab_mode_profile(col, cell, WAVELENGTH, pol)
+    sim = fdtd.Fdtd2D(material, WAVELENGTH, pol)
+    sim.add_line_source(material.meta["i_src"], profile)
+    return sim
+
+
+def test_cpml_bands_are_zero_off_the_slabs():
+    sim = _coarse_sim("TE")
+    nx, nz = sim.grid.nx, sim.grid.nz
+    w = fdtd.PML_CELLS + 1
+    (be, ae), (bh, ah) = fdtd._pml_profiles(nz, sim.grid.cell_size,
+                                            sim.grid.time_step)
+    # Ga's z differences sit at the nz - 1 half nodes, F's at the nz - 2
+    # inner integer nodes
+    bands = [(sim._psi_Ga[0], nx, 1, bh, ah),
+             (sim._psi_Fz[0], nx - 2, 2, be[1:-1], ae[1:-1])]
+    for band, rows, pad, b_z, a_z in bands:
+        _, _, b, a, _ = band
+        assert b.shape == a.shape == (rows + 1, 2 * w + pad)
+        for c, c_z in ((b, b_z), (a, a_z)):
+            # padding columns, row -1 and the row past the last
+            assert not np.any(c[:, w:w + pad])
+            assert not np.any(c[0, :w])
+            assert not np.any(c[-1, w + pad:])
+            # the profile's ends on every row that exists
+            c_z = c_z.astype(np.float32)
+            assert np.all(c[1:, :w] == c_z[-w:])
+            assert np.all(c[:-1, w + pad:] == c_z[:w])
+    for _ in range(150):
+        sim._step()
+    for (_, psi, _, _, _), _, pad, _, _ in bands:
+        assert not np.any(psi[:, w:w + pad])
+        assert not np.any(psi[0, :w])
+        assert not np.any(psi[-1, w + pad:])
+        assert np.any(psi[1:, :w]) and np.any(psi[:-1, w + pad:])
+    # chunk k views the right slab of row k - 1, the padding and the left
+    # slab of row k
+    d_ga, d_fz = sim._psi_Ga[0][0], sim._psi_Fz[0][0]
+    dFz, dGaz = sim._dFz, sim._dGaz
+    assert np.array_equal(d_ga[1:, :w], dFz[:, nz - 1 - w:nz - 1])
+    assert np.array_equal(d_ga[1:, w], dFz[:, nz - 1])
+    assert np.array_equal(d_ga[:-1, w + 1:], dFz[:, :w])
+    assert np.array_equal(d_fz[1:, :w], dGaz[:, nz - 1 - w:nz - 1])
+    assert np.array_equal(d_fz[:-1, w + 2:], dGaz[:, 1:w + 1])
+
+
+class _StepwiseMonitor:
+    """The per-step phasor accumulation that LineMonitor's period buffer
+    replaces: each step widens the lines and adds them at its phase."""
+
+    def __init__(self, orientation, index, span):
+        self.orientation, self.index, self.span = orientation, index, span
+        self._f, self._g, self._n = 0.0, 0.0, 0
+
+    def accumulate(self, sim, ph_f, ph_g):
+        i, s = self.index, self.span
+        if self.orientation == "v":
+            f = sim.F[i, s].astype(float)
+            g = 0.5 * (sim.Gb[i - 1, s].astype(float) + sim.Gb[i, s])
+        else:
+            f = sim.F[s, i].astype(float)
+            g = 0.5 * (sim.Ga[s, i - 1].astype(float) + sim.Ga[s, i])
+        self._f = self._f + f * ph_f
+        self._g = self._g + g * ph_g
+        self._n += 1
+
+    def phasors(self):
+        return 2.0 * self._f / self._n, 2.0 * self._g / self._n
+
+
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+def test_buffered_monitor_matches_stepwise_accumulation(pol):
+    buffered_sim, stepwise_sim = _coarse_sim(pol), _coarse_sim(pol)
+    meta = buffered_sim.material.meta
+    zspan = slice(meta["j_bot"], meta["j_top"] + 1)
+    xspan = slice(meta["i_in"], meta["i_out"] + 1)
+    lines = [("v", meta["i_in"], zspan), ("v", meta["i_out"], zspan),
+             ("h", meta["j_top"], xspan), ("h", meta["j_bot"], xspan)]
+    buffered = [fdtd.LineMonitor(buffered_sim, *l) for l in lines]
+    stepwise = [_StepwiseMonitor(*l) for l in lines]
+    warm, periods = 12, 3
+    buffered_sim.run_periods(warm)
+    buffered_sim.run_periods(periods, accumulators=buffered)
+    sim = stepwise_sim
+    sim.run_periods(warm)
+    for _ in range(periods * sim.steps_per_period):
+        sim._step()
+        t = sim.step_index * sim.grid.time_step
+        ph_f = np.exp(1j * sim.omega * t)
+        ph_g = np.exp(1j * sim.omega * (t + 0.5 * sim.grid.time_step))
+        for m in stepwise:
+            m.accumulate(sim, ph_f, ph_g)
+    assert np.array_equal(buffered_sim.F, sim.F)
+    for new, old in zip(buffered, stepwise):
+        (f_new, g_new), (f_old, g_old) = new.phasors(), old.phasors()
+        assert np.any(f_new != 0) and np.any(g_new != 0)
+        assert np.array_equal(f_new, f_old)
+        assert np.array_equal(g_new, g_old)
+        assert new.flux(buffered_sim) == fdtd.LineMonitor.flux(old, sim)
+
+
+def test_monitored_periods_allocate_no_grid_array():
+    sim = _coarse_sim("TE")
+    meta = sim.material.meta
+    zspan = slice(meta["j_bot"], meta["j_top"] + 1)
+    xspan = slice(meta["i_in"], meta["i_out"] + 1)
+    monitors = [fdtd.LineMonitor(sim, "v", meta["i_in"], zspan),
+                fdtd.LineMonitor(sim, "h", meta["j_top"], xspan)]
+    sim.run_periods(1, accumulators=monitors)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        sim.run_periods(2, accumulators=monitors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < sim.grid.nx * sim.grid.nz * 4
 
 
 class _ScriptedRun:
