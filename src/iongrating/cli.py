@@ -26,8 +26,9 @@ def _fail(code: str, message: str):
 _config_option = click.option(
     "--config", "config_path", type=click.Path(exists=True), default=None,
     help="YAML configuration overriding the built-in defaults.")
-_seed_option = click.option("--seed", type=int, default=None,
-                            help="Override every stage seed with this value.")
+_seed_option = click.option(
+    "--seed", type=int, default=None,
+    help="Override the detection and timing seeds with this value.")
 _out_option = click.option("--out", "out_dir", type=click.Path(),
                            default=None,
                            help="Output directory (default from config).")
@@ -40,8 +41,7 @@ def _common(fn):
 def _load(config_path, seed, out_dir):
     overrides = {}
     if seed is not None:
-        overrides["seeds"] = {"library": seed, "detection": seed,
-                              "timing": seed}
+        overrides["seeds"] = {"detection": seed, "timing": seed}
     if out_dir is not None:
         overrides["output_dir"] = out_dir
     try:

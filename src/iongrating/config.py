@@ -41,7 +41,6 @@ def default_config_dict() -> dict:
             "duty_upper": 0.5,
             "duty_lower": 0.5,
             "layer_offset": 0.06e-6,
-            "swarm": {"n_particles": 24, "iterations": 60},
             "cache_dir": None,
         },
         "designer": {
@@ -76,7 +75,8 @@ _CONFIG_COMMENTS = {
     "designer": "longitudinal profile fit and tooth layout options",
     "propagation": "scalar field raster (pixels, pixel size in m)",
     "detection": "counts/s rates, window s, readout and shelving model",
-    "seeds": "explicit seeds for every stochastic stage",
+    "seeds": "explicit seeds of the Monte Carlo detection and timing "
+             "stages; library is unused and still accepted for old configs",
     "output_dir": "all artifacts are written below this directory",
 }
 
@@ -122,7 +122,7 @@ class PipelineConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
-        for stage in ("library", "detection", "timing"):
+        for stage in ("detection", "timing"):
             if self.seeds.get(stage) is None:
                 raise ValueError(f"missing seed for stochastic stage "
                                  f"{stage!r}")
@@ -158,7 +158,11 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     data = {}
     if path is not None:
         with open(path) as fh:
-            loaded = yaml.safe_load(fh)
+            try:
+                loaded = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:
+                raise ValueError(f"{path}: malformed YAML: "
+                                 f"{' '.join(str(exc).split())}") from exc
         if loaded is not None:
             if not isinstance(loaded, dict):
                 raise ValueError(f"{path}: configuration must be a mapping")

@@ -468,17 +468,23 @@ def _zone_averaged_index_row(x, x0, length, pitch, duty, offset, delta,
     Zone B repeats zone A shifted by ``delta`` along x; averaging the two
     permittivity profiles reproduces the interference-driven reduction of
     the first-order grating strength (full contrast at delta=0, vanishing
-    first order at delta=pitch/2).
+    first order at delta=pitch/2).  Each node's pixel [x - d/2, x + d/2]
+    takes the permittivity of its tooth fill fraction (sub-pixel smoothing,
+    Farjadpour et al., Opt. Lett. 31, 2972 (2006)); outside the section
+    [x0, x0 + length) the layer is solid.
     """
-    inside = (x >= x0) & (x < x0 + length)
+    d = x[1] - x[0]
+    a, b = (np.clip(x + h, x0, x0 + length) for h in (-d / 2, d / 2))
 
-    def eps_zone(xs):
-        frac = np.mod(xs - x0 - offset, pitch)
-        return np.where(frac < duty * pitch, n_tooth**2, n_gap**2)
+    def teeth(s, shift):
+        # antiderivative of the periodic tooth indicator; divmod keeps the
+        # whole periods and the remainder consistent
+        periods, rest = np.divmod(s - x0 - offset - shift, pitch)
+        return duty * pitch * periods + np.minimum(rest, duty * pitch)
 
-    eps = np.where(inside, 0.5 * (eps_zone(x) + eps_zone(x - delta)),
-                   n_tooth**2)
-    return np.sqrt(eps)
+    tooth = sum(teeth(b, s) - teeth(a, s) for s in (0.0, delta)) / 2
+    fill = np.clip((d - (b - a) + tooth) / d, 0.0, 1.0)
+    return np.sqrt(n_gap**2 + fill * (n_tooth**2 - n_gap**2))
 
 
 def _cross_section(stack: LayerStack, params):

@@ -2,9 +2,10 @@
 
 A grating design needs, at every longitudinal position, a unit cell that
 diffracts at the locally-required angle with a chosen scattering strength.
-This module searches unit-cell geometries with a particle swarm, evaluates
-them with the 2D solver, and assembles the results into a rectangular
-(angle x phase-shift) library that the designer interpolates.
+This module searches unit-cell geometries with one deterministic bounded
+local search per angle, evaluates them with the 2D solver, and assembles
+the results into a rectangular (angle x phase-shift) library that the
+designer interpolates.
 
 Angles are measured in the cladding medium, consistent with the grating
 equation  pitch * (n_eff - n_clad * sin(theta)) = wavelength.
@@ -18,6 +19,7 @@ import os
 from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
+from scipy import optimize
 
 from . import __version__, fdtd
 from .geometry import LayerStack, default_stack
@@ -37,10 +39,6 @@ class FigureOfMeritUndefinedError(LibraryError):
 
 class ExtrapolationError(LibraryError):
     """Raised when a lookup falls outside the library's angle hull."""
-
-
-class InfeasibleSwarmError(LibraryError):
-    """Raised when no particle satisfies the fabrication constraints."""
 
 
 @dataclass(frozen=True)
@@ -80,6 +78,10 @@ class LibraryEntry:
     peak_angle: float = float("nan")
     periods_run: int = 0    # optical periods the solver ran the cell for
     closure: float = float("nan")  # |1 - sum of the four monitor powers|
+    # the delta = 0 entry's geometry search: scipy.optimize.minimize status
+    # and cell evaluations; None and 0 for the cells it was shifted to
+    search_status: int | None = None
+    search_nfev: int = 0
     error: str | None = None
 
 
@@ -156,10 +158,14 @@ def evaluate_cell(params: UnitCellParams, angle: float,
         direct = fdtd.directivity(result)
     except fdtd.DirectivityUndefinedError:
         direct = float("nan")
+    try:
+        fom = figure_of_merit(kappa, alpha)
+    except FigureOfMeritUndefinedError:
+        # no measured loss, as in a well-suppressed half-pitch cell
+        fom = float("nan")
     return LibraryEntry(angle=angle,
                         delta_frac=params.delta / (params.pitch / 2),
-                        params=params, kappa=kappa, alpha=alpha,
-                        fom=figure_of_merit(kappa, alpha),
+                        params=params, kappa=kappa, alpha=alpha, fom=fom,
                         directivity=direct, peak_angle=result.peak_angle,
                         periods_run=result.periods_run,
                         closure=abs(1.0 - (result.p_trans
@@ -167,60 +173,16 @@ def evaluate_cell(params: UnitCellParams, angle: float,
                                            + result.p_up + result.p_down)))
 
 
-# swarm velocity update: inertia, and the pulls toward each particle's own
-# best and the swarm's best
-INERTIA, COGNITIVE, SOCIAL = 0.72, 1.49, 1.49
-
-
-@dataclass
-class SwarmConfig:
-    n_particles: int = 24
-    iterations: int = 60
-    seed: int = 0
-
-
-def pso_minimize(objective, bounds, config: SwarmConfig):
-    """Plain particle-swarm minimizer over a box.
-
-    Deterministic for a fixed seed; returns (best position, best value).
-    """
-    bounds = np.asarray(bounds, dtype=float)
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    ndim = len(bounds)
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    pos = lo + (hi - lo) * rng.random((config.n_particles, ndim))
-    vel = (hi - lo) * (rng.random((config.n_particles, ndim)) - 0.5) * 0.2
-    pbest = pos.copy()
-    pbest_val = np.array([objective(p) for p in pos])
-    g = int(np.argmin(pbest_val))
-    gbest, gbest_val = pbest[g].copy(), pbest_val[g]
-    for _ in range(config.iterations):
-        r1 = rng.random((config.n_particles, ndim))
-        r2 = rng.random((config.n_particles, ndim))
-        vel = (INERTIA * vel
-               + COGNITIVE * r1 * (pbest - pos)
-               + SOCIAL * r2 * (gbest - pos))
-        pos = np.clip(pos + vel, lo, hi)
-        for i in range(config.n_particles):
-            v = objective(pos[i])
-            if v < pbest_val[i]:
-                pbest_val[i] = v
-                pbest[i] = pos[i]
-        g = int(np.argmin(pbest_val))
-        if pbest_val[g] < gbest_val:
-            gbest_val = pbest_val[g]
-            gbest = pbest[g].copy()
-    if not np.isfinite(gbest_val):
-        raise InfeasibleSwarmError("no feasible particle found")
-    return gbest, float(gbest_val)
-
-
-# duty-cycle and offset search box used by the optimizer
+# the search box, symmetric about duty 0.5: duty cycles, and the lower
+# layer's offset as a fraction of the pitch
 DUTY_BOUNDS = (0.3, 0.7)
+DX_BOUNDS = (0.0, 0.5)
+SEARCH_METHOD = "Nelder-Mead"
+MAX_SEARCH_NFEV = 48          # cell evaluations of one angle's search
 
 
 def _candidate_params(x, angle: float, config: KernelConfig):
-    """Map a swarm position (dcu, dcl, dx_frac) to concrete cell geometry
+    """Map a search point (dcu, dcl, dx_frac) to concrete cell geometry
     without a phase shift."""
     dcu, dcl, dx_frac = x
     pitch = pitch_for_angle(angle, dcu, dcl, config.stack, config.wavelength,
@@ -229,48 +191,68 @@ def _candidate_params(x, angle: float, config: KernelConfig):
                           dx=dx_frac * pitch, delta=0.0)
 
 
-def pso_optimize(angle: float, config: KernelConfig,
-                 swarm: SwarmConfig) -> LibraryEntry:
+def search_bounds(angle: float, config: KernelConfig) -> list:
+    """The manufacturable part of the search box at one angle.
+
+    Higher duty cycles shorten the pitch, so duties in [1 - h, h] all pass
+    the feature check when dcu = dcl = h leaves a gap of min_feature.
+    """
+    def gap_margin(h):
+        return (1.0 - h) * pitch_for_angle(
+            angle, h, h, config.stack, config.wavelength,
+            config.polarization, config.cell_size) - config.min_feature
+
+    if gap_margin(0.5) < 0:
+        raise LibraryError(f"no manufacturable duty cycle at "
+                           f"{np.rad2deg(angle):.2f} deg")
+    hi = DUTY_BOUNDS[1]
+    if gap_margin(hi) < 0:
+        # a hair inside the root, so the box edge clears the check
+        hi = optimize.brentq(gap_margin, 0.5, hi) - 1e-9
+    return [(1.0 - hi, hi)] * 2 + [DX_BOUNDS]
+
+
+def optimize_cell(angle: float, config: KernelConfig,
+                  start) -> LibraryEntry:
     """Search (DCU, DCL, dx) for the best figure of merit at one angle,
-    without a phase shift.
+    without a phase shift, by one bounded local search from ``start``.
 
     The pitch is tied to the target angle through the grating equation, so
     only the duty cycles and the bilayer offset are free.  Infeasible
-    geometries (sub-minimum features) score zero.  Ties in figure of merit
-    are broken toward larger kappa.
+    geometries score infinity.
     """
-    cache: dict = {}
+    bounds = search_bounds(angle, config)
+    best = [np.inf, None]
 
     def objective(x):
-        key = tuple(np.round(x, 6))
-        if key in cache:
-            return cache[key][0]
-        try:
-            params = _candidate_params(key, angle, config)
-        except LibraryError:
-            cache[key] = (np.inf, None)
-            return np.inf
+        params = _candidate_params(x, angle, config)
         if feature_check(params, config.min_feature):
-            cache[key] = (np.inf, None)
             return np.inf
         try:
             entry = evaluate_cell(params, angle, config)
-        except FigureOfMeritUndefinedError:
-            # a cell that neither couples nor loses light scores like an
-            # infeasible one instead of aborting the angle
-            cache[key] = (np.inf, None)
-            return np.inf
         except (fdtd.ResolutionError, fdtd.DepletionError,
                 fdtd.ConvergenceError, ValueError) as exc:
-            raise type(exc)(f"{exc} (particle {key})") from exc
-        # minimize -(fom + tiny * kappa): kappa breaks exact-fom ties
-        score = -(entry.fom + 1e-12 * entry.kappa)
-        cache[key] = (score, entry)
+            raise type(exc)(f"{exc} (cell {tuple(x)})") from exc
+        if not entry.alpha > 0:
+            # no measured parasitic loss: the cell neither couples nor
+            # loses light, or its top monitor caught more than the guide
+            # lost, which clamps the figure of merit to 1
+            return np.inf
+        score = -entry.fom
+        if score < best[0]:
+            best[:] = score, entry
         return score
 
-    bounds = [DUTY_BOUNDS, DUTY_BOUNDS, (0.0, 0.5)]
-    best_x, _ = pso_minimize(objective, bounds, swarm)
-    entry = cache[tuple(np.round(best_x, 6))][1]
+    x0 = np.clip(start, *zip(*bounds))
+    with np.errstate(invalid="ignore"):  # a simplex of infeasible cells
+        res = optimize.minimize(objective, x0, method=SEARCH_METHOD,
+                                bounds=bounds,
+                                options={"maxfev": MAX_SEARCH_NFEV})
+    entry = best[1]
+    if entry is None:
+        raise LibraryError(f"no feasible cell at {np.rad2deg(angle):.2f} "
+                           f"deg in {res.nfev} evaluations")
+    entry.search_status, entry.search_nfev = int(res.status), int(res.nfev)
     return entry
 
 
@@ -373,7 +355,7 @@ def interpolate(library: ParamLibrary, angle: float,
 
 
 def _entry_key(angle: float, delta_frac: float, config: KernelConfig,
-               swarm: SwarmConfig) -> str:
+               start) -> str:
     payload = {
         "angle": round(angle, 12), "delta_frac": round(delta_frac, 12),
         "wavelength": config.wavelength,
@@ -381,7 +363,9 @@ def _entry_key(angle: float, delta_frac: float, config: KernelConfig,
         "polarization": config.polarization,
         "n_periods": config.n_periods,
         "ppw": config.points_per_wavelength,
-        "swarm": (swarm.n_particles, swarm.iterations, swarm.seed),
+        # the search's start and cap decide the geometry of the entry
+        "start": [round(float(v), 12) for v in start],
+        "search_nfev_cap": MAX_SEARCH_NFEV,
         "schema": SCHEMA_VERSION,
         "version": __version__,
     }
@@ -396,14 +380,16 @@ def _entry_from_dict(d: dict) -> LibraryEntry:
 
 
 def build_library(angles, delta_fracs, config: KernelConfig,
-                  swarm: SwarmConfig, cache_dir=None) -> ParamLibrary:
+                  cache_dir=None) -> ParamLibrary:
     """Assemble the (angle x phase-shift) library.
 
-    The swarm runs once per angle at zero phase shift and the winning
+    The search runs once per angle at zero phase shift and the winning
     geometry is re-simulated at each phase-shift grid point; this keeps
     kappa(delta) on a single geometry family and the build at desk
-    scale.  Entries are cached by a content hash of their full inputs, so
-    builds are resumable and independent of job order.
+    scale.  The first angle's search starts at the centre of its box and
+    every later one at the last optimum found, which moves smoothly with
+    the angle.  Entries are cached by a content hash of their full inputs,
+    the search's start included, so builds are resumable.
     """
     angles = sorted(float(a) for a in angles)
     delta_fracs = sorted(float(f) for f in delta_fracs)
@@ -429,20 +415,25 @@ def build_library(angles, delta_fracs, config: KernelConfig,
 
     entries = {}
     complete = True
+    # the centre of the search box, which every manufacturable box shares
+    start = tuple(np.mean([DUTY_BOUNDS, DUTY_BOUNDS, DX_BOUNDS], axis=1))
     for i, angle in enumerate(angles):
         base: LibraryEntry | None = None
         for j, frac in enumerate(delta_fracs):
-            key = _entry_key(angle, frac, config, swarm)
+            key = _entry_key(angle, frac, config, start)
 
-            def compute(angle=angle, frac=frac):
-                nonlocal base
+            def compute(angle=angle, frac=frac, start=start):
                 if frac == 0.0:
-                    return pso_optimize(angle, config, swarm)
+                    return optimize_cell(angle, config, start)
                 params = replace(base.params,
                                  delta=frac * base.params.pitch / 2)
                 return evaluate_cell(params, angle, config)
 
             try:
+                if frac > 0.0 and base is None:
+                    raise LibraryError(
+                        f"the delta = 0 entry at {np.rad2deg(angle):.2f} "
+                        f"deg failed, so there is no geometry to shift")
                 entry = cached(key, compute)
                 entry.delta_frac = frac
             except Exception as exc:  # record failure, keep building
@@ -452,14 +443,17 @@ def build_library(angles, delta_fracs, config: KernelConfig,
                                      error=f"{type(exc).__name__}: {exc}")
                 complete = False
             if frac == 0.0 and entry.error is None:
+                # the next angle starts here, and the shifted cells of this
+                # one key on it: it is the geometry they shift
                 base = entry
+                p = entry.params
+                start = (p.dcu, p.dcl, p.dx / p.pitch)
             entries[(i, j)] = entry
 
     return ParamLibrary(angles=angles, delta_fracs=delta_fracs,
                         entries=entries, min_feature=config.min_feature,
                         complete=complete,
                         provenance={"schema": SCHEMA_VERSION,
-                                    "seed": swarm.seed,
                                     "n_periods": config.n_periods,
                                     "ppw": config.points_per_wavelength,
                                     "polarization": config.polarization,

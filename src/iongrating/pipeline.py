@@ -109,7 +109,7 @@ def _config_slices(config: PipelineConfig) -> dict:
     det = {k: getattr(config.detection, k)
            for k in ("bright_rate", "dark_rate", "window", "threshold",
                      "bins", "d_lifetime", "shelving_failure")}
-    lib = {**base, **config.library, "seed": config.seeds["library"]}
+    lib = {**base, **config.library}
     path = config.library.get("path")
     if config.library["mode"] == "file" and path and os.path.isfile(path):
         # a rewritten library file must recompute the stage
@@ -183,15 +183,13 @@ def _build_library(config: PipelineConfig) -> liblib.ParamLibrary:
                              "library file at "
                              f"{path!r}; build one with the library verb")
         return liblib.load_library(path)
-    swarm_cfg = config.library.get("swarm", {})
     kernel = liblib.KernelConfig(
         wavelength=config.wavelength, stack=config.stack,
         n_periods=config.library["n_periods"],
         points_per_wavelength=config.library["points_per_wavelength"])
-    swarm = liblib.SwarmConfig(seed=config.seeds["library"], **swarm_cfg)
     return liblib.build_library(
         [np.deg2rad(a) for a in config.library["angles_deg"]],
-        config.library["delta_fracs"], kernel, swarm,
+        config.library["delta_fracs"], kernel,
         cache_dir=config.library.get("cache_dir"))
 
 
@@ -254,6 +252,11 @@ def _run_library(config, inputs, stage_dir):
         entries = lib.entries.values()
         summary["max_periods_run"] = max(e.periods_run for e in entries)
         summary["max_closure"] = float(max(e.closure for e in entries))
+        # each delta = 0 entry stores its search's evaluations, and each
+        # shifted entry is one more cell, so cached builds count the same
+        summary["cells_evaluated"] = sum(
+            e.search_nfev if e.delta_frac == 0.0 else 1 for e in entries)
+        summary["max_search_nfev"] = max(e.search_nfev for e in entries)
     return summary, {"library": path}
 
 
@@ -591,7 +594,11 @@ def report(manifest: dict) -> str:
                   f"  max periods run           "
                   f"{get('library', 'max_periods_run')}",
                   f"  max energy closure        "
-                  f"{_fmt(get('library', 'max_closure'))}"]
+                  f"{_fmt(get('library', 'max_closure'))}",
+                  f"  cells evaluated           "
+                  f"{get('library', 'cells_evaluated')}",
+                  f"  max search evaluations    "
+                  f"{get('library', 'max_search_nfev')}"]
     if "design" in stages:
         lines += ["",
                   "design",

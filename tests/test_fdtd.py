@@ -63,19 +63,62 @@ def test_mode_solver_matches_transfer_matrix():
 
 
 def test_zone_average_row_limits():
-    # sample off the exact tooth edges to avoid mod-boundary ties
-    x = np.linspace(0.0, 3e-6, 4001) + 1e-10 * np.sqrt(2.0)
-    pitch, n_t, n_g = 0.3e-6, 2.05, 1.47
-    # delta = 0 reproduces the binary tooth profile
-    row0 = fdtd._zone_averaged_index_row(x, 0.0, 3e-6, pitch, 0.5, 0.0, 0.0,
-                                         n_t, n_g)
-    assert set(np.round(row0, 6)) <= {round(n_t, 6), round(n_g, 6)}
+    d, pitch, n_t, n_g = 0.01e-6, 0.3e-6, 2.05, 1.47
+    x = (np.arange(400) - 12) * d
+    # the section starts on the left edge of node i's pixel, and its teeth
+    # of 0.135 um start a quarter pixel later
+    i = 92
+    x0, length = x[i] - d / 2, 8 * pitch
+    duty, offset = 0.45, 0.25 * d
+    row0 = fdtd._zone_averaged_index_row(x, x0, length, pitch, duty, offset,
+                                         0.0, n_t, n_g)
+    eps = row0**2
+    # pixels wholly inside a tooth or a gap keep the binary index
+    assert row0[i + 3] == pytest.approx(n_t, abs=1e-12)
+    assert row0[i + 20] == pytest.approx(n_g, abs=1e-12)
+    # the pixel a tooth's leading edge crosses takes the fill blend:
+    # 0.75 of it is tooth
+    assert eps[i] == pytest.approx(0.25 * n_g**2 + 0.75 * n_t**2, rel=1e-12)
+    # and the trailing edge, 13.75 pixels on, leaves 0.75 of its pixel
+    assert eps[i + 13] == pytest.approx(0.25 * n_g**2 + 0.75 * n_t**2,
+                                        rel=1e-12)
+    # outside the section the layer is solid
+    assert row0[i - 1] == pytest.approx(n_t, abs=1e-12)
+    # over whole periods the row holds the duty-weighted permittivity of
+    # grating_effective_index, for any zone shift
+    solid = x.size * d - length
+    expected = solid * n_t**2 + length * (duty * n_t**2
+                                          + (1 - duty) * n_g**2)
+    for delta in (0.0, 0.037e-6, pitch / 2):
+        row = fdtd._zone_averaged_index_row(x, x0, length, pitch, duty,
+                                            offset, delta, n_t, n_g)
+        assert np.sum(row**2) * d == pytest.approx(expected, rel=1e-13)
     # delta = pitch/2 at 50% duty averages to a uniform permittivity
-    row_h = fdtd._zone_averaged_index_row(x, 0.0, 3e-6, pitch, 0.5, 0.0,
+    row_h = fdtd._zone_averaged_index_row(x, x0, length, pitch, 0.5, 0.0,
                                           pitch / 2, n_t, n_g)
-    inside = (x >= 0) & (x < 3e-6)
+    inside = (x - d / 2 >= x0) & (x + d / 2 <= x0 + length)
     expected = np.sqrt(0.5 * (n_t**2 + n_g**2))
     assert np.allclose(row_h[inside], expected, atol=1e-9)
+
+
+def test_kappa_is_continuous_in_the_duty_cycle():
+    # a cell near 12 deg at 12 points per wavelength, its upper teeth
+    # widened by 1/10 of a pixel at a time.  The pitch is 20 pixels, so on
+    # a staircase every tooth edge crosses a node at the same step, and
+    # kappa sits on a plateau in between
+    cell = fdtd.default_cell_size(STACK, WAVELENGTH, 12)
+    pitch = 20 * cell
+    kappas = []
+    for i in range(4):
+        p = params(pitch=pitch, dcu=0.5 + i * 0.1 / 20, dx=0.25 * pitch)
+        result = fdtd.run_unit_cell(p, 6, WAVELENGTH, STACK, "TE",
+                                    cell_size=cell)
+        kappas.append(fdtd.extract_kappa_alpha(result)[0])
+    steps = np.diff(kappas)
+    # monotone with no plateau, and no step near the several-percent jump
+    # of a whole-pixel edge move
+    assert np.all(steps < 0) or np.all(steps > 0)
+    assert np.max(np.abs(steps)) < 0.01 * kappas[0]
 
 
 def test_cross_section_teeth_follow_guiding():

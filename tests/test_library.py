@@ -8,10 +8,10 @@ import pytest
 from iongrating import fdtd, library
 from iongrating.geometry import default_stack
 from iongrating.library import (
-    InfeasibleSwarmError, ExtrapolationError, FigureOfMeritUndefinedError,
-    KernelConfig, LibraryEntry, ParamLibrary, SwarmConfig, UnitCellParams,
-    build_library, feature_check, figure_of_merit, interpolate, load_library,
-    pitch_for_angle, pso_minimize, pso_optimize, save_library,
+    ExtrapolationError, FigureOfMeritUndefinedError, KernelConfig,
+    LibraryEntry, LibraryError, ParamLibrary, UnitCellParams, build_library,
+    feature_check, figure_of_merit, interpolate, load_library,
+    optimize_cell, pitch_for_angle, save_library, search_bounds,
 )
 
 
@@ -70,53 +70,142 @@ def test_pitch_for_angle_monotone_and_consistent():
 
 
 # ---------------------------------------------------------------------------
-# Swarm optimizer on closed-form objectives
+# The geometry search on stand-in cells
 
-def test_pso_finds_sphere_minimum():
-    target = np.array([0.3, -0.7, 0.1])
-
-    def sphere(x):
-        return float(np.sum((x - target) ** 2))
-
-    cfg = SwarmConfig(n_particles=24, iterations=200, seed=3)
-    best, val = pso_minimize(sphere, [(-1, 1)] * 3, cfg)
-    assert np.all(np.abs(best - target) < 1e-3)
-    assert val < 1e-6
+def _uncoupled(params, angle):
+    """What evaluate_cell reports for a cell that neither couples nor
+    loses light."""
+    return LibraryEntry(angle=angle, delta_frac=0.0, params=params,
+                        kappa=0.0, alpha=0.0, fom=float("nan"))
 
 
-def test_pso_deterministic_and_seed_robust():
-    def bowl(x):
-        return float((x[0] - 0.2) ** 2 + 0.5 * (x[1] + 0.4) ** 2)
+def _smooth_cell(calls):
+    """A stand-in for evaluate_cell: kappa peaks smoothly at a geometry
+    that moves with the angle, and the corner of large dcu and small dcl
+    just past the 20 deg peak neither couples nor loses light."""
+    def cell(params, angle, config):
+        dx_frac = params.dx / params.pitch
+        calls.append((params.dcu, params.dcl, dx_frac))
+        if params.dcu > 0.62 and params.dcl < 0.44:
+            return _uncoupled(params, angle)
+        shift = 0.1 * np.rad2deg(angle) / 20.0
+        kappa = 1e5 * np.exp(-((params.dcu - 0.5 - shift) ** 2
+                               + (params.dcl - 0.5 + 0.5 * shift) ** 2
+                               + (dx_frac - 0.3) ** 2) / 0.02)
+        return LibraryEntry(angle=angle, delta_frac=0.0, params=params,
+                            kappa=kappa, alpha=1e4,
+                            fom=figure_of_merit(kappa, 1e4))
+    return cell
 
-    cfg = SwarmConfig(n_particles=12, iterations=80, seed=11)
-    b1, v1 = pso_minimize(bowl, [(-1, 1)] * 2, cfg)
-    b2, v2 = pso_minimize(bowl, [(-1, 1)] * 2, cfg)
-    assert np.array_equal(b1, b2) and v1 == v2
-    _, v3 = pso_minimize(bowl, [(-1, 1)] * 2,
-                         SwarmConfig(n_particles=12, iterations=80, seed=12))
-    # different seeds land on objective values within 5% of the range scale
-    assert abs(v3 - v1) < 0.05
+
+def test_search_is_deterministic_bounded_and_warm_started(monkeypatch):
+    calls = []
+    monkeypatch.setattr(library, "evaluate_cell", _smooth_cell(calls))
+    monkeypatch.setattr(library, "MAX_SEARCH_NFEV", 400)
+    config = KernelConfig()
+    centre = (0.5, 0.5, 0.25)
+
+    def search(deg, start):
+        calls.clear()
+        entry = optimize_cell(np.deg2rad(deg), config, start)
+        bounds = search_bounds(np.deg2rad(deg), config)
+        for point in calls:
+            assert all(lo <= v <= hi for v, (lo, hi) in zip(point, bounds))
+        assert entry.search_nfev == len(calls)
+        assert entry.search_status == 0        # converged under the cap
+        entry.uncoupled = sum(u > 0.62 and l < 0.44 for u, l, _ in calls)
+        return entry
+
+    first = search(16.0, centre)
+    again = search(16.0, centre)
+    assert again.params == first.params and again.fom == first.fom
+    assert again.search_nfev == first.search_nfev
+    # 16 deg puts the optimum at dcu = 0.58, dcl = 0.46, dx = 0.3 pitch
+    assert first.params.dcu == pytest.approx(0.58, abs=0.01)
+    assert first.params.dcl == pytest.approx(0.46, abs=0.01)
+    assert first.params.dx / first.params.pitch == pytest.approx(0.3,
+                                                                 abs=0.01)
+    p = first.params
+    warm = search(20.0, (p.dcu, p.dcl, p.dx / p.pitch))
+    cold = search(20.0, centre)
+    assert warm.fom >= cold.fom - 1e-6
+    assert warm.search_nfev < cold.search_nfev
+    # both met the uncoupled corner on the way and went on
+    assert warm.uncoupled > 0 and cold.uncoupled > 0
 
 
-def test_pso_degenerate_infeasible_bounds():
-    with pytest.raises(InfeasibleSwarmError):
-        pso_minimize(lambda x: np.inf, [(0.5, 0.5)], SwarmConfig(4, 3))
+def test_search_box_is_manufacturable():
+    config = KernelConfig()
+    for deg in (-4.0, 8.0, 20.0):
+        angle = np.deg2rad(deg)
+        bounds = search_bounds(angle, config)
+        (lo, hi), dx = bounds[0], bounds[2]
+        assert bounds[1] == (lo, hi) and dx == (0.0, 0.5)
+        assert library.DUTY_BOUNDS[0] <= lo < 0.5 < hi <= 0.7
+        for dcu in (lo, hi):
+            for dcl in (lo, hi):
+                cell = library._candidate_params((dcu, dcl, 0.0), angle,
+                                                 config)
+                assert feature_check(cell, config.min_feature) == []
+    # at -4 deg the pitch leaves only a sliver around half duty
+    assert search_bounds(np.deg2rad(-4.0), config)[0][1] < 0.51
 
 
-def test_pso_scores_uncoupled_cells_as_infeasible(monkeypatch):
-    # cells with dcu < 0.5 neither couple nor lose light; the swarm must
+def test_search_rejects_an_unmanufacturable_angle():
+    with pytest.raises(LibraryError, match="no manufacturable duty cycle"):
+        search_bounds(np.deg2rad(-4.0), KernelConfig(min_feature=0.2e-6))
+
+
+def test_search_scores_uncoupled_cells_as_infeasible(monkeypatch):
+    # cells with dcu < 0.5 neither couple nor lose light; the search must
     # skip them rather than abort the angle
     def fake_cell(params, angle, config):
-        fom = figure_of_merit(params.dcu - 0.5 if params.dcu >= 0.5 else 0.0,
-                              0.1 if params.dcu >= 0.5 else 0.0)
+        if params.dcu < 0.5:
+            return _uncoupled(params, angle)
         return LibraryEntry(angle=angle, delta_frac=0.0, params=params,
-                            kappa=params.dcu, alpha=0.1, fom=fom)
+                            kappa=params.dcu, alpha=0.1,
+                            fom=figure_of_merit(params.dcu - 0.5, 0.1))
 
     monkeypatch.setattr(library, "evaluate_cell", fake_cell)
-    entry = pso_optimize(np.deg2rad(8.0), KernelConfig(),
-                         SwarmConfig(n_particles=6, iterations=4, seed=3))
+    entry = optimize_cell(np.deg2rad(8.0), KernelConfig(), (0.5, 0.5, 0.25))
     assert entry.params.dcu >= 0.5
     assert np.isfinite(entry.fom)
+
+
+def test_search_skips_cells_with_an_energy_balance_error(monkeypatch):
+    # past dcu = 0.55 the stand-in's top monitor catches more than the
+    # guide loses: alpha clamps to 0 and the figure of merit to 1
+    def fake_cell(params, angle, config):
+        clamped = params.dcu > 0.55
+        alpha = 0.0 if clamped else 0.1
+        return LibraryEntry(angle=angle, delta_frac=0.0, params=params,
+                            kappa=params.dcu, alpha=alpha,
+                            fom=figure_of_merit(params.dcu, alpha))
+
+    monkeypatch.setattr(library, "evaluate_cell", fake_cell)
+    entry = optimize_cell(np.deg2rad(8.0), KernelConfig(), (0.5, 0.5, 0.25))
+    assert 0.5 <= entry.params.dcu <= 0.55
+    assert entry.alpha > 0 and entry.fom < 1
+
+
+def test_cell_without_measured_loss_has_no_figure_of_merit(monkeypatch):
+    # a half-pitch cell whose transmitted and reflected power sum to one:
+    # kappa = alpha = 0 is a measurement, and the entry stays usable
+    def lossless(params, n_periods, wavelength, stack, polarization,
+                 cell_size):
+        return fdtd.CellResult(
+            p_t=0.0, p_d=0.0, p_up=0.0, p_down=0.0, p_trans=0.99,
+            p_reflected=0.01, length=n_periods * params.pitch,
+            peak_angle=np.nan, target_angle=0.0, n_cladding=1.47,
+            wavelength=wavelength, cell_size=cell_size,
+            top_field=np.zeros(4), top_x=np.zeros(4), periods_run=43)
+
+    monkeypatch.setattr(fdtd, "run_unit_cell", lossless)
+    params = UnitCellParams(0.3e-6, 0.5, 0.5, 0.0, 0.15e-6)
+    entry = library.evaluate_cell(params, 0.0, KernelConfig())
+    assert (entry.kappa, entry.alpha) == (0.0, 0.0)
+    assert np.isnan(entry.fom) and np.isnan(entry.directivity)
+    assert entry.periods_run == 43
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +281,14 @@ def test_save_load_round_trip(tmp_path):
 def test_entry_key_covers_the_whole_stack():
     stack = default_stack()
     upper_only = replace(stack, guiding=("upper_nitride",))
-    swarm = SwarmConfig()
-    keys = {library._entry_key(0.1, 0.0, KernelConfig(stack=s), swarm)
+    start = (0.5, 0.5, 0.25)
+    keys = {library._entry_key(0.1, 0.0, KernelConfig(stack=s), start)
             for s in (stack, upper_only,
                       replace(stack, cladding_index=1.45))}
     assert len(keys) == 3
+    # an optimum found from another start is another entry
+    assert library._entry_key(0.1, 0.0, KernelConfig(), (0.5, 0.5, 0.3)) \
+        not in keys
 
 
 def test_entry_cache_does_not_serve_another_version(tmp_path, monkeypatch):
@@ -211,38 +303,38 @@ def test_entry_cache_does_not_serve_another_version(tmp_path, monkeypatch):
     monkeypatch.setattr(library, "evaluate_cell", fake_cell)
     # at 20 deg the pitch leaves every duty cycle of the box manufacturable
     angle = np.deg2rad(20.0)
-    config, swarm = KernelConfig(), SwarmConfig(n_particles=2, iterations=1)
-    key = library._entry_key(angle, 0.0, config, swarm)
+    config, start = KernelConfig(), (0.5, 0.5, 0.25)
+    key = library._entry_key(angle, 0.0, config, start)
 
     def build():
         calls.clear()
-        lib = build_library([angle], [0.0], config, swarm,
-                            cache_dir=str(tmp_path))
+        lib = build_library([angle], [0.0], config, cache_dir=str(tmp_path))
         assert lib.complete
         return len(calls)
 
     assert build() > 0
     assert build() == 0               # served from the entry cache
     monkeypatch.setattr(library, "__version__", "0.0.0")
-    assert library._entry_key(angle, 0.0, config, swarm) != key
+    assert library._entry_key(angle, 0.0, config, start) != key
     assert build() > 0                # another solver version recomputes
 
 
 # ---------------------------------------------------------------------------
-# End-to-end optimization through the solver (small swarm, shared cache)
+# End-to-end optimization through the solver (capped search, shared cache)
 
 ANGLE = np.deg2rad(8.5)
-SMALL_SWARM = SwarmConfig(n_particles=4, iterations=1, seed=7)
+SMALL_NFEV = 6
 SMALL_KERNEL = KernelConfig(n_periods=6)
 
 
 @pytest.fixture(scope="module")
 def built_library(tmp_path_factory):
     cache = str(tmp_path_factory.mktemp("libcache"))
-    lib = build_library([ANGLE], delta_fracs=[0.0, 1.0],
-                        config=SMALL_KERNEL, swarm=SMALL_SWARM,
-                        cache_dir=cache)
-    return lib, cache
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(library, "MAX_SEARCH_NFEV", SMALL_NFEV)
+        lib = build_library([ANGLE], delta_fracs=[0.0, 1.0],
+                            config=SMALL_KERNEL, cache_dir=cache)
+        yield lib, cache
 
 
 def test_build_library_entries_valid(built_library):
@@ -256,6 +348,9 @@ def test_build_library_entries_valid(built_library):
     for e in lib.entries.values():
         assert 0 < e.periods_run < 400
         assert 0.0 <= e.closure <= 0.05
+    # the search stopped at its cap
+    assert (e0.search_status, e0.search_nfev) == (1, SMALL_NFEV)
+    assert lib.entry(0, 1).search_nfev == 0
     # average duty cycle of optimized cells stays near one half
     assert 0.5 * (e0.params.dcu + e0.params.dcl) == pytest.approx(0.5,
                                                                   abs=0.1)
@@ -270,11 +365,10 @@ def test_build_is_resumable_and_matches_single_optimization(built_library):
     lib, cache = built_library
     # resumed build reads every entry from cache and reproduces the library
     again = build_library([ANGLE], delta_fracs=[0.0, 1.0],
-                          config=SMALL_KERNEL, swarm=SMALL_SWARM,
-                          cache_dir=cache)
+                          config=SMALL_KERNEL, cache_dir=cache)
     assert again.entry(0, 0).kappa == lib.entry(0, 0).kappa
     assert again.entry(0, 0).params == lib.entry(0, 0).params
     # a 1x1 grid is exactly the single-cell optimization
     one = build_library([ANGLE], delta_fracs=[0.0], config=SMALL_KERNEL,
-                        swarm=SMALL_SWARM, cache_dir=cache)
+                        cache_dir=cache)
     assert one.entry(0, 0).kappa == lib.entry(0, 0).kappa

@@ -113,6 +113,17 @@ def test_seed_change_recomputes_only_detection(run_dir, tmp_path):
         "detect"}
 
 
+def test_library_seed_change_recomputes_nothing(tmp_path):
+    # the library stage has no randomness; its old seed is still accepted
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
+    pipeline.run_pipeline(cfg, stages=["design"])
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path),
+                                 "seeds": {"library": 99}})
+    manifest = pipeline.run_pipeline(cfg, stages=["design"])
+    assert set(manifest["cached_stages"]) == {"emission", "library",
+                                              "design"}
+
+
 def test_version_change_recomputes_every_stage(run_dir, tmp_path,
                                                monkeypatch):
     out, _, _ = run_dir
@@ -262,8 +273,7 @@ def _failing_fdtd_config(tmp_path):
     return load_config(overrides={
         **FAST, "output_dir": str(tmp_path),
         "library": {"mode": "fdtd", "angles_deg": [8.0],
-                    "delta_fracs": [0.0, 1.0],
-                    "swarm": {"n_particles": 2, "iterations": 1}}})
+                    "delta_fracs": [0.0, 1.0]}})
 
 
 def test_fdtd_library_summary_reports_solver_diagnostics(tmp_path,
@@ -277,38 +287,64 @@ def test_fdtd_library_summary_reports_solver_diagnostics(tmp_path,
             periods_run=40 + int(20 * frac), closure=0.01 + 0.02 * frac)
 
     monkeypatch.setattr(liblib, "evaluate_cell", fake_cell)
-    # at 20 deg the pitch leaves every duty cycle of the box manufacturable
+    monkeypatch.setattr(liblib, "MAX_SEARCH_NFEV", 5)
     cfg = load_config(overrides={
         **FAST, "output_dir": str(tmp_path),
-        "library": {"mode": "fdtd", "angles_deg": [20.0],
-                    "delta_fracs": [0.0, 1.0],
-                    "swarm": {"n_particles": 2, "iterations": 1}}})
+        "library": {"mode": "fdtd", "angles_deg": [16.0, 20.0],
+                    "delta_fracs": [0.0, 0.5, 1.0]}})
     manifest = pipeline.run_pipeline(cfg, stages=["library"])
     summary = manifest["stages"]["library"]["summary"]
     assert summary["max_periods_run"] == 60
     assert summary["max_closure"] == pytest.approx(0.03)
+    # two capped searches and four shifted cells
+    assert summary["max_search_nfev"] == 5
+    assert summary["cells_evaluated"] == 2 * 5 + 4
     text = pipeline.report(manifest)
     assert "max periods run           60" in text
     assert "max energy closure        0.03" in text
+    assert "cells evaluated           14" in text
+    assert "max search evaluations    5" in text
+    # entries served from the entry cache count their cells the same
+    cached = dataclasses.replace(cfg, output_dir=str(tmp_path / "again"),
+                                 library={**cfg.library,
+                                          "cache_dir": str(tmp_path / "c")})
+    for _ in range(2):
+        again = pipeline.run_pipeline(cached, stages=["library"])
+        assert again["stages"]["library"]["summary"] == summary
+        shutil.rmtree(tmp_path / "again")
 
 
 def test_analytic_manifest_has_no_solver_diagnostics(run_dir):
     out, _, manifest = run_dir
     summary = manifest["stages"]["library"]["summary"]
-    assert "max_periods_run" not in summary and "max_closure" not in summary
+    for key in ("max_periods_run", "max_closure", "cells_evaluated",
+                "max_search_nfev"):
+        assert key not in summary
     assert "NaN" not in (out / "manifest.json").read_text()
     assert "unit-cell solver" not in pipeline.report(manifest)
 
 
 def test_failed_library_entries_fail_the_stage(tmp_path, monkeypatch):
+    calls = []
+
     def no_coupling(params, angle, config):
-        liblib.figure_of_merit(0.0, 0.0)
+        calls.append(params)
+        return liblib.LibraryEntry(angle=angle, delta_frac=0.0,
+                                   params=params, kappa=0.0, alpha=0.0,
+                                   fom=float("nan"))
 
     monkeypatch.setattr(liblib, "evaluate_cell", no_coupling)
     cfg = _failing_fdtd_config(tmp_path)
     with pytest.raises(pipeline.StageError, match="2 of 2 unit-cell entries "
-                       "failed.*InfeasibleSwarmError"):
+                       "failed.*LibraryError: no feasible cell at 8.00 deg"):
         pipeline.run_pipeline(cfg, stages=["library"])
+    # the shifted entry names the failed search and runs no cell
+    calls.clear()
+    lib = pipeline._build_library(cfg)
+    assert len(calls) == liblib.MAX_SEARCH_NFEV
+    assert lib.entry(0, 1).error == (
+        "LibraryError: the delta = 0 entry at 8.00 deg failed, so there is "
+        "no geometry to shift")
     # and the CLI turns it into a single error line
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg.raw))
@@ -603,6 +639,17 @@ def test_cli_errors_are_single_line(tmp_path):
                                   "--out", str(tmp_path)])
     assert result.exit_code == 1
     assert result.output.startswith("config-error: ")
+
+
+def test_cli_malformed_yaml_is_a_config_error(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("library: {mode: fdtd\n")
+    result = CliRunner().invoke(main, ["library", "--config", str(bad),
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    lines = [l for l in result.output.splitlines() if l]
+    assert len(lines) == 1
+    assert lines[0].startswith(f"config-error: {bad}: malformed YAML: ")
 
 
 def test_cli_report_on_truncated_manifest(run_dir, tmp_path):
