@@ -50,13 +50,14 @@ def _load(config_path, seed, out_dir):
         _fail("config-error", str(exc))
 
 
-def _run_stages(cfg, stage):
-    """Run ``stage`` (and its dependencies) only."""
+def _run_stages(cfg, stages=None):
+    """Run ``stages`` (and their dependencies), by default every stage."""
     try:
-        manifest = pipeline.run_pipeline(cfg, stages=[stage])
+        return pipeline.run_pipeline(cfg, stages=stages)
     except pipeline.StageError as exc:
         _fail("stage-error", str(exc))
-    return manifest
+    except OSError as exc:
+        _fail("io-error", str(exc))
 
 
 def _echo_stage(manifest, stage):
@@ -74,7 +75,10 @@ def main():
 @click.argument("path", type=click.Path())
 def init_config(path):
     """Write the fully-commented default configuration to PATH."""
-    write_default_config(path)
+    try:
+        write_default_config(path)
+    except OSError as exc:
+        _fail("io-error", str(exc))
     click.echo(f"wrote {path}")
 
 
@@ -83,7 +87,7 @@ def _stage_verb(name, stage):
     @_common
     def verb(config_path, seed, out_dir):
         cfg = _load(config_path, seed, out_dir)
-        manifest = _run_stages(cfg, stage)
+        manifest = _run_stages(cfg, [stage])
         _echo_stage(manifest, stage)
     verb.__doc__ = f"Run the pipeline through the {stage} stage."
     return verb
@@ -106,7 +110,7 @@ def propagate(config_path, seed, out_dir, dz):
     """Propagate the synthesized near field to the ion plane (or by
     --dz)."""
     cfg = _load(config_path, seed, out_dir)
-    manifest = _run_stages(cfg, "propagate")
+    manifest = _run_stages(cfg, ["propagate"])
     if dz is not None:
         base = os.path.join(cfg.output_dir if out_dir is None else out_dir,
                             manifest["stages"]["synthesize"]
@@ -117,7 +121,10 @@ def propagate(config_path, seed, out_dir, dz):
         except Exception as exc:
             _fail("propagation-error", str(exc))
         path = os.path.join(os.path.dirname(base), f"field_dz_{dz:g}.npz")
-        save_field(field, path)
+        try:
+            save_field(field, path)
+        except OSError as exc:
+            _fail("io-error", str(exc))
         _, i_max, idx = beam_cross_section(field)
         click.echo(json.dumps({"path": path, "peak_intensity": i_max,
                                "peak_x": float(field.x[idx[1]]),
@@ -132,11 +139,7 @@ def propagate(config_path, seed, out_dir, dz):
 def pipeline_cmd(config_path, seed, out_dir):
     """Run every stage and print the report."""
     cfg = _load(config_path, seed, out_dir)
-    try:
-        manifest = pipeline.run_pipeline(cfg)
-    except pipeline.StageError as exc:
-        _fail("stage-error", str(exc))
-    click.echo(pipeline.report(manifest))
+    click.echo(pipeline.report(_run_stages(cfg)))
 
 
 main.add_command(pipeline_cmd, "pipeline")
@@ -200,8 +203,11 @@ def rabi(omega0, eta_ld, n_bar, t_max, points, out_path):
         _fail("rabi-error", str(exc))
     rows = np.column_stack([t, p])
     if out_path:
-        np.savetxt(out_path, rows, delimiter=",", header="t_s,p_ground",
-                   fmt="%.17g")
+        try:
+            np.savetxt(out_path, rows, delimiter=",",
+                       header="t_s,p_ground", fmt="%.17g")
+        except OSError as exc:
+            _fail("io-error", str(exc))
         click.echo(f"wrote {out_path}")
     else:
         for t_i, p_i in rows:

@@ -10,8 +10,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_laguerre
-from scipy.stats import poisson
+from scipy.special import eval_laguerre, pdtrc
 
 __all__ = [
     "DetectionConfig", "LedgerEntry", "LossLedger", "RabiModel",
@@ -142,7 +141,7 @@ class DetectionConfig:
 
 def bright_fidelity_analytic(config: DetectionConfig) -> float:
     """P(at least ``threshold`` counts) for a bright ion, Poisson model."""
-    return float(poisson.sf(config.threshold - 1, config.poisson_mean))
+    return float(pdtrc(config.threshold - 1, config.poisson_mean))
 
 
 def _dark_counts(config: DetectionConfig, trials: int,

@@ -665,7 +665,7 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
     itself per optical period, three periods in a row), and returns
     flux-derived powers normalized to unit input.
     A tooth-free reference run calibrates the input power; references are
-    cached per stack/grid/polarization.
+    cached per stack/wavelength/grid/polarization.
     """
     if n_periods < 4:
         raise ValueError("n_periods must be >= 4")
@@ -674,7 +674,8 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
     grating = unit_cell_material_map(stack, params, n_periods, cell_size)
     meta = grating.meta
 
-    ref_key = (stack, polarization, round(cell_size * 1e12), grating.n.shape)
+    ref_key = (stack, wavelength, polarization, round(cell_size * 1e12),
+               grating.n.shape)
     if ref_key not in _reference_cache:
         # tooth-free reference spanning the identical domain and grid: the
         # grating map's first column lies in the left PML, before any tooth

@@ -1,6 +1,9 @@
 """Tests for loss ledgers, calibration, fidelity, timing, and Rabi decay."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +123,28 @@ def test_bright_fidelity_analytic():
     assert fid == pytest.approx(1.0 - np.exp(-cfg.poisson_mean), rel=1e-12)
     assert fid == pytest.approx(0.907, abs=0.001)
     assert bright_fidelity_analytic(DetectionConfig(bright_rate=0.0)) == 0.0
+
+
+def test_bright_fidelity_matches_scipy_stats_poisson_bit_for_bit():
+    means = np.concatenate([[0.0], np.logspace(-3, 3, 201)])
+    thresholds = np.arange(1, 61)
+    expected = poisson.sf(thresholds[:, None] - 1, means[None, :])
+    got = np.array([[bright_fidelity_analytic(DetectionConfig(
+        bright_rate=mu, window=1.0, threshold=int(k))) for mu in means]
+        for k in thresholds])
+    assert np.array_equal(got, expected)
+
+
+def test_package_import_does_not_load_scipy_stats():
+    # scipy.stats costs a third of the start-up of every CLI verb
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    code = ("import sys, iongrating.cli; print(sorted(m for m in "
+            "sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    proc = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"
 
 
 def test_dark_fidelity_default():

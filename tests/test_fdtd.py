@@ -550,3 +550,19 @@ def test_runs_are_deterministic(symmetric_cell):
     assert r.p_t == symmetric_cell.p_t
     assert r.p_up == symmetric_cell.p_up
     assert np.array_equal(r.top_field, symmetric_cell.top_field)
+
+
+def test_reference_cache_keeps_one_reference_per_wavelength(monkeypatch):
+    # same cell size and grid at two wavelengths: the second run must not
+    # be normalized by the first wavelength's tooth-free reference
+    p = params()
+    monkeypatch.setattr(fdtd, "_reference_cache", {})
+    alone = fdtd.run_unit_cell(p, 4, 440e-9, STACK, "TE", cell_size=CELL)
+    monkeypatch.setattr(fdtd, "_reference_cache", {})
+    fdtd.run_unit_cell(p, 4, WAVELENGTH, STACK, "TE", cell_size=CELL)
+    after = fdtd.run_unit_cell(p, 4, 440e-9, STACK, "TE", cell_size=CELL)
+    assert len(fdtd._reference_cache) == 2
+    assert after.p_trans == alone.p_trans
+    assert after.p_up == alone.p_up
+    assert after.p_reflected == alone.p_reflected
+    assert np.array_equal(after.top_field, alone.top_field)

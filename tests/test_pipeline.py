@@ -663,6 +663,48 @@ def test_cli_report_on_truncated_manifest(run_dir, tmp_path):
     assert lines[0].startswith("manifest-unreadable: ")
 
 
+def _assert_one_error_line(result, code):
+    assert result.exit_code == 1
+    lines = [l for l in result.output.splitlines() if l]
+    assert len(lines) == 1 and lines == result.stderr.splitlines()
+    assert lines[0].startswith(f"{code}: ")
+
+
+@pytest.mark.parametrize("verb", ["detect", "pipeline"])
+def test_cli_out_under_a_file_is_an_io_error(tmp_path, verb):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = CliRunner().invoke(main, [verb, "--out", str(blocker / "run")])
+    _assert_one_error_line(result, "io-error")
+
+
+def test_cli_init_config_into_missing_dir_is_an_io_error(tmp_path):
+    result = CliRunner().invoke(main, ["init-config",
+                                       str(tmp_path / "missing" / "x.yaml")])
+    _assert_one_error_line(result, "io-error")
+
+
+def test_cli_rabi_out_into_missing_dir_is_an_io_error(tmp_path):
+    result = CliRunner().invoke(main, ["rabi", "--omega0", "1e6",
+                                       "--t-max", "1e-5", "--points", "3",
+                                       "--out",
+                                       str(tmp_path / "missing" / "r.csv")])
+    _assert_one_error_line(result, "io-error")
+
+
+def test_cli_propagate_dz_write_failure_is_an_io_error(run_dir, tmp_path):
+    out, _, _ = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    # a directory where the propagated field would be written
+    (copy / "synthesize" / "field_dz_2e-06.npz").mkdir()
+    cfg_path = tmp_path / "fast.yaml"
+    cfg_path.write_text(yaml.safe_dump({**FAST, "output_dir": str(copy)}))
+    result = CliRunner().invoke(main, ["propagate", "--config",
+                                       str(cfg_path), "--dz", "2e-06"])
+    _assert_one_error_line(result, "io-error")
+
+
 def test_cli_rabi_verb(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["rabi", "--omega0", "1e6",
