@@ -46,7 +46,7 @@ def _load(config_path, seed, out_dir):
         overrides["output_dir"] = out_dir
     try:
         return load_config(config_path, overrides)
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, TypeError, OSError) as exc:
         _fail("config-error", str(exc))
 
 

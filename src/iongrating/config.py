@@ -48,7 +48,6 @@ def default_config_dict() -> dict:
             "kappa_max": 0.6e6,
             "form": "integral",
             "phase_mode": "collimated",
-            "quantization_axis": "z",
         },
         "propagation": {"shape": [512, 512], "pixel_size": 0.1e-6},
         "detection": {

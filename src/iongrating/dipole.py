@@ -213,15 +213,18 @@ def sigma_share(decomposition) -> float:
     return sig / (sig + tot[PI])
 
 
-def ion_intensity_profile(axis: QuantizationAxis, footprint: GratingFootprint,
-                          pose: IonPose, n_points: int,
+def ion_intensity_profile(footprint: GratingFootprint, pose: IonPose,
+                          n_points: int,
                           n_cladding: float = constants.N_SIO2):
     """Marginal (y-integrated) aperture-plane fluorescence intensity vs x.
 
-    Sums all decay channels weighted by branching, integrates across the
-    aperture width at each x sample (256 Gauss-Legendre nodes), and
-    normalizes to unit integral over the footprint.  Returns (x, intensity)
-    with intensity in 1/m.
+    Summed over the decay channels the emission is isotropic (pi gives
+    sin^2/8pi and each sigma (1 + cos^2)/16pi, 1/4pi in total about any
+    quantization axis), so the intensity on the aperture is the refracted
+    ray density dOmega/dA alone.  Integrates it across the aperture width
+    at each x sample (256 Gauss-Legendre nodes) and normalizes to unit
+    integral over the footprint.  Returns (x, intensity) with intensity in
+    1/m.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
@@ -231,11 +234,9 @@ def ion_intensity_profile(axis: QuantizationAxis, footprint: GratingFootprint,
     ys = hy * gy
     X, Y = np.meshgrid(xs, ys, indexing="ij")
 
-    u, dens = _aperture_directions(X, Y, pose, n_cladding)
-    inten = np.zeros(X.shape)
-    for kind in COMPONENTS:
-        field = dipole_field_cartesian(DipoleComponent(kind), axis, u)
-        inten += np.sum(np.abs(field) ** 2, axis=-1)
-    profile = (inten * dens) @ (hy * wy)
+    _, dens = refracted_ray(np.hypot(X - pose.x_ion, Y - pose.y_ion),
+                            pose.height_above_surface,
+                            pose.cladding_thickness, n_cladding)
+    profile = dens @ (hy * wy)
     norm = np.trapezoid(profile, xs)
     return xs, profile / norm

@@ -24,7 +24,7 @@ must stay below 1e-5 for three consecutive optical periods.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from . import constants
 from .geometry import LayerStack
@@ -205,23 +205,19 @@ def slab_mode_profile(n_column: np.ndarray, cell: float, wavelength: float,
     if polarization == "TE":
         diag = k0**2 * eps - 2.0 * inv_dz2
         off = np.full(nz - 1, inv_dz2)
-        vals, vecs = eigh_tridiagonal(diag, off,
-                                      select="i", select_range=(nz - 1, nz - 1))
-        beta2, prof = vals[0], vecs[:, 0]
+        scale = 1.0
     else:
-        # eps d/dz (1/eps dH/dz) + k0^2 eps H = beta^2 H, solved as the
-        # generalized symmetric problem A H = beta^2 B H with B = 1/eps
-        inv_eps_half = 2.0 / (eps[:-1] + eps[1:])
-        A = np.zeros((nz, nz))
-        idx = np.arange(nz - 1)
-        A[idx, idx] -= inv_eps_half * inv_dz2
-        A[idx + 1, idx + 1] -= inv_eps_half * inv_dz2
-        A[idx, idx + 1] += inv_eps_half * inv_dz2
-        A[idx + 1, idx] += inv_eps_half * inv_dz2
-        A[np.arange(nz), np.arange(nz)] += k0**2
-        B = np.diag(1.0 / eps)
-        vals, vecs = eigh(A, B)
-        beta2, prof = vals[-1], vecs[:, -1]
+        # eps d/dz (1/eps dH/dz) + k0^2 eps H = beta^2 H is the generalized
+        # symmetric problem A H = beta^2 B H with B = diag(1/eps); B is
+        # positive diagonal, so H = sqrt(eps) u turns it into a symmetric
+        # tridiagonal problem for u
+        w = 2.0 / (eps[:-1] + eps[1:]) * inv_dz2
+        diag = eps * (k0**2 - np.append(w, 0.0) - np.insert(w, 0, 0.0))
+        off = w * np.sqrt(eps[:-1] * eps[1:])
+        scale = np.sqrt(eps)
+    vals, vecs = eigh_tridiagonal(diag, off,
+                                  select="i", select_range=(nz - 1, nz - 1))
+    beta2, prof = vals[0], vecs[:, 0] * scale
     n_eff = np.sqrt(beta2) / k0
     n_min = min(n_column[0], n_column[-1])
     if not np.isfinite(n_eff) or n_eff <= n_min:

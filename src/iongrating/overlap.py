@@ -147,15 +147,19 @@ def _check_grids_match(a: FieldGrid, b: FieldGrid) -> None:
     if (a.data.shape != b.data.shape or a.pixel_size != b.pixel_size
             or a.x0 != b.x0 or a.y0 != b.y0):
         raise ValueError("TE and TM grids do not share a raster")
+    if a.wavelength != b.wavelength:
+        raise ValueError("TE and TM fields do not share a wavelength")
 
 
 def _mode_etas(field_te: FieldGrid, field_tm: FieldGrid, index,
-               projection_sq, wavelength: float):
-    """Per-mode field-overlap coupling (TE, TM) at the pixels ``index``.
+               projection_sq):
+    """Per-mode field-overlap coupling (TE, TM) at the pixels ``index``,
+    at the fields' wavelength.
 
     Eq. 3 with the scalar per-mode field: |p . E*|^2 =
     p0^2 * projection_sq * 2 c mu0 * I_density.
     """
+    wavelength = field_te.wavelength
     omega0 = 2.0 * np.pi * C0 / wavelength
     scale = (omega0**2 / 16.0 * dipole_moment_scale(wavelength) ** 2
              * 2.0 * C0 * MU0)
@@ -166,22 +170,19 @@ def _mode_etas(field_te: FieldGrid, field_tm: FieldGrid, index,
 def coupling_at_point(field_te: FieldGrid, field_tm: FieldGrid,
                       x: float, y: float,
                       projection_sq=(SIGMA_MODE_PROJECTION_SQ,
-                                     SIGMA_MODE_PROJECTION_SQ),
-                      wavelength: float | None = None) -> CouplingResult:
+                                     SIGMA_MODE_PROJECTION_SQ)
+                      ) -> CouplingResult:
     """Field-overlap coupling for an ion at (x, y) on the field plane."""
     _check_grids_match(field_te, field_tm)
     if not (field_te.normalized and field_tm.normalized):
         raise ValueError("fields must be normalized to unit power")
-    if wavelength is None:
-        wavelength = field_te.wavelength
     i = int(round((x - field_te.x0) / field_te.pixel_size))
     j = int(round((y - field_te.y0) / field_te.pixel_size))
     ny, nx = field_te.data.shape
     if not (0 <= i < nx and 0 <= j < ny):
         raise ValueError(f"ion position ({x * 1e6:.2f}, {y * 1e6:.2f}) um "
                          f"outside the field grid")
-    eta_te, eta_tm = _mode_etas(field_te, field_tm, (j, i), projection_sq,
-                                wavelength)
+    eta_te, eta_tm = _mode_etas(field_te, field_tm, (j, i), projection_sq)
     return CouplingResult(float(eta_te + eta_tm), "field-overlap", "TE+TM",
                           (x, y))
 
@@ -189,8 +190,8 @@ def coupling_at_point(field_te: FieldGrid, field_tm: FieldGrid,
 def collection_map(field_te: FieldGrid, field_tm: FieldGrid,
                    x_extent, y_extent, step: float,
                    projection_sq=(SIGMA_MODE_PROJECTION_SQ,
-                                  SIGMA_MODE_PROJECTION_SQ),
-                   wavelength: float | None = None) -> CollectionMap:
+                                  SIGMA_MODE_PROJECTION_SQ)
+                   ) -> CollectionMap:
     """Raster the ion position over the plane and map the coupling.
 
     ``x_extent`` and ``y_extent`` are (min, max) offsets in meters; the
@@ -199,8 +200,6 @@ def collection_map(field_te: FieldGrid, field_tm: FieldGrid,
     _check_grids_match(field_te, field_tm)
     if not (field_te.normalized and field_tm.normalized):
         raise ValueError("fields must be normalized to unit power")
-    if wavelength is None:
-        wavelength = field_te.wavelength
     xs = np.arange(x_extent[0], x_extent[1] + step / 2, step)
     ys = np.arange(y_extent[0], y_extent[1] + step / 2, step)
     gx, gy = field_te.x, field_te.y
@@ -211,7 +210,7 @@ def collection_map(field_te: FieldGrid, field_tm: FieldGrid,
     ii = np.rint((xs - field_te.x0) / s).astype(int)
     jj = np.rint((ys - field_te.y0) / s).astype(int)
     eta_te, eta_tm = _mode_etas(field_te, field_tm, np.ix_(jj, ii),
-                                projection_sq, wavelength)
+                                projection_sq)
     return CollectionMap(xs, ys, eta_te + eta_tm, eta_te, eta_tm,
                          z=field_te.z)
 

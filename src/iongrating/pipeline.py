@@ -116,7 +116,7 @@ def _config_slices(config: PipelineConfig) -> dict:
         lib["file_sha256"] = _sha256_file(path)
     return {
         "solid_angle": rays,
-        "emission": {**rays, "axis": config.designer["quantization_axis"]},
+        "emission": rays,
         "library": lib,
         "design": {**base, **config.designer},
         "synthesize": {**base, **config.propagation},
@@ -198,14 +198,6 @@ def _build_library(config: PipelineConfig) -> liblib.ParamLibrary:
 # ``inputs`` (artifact name -> path) and returns (summary dict, artifacts
 # dict name->path).
 
-def _axis(config: PipelineConfig) -> dipole.QuantizationAxis:
-    name = config.designer["quantization_axis"]
-    try:
-        return getattr(dipole.QuantizationAxis, name)()
-    except AttributeError:
-        raise StageError("emission", f"unknown quantization axis {name!r}")
-
-
 def _run_solid_angle(config, inputs, stage_dir):
     fraction = geometry.solid_angle_fraction(
         config.footprint, config.pose, config.stack.cladding_index)
@@ -218,7 +210,7 @@ def _run_solid_angle(config, inputs, stage_dir):
 
 def _run_emission(config, inputs, stage_dir):
     x, profile = dipole.ion_intensity_profile(
-        _axis(config), config.footprint, config.pose, 512,
+        config.footprint, config.pose, 512,
         n_cladding=config.stack.cladding_index)
     path = os.path.join(stage_dir, "emission_profile.csv")
     np.savetxt(path, np.column_stack([x, profile]), delimiter=",",
@@ -318,14 +310,15 @@ def _tm_teeth(config, teeth):
 
     The pitch is fixed by the TE design, so the lower TM effective index
     steers TM emission to a shallower angle via the grating equation; this
-    is the source of the TE/TM focal displacement.
+    is the source of the TE/TM focal displacement.  Each tooth takes the
+    TM index of its own duty cycles.
     """
-    n_tm = fdtd.grating_effective_index(config.stack, teeth[0].params,
-                                        _cell_size(config),
-                                        config.wavelength, "TM")
+    cell = _cell_size(config)
     n_clad = config.stack.cladding_index
     out = []
     for t in teeth:
+        n_tm = fdtd.grating_effective_index(config.stack, t.params, cell,
+                                            config.wavelength, "TM")
         s = (n_tm - config.wavelength / t.pitch) / n_clad
         if not -1.0 < s < 1.0:
             continue  # this period does not outcouple the TM mode
@@ -388,10 +381,8 @@ def _run_overlap(config, inputs, stage_dir):
     pose = config.pose
     m = overlap.collection_map(
         te, tm, (pose.x_ion - 5e-6, pose.x_ion + 5e-6),
-        (pose.y_ion - 5e-6, pose.y_ion + 5e-6), 0.2e-6,
-        wavelength=config.wavelength)
-    at_ion = overlap.coupling_at_point(te, tm, pose.x_ion, pose.y_ion,
-                                       wavelength=config.wavelength)
+        (pose.y_ion - 5e-6, pose.y_ion + 5e-6), 0.2e-6)
+    at_ion = overlap.coupling_at_point(te, tm, pose.x_ion, pose.y_ion)
     comb = overlap.combine_intensity_profiles(te, tm)
     j, i = np.unravel_index(np.argmax(comb), comb.shape)
     eta5 = overlap.efficiency_from_intensity(comb[j, i], te.pixel_size,
@@ -416,8 +407,7 @@ def _run_crosstalk(config, inputs, stage_dir):
     pose = config.pose
     extent_x = (pose.x_ion - 8e-6, pose.x_ion + 8e-6)
     extent_y = (pose.y_ion - 8e-6, pose.y_ion + 8e-6)
-    m = overlap.collection_map(te, tm, extent_x, extent_y, 0.1e-6,
-                               wavelength=config.wavelength)
+    m = overlap.collection_map(te, tm, extent_x, extent_y, 0.1e-6)
     rep = overlap.crosstalk_metrics(m.eta_te, m.eta_tm, m.x, m.y)
     summary = {"tm_te_power_ratio": rep.power_ratio,
                "tm_suppression_db": rep.suppression_db,

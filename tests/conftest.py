@@ -18,8 +18,7 @@ def focused_teeth():
     stack = default_stack()
     pose = IonPose()
     footprint = GratingFootprint()
-    x, prof = dipole.ion_intensity_profile(dipole.QuantizationAxis.z(),
-                                           footprint, pose, 512)
+    x, prof = dipole.ion_intensity_profile(footprint, pose, 512)
     ansatz, _ = fit_kappa(prof, x, alpha=0.0, kappa_max=0.6e6)
     cell = fdtd.default_cell_size(stack, WAVELENGTH, 20)
     teeth, xx = [], 0.0

@@ -142,8 +142,7 @@ def test_09_apodization_by_zone_shift(kappa_vs_delta):
 
 
 def test_10_longitudinal_fit():
-    x, prof = dipole.ion_intensity_profile(QuantizationAxis.z(), FOOTPRINT,
-                                           POSE, 512)
+    x, prof = dipole.ion_intensity_profile(FOOTPRINT, POSE, 512)
     _, free = fit_kappa(prof, x, alpha=0.0)
     assert free.relative_l2 < 0.05
     _, constrained = fit_kappa(prof, x, alpha=0.0, kappa_max=0.25e6)

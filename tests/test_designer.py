@@ -23,8 +23,7 @@ FOOTPRINT = GratingFootprint()
 
 @pytest.fixture(scope="module")
 def ion_profile():
-    x, prof = dipole.ion_intensity_profile(dipole.QuantizationAxis.z(),
-                                           FOOTPRINT, POSE, 512)
+    x, prof = dipole.ion_intensity_profile(FOOTPRINT, POSE, 512)
     return x, prof
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iongrating import constants, dipole
 from iongrating.dipole import (
     COMPONENTS,
     PI,
@@ -18,6 +19,12 @@ from iongrating.dipole import (
 )
 from iongrating.geometry import GratingFootprint, IonPose, solid_angle_fraction
 from iongrating.overlap import dipole_moment_scale
+
+_OBLIQUE = np.array([0.3, -0.5, 0.81])
+OBLIQUE_AXIS = QuantizationAxis(tuple(_OBLIQUE / np.linalg.norm(_OBLIQUE)))
+AXES = pytest.mark.parametrize("axis", [
+    QuantizationAxis.x(), QuantizationAxis.y(), QuantizationAxis.z(),
+    OBLIQUE_AXIS], ids=["x", "y", "z", "oblique"])
 
 # high-precision evaluation of sqrt(3 lam^4 / (4 pi^3 c^3 mu0)) at 422 nm,
 # frozen as a regression constant
@@ -54,11 +61,11 @@ class TestPatterns:
         assert sphere_integral(comp) == pytest.approx(comp.branching_weight,
                                                       abs=1e-6)
 
-    def test_summed_pattern_isotropic(self):
+    @AXES
+    def test_summed_pattern_isotropic(self, axis):
         rng = np.random.Generator(np.random.Philox(key=7))
         u = rng.normal(size=(10**4, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        axis = QuantizationAxis.z()
         total = np.zeros(len(u))
         for kind in COMPONENTS:
             f = dipole_field_cartesian(DipoleComponent(kind), axis, u)
@@ -94,11 +101,13 @@ class TestFractionOnAperture:
         for d in dec.values():
             assert d == ApertureDecomposition(0.0, 0.0, 0.0, 0.0)
 
-    def test_sum_matches_solid_angle(self, default_decomposition):
-        total = sum(d.fraction_of_total
-                    for d in default_decomposition.values())
+    @AXES
+    def test_sum_matches_solid_angle(self, axis):
+        # the channels' patterns sum to the isotropic 1/4pi about any axis
+        dec = fraction_on_aperture(axis, GratingFootprint(), IonPose())
+        total = sum(d.fraction_of_total for d in dec.values())
         frac = solid_angle_fraction(GratingFootprint(), IonPose())
-        assert total == pytest.approx(frac, abs=1e-3)
+        assert total == pytest.approx(frac, rel=1e-9)
 
     def test_te_tm_sum(self, default_decomposition):
         for d in default_decomposition.values():
@@ -117,25 +126,37 @@ class TestFractionOnAperture:
 
 class TestIntensityProfile:
     def test_unit_integral(self):
-        xs, prof = ion_intensity_profile(QuantizationAxis.z(),
-                                         GratingFootprint(), IonPose(), 512)
+        xs, prof = ion_intensity_profile(GratingFootprint(), IonPose(), 512)
         assert np.trapezoid(prof, xs) == pytest.approx(1.0, abs=1e-6)
 
     def test_peak_at_ion(self):
-        xs, prof = ion_intensity_profile(QuantizationAxis.z(),
-                                         GratingFootprint(), IonPose(), 1024)
+        xs, prof = ion_intensity_profile(GratingFootprint(), IonPose(), 1024)
         dx = xs[1] - xs[0]
         assert abs(xs[np.argmax(prof)] - 28e-6) <= dx
 
     def test_translation_covariance(self):
         fp = GratingFootprint()
-        xs, a = ion_intensity_profile(QuantizationAxis.z(), fp,
-                                      IonPose(x_ion=24e-6), 512)
-        _, b = ion_intensity_profile(QuantizationAxis.z(), fp,
-                                     IonPose(x_ion=26e-6), 512)
+        xs, a = ion_intensity_profile(fp, IonPose(x_ion=24e-6), 512)
+        _, b = ion_intensity_profile(fp, IonPose(x_ion=26e-6), 512)
         dx = xs[1] - xs[0]
         shift = xs[np.argmax(b)] - xs[np.argmax(a)]
         assert abs(shift - 2e-6) <= dx
+
+    def test_matches_three_channel_dipole_sum(self):
+        # oracle: the branching-weighted sum of the rotated channel
+        # patterns on the same nodes, about an oblique axis
+        fp, pose = GratingFootprint(), IonPose()
+        xs, prof = ion_intensity_profile(fp, pose, 512)
+        gy, wy = np.polynomial.legendre.leggauss(256)
+        hy = fp.y_extent / 2
+        X, Y = np.meshgrid(xs, hy * gy, indexing="ij")
+        u, dens = dipole._aperture_directions(X, Y, pose, constants.N_SIO2)
+        inten = sum(np.sum(np.abs(dipole_field_cartesian(
+            DipoleComponent(kind), OBLIQUE_AXIS, u)) ** 2, axis=-1)
+            for kind in COMPONENTS)
+        oracle = (inten * dens) @ (hy * wy)
+        oracle /= np.trapezoid(oracle, xs)
+        assert np.max(np.abs(prof - oracle)) <= 1e-12 * np.max(oracle)
 
 
 class TestDipoleNorm:

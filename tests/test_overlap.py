@@ -131,7 +131,7 @@ def test_eq3_matches_eq5_exactly():
     eta5 = efficiency_from_intensity(comb[j, i], te.pixel_size, WAVELENGTH)
     x = te.x0 + i * te.pixel_size
     y = te.y0 + j * te.pixel_size
-    eta3 = coupling_at_point(te, tm, x, y, wavelength=WAVELENGTH).eta
+    eta3 = coupling_at_point(te, tm, x, y).eta
     assert eta3 == pytest.approx(eta5, rel=1e-9)
     assert abs(eta3 - eta5) <= 0.02 * eta5
 
@@ -141,6 +141,16 @@ def test_coupling_requires_normalized_fields():
     raw = FieldGrid(te.data * 3.0, te.pixel_size, polarization="TE")
     with pytest.raises(ValueError):
         coupling_at_point(raw, tm, 0.0, 0.0)
+
+
+def test_coupling_requires_one_wavelength():
+    te, tm = _random_field_pair()
+    tm.wavelength = 2 * te.wavelength
+    with pytest.raises(ValueError, match="wavelength"):
+        coupling_at_point(te, tm, te.x[0], te.y[0])
+    with pytest.raises(ValueError, match="wavelength"):
+        collection_map(te, tm, (te.x[0], te.x[1]), (te.y[0], te.y[1]),
+                       te.pixel_size)
 
 
 def test_coupling_outside_grid():

@@ -10,7 +10,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from iongrating import library as liblib, pipeline, propagation
+from iongrating import designer, fdtd, library as liblib, pipeline, \
+    propagation
 from iongrating.cli import main
 from iongrating.config import (PipelineConfig, default_config_dict,
                                load_config, write_default_config)
@@ -542,6 +543,29 @@ def test_analytic_library_apodization():
     assert kappas[-1] == pytest.approx(0.0, abs=1e-6 * kappas[0])
 
 
+def test_tm_teeth_take_their_own_duty_cycles():
+    cfg = load_config()
+    cell = pipeline._cell_size(cfg)
+    teeth = []
+    for duty in (0.4, 0.6):
+        pitch = liblib.pitch_for_angle(np.deg2rad(8.0), duty, duty,
+                                       cfg.stack, cfg.wavelength, "TE", cell)
+        params = liblib.UnitCellParams(pitch, duty, duty, 0.06e-6, 0.0)
+        teeth.append(designer.ToothSpec(x=0.0, pitch=pitch, params=params,
+                                        angle=np.deg2rad(8.0), kappa=1e5,
+                                        alpha=0.0))
+    tm = pipeline._tm_teeth(cfg, teeth)
+    assert len(tm) == 2
+    for t, t_tm in zip(teeth, tm):
+        n_tm = fdtd.grating_effective_index(cfg.stack, t.params, cell,
+                                            cfg.wavelength, "TM")
+        expected = np.arcsin((n_tm - cfg.wavelength / t.pitch)
+                             / cfg.stack.cladding_index)
+        assert t_tm.angle == expected
+    # the two duty pairs differ in TM index by far more than the last bit
+    assert abs(tm[0].angle - tm[1].angle) > np.deg2rad(0.1)
+
+
 def test_run_summaries_are_physical(run_dir):
     _, cfg, manifest = run_dir
     s = {n: manifest["stages"][n]["summary"] for n in pipeline.STAGES}
@@ -650,6 +674,36 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
     lines = [l for l in result.output.splitlines() if l]
     assert len(lines) == 1
     assert lines[0].startswith(f"config-error: {bad}: malformed YAML: ")
+
+
+@pytest.mark.parametrize("entry", [
+    {"library": 5},
+    {"detection": {"threshold": "a"}},
+    {"footprint": [1, 2]},
+], ids=["library-not-a-mapping", "threshold-not-a-number",
+        "footprint-a-list"])
+def test_cli_config_value_of_wrong_type_is_a_config_error(tmp_path, entry):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(entry))
+    result = CliRunner().invoke(main, ["detect", "--config", str(bad),
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config-error: ")
+
+
+def test_quantization_axis_key_is_rejected(tmp_path):
+    # the decay channels sum to isotropic emission, so no stage reads an
+    # axis
+    with pytest.raises(KeyError, match="'quantization_axis'"):
+        PipelineConfig.from_dict({"designer": {"quantization_axis": "z"}})
+    bad = tmp_path / "axis.yaml"
+    bad.write_text(yaml.safe_dump({"designer": {"quantization_axis": "z"}}))
+    result = CliRunner().invoke(main, ["detect", "--config", str(bad),
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.stderr == ("config-error: \"unknown configuration key "
+                             "'quantization_axis'\"\n")
 
 
 def test_cli_report_on_truncated_manifest(run_dir, tmp_path):
