@@ -46,8 +46,6 @@ def default_config_dict() -> dict:
         "designer": {
             "alpha": 0.0,
             "kappa_max": 0.6e6,
-            "form": "integral",
-            "phase_mode": "collimated",
         },
         "propagation": {"shape": [512, 512], "pixel_size": 0.1e-6},
         "detection": {
@@ -80,16 +78,29 @@ _CONFIG_COMMENTS = {
 }
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """``override`` laid over ``base``; a section whose default is a
+    mapping only takes a mapping, and the error names its dotted key."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in out:
             raise KeyError(f"unknown configuration key {key!r}")
-        if isinstance(out[key], dict) and isinstance(value, dict):
-            out[key] = _deep_merge(out[key], value)
+        if isinstance(out[key], dict):
+            if not isinstance(value, dict):
+                raise TypeError(f"{prefix}{key}: expected a mapping, got "
+                                f"{type(value).__name__}")
+            out[key] = _deep_merge(out[key], value, f"{prefix}{key}.")
         else:
             out[key] = value
     return out
+
+
+def _section(name: str, build, entry: dict):
+    """``build(**entry)``, with errors prefixed by the section name."""
+    try:
+        return build(**entry)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 def _stack_from_entry(entry) -> LayerStack:
@@ -139,12 +150,13 @@ class PipelineConfig:
         return cls(
             wavelength=float(merged["wavelength"]),
             stack=_stack_from_entry(merged["stack"]),
-            footprint=GratingFootprint(**merged["footprint"]),
-            pose=IonPose(**merged["pose"]),
+            footprint=_section("footprint", GratingFootprint,
+                               merged["footprint"]),
+            pose=_section("pose", IonPose, merged["pose"]),
             library=merged["library"],
             designer=merged["designer"],
             propagation=merged["propagation"],
-            detection=DetectionConfig(**det),
+            detection=_section("detection", DetectionConfig, det),
             detection_trials=trials,
             seeds=merged["seeds"],
             output_dir=str(merged["output_dir"]),

@@ -65,29 +65,23 @@ def _as_profile(f, x):
     return out
 
 
-def diffracted_intensity(kappa, alpha, x, form: str = "integral"):
+def diffracted_intensity(kappa, alpha, x):
     """Intensity leaving the grating per unit length.
 
-    form="integral": I = kappa(x) exp(-int_0^x [kappa+alpha] dx'), which
-    conserves power exactly (1 - int I dx equals the residual guided power
-    when alpha = 0).  form="literal": I = kappa(x) exp(-[kappa(x)+alpha(x)] x),
-    the small-variation approximation of the same expression.
+    I = kappa(x) exp(-int_0^x [kappa+alpha] dx'), which conserves power
+    exactly (1 - int I dx equals the residual guided power when
+    alpha = 0).
     """
     x = np.asarray(x, dtype=float)
     k = _as_profile(kappa, x)
     a = _as_profile(alpha, x)
     if np.any(k < 0) or np.any(a < 0):
         raise ValueError("kappa and alpha must be nonnegative")
-    return k * _guided_fraction(k, a, x, form)
+    return k * _guided_fraction(k, a, x)
 
 
-def _guided_fraction(k, a, x, form: str):
-    """Guided power left at each x: exp(-int_0^x [k+a] dx') for the
-    integral form, exp(-[k(x)+a(x)] x) for the literal one."""
-    if form == "literal":
-        return np.exp(-(k + a) * x)
-    if form != "integral":
-        raise ValueError(f"unknown form {form!r}")
+def _guided_fraction(k, a, x):
+    """Guided power left at each x: exp(-int_0^x [k+a] dx')."""
     return np.exp(-cumulative_trapezoid(k + a, x, initial=0.0))
 
 
@@ -165,8 +159,7 @@ def _fit_ansatz_to_curve(x, target, length, cap):
     return ansatz
 
 
-def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf,
-              init: KappaAnsatz | None = None, form: str = "integral"):
+def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf):
     """Fit the smooth kappa(x) ansatz so its diffracted intensity matches
     a normalized target profile.
 
@@ -185,7 +178,7 @@ def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf,
     capped = bool(np.isfinite(kappa_max))
     cap = kappa_max if capped else 50.0 / length
     k_ideal = ideal_kappa(i_target, x, alpha, kappa_cap=cap)
-    start = init or _fit_ansatz_to_curve(x, k_ideal, length, cap)
+    start = _fit_ansatz_to_curve(x, k_ideal, length, cap)
 
     k_scale = max(float(np.median(k_ideal)), 1.0)
     scale = np.array([length**-3, length**-2, length**-1, 1.0,
@@ -203,7 +196,7 @@ def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf,
         attenuation factor it carries."""
         k_raw = unpack(z)(x)
         k = np.clip(k_raw, 0.0, kappa_max if capped else None)
-        atten = _guided_fraction(k, a_prof, x, form)
+        atten = _guided_fraction(k, a_prof, x)
         return k_raw, k, k * atten, atten
 
     def residuals(z):
@@ -233,10 +226,7 @@ def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf,
                                   c[4] * x * grow]) * scale
         inside = (k_raw > 0.0) & (k_raw < kappa_max)
         dk = dk_raw * inside[:, None]
-        if form == "literal":
-            d_atten = x[:, None] * dk
-        else:
-            d_atten = cumulative_trapezoid(dk, x, axis=0, initial=0.0)
+        d_atten = cumulative_trapezoid(dk, x, axis=0, initial=0.0)
         d_i = (dk - k[:, None] * d_atten) * atten[:, None]
         rows = [d_i / i_norm,
                 (100.0 / k_scale) * dk_raw * (k_raw < 0.0)[:, None]]
@@ -272,7 +262,7 @@ def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf,
 
     ansatz = unpack(best_z)
     k_fit = np.clip(ansatz(x), 0.0, kappa_max if capped else None)
-    i_fit = diffracted_intensity(k_fit, alpha, x, form=form)
+    i_fit = diffracted_intensity(k_fit, alpha, x)
     rel_l2 = float(np.linalg.norm(i_fit - i_target) / i_norm)
     res_power = residual_power(k_fit, alpha, x)
     # the constraint is hopeless when even constant kappa_max leaves more
@@ -365,26 +355,18 @@ def tooth_power_accounting(teeth):
 
 
 # ---------------------------------------------------------------------------
-# In-plane phase and tooth curvature
+# Slab light and tooth curvature
 
-def slab_phase_map(x_source: float, n_slab: float,
-                   wavelength: float = DESIGN_WAVELENGTH,
-                   mode: str = "cylindrical"):
-    """Unwrapped in-plane phase of slab light launched at (x_source, 0).
+def slab_index(tooth: ToothSpec, n_clad: float, wavelength: float) -> float:
+    """Index of the slab light under a tooth, from its grating equation:
+    n_clad sin(angle) + wavelength / pitch.
 
-    "cylindrical": a narrow aperture radiating a cylindrical wave,
-    phi = k0 n_slab r.  "collimated": y-invariant plane wave,
-    phi = k0 n_slab (x - x_source).  Returns phi(x, y) as a callable; both
-    models are analytic and hence continuous (already unwrapped).
+    The slab light is collimated along +x, so its phase at a tooth
+    shifted by u along x advances by k0 * slab_index * u.  TM teeth carry
+    the angle the TM index gives (``pipeline._tm_teeth``), so they get
+    that index back.
     """
-    k = 2 * np.pi / wavelength * n_slab
-    if mode == "cylindrical":
-        return lambda x, y: k * np.hypot(np.asarray(x) - x_source,
-                                         np.asarray(y))
-    if mode == "collimated":
-        return lambda x, y: k * (np.asarray(x) - x_source) * np.ones_like(
-            np.asarray(y, dtype=float))
-    raise ValueError(f"unknown phase-map mode {mode!r}")
+    return n_clad * np.sin(tooth.angle) + wavelength / tooth.pitch
 
 
 def _exit_path_length(x, y, focus, cladding_thickness: float,
@@ -405,27 +387,26 @@ _CURVE_TOL = 1e-10
 _MAX_OFFSET = 5e-6
 
 
-def curve_tooth(tooth: ToothSpec, focus, phase_map, stack: LayerStack,
-                pose: IonPose, wavelength: float = DESIGN_WAVELENGTH,
+def curve_tooth(tooth: ToothSpec, focus, stack: LayerStack, pose: IonPose,
+                wavelength: float = DESIGN_WAVELENGTH,
                 y_samples=None) -> list:
     """Per-y longitudinal offsets making the total optical path constant.
 
-    For each y the offset u solves phase(x+u, y)/k0 + exit path(x+u, y) =
-    (value at y=0, u=0), for all y at once, by bracketed false position
-    (Illinois variant) to 1e-10 m.  Samples that fail to bracket a root
-    within 5 um truncate the tooth (flag set).
+    For each y the offset u solves n u + exit path(x+u, y) = exit path(x,
+    0), with n the tooth's :func:`slab_index`, for all y at once, by
+    bracketed false position (Illinois variant) to 1e-10 m.  Samples that
+    fail to bracket a root within 5 um truncate the tooth (flag set).
     """
     if y_samples is None:
         y_samples = np.linspace(-15e-6, 15e-6, 61)
-    k0 = 2 * np.pi / wavelength
     n_clad = stack.cladding_index
+    n_slab = slab_index(tooth, n_clad, wavelength)
     t_c = pose.cladding_thickness
     ys = np.atleast_1d(np.asarray(y_samples, dtype=float))
 
     def total(u, y):
-        x = tooth.x + u
-        return (phase_map(x, y) / k0
-                + _exit_path_length(x, y, focus, t_c, n_clad))
+        return n_slab * u + _exit_path_length(tooth.x + u, y, focus, t_c,
+                                              n_clad)
 
     # the y = 0 reference and both bracket ends in one evaluation
     n = len(ys)

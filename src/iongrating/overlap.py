@@ -25,9 +25,8 @@ from .propagation import FieldGrid
 __all__ = [
     "SIGMA_MODE_PROJECTION_SQ", "CollectionMap", "CouplingResult",
     "CrosstalkReport", "collection_map", "combine_intensity_profiles",
-    "coupling_at_point", "coupling_field_overlap", "crosstalk_metrics",
-    "dipole_moment_scale", "efficiency_from_intensity",
-    "field_amplitude_from_intensity",
+    "coupling_at_point", "crosstalk_metrics", "dipole_moment_scale",
+    "efficiency_from_intensity",
 ]
 
 # squared projection of a sigma-emission dipole onto one waveguide mode:
@@ -76,33 +75,6 @@ def dipole_moment_scale(wavelength: float = DESIGN_WAVELENGTH) -> float:
     if wavelength <= 0:
         raise ValueError("wavelength must be > 0")
     return np.sqrt(3.0 * wavelength**4 / (4.0 * np.pi**3 * C0**3 * MU0))
-
-
-def coupling_field_overlap(p, e_g) -> float:
-    """Mode-overlap coupling efficiency (1/16) w0^2 |p . E_g*|^2 at the
-    design wavelength.
-
-    ``p`` is the dipole polarization vector in A m s / sqrt(W) (its
-    magnitude p0 for unit emitted power), ``e_g`` the unit-power-normalized
-    grating field at the ion in V/(m sqrt(W)); both may be complex
-    3-vectors or scalars.
-    """
-    omega0 = 2.0 * np.pi * C0 / DESIGN_WAVELENGTH
-    p = np.atleast_1d(np.asarray(p, dtype=complex))
-    e_g = np.atleast_1d(np.asarray(e_g, dtype=complex))
-    if p.shape != e_g.shape:
-        raise ValueError("dipole and field vectors must share a shape")
-    proj = np.sum(p * np.conj(e_g))
-    return float(omega0**2 / 16.0 * np.abs(proj) ** 2)
-
-
-def field_amplitude_from_intensity(i_g):
-    """Unit-power field magnitude E_g = sqrt(2 c mu0) sqrt(I_g).
-
-    ``i_g`` is the intensity per unit area normalized to unit power
-    (1/m^2); the result is in V/(m sqrt(W)).
-    """
-    return np.sqrt(2.0 * C0 * MU0) * np.sqrt(np.asarray(i_g, dtype=float))
 
 
 def efficiency_from_intensity(i_max: float, pixel_size: float,

@@ -258,17 +258,13 @@ def _run_design(config, inputs, stage_dir):
     lib = liblib.load_library(inputs["library"])
     dz_cfg = config.designer
     ansatz, fit = designer.fit_kappa(
-        profile, x, alpha=dz_cfg["alpha"], kappa_max=dz_cfg["kappa_max"],
-        form=dz_cfg["form"])
+        profile, x, alpha=dz_cfg["alpha"], kappa_max=dz_cfg["kappa_max"])
     teeth = designer.discretize(ansatz, lib, config.footprint, config.pose,
                                 config.stack)
-    n_slab = geometry.effective_index(config.stack, config.wavelength)
-    phase = designer.slab_phase_map(0.0, n_slab, config.wavelength,
-                                    mode=dz_cfg["phase_mode"])
     focus = (config.pose.x_ion, config.pose.y_ion,
              config.pose.height_above_surface)
     for tooth in teeth:
-        designer.curve_tooth(tooth, focus, phase, config.stack, config.pose,
+        designer.curve_tooth(tooth, focus, config.stack, config.pose,
                              config.wavelength)
     zone_period = designer.default_zone_period(config.stack,
                                                config.wavelength)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import DESIGN_WAVELENGTH, N_SIO2
-from .designer import curvature_offsets, tooth_power_accounting
+from .designer import curvature_offsets, slab_index, tooth_power_accounting
 
 __all__ = [
     "FieldGrid", "PaddingError", "angular_spectrum_propagate",
@@ -84,9 +84,10 @@ def synthesize_near_field(teeth, footprint, stack,
     Each tooth radiates its drained power fraction uniformly over its
     pitch and the footprint width, with phase equal to the accumulated
     emitted-wavefront phase plus the local tilt ``k n sin(theta) x`` and
-    the transverse curvature correction sampled from ``curve_tooth``.  The
-    plane-wave tilt uses the cladding index since the grating plane sits
-    at the bottom of the cladding.
+    the phase ``k0 n_slab u`` the collimated slab light gains over the
+    curvature offset u sampled from ``curve_tooth``, with n_slab the
+    tooth's ``slab_index``.  The plane-wave tilt uses the cladding index
+    since the grating plane sits at the bottom of the cladding.
     """
     if not teeth:
         raise ValueError("cannot synthesize a field from an empty design")
@@ -111,8 +112,7 @@ def synthesize_near_field(teeth, footprint, stack,
     phase_acc = 0.0
     for t, power in zip(teeth, drained):
         kx = k0 * n_clad * np.sin(t.angle)
-        # local slab index consistent with this tooth's grating equation
-        n_slab = n_clad * np.sin(t.angle) + wavelength / t.pitch
+        n_slab = slab_index(t, n_clad, wavelength)
         if power > 0.0:
             amp = np.sqrt(power / t.pitch)
             u = curvature_offsets(t, y)[rows]

@@ -5,7 +5,7 @@ import pytest
 
 from iongrating import dipole, fdtd, propagation
 from iongrating.designer import (ToothSpec, curve_tooth, diffraction_angle_at,
-                                 fit_kappa, slab_phase_map)
+                                 fit_kappa)
 from iongrating.geometry import GratingFootprint, IonPose, default_stack
 from iongrating.library import UnitCellParams, pitch_for_angle
 
@@ -32,10 +32,9 @@ def focused_teeth():
             params=UnitCellParams(pitch, 0.5, 0.5, 0.06e-6, 0.0),
             angle=angle, kappa=k, alpha=0.05e6))
         xx += pitch
-    phase = slab_phase_map(0.0, 1.733, mode="collimated")
     focus = (pose.x_ion, 0.0, pose.height_above_surface)
     for t in teeth:
-        curve_tooth(t, focus, phase, stack, pose,
+        curve_tooth(t, focus, stack, pose,
                     y_samples=np.linspace(-15e-6, 15e-6, 31))
     return teeth
 

@@ -9,7 +9,7 @@ from iongrating.designer import (
     GratingLayout, KappaAnsatz, LayoutError, ToothSpec, curve_tooth,
     default_zone_period, diffracted_intensity, diffraction_angle_at,
     discretize, emit_layout, export_layout, fit_kappa, ideal_kappa,
-    residual_power, slab_phase_map, tooth_power_accounting,
+    residual_power, slab_index, tooth_power_accounting,
 )
 from iongrating.geometry import (GratingFootprint, IonPose, default_stack,
                                  wavelength_in_medium)
@@ -69,9 +69,8 @@ def test_angle_signed_past_ion():
 def test_constant_kappa_closed_form():
     x = np.linspace(0.0, 30e-6, 200)
     k = 0.1e6
-    for form in ("integral", "literal"):
-        i = diffracted_intensity(k, 0.0, x, form=form)
-        assert np.allclose(i, k * np.exp(-k * x), rtol=1e-10)
+    i = diffracted_intensity(k, 0.0, x)
+    assert np.allclose(i, k * np.exp(-k * x), rtol=1e-10)
 
 
 def test_zero_kappa_zero_intensity():
@@ -174,9 +173,7 @@ def test_every_fit_start_converges(ion_profile, kappa_max):
     assert report.n_evaluations < 1000
 
 
-@pytest.mark.parametrize("form", ["integral", "literal"])
-def test_fit_jacobian_matches_central_differences(monkeypatch, ion_profile,
-                                                  form):
+def test_fit_jacobian_matches_central_differences(monkeypatch, ion_profile):
     x, prof = ion_profile
     kappa_max = 0.1e6
     # a start that dips below zero near x = 0, exceeds the cap past
@@ -192,7 +189,8 @@ def test_fit_jacobian_matches_central_differences(monkeypatch, ion_profile,
         return real(fun, x0, jac=jac, **kwargs)
 
     monkeypatch.setattr(designer, "least_squares", spy)
-    fit_kappa(prof, x, alpha=0.0, kappa_max=kappa_max, init=init, form=form)
+    monkeypatch.setattr(designer, "_fit_ansatz_to_curve", lambda *_: init)
+    fit_kappa(prof, x, alpha=0.0, kappa_max=kappa_max)
     fun, z0, jac = calls[0]
     analytic = jac(z0)
     numeric = np.empty_like(analytic)
@@ -301,50 +299,27 @@ def test_fom_grows_with_kappa_target(design):
 
 
 # ---------------------------------------------------------------------------
-# Phase maps and tooth curvature
+# Tooth curvature
 
-def test_collimated_phase_y_invariant():
-    phi = slab_phase_map(0.0, 1.8, mode="collimated")
-    ys = np.linspace(-10e-6, 10e-6, 7)
-    vals = phi(np.full_like(ys, 5e-6), ys)
-    assert np.ptp(vals) == 0.0
-
-
-def test_cylindrical_equals_collimated_on_axis():
-    cyl = slab_phase_map(-3e-6, 1.8, mode="cylindrical")
-    col = slab_phase_map(-3e-6, 1.8, mode="collimated")
-    x = np.linspace(0.0, 20e-6, 11)
-    assert np.allclose(cyl(x, np.zeros_like(x)), col(x, np.zeros_like(x)))
-
-
-def test_phase_map_unwrapped_continuity():
-    phi = slab_phase_map(0.0, 1.8, mode="cylindrical")
-    x = np.arange(0.0, 30e-6, 0.05e-6)
-    vals = phi(x, np.full_like(x, 4e-6))
-    assert np.max(np.abs(np.diff(vals))) < np.pi
-
-
-def _plain_tooth(x=10e-6):
-    return ToothSpec(x=x, pitch=0.3e-6,
-                     params=UnitCellParams(0.3e-6, 0.5, 0.5, 0.0, 0.0),
+def _plain_tooth(x=10e-6, pitch=0.3e-6):
+    return ToothSpec(x=x, pitch=pitch,
+                     params=UnitCellParams(pitch, 0.5, 0.5, 0.0, 0.0),
                      angle=0.1, kappa=1e5, alpha=1e4)
 
 
 def test_curve_tooth_zero_offset_on_axis():
     pose = IonPose()
-    phi = slab_phase_map(0.0, 1.8, mode="collimated")
     focus = (POSE.x_ion, 0.0, POSE.height_above_surface)
     tooth = _plain_tooth()
-    samples = curve_tooth(tooth, focus, phi, STACK, pose,
+    samples = curve_tooth(tooth, focus, STACK, pose,
                           y_samples=np.array([0.0]))
     assert samples[0] == (0.0, pytest.approx(0.0, abs=1e-9))
 
 
 def test_curve_tooth_even_in_y():
-    phi = slab_phase_map(0.0, 1.8, mode="collimated")
     focus = (POSE.x_ion, 0.0, POSE.height_above_surface)
     ys = np.array([-8e-6, -3e-6, 3e-6, 8e-6])
-    samples = curve_tooth(_plain_tooth(), focus, phi, STACK, POSE,
+    samples = curve_tooth(_plain_tooth(), focus, STACK, POSE,
                           y_samples=ys)
     d = dict(samples)
     assert d[-8e-6] == pytest.approx(d[8e-6], abs=1e-12)
@@ -353,15 +328,18 @@ def test_curve_tooth_even_in_y():
 
 def test_curve_tooth_analytic_oracle():
     # zero cladding, collimated slab light, focus right above the tooth:
-    # n u + sqrt(u^2 + y^2 + zf^2) = zf has the closed-form negative root
+    # n u + sqrt(u^2 + y^2 + zf^2) = zf has the closed-form negative root;
+    # the tooth's pitch sets its grating-equation slab index n
     n_slab = 1.8
     zf = 50e-6
     pose = IonPose(cladding_thickness=0.0)
-    tooth = _plain_tooth(x=12e-6)
-    phi = slab_phase_map(0.0, n_slab, mode="collimated")
+    pitch = 422e-9 / (n_slab - STACK.cladding_index * np.sin(0.1))
+    tooth = _plain_tooth(x=12e-6, pitch=pitch)
+    assert slab_index(tooth, STACK.cladding_index, 422e-9) == pytest.approx(
+        n_slab, rel=1e-14)
     focus = (tooth.x, 0.0, zf)
     ys = np.linspace(-10e-6, 10e-6, 9)
-    samples = curve_tooth(tooth, focus, phi, STACK, pose, y_samples=ys)
+    samples = curve_tooth(tooth, focus, STACK, pose, y_samples=ys)
     for y, u in samples:
         expected = (n_slab * zf
                     - np.sqrt(n_slab**2 * zf**2 + (n_slab**2 - 1) * y**2)

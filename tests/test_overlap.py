@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from iongrating.constants import C0, MU0
 from iongrating.geometry import GratingFootprint, IonPose, default_stack
 from iongrating.overlap import (SIGMA_MODE_PROJECTION_SQ, CouplingResult,
                                 collection_map, combine_intensity_profiles,
-                                coupling_at_point, coupling_field_overlap,
-                                crosstalk_metrics, dipole_moment_scale,
-                                efficiency_from_intensity,
-                                field_amplitude_from_intensity)
+                                coupling_at_point, crosstalk_metrics,
+                                dipole_moment_scale,
+                                efficiency_from_intensity)
 from iongrating.propagation import FieldGrid, propagate_to_height
 
 WAVELENGTH = 422e-9
@@ -33,51 +31,6 @@ def test_dipole_moment_scale_value():
     # frozen from p0 = sqrt(3 lambda^4 / (4 pi^3 c^3 mu0)) at 422 nm
     assert dipole_moment_scale(WAVELENGTH) == pytest.approx(
         4.7598661254430944e-24, rel=1e-12)
-
-
-def test_overlap_orthogonal_dipole_is_zero():
-    p = np.array([1.0, 0.0, 0.0]) * dipole_moment_scale()
-    e_g = np.array([0.0, 1.0, 0.0]) * 1e3
-    assert coupling_field_overlap(p, e_g) == 0.0
-
-
-def test_overlap_global_phase_invariant():
-    rng = np.random.Generator(np.random.Philox(7))
-    p = (rng.normal(size=3) + 1j * rng.normal(size=3)) * 1e-24
-    e_g = (rng.normal(size=3) + 1j * rng.normal(size=3)) * 1e2
-    base = coupling_field_overlap(p, e_g)
-    shifted = coupling_field_overlap(p, e_g * np.exp(1j * 1.234))
-    assert shifted == pytest.approx(base, rel=1e-12)
-
-
-def test_overlap_reciprocity():
-    rng = np.random.Generator(np.random.Philox(8))
-    p = (rng.normal(size=3) + 1j * rng.normal(size=3)) * 1e-24
-    e_g = (rng.normal(size=3) + 1j * rng.normal(size=3)) * 1e2
-    # swapping emitter and receiver roles leaves the overlap unchanged
-    assert coupling_field_overlap(e_g, p) == pytest.approx(
-        coupling_field_overlap(p, e_g), rel=1e-9)
-
-
-def test_overlap_shape_mismatch():
-    with pytest.raises(ValueError):
-        coupling_field_overlap([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-def test_field_amplitude_from_intensity():
-    assert field_amplitude_from_intensity(0.0) == 0.0
-    one = field_amplitude_from_intensity(1e12)
-    four = field_amplitude_from_intensity(4e12)
-    assert four == pytest.approx(2 * one, rel=1e-12)
-
-
-def test_field_amplitude_unit_power_identity():
-    # a unit-power intensity profile maps to |E|^2 integrating to 2 c mu0
-    x = np.linspace(-10e-6, 10e-6, 2001)
-    i_g = np.exp(-2 * x**2 / (2e-6) ** 2)
-    i_g /= np.trapezoid(i_g, x)  # unit power in 1D
-    e_g = field_amplitude_from_intensity(i_g)
-    assert np.trapezoid(e_g**2, x) == pytest.approx(2 * C0 * MU0, rel=1e-9)
 
 
 def test_efficiency_from_intensity_arithmetic():

@@ -585,6 +585,19 @@ def test_run_summaries_are_physical(run_dir):
     assert s["detect"]["bright_fidelity"] == pytest.approx(0.907, abs=2e-3)
 
 
+def test_default_design_reaches_the_per_mode_bound(run_dir):
+    # design and synthesis share one slab-light model, so the curved teeth
+    # focus the TE light at the ion close to the solid-angle limit
+    _, cfg, manifest = run_dir
+    s = {n: manifest["stages"][n]["summary"] for n in pipeline.STAGES}
+    assert s["design"]["n_teeth"] == 99
+    assert s["design"]["n_truncated"] == 0
+    bound = s["solid_angle"]["per_mode_bound"]
+    assert 0.8 * bound <= s["overlap"]["eta_peak_te"] <= bound
+    assert np.hypot(s["propagate"]["peak_x_te"] - cfg.pose.x_ion,
+                    s["propagate"]["peak_y_te"] - cfg.pose.y_ion) <= 2e-6
+
+
 def test_report_contents_and_determinism(run_dir):
     _, _, manifest = run_dir
     text = pipeline.report(manifest)
@@ -676,20 +689,23 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
     assert lines[0].startswith(f"config-error: {bad}: malformed YAML: ")
 
 
-@pytest.mark.parametrize("entry", [
-    {"library": 5},
-    {"detection": {"threshold": "a"}},
-    {"footprint": [1, 2]},
+@pytest.mark.parametrize("entry, message", [
+    ({"library": 5}, "library: expected a mapping, got int"),
+    ({"detection": {"threshold": "a"}}, "detection: '<' not supported"),
+    ({"footprint": [1, 2]}, "footprint: expected a mapping, got list"),
+    ({"pose": {"height_above_surface": "a"}}, "pose: '<=' not supported"),
 ], ids=["library-not-a-mapping", "threshold-not-a-number",
-        "footprint-a-list"])
-def test_cli_config_value_of_wrong_type_is_a_config_error(tmp_path, entry):
+        "footprint-a-list", "pose-height-not-a-number"])
+def test_cli_config_value_of_wrong_type_is_a_config_error(tmp_path, entry,
+                                                          message):
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(entry))
     result = CliRunner().invoke(main, ["detect", "--config", str(bad),
                                        "--out", str(tmp_path)])
     assert result.exit_code == 1
     lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config-error: ")
+    assert len(lines) == 1
+    assert lines[0].startswith(f"config-error: {message}")
 
 
 def test_quantization_axis_key_is_rejected(tmp_path):
@@ -704,6 +720,23 @@ def test_quantization_axis_key_is_rejected(tmp_path):
     assert result.exit_code == 1
     assert result.stderr == ("config-error: \"unknown configuration key "
                              "'quantization_axis'\"\n")
+
+
+@pytest.mark.parametrize("key, value", [("phase_mode", "cylindrical"),
+                                        ("form", "literal")])
+def test_removed_designer_keys_are_rejected(tmp_path, key, value):
+    # synthesis models the slab light as collimated at each tooth's own
+    # grating-equation index, and the fit drains by the integral form, so
+    # neither model has a switch
+    with pytest.raises(KeyError, match=f"'{key}'"):
+        PipelineConfig.from_dict({"designer": {key: value}})
+    bad = tmp_path / "designer.yaml"
+    bad.write_text(yaml.safe_dump({"designer": {key: value}}))
+    result = CliRunner().invoke(main, ["detect", "--config", str(bad),
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.stderr == (f"config-error: \"unknown configuration key "
+                             f"'{key}'\"\n")
 
 
 def test_cli_report_on_truncated_manifest(run_dir, tmp_path):
