@@ -28,16 +28,14 @@ class LedgerEntry:
     label: str
     db: float
     sigma_db: float = 0.0
-    group: str = ""
 
 
 @dataclass
 class LossLedger:
     entries: list = field(default_factory=list)
 
-    def add(self, label: str, db: float, sigma_db: float = 0.0,
-            group: str = "") -> None:
-        self.entries.append(LedgerEntry(label, db, sigma_db, group))
+    def add(self, label: str, db: float, sigma_db: float = 0.0) -> None:
+        self.entries.append(LedgerEntry(label, db, sigma_db))
 
     def total(self) -> tuple:
         """(sum of entries in dB, quadrature-combined uncertainty in dB)."""
@@ -79,9 +77,9 @@ def improved_loss_ledger() -> LossLedger:
 def save_ledger(ledger: LossLedger, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["label", "db", "sigma_db", "group"])
+        writer.writerow(["label", "db", "sigma_db"])
         for e in ledger.entries:
-            writer.writerow([e.label, repr(e.db), repr(e.sigma_db), e.group])
+            writer.writerow([e.label, repr(e.db), repr(e.sigma_db)])
 
 
 # ---------------------------------------------------------------------------

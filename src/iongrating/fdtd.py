@@ -597,6 +597,17 @@ def grating_effective_index(stack: LayerStack, params, cell_size: float,
     return n_eff
 
 
+def grating_angle_sine(stack: LayerStack, params, cell_size: float,
+                       wavelength: float, polarization: str) -> float:
+    """Sine of the first-order outcoupling angle in the cladding: the
+    forward grating equation (n_eff - wavelength / pitch) / n_clad with the
+    duty-averaged index of ``grating_effective_index``.  Outside [-1, 1]
+    the period does not outcouple the mode."""
+    n_eff = grating_effective_index(stack, params, cell_size, wavelength,
+                                    polarization)
+    return (n_eff - wavelength / params.pitch) / stack.cladding_index
+
+
 _reference_cache: dict = {}
 
 
@@ -702,9 +713,8 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
     # desired-order window around the grating-equation angle (in cladding),
     # using the duty-averaged local effective index of the toothed section
     try:
-        n_local = grating_effective_index(stack, params, cell_size,
-                                          wavelength, polarization)
-        sin_t = (n_local - wavelength / params.pitch) / stack.cladding_index
+        sin_t = grating_angle_sine(stack, params, cell_size, wavelength,
+                                   polarization)
     except ValueError:
         sin_t = np.nan
     target = float(np.arcsin(sin_t)) if abs(sin_t) <= 1 else np.nan

@@ -18,7 +18,7 @@ from importlib import metadata
 
 import numpy as np
 
-from . import __version__, designer, detection, dipole, fdtd, geometry, \
+from . import __version__, designer, detection, dipole, fdtd, \
     library as liblib, overlap, propagation
 from .config import PipelineConfig
 
@@ -95,8 +95,8 @@ def _read_previous_stages(manifest_path) -> dict:
 
 
 def _config_slices(config: PipelineConfig) -> dict:
-    # the ion-to-aperture ray geometry: all that solid_angle and emission
-    # read of the device
+    # the ion-to-aperture ray geometry: all that emission reads of the
+    # device
     rays = {"cladding_index": config.stack.cladding_index,
             "footprint": (config.footprint.x_extent,
                           config.footprint.y_extent),
@@ -115,7 +115,6 @@ def _config_slices(config: PipelineConfig) -> dict:
         # a rewritten library file must recompute the stage
         lib["file_sha256"] = _sha256_file(path)
     return {
-        "solid_angle": rays,
         "emission": rays,
         "library": lib,
         "design": {**base, **config.designer},
@@ -198,26 +197,18 @@ def _build_library(config: PipelineConfig) -> liblib.ParamLibrary:
 # ``inputs`` (artifact name -> path) and returns (summary dict, artifacts
 # dict name->path).
 
-def _run_solid_angle(config, inputs, stage_dir):
-    fraction = geometry.solid_angle_fraction(
-        config.footprint, config.pose, config.stack.cladding_index)
-    summary = {"solid_angle_fraction": fraction,
-               "per_mode_bound": fraction / 2.0}
-    path = os.path.join(stage_dir, "solid_angle.json")
-    _write_json(path, summary)
-    return summary, {"solid_angle": path}
-
-
 def _run_emission(config, inputs, stage_dir):
-    x, profile = dipole.ion_intensity_profile(
+    emission = dipole.ion_intensity_profile(
         config.footprint, config.pose, 512,
         n_cladding=config.stack.cladding_index)
     path = os.path.join(stage_dir, "emission_profile.csv")
-    np.savetxt(path, np.column_stack([x, profile]), delimiter=",",
-               header="x_m,intensity_per_m", fmt="%.17g")
-    total = float(np.trapezoid(profile, x))
-    return {"profile_integral": total,
-            "peak_intensity_per_m": float(profile.max())}, \
+    np.savetxt(path, np.column_stack([emission.x, emission.intensity]),
+               delimiter=",", header="x_m,intensity_per_m", fmt="%.17g")
+    fraction = emission.solid_angle_fraction
+    return {"solid_angle_fraction": fraction,
+            "per_mode_bound": fraction / 2.0,
+            "sigma_share": emission.sigma_share,
+            "peak_intensity_per_m": float(emission.intensity.max())}, \
         {"emission_profile": path}
 
 
@@ -310,12 +301,10 @@ def _tm_teeth(config, teeth):
     TM index of its own duty cycles.
     """
     cell = _cell_size(config)
-    n_clad = config.stack.cladding_index
     out = []
     for t in teeth:
-        n_tm = fdtd.grating_effective_index(config.stack, t.params, cell,
-                                            config.wavelength, "TM")
-        s = (n_tm - config.wavelength / t.pitch) / n_clad
+        s = fdtd.grating_angle_sine(config.stack, t.params, cell,
+                                    config.wavelength, "TM")
         if not -1.0 < s < 1.0:
             continue  # this period does not outcouple the TM mode
         out.append(dataclasses.replace(t, angle=float(np.arcsin(s))))
@@ -445,7 +434,6 @@ def _run_detect(config, inputs, stage_dir):
 
 # name -> (stages whose artifacts the runner reads, runner), in run order
 _STAGES = {
-    "solid_angle": ((), _run_solid_angle),
     "emission": ((), _run_emission),
     "library": ((), _run_library),
     "design": (("emission", "library"), _run_design),
@@ -546,7 +534,8 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
 # Reporting
 
 def _fmt(value):
-    return f"{value:.4g}"
+    # manifests of earlier releases lack the newer summary keys
+    return "n/a" if value is None else f"{value:.4g}"
 
 
 def _fmt_list(values):
@@ -567,13 +556,15 @@ def report(manifest: dict) -> str:
                      + ", ".join(missing))
     get = lambda stage, key: stages.get(stage, {}).get(
         "summary", {}).get(key)
-    if "solid_angle" in stages:
+    if "emission" in stages:
         lines += ["",
                   "geometry",
                   f"  solid-angle fraction      "
-                  f"{_fmt(get('solid_angle', 'solid_angle_fraction'))}",
+                  f"{_fmt(get('emission', 'solid_angle_fraction'))}",
                   f"  per-mode bound            "
-                  f"{_fmt(get('solid_angle', 'per_mode_bound'))}"]
+                  f"{_fmt(get('emission', 'per_mode_bound'))}",
+                  f"  sigma share               "
+                  f"{_fmt(get('emission', 'sigma_share'))}"]
     if get("library", "max_periods_run") is not None:
         lines += ["",
                   "unit-cell solver",

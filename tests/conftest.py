@@ -18,8 +18,9 @@ def focused_teeth():
     stack = default_stack()
     pose = IonPose()
     footprint = GratingFootprint()
-    x, prof = dipole.ion_intensity_profile(footprint, pose, 512)
-    ansatz, _ = fit_kappa(prof, x, alpha=0.0, kappa_max=0.6e6)
+    emission = dipole.ion_intensity_profile(footprint, pose, 512)
+    ansatz, _ = fit_kappa(emission.intensity, emission.x, alpha=0.0,
+                          kappa_max=0.6e6)
     cell = fdtd.default_cell_size(stack, WAVELENGTH, 20)
     teeth, xx = [], 0.0
     while xx < footprint.x_extent:

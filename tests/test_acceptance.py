@@ -12,7 +12,6 @@ import pytest
 from iongrating import constants, detection, dipole, fdtd, geometry, overlap
 from iongrating.designer import fit_kappa
 from iongrating.detection import DetectionConfig
-from iongrating.dipole import QuantizationAxis
 from iongrating.geometry import GratingFootprint, IonPose, default_stack
 from iongrating.library import UnitCellParams
 from iongrating.propagation import (FieldGrid, angular_spectrum_propagate,
@@ -56,8 +55,8 @@ def test_01_solid_angle():
 
 def test_02_sigma_dominance():
     t0 = time.perf_counter()
-    dec = dipole.fraction_on_aperture(QuantizationAxis.z(), FOOTPRINT, POSE)
-    assert dipole.sigma_share(dec) == pytest.approx(0.956, abs=0.005)
+    emission = dipole.ion_intensity_profile(FOOTPRINT, POSE, 512)
+    assert emission.sigma_share == pytest.approx(0.956, abs=0.005)
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -142,7 +141,8 @@ def test_09_apodization_by_zone_shift(kappa_vs_delta):
 
 
 def test_10_longitudinal_fit():
-    x, prof = dipole.ion_intensity_profile(FOOTPRINT, POSE, 512)
+    emission = dipole.ion_intensity_profile(FOOTPRINT, POSE, 512)
+    x, prof = emission.x, emission.intensity
     _, free = fit_kappa(prof, x, alpha=0.0)
     assert free.relative_l2 < 0.05
     _, constrained = fit_kappa(prof, x, alpha=0.0, kappa_max=0.25e6)

@@ -23,8 +23,8 @@ FOOTPRINT = GratingFootprint()
 
 @pytest.fixture(scope="module")
 def ion_profile():
-    x, prof = dipole.ion_intensity_profile(FOOTPRINT, POSE, 512)
-    return x, prof
+    emission = dipole.ion_intensity_profile(FOOTPRINT, POSE, 512)
+    return emission.x, emission.intensity
 
 
 # ---------------------------------------------------------------------------

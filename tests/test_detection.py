@@ -64,10 +64,10 @@ def test_ledger_csv_round_trip(tmp_path):
     save_ledger(ledger, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["label", "db", "sigma_db"]
     back = LossLedger()
     for row in rows:
-        back.add(row["label"], float(row["db"]), float(row["sigma_db"]),
-                 row["group"])
+        back.add(row["label"], float(row["db"]), float(row["sigma_db"]))
     assert back.total() == ledger.total()
     assert [e.label for e in back.entries] == [e.label
                                                for e in ledger.entries]

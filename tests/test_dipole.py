@@ -1,162 +1,170 @@
 import numpy as np
 import pytest
 
-from iongrating import constants, dipole
-from iongrating.dipole import (
-    COMPONENTS,
-    PI,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    ApertureDecomposition,
-    DipoleComponent,
-    QuantizationAxis,
-    dipole_field,
-    dipole_field_cartesian,
-    dipole_intensity,
-    fraction_on_aperture,
-    ion_intensity_profile,
-    sigma_share,
-)
-from iongrating.geometry import GratingFootprint, IonPose, solid_angle_fraction
+from iongrating import constants
+from iongrating.dipole import ion_intensity_profile
+from iongrating.geometry import (GratingFootprint, IonPose, refracted_ray,
+                                 solid_angle_fraction)
 from iongrating.overlap import dipole_moment_scale
 
+# Reference model of the three decay channels, the oracle for the profile
+# and the sigma share: intensity per steradian as a function of the cosine
+# of the angle to the quantization axis, each channel normalized to its
+# branching weight 1/3.
+CHANNELS = ("pi", "sigma+", "sigma-")
+
 _OBLIQUE = np.array([0.3, -0.5, 0.81])
-OBLIQUE_AXIS = QuantizationAxis(tuple(_OBLIQUE / np.linalg.norm(_OBLIQUE)))
+OBLIQUE_AXIS = tuple(_OBLIQUE / np.linalg.norm(_OBLIQUE))
 AXES = pytest.mark.parametrize("axis", [
-    QuantizationAxis.x(), QuantizationAxis.y(), QuantizationAxis.z(),
-    OBLIQUE_AXIS], ids=["x", "y", "z", "oblique"])
+    (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), OBLIQUE_AXIS],
+    ids=["x", "y", "z", "oblique"])
 
 # high-precision evaluation of sqrt(3 lam^4 / (4 pi^3 c^3 mu0)) at 422 nm,
 # frozen as a regression constant
 P0_422NM = 4.759866125443094e-24
 
 
-def sphere_integral(component):
-    """Quadrature oracle: integral of |E|^2 over the full sphere."""
-    ct, w = np.polynomial.legendre.leggauss(128)
-    theta = np.arccos(ct)
-    return 2 * np.pi * np.sum(dipole_intensity(component, theta) * w)
+def channel_intensity(kind, cos_theta):
+    c2 = np.asarray(cos_theta, dtype=float) ** 2
+    if kind == "pi":
+        return (1.0 - c2) / (8 * np.pi)
+    return (1.0 + c2) / (16 * np.pi)
+
+
+def channel_profiles(axis, footprint, pose):
+    """(x, per-channel y-integrated intensity on the aperture): each
+    channel's pattern about ``axis`` times dOmega/dA, on the nodes of
+    ion_intensity_profile."""
+    xs = np.linspace(0.0, footprint.x_extent, 512)
+    gy, wy = np.polynomial.legendre.leggauss(256)
+    hy = footprint.y_extent / 2
+    X, Y = np.meshgrid(xs, hy * gy, indexing="ij")
+    dx, dy = X - pose.x_ion, Y - pose.y_ion
+    theta, dens = refracted_ray(np.hypot(dx, dy), pose.height_above_surface,
+                                pose.cladding_thickness, constants.N_SIO2)
+    phi = np.arctan2(dy, dx)
+    u = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                  -np.cos(theta)], axis=-1)
+    cos_axis = u @ np.asarray(axis)
+    return xs, {kind: (channel_intensity(kind, cos_axis) * dens) @ (hy * wy)
+                for kind in CHANNELS}
+
+
+@pytest.fixture(scope="module")
+def nominal():
+    return ion_intensity_profile(GratingFootprint(), IonPose(), 512)
 
 
 class TestPatterns:
+    """The reference channel patterns behind the oracle."""
+
     def test_pi_null_on_axis(self):
-        e_th, e_ph = dipole_field(DipoleComponent(PI), 0.0)
-        assert abs(e_th) == 0 and abs(e_ph) == 0
+        assert channel_intensity("pi", 1.0) == 0
+        assert channel_intensity("pi", -1.0) == 0
 
     def test_pi_max_at_equator(self):
         theta = np.linspace(0, np.pi, 1001)
-        inten = dipole_intensity(DipoleComponent(PI), theta)
-        assert np.argmax(inten) == 500
+        assert np.argmax(channel_intensity("pi", np.cos(theta))) == 500
 
     def test_sigma_axis_twice_equator(self):
-        comp = DipoleComponent(SIGMA_PLUS)
-        # quadrature-normalized pattern: |cos|^2 + 1 evaluated at the poles
-        # and the equator, 2 vs 1
-        assert dipole_intensity(comp, 0.0) == pytest.approx(
-            2 * dipole_intensity(comp, np.pi / 2), rel=1e-12)
+        assert channel_intensity("sigma+", 1.0) == pytest.approx(
+            2 * channel_intensity("sigma+", 0.0), rel=1e-12)
 
-    @pytest.mark.parametrize("kind", COMPONENTS)
+    @pytest.mark.parametrize("kind", CHANNELS)
     def test_power_normalization(self, kind):
-        comp = DipoleComponent(kind)
-        assert sphere_integral(comp) == pytest.approx(comp.branching_weight,
-                                                      abs=1e-6)
+        ct, w = np.polynomial.legendre.leggauss(128)
+        total = 2 * np.pi * np.sum(channel_intensity(kind, ct) * w)
+        assert total == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     @AXES
     def test_summed_pattern_isotropic(self, axis):
         rng = np.random.Generator(np.random.Philox(key=7))
         u = rng.normal(size=(10**4, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        total = np.zeros(len(u))
-        for kind in COMPONENTS:
-            f = dipole_field_cartesian(DipoleComponent(kind), axis, u)
-            total += np.sum(np.abs(f) ** 2, axis=-1)
-        assert np.var(total) < 1e-10 * np.mean(total)
-
-    def test_transversality(self):
-        rng = np.random.Generator(np.random.Philox(key=11))
-        u = rng.normal(size=(200, 3))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        v = np.array([0.3, -0.5, 0.81])
-        axis = QuantizationAxis(tuple(v / np.linalg.norm(v)))
-        for kind in COMPONENTS:
-            f = dipole_field_cartesian(DipoleComponent(kind), axis, u)
-            radial = np.einsum("ik,ik->i", f, u)
-            assert np.max(np.abs(radial)) < 1e-12
-
-
-@pytest.fixture(scope="module")
-def default_decomposition():
-    return fraction_on_aperture(QuantizationAxis.z(), GratingFootprint(),
-                                IonPose())
+        total = sum(channel_intensity(kind, u @ np.asarray(axis))
+                    for kind in CHANNELS)
+        assert np.max(np.abs(total * 4 * np.pi - 1.0)) < 1e-12
 
 
 class TestFractionOnAperture:
-    def test_sigma_dominance(self, default_decomposition):
-        assert sigma_share(default_decomposition) == pytest.approx(0.956,
-                                                                   abs=0.005)
+    def test_sigma_dominance(self, nominal):
+        assert nominal.sigma_share == pytest.approx(0.956, abs=0.005)
+        # the channel patterns about z, integrated on the same nodes
+        xs, inten = channel_profiles((0.0, 0.0, 1.0), GratingFootprint(),
+                                     IonPose())
+        frac = {k: np.trapezoid(v, xs) for k, v in inten.items()}
+        sigma = frac["sigma+"] + frac["sigma-"]
+        assert nominal.sigma_share == pytest.approx(
+            sigma / (sigma + frac["pi"]), rel=1e-12)
 
     def test_zero_area(self):
-        dec = fraction_on_aperture(QuantizationAxis.z(),
-                                   GratingFootprint(0.0, 0.0), IonPose())
-        for d in dec.values():
-            assert d == ApertureDecomposition(0.0, 0.0, 0.0, 0.0)
+        for footprint in (GratingFootprint(0.0, 30e-6),
+                          GratingFootprint(30e-6, 0.0)):
+            with pytest.raises(ValueError, match="footprint .* no area"):
+                ion_intensity_profile(footprint, IonPose(), 512)
 
     @AXES
-    def test_sum_matches_solid_angle(self, axis):
+    def test_sum_matches_solid_angle(self, axis, nominal):
         # the channels' patterns sum to the isotropic 1/4pi about any axis
-        dec = fraction_on_aperture(axis, GratingFootprint(), IonPose())
-        total = sum(d.fraction_of_total for d in dec.values())
-        frac = solid_angle_fraction(GratingFootprint(), IonPose())
-        assert total == pytest.approx(frac, rel=1e-9)
+        xs, inten = channel_profiles(axis, GratingFootprint(), IonPose())
+        total = sum(np.trapezoid(v, xs) for v in inten.values())
+        assert total == pytest.approx(nominal.solid_angle_fraction,
+                                      rel=1e-12)
 
-    def test_te_tm_sum(self, default_decomposition):
-        for d in default_decomposition.values():
-            assert d.te_fraction + d.tm_fraction == pytest.approx(
-                d.fraction_incident, rel=1e-9)
+    def test_y_reflection_symmetry(self):
+        # mirror images of the ion in y see the same aperture
+        fp = GratingFootprint()
+        a = ion_intensity_profile(fp, IonPose(y_ion=5e-6), 512)
+        b = ion_intensity_profile(fp, IonPose(y_ion=-5e-6), 512)
+        assert a.solid_angle_fraction == pytest.approx(
+            b.solid_angle_fraction, rel=1e-12)
+        assert a.sigma_share == pytest.approx(b.sigma_share, rel=1e-12)
+        assert np.allclose(a.intensity, b.intensity, rtol=1e-12, atol=0)
 
-    def test_y_reflection_symmetry(self, default_decomposition):
-        # mirror-symmetric geometry: the two sigma channels are images of
-        # each other under y -> -y
-        p = default_decomposition[SIGMA_PLUS]
-        m = default_decomposition[SIGMA_MINUS]
-        assert p.fraction_incident == pytest.approx(m.fraction_incident,
-                                                    rel=1e-9)
-        assert p.te_fraction == pytest.approx(m.te_fraction, rel=1e-9)
+    # (x_ion, height, y_ion) in um; sigma share frozen from a rotated
+    # three-channel field sum on 192^2 Gauss-Legendre nodes
+    @pytest.mark.parametrize("pose_um, sigma", [
+        ((28, 50, 0), 0.9556081666),
+        ((15, 50, 0), 0.9760953364),
+        ((28, 40, 5), 0.9352366822),
+    ], ids=["nominal", "x15", "h40-y5"])
+    def test_matches_frozen_sigma_share_and_dblquad(self, pose_um, sigma):
+        x_ion, height, y_ion = (v * 1e-6 for v in pose_um)
+        pose = IonPose(x_ion=x_ion, y_ion=y_ion,
+                       height_above_surface=height)
+        emission = ion_intensity_profile(GratingFootprint(), pose, 512)
+        assert emission.sigma_share == pytest.approx(sigma, abs=1e-6)
+        assert emission.solid_angle_fraction == pytest.approx(
+            solid_angle_fraction(GratingFootprint(), pose), rel=1e-6)
 
 
 class TestIntensityProfile:
-    def test_unit_integral(self):
-        xs, prof = ion_intensity_profile(GratingFootprint(), IonPose(), 512)
-        assert np.trapezoid(prof, xs) == pytest.approx(1.0, abs=1e-6)
+    def test_unit_integral(self, nominal):
+        assert np.trapezoid(nominal.intensity, nominal.x) == pytest.approx(
+            1.0, abs=1e-6)
 
     def test_peak_at_ion(self):
-        xs, prof = ion_intensity_profile(GratingFootprint(), IonPose(), 1024)
-        dx = xs[1] - xs[0]
-        assert abs(xs[np.argmax(prof)] - 28e-6) <= dx
+        e = ion_intensity_profile(GratingFootprint(), IonPose(), 1024)
+        dx = e.x[1] - e.x[0]
+        assert abs(e.x[np.argmax(e.intensity)] - 28e-6) <= dx
 
     def test_translation_covariance(self):
         fp = GratingFootprint()
-        xs, a = ion_intensity_profile(fp, IonPose(x_ion=24e-6), 512)
-        _, b = ion_intensity_profile(fp, IonPose(x_ion=26e-6), 512)
-        dx = xs[1] - xs[0]
-        shift = xs[np.argmax(b)] - xs[np.argmax(a)]
+        a = ion_intensity_profile(fp, IonPose(x_ion=24e-6), 512)
+        b = ion_intensity_profile(fp, IonPose(x_ion=26e-6), 512)
+        dx = a.x[1] - a.x[0]
+        shift = b.x[np.argmax(b.intensity)] - a.x[np.argmax(a.intensity)]
         assert abs(shift - 2e-6) <= dx
 
-    def test_matches_three_channel_dipole_sum(self):
-        # oracle: the branching-weighted sum of the rotated channel
-        # patterns on the same nodes, about an oblique axis
-        fp, pose = GratingFootprint(), IonPose()
-        xs, prof = ion_intensity_profile(fp, pose, 512)
-        gy, wy = np.polynomial.legendre.leggauss(256)
-        hy = fp.y_extent / 2
-        X, Y = np.meshgrid(xs, hy * gy, indexing="ij")
-        u, dens = dipole._aperture_directions(X, Y, pose, constants.N_SIO2)
-        inten = sum(np.sum(np.abs(dipole_field_cartesian(
-            DipoleComponent(kind), OBLIQUE_AXIS, u)) ** 2, axis=-1)
-            for kind in COMPONENTS)
-        oracle = (inten * dens) @ (hy * wy)
+    def test_matches_three_channel_dipole_sum(self, nominal):
+        # oracle: the branching-weighted sum of the channel patterns on the
+        # same nodes, about an oblique axis
+        xs, inten = channel_profiles(OBLIQUE_AXIS, GratingFootprint(),
+                                     IonPose())
+        oracle = sum(inten.values())
         oracle /= np.trapezoid(oracle, xs)
-        assert np.max(np.abs(prof - oracle)) <= 1e-12 * np.max(oracle)
+        assert np.max(np.abs(nominal.intensity - oracle)) <= (
+            1e-12 * np.max(oracle))
 
 
 class TestDipoleNorm:

@@ -86,6 +86,12 @@ def run_dir(tmp_path_factory):
     return out, cfg, manifest
 
 
+def test_config_slices_cover_the_stages():
+    # a slice left behind for a deleted stage, or a stage without one
+    assert set(pipeline._config_slices(load_config())) == set(
+        pipeline.STAGES)
+
+
 def test_manifest_covers_all_stages(run_dir):
     out, _, manifest = run_dir
     assert set(manifest["stages"]) == set(pipeline.STAGES)
@@ -417,14 +423,14 @@ def test_guiding_change_recomputes_library_and_design(tmp_path):
 
 def test_layer_change_keeps_ray_geometry_stages_cached(tmp_path):
     cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
-    stages = ["solid_angle", "emission", "library"]
+    stages = ["emission", "library"]
     pipeline.run_pipeline(cfg, stages=stages)
     layers = list(cfg.stack.layers)
     layers[1] = dataclasses.replace(layers[1], thickness=120e-9)
     thicker = dataclasses.replace(cfg, stack=dataclasses.replace(
         cfg.stack, layers=tuple(layers)))
     after = pipeline.run_pipeline(thicker, stages=stages)
-    assert after["cached_stages"] == ["solid_angle", "emission"]
+    assert after["cached_stages"] == ["emission"]
 
 
 _MALFORMED_ENTRIES = pytest.mark.parametrize("malform", [
@@ -444,10 +450,10 @@ def _malform_stage(out, stage, malform):
 @_MALFORMED_ENTRIES
 def test_malformed_stage_entry_recomputes(tmp_path, malform):
     cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
-    first = pipeline.run_pipeline(cfg, stages=["solid_angle"])
-    _malform_stage(tmp_path, "solid_angle", malform)
-    with pytest.warns(RuntimeWarning, match="malformed stage 'solid_angle'"):
-        again = pipeline.run_pipeline(cfg, stages=["solid_angle"])
+    first = pipeline.run_pipeline(cfg, stages=["emission"])
+    _malform_stage(tmp_path, "emission", malform)
+    with pytest.warns(RuntimeWarning, match="malformed stage 'emission'"):
+        again = pipeline.run_pipeline(cfg, stages=["emission"])
     assert again["cached_stages"] == []
     assert again["stages"] == first["stages"]
     assert json.loads((tmp_path / "manifest.json").read_text())[
@@ -481,7 +487,7 @@ def test_failure_keeps_earlier_stages_cached(tmp_path, monkeypatch):
             pipeline.run_pipeline(cfg)
     manifest = pipeline.run_pipeline(cfg)
     assert manifest["cached_stages"] == [
-        "solid_angle", "emission", "library", "design", "synthesize"]
+        "emission", "library", "design", "synthesize"]
 
 
 def test_rejected_cached_artifact_is_a_stage_error(run_dir, tmp_path):
@@ -569,15 +575,16 @@ def test_tm_teeth_take_their_own_duty_cycles():
 def test_run_summaries_are_physical(run_dir):
     _, cfg, manifest = run_dir
     s = {n: manifest["stages"][n]["summary"] for n in pipeline.STAGES}
-    assert s["solid_angle"]["solid_angle_fraction"] == pytest.approx(
+    assert s["emission"]["solid_angle_fraction"] == pytest.approx(
         0.0218, abs=5e-4)
+    assert s["emission"]["sigma_share"] == pytest.approx(0.956, abs=0.005)
     assert s["design"]["n_teeth"] > 50
     assert not s["design"]["fit_infeasible"]
     # the focus lands at the ion's transverse position
     assert s["propagate"]["peak_x_te"] == pytest.approx(cfg.pose.x_ion,
                                                         abs=2e-6)
     # per-polarization map peaks stay below the per-mode solid-angle bound
-    bound = s["solid_angle"]["per_mode_bound"]
+    bound = s["emission"]["per_mode_bound"]
     assert 0 < s["overlap"]["eta_peak_te"] <= 2 * bound
     # the TM focus is displaced from the TE focus
     assert s["crosstalk"]["maxima_offset"] > 0.5e-6
@@ -592,7 +599,7 @@ def test_default_design_reaches_the_per_mode_bound(run_dir):
     s = {n: manifest["stages"][n]["summary"] for n in pipeline.STAGES}
     assert s["design"]["n_teeth"] == 99
     assert s["design"]["n_truncated"] == 0
-    bound = s["solid_angle"]["per_mode_bound"]
+    bound = s["emission"]["per_mode_bound"]
     assert 0.8 * bound <= s["overlap"]["eta_peak_te"] <= bound
     assert np.hypot(s["propagate"]["peak_x_te"] - cfg.pose.x_ion,
                     s["propagate"]["peak_y_te"] - cfg.pose.y_ion) <= 2e-6
@@ -602,7 +609,7 @@ def test_report_contents_and_determinism(run_dir):
     _, _, manifest = run_dir
     text = pipeline.report(manifest)
     assert text == pipeline.report(manifest)
-    assert "solid-angle fraction" in text
+    assert "solid-angle fraction" in text and "sigma share" in text
     assert "-47.68" in text and "0.11" in text   # measured ledger total
     assert "-47.90" in text and "-28.10" in text
     assert len(text.splitlines()) < 60
@@ -614,7 +621,11 @@ def test_report_empty_and_partial():
         "bright_fidelity": 0.9, "dark_fidelity": 0.92,
         "bright_mean_time": 2.7e-3, "ledgers": {}}}}}
     text = pipeline.report(partial)
-    assert "missing stages" in text and "solid_angle" in text
+    assert "missing stages" in text and "emission" in text
+    # an emission summary written before the sigma share was reported
+    older = {"stages": {"emission": {"summary": {
+        "solid_angle_fraction": 0.02, "per_mode_bound": 0.01}}}}
+    assert "sigma share               n/a" in pipeline.report(older)
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +774,21 @@ def test_cli_out_under_a_file_is_an_io_error(tmp_path, verb):
     blocker.write_text("")
     result = CliRunner().invoke(main, [verb, "--out", str(blocker / "run")])
     _assert_one_error_line(result, "io-error")
+
+
+@pytest.mark.parametrize("extent", ["x_extent", "y_extent"])
+def test_cli_zero_area_footprint_fails_at_emission(tmp_path, extent):
+    cfg_path = tmp_path / "flat.yaml"
+    cfg_path.write_text(yaml.safe_dump({**FAST,
+                                        "footprint": {extent: 0.0}}))
+    result = CliRunner().invoke(main, ["pipeline", "--config",
+                                       str(cfg_path), "--out",
+                                       str(tmp_path / "run")])
+    _assert_one_error_line(result, "stage-error")
+    assert result.stderr.startswith("stage-error: emission: footprint ")
+    assert "has no area" in result.stderr
+    assert not (tmp_path / "run" / "emission" /
+                "emission_profile.csv").exists()
 
 
 def test_cli_init_config_into_missing_dir_is_an_io_error(tmp_path):
