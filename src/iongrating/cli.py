@@ -97,7 +97,6 @@ library = _stage_verb("library", "library")
 design = _stage_verb("design", "design")
 synthesize = _stage_verb("synthesize", "synthesize")
 overlap_cmd = _stage_verb("overlap", "overlap")
-crosstalk = _stage_verb("crosstalk", "crosstalk")
 detect = _stage_verb("detect", "detect")
 
 
@@ -158,7 +157,8 @@ def report_cmd(config_path, out_dir):
         with open(path) as fh:
             manifest = json.load(fh)
         text = pipeline.report(manifest)
-    except (OSError, ValueError, AttributeError, TypeError) as exc:
+    except (OSError, ValueError, AttributeError, TypeError,
+            KeyError) as exc:
         _fail("manifest-unreadable", f"{path}: {exc}")
     click.echo(text)
 

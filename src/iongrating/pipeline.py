@@ -121,7 +121,6 @@ def _config_slices(config: PipelineConfig) -> dict:
         "synthesize": {**base, **config.propagation},
         "propagate": base,
         "overlap": base,
-        "crosstalk": base,
         "detect": {**det, "trials": config.detection_trials,
                    "seed_detection": config.seeds["detection"],
                    "seed_timing": config.seeds["timing"]},
@@ -364,14 +363,17 @@ def _run_overlap(config, inputs, stage_dir):
     te, tm = (propagation.load_field(inputs[n])
               for n in ("ion_te", "ion_tm"))
     pose = config.pose
-    m = overlap.collection_map(
-        te, tm, (pose.x_ion - 5e-6, pose.x_ion + 5e-6),
-        (pose.y_ion - 5e-6, pose.y_ion + 5e-6), 0.2e-6)
+    full = overlap.collection_map(
+        te, tm, (pose.x_ion - 8e-6, pose.x_ion + 8e-6),
+        (pose.y_ion - 8e-6, pose.y_ion + 8e-6), 0.1e-6)
+    # the +-5 um map at 0.2 um is the stride-2 window of that raster
+    w = slice(30, -30, 2)
+    m = overlap.CollectionMap(full.x[w], full.y[w], full.eta[w, w],
+                              full.eta_te[w, w], full.eta_tm[w, w],
+                              z=full.z)
     at_ion = overlap.coupling_at_point(te, tm, pose.x_ion, pose.y_ion)
-    comb = overlap.combine_intensity_profiles(te, tm)
-    j, i = np.unravel_index(np.argmax(comb), comb.shape)
-    eta5 = overlap.efficiency_from_intensity(comb[j, i], te.pixel_size,
-                                             config.wavelength)
+    rep = overlap.crosstalk_metrics(full.eta_te, full.eta_tm, full.x,
+                                    full.y)
     map_path = os.path.join(stage_dir, "collection_map.csv")
     np.savetxt(map_path, m.eta, delimiter=",", fmt="%.17g")
     meta_path = os.path.join(stage_dir, "collection_map_meta.json")
@@ -379,27 +381,13 @@ def _run_overlap(config, inputs, stage_dir):
                "eta_peak": float(m.eta.max()),
                "eta_peak_te": float(m.eta_te.max()),
                "eta_peak_tm": float(m.eta_tm.max()),
-               "peak_x": m.peak[0], "peak_y": m.peak[1],
-               "eta_intensity_formula": eta5, "z": m.z}
+               "peak_x": m.peak[0], "peak_y": m.peak[1], "z": m.z,
+               "tm_te_power_ratio": rep.power_ratio,
+               "tm_suppression_db": rep.suppression_db,
+               "maxima_offset": rep.offset}
     _write_json(meta_path, summary)
     return summary, {"collection_map": map_path,
                      "collection_map_meta": meta_path}
-
-
-def _run_crosstalk(config, inputs, stage_dir):
-    te, tm = (propagation.load_field(inputs[n])
-              for n in ("ion_te", "ion_tm"))
-    pose = config.pose
-    extent_x = (pose.x_ion - 8e-6, pose.x_ion + 8e-6)
-    extent_y = (pose.y_ion - 8e-6, pose.y_ion + 8e-6)
-    m = overlap.collection_map(te, tm, extent_x, extent_y, 0.1e-6)
-    rep = overlap.crosstalk_metrics(m.eta_te, m.eta_tm, m.x, m.y)
-    summary = {"tm_te_power_ratio": rep.power_ratio,
-               "tm_suppression_db": rep.suppression_db,
-               "maxima_offset": rep.offset}
-    path = os.path.join(stage_dir, "crosstalk.json")
-    _write_json(path, summary)
-    return summary, {"crosstalk": path}
 
 
 def _run_detect(config, inputs, stage_dir):
@@ -440,7 +428,6 @@ _STAGES = {
     "synthesize": (("design",), _run_synthesize),
     "propagate": (("synthesize",), _run_propagate),
     "overlap": (("propagate",), _run_overlap),
-    "crosstalk": (("propagate",), _run_crosstalk),
     "detect": ((), _run_detect),
 }
 STAGES = tuple(_STAGES)
@@ -596,19 +583,16 @@ def report(manifest: dict) -> str:
                   "collection",
                   f"  eta at ion (field)        "
                   f"{_fmt(get('overlap', 'eta_at_ion'))}",
-                  f"  eta (intensity formula)   "
-                  f"{_fmt(get('overlap', 'eta_intensity_formula'))}",
                   f"  map peak at x             "
-                  f"{_fmt(get('overlap', 'peak_x'))}"]
-    if "crosstalk" in stages:
-        lines += ["",
+                  f"{_fmt(get('overlap', 'peak_x'))}",
+                  "",
                   "crosstalk",
                   f"  TM/TE power ratio         "
-                  f"{_fmt(get('crosstalk', 'tm_te_power_ratio'))}",
+                  f"{_fmt(get('overlap', 'tm_te_power_ratio'))}",
                   f"  TM suppression (dB)       "
-                  f"{_fmt(get('crosstalk', 'tm_suppression_db'))}",
+                  f"{_fmt(get('overlap', 'tm_suppression_db'))}",
                   f"  maxima offset (m)         "
-                  f"{_fmt(get('crosstalk', 'maxima_offset'))}"]
+                  f"{_fmt(get('overlap', 'maxima_offset'))}"]
     if "detect" in stages:
         ledgers = get("detect", "ledgers") or {}
         lines += ["",

@@ -114,9 +114,9 @@ def test_coupling_outside_grid():
 
 def test_coupling_result_range_check():
     with pytest.raises(ValueError):
-        CouplingResult(1.2, "field-overlap", "TE")
+        CouplingResult(1.2)
     with pytest.raises(ValueError):
-        CouplingResult(-0.1, "field-overlap", "TE")
+        CouplingResult(-0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from iongrating import designer, fdtd, library as liblib, pipeline, \
-    propagation
+from iongrating import designer, fdtd, library as liblib, overlap, \
+    pipeline, propagation
 from iongrating.cli import main
 from iongrating.config import (PipelineConfig, default_config_dict,
                                load_config, write_default_config)
@@ -587,9 +587,25 @@ def test_run_summaries_are_physical(run_dir):
     bound = s["emission"]["per_mode_bound"]
     assert 0 < s["overlap"]["eta_peak_te"] <= 2 * bound
     # the TM focus is displaced from the TE focus
-    assert s["crosstalk"]["maxima_offset"] > 0.5e-6
-    assert s["crosstalk"]["tm_suppression_db"] < -10.0
+    assert s["overlap"]["maxima_offset"] > 0.5e-6
+    assert s["overlap"]["tm_suppression_db"] < -10.0
     assert s["detect"]["bright_fidelity"] == pytest.approx(0.907, abs=2e-3)
+
+
+def test_collection_map_is_the_window_of_the_crosstalk_raster(run_dir):
+    # the stage rasters +-8 um once; its saved +-5 um map must equal a
+    # direct raster at the map's own extent and step
+    out, cfg, _ = run_dir
+    te, tm = (propagation.load_field(out / "propagate" /
+                                     f"ion_plane_{pol}.npz")
+              for pol in ("te", "tm"))
+    x, y = cfg.pose.x_ion, cfg.pose.y_ion
+    direct = overlap.collection_map(te, tm, (x - 5e-6, x + 5e-6),
+                                    (y - 5e-6, y + 5e-6), 0.2e-6)
+    saved = np.loadtxt(out / "overlap" / "collection_map.csv",
+                       delimiter=",")
+    assert saved.shape == direct.eta.shape
+    assert np.array_equal(saved, direct.eta)
 
 
 def test_default_design_reaches_the_per_mode_bound(run_dir):
@@ -626,6 +642,10 @@ def test_report_empty_and_partial():
     older = {"stages": {"emission": {"summary": {
         "solid_angle_fraction": 0.02, "per_mode_bound": 0.01}}}}
     assert "sigma share               n/a" in pipeline.report(older)
+    # an overlap summary written before it reported the crosstalk
+    older = {"stages": {"overlap": {"summary": {
+        "eta_at_ion": 0.0089, "eta_peak": 0.0099, "peak_x": 2.6e-5}}}}
+    assert "TM/TE power ratio         n/a" in pipeline.report(older)
 
 
 # ---------------------------------------------------------------------------
@@ -753,12 +773,17 @@ def test_removed_designer_keys_are_rejected(tmp_path, key, value):
 def test_cli_report_on_truncated_manifest(run_dir, tmp_path):
     out, _, _ = run_dir
     text = (out / "manifest.json").read_text()
-    (tmp_path / "manifest.json").write_text(text[:len(text) // 2])
-    result = CliRunner().invoke(main, ["report", "--out", str(tmp_path)])
-    assert result.exit_code == 1
-    lines = [l for l in result.output.splitlines() if l]
-    assert len(lines) == 1
-    assert lines[0].startswith("manifest-unreadable: ")
+    # a whole manifest whose ledger entry lacks its total
+    malformed = json.loads(text)
+    malformed["stages"]["detect"]["summary"]["ledgers"] = {"measured": {}}
+    for bad in (text[:len(text) // 2], json.dumps(malformed)):
+        (tmp_path / "manifest.json").write_text(bad)
+        result = CliRunner().invoke(main, ["report", "--out",
+                                           str(tmp_path)])
+        assert result.exit_code == 1
+        lines = [l for l in result.output.splitlines() if l]
+        assert len(lines) == 1
+        assert lines[0].startswith("manifest-unreadable: ")
 
 
 def _assert_one_error_line(result, code):
@@ -856,6 +881,10 @@ def test_cli_has_no_jobs_option_or_map_verb():
     result = runner.invoke(main, ["design", "--jobs", "2"])
     assert result.exit_code == 2 and "--jobs" in result.output
     assert "map" not in main.commands
+    # a verb for each stage but emission, and none for a deleted stage
+    assert set(pipeline.STAGES) - {"emission"} <= set(main.commands)
+    assert "crosstalk" not in pipeline.STAGES
+    assert "crosstalk" not in main.commands
 
 
 def test_cli_writes_only_under_out(run_dir, tmp_path, monkeypatch):
@@ -864,7 +893,7 @@ def test_cli_writes_only_under_out(run_dir, tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({**FAST, "output_dir": str(out)}))
     runner = CliRunner()
-    result = runner.invoke(main, ["crosstalk", "--config", str(cfg_path)])
+    result = runner.invoke(main, ["overlap", "--config", str(cfg_path)])
     assert result.exit_code == 0
     leftovers = [p for p in os.listdir(tmp_path) if p != "cfg.yaml"]
     assert leftovers == []
