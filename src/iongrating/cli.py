@@ -95,7 +95,6 @@ def _stage_verb(name, stage):
 
 library = _stage_verb("library", "library")
 design = _stage_verb("design", "design")
-synthesize = _stage_verb("synthesize", "synthesize")
 overlap_cmd = _stage_verb("overlap", "overlap")
 detect = _stage_verb("detect", "detect")
 
@@ -103,20 +102,21 @@ detect = _stage_verb("detect", "detect")
 @main.command()
 @_common
 @click.option("--dz", type=float, default=None,
-              help="Propagate the stored near field by this extra "
-              "distance (m) instead of to the ion plane.")
+              help="Propagate the stored TE ion-plane field by this extra "
+              "distance (m) in vacuum.")
 def propagate(config_path, seed, out_dir, dz):
-    """Propagate the synthesized near field to the ion plane (or by
-    --dz)."""
+    """Synthesize the near fields of the teeth and propagate them to the
+    ion plane (or the TE ion-plane field further by --dz)."""
     cfg = _load(config_path, seed, out_dir)
+    if dz is not None and dz <= -cfg.pose.height_above_surface:
+        _fail("propagation-error", f"dz {dz:g} m reaches the chip surface, "
+              f"{cfg.pose.height_above_surface:g} m below the ion plane")
     manifest = _run_stages(cfg, ["propagate"])
     if dz is not None:
-        base = os.path.join(cfg.output_dir if out_dir is None else out_dir,
-                            manifest["stages"]["synthesize"]
-                            ["artifact_names"]["near_te"])
+        base = os.path.join(cfg.output_dir, manifest["stages"]["propagate"]
+                            ["artifact_names"]["ion_te"])
         try:
-            field = angular_spectrum_propagate(
-                load_field(base), dz, cfg.stack.cladding_index)
+            field = angular_spectrum_propagate(load_field(base), dz)
         except Exception as exc:
             _fail("propagation-error", str(exc))
         path = os.path.join(os.path.dirname(base), f"field_dz_{dz:g}.npz")

@@ -806,7 +806,7 @@ def far_field_angle_spectrum(result: CellResult) -> AngleSpectrum:
     power = coef * np.abs(ft[prop]) ** 2 * dx / npad
     theta = np.arcsin(kx[prop] / k0n)
     order = np.argsort(theta)
-    theta, power, kz = theta[order], power[order], kz[order]
+    theta, power = theta[order], power[order]
     dkx_dtheta = k0n * np.cos(theta)
     dkx = 2 * np.pi / (npad * dx)
     density = power / dkx * dkx_dtheta

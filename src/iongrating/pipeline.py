@@ -118,8 +118,7 @@ def _config_slices(config: PipelineConfig) -> dict:
         "emission": rays,
         "library": lib,
         "design": {**base, **config.designer},
-        "synthesize": {**base, **config.propagation},
-        "propagate": base,
+        "propagate": {**base, **config.propagation},
         "overlap": base,
         "detect": {**det, "trials": config.detection_trials,
                    "seed_detection": config.seeds["detection"],
@@ -308,33 +307,21 @@ def _tm_teeth(config, teeth):
             continue  # this period does not outcouple the TM mode
         out.append(dataclasses.replace(t, angle=float(np.arcsin(s))))
     if not out:
-        raise StageError("synthesize", "no tooth outcouples the TM mode")
+        raise ValueError("no tooth outcouples the TM mode")
     return out
 
 
-def _run_synthesize(config, inputs, stage_dir):
+def _run_propagate(config, inputs, stage_dir):
     shape = tuple(config.propagation["shape"])
     s = config.propagation["pixel_size"]
     teeth = _read_teeth(inputs["teeth"])
     artifacts, summary = {}, {}
     for pol, pol_teeth in (("TE", teeth), ("TM", _tm_teeth(config, teeth))):
-        field = propagation.synthesize_near_field(
+        near = propagation.synthesize_near_field(
             pol_teeth, config.footprint, config.stack, config.wavelength,
             polarization=pol, shape=shape, pixel_size=s)
-        path = os.path.join(stage_dir, f"near_field_{pol.lower()}.npz")
-        propagation.save_field(field, path)
-        artifacts[f"near_{pol.lower()}"] = path
-        summary[f"power_{pol.lower()}"] = field.power()
-    return summary, artifacts
-
-
-def _run_propagate(config, inputs, stage_dir):
-    z_ion = config.pose.z_ion
-    artifacts, summary = {}, {}
-    for pol in ("TE", "TM"):
-        near = propagation.load_field(inputs[f"near_{pol.lower()}"])
         at_ion = propagation.propagate_to_height(
-            near, z_ion, config.pose.cladding_thickness,
+            near, config.pose.z_ion, config.pose.cladding_thickness,
             config.stack.cladding_index).normalize()
         path = os.path.join(stage_dir, f"ion_plane_{pol.lower()}.npz")
         propagation.save_field(at_ion, path)
@@ -425,8 +412,7 @@ _STAGES = {
     "emission": ((), _run_emission),
     "library": ((), _run_library),
     "design": (("emission", "library"), _run_design),
-    "synthesize": (("design",), _run_synthesize),
-    "propagate": (("synthesize",), _run_propagate),
+    "propagate": (("design",), _run_propagate),
     "overlap": (("propagate",), _run_overlap),
     "detect": ((), _run_detect),
 }

@@ -155,15 +155,14 @@ def test_run_from_csv_field_release_recomputes(run_dir, tmp_path,
         pipeline.run_pipeline(cfg)
     manifest_path = copy / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    for stage in ("synthesize", "propagate"):
-        entry = manifest["stages"][stage]
-        for name, rel in entry["artifact_names"].items():
-            csv = rel.replace(".npz", ".csv")
-            os.remove(copy / rel)
-            (copy / csv).write_text("# field grid v1\n")
-            entry["artifact_names"][name] = csv
-            del entry["artifacts"][rel]
-            entry["artifacts"][csv] = pipeline._sha256_file(copy / csv)
+    entry = manifest["stages"]["propagate"]
+    for name, rel in entry["artifact_names"].items():
+        csv = rel.replace(".npz", ".csv")
+        os.remove(copy / rel)
+        (copy / csv).write_text("# field grid v1\n")
+        entry["artifact_names"][name] = csv
+        del entry["artifacts"][rel]
+        entry["artifacts"][csv] = pipeline._sha256_file(copy / csv)
     manifest_path.write_text(json.dumps(manifest))
     manifest = pipeline.run_pipeline(cfg)
     assert manifest["cached_stages"] == []
@@ -258,11 +257,9 @@ def test_fit_infeasible_is_a_json_bool(run_dir):
 
 def test_field_artifacts_are_npz(run_dir):
     out, _, manifest = run_dir
-    names = {**manifest["stages"]["synthesize"]["artifact_names"],
-             **manifest["stages"]["propagate"]["artifact_names"]}
+    names = manifest["stages"]["propagate"]["artifact_names"]
     assert sorted(os.path.basename(p) for p in names.values()) == [
-        "ion_plane_te.npz", "ion_plane_tm.npz",
-        "near_field_te.npz", "near_field_tm.npz"]
+        "ion_plane_te.npz", "ion_plane_tm.npz"]
     for rel in names.values():
         assert propagation.load_field(out / rel).data.shape == (512, 512)
 
@@ -486,8 +483,39 @@ def test_failure_keeps_earlier_stages_cached(tmp_path, monkeypatch):
                            match="propagate: propagation failed"):
             pipeline.run_pipeline(cfg)
     manifest = pipeline.run_pipeline(cfg)
-    assert manifest["cached_stages"] == [
-        "emission", "library", "design", "synthesize"]
+    assert manifest["cached_stages"] == ["emission", "library", "design"]
+
+
+def test_propagation_change_recomputes_only_the_field_stages(run_dir,
+                                                             tmp_path):
+    # the near fields stay in memory, so the propagate stage keys on the
+    # synthesis raster; a wider raster still holds the +-8 um overlap
+    # raster around the ion
+    out, _, _ = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    # brings back any stage another test recomputed under other settings
+    pipeline.run_pipeline(load_config(overrides={**FAST,
+                                                 "output_dir": str(copy)}))
+    cfg = load_config(overrides={**FAST, "output_dir": str(copy),
+                                 "propagation": {"shape": [512, 544]}})
+    manifest = pipeline.run_pipeline(cfg)
+    assert manifest["cached_stages"] == ["emission", "library", "design",
+                                         "detect"]
+    field = propagation.load_field(
+        copy / manifest["stages"]["propagate"]["artifact_names"]["ion_te"])
+    assert field.data.shape == (512, 544)
+
+
+def test_no_tm_tooth_is_a_propagate_stage_error(tmp_path, monkeypatch):
+    # the TM teeth are built inside the propagate stage, which the error
+    # line names
+    monkeypatch.setattr(fdtd, "grating_angle_sine", lambda *a, **k: 2.0)
+    result = CliRunner().invoke(main, ["propagate", "--out",
+                                       str(tmp_path)])
+    _assert_one_error_line(result, "stage-error")
+    assert result.stderr == ("stage-error: propagate: no tooth outcouples "
+                             "the TM mode\n")
 
 
 def test_rejected_cached_artifact_is_a_stage_error(run_dir, tmp_path):
@@ -496,19 +524,19 @@ def test_rejected_cached_artifact_is_a_stage_error(run_dir, tmp_path):
     out, _, _ = run_dir
     copy = tmp_path / "run"
     shutil.copytree(out, copy)
-    rel = os.path.join("synthesize", "near_field_te.npz")
+    rel = os.path.join("propagate", "ion_plane_te.npz")
     (copy / rel).write_bytes(b"not a field file")
     manifest_path = copy / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["stages"]["synthesize"]["artifacts"][rel] = \
+    manifest["stages"]["propagate"]["artifacts"][rel] = \
         pipeline._sha256_file(copy / rel)
-    del manifest["stages"]["propagate"]
+    del manifest["stages"]["overlap"]
     manifest_path.write_text(json.dumps(manifest))
     cfg = load_config(overrides={**FAST, "output_dir": str(copy)})
     with pytest.raises(pipeline.StageError,
                        match="not an .npz field file") as exc:
         pipeline.run_pipeline(cfg)
-    assert exc.value.stage == "propagate"
+    assert exc.value.stage == "overlap"
 
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({**FAST, "output_dir": str(copy)}))
@@ -517,7 +545,7 @@ def test_rejected_cached_artifact_is_a_stage_error(run_dir, tmp_path):
     assert result.exit_code == 1
     lines = [l for l in result.output.splitlines() if l]
     assert len(lines) == 1
-    assert lines[0].startswith("stage-error: propagate: ")
+    assert lines[0].startswith("stage-error: overlap: ")
 
 
 def test_cached_rerun_reads_no_artifact(run_dir, tmp_path, monkeypatch):
@@ -835,7 +863,7 @@ def test_cli_propagate_dz_write_failure_is_an_io_error(run_dir, tmp_path):
     copy = tmp_path / "run"
     shutil.copytree(out, copy)
     # a directory where the propagated field would be written
-    (copy / "synthesize" / "field_dz_2e-06.npz").mkdir()
+    (copy / "propagate" / "field_dz_2e-06.npz").mkdir()
     cfg_path = tmp_path / "fast.yaml"
     cfg_path.write_text(yaml.safe_dump({**FAST, "output_dir": str(copy)}))
     result = CliRunner().invoke(main, ["propagate", "--config",
@@ -870,10 +898,25 @@ def test_cli_propagate_dz_writes_a_loadable_field(run_dir):
     assert result.exit_code == 0, result.output
     path = json.loads(result.output)["path"]
     assert os.path.basename(path) == "field_dz_2e-06.npz"
+    assert os.path.dirname(path) == str(out / "propagate")
     field = propagation.load_field(path)
-    near = propagation.load_field(out / "synthesize" / "near_field_te.npz")
-    assert field.z == pytest.approx(near.z + 2e-6)
-    assert field.data.shape == near.data.shape
+    ion = propagation.load_field(out / "propagate" / "ion_plane_te.npz")
+    assert field.z == ion.z + 2e-6
+    assert field.data.shape == ion.data.shape
+    # no extra distance leaves the ion-plane field as it is
+    result = CliRunner().invoke(main, ["propagate", "--config",
+                                       str(cfg_path), "--dz", "0"])
+    assert result.exit_code == 0, result.output
+    same = propagation.load_field(json.loads(result.output)["path"])
+    assert same.z == ion.z
+    assert np.array_equal(same.data, ion.data)
+
+
+def test_cli_propagate_dz_through_the_chip_is_an_error(tmp_path):
+    # the ion sits 50 um above the surface; the field would cross it
+    result = CliRunner().invoke(main, ["propagate", "--out", str(tmp_path),
+                                       "--dz", "-6e-5"])
+    _assert_one_error_line(result, "propagation-error")
 
 
 def test_cli_has_no_jobs_option_or_map_verb():
@@ -885,6 +928,8 @@ def test_cli_has_no_jobs_option_or_map_verb():
     assert set(pipeline.STAGES) - {"emission"} <= set(main.commands)
     assert "crosstalk" not in pipeline.STAGES
     assert "crosstalk" not in main.commands
+    assert "synthesize" not in pipeline.STAGES
+    assert "synthesize" not in main.commands
 
 
 def test_cli_writes_only_under_out(run_dir, tmp_path, monkeypatch):
