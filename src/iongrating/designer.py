@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import least_squares, minimize_scalar
 
 from .constants import DESIGN_WAVELENGTH
@@ -57,6 +56,17 @@ class KappaAnsatz:
         return np.array([self.a, self.b, self.c, self.d, self.A, self.B])
 
 
+def cumulative_trapezoid(y, x):
+    """Running trapezoid integral of ``y`` over ``x`` along the first axis,
+    starting at 0: ``scipy.integrate.cumulative_trapezoid(y, x, axis=0,
+    initial=0)`` with the same arithmetic, without loading
+    ``scipy.integrate``."""
+    y = np.asarray(y)
+    d = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    res = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate([np.zeros((1,) + res.shape[1:], res.dtype), res])
+
+
 def _as_profile(f, x):
     """A scalar or sampled profile as an array over ``x``."""
     out = np.asarray(f, dtype=float)
@@ -82,7 +92,7 @@ def diffracted_intensity(kappa, alpha, x):
 
 def _guided_fraction(k, a, x):
     """Guided power left at each x: exp(-int_0^x [k+a] dx')."""
-    return np.exp(-cumulative_trapezoid(k + a, x, initial=0.0))
+    return np.exp(-cumulative_trapezoid(k + a, x))
 
 
 def residual_power(kappa, alpha, x) -> float:
@@ -103,8 +113,8 @@ def ideal_kappa(i_ion, x, alpha=0.0, kappa_cap: float = 1e8):
     i = _as_profile(i_ion, x)
     a = _as_profile(alpha, x)
     # integrating factor: R = e^{-G} (1 - int I e^{G}), G = int alpha
-    g = cumulative_trapezoid(a, x, initial=0.0)
-    drained = cumulative_trapezoid(i * np.exp(g), x, initial=0.0)
+    g = cumulative_trapezoid(a, x)
+    drained = cumulative_trapezoid(i * np.exp(g), x)
     r = np.exp(-g) * (1.0 - drained)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.where(r > i / kappa_cap, i / np.maximum(r, 1e-300), kappa_cap)
@@ -226,7 +236,7 @@ def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf):
                                   c[4] * x * grow]) * scale
         inside = (k_raw > 0.0) & (k_raw < kappa_max)
         dk = dk_raw * inside[:, None]
-        d_atten = cumulative_trapezoid(dk, x, axis=0, initial=0.0)
+        d_atten = cumulative_trapezoid(dk, x)
         d_i = (dk - k[:, None] * d_atten) * atten[:, None]
         rows = [d_i / i_norm,
                 (100.0 / k_scale) * dk_raw * (k_raw < 0.0)[:, None]]
@@ -447,9 +457,9 @@ def curve_tooth(tooth: ToothSpec, focus, stack: LayerStack, pose: IonPose,
 
 @dataclass
 class GratingLayout:
-    """Two layers of closed polygons plus the transverse zone period."""
-    upper: list              # list of polygons; polygon = [(x, y), ...] in m
-    lower: list
+    """Two layers of rectangles plus the transverse zone period."""
+    upper: np.ndarray        # (n, 4, 2): n rectangles of (x, y) vertices, m
+    lower: np.ndarray
     zone_period: float       # Lambda_y
 
 
@@ -493,8 +503,9 @@ def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
 
     Zone A carries each tooth as designed; zone B repeats it shifted
     longitudinally by the tooth's phase shift delta.  Vertices snap to
-    integer nanometers so exports round-trip exactly.  Polygons are listed
-    stripe by stripe, tooth by tooth within a stripe.
+    integer nanometers so exports round-trip exactly.  Each layer is one
+    (n, 4, 2) array of rectangles, listed stripe by stripe, tooth by tooth
+    within a stripe.
     """
     lam_m = wavelength_in_medium(wavelength, stack.cladding_index)
     if not zone_period < lam_m:
@@ -508,7 +519,7 @@ def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
     y0 = -half_w + stripe * zone_period / 2
     y1 = np.minimum(y0 + zone_period / 2, half_w)
     stripe, y0, y1 = stripe[y1 > y0], y0[y1 > y0], y1[y1 > y0]
-    upper, lower = [], []
+    upper = lower = np.empty((0, 4, 2))
     if teeth and len(stripe):
         for tooth in teeth:
             for duty in (tooth.params.dcu, tooth.params.dcl):
@@ -526,16 +537,18 @@ def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
                                    for t in teeth])
         base = (x_lead + offsets) + np.where(stripe[:, None] % 2 == 1,
                                              delta, 0.0)
-        ya, yb = _snap(y0).tolist(), _snap(y1).tolist()
-        for polys, width, shift in ((upper, dcu * pitch, np.zeros_like(dx)),
-                                    (lower, dcl * pitch, dx)):
+        ya, yb = _snap(y0)[:, None], _snap(y1)[:, None]
+
+        def rectangles(width, shift):
             cols = width > 0.0
             xa = _snap(base[:, cols] + shift[cols])
             xb = _snap(base[:, cols] + shift[cols] + width[cols])
-            for row_a, row_b, y_lo, y_hi in zip(xa.tolist(), xb.tolist(),
-                                                ya, yb):
-                polys.extend([(a, y_lo), (b, y_lo), (b, y_hi), (a, y_hi)]
-                             for a, b in zip(row_a, row_b))
+            xa, xb, y_lo, y_hi = np.broadcast_arrays(xa, xb, ya, yb)
+            return np.stack([xa, y_lo, xb, y_lo, xb, y_hi, xa, y_hi],
+                            axis=-1).reshape(-1, 4, 2)
+
+        upper = rectangles(dcu * pitch, np.zeros_like(dx))
+        lower = rectangles(dcl * pitch, dx)
     return GratingLayout(upper=upper, lower=lower, zone_period=zone_period)
 
 
@@ -543,18 +556,17 @@ def export_layout(layout: GratingLayout, path) -> None:
     """Write the layout as a lossless polygon table.
 
     Schema: one line per polygon, ``layer index x0 y0 x1 y1 ...`` with
-    vertices in integer nanometers.  The polygons of a layer share one
-    vertex count (emit_layout writes rectangles), so each layer is
-    rounded as one array and formatted in one call.
+    vertices in integer nanometers.  Each layer is rounded as one array
+    and formatted in one call.
     """
     lines = [f"# grating layout, zone_period_nm="
              f"{round(layout.zone_period * 1e9)}"]
     for layer_id, polys in (("upper", layout.upper),
                             ("lower", layout.lower)):
-        if not polys:
-            continue
         n = len(polys)
-        nm = np.rint(np.asarray(polys) * 1e9).astype(np.int64).reshape(n, -1)
+        if not n:
+            continue
+        nm = np.rint(polys * 1e9).astype(np.int64).reshape(n, -1)
         rows = np.column_stack([np.arange(n), nm])
         row = layer_id + " %d" * rows.shape[1]
         lines.append("\n".join([row] * n) % tuple(rows.ravel().tolist()))

@@ -13,7 +13,6 @@ designer's diffraction angles and focusing curvature.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.optimize import brentq
 
 from . import constants
@@ -263,6 +262,10 @@ def solid_angle_fraction(footprint: GratingFootprint, pose: IonPose,
     the full sphere, accounting for refraction at the vacuum/cladding
     interface (the grating appears closer than its physical standoff).
     """
+    # no stage calls this reference, so scipy.integrate stays off the
+    # package import
+    from scipy import integrate
+
     if footprint.area == 0:
         return 0.0
 

@@ -14,9 +14,9 @@ import hashlib
 import json
 import os
 import warnings
-from importlib import metadata
 
 import numpy as np
+import scipy
 
 from . import __version__, designer, detection, dipole, fdtd, \
     library as liblib, overlap, propagation
@@ -455,8 +455,8 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
     previous = _read_previous_stages(manifest_path)
     header = {"config_hash": _stage_key("config", config.raw, {}),
               "versions": {"iongrating": __version__,
-                           "numpy": metadata.version("numpy"),
-                           "scipy": metadata.version("scipy")}}
+                           "numpy": np.__version__,
+                           "scipy": scipy.__version__}}
     entries, cached, keys = {}, [], {}
 
     def write_manifest():

@@ -78,6 +78,20 @@ def test_zero_kappa_zero_intensity():
     assert np.all(diffracted_intensity(0.0, 0.05e6, x) == 0.0)
 
 
+def test_cumulative_trapezoid_matches_scipy_bit_for_bit():
+    from scipy import integrate
+    rng = np.random.default_rng(5)
+    x = np.sort(rng.uniform(0.0, 30e-6, 512))
+    y = rng.normal(size=512) * 1e5
+    assert np.array_equal(designer.cumulative_trapezoid(y, x),
+                          integrate.cumulative_trapezoid(y, x, initial=0.0))
+    # the Jacobian's case: columns of a 2-D array along axis 0
+    y2 = rng.normal(size=(512, 6)) * 1e5
+    assert np.array_equal(
+        designer.cumulative_trapezoid(y2, x),
+        integrate.cumulative_trapezoid(y2, x, axis=0, initial=0.0))
+
+
 def test_negative_kappa_rejected():
     x = np.linspace(0.0, 1e-6, 10)
     with pytest.raises(ValueError):
@@ -394,8 +408,9 @@ def test_emit_layout_polygons_pass_audits():
     period = default_zone_period(STACK)
     fp = GratingFootprint(x_extent=1e-6, y_extent=3e-6)
     layout = emit_layout(_tiny_teeth(0.1e-6), period, fp, STACK)
-    assert layout.upper and layout.lower
-    for poly in layout.upper + layout.lower:
+    assert len(layout.upper) and len(layout.lower)
+    # concatenate: on arrays, upper + lower adds vertex by vertex
+    for poly in np.concatenate([layout.upper, layout.lower]):
         assert polygon_is_simple(poly)
         xs = [p[0] for p in poly]
         assert max(xs) - min(xs) >= 0.12e-6 - 1e-9
@@ -444,11 +459,15 @@ def test_emit_layout_matches_per_stripe_reference(focused_teeth):
     teeth[3].curvature = []          # an uncurved tooth among curved ones
     layout = emit_layout(teeth, period, FOOTPRINT, STACK)
     upper, lower = _per_stripe_layout(teeth, period, FOOTPRINT)
-    assert layout.upper == upper and layout.lower == lower
+    assert layout.upper.shape == (len(upper), 4, 2)
+    assert layout.lower.shape == (len(lower), 4, 2)
+    assert np.array_equal(layout.upper, np.array(upper))
+    assert np.array_equal(layout.lower, np.array(lower))
     # identical floats, not merely equal ones (no negative zeros)
-    flat = lambda polys: [v for p in polys for xy in p for v in xy]
-    assert ([repr(v) for v in flat(layout.upper + layout.lower)]
-            == [repr(v) for v in flat(upper + lower)])
+    both = np.concatenate([layout.upper, layout.lower])
+    assert np.array_equal(np.signbit(both), np.signbit(
+        np.concatenate([np.array(upper), np.array(lower)])))
+    assert not np.any(np.signbit(both) & (both == 0.0))
 
 
 def test_emit_layout_rejects_bad_zone_period():
@@ -461,7 +480,7 @@ def test_emit_layout_rejects_bad_zone_period():
 
 
 def import_layout(path) -> GratingLayout:
-    """Parse the polygon table that export_layout writes."""
+    """Parse the rectangle table that export_layout writes."""
     upper, lower = [], []
     zone_period = 0.0
     with open(path, encoding="utf-8") as f:
@@ -476,7 +495,9 @@ def import_layout(path) -> GratingLayout:
             layer, vals = parts[0], [int(v) * 1e-9 for v in parts[2:]]
             poly = list(zip(vals[0::2], vals[1::2]))
             (upper if layer == "upper" else lower).append(poly)
-    return GratingLayout(upper=upper, lower=lower, zone_period=zone_period)
+    return GratingLayout(upper=np.array(upper).reshape(-1, 4, 2),
+                         lower=np.array(lower).reshape(-1, 4, 2),
+                         zone_period=zone_period)
 
 
 def test_export_import_round_trip(tmp_path):
@@ -486,8 +507,14 @@ def test_export_import_round_trip(tmp_path):
     path = tmp_path / "layout.txt"
     export_layout(layout, path)
     back = import_layout(path)
-    assert back.upper == layout.upper
-    assert back.lower == layout.lower
+    assert len(back.upper) and len(back.lower)
+    assert np.array_equal(back.upper, layout.upper)
+    assert np.array_equal(back.lower, layout.lower)
+    # identical floats: a zero coordinate keeps its sign through the table
+    both = np.concatenate([layout.upper, layout.lower])
+    assert np.any(both == 0.0)
+    assert np.array_equal(np.signbit(both), np.signbit(
+        np.concatenate([back.upper, back.lower])))
     # and the re-export is byte-identical
     path2 = tmp_path / "layout2.txt"
     export_layout(back, path2)
@@ -512,7 +539,9 @@ def test_export_matches_per_vertex_writer(tmp_path, focused_teeth):
 
 
 def test_export_empty_layout(tmp_path):
-    layout = GratingLayout(upper=[], lower=[], zone_period=0.25e-6)
+    empty = np.empty((0, 4, 2))
+    layout = GratingLayout(upper=empty, lower=empty, zone_period=0.25e-6)
     path = tmp_path / "empty.txt"
     export_layout(layout, path)
-    assert import_layout(path).upper == []
+    back = import_layout(path)
+    assert back.upper.shape == back.lower.shape == (0, 4, 2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iongrating import constants
+from iongrating import constants, dipole
 from iongrating.dipole import ion_intensity_profile
 from iongrating.geometry import (GratingFootprint, IonPose, refracted_ray,
                                  solid_angle_fraction)
@@ -84,6 +84,24 @@ class TestPatterns:
         total = sum(channel_intensity(kind, u @ np.asarray(axis))
                     for kind in CHANNELS)
         assert np.max(np.abs(total * 4 * np.pi - 1.0)) < 1e-12
+
+
+def test_emission_rule_is_leggauss_bit_for_bit():
+    x, w = dipole._gauss_legendre(256)
+    gx, gw = np.polynomial.legendre.leggauss(256)
+    assert np.array_equal(x, gx) and np.array_equal(w, gw)
+    assert np.array_equal(np.signbit(x), np.signbit(gx))
+
+
+def test_emission_needs_no_dense_eigensolve(monkeypatch, nominal):
+    # the dense eigvalsh inside leggauss ran on every BLAS thread and
+    # cost 0.1-0.6 CPU-s per fresh process
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigvalsh called")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    got = ion_intensity_profile(GratingFootprint(), IonPose(), 512)
+    assert np.array_equal(got.intensity, nominal.intensity)
+    assert got.solid_angle_fraction == nominal.solid_angle_fraction
 
 
 class TestFractionOnAperture:

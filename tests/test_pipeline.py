@@ -102,6 +102,14 @@ def test_manifest_covers_all_stages(run_dir):
             assert len(checksum) == 64
 
 
+def test_manifest_versions_are_the_imported_modules(run_dir):
+    import scipy
+    from iongrating import __version__
+    assert run_dir[2]["versions"] == {"iongrating": __version__,
+                                      "numpy": np.__version__,
+                                      "scipy": scipy.__version__}
+
+
 def test_rerun_is_fully_cached(run_dir):
     out, cfg, _ = run_dir
     before = (out / "manifest.json").read_text()
