@@ -6,7 +6,9 @@ unchanged from the previous run is not recomputed.  A stage reads its
 inputs from the artifacts of the stages it depends on, whether those ran
 now or earlier, so a fully cached run parses no artifact.  The run
 manifest lists every artifact with its checksum and is rewritten after
-each recomputed stage.
+each recomputed stage; ``artifact_stats.json`` beside it lets a rerun
+take an unchanged artifact's checksum from its stat signature, so a
+fully cached run reads no artifact byte and writes no file.
 """
 
 import dataclasses
@@ -67,31 +69,119 @@ def _write_json(path, payload) -> None:
             os.remove(tmp)
 
 
-def _read_previous_stages(manifest_path) -> dict:
-    """Stage entries of an earlier run; an unreadable manifest counts as
-    no earlier run, and a malformed stage entry as a stage that has not
-    run, each with a warning."""
+def _stat_signature(path) -> list:
+    st = os.stat(path)
+    return [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
+
+
+class _ArtifactStats:
+    """Stat signatures of hashed artifacts, kept in ``artifact_stats.json``
+    beside the manifest so that a rerun need not read unchanged artifacts.
+
+    An artifact is taken to hold its recorded checksum without being read
+    when its stat signature (size, mtime, ctime, inode) equals the record
+    and the recorded mtime is strictly older than the file holding the
+    records.  That last rule is git's "racy clean" test: a file rewritten
+    in the same timestamp granule as its record keeps its signature, so it
+    is hashed instead.  ctime cannot be set from user space, so a restored
+    old copy is hashed too.  A missing, unreadable or malformed record
+    file only means every artifact is hashed.
+    """
+
+    def __init__(self, out_dir):
+        self.out_dir = out_dir
+        self.path = os.path.join(out_dir, "artifact_stats.json")
+        self.loaded, self.mtime_ns = {}, 0
+        try:
+            with open(self.path) as fh:
+                self.mtime_ns = os.fstat(fh.fileno()).st_mtime_ns
+                records = json.load(fh)
+            if isinstance(records, dict):
+                self.loaded = records
+        except (OSError, ValueError):
+            pass
+        self.records = dict(self.loaded)
+        self.hashed = False
+
+    def checksum(self, rel, before=None) -> str:
+        """sha256 of an artifact; its stat signature is recorded unless it
+        moved while the file was read."""
+        path = os.path.join(self.out_dir, rel)
+        before = before or _stat_signature(path)
+        digest = _sha256_file(path)
+        self.hashed = True
+        if _stat_signature(path) == before:
+            self.records[rel] = {"sha256": digest, "stat": before}
+        else:
+            self.records.pop(rel, None)
+        return digest
+
+    def mismatch(self, rel, digest):
+        """None when the artifact holds ``digest``, else the cache reason
+        ``artifact-missing`` or ``checksum-mismatch``."""
+        try:
+            sig = _stat_signature(os.path.join(self.out_dir, rel))
+        except OSError:
+            return "artifact-missing"
+        rec = self.loaded.get(rel)
+        if (isinstance(rec, dict) and rec.get("sha256") == digest
+                and rec.get("stat") == sig
+                and sig[1] < self.mtime_ns):
+            return None
+        if self.checksum(rel, sig) == digest:
+            return None
+        return "checksum-mismatch"
+
+    def save(self, stages) -> None:
+        """Write the records of the artifacts of ``stages`` when this run
+        hashed an artifact or dropped a record.  A record hashed again only
+        because it was racy is unchanged, but it needs a newer file."""
+        keep = {rel: self.records[rel] for entry in stages.values()
+                for rel in entry["artifacts"] if rel in self.records}
+        if self.hashed or keep != self.loaded:
+            _write_json(self.path, keep)
+
+
+def _usable_entry(entry) -> bool:
+    # downstream stages read the paths in artifact_names, so each must be
+    # one whose checksum is verified
+    if not (isinstance(entry, dict) and isinstance(entry.get("key"), str)
+            and isinstance(entry.get("artifacts"), dict)
+            and isinstance(entry.get("artifact_names"), dict)):
+        return False
+    paths = list(entry["artifact_names"].values())
+    return (all(isinstance(p, str) for p in paths)
+            and len(paths) == len(entry["artifacts"])
+            and set(paths) == set(entry["artifacts"]))
+
+
+def _read_previous_stages(manifest_path):
+    """The parsed manifest of an earlier run (None if there is none), its
+    usable stage entries, and the names of the stages whose entries are
+    not usable.  An unreadable manifest counts as no earlier run, and a
+    malformed stage entry as a stage that has not run, each with a
+    warning; every stage of an unreadable manifest counts as malformed."""
     if not os.path.exists(manifest_path):
-        return {}
+        return None, {}, set()
     try:
         with open(manifest_path) as fh:
-            stages = json.load(fh).get("stages", {})
+            document = json.load(fh)
+        stages = document.get("stages", {})
         if not isinstance(stages, dict):
             raise ValueError("'stages' is not a mapping")
     except (OSError, ValueError, AttributeError) as exc:
         warnings.warn(f"ignoring unreadable manifest {manifest_path}: {exc}",
                       RuntimeWarning, stacklevel=3)
-        return {}
-    usable = {}
+        return None, {}, set(STAGES)
+    usable, malformed = {}, set()
     for name, entry in stages.items():
-        if (isinstance(entry, dict) and isinstance(entry.get("key"), str)
-                and isinstance(entry.get("artifacts"), dict)
-                and isinstance(entry.get("artifact_names"), dict)):
+        if _usable_entry(entry):
             usable[name] = entry
         else:
+            malformed.add(name)
             warnings.warn(f"ignoring malformed stage {name!r} in manifest "
                           f"{manifest_path}", RuntimeWarning, stacklevel=3)
-    return usable
+    return document, usable, malformed
 
 
 def _config_slices(config: PipelineConfig) -> dict:
@@ -440,9 +530,15 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
     ``stages`` limits the run to the named stages plus their
     dependencies; by default everything runs.  Stages whose configuration
     slice, upstream keys, and artifact checksums are unchanged are not
-    recomputed.  The manifest is written to ``<out_dir>/manifest.json``
-    after each recomputed stage, so a failure keeps the stages before it
-    cached, and once more at the end.  Returns the manifest dict.
+    recomputed; an artifact whose stat signature matches its record in
+    ``<out_dir>/artifact_stats.json`` is not read (see ``_ArtifactStats``).
+    The manifest is written to ``<out_dir>/manifest.json`` after each
+    recomputed stage, so a failure keeps the stages before it cached, and
+    at the end if it differs from the one read at the start.  Returns the
+    manifest dict with ``cached_stages`` and ``cache_reasons``, which maps
+    each selected stage to ``hit``, ``key-changed`` (also for a stage with
+    no earlier entry), ``artifact-missing``, ``checksum-mismatch`` or
+    ``entry-malformed``.
     """
     for name in stages or ():
         if name not in STAGES:
@@ -452,18 +548,22 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
     os.makedirs(out_dir, exist_ok=True)
     slices = _config_slices(config)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    previous = _read_previous_stages(manifest_path)
+    document, previous, malformed = _read_previous_stages(manifest_path)
+    artifact_stats = _ArtifactStats(out_dir)
     header = {"config_hash": _stage_key("config", config.raw, {}),
               "versions": {"iongrating": __version__,
                            "numpy": np.__version__,
                            "scipy": scipy.__version__}}
-    entries, cached, keys = {}, [], {}
+    entries, cached, keys, reasons = {}, [], {}, {}
 
     def write_manifest():
+        nonlocal document
         merged = {**previous, **entries}
         manifest = {**header,
                     "stages": {n: merged[n] for n in STAGES if n in merged}}
-        _write_json(manifest_path, manifest)
+        if manifest != document:
+            _write_json(manifest_path, manifest)
+            document = manifest
         return manifest
 
     for name in selected:
@@ -471,10 +571,18 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
         keys[name] = _stage_key(name, slices[name],
                                 {d: keys[d] for d in depends})
         prev = previous.get(name)
-        if (prev and prev.get("key") == keys[name]
-                and all(os.path.exists(os.path.join(out_dir, p))
-                        and _sha256_file(os.path.join(out_dir, p)) == c
-                        for p, c in prev["artifacts"].items())):
+        if prev is None:
+            reason = ("entry-malformed" if name in malformed
+                      else "key-changed")
+        elif prev["key"] != keys[name]:
+            reason = "key-changed"
+        else:
+            # the first artifact that fails decides; the rest are not read
+            reason = next(filter(None, (
+                artifact_stats.mismatch(p, c)
+                for p, c in prev["artifacts"].items())), "hit")
+        reasons[name] = reason
+        if reason == "hit":
             entries[name] = prev
             cached.append(name)
             continue
@@ -493,13 +601,15 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
             "key": keys[name],
             "summary": summary,
             "artifact_names": rel,
-            "artifacts": {p: _sha256_file(os.path.join(out_dir, p))
+            "artifacts": {p: artifact_stats.checksum(p)
                           for p in rel.values()},
         }
         write_manifest()
 
     manifest = write_manifest()
+    artifact_stats.save(manifest["stages"])
     manifest["cached_stages"] = cached
+    manifest["cache_reasons"] = reasons
     return manifest
 
 

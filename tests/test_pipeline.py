@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import shutil
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +117,7 @@ def test_rerun_is_fully_cached(run_dir):
     before = (out / "manifest.json").read_text()
     manifest = pipeline.run_pipeline(cfg)
     assert set(manifest["cached_stages"]) == set(pipeline.STAGES)
+    assert manifest["cache_reasons"] == dict.fromkeys(pipeline.STAGES, "hit")
     assert (out / "manifest.json").read_text() == before
 
 
@@ -126,6 +129,7 @@ def test_seed_change_recomputes_only_detection(run_dir, tmp_path):
     assert "detect" not in manifest["cached_stages"]
     assert set(manifest["cached_stages"]) == set(pipeline.STAGES) - {
         "detect"}
+    assert manifest["cache_reasons"]["detect"] == "key-changed"
 
 
 def test_library_seed_change_recomputes_nothing(tmp_path):
@@ -187,6 +191,8 @@ def test_truncated_manifest_is_treated_as_empty(run_dir, tmp_path):
     with pytest.warns(RuntimeWarning, match="unreadable manifest"):
         manifest = pipeline.run_pipeline(cfg)
     assert manifest["cached_stages"] == []
+    assert manifest["cache_reasons"] == dict.fromkeys(pipeline.STAGES,
+                                                      "entry-malformed")
     # the rewritten manifest is whole again, and no temporary is left
     assert json.loads(path.read_text())["stages"].keys() == set(
         pipeline.STAGES)
@@ -442,7 +448,11 @@ _MALFORMED_ENTRIES = pytest.mark.parametrize("malform", [
     lambda entry: 3,
     lambda entry: {k: v for k, v in entry.items() if k != "artifacts"},
     lambda entry: {k: v for k, v in entry.items() if k != "artifact_names"},
-], ids=["not-a-mapping", "no-artifacts", "no-artifact-names"])
+    # a path downstream stages would read without its checksum verified
+    lambda entry: {**entry, "artifact_names": {
+        **entry["artifact_names"], "unverified": "unverified.csv"}},
+], ids=["not-a-mapping", "no-artifacts", "no-artifact-names",
+        "unverified-artifact-name"])
 
 
 def _malform_stage(out, stage, malform):
@@ -460,6 +470,7 @@ def test_malformed_stage_entry_recomputes(tmp_path, malform):
     with pytest.warns(RuntimeWarning, match="malformed stage 'emission'"):
         again = pipeline.run_pipeline(cfg, stages=["emission"])
     assert again["cached_stages"] == []
+    assert again["cache_reasons"] == {"emission": "entry-malformed"}
     assert again["stages"] == first["stages"]
     assert json.loads((tmp_path / "manifest.json").read_text())[
         "stages"] == first["stages"]
@@ -556,14 +567,84 @@ def test_rejected_cached_artifact_is_a_stage_error(run_dir, tmp_path):
     assert lines[0].startswith("stage-error: overlap: ")
 
 
-def test_cached_rerun_reads_no_artifact(run_dir, tmp_path, monkeypatch):
-    out, _, _ = run_dir
-    copy = tmp_path / "run"
-    shutil.copytree(out, copy)
+def _move_ion(cfg, csv):
+    return dataclasses.replace(cfg, pose=dataclasses.replace(
+        cfg.pose, x_ion=cfg.pose.x_ion + 1e-6))
+
+
+def _delete(cfg, csv):
+    csv.unlink()
+    return cfg
+
+
+def _rewrite(cfg, csv):
+    csv.write_text("0,0\n")
+    return cfg
+
+
+@pytest.mark.parametrize("reason, change", [
+    ("key-changed", _move_ion), ("artifact-missing", _delete),
+    ("checksum-mismatch", _rewrite)])
+def test_cache_reason_names_why_a_stage_ran(tmp_path, reason, change):
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
+    first = pipeline.run_pipeline(cfg, stages=["emission"])
+    # a stage with no earlier entry has no key to match
+    assert first["cache_reasons"] == {"emission": "key-changed"}
+    again = pipeline.run_pipeline(cfg, stages=["emission"])
+    assert again["cache_reasons"] == {"emission": "hit"}
+    csv = tmp_path / "emission" / "emission_profile.csv"
+    after = pipeline.run_pipeline(change(cfg, csv), stages=["emission"])
+    assert after["cached_stages"] == []
+    assert after["cache_reasons"] == {"emission": reason}
+
+
+def _settled_copy(run_dir, tmp_path, name="run"):
+    """A copy of the shared run whose every artifact has a trusted stat
+    record.  The first rerun brings back any stage another test recomputed
+    under other settings; what it writes may share a timestamp granule
+    with the record file, so a rerun once the clock has moved on hashes
+    those files again and rewrites the records."""
+    copy = tmp_path / name
+    shutil.copytree(run_dir[0], copy)
     cfg = load_config(overrides={**FAST, "output_dir": str(copy)})
-    # brings back any stage another test recomputed under other settings
     pipeline.run_pipeline(cfg)
-    before = (copy / "manifest.json").read_bytes()
+    time.sleep(0.05)
+    pipeline.run_pipeline(cfg)
+    return copy, cfg
+
+
+def _hash_log(monkeypatch, root):
+    """The paths under ``root`` that run_pipeline hashes from now on."""
+    hashed, real = [], pipeline._sha256_file
+
+    def logged(path):
+        hashed.append(os.path.relpath(path, root))
+        return real(path)
+
+    monkeypatch.setattr(pipeline, "_sha256_file", logged)
+    return hashed
+
+
+def _artifact_paths(out):
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    return sorted(rel for entry in stages.values()
+                  for rel in entry["artifacts"])
+
+
+def _file_states(out):
+    return {os.path.relpath(os.path.join(d, f), out):
+            (os.stat(os.path.join(d, f)).st_ino,
+             os.stat(os.path.join(d, f)).st_mtime_ns)
+            for d, _, files in os.walk(out) for f in files}
+
+
+LAYOUT = os.path.join("design", "layout.txt")
+
+
+def test_cached_rerun_reads_no_artifact(run_dir, tmp_path, monkeypatch):
+    copy, cfg = _settled_copy(run_dir, tmp_path)
+    manifest_bytes = (copy / "manifest.json").read_bytes()
+    before = _file_states(copy)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a cached rerun read an artifact")
@@ -571,9 +652,102 @@ def test_cached_rerun_reads_no_artifact(run_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(propagation, "load_field", refuse)
     monkeypatch.setattr(liblib, "load_library", refuse)
     monkeypatch.setattr(pipeline, "_read_teeth", refuse)
+    # nor hashes one
+    monkeypatch.setattr(pipeline, "_sha256_file", refuse)
     manifest = pipeline.run_pipeline(cfg)
     assert manifest["cached_stages"] == list(pipeline.STAGES)
-    assert (copy / "manifest.json").read_bytes() == before
+    assert manifest["cache_reasons"] == dict.fromkeys(pipeline.STAGES, "hit")
+    assert (copy / "manifest.json").read_bytes() == manifest_bytes
+    # manifest.json's inode and mtime among them: no file was rewritten
+    assert _file_states(copy) == before
+
+
+def test_same_size_rewrite_with_restored_mtime_recomputes(run_dir,
+                                                          tmp_path):
+    copy, cfg = _settled_copy(run_dir, tmp_path)
+    stages = json.loads((copy / "manifest.json").read_text())["stages"]
+    path = copy / LAYOUT
+    original = path.read_bytes()
+    st = os.stat(path)
+    i = next(i for i, b in enumerate(original) if chr(b).isdigit())
+    edited = bytearray(original)
+    edited[i] = ord("2") if edited[i] != ord("2") else ord("3")
+    with open(path, "r+b") as fh:
+        fh.write(edited)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    moved = os.stat(path)
+    assert (moved.st_size, moved.st_mtime_ns, moved.st_ino) == (
+        st.st_size, st.st_mtime_ns, st.st_ino)
+    manifest = pipeline.run_pipeline(cfg)
+    assert manifest["cache_reasons"]["design"] == "checksum-mismatch"
+    # the stages after design read only teeth.json, which still verifies,
+    # and design writes layout.txt back as it was
+    assert manifest["cached_stages"] == [s for s in pipeline.STAGES
+                                         if s != "design"]
+    assert path.read_bytes() == original
+    assert manifest["stages"] == stages
+
+
+def test_record_not_older_than_its_file_is_hashed(run_dir, tmp_path,
+                                                  monkeypatch):
+    copy, cfg = _settled_copy(run_dir, tmp_path)
+    stats_path = copy / "artifact_stats.json"
+    records = json.loads(stats_path.read_text())
+    granule = records[LAYOUT]["stat"][1]
+    os.utime(stats_path, ns=(granule, granule))
+    racy = sorted(rel for rel, rec in records.items()
+                  if rec["stat"][1] >= granule)
+    assert LAYOUT in racy
+    hashed = _hash_log(monkeypatch, copy)
+    manifest = pipeline.run_pipeline(cfg)
+    assert manifest["cached_stages"] == list(pipeline.STAGES)
+    assert sorted(hashed) == racy
+    # the records are written again, now newer than every artifact
+    hashed.clear()
+    pipeline.run_pipeline(cfg)
+    assert hashed == []
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated",
+                                    "other-sha256"])
+def test_damaged_artifact_stats_only_mean_hashing(run_dir, tmp_path,
+                                                  monkeypatch, damage):
+    copy, cfg = _settled_copy(run_dir, tmp_path)
+    stats_path = copy / "artifact_stats.json"
+    text = stats_path.read_text()
+    expected = _artifact_paths(copy)
+    if damage == "missing":
+        stats_path.unlink()
+    elif damage == "truncated":
+        stats_path.write_text(text[:len(text) // 2])
+    else:
+        records = json.loads(text)
+        records[LAYOUT]["sha256"] = "0" * 64
+        stats_path.write_text(json.dumps(records))
+        expected = [LAYOUT]
+    hashed = _hash_log(monkeypatch, copy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        manifest = pipeline.run_pipeline(cfg)
+    assert manifest["cached_stages"] == list(pipeline.STAGES)
+    assert sorted(hashed) == expected
+
+
+def test_copied_run_hashes_each_artifact_once(run_dir, tmp_path,
+                                              monkeypatch):
+    src, _ = _settled_copy(run_dir, tmp_path, "src")
+    copy = tmp_path / "copy"
+    shutil.copytree(src, copy)
+    cfg = load_config(overrides={**FAST, "output_dir": str(copy)})
+    hashed = _hash_log(monkeypatch, copy)
+    first = pipeline.run_pipeline(cfg)
+    assert first["cached_stages"] == list(pipeline.STAGES)
+    # copies keep their mtime but not their inode or ctime
+    assert sorted(hashed) == _artifact_paths(copy)
+    hashed.clear()
+    again = pipeline.run_pipeline(cfg)
+    assert again["cached_stages"] == list(pipeline.STAGES)
+    assert hashed == []
 
 
 def test_analytic_library_apodization():
