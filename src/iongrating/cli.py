@@ -113,8 +113,7 @@ def propagate(config_path, seed, out_dir, dz):
               f"{cfg.pose.height_above_surface:g} m below the ion plane")
     manifest = _run_stages(cfg, ["propagate"])
     if dz is not None:
-        base = os.path.join(cfg.output_dir, manifest["stages"]["propagate"]
-                            ["artifact_names"]["ion_te"])
+        base = os.path.join(cfg.output_dir, "propagate", "ion_plane_te.npz")
         try:
             field = angular_spectrum_propagate(load_field(base), dz)
         except Exception as exc:

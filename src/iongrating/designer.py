@@ -309,7 +309,6 @@ def diffraction_angle_at(x: float, pose: IonPose,
 @dataclass
 class ToothSpec:
     x: float                 # leading-edge position, m
-    pitch: float
     params: UnitCellParams
     angle: float             # cladding-frame diffraction angle, rad
     kappa: float
@@ -317,6 +316,10 @@ class ToothSpec:
     clamped: bool = False
     truncated: bool = False
     curvature: list = field(default_factory=list)  # (y, x-offset) samples
+
+    @property
+    def pitch(self) -> float:
+        return self.params.pitch
 
 
 def discretize(ansatz: KappaAnsatz, library: ParamLibrary,
@@ -338,11 +341,10 @@ def discretize(ansatz: KappaAnsatz, library: ParamLibrary,
         if bad:
             raise LayoutError(f"tooth at x={x * 1e6:.3f} um violates "
                               f"feature constraints: {bad}")
-        pitch = res.params.pitch
-        teeth.append(ToothSpec(x=x, pitch=pitch, params=res.params,
-                               angle=angle, kappa=res.kappa,
-                               alpha=res.alpha, clamped=res.clamped))
-        x += pitch
+        teeth.append(ToothSpec(x=x, params=res.params, angle=angle,
+                               kappa=res.kappa, alpha=res.alpha,
+                               clamped=res.clamped))
+        x += res.params.pitch
     # non-overlap by construction: each tooth advances by its own pitch
     return teeth
 

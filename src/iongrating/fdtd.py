@@ -198,6 +198,8 @@ def slab_mode_profile(n_column: np.ndarray, cell: float, wavelength: float,
     Returns (n_eff, profile) where the profile samples the out-of-plane
     field (Ey for TE, Hy for TM) at the grid nodes.
     """
+    if polarization not in ("TE", "TM"):
+        raise ValueError("polarization must be 'TE' or 'TM'")
     k0 = 2 * np.pi / wavelength
     nz = len(n_column)
     eps = n_column.astype(float) ** 2

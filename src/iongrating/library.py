@@ -354,6 +354,19 @@ def interpolate(library: ParamLibrary, angle: float,
                                float(_lerp(a_hi, a_lo, s)), clamped=False)
 
 
+def sorted_grids(angles, delta_fracs):
+    """The (angles, delta_fracs) grids of a library in the order
+    :class:`ParamLibrary` reads them: ascending, nonempty, and the delta
+    grid starting at 0."""
+    angles = sorted(float(a) for a in angles)
+    delta_fracs = sorted(float(f) for f in delta_fracs)
+    if not angles or not delta_fracs:
+        raise ValueError("angle and delta grids must be nonempty")
+    if delta_fracs[0] != 0.0:
+        raise ValueError("delta grid must start at 0")
+    return angles, delta_fracs
+
+
 def _entry_key(angle: float, delta_frac: float, config: KernelConfig,
                start) -> str:
     payload = {
@@ -391,12 +404,7 @@ def build_library(angles, delta_fracs, config: KernelConfig,
     the angle.  Entries are cached by a content hash of their full inputs,
     the search's start included, so builds are resumable.
     """
-    angles = sorted(float(a) for a in angles)
-    delta_fracs = sorted(float(f) for f in delta_fracs)
-    if not angles or not delta_fracs:
-        raise ValueError("angle and delta grids must be nonempty")
-    if delta_fracs[0] != 0.0:
-        raise ValueError("delta grid must start at 0")
+    angles, delta_fracs = sorted_grids(angles, delta_fracs)
 
     def cached(key, compute):
         if cache_dir is None:

@@ -143,16 +143,8 @@ class _ArtifactStats:
 
 
 def _usable_entry(entry) -> bool:
-    # downstream stages read the paths in artifact_names, so each must be
-    # one whose checksum is verified
-    if not (isinstance(entry, dict) and isinstance(entry.get("key"), str)
-            and isinstance(entry.get("artifacts"), dict)
-            and isinstance(entry.get("artifact_names"), dict)):
-        return False
-    paths = list(entry["artifact_names"].values())
-    return (all(isinstance(p, str) for p in paths)
-            and len(paths) == len(entry["artifacts"])
-            and set(paths) == set(entry["artifacts"]))
+    return (isinstance(entry, dict) and isinstance(entry.get("key"), str)
+            and isinstance(entry.get("artifacts"), dict))
 
 
 def _read_previous_stages(manifest_path):
@@ -199,7 +191,10 @@ def _config_slices(config: PipelineConfig) -> dict:
     det = {k: getattr(config.detection, k)
            for k in ("bright_rate", "dark_rate", "window", "threshold",
                      "bins", "d_lifetime", "shelving_failure")}
-    lib = {**base, **config.library}
+    # entry caches key on their own content, so the cache directory never
+    # changes a result
+    lib = {**base, **{k: v for k, v in config.library.items()
+                      if k != "cache_dir"}}
     path = config.library.get("path")
     if config.library["mode"] == "file" and path and os.path.isfile(path):
         # a rewritten library file must recompute the stage
@@ -236,8 +231,9 @@ def analytic_library(config: PipelineConfig) -> liblib.ParamLibrary:
     half-pitch shift.  Labeled analytic in the provenance.
     """
     lib_cfg = config.library
-    angles = [np.deg2rad(a) for a in lib_cfg["angles_deg"]]
-    fracs = list(lib_cfg["delta_fracs"])
+    angles, fracs = liblib.sorted_grids(
+        [np.deg2rad(a) for a in lib_cfg["angles_deg"]],
+        lib_cfg["delta_fracs"])
     dcu, dcl = lib_cfg["duty_upper"], lib_cfg["duty_lower"]
     cell = _cell_size(config)
     entries = {}
@@ -282,8 +278,8 @@ def _build_library(config: PipelineConfig) -> liblib.ParamLibrary:
 
 # ---------------------------------------------------------------------------
 # Stage bodies: each reads the artifacts of the stages it depends on from
-# ``inputs`` (artifact name -> path) and returns (summary dict, artifacts
-# dict name->path).
+# ``inputs`` (run-relative path, as keyed in the manifest -> path) and
+# returns (summary dict, [paths of the artifacts it wrote]).
 
 def _run_emission(config, inputs, stage_dir):
     emission = dipole.ion_intensity_profile(
@@ -296,8 +292,7 @@ def _run_emission(config, inputs, stage_dir):
     return {"solid_angle_fraction": fraction,
             "per_mode_bound": fraction / 2.0,
             "sigma_share": emission.sigma_share,
-            "peak_intensity_per_m": float(emission.intensity.max())}, \
-        {"emission_profile": path}
+            "peak_intensity_per_m": float(emission.intensity.max())}, [path]
 
 
 def _run_library(config, inputs, stage_dir):
@@ -328,13 +323,15 @@ def _run_library(config, inputs, stage_dir):
         summary["cells_evaluated"] = sum(
             e.search_nfev if e.delta_frac == 0.0 else 1 for e in entries)
         summary["max_search_nfev"] = max(e.search_nfev for e in entries)
-    return summary, {"library": path}
+    return summary, [path]
 
 
 def _run_design(config, inputs, stage_dir):
-    x, profile = np.loadtxt(inputs["emission_profile"], delimiter=",",
-                            unpack=True)
-    lib = liblib.load_library(inputs["library"])
+    x, profile = np.loadtxt(
+        inputs[os.path.join("emission", "emission_profile.csv")],
+        delimiter=",", unpack=True)
+    lib = liblib.load_library(inputs[os.path.join("library",
+                                                  "library.json")])
     dz_cfg = config.designer
     ansatz, fit = designer.fit_kappa(
         profile, x, alpha=dz_cfg["alpha"], kappa_max=dz_cfg["kappa_max"])
@@ -354,21 +351,17 @@ def _run_design(config, inputs, stage_dir):
     teeth_path = os.path.join(stage_dir, "teeth.json")
     _write_json(teeth_path, [dataclasses.asdict(t) for t in teeth])
     drained, residual = designer.tooth_power_accounting(teeth)
-    summary = {"n_teeth": len(teeth),
-               "n_clamped": sum(bool(t.clamped) for t in teeth),
-               "n_truncated": sum(bool(t.truncated) for t in teeth),
-               "fit_relative_l2": fit.relative_l2,
-               "fit_residual_power": fit.residual_power,
-               "fit_infeasible": bool(fit.infeasible),
-               "fit_status": [s.status for s in fit.starts],
-               "fit_nfev": [s.nfev for s in fit.starts],
-               "drained_power": float(np.sum(drained)),
-               "undiffracted_power": residual,
-               "zone_period": zone_period}
-    summary_path = os.path.join(stage_dir, "design.json")
-    _write_json(summary_path, summary)
-    return summary, {"layout": layout_path, "teeth": teeth_path,
-                     "design": summary_path}
+    return {"n_teeth": len(teeth),
+            "n_clamped": sum(bool(t.clamped) for t in teeth),
+            "n_truncated": sum(bool(t.truncated) for t in teeth),
+            "fit_relative_l2": fit.relative_l2,
+            "fit_residual_power": fit.residual_power,
+            "fit_infeasible": bool(fit.infeasible),
+            "fit_status": [s.status for s in fit.starts],
+            "fit_nfev": [s.nfev for s in fit.starts],
+            "drained_power": float(np.sum(drained)),
+            "undiffracted_power": residual,
+            "zone_period": zone_period}, [layout_path, teeth_path]
 
 
 def _read_teeth(path) -> list:
@@ -404,8 +397,8 @@ def _tm_teeth(config, teeth):
 def _run_propagate(config, inputs, stage_dir):
     shape = tuple(config.propagation["shape"])
     s = config.propagation["pixel_size"]
-    teeth = _read_teeth(inputs["teeth"])
-    artifacts, summary = {}, {}
+    teeth = _read_teeth(inputs[os.path.join("design", "teeth.json")])
+    artifacts, summary = [], {}
     for pol, pol_teeth in (("TE", teeth), ("TM", _tm_teeth(config, teeth))):
         near = propagation.synthesize_near_field(
             pol_teeth, config.footprint, config.stack, config.wavelength,
@@ -415,7 +408,7 @@ def _run_propagate(config, inputs, stage_dir):
             config.stack.cladding_index).normalize()
         path = os.path.join(stage_dir, f"ion_plane_{pol.lower()}.npz")
         propagation.save_field(at_ion, path)
-        artifacts[f"ion_{pol.lower()}"] = path
+        artifacts.append(path)
         x, y = _peak_position(at_ion, (config.pose.x_ion, config.pose.y_ion))
         summary[f"peak_x_{pol.lower()}"] = x
         summary[f"peak_y_{pol.lower()}"] = y
@@ -437,8 +430,9 @@ def _peak_position(fieldgrid, ion_xy):
 
 
 def _run_overlap(config, inputs, stage_dir):
-    te, tm = (propagation.load_field(inputs[n])
-              for n in ("ion_te", "ion_tm"))
+    te, tm = (propagation.load_field(
+        inputs[os.path.join("propagate", f"ion_plane_{pol}.npz")])
+        for pol in ("te", "tm"))
     pose = config.pose
     full = overlap.collection_map(
         te, tm, (pose.x_ion - 8e-6, pose.x_ion + 8e-6),
@@ -453,18 +447,14 @@ def _run_overlap(config, inputs, stage_dir):
                                     full.y)
     map_path = os.path.join(stage_dir, "collection_map.csv")
     np.savetxt(map_path, m.eta, delimiter=",", fmt="%.17g")
-    meta_path = os.path.join(stage_dir, "collection_map_meta.json")
-    summary = {"eta_at_ion": at_ion.eta,
-               "eta_peak": float(m.eta.max()),
-               "eta_peak_te": float(m.eta_te.max()),
-               "eta_peak_tm": float(m.eta_tm.max()),
-               "peak_x": m.peak[0], "peak_y": m.peak[1], "z": m.z,
-               "tm_te_power_ratio": rep.power_ratio,
-               "tm_suppression_db": rep.suppression_db,
-               "maxima_offset": rep.offset}
-    _write_json(meta_path, summary)
-    return summary, {"collection_map": map_path,
-                     "collection_map_meta": meta_path}
+    return {"eta_at_ion": at_ion.eta,
+            "eta_peak": float(m.eta.max()),
+            "eta_peak_te": float(m.eta_te.max()),
+            "eta_peak_tm": float(m.eta_tm.max()),
+            "peak_x": m.peak[0], "peak_y": m.peak[1], "z": m.z,
+            "tm_te_power_ratio": rep.power_ratio,
+            "tm_suppression_db": rep.suppression_db,
+            "maxima_offset": rep.offset}, [map_path]
 
 
 def _run_detect(config, inputs, stage_dir):
@@ -486,14 +476,11 @@ def _run_detect(config, inputs, stage_dir):
                "signal_to_background": cfg.signal_to_background,
                "ledgers": {name: dict(zip(("db", "sigma_db"), l.total()))
                            for name, l in ledgers.items()}}
-    artifacts = {}
+    artifacts = []
     for name, ledger in ledgers.items():
         path = os.path.join(stage_dir, f"ledger_{name}.csv")
         detection.save_ledger(ledger, path)
-        artifacts[f"ledger_{name}"] = path
-    path = os.path.join(stage_dir, "detection.json")
-    _write_json(path, summary)
-    artifacts["detection"] = path
+        artifacts.append(path)
     return summary, artifacts
 
 
@@ -586,8 +573,9 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
             entries[name] = prev
             cached.append(name)
             continue
-        inputs = {n: os.path.join(out_dir, p) for d in depends
-                  for n, p in entries[d]["artifact_names"].items()}
+        # only files whose checksums are verified: the upstream artifacts
+        inputs = {p: os.path.join(out_dir, p) for d in depends
+                  for p in entries[d]["artifacts"]}
         stage_dir = os.path.join(out_dir, name)
         os.makedirs(stage_dir, exist_ok=True)
         try:
@@ -596,13 +584,11 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
             raise
         except Exception as exc:
             raise StageError(name, str(exc)) from exc
-        rel = {n: os.path.relpath(p, out_dir) for n, p in artifacts.items()}
         entries[name] = {
             "key": keys[name],
             "summary": summary,
-            "artifact_names": rel,
-            "artifacts": {p: artifact_stats.checksum(p)
-                          for p in rel.values()},
+            "artifacts": {rel: artifact_stats.checksum(rel) for rel in
+                          (os.path.relpath(p, out_dir) for p in artifacts)},
         }
         write_manifest()
 
@@ -616,19 +602,51 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
 # ---------------------------------------------------------------------------
 # Reporting
 
-def _fmt(value):
-    # manifests of earlier releases lack the newer summary keys
-    return "n/a" if value is None else f"{value:.4g}"
+_float = "{:.4g}".format
 
 
-def _fmt_list(values):
-    """Space-separated list; manifests from before per-start diagnostics
-    have none."""
-    return " ".join(str(v) for v in values) if values else "n/a"
+def _list(values) -> str:
+    return " ".join(map(str, values)) or "n/a"
+
+
+# (title, stage, rows); each row is (label, summary keys, format), and a
+# row without keys is a heading.  A section is printed when its stage's
+# summary holds any of its keys: analytic libraries carry no solver
+# diagnostics.
+_REPORT = (
+    ("geometry", "emission", (
+        ("solid-angle fraction", ("solid_angle_fraction",), _float),
+        ("per-mode bound", ("per_mode_bound",), _float),
+        ("sigma share", ("sigma_share",), _float))),
+    ("unit-cell solver", "library", (
+        ("max periods run", ("max_periods_run",), str),
+        ("max energy closure", ("max_closure",), _float),
+        ("cells evaluated", ("cells_evaluated",), str),
+        ("max search evaluations", ("max_search_nfev",), str))),
+    ("design", "design", (
+        ("teeth", ("n_teeth",), str),
+        ("clamped / truncated teeth", ("n_clamped", "n_truncated"), str),
+        ("fit relative L2", ("fit_relative_l2",), _float),
+        ("fit status per start", ("fit_status",), _list),
+        ("fit evaluations per start", ("fit_nfev",), _list),
+        ("undiffracted power", ("undiffracted_power",), _float))),
+    ("collection", "overlap", (
+        ("eta at ion (field)", ("eta_at_ion",), _float),
+        ("map peak at x", ("peak_x",), _float),
+        ("crosstalk", (), None),
+        ("TM/TE power ratio", ("tm_te_power_ratio",), _float),
+        ("TM suppression (dB)", ("tm_suppression_db",), _float),
+        ("maxima offset (m)", ("maxima_offset",), _float))),
+    ("detection", "detect", (
+        ("bright fidelity", ("bright_fidelity",), _float),
+        ("dark fidelity", ("dark_fidelity",), _float),
+        ("mean bright readout (s)", ("bright_mean_time",), _float))),
+)
 
 
 def report(manifest: dict) -> str:
-    """One-page text summary of a run manifest."""
+    """One-page text summary of a run manifest.  Values missing from the
+    manifest of an earlier release print as n/a."""
     stages = manifest.get("stages", {})
     if not stages:
         return "no stages have run\n"
@@ -637,72 +655,24 @@ def report(manifest: dict) -> str:
     if missing:
         lines.append("incomplete manifest; missing stages: "
                      + ", ".join(missing))
-    get = lambda stage, key: stages.get(stage, {}).get(
-        "summary", {}).get(key)
-    if "emission" in stages:
-        lines += ["",
-                  "geometry",
-                  f"  solid-angle fraction      "
-                  f"{_fmt(get('emission', 'solid_angle_fraction'))}",
-                  f"  per-mode bound            "
-                  f"{_fmt(get('emission', 'per_mode_bound'))}",
-                  f"  sigma share               "
-                  f"{_fmt(get('emission', 'sigma_share'))}"]
-    if get("library", "max_periods_run") is not None:
-        lines += ["",
-                  "unit-cell solver",
-                  f"  max periods run           "
-                  f"{get('library', 'max_periods_run')}",
-                  f"  max energy closure        "
-                  f"{_fmt(get('library', 'max_closure'))}",
-                  f"  cells evaluated           "
-                  f"{get('library', 'cells_evaluated')}",
-                  f"  max search evaluations    "
-                  f"{get('library', 'max_search_nfev')}"]
-    if "design" in stages:
-        lines += ["",
-                  "design",
-                  f"  teeth                     {get('design', 'n_teeth')}",
-                  f"  clamped / truncated teeth "
-                  f"{get('design', 'n_clamped')} / "
-                  f"{get('design', 'n_truncated')}",
-                  f"  fit relative L2           "
-                  f"{_fmt(get('design', 'fit_relative_l2'))}",
-                  f"  fit status per start      "
-                  f"{_fmt_list(get('design', 'fit_status'))}",
-                  f"  fit evaluations per start "
-                  f"{_fmt_list(get('design', 'fit_nfev'))}",
-                  f"  undiffracted power        "
-                  f"{_fmt(get('design', 'undiffracted_power'))}"]
-    if "overlap" in stages:
-        lines += ["",
-                  "collection",
-                  f"  eta at ion (field)        "
-                  f"{_fmt(get('overlap', 'eta_at_ion'))}",
-                  f"  map peak at x             "
-                  f"{_fmt(get('overlap', 'peak_x'))}",
-                  "",
-                  "crosstalk",
-                  f"  TM/TE power ratio         "
-                  f"{_fmt(get('overlap', 'tm_te_power_ratio'))}",
-                  f"  TM suppression (dB)       "
-                  f"{_fmt(get('overlap', 'tm_suppression_db'))}",
-                  f"  maxima offset (m)         "
-                  f"{_fmt(get('overlap', 'maxima_offset'))}"]
-    if "detect" in stages:
-        ledgers = get("detect", "ledgers") or {}
-        lines += ["",
-                  "detection",
-                  f"  bright fidelity           "
-                  f"{_fmt(get('detect', 'bright_fidelity'))}",
-                  f"  dark fidelity             "
-                  f"{_fmt(get('detect', 'dark_fidelity'))}",
-                  f"  mean bright readout (s)   "
-                  f"{_fmt(get('detect', 'bright_mean_time'))}",
-                  "  loss ledgers (dB):"]
-        for name in sorted(ledgers):
-            entry = ledgers[name]
-            lines.append(f"    {name:<16} {entry['db']:+.2f} "
-                         f"± {entry['sigma_db']:.2f}")
+    for title, stage, rows in _REPORT:
+        summary = stages.get(stage, {}).get("summary", {})
+        if not any(k in summary for _, keys, _ in rows for k in keys):
+            continue
+        lines += ["", title]
+        for label, keys, fmt in rows:
+            if not keys:
+                lines += ["", label]
+                continue
+            values = ("n/a" if summary.get(k) is None else fmt(summary[k])
+                      for k in keys)
+            lines.append(f"  {label:<25} {' / '.join(values)}")
+        if stage == "detect":
+            lines.append("  loss ledgers (dB):")
+            ledgers = summary.get("ledgers") or {}
+            for name in sorted(ledgers):
+                entry = ledgers[name]
+                lines.append(f"    {name:<16} {entry['db']:+.2f} "
+                             f"± {entry['sigma_db']:.2f}")
     lines.append("")
     return "\n".join(lines)

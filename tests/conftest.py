@@ -29,7 +29,7 @@ def focused_teeth():
                                 cell)
         k = max(float(ansatz(np.array([xx]))[0]), 0.0)
         teeth.append(ToothSpec(
-            x=xx, pitch=pitch,
+            x=xx,
             params=UnitCellParams(pitch, 0.5, 0.5, 0.06e-6, 0.0),
             angle=angle, kappa=k, alpha=0.05e6))
         xx += pitch

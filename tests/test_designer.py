@@ -1,5 +1,7 @@
 """Tests for the longitudinal design chain: fit, discretize, curve, export."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -268,6 +270,17 @@ def test_discretize_constant_angle_uniform_pitch():
     assert np.ptp(pitches) < 1e-4 * pitches[0]
 
 
+def test_tooth_pitch_is_its_cell_pitch(design):
+    _, _, teeth = design
+    assert all(t.pitch == t.params.pitch for t in teeth)
+    # the pitch is stored once, in the cell geometry
+    assert "pitch" not in dataclasses.asdict(teeth[0])
+    tooth = teeth[0]
+    moved = dataclasses.replace(tooth, params=dataclasses.replace(
+        tooth.params, pitch=2 * tooth.params.pitch))
+    assert moved.pitch == 2 * tooth.pitch
+
+
 def test_discretize_pitch_monotone(design):
     _, _, teeth = design
     pitches = np.array([t.pitch for t in teeth])
@@ -316,7 +329,7 @@ def test_fom_grows_with_kappa_target(design):
 # Tooth curvature
 
 def _plain_tooth(x=10e-6, pitch=0.3e-6):
-    return ToothSpec(x=x, pitch=pitch,
+    return ToothSpec(x=x,
                      params=UnitCellParams(pitch, 0.5, 0.5, 0.0, 0.0),
                      angle=0.1, kappa=1e5, alpha=1e4)
 
@@ -376,7 +389,7 @@ def _tiny_teeth(delta=0.0):
     for i in range(3):
         pitch = 0.3e-6
         teeth.append(ToothSpec(
-            x=i * pitch, pitch=pitch,
+            x=i * pitch,
             params=UnitCellParams(pitch, 0.5, 0.5, 0.07e-6, delta),
             angle=0.1, kappa=1e5, alpha=1e4))
     return teeth
@@ -451,7 +464,7 @@ def _per_stripe_layout(teeth, zone_period, footprint, min_feature=0.12e-6):
 
 def test_emit_layout_matches_per_stripe_reference(focused_teeth):
     period = default_zone_period(STACK)
-    teeth = [ToothSpec(x=t.x, pitch=t.pitch, angle=t.angle, kappa=t.kappa,
+    teeth = [ToothSpec(x=t.x, angle=t.angle, kappa=t.kappa,
                        alpha=t.alpha, curvature=t.curvature,
                        params=UnitCellParams(t.pitch, 0.5, 0.6, t.params.dx,
                                              0.3 * t.pitch))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from iongrating import constants, fdtd, geometry
-from iongrating.library import UnitCellParams
+from iongrating.library import UnitCellParams, pitch_for_angle
 
 WAVELENGTH = 422e-9
 STACK = geometry.default_stack()
@@ -60,6 +60,18 @@ def test_mode_solver_matches_transfer_matrix():
         # fundamental mode profile: single-signed dominant lobe, decayed tails
         assert abs(profile[0]) < 1e-3 and abs(profile[-1]) < 1e-3
         assert np.max(profile) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("polarization", ["te", "xyz"])
+def test_unknown_polarization_is_rejected(polarization):
+    # the mode solver and the grating-equation pitch built on it name the
+    # fault instead of solving the TM problem
+    col = fdtd.unit_cell_material_map(STACK, None, 0, CELL).n[5, :]
+    with pytest.raises(ValueError, match="polarization must be"):
+        fdtd.slab_mode_profile(col, CELL, WAVELENGTH, polarization)
+    with pytest.raises(ValueError, match="polarization must be"):
+        pitch_for_angle(np.deg2rad(12.0), 0.5, 0.5, STACK, WAVELENGTH,
+                        polarization, CELL)
 
 
 def test_zone_average_row_limits():

@@ -168,11 +168,10 @@ def test_run_from_csv_field_release_recomputes(run_dir, tmp_path,
     manifest_path = copy / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     entry = manifest["stages"]["propagate"]
-    for name, rel in entry["artifact_names"].items():
+    for rel in list(entry["artifacts"]):
         csv = rel.replace(".npz", ".csv")
         os.remove(copy / rel)
         (copy / csv).write_text("# field grid v1\n")
-        entry["artifact_names"][name] = csv
         del entry["artifacts"][rel]
         entry["artifacts"][csv] = pipeline._sha256_file(copy / csv)
     manifest_path.write_text(json.dumps(manifest))
@@ -220,8 +219,7 @@ def test_design_summary_counts_clamped_and_truncated_teeth(tmp_path):
     manifest = pipeline.run_pipeline(cfg, stages=["design"])
     entry = manifest["stages"]["design"]
     summary = entry["summary"]
-    teeth = json.loads((tmp_path / entry["artifact_names"]["teeth"])
-                       .read_text())
+    teeth = json.loads((tmp_path / "design" / "teeth.json").read_text())
     # both flags are JSON bools, also where the library clamped the tooth
     assert all(type(t["clamped"]) is bool and type(t["truncated"]) is bool
                for t in teeth)
@@ -230,10 +228,6 @@ def test_design_summary_counts_clamped_and_truncated_teeth(tmp_path):
     assert n_clamped == 14
     assert 0 < n_truncated < len(teeth) and n_clamped < len(teeth)
     assert (summary["n_clamped"], summary["n_truncated"]) == (
-        n_clamped, n_truncated)
-    design = json.loads((tmp_path / entry["artifact_names"]["design"])
-                        .read_text())
-    assert (design["n_clamped"], design["n_truncated"]) == (
         n_clamped, n_truncated)
     assert (f"clamped / truncated teeth {n_clamped} / {n_truncated}"
             in pipeline.report(manifest))
@@ -271,10 +265,10 @@ def test_fit_infeasible_is_a_json_bool(run_dir):
 
 def test_field_artifacts_are_npz(run_dir):
     out, _, manifest = run_dir
-    names = manifest["stages"]["propagate"]["artifact_names"]
-    assert sorted(os.path.basename(p) for p in names.values()) == [
-        "ion_plane_te.npz", "ion_plane_tm.npz"]
-    for rel in names.values():
+    paths = manifest["stages"]["propagate"]["artifacts"]
+    assert sorted(paths) == [os.path.join("propagate", "ion_plane_te.npz"),
+                             os.path.join("propagate", "ion_plane_tm.npz")]
+    for rel in paths:
         assert propagation.load_field(out / rel).data.shape == (512, 512)
 
 
@@ -285,6 +279,31 @@ def test_cold_runs_record_identical_checksums(run_dir, tmp_path):
     assert again["cached_stages"] == []
     for name, stage in manifest["stages"].items():
         assert again["stages"][name]["artifacts"] == stage["artifacts"], name
+
+
+def test_cold_run_writes_each_fact_once(tmp_path):
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
+    manifest = pipeline.run_pipeline(cfg)
+    artifacts = sorted(os.path.join(*p) for p in (
+        ("emission", "emission_profile.csv"), ("library", "library.json"),
+        ("design", "layout.txt"), ("design", "teeth.json"),
+        ("propagate", "ion_plane_te.npz"), ("propagate", "ion_plane_tm.npz"),
+        ("overlap", "collection_map.csv"),
+        ("detect", "ledger_measured.csv"),
+        ("detect", "ledger_emission_based.csv"),
+        ("detect", "ledger_improved.csv")))
+    written = sorted(os.path.relpath(os.path.join(d, f), tmp_path)
+                     for d, _, files in os.walk(tmp_path) for f in files)
+    # the summaries live in the manifest, not in files of their own
+    assert written == sorted(artifacts + ["artifact_stats.json",
+                                          "manifest.json"])
+    assert _artifact_paths(tmp_path) == artifacts
+    for name, entry in manifest["stages"].items():
+        assert set(entry) == {"key", "summary", "artifacts"}, name
+    # a tooth's pitch is its cell's, stored once
+    teeth = json.loads((tmp_path / "design" / "teeth.json").read_text())
+    assert len(teeth) == manifest["stages"]["design"]["summary"]["n_teeth"]
+    assert all("pitch" not in t and t["params"]["pitch"] > 0 for t in teeth)
 
 
 def _failing_fdtd_config(tmp_path):
@@ -447,12 +466,7 @@ def test_layer_change_keeps_ray_geometry_stages_cached(tmp_path):
 _MALFORMED_ENTRIES = pytest.mark.parametrize("malform", [
     lambda entry: 3,
     lambda entry: {k: v for k, v in entry.items() if k != "artifacts"},
-    lambda entry: {k: v for k, v in entry.items() if k != "artifact_names"},
-    # a path downstream stages would read without its checksum verified
-    lambda entry: {**entry, "artifact_names": {
-        **entry["artifact_names"], "unverified": "unverified.csv"}},
-], ids=["not-a-mapping", "no-artifacts", "no-artifact-names",
-        "unverified-artifact-name"])
+], ids=["not-a-mapping", "no-artifacts"])
 
 
 def _malform_stage(out, stage, malform):
@@ -521,8 +535,7 @@ def test_propagation_change_recomputes_only_the_field_stages(run_dir,
     manifest = pipeline.run_pipeline(cfg)
     assert manifest["cached_stages"] == ["emission", "library", "design",
                                          "detect"]
-    field = propagation.load_field(
-        copy / manifest["stages"]["propagate"]["artifact_names"]["ion_te"])
+    field = propagation.load_field(copy / "propagate" / "ion_plane_te.npz")
     assert field.data.shape == (512, 544)
 
 
@@ -750,6 +763,46 @@ def test_copied_run_hashes_each_artifact_once(run_dir, tmp_path,
     assert hashed == []
 
 
+def test_new_cache_dir_keeps_every_stage_cached(run_dir, tmp_path):
+    # library entries key on their own content, so the directory they are
+    # cached in never changes a result
+    copy, cfg = _settled_copy(run_dir, tmp_path)
+    moved = dataclasses.replace(cfg, library={
+        **cfg.library, "cache_dir": str(tmp_path / "elsewhere")})
+    manifest = pipeline.run_pipeline(moved)
+    assert manifest["cache_reasons"] == dict.fromkeys(pipeline.STAGES, "hit")
+
+
+@pytest.mark.parametrize("order", [
+    lambda grid: grid[::-1],
+    lambda grid: [grid[0], grid[2], grid[1]] + grid[3:]],
+    ids=["reversed", "swapped"])
+def test_library_grids_are_taken_in_any_order(tmp_path, order):
+    lib = load_config().library
+    for name, angles, fracs in (
+            ("sorted", lib["angles_deg"], lib["delta_fracs"]),
+            ("shuffled", order(lib["angles_deg"]),
+             order(lib["delta_fracs"]))):
+        cfg = load_config(overrides={
+            **FAST, "output_dir": str(tmp_path / name),
+            "library": {"angles_deg": angles, "delta_fracs": fracs}})
+        pipeline.run_pipeline(cfg, stages=["library"])
+    assert (tmp_path / "sorted" / "library" / "library.json").read_bytes() \
+        == (tmp_path / "shuffled" / "library" / "library.json").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["analytic", "fdtd"])
+def test_delta_grid_without_zero_is_a_library_error(tmp_path, mode):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({"library": {
+        "mode": mode, "delta_fracs": [0.25, 0.5, 1.0]}}))
+    result = CliRunner().invoke(main, ["library", "--config", str(cfg_path),
+                                       "--out", str(tmp_path / "run")])
+    _assert_one_error_line(result, "stage-error")
+    assert result.stderr == ("stage-error: library: delta grid must start "
+                             "at 0\n")
+
+
 def test_analytic_library_apodization():
     cfg = load_config()
     lib = pipeline.analytic_library(cfg)
@@ -767,7 +820,7 @@ def test_tm_teeth_take_their_own_duty_cycles():
         pitch = liblib.pitch_for_angle(np.deg2rad(8.0), duty, duty,
                                        cfg.stack, cfg.wavelength, "TE", cell)
         params = liblib.UnitCellParams(pitch, duty, duty, 0.06e-6, 0.0)
-        teeth.append(designer.ToothSpec(x=0.0, pitch=pitch, params=params,
+        teeth.append(designer.ToothSpec(x=0.0, params=params,
                                         angle=np.deg2rad(8.0), kappa=1e5,
                                         alpha=0.0))
     tm = pipeline._tm_teeth(cfg, teeth)
@@ -856,6 +909,15 @@ def test_report_empty_and_partial():
     older = {"stages": {"overlap": {"summary": {
         "eta_at_ion": 0.0089, "eta_peak": 0.0099, "peak_x": 2.6e-5}}}}
     assert "TM/TE power ratio         n/a" in pipeline.report(older)
+    # a count missing from a design summary prints as n/a, as values do
+    older = {"stages": {"design": {"summary": {
+        "n_clamped": 2, "fit_relative_l2": 0.05, "fit_status": [1, 2],
+        "fit_nfev": [], "undiffracted_power": 0.01}}}}
+    text = pipeline.report(older)
+    assert "  teeth                     n/a\n" in text
+    assert "  clamped / truncated teeth 2 / n/a\n" in text
+    assert "  fit status per start      1 2\n" in text
+    assert "  fit evaluations per start n/a\n" in text
 
 
 # ---------------------------------------------------------------------------

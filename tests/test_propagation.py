@@ -189,8 +189,8 @@ def test_cross_section_zero_field():
 
 def _uniform_teeth(n=40, pitch=0.3e-6, angle=0.2, kappa=0.2e6):
     params = UnitCellParams(pitch, 0.5, 0.5, 0.0, 0.0)
-    return [ToothSpec(x=i * pitch, pitch=pitch, params=params, angle=angle,
-                      kappa=kappa, alpha=0.0) for i in range(n)]
+    return [ToothSpec(x=i * pitch, params=params, angle=angle, kappa=kappa,
+                      alpha=0.0) for i in range(n)]
 
 
 def test_synthesize_requires_teeth():
