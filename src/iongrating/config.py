@@ -80,7 +80,9 @@ _CONFIG_COMMENTS = {
 
 def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
     """``override`` laid over ``base``; a section whose default is a
-    mapping only takes a mapping, and the error names its dotted key."""
+    mapping only takes a mapping, and a key whose default is a float takes
+    a string that parses as one: PyYAML reads ``1e6`` and ``6.0e5`` as
+    strings.  The errors name the dotted key."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in out:
@@ -90,6 +92,12 @@ def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
                 raise TypeError(f"{prefix}{key}: expected a mapping, got "
                                 f"{type(value).__name__}")
             out[key] = _deep_merge(out[key], value, f"{prefix}{key}.")
+        elif isinstance(out[key], float) and isinstance(value, str):
+            try:
+                out[key] = float(value)
+            except ValueError:
+                raise ValueError(f"{prefix}{key}: expected a number, got "
+                                 f"{value!r}") from None
         else:
             out[key] = value
     return out
@@ -141,6 +149,13 @@ class PipelineConfig:
                              f"{self.library['mode']!r}")
         if self.detection_trials < 10**4:
             raise ValueError("detection trials must be at least 1e4")
+        if not self.library["kappa0"] > 0:
+            raise ValueError("library.kappa0 must be positive")
+        if not self.library["alpha0"] >= 0:
+            raise ValueError("library.alpha0 must not be negative")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir: expected a string, got "
+                             f"{type(self.output_dir).__name__}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -159,7 +174,7 @@ class PipelineConfig:
             detection=_section("detection", DetectionConfig, det),
             detection_trials=trials,
             seeds=merged["seeds"],
-            output_dir=str(merged["output_dir"]),
+            output_dir=merged["output_dir"],
             raw=merged,
         )
 

@@ -2,10 +2,11 @@
 
 Each stage hashes its configuration slice together with the keys of the
 stages it depends on; a stage whose key and artifact checksums are
-unchanged from the previous run is not recomputed.  A stage reads its
-inputs from the artifacts of the stages it depends on, whether those ran
-now or earlier, so a fully cached run parses no artifact.  The run
-manifest lists every artifact with its checksum and is rewritten after
+unchanged from the previous run is not recomputed.  Each stage declares
+the files it writes, and reads those of the stages it depends on, whether
+they ran now or earlier, so a fully cached run parses no artifact.  The
+run manifest lists every artifact with its checksum (an entry listing
+other files than its stage writes is recomputed) and is rewritten after
 each recomputed stage; ``artifact_stats.json`` beside it lets a rerun
 take an unchanged artifact's checksum from its stat signature, so a
 fully cached run reads no artifact byte and writes no file.
@@ -142,9 +143,10 @@ class _ArtifactStats:
             _write_json(self.path, keep)
 
 
-def _usable_entry(entry) -> bool:
+def _usable_entry(name, entry) -> bool:
     return (isinstance(entry, dict) and isinstance(entry.get("key"), str)
-            and isinstance(entry.get("artifacts"), dict))
+            and isinstance(entry.get("artifacts"), dict)
+            and entry["artifacts"].keys() == _artifacts(name).keys())
 
 
 def _read_previous_stages(manifest_path):
@@ -152,7 +154,8 @@ def _read_previous_stages(manifest_path):
     usable stage entries, and the names of the stages whose entries are
     not usable.  An unreadable manifest counts as no earlier run, and a
     malformed stage entry as a stage that has not run, each with a
-    warning; every stage of an unreadable manifest counts as malformed."""
+    warning; every stage of an unreadable manifest counts as malformed,
+    and entries of stages this release does not run are not checked."""
     if not os.path.exists(manifest_path):
         return None, {}, set()
     try:
@@ -166,9 +169,9 @@ def _read_previous_stages(manifest_path):
                       RuntimeWarning, stacklevel=3)
         return None, {}, set(STAGES)
     usable, malformed = {}, set()
-    for name, entry in stages.items():
-        if _usable_entry(entry):
-            usable[name] = entry
+    for name in filter(stages.__contains__, STAGES):
+        if _usable_entry(name, stages[name]):
+            usable[name] = stages[name]
         else:
             malformed.add(name)
             warnings.warn(f"ignoring malformed stage {name!r} in manifest "
@@ -277,25 +280,25 @@ def _build_library(config: PipelineConfig) -> liblib.ParamLibrary:
 
 
 # ---------------------------------------------------------------------------
-# Stage bodies: each reads the artifacts of the stages it depends on from
-# ``inputs`` (run-relative path, as keyed in the manifest -> path) and
-# returns (summary dict, [paths of the artifacts it wrote]).
+# Stage bodies: each finds the files of the stages it depends on and the
+# files it writes itself, as declared in ``_STAGES``, in ``path`` (file
+# name -> path), and returns its summary dict.
 
-def _run_emission(config, inputs, stage_dir):
+def _run_emission(config, path):
     emission = dipole.ion_intensity_profile(
         config.footprint, config.pose, 512,
         n_cladding=config.stack.cladding_index)
-    path = os.path.join(stage_dir, "emission_profile.csv")
-    np.savetxt(path, np.column_stack([emission.x, emission.intensity]),
+    np.savetxt(path["emission_profile.csv"],
+               np.column_stack([emission.x, emission.intensity]),
                delimiter=",", header="x_m,intensity_per_m", fmt="%.17g")
     fraction = emission.solid_angle_fraction
     return {"solid_angle_fraction": fraction,
             "per_mode_bound": fraction / 2.0,
             "sigma_share": emission.sigma_share,
-            "peak_intensity_per_m": float(emission.intensity.max())}, [path]
+            "peak_intensity_per_m": float(emission.intensity.max())}
 
 
-def _run_library(config, inputs, stage_dir):
+def _run_library(config, path):
     lib = _build_library(config)
     if not lib.complete:
         failed = [e for e in lib.entries.values() if e.error is not None]
@@ -305,8 +308,7 @@ def _run_library(config, inputs, stage_dir):
                   if first else "")
         raise StageError("library", f"{len(failed)} of {len(lib.entries)} "
                          f"unit-cell entries failed{detail}")
-    path = os.path.join(stage_dir, "library.json")
-    liblib.save_library(lib, path)
+    liblib.save_library(lib, path["library.json"])
     kappas = lib.kappa_grid()
     summary = {"mode": config.library["mode"],
                "n_angles": len(lib.angles),
@@ -323,15 +325,13 @@ def _run_library(config, inputs, stage_dir):
         summary["cells_evaluated"] = sum(
             e.search_nfev if e.delta_frac == 0.0 else 1 for e in entries)
         summary["max_search_nfev"] = max(e.search_nfev for e in entries)
-    return summary, [path]
+    return summary
 
 
-def _run_design(config, inputs, stage_dir):
-    x, profile = np.loadtxt(
-        inputs[os.path.join("emission", "emission_profile.csv")],
-        delimiter=",", unpack=True)
-    lib = liblib.load_library(inputs[os.path.join("library",
-                                                  "library.json")])
+def _run_design(config, path):
+    x, profile = np.loadtxt(path["emission_profile.csv"], delimiter=",",
+                            unpack=True)
+    lib = liblib.load_library(path["library.json"])
     dz_cfg = config.designer
     ansatz, fit = designer.fit_kappa(
         profile, x, alpha=dz_cfg["alpha"], kappa_max=dz_cfg["kappa_max"])
@@ -346,10 +346,8 @@ def _run_design(config, inputs, stage_dir):
                                                config.wavelength)
     layout = designer.emit_layout(teeth, zone_period, config.footprint,
                                   config.stack, config.wavelength)
-    layout_path = os.path.join(stage_dir, "layout.txt")
-    designer.export_layout(layout, layout_path)
-    teeth_path = os.path.join(stage_dir, "teeth.json")
-    _write_json(teeth_path, [dataclasses.asdict(t) for t in teeth])
+    designer.export_layout(layout, path["layout.txt"])
+    _write_json(path["teeth.json"], [dataclasses.asdict(t) for t in teeth])
     drained, residual = designer.tooth_power_accounting(teeth)
     return {"n_teeth": len(teeth),
             "n_clamped": sum(bool(t.clamped) for t in teeth),
@@ -361,7 +359,7 @@ def _run_design(config, inputs, stage_dir):
             "fit_nfev": [s.nfev for s in fit.starts],
             "drained_power": float(np.sum(drained)),
             "undiffracted_power": residual,
-            "zone_period": zone_period}, [layout_path, teeth_path]
+            "zone_period": zone_period}
 
 
 def _read_teeth(path) -> list:
@@ -394,11 +392,11 @@ def _tm_teeth(config, teeth):
     return out
 
 
-def _run_propagate(config, inputs, stage_dir):
+def _run_propagate(config, path):
     shape = tuple(config.propagation["shape"])
     s = config.propagation["pixel_size"]
-    teeth = _read_teeth(inputs[os.path.join("design", "teeth.json")])
-    artifacts, summary = [], {}
+    teeth = _read_teeth(path["teeth.json"])
+    summary = {}
     for pol, pol_teeth in (("TE", teeth), ("TM", _tm_teeth(config, teeth))):
         near = propagation.synthesize_near_field(
             pol_teeth, config.footprint, config.stack, config.wavelength,
@@ -406,13 +404,11 @@ def _run_propagate(config, inputs, stage_dir):
         at_ion = propagation.propagate_to_height(
             near, config.pose.z_ion, config.pose.cladding_thickness,
             config.stack.cladding_index).normalize()
-        path = os.path.join(stage_dir, f"ion_plane_{pol.lower()}.npz")
-        propagation.save_field(at_ion, path)
-        artifacts.append(path)
+        propagation.save_field(at_ion, path[f"ion_plane_{pol.lower()}.npz"])
         x, y = _peak_position(at_ion, (config.pose.x_ion, config.pose.y_ion))
         summary[f"peak_x_{pol.lower()}"] = x
         summary[f"peak_y_{pol.lower()}"] = y
-    return summary, artifacts
+    return summary
 
 
 def _peak_position(fieldgrid, ion_xy):
@@ -429,10 +425,9 @@ def _peak_position(fieldgrid, ion_xy):
     return float(x[k]), float(y[k])
 
 
-def _run_overlap(config, inputs, stage_dir):
-    te, tm = (propagation.load_field(
-        inputs[os.path.join("propagate", f"ion_plane_{pol}.npz")])
-        for pol in ("te", "tm"))
+def _run_overlap(config, path):
+    te, tm = (propagation.load_field(path[f"ion_plane_{pol}.npz"])
+              for pol in ("te", "tm"))
     pose = config.pose
     full = overlap.collection_map(
         te, tm, (pose.x_ion - 8e-6, pose.x_ion + 8e-6),
@@ -445,8 +440,8 @@ def _run_overlap(config, inputs, stage_dir):
     at_ion = overlap.coupling_at_point(te, tm, pose.x_ion, pose.y_ion)
     rep = overlap.crosstalk_metrics(full.eta_te, full.eta_tm, full.x,
                                     full.y)
-    map_path = os.path.join(stage_dir, "collection_map.csv")
-    np.savetxt(map_path, m.eta, delimiter=",", fmt="%.17g")
+    np.savetxt(path["collection_map.csv"], m.eta, delimiter=",",
+               fmt="%.17g")
     return {"eta_at_ion": at_ion.eta,
             "eta_peak": float(m.eta.max()),
             "eta_peak_te": float(m.eta_te.max()),
@@ -454,10 +449,10 @@ def _run_overlap(config, inputs, stage_dir):
             "peak_x": m.peak[0], "peak_y": m.peak[1], "z": m.z,
             "tm_te_power_ratio": rep.power_ratio,
             "tm_suppression_db": rep.suppression_db,
-            "maxima_offset": rep.offset}, [map_path]
+            "maxima_offset": rep.offset}
 
 
-def _run_detect(config, inputs, stage_dir):
+def _run_detect(config, path):
     cfg = config.detection
     trials = config.detection_trials
     bright = detection.bright_fidelity_analytic(cfg)
@@ -476,24 +471,29 @@ def _run_detect(config, inputs, stage_dir):
                "signal_to_background": cfg.signal_to_background,
                "ledgers": {name: dict(zip(("db", "sigma_db"), l.total()))
                            for name, l in ledgers.items()}}
-    artifacts = []
     for name, ledger in ledgers.items():
-        path = os.path.join(stage_dir, f"ledger_{name}.csv")
-        detection.save_ledger(ledger, path)
-        artifacts.append(path)
-    return summary, artifacts
+        detection.save_ledger(ledger, path[f"ledger_{name}.csv"])
+    return summary
 
 
-# name -> (stages whose artifacts the runner reads, runner), in run order
+# name -> (upstream stages, files the runner writes, runner), in run order
 _STAGES = {
-    "emission": ((), _run_emission),
-    "library": ((), _run_library),
-    "design": (("emission", "library"), _run_design),
-    "propagate": (("design",), _run_propagate),
-    "overlap": (("propagate",), _run_overlap),
-    "detect": ((), _run_detect),
+    "emission": ((), ("emission_profile.csv",), _run_emission),
+    "library": ((), ("library.json",), _run_library),
+    "design": (("emission", "library"), ("layout.txt", "teeth.json"),
+               _run_design),
+    "propagate": (("design",), ("ion_plane_te.npz", "ion_plane_tm.npz"),
+                  _run_propagate),
+    "overlap": (("propagate",), ("collection_map.csv",), _run_overlap),
+    "detect": ((), ("ledger_measured.csv", "ledger_emission_based.csv",
+                    "ledger_improved.csv"), _run_detect),
 }
 STAGES = tuple(_STAGES)
+
+
+def _artifacts(name) -> dict:
+    """Manifest key -> file name of each file stage ``name`` writes."""
+    return {os.path.join(name, f): f for f in _STAGES[name][1]}
 
 
 def _closure(names) -> tuple:
@@ -554,7 +554,7 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
         return manifest
 
     for name in selected:
-        depends, runner = _STAGES[name]
+        depends, _, runner = _STAGES[name]
         keys[name] = _stage_key(name, slices[name],
                                 {d: keys[d] for d in depends})
         prev = previous.get(name)
@@ -573,13 +573,12 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
             entries[name] = prev
             cached.append(name)
             continue
-        # only files whose checksums are verified: the upstream artifacts
-        inputs = {p: os.path.join(out_dir, p) for d in depends
-                  for p in entries[d]["artifacts"]}
-        stage_dir = os.path.join(out_dir, name)
-        os.makedirs(stage_dir, exist_ok=True)
+        # the upstream entries' files, all verified, and the stage's own
+        path = {f: os.path.join(out_dir, rel) for d in (*depends, name)
+                for rel, f in _artifacts(d).items()}
+        os.makedirs(os.path.join(out_dir, name), exist_ok=True)
         try:
-            summary, artifacts = runner(config, inputs, stage_dir)
+            summary = runner(config, path)
         except StageError:
             raise
         except Exception as exc:
@@ -587,8 +586,8 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
         entries[name] = {
             "key": keys[name],
             "summary": summary,
-            "artifacts": {rel: artifact_stats.checksum(rel) for rel in
-                          (os.path.relpath(p, out_dir) for p in artifacts)},
+            "artifacts": {rel: artifact_stats.checksum(rel)
+                          for rel in _artifacts(name)},
         }
         write_manifest()
 

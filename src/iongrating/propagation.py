@@ -261,13 +261,15 @@ def save_field(fieldgrid: FieldGrid, path) -> None:
 def load_field(path) -> FieldGrid:
     """Inverse of :func:`save_field`; raises ValueError naming the path
     for anything that is not a field file."""
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: not an .npz field file") from exc
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path}: not an .npz field file")
-    with archive:
+    # np.load leaves a file it opened itself open when it rejects it; the
+    # archive only reads through this handle
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: not an .npz field file") from exc
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path}: not an .npz field file")
         missing = [k for k in ("data", *_HEADER) if k not in archive.files]
         if missing:
             raise ValueError(f"{path}: field file lacks {', '.join(missing)}")

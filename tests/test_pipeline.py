@@ -175,8 +175,11 @@ def test_run_from_csv_field_release_recomputes(run_dir, tmp_path,
         del entry["artifacts"][rel]
         entry["artifacts"][csv] = pipeline._sha256_file(copy / csv)
     manifest_path.write_text(json.dumps(manifest))
-    manifest = pipeline.run_pipeline(cfg)
+    # the CSV names are not the files propagate writes
+    with pytest.warns(RuntimeWarning, match="malformed stage 'propagate'"):
+        manifest = pipeline.run_pipeline(cfg)
     assert manifest["cached_stages"] == []
+    assert manifest["cache_reasons"]["propagate"] == "entry-malformed"
 
 
 def test_truncated_manifest_is_treated_as_empty(run_dir, tmp_path):
@@ -466,7 +469,9 @@ def test_layer_change_keeps_ray_geometry_stages_cached(tmp_path):
 _MALFORMED_ENTRIES = pytest.mark.parametrize("malform", [
     lambda entry: 3,
     lambda entry: {k: v for k, v in entry.items() if k != "artifacts"},
-], ids=["not-a-mapping", "no-artifacts"])
+    lambda entry: {**entry, "artifacts": {**entry["artifacts"],
+                                          "notes.txt": "0" * 64}},
+], ids=["not-a-mapping", "no-artifacts", "unwritten-file"])
 
 
 def _malform_stage(out, stage, malform):
@@ -502,6 +507,48 @@ def test_cli_malformed_stage_entry_recomputes(tmp_path, malform):
     # an uncaught exception would print a traceback
     assert result.exception is None and result.exit_code == 0, result.output
     assert json.loads(result.output) == json.loads(first.output)
+
+
+def test_entry_missing_a_file_its_stage_writes_heals(run_dir, tmp_path):
+    """A hand-edited upstream entry that no longer lists one of its files
+    is recomputed before the stage that reads the file runs."""
+    copy, cfg = _settled_copy(run_dir, tmp_path)
+    path = copy / "manifest.json"
+    stages = json.loads(path.read_text())["stages"]
+    manifest = json.loads(path.read_text())
+    del manifest["stages"]["design"]["artifacts"][
+        os.path.join("design", "teeth.json")]
+    manifest["stages"]["propagate"]["key"] = "0" * 24
+    path.write_text(json.dumps(manifest))
+    with pytest.warns(RuntimeWarning, match="malformed stage 'design'"):
+        healed = pipeline.run_pipeline(cfg)
+    assert healed["cache_reasons"] == {
+        "emission": "hit", "library": "hit", "design": "entry-malformed",
+        "propagate": "key-changed", "overlap": "hit", "detect": "hit"}
+    assert healed["stages"] == stages
+    again = pipeline.run_pipeline(cfg)
+    assert again["cache_reasons"] == dict.fromkeys(pipeline.STAGES, "hit")
+
+
+@pytest.mark.parametrize("entry", [
+    # the shape a 0.5.1 run wrote
+    {"key": "0" * 24, "summary": {"power_ratio": 0.0},
+     "artifact_names": {"crosstalk": "crosstalk/crosstalk.json"},
+     "artifacts": {"crosstalk/crosstalk.json": "0" * 64}},
+    3], ids=["0.5.1-entry", "not-a-mapping"])
+def test_retired_stage_entry_is_dropped_without_warning(run_dir, tmp_path,
+                                                        entry):
+    copy, cfg = _settled_copy(run_dir, tmp_path)
+    path = copy / "manifest.json"
+    manifest = json.loads(path.read_text())
+    stages = dict(manifest["stages"])
+    manifest["stages"]["crosstalk"] = entry
+    path.write_text(json.dumps(manifest))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = pipeline.run_pipeline(cfg)
+    assert again["cache_reasons"] == dict.fromkeys(pipeline.STAGES, "hit")
+    assert json.loads(path.read_text())["stages"] == stages
 
 
 def test_failure_keeps_earlier_stages_cached(tmp_path, monkeypatch):
@@ -996,9 +1043,17 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
     ({"library": 5}, "library: expected a mapping, got int"),
     ({"detection": {"threshold": "a"}}, "detection: '<' not supported"),
     ({"footprint": [1, 2]}, "footprint: expected a mapping, got list"),
-    ({"pose": {"height_above_surface": "a"}}, "pose: '<=' not supported"),
+    ({"pose": {"height_above_surface": "a"}},
+     "pose.height_above_surface: expected a number, got 'a'"),
+    ({"library": {"kappa0": "strong"}},
+     "library.kappa0: expected a number, got 'strong'"),
+    ({"library": {"kappa0": -5}}, "library.kappa0 must be positive"),
+    ({"library": {"kappa0": 0}}, "library.kappa0 must be positive"),
+    ({"library": {"alpha0": -1e4}}, "library.alpha0 must not be negative"),
 ], ids=["library-not-a-mapping", "threshold-not-a-number",
-        "footprint-a-list", "pose-height-not-a-number"])
+        "footprint-a-list", "pose-height-not-a-number",
+        "kappa0-not-a-number", "kappa0-negative", "kappa0-zero",
+        "alpha0-negative"])
 def test_cli_config_value_of_wrong_type_is_a_config_error(tmp_path, entry,
                                                           message):
     bad = tmp_path / "bad.yaml"
@@ -1009,6 +1064,36 @@ def test_cli_config_value_of_wrong_type_is_a_config_error(tmp_path, entry,
     lines = result.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"config-error: {message}")
+
+
+def test_exponent_numbers_are_floats(tmp_path):
+    # PyYAML reads an exponent without a dot or a sign as a string
+    path = tmp_path / "cfg.yaml"
+    path.write_text("wavelength: 422e-9\nlibrary: {kappa0: 1e6}\n"
+                    "designer: {kappa_max: 6.0e5}\n")
+    assert yaml.safe_load(path.read_text())["library"]["kappa0"] == "1e6"
+    cfg = load_config(path)
+    assert type(cfg.library["kappa0"]) is float
+    assert cfg.designer["kappa_max"] == 6.0e5
+    # the same values as the defaults give the same stage keys
+    assert pipeline._config_slices(cfg) == pipeline._config_slices(
+        load_config())
+    result = CliRunner().invoke(main, ["library", "--config", str(path),
+                                       "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["kappa_peak"] == pytest.approx(1e6)
+
+
+def test_null_output_dir_is_a_config_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump({**FAST, "output_dir": None}))
+    result = CliRunner().invoke(main, ["detect", "--config", str(bad)])
+    _assert_one_error_line(result, "config-error")
+    assert result.stderr == ("config-error: output_dir: expected a string, "
+                             "got NoneType\n")
+    # nothing was written, also not into ./None
+    assert os.listdir(tmp_path) == ["bad.yaml"]
 
 
 def test_quantization_axis_key_is_rejected(tmp_path):
