@@ -108,6 +108,8 @@ def propagate(config_path, seed, out_dir, dz):
     """Synthesize the near fields of the teeth and propagate them to the
     ion plane (or the TE ion-plane field further by --dz)."""
     cfg = _load(config_path, seed, out_dir)
+    if dz is not None and not np.isfinite(dz):
+        _fail("propagation-error", f"dz must be finite, got {dz:g}")
     if dz is not None and dz <= -cfg.pose.height_above_surface:
         _fail("propagation-error", f"dz {dz:g} m reaches the chip surface, "
               f"{cfg.pose.height_above_surface:g} m below the ion plane")
@@ -118,7 +120,9 @@ def propagate(config_path, seed, out_dir, dz):
             field = angular_spectrum_propagate(load_field(base), dz)
         except Exception as exc:
             _fail("propagation-error", str(exc))
-        path = os.path.join(os.path.dirname(base), f"field_dz_{dz:g}.npz")
+        # + 0.0 turns -0.0 into 0.0: one file name for no extra distance
+        path = os.path.join(os.path.dirname(base),
+                            f"field_dz_{dz + 0.0:g}.npz")
         try:
             save_field(field, path)
         except OSError as exc:
@@ -196,6 +200,9 @@ def rabi(omega0, eta_ld, n_bar, t_max, points, out_path):
     try:
         model = detection.RabiModel(omega0=omega0, eta_ld=eta_ld,
                                     n_bar=n_bar)
+        if not np.isfinite(t_max):
+            # np.linspace would spread an infinite span as nan with a warning
+            raise ValueError("time must be finite")
         t = np.linspace(0.0, t_max, points)
         p = detection.rabi_thermal(t, model)
     except ValueError as exc:

@@ -7,6 +7,7 @@ bit for bit.
 """
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -81,8 +82,9 @@ _CONFIG_COMMENTS = {
 def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
     """``override`` laid over ``base``; a section whose default is a
     mapping only takes a mapping, and a key whose default is a float takes
-    a string that parses as one: PyYAML reads ``1e6`` and ``6.0e5`` as
-    strings.  The errors name the dotted key."""
+    a string that parses as one (PyYAML reads ``1e6`` and ``6.0e5`` as
+    strings) but not NaN, which every comparison would let through.  The
+    errors name the dotted key."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in out:
@@ -92,12 +94,15 @@ def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
                 raise TypeError(f"{prefix}{key}: expected a mapping, got "
                                 f"{type(value).__name__}")
             out[key] = _deep_merge(out[key], value, f"{prefix}{key}.")
-        elif isinstance(out[key], float) and isinstance(value, str):
+        elif isinstance(out[key], float) and isinstance(value, (float, str)):
             try:
-                out[key] = float(value)
+                value = float(value)
             except ValueError:
                 raise ValueError(f"{prefix}{key}: expected a number, got "
                                  f"{value!r}") from None
+            if math.isnan(value):
+                raise ValueError(f"{prefix}{key}: expected a number, got nan")
+            out[key] = value
         else:
             out[key] = value
     return out

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
 
 from .constants import DESIGN_WAVELENGTH
 from .geometry import (GratingFootprint, IonPose, LayerStack,
@@ -149,6 +148,9 @@ def _fit_ansatz_to_curve(x, target, length, cap):
     in the wall penalty, which the least squares first clears by switching
     the exponential off, and then stalls.
     """
+    # scipy.optimize loads at first use, off the package import
+    from scipy import optimize
+
     basis = np.column_stack([x**3, x**2, x, np.ones_like(x)])
 
     def solve(bexp):
@@ -160,9 +162,9 @@ def _fit_ansatz_to_curve(x, target, length, cap):
     def cost(bexp):
         return solve(bexp)[1]
 
-    res = minimize_scalar(cost, bounds=(0.0, 30.0 / length),
-                          method="bounded",
-                          options={"xatol": 1e-4 / length})
+    res = optimize.minimize_scalar(cost, bounds=(0.0, 30.0 / length),
+                                   method="bounded",
+                                   options={"xatol": 1e-4 / length})
     coef, _ = solve(res.x)
     ansatz = KappaAnsatz(*coef, B=float(res.x), length=float(length))
     ansatz.d -= max(float(np.max(ansatz(x))) - cap, 0.0)
@@ -181,6 +183,8 @@ def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf):
 
     Returns (KappaAnsatz, FitReport).
     """
+    from scipy import optimize
+
     x = np.asarray(x, dtype=float)
     i_target = _as_profile(i_ion, x)
     a_prof = _as_profile(alpha, x)
@@ -257,8 +261,8 @@ def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf):
         try:
             # converging starts need well under 200 evaluations; the cap
             # bounds the cost of a stuck one, which reports status 0
-            res = least_squares(residuals, z_init, jac=jacobian,
-                                max_nfev=1000)
+            res = optimize.least_squares(residuals, z_init, jac=jacobian,
+                                         max_nfev=1000)
         except (ValueError, FloatingPointError):
             outcomes.append(FitStart(status=-1, nfev=0, relative_l2=np.nan))
             continue

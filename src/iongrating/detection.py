@@ -10,7 +10,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_laguerre, pdtrc
 
 __all__ = [
     "DetectionConfig", "LedgerEntry", "LossLedger", "RabiModel",
@@ -139,6 +138,9 @@ class DetectionConfig:
 
 def bright_fidelity_analytic(config: DetectionConfig) -> float:
     """P(at least ``threshold`` counts) for a bright ion, Poisson model."""
+    # scipy.special loads at first use, off the package import
+    from scipy.special import pdtrc
+
     return float(pdtrc(config.threshold - 1, config.poisson_mean))
 
 
@@ -226,6 +228,8 @@ class RabiModel:
     n_bar: float = 0.0            # thermal mean occupation
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.omega0, self.eta_ld, self.n_bar])):
+            raise ValueError("omega0, eta and n-bar must be finite")
         if self.eta_ld < 0 or self.n_bar < 0:
             raise ValueError("eta and n-bar must be nonnegative")
 
@@ -247,7 +251,11 @@ def rabi_thermal(t, model: RabiModel):
     Omega_n = Omega0 exp(-eta^2/2) L_n(eta^2); thermal weights are
     renormalized over the truncated Fock basis so P(0) = 1.
     """
+    from scipy.special import eval_laguerre
+
     t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("time must be finite")
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
     w = model.weights()

@@ -6,7 +6,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import constants
 from .geometry import GratingFootprint, IonPose, refracted_ray
@@ -38,6 +37,9 @@ def _gauss_legendre(n: int):
     without a threaded dense solve.  The Newton polish, weights and
     symmetrization are leggauss's own.
     """
+    # scipy.linalg loads at first use, off the package import
+    from scipy.linalg import eigvalsh_tridiagonal
+
     scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
     off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
     x = eigvalsh_tridiagonal(np.zeros(n), off, lapack_driver="sterf")

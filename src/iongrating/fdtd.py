@@ -24,7 +24,6 @@ must stay below 1e-5 for three consecutive optical periods.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import constants
 from .geometry import LayerStack
@@ -198,6 +197,9 @@ def slab_mode_profile(n_column: np.ndarray, cell: float, wavelength: float,
     Returns (n_eff, profile) where the profile samples the out-of-plane
     field (Ey for TE, Hy for TM) at the grid nodes.
     """
+    # scipy.linalg loads at first use, off the package import
+    from scipy.linalg import eigh_tridiagonal
+
     if polarization not in ("TE", "TM"):
         raise ValueError("polarization must be 'TE' or 'TM'")
     k0 = 2 * np.pi / wavelength

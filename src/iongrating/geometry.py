@@ -13,7 +13,6 @@ designer's diffraction angles and focusing curvature.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import constants
 
@@ -146,6 +145,9 @@ def effective_index(stack: LayerStack, wavelength: float,
 
     Raises NoGuidedModeError if no guided mode exists.
     """
+    # scipy.optimize loads at first use, off the package import
+    from scipy.optimize import brentq
+
     if polarization not in ("TE", "TM"):
         raise ValueError("polarization must be 'TE' or 'TM'")
     k0 = 2 * np.pi / wavelength

@@ -19,7 +19,6 @@ import os
 from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import __version__, fdtd
 from .geometry import LayerStack, default_stack
@@ -197,6 +196,9 @@ def search_bounds(angle: float, config: KernelConfig) -> list:
     Higher duty cycles shorten the pitch, so duties in [1 - h, h] all pass
     the feature check when dcu = dcl = h leaves a gap of min_feature.
     """
+    # scipy.optimize loads at first use, off the package import
+    from scipy import optimize
+
     def gap_margin(h):
         return (1.0 - h) * pitch_for_angle(
             angle, h, h, config.stack, config.wavelength,
@@ -221,6 +223,8 @@ def optimize_cell(angle: float, config: KernelConfig,
     only the duty cycles and the bilayer offset are free.  Infeasible
     geometries score infinity.
     """
+    from scipy import optimize
+
     bounds = search_bounds(angle, config)
     best = [np.inf, None]
 

@@ -1,4 +1,10 @@
-"""Shared fixtures: a footprint-spanning focused design field."""
+"""Shared fixtures: a footprint-spanning focused design field, and a
+probe of the scipy subpackages a fresh interpreter loads."""
+
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +16,28 @@ from iongrating.geometry import GratingFootprint, IonPose, default_stack
 from iongrating.library import UnitCellParams, pitch_for_angle
 
 WAVELENGTH = 422e-9
+HEAVY_SCIPY = ("optimize", "linalg", "special", "stats", "integrate")
+
+
+def _heavy_scipy_after(code: str) -> list:
+    """The subpackages of ``HEAVY_SCIPY`` that a fresh interpreter holds
+    after running ``code`` against this tree's ``src``."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    probe = (f"{code}\nimport json, sys\nprint(json.dumps(sorted("
+             f"m[6:] for m in sys.modules if m[6:] in {HEAVY_SCIPY!r} "
+             f"and m.startswith('scipy.'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="session")
+def heavy_scipy_after():
+    """``_heavy_scipy_after``: every CLI verb pays its imports at start-up,
+    so the tests pin which code loads which scipy subpackage."""
+    return _heavy_scipy_after
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.optimize import minimize_scalar
 
 from iongrating import designer, dipole
@@ -198,13 +199,14 @@ def test_fit_jacobian_matches_central_differences(monkeypatch, ion_profile):
     init = KappaAnsatz(0.0, 0.0, 0.17e6 / 30e-6, -0.03e6, 0.01e6,
                        2.0 / 30e-6, 30e-6)
     calls = []
-    real = designer.least_squares
+    real = optimize.least_squares
 
     def spy(fun, x0, jac, **kwargs):
         calls.append((fun, np.array(x0), jac))
         return real(fun, x0, jac=jac, **kwargs)
 
-    monkeypatch.setattr(designer, "least_squares", spy)
+    # fit_kappa imports scipy.optimize at its call, so patch it there
+    monkeypatch.setattr(optimize, "least_squares", spy)
     monkeypatch.setattr(designer, "_fit_ansatz_to_curve", lambda *_: init)
     fit_kappa(prof, x, alpha=0.0, kappa_max=kappa_max)
     fun, z0, jac = calls[0]

@@ -1050,10 +1050,17 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
     ({"library": {"kappa0": -5}}, "library.kappa0 must be positive"),
     ({"library": {"kappa0": 0}}, "library.kappa0 must be positive"),
     ({"library": {"alpha0": -1e4}}, "library.alpha0 must not be negative"),
+    ({"pose": {"height_above_surface": float("nan")}},
+     "pose.height_above_surface: expected a number, got nan"),
+    ({"library": {"alpha0": float("nan")}},
+     "library.alpha0: expected a number, got nan"),
+    ({"designer": {"kappa_max": "nan"}},
+     "designer.kappa_max: expected a number, got nan"),
 ], ids=["library-not-a-mapping", "threshold-not-a-number",
         "footprint-a-list", "pose-height-not-a-number",
         "kappa0-not-a-number", "kappa0-negative", "kappa0-zero",
-        "alpha0-negative"])
+        "alpha0-negative", "pose-height-nan", "alpha0-nan",
+        "kappa-max-nan-string"])
 def test_cli_config_value_of_wrong_type_is_a_config_error(tmp_path, entry,
                                                           message):
     bad = tmp_path / "bad.yaml"
@@ -1082,6 +1089,15 @@ def test_exponent_numbers_are_floats(tmp_path):
                                        "--out", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["kappa_peak"] == pytest.approx(1e6)
+
+
+def test_infinite_float_stays_a_number(tmp_path):
+    # an uncapped fit is kappa_max: inf, as YAML's .inf or as a string
+    for text in ("designer: {kappa_max: .inf}\n",
+                 "designer: {kappa_max: inf}\n"):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert load_config(path).designer["kappa_max"] == np.inf
 
 
 def test_null_output_dir_is_a_config_error(tmp_path, monkeypatch):
@@ -1246,6 +1262,59 @@ def test_cli_propagate_dz_through_the_chip_is_an_error(tmp_path):
     result = CliRunner().invoke(main, ["propagate", "--out", str(tmp_path),
                                        "--dz", "-6e-5"])
     _assert_one_error_line(result, "propagation-error")
+
+
+@pytest.mark.parametrize("dz", ["nan", "inf", "-inf"])
+def test_cli_propagate_nonfinite_dz_is_an_error(run_dir, tmp_path, dz):
+    out, _, _ = run_dir
+    before = sorted(os.listdir(out / "propagate"))
+    cfg_path = tmp_path / "fast.yaml"
+    cfg_path.write_text(yaml.safe_dump({**FAST, "output_dir": str(out)}))
+    result = CliRunner().invoke(main, ["propagate", "--config",
+                                       str(cfg_path), "--dz", dz])
+    _assert_one_error_line(result, "propagation-error")
+    assert result.stderr == f"propagation-error: dz must be finite, got {dz}\n"
+    assert sorted(os.listdir(out / "propagate")) == before
+
+
+def test_cli_propagate_negative_zero_dz_names_the_zero_field(run_dir,
+                                                             tmp_path):
+    out, _, _ = run_dir
+    cfg_path = tmp_path / "fast.yaml"
+    cfg_path.write_text(yaml.safe_dump({**FAST, "output_dir": str(out)}))
+    result = CliRunner().invoke(main, ["propagate", "--config",
+                                       str(cfg_path), "--dz", "-0"])
+    assert result.exit_code == 0, result.output
+    path = json.loads(result.output)["path"]
+    assert os.path.basename(path) == "field_dz_0.npz"
+    assert not (out / "propagate" / "field_dz_-0.npz").exists()
+
+
+@pytest.mark.parametrize("option", ["--omega0", "--eta-ld", "--n-bar",
+                                    "--t-max"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rabi_nonfinite_parameter_is_an_error(option, value):
+    args = {"--omega0": "1e6", "--t-max": "1e-5", option: value}
+    result = CliRunner().invoke(main, ["rabi", *sum(args.items(), ()),
+                                       "--points", "3"])
+    _assert_one_error_line(result, "rabi-error")
+    assert result.stdout == ""
+
+
+def test_warm_cli_run_loads_only_scipy_core(run_dir, tmp_path,
+                                             heavy_scipy_after):
+    # a warm pipeline and its report compute nothing, so they import no
+    # solver: that is most of a warm CLI run's start-up
+    out, cfg, _ = run_dir
+    # undo any other test's stage keys, so every stage below is a hit
+    pipeline.run_pipeline(cfg)
+    cfg_path = tmp_path / "fast.yaml"
+    cfg_path.write_text(yaml.safe_dump({**FAST, "output_dir": str(out)}))
+    code = ("from iongrating.cli import main\n"
+            "for verb in ('pipeline', 'report'):\n"
+            f"    main([verb, '--config', {str(cfg_path)!r}], "
+            "standalone_mode=False)")
+    assert heavy_scipy_after(code) == []
 
 
 def test_cli_has_no_jobs_option_or_map_verb():
