@@ -79,32 +79,51 @@ _CONFIG_COMMENTS = {
 }
 
 
+def _first_nan(value, name: str):
+    """The dotted name of the first NaN inside ``value`` (a number, or
+    lists and mappings of them), or None."""
+    if isinstance(value, float):
+        return name if math.isnan(value) else None
+    if isinstance(value, dict):
+        items = ((f"{name}.{k}", v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{name}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for inner, v in items:
+        found = _first_nan(v, inner)
+        if found is not None:
+            return found
+    return None
+
+
 def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
     """``override`` laid over ``base``; a section whose default is a
     mapping only takes a mapping, and a key whose default is a float takes
     a string that parses as one (PyYAML reads ``1e6`` and ``6.0e5`` as
-    strings) but not NaN, which every comparison would let through.  The
-    errors name the dotted key."""
+    strings).  No value may hold a NaN, which every comparison would let
+    through.  The errors name the dotted key."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in out:
             raise KeyError(f"unknown configuration key {key!r}")
+        name = f"{prefix}{key}"
         if isinstance(out[key], dict):
             if not isinstance(value, dict):
-                raise TypeError(f"{prefix}{key}: expected a mapping, got "
+                raise TypeError(f"{name}: expected a mapping, got "
                                 f"{type(value).__name__}")
-            out[key] = _deep_merge(out[key], value, f"{prefix}{key}.")
-        elif isinstance(out[key], float) and isinstance(value, (float, str)):
+            out[key] = _deep_merge(out[key], value, f"{name}.")
+            continue
+        if isinstance(out[key], float) and isinstance(value, str):
             try:
                 value = float(value)
             except ValueError:
-                raise ValueError(f"{prefix}{key}: expected a number, got "
+                raise ValueError(f"{name}: expected a number, got "
                                  f"{value!r}") from None
-            if math.isnan(value):
-                raise ValueError(f"{prefix}{key}: expected a number, got nan")
-            out[key] = value
-        else:
-            out[key] = value
+        nan = _first_nan(value, name)
+        if nan is not None:
+            raise ValueError(f"{nan}: expected a number, got nan")
+        out[key] = value
     return out
 
 

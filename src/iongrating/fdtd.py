@@ -21,6 +21,9 @@ plus the source ramp, the largest change of a flux relative to itself
 must stay below 1e-5 for three consecutive optical periods.
 """
 
+import functools
+import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,6 +193,64 @@ def _add_psi(slabs):
 # ---------------------------------------------------------------------------
 # Guided-mode profiles on the simulation grid
 
+def _above_spectrum(diag, off2, x) -> bool:
+    """Whether x lies above every eigenvalue of the symmetric tridiagonal
+    matrix A of diagonal ``diag`` and squared off-diagonal ``off2``
+    (Python floats, ``off2[0]`` zero): by Sylvester's law of inertia,
+    whether every LDL^T pivot of A - x I is below zero."""
+    d = 1.0
+    for a, b2 in zip(diag, off2):
+        d = a - x - b2 / d
+        if d >= 0.0:
+            return False
+    return True
+
+
+def _top_eigenpair(diag: np.ndarray, off: np.ndarray):
+    """Largest eigenvalue of the symmetric tridiagonal matrix A of
+    diagonal ``diag`` and positive off-diagonal ``off``, and an eigenvector.
+
+    Bisection on ``_above_spectrum`` narrows [largest diagonal entry,
+    Gershgorin bound] until its ends are adjacent doubles.  At the upper
+    end every pivot of A - x I is negative, so elimination without
+    pivoting (the Thomas algorithm on those same pivots) is stable there,
+    and two inverse-iteration solves give the eigenvector.  They start
+    from the all-ones vector: with a positive off-diagonal the eigenvector
+    has one sign, so the start overlaps it.
+    """
+    a, b = diag.tolist(), off.tolist()
+    b2 = [0.0] + [v * v for v in b]
+    radius = np.append(off, 0.0) + np.insert(off, 0, 0.0)
+    lo = max(a)
+    hi = math.nextafter(2.0 * float(np.max(diag + radius)) - lo, math.inf)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if _above_spectrum(a, b2, mid):
+            hi = mid
+        else:
+            lo = mid
+    pivots, d = [], 1.0
+    for ai, bi2 in zip(a, b2):
+        d = ai - hi - bi2 / d
+        pivots.append(d)
+    ell = [bi / di for bi, di in zip(b, pivots)]
+    x = [1.0] * len(a)
+    for _ in range(2):
+        # forward, diagonal and backward sweeps of L D L^T x_new = x
+        y = x[0]
+        x[0] = y / pivots[0]
+        for i in range(1, len(a)):
+            y = x[i] - ell[i - 1] * y
+            x[i] = y / pivots[i]
+        for i in range(len(a) - 2, -1, -1):
+            x[i] -= ell[i] * x[i + 1]
+        peak = max(map(abs, x))
+        x = [v / peak for v in x]
+    return lo, np.array(x)
+
+
 def slab_mode_profile(n_column: np.ndarray, cell: float, wavelength: float,
                       polarization: str):
     """Fundamental guided mode of a 1D index column.
@@ -197,9 +258,6 @@ def slab_mode_profile(n_column: np.ndarray, cell: float, wavelength: float,
     Returns (n_eff, profile) where the profile samples the out-of-plane
     field (Ey for TE, Hy for TM) at the grid nodes.
     """
-    # scipy.linalg loads at first use, off the package import
-    from scipy.linalg import eigh_tridiagonal
-
     if polarization not in ("TE", "TM"):
         raise ValueError("polarization must be 'TE' or 'TM'")
     k0 = 2 * np.pi / wavelength
@@ -219,10 +277,9 @@ def slab_mode_profile(n_column: np.ndarray, cell: float, wavelength: float,
         diag = eps * (k0**2 - np.append(w, 0.0) - np.insert(w, 0, 0.0))
         off = w * np.sqrt(eps[:-1] * eps[1:])
         scale = np.sqrt(eps)
-    vals, vecs = eigh_tridiagonal(diag, off,
-                                  select="i", select_range=(nz - 1, nz - 1))
-    beta2, prof = vals[0], vecs[:, 0] * scale
-    n_eff = np.sqrt(beta2) / k0
+    beta2, vec = _top_eigenpair(diag, off)
+    prof = vec * scale
+    n_eff = np.sqrt(np.float64(beta2)) / k0
     n_min = min(n_column[0], n_column[-1])
     if not np.isfinite(n_eff) or n_eff <= n_min:
         raise ValueError("no guided mode on this column")
@@ -583,13 +640,25 @@ def grating_effective_index(stack: LayerStack, params, cell_size: float,
     This is the propagation constant that sets the outcoupling angle via the
     grating equation; it is lower than the unperturbed waveguide index.
     """
+    return _duty_averaged_index(stack, params.dcu, params.dcl, cell_size,
+                                wavelength, polarization)
+
+
+# a design's teeth share one pair of duty cycles, so its pitches and TM
+# angles all take one slab solve
+@functools.lru_cache(maxsize=128)
+def _duty_averaged_index(stack: LayerStack, dcu: float, dcl: float,
+                         cell_size: float, wavelength: float,
+                         polarization: str) -> float:
     d = cell_size
     clad = stack.cladding_index
     nz = int(round((sum(l.thickness for l in stack.layers) + 2 * CLAD_PAD)
                    / d))
     z = np.arange(nz) * d - CLAD_PAD
     n = np.full(nz, clad)
-    for layer, zb, teeth in _cross_section(stack, params):
+    # the averaged column has no teeth to offset
+    duties = types.SimpleNamespace(dcu=dcu, dcl=dcl, dx=0.0)
+    for layer, zb, teeth in _cross_section(stack, duties):
         sel = (z >= zb) & (z < zb + layer.thickness)
         if teeth is None:
             n[sel] = layer.refractive_index

@@ -1,6 +1,7 @@
 """Tests for the 2D unit-cell FDTD solver and observable extraction."""
 
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 
 from iongrating import constants, fdtd, geometry
 from iongrating.library import UnitCellParams, pitch_for_angle
+from transfer_matrix import effective_index
 
 WAVELENGTH = 422e-9
 STACK = geometry.default_stack()
@@ -55,7 +57,7 @@ def test_mode_solver_matches_transfer_matrix():
     col = material.n[5, :]
     for pol in ("TE", "TM"):
         n_fd, profile = fdtd.slab_mode_profile(col, CELL, WAVELENGTH, pol)
-        n_tmm = geometry.effective_index(STACK, WAVELENGTH, pol)
+        n_tmm = effective_index(STACK, WAVELENGTH, pol)
         assert abs(n_fd - n_tmm) < 1.5e-2
         # fundamental mode profile: single-signed dominant lobe, decayed tails
         assert abs(profile[0]) < 1e-3 and abs(profile[-1]) < 1e-3
@@ -72,6 +74,86 @@ def test_unknown_polarization_is_rejected(polarization):
     with pytest.raises(ValueError, match="polarization must be"):
         pitch_for_angle(np.deg2rad(12.0), 0.5, 0.5, STACK, WAVELENGTH,
                         polarization, CELL)
+
+
+def _lapack_top_eigenpair(diag, off):
+    """The largest eigenpair from LAPACK's tridiagonal bisection."""
+    from scipy.linalg import eigh_tridiagonal
+    n = len(diag)
+    vals, vecs = eigh_tridiagonal(diag, off, select="i",
+                                  select_range=(n - 1, n - 1))
+    return vals[0], vecs[:, 0]
+
+
+def _pitch_column(cell, duty, pol):
+    """The duty-averaged index column whose slab mode sets a pitch."""
+    seen = []
+    solve = fdtd.slab_mode_profile
+
+    def keep(col, *args):
+        seen.append(col)
+        return solve(col, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fdtd, "slab_mode_profile", keep)
+        fdtd._duty_averaged_index.__wrapped__(STACK, duty, duty, cell,
+                                              WAVELENGTH, pol)
+    return seen[0]
+
+
+@pytest.mark.parametrize("duty", [0.3, 0.5, 1.0, None])
+@pytest.mark.parametrize("ppw", [10, 12, 16, 24])
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+def test_slab_mode_matches_lapack(pol, ppw, duty, monkeypatch):
+    # the grating columns of the pitch, and the tooth-free column of the
+    # FDTD source (None), against LAPACK's eigenpair on the same matrix
+    cell = fdtd.default_cell_size(STACK, WAVELENGTH, ppw)
+    if duty is None:
+        col = fdtd.unit_cell_material_map(STACK, None, 0, cell).n[5, :]
+    else:
+        col = _pitch_column(cell, duty, pol)
+    n_eff, profile = fdtd.slab_mode_profile(col, cell, WAVELENGTH, pol)
+    monkeypatch.setattr(fdtd, "_top_eigenpair", _lapack_top_eigenpair)
+    n_ref, ref = fdtd.slab_mode_profile(col, cell, WAVELENGTH, pol)
+    assert n_eff == pytest.approx(n_ref, rel=1e-14, abs=0.0)
+    assert np.max(np.abs(profile - ref)) < 1e-12
+
+
+def test_top_eigenpair_of_a_known_spectrum():
+    # tridiag(1, 3, 1) has eigenvalues 3 + 2 cos(k pi / (n + 1)) with
+    # eigenvectors sin(j k pi / (n + 1)); the largest is k = 1
+    n = 60
+    value, vec = fdtd._top_eigenpair(np.full(n, 3.0), np.ones(n - 1))
+    theta = np.pi / (n + 1)
+    assert value == pytest.approx(3.0 + 2.0 * np.cos(theta), rel=1e-15)
+    exact = np.sin(np.arange(1, n + 1) * theta)
+    assert np.allclose(vec / np.max(np.abs(vec)), exact / np.max(exact),
+                       rtol=0.0, atol=1e-13)
+    # the symmetric Kac matrix: zero diagonal, off-diagonal sqrt(k (n-k)),
+    # eigenvalues -(n-1), -(n-3), ..., n-1, the top one far above the
+    # largest diagonal entry, with eigenvector sqrt(binomial(n-1, j))
+    n = 21
+    k = np.arange(1, n)
+    value, vec = fdtd._top_eigenpair(np.zeros(n), np.sqrt(k * (n - k)))
+    assert value == pytest.approx(n - 1, rel=1e-14)
+    binom = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)
+    exact = np.sqrt(binom / binom.max())
+    assert np.allclose(vec / np.max(np.abs(vec)), exact, rtol=0.0,
+                       atol=1e-13)
+
+
+def test_effective_index_cache_is_exact():
+    # a tooth's index depends on its stack, duty cycles and grid alone:
+    # the cached value equals a fresh solve bit for bit, for any pitch,
+    # offset or zone shift
+    cell = fdtd.default_cell_size(STACK, WAVELENGTH, 12)
+    fresh = fdtd._duty_averaged_index.__wrapped__(STACK, 0.45, 0.55, cell,
+                                                  WAVELENGTH, "TM")
+    for p in (params(dcu=0.45, dcl=0.55),
+              params(pitch=0.27e-6, dcu=0.45, dcl=0.55, dx=0.06e-6,
+                     delta=0.1e-6)):
+        n = fdtd.grating_effective_index(STACK, p, cell, WAVELENGTH, "TM")
+        assert n == fresh
 
 
 def test_zone_average_row_limits():
@@ -529,7 +611,7 @@ def test_kappa_independent_of_section_length(symmetric_cell):
 
 def test_layer_offset_breaks_updown_symmetry(symmetric_cell):
     # quarter-guided-wavelength offset between the layers steers power up
-    lam_g = WAVELENGTH / geometry.effective_index(STACK, WAVELENGTH, "TE")
+    lam_g = WAVELENGTH / effective_index(STACK, WAVELENGTH, "TE")
     r = fdtd.run_unit_cell(params(dx=lam_g / 4), 8, WAVELENGTH, STACK,
                            "TE", cell_size=CELL)
     assert fdtd.directivity(r) > 0.75

@@ -8,15 +8,14 @@ from iongrating.geometry import (
     IonPose,
     Layer,
     LayerStack,
-    NoGuidedModeError,
     default_stack,
     _horizontal_reach,
-    effective_index,
     ray_vacuum_angle,
     refracted_ray,
     solid_angle_fraction,
     wavelength_in_medium,
 )
+from transfer_matrix import NoGuidedModeError, effective_index
 
 
 def single_layer_stack(thickness=100e-9, n_core=2.0, n_clad=1.45):

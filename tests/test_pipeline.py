@@ -309,6 +309,22 @@ def test_cold_run_writes_each_fact_once(tmp_path):
     assert all("pitch" not in t and t["params"]["pitch"] > 0 for t in teeth)
 
 
+def test_cold_run_solves_two_slab_modes(tmp_path, monkeypatch):
+    # every pitch and every TM tooth angle of the default design shares
+    # one duty pair: one TE and one TM slab solve in all
+    solve, calls = fdtd.slab_mode_profile, []
+
+    def counted(*args):
+        calls.append(args[3])
+        return solve(*args)
+
+    fdtd._duty_averaged_index.cache_clear()
+    monkeypatch.setattr(fdtd, "slab_mode_profile", counted)
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
+    pipeline.run_pipeline(cfg)
+    assert sorted(calls) == ["TE", "TM"]
+
+
 def _failing_fdtd_config(tmp_path):
     return load_config(overrides={
         **FAST, "output_dir": str(tmp_path),
@@ -1056,11 +1072,24 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
      "library.alpha0: expected a number, got nan"),
     ({"designer": {"kappa_max": "nan"}},
      "designer.kappa_max: expected a number, got nan"),
+    ({"detection": {"threshold": float("nan")}},
+     "detection.threshold: expected a number, got nan"),
+    ({"seeds": {"detection": float("nan")}},
+     "seeds.detection: expected a number, got nan"),
+    ({"library": {"angles_deg": [-4.0, float("nan"), 4.0]}},
+     "library.angles_deg[1]: expected a number, got nan"),
+    ({"library": {"delta_fracs": [0.0, 0.5, float("nan")]}},
+     "library.delta_fracs[2]: expected a number, got nan"),
+    ({"stack": {"layers": [{"name": "core", "thickness": float("nan"),
+                            "refractive_index": 2.0}],
+                "cladding_index": 1.45}},
+     "stack.layers[0].thickness: expected a number, got nan"),
 ], ids=["library-not-a-mapping", "threshold-not-a-number",
         "footprint-a-list", "pose-height-not-a-number",
         "kappa0-not-a-number", "kappa0-negative", "kappa0-zero",
         "alpha0-negative", "pose-height-nan", "alpha0-nan",
-        "kappa-max-nan-string"])
+        "kappa-max-nan-string", "threshold-nan", "seed-nan",
+        "angles-deg-nan", "delta-fracs-nan", "layer-thickness-nan"])
 def test_cli_config_value_of_wrong_type_is_a_config_error(tmp_path, entry,
                                                           message):
     bad = tmp_path / "bad.yaml"
