@@ -79,11 +79,11 @@ _CONFIG_COMMENTS = {
 }
 
 
-def _first_nan(value, name: str):
-    """The dotted name of the first NaN inside ``value`` (a number, or
-    lists and mappings of them), or None."""
+def _first_nonfinite(value, name: str):
+    """The dotted name and value of the first NaN or infinity inside
+    ``value`` (a number, or lists and mappings of them), or None."""
     if isinstance(value, float):
-        return name if math.isnan(value) else None
+        return None if math.isfinite(value) else (name, value)
     if isinstance(value, dict):
         items = ((f"{name}.{k}", v) for k, v in value.items())
     elif isinstance(value, list):
@@ -91,10 +91,14 @@ def _first_nan(value, name: str):
     else:
         return None
     for inner, v in items:
-        found = _first_nan(v, inner)
+        found = _first_nonfinite(v, inner)
         if found is not None:
             return found
     return None
+
+
+# the one value where infinity means something: an uncapped kappa(x) fit
+_UNCAPPED_FIT = ("designer.kappa_max", math.inf)
 
 
 def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
@@ -102,7 +106,8 @@ def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
     mapping only takes a mapping, and a key whose default is a float takes
     a string that parses as one (PyYAML reads ``1e6`` and ``6.0e5`` as
     strings).  No value may hold a NaN, which every comparison would let
-    through.  The errors name the dotted key."""
+    through, nor an infinity, except ``designer.kappa_max``.  The errors
+    name the dotted key."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in out:
@@ -120,9 +125,13 @@ def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
             except ValueError:
                 raise ValueError(f"{name}: expected a number, got "
                                  f"{value!r}") from None
-        nan = _first_nan(value, name)
-        if nan is not None:
-            raise ValueError(f"{nan}: expected a number, got nan")
+        bad = _first_nonfinite(value, name)
+        if bad is not None and bad != _UNCAPPED_FIT:
+            where, number = bad
+            if math.isnan(number):
+                raise ValueError(f"{where}: expected a number, got nan")
+            raise ValueError(f"{where}: expected a finite number, got "
+                             f"{number}")
         out[key] = value
     return out
 

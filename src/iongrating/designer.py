@@ -9,6 +9,7 @@ with phase-shift apodization zones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,8 +124,10 @@ def ideal_kappa(i_ion, x, alpha=0.0, kappa_cap: float = 1e8):
 @dataclass
 class FitStart:
     """Outcome of one least-squares start of :func:`fit_kappa`."""
-    status: int              # least_squares status: 0 = max_nfev hit,
-                             # -1 = start raised (no usable residual)
+    status: int              # 0 = the evaluation cap, 1 = gtol,
+                             # 2 = ftol, 3 = xtol, 4 = ftol and xtol
+                             # (scipy's least_squares codes), -1 = the
+                             # start raised (no usable residual)
     nfev: int                # residual evaluations of this start
     relative_l2: float       # ||I_fit - I_ion|| / ||I_ion|| at its optimum
 
@@ -139,6 +142,188 @@ class FitReport:
     starts: list             # FitStart per start
 
 
+# ---------------------------------------------------------------------------
+# The fit's two solvers.  Each follows its scipy.optimize counterpart step
+# for step, so the fit gives scipy's numbers to the last bit and a design
+# run does not load scipy.optimize.
+
+def _bounded_minimum(f, lo, hi, xatol):
+    """The minimizer of ``f`` on [lo, hi] by Brent's bounded search of
+    golden sections and parabolic steps: ``scipy.optimize.minimize_scalar(
+    f, bounds=(lo, hi), method="bounded", options={"xatol": xatol}).x``."""
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    sqrt_eps = math.sqrt(2.2e-16)
+    a, b = lo, hi
+    # x is the best point so far, w the second best, v the one before w
+    v = w = x = a + golden * (b - a)
+    fv = fw = fx = f(x)
+    num = 1
+    rat = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        # scipy's default maxiter is 500
+        if not np.abs(x - xm) > tol2 - 0.5 * (b - a) or num >= 500:
+            return x
+        parabolic = False
+        if np.abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r, e = e, rat
+            if (np.abs(p) < np.abs(0.5 * q * r)
+                    and q * (a - x) < p < q * (b - x)):
+                parabolic = True
+                rat = p / q
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 * (np.sign(xm - x) + ((xm - x) == 0))
+        if not parabolic:
+            e = a - x if x >= xm else b - x
+            rat = golden * e
+        u = x + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = f(u)
+        num += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _trust_region_step(uf, s, v, delta, alpha, m):
+    """The step p minimizing ||J p + f|| subject to ||p|| <= delta, from
+    the SVD J = U diag(s) v^T of an m-row Jacobian and uf = U^T f, with the
+    Levenberg-Marquardt parameter it took (More 1977).  ``alpha`` is the
+    previous parameter, the root search's first guess: scipy's
+    ``solve_lsq_trust_region``."""
+    norm = np.linalg.norm
+    suf = s * uf
+
+    def phi_and_derivative(alpha):
+        denom = s**2 + alpha
+        p_norm = norm(suf / denom)
+        return p_norm - delta, -np.sum(suf**2 / denom**3) / p_norm
+
+    alpha_upper = norm(suf) / delta
+    alpha_lower = 0.0
+    if m >= len(v) and s[-1] > np.finfo(float).eps * m * s[0]:
+        p = -v.dot(uf / s)       # full rank: try the Gauss-Newton step
+        if norm(p) <= delta:
+            return p, 0.0
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    elif alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + delta) * ratio / delta
+        if np.abs(phi) < 0.01 * delta:
+            break
+    p = -v.dot(suf / (s**2 + alpha))
+    p *= delta / norm(p)
+    return p, alpha
+
+
+def _least_squares(fun, x0, jac, max_nfev):
+    """Minimize 0.5 ||fun(x)||^2 from ``x0``, given the Jacobian ``jac``:
+    ``scipy.optimize.least_squares(fun, x0, jac=jac, max_nfev=max_nfev)``,
+    the unbounded trust-region method with an exact solve from one SVD per
+    iterate, linear loss, x_scale 1 and ftol = xtol = gtol = 1e-8.
+
+    Returns (x, fun(x), status, nfev), with scipy's status codes (see
+    :class:`FitStart`).  Raises ValueError, as scipy does, when the
+    residuals at ``x0`` or a Jacobian are not finite.
+    """
+    norm = np.linalg.norm
+    tol = 1e-8
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("residuals are not finite at the start")
+    J = jac(x)
+    # scipy answers a point equal to the last one evaluated from memory
+    x_seen, f_seen = x, f
+    nfev = 1
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    delta = norm(x) or 1.0
+    alpha = 0.0
+    status = None
+    while True:
+        if norm(g, ord=np.inf) < tol:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            break
+        if not np.all(np.isfinite(J)):
+            raise ValueError("the Jacobian is not finite")
+        u, s, vt = np.linalg.svd(J, full_matrices=False)
+        # scipy.linalg.svd returns column-major factors; the same memory
+        # order sums the products below in the same order, to the last bit
+        uf = np.asfortranarray(u).T.dot(f)
+        v = np.ascontiguousarray(vt.T)
+        actual = -1
+        while actual <= 0 and nfev < max_nfev:
+            step, alpha = _trust_region_step(uf, s, v, delta, alpha, len(f))
+            js = J.dot(step)
+            predicted = -(0.5 * np.dot(js, js) + np.dot(step, g))
+            x_new = x + step
+            if not np.array_equal(x_new, x_seen):
+                x_seen, f_seen = x_new, fun(x_new)
+            f_new = f_seen
+            nfev += 1
+            step_norm = norm(step)
+            if not np.all(np.isfinite(f_new)):
+                delta = 0.25 * step_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual = cost - cost_new
+            if predicted > 0:
+                ratio = actual / predicted
+            elif predicted == actual == 0:
+                ratio = 1
+            else:
+                ratio = 0
+            delta_new = delta
+            if ratio < 0.25:
+                delta_new = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * delta:
+                delta_new = delta * 2.0
+            ftol_met = actual < tol * cost and ratio > 0.25
+            xtol_met = step_norm < tol * (tol + norm(x))
+            if ftol_met or xtol_met:
+                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+                break
+            alpha *= delta / delta_new
+            delta = delta_new
+        if actual > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            g = J.T.dot(f)
+    return x, f, 0 if status is None else status, nfev
+
+
 def _fit_ansatz_to_curve(x, target, length, cap):
     """Least-squares ansatz coefficients for a sampled kappa curve, lowered
     by its overshoot of ``cap`` so that it starts inside the cap wall.
@@ -148,9 +333,6 @@ def _fit_ansatz_to_curve(x, target, length, cap):
     in the wall penalty, which the least squares first clears by switching
     the exponential off, and then stalls.
     """
-    # scipy.optimize loads at first use, off the package import
-    from scipy import optimize
-
     basis = np.column_stack([x**3, x**2, x, np.ones_like(x)])
 
     def solve(bexp):
@@ -162,11 +344,9 @@ def _fit_ansatz_to_curve(x, target, length, cap):
     def cost(bexp):
         return solve(bexp)[1]
 
-    res = optimize.minimize_scalar(cost, bounds=(0.0, 30.0 / length),
-                                   method="bounded",
-                                   options={"xatol": 1e-4 / length})
-    coef, _ = solve(res.x)
-    ansatz = KappaAnsatz(*coef, B=float(res.x), length=float(length))
+    bexp = _bounded_minimum(cost, 0.0, 30.0 / length, xatol=1e-4 / length)
+    coef, _ = solve(bexp)
+    ansatz = KappaAnsatz(*coef, B=float(bexp), length=float(length))
     ansatz.d -= max(float(np.max(ansatz(x))) - cap, 0.0)
     return ansatz
 
@@ -183,8 +363,6 @@ def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf):
 
     Returns (KappaAnsatz, FitReport).
     """
-    from scipy import optimize
-
     x = np.asarray(x, dtype=float)
     i_target = _as_profile(i_ion, x)
     a_prof = _as_profile(alpha, x)
@@ -261,16 +439,15 @@ def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf):
         try:
             # converging starts need well under 200 evaluations; the cap
             # bounds the cost of a stuck one, which reports status 0
-            res = optimize.least_squares(residuals, z_init, jac=jacobian,
-                                         max_nfev=1000)
+            z, f, status, nfev = _least_squares(residuals, z_init, jacobian,
+                                                max_nfev=1000)
         except (ValueError, FloatingPointError):
             outcomes.append(FitStart(status=-1, nfev=0, relative_l2=np.nan))
             continue
-        val = float(np.linalg.norm(res.fun[:n_match]))
-        outcomes.append(FitStart(status=int(res.status), nfev=int(res.nfev),
-                                 relative_l2=val))
+        val = float(np.linalg.norm(f[:n_match]))
+        outcomes.append(FitStart(status=status, nfev=nfev, relative_l2=val))
         if np.isfinite(val) and val < best_val:
-            best_val, best_z = val, res.x
+            best_val, best_z = val, z
     if best_z is None:
         raise FitDivergenceError("no coefficient start converged")
 

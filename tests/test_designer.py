@@ -199,14 +199,13 @@ def test_fit_jacobian_matches_central_differences(monkeypatch, ion_profile):
     init = KappaAnsatz(0.0, 0.0, 0.17e6 / 30e-6, -0.03e6, 0.01e6,
                        2.0 / 30e-6, 30e-6)
     calls = []
-    real = optimize.least_squares
+    real = designer._least_squares
 
     def spy(fun, x0, jac, **kwargs):
         calls.append((fun, np.array(x0), jac))
-        return real(fun, x0, jac=jac, **kwargs)
+        return real(fun, x0, jac, **kwargs)
 
-    # fit_kappa imports scipy.optimize at its call, so patch it there
-    monkeypatch.setattr(optimize, "least_squares", spy)
+    monkeypatch.setattr(designer, "_least_squares", spy)
     monkeypatch.setattr(designer, "_fit_ansatz_to_curve", lambda *_: init)
     fit_kappa(prof, x, alpha=0.0, kappa_max=kappa_max)
     fun, z0, jac = calls[0]
@@ -229,6 +228,46 @@ def test_fit_jacobian_matches_central_differences(monkeypatch, ion_profile):
     assert pattern[-1]
     np.testing.assert_allclose(analytic, numeric, rtol=1e-6,
                                atol=1e-6 * np.abs(analytic).max())
+
+
+# (x_ion, height above surface, kappa_max, alpha): the two poses and caps
+# of ROADMAP item 6 whose starts stopped at the evaluation cap (start 1 of
+# the second still does), an uncapped fit and a lossy one
+FIT_ORACLE_GRID = [(26e-6, 60e-6, 0.4e6, 0.0), (28e-6, 40e-6, 0.25e6, 0.0),
+                   (28e-6, 50e-6, np.inf, 0.0), (28e-6, 50e-6, 0.6e6, 5e4)]
+
+
+def test_fit_solvers_match_scipy_bit_for_bit(monkeypatch):
+    # scipy.optimize is the oracle: both in-package solvers must give its
+    # numbers exactly, cap-hit starts (status 0) included
+    ports = designer._least_squares, designer._bounded_minimum
+    statuses = set()
+
+    def least_squares(fun, x0, jac, max_nfev):
+        ref = optimize.least_squares(fun, x0, jac=jac, max_nfev=max_nfev)
+        x, f, status, nfev = ports[0](fun, x0, jac, max_nfev)
+        assert np.array_equal(x, ref.x)
+        assert np.array_equal(f, ref.fun)
+        assert (status, nfev) == (ref.status, ref.nfev)
+        statuses.add(status)
+        return x, f, status, nfev
+
+    def bounded_minimum(f, lo, hi, xatol):
+        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol})
+        best = ports[1](f, lo, hi, xatol)
+        assert best == ref.x
+        return best
+
+    monkeypatch.setattr(designer, "_least_squares", least_squares)
+    monkeypatch.setattr(designer, "_bounded_minimum", bounded_minimum)
+    for x_ion, height, kappa_max, alpha in FIT_ORACLE_GRID:
+        emission = dipole.ion_intensity_profile(
+            FOOTPRINT, IonPose(x_ion=x_ion, height_above_surface=height),
+            512, n_cladding=STACK.cladding_index)
+        fit_kappa(emission.intensity, emission.x, alpha=alpha,
+                  kappa_max=kappa_max)
+    assert {0, 2, 3} <= statuses
 
 
 # ---------------------------------------------------------------------------

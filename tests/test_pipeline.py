@@ -1084,12 +1084,22 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
                             "refractive_index": 2.0}],
                 "cladding_index": 1.45}},
      "stack.layers[0].thickness: expected a number, got nan"),
+    ({"library": {"angles_deg": [-4.0, float("inf"), 4.0]}},
+     "library.angles_deg[1]: expected a finite number, got inf"),
+    ({"library": {"delta_fracs": [0.0, float("inf")]}},
+     "library.delta_fracs[1]: expected a finite number, got inf"),
+    ({"pose": {"height_above_surface": float("inf")}},
+     "pose.height_above_surface: expected a finite number, got inf"),
+    ({"designer": {"kappa_max": float("-inf")}},
+     "designer.kappa_max: expected a finite number, got -inf"),
 ], ids=["library-not-a-mapping", "threshold-not-a-number",
         "footprint-a-list", "pose-height-not-a-number",
         "kappa0-not-a-number", "kappa0-negative", "kappa0-zero",
         "alpha0-negative", "pose-height-nan", "alpha0-nan",
         "kappa-max-nan-string", "threshold-nan", "seed-nan",
-        "angles-deg-nan", "delta-fracs-nan", "layer-thickness-nan"])
+        "angles-deg-nan", "delta-fracs-nan", "layer-thickness-nan",
+        "angles-deg-inf", "delta-fracs-inf", "pose-height-inf",
+        "kappa-max-minus-inf"])
 def test_cli_config_value_of_wrong_type_is_a_config_error(tmp_path, entry,
                                                           message):
     bad = tmp_path / "bad.yaml"
@@ -1344,6 +1354,17 @@ def test_warm_cli_run_loads_only_scipy_core(run_dir, tmp_path,
             f"    main([verb, '--config', {str(cfg_path)!r}], "
             "standalone_mode=False)")
     assert heavy_scipy_after(code) == []
+
+
+def test_cold_default_run_loads_no_scipy_optimize(tmp_path,
+                                                  heavy_scipy_after):
+    # the design fit solves in-package, so of the heavy subpackages a cold
+    # default run loads only the emission quadrature's scipy.linalg and
+    # the detection model's scipy.special
+    code = ("from iongrating import config, pipeline\n"
+            "pipeline.run_pipeline(config.load_config(overrides="
+            f"{{'output_dir': {str(tmp_path)!r}}}))")
+    assert heavy_scipy_after(code) == ["linalg", "special"]
 
 
 def test_cli_has_no_jobs_option_or_map_verb():
