@@ -134,7 +134,6 @@ class FitStart:
 
 @dataclass
 class FitReport:
-    residual: float          # sum of squared intensity mismatch
     relative_l2: float       # ||I_fit - I_ion|| / ||I_ion||
     residual_power: float    # guided power left at the grating end
     infeasible: bool         # kappa_max too small to deplete the guide
@@ -460,9 +459,9 @@ def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf):
     # than 10% of the light in the guide
     infeasible = (capped and np.exp(-kappa_max * length) > 0.10
                   and res_power > 0.10)
-    report = FitReport(residual=best_val, relative_l2=rel_l2,
-                       residual_power=res_power, infeasible=infeasible,
-                       n_evaluations=evaluations, starts=outcomes)
+    report = FitReport(relative_l2=rel_l2, residual_power=res_power,
+                       infeasible=infeasible, n_evaluations=evaluations,
+                       starts=outcomes)
     return ansatz, report
 
 
@@ -704,13 +703,6 @@ def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
     stripe, y0, y1 = stripe[y1 > y0], y0[y1 > y0], y1[y1 > y0]
     upper = lower = np.empty((0, 4, 2))
     if teeth and len(stripe):
-        for tooth in teeth:
-            for duty in (tooth.params.dcu, tooth.params.dcl):
-                width = duty * tooth.pitch
-                if 0.0 < width < MIN_FEATURE:
-                    raise LayoutError(
-                        f"tooth at x={tooth.x * 1e6:.3f} um emits a "
-                        f"{width * 1e9:.0f} nm feature after curvature")
         x_lead, pitch, dcu, dcl, dx, delta = np.array(
             [(t.x, t.pitch, t.params.dcu, t.params.dcl, t.params.dx,
               t.params.delta) for t in teeth]).T

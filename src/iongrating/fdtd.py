@@ -23,7 +23,6 @@ must stay below 1e-5 for three consecutive optical periods.
 
 import functools
 import math
-import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +41,6 @@ class DepletionError(ValueError):
 
 class ResolutionError(ValueError):
     """Geometry is unresolvable at the chosen cell size."""
-
-
-class DirectivityUndefinedError(ValueError):
-    """No diffracted power; up/down split is undefined."""
 
 
 PML_CELLS = 12            # absorbing-layer thickness on every boundary
@@ -109,7 +104,6 @@ class CellResult:
     wavelength: float
     cell_size: float
     top_field: np.ndarray # complex phasor along the top monitor
-    top_x: np.ndarray
     periods_run: int = 0
     polarization: str = "TE"
 
@@ -544,13 +538,12 @@ def _zone_averaged_index_row(x, x0, length, pitch, duty, offset, delta,
     return np.sqrt(n_gap**2 + fill * (n_tooth**2 - n_gap**2))
 
 
-def _cross_section(stack: LayerStack, params):
+def _cross_section(stack: LayerStack, upper, lower):
     """The stack bottom to top as (layer, z of its bottom, teeth).
 
-    ``teeth`` is the (duty, offset) of a toothed layer and None otherwise.
-    The toothed layers are the guiding layers with an index above the
-    cladding: the topmost takes (dcu, 0) and the rest (dcl, dx).  With
-    ``params`` None no layer is toothed.
+    ``teeth`` is None for an untoothed layer.  The toothed layers are the
+    guiding layers with an index above the cladding: the topmost takes
+    ``upper`` and the rest ``lower``, each a (duty, offset) pair or None.
     """
     toothed = [i for i, l in enumerate(stack.layers)
                if l.name in stack.guiding
@@ -558,9 +551,8 @@ def _cross_section(stack: LayerStack, params):
     zb = 0.0
     for i, layer in enumerate(stack.layers):
         teeth = None
-        if params is not None and i in toothed:
-            teeth = ((params.dcu, 0.0) if i == toothed[-1]
-                     else (params.dcl, params.dx))
+        if i in toothed:
+            teeth = upper if i == toothed[-1] else lower
         yield layer, zb, teeth
         zb += layer.thickness
 
@@ -590,7 +582,10 @@ def unit_cell_material_map(stack: LayerStack, params, n_periods: int,
 
     n = np.full((nx, nz), n_clad)
     x0 = MARGIN_IN  # grating starts here
-    for layer, zb, teeth in _cross_section(stack, params):
+    upper = lower = None
+    if params is not None:
+        upper, lower = (params.dcu, 0.0), (params.dcl, params.dx)
+    for layer, zb, teeth in _cross_section(stack, upper, lower):
         zsel = (z >= zb) & (z < zb + layer.thickness)
         if teeth is None:
             row = np.full(nx, layer.refractive_index)
@@ -607,7 +602,6 @@ def unit_cell_material_map(stack: LayerStack, params, n_periods: int,
         "i_out": nx - pml - int(round(0.5e-6 / d)),
         "j_bot": int(round((CLAD_PAD - 0.75e-6) / d)) + pml,
         "j_top": int(round((CLAD_PAD + stack_h + 0.75e-6) / d)) + pml,
-        "x_origin_index": pml,
         "length": length,
     }
     return MaterialMap(n=n, cell_size=d, meta=meta)
@@ -620,36 +614,39 @@ def default_cell_size(stack: LayerStack, wavelength: float,
     return wavelength / (points_per_wavelength * n_max)
 
 
-def _check_resolution(params, cell_size: float):
-    features = []
-    for duty in (params.dcu, params.dcl):
+def feature_widths(params):
+    """(layer, kind, width) of every tooth and gap of a unit cell, upper
+    layer first.  A removed or solid layer has no edges, hence no
+    feature."""
+    for layer, duty in (("upper", params.dcu), ("lower", params.dcl)):
         if 0.0 < duty < 1.0:
-            features += [duty * params.pitch, (1 - duty) * params.pitch]
-    for f in features:
+            yield layer, "tooth", duty * params.pitch
+            yield layer, "gap", (1.0 - duty) * params.pitch
+
+
+def _check_resolution(params, cell_size: float):
+    for _, _, f in feature_widths(params):
         if f < 4 * cell_size:
             raise ResolutionError(
                 f"feature {f * 1e9:.1f} nm below 4 cells at "
                 f"{cell_size * 1e9:.1f} nm cell size")
 
 
-def grating_effective_index(stack: LayerStack, params, cell_size: float,
-                            wavelength: float, polarization: str) -> float:
+# a design's teeth share one pair of duty cycles, so its pitches and TM
+# angles all take one slab solve
+@functools.lru_cache(maxsize=128)
+def grating_effective_index(stack: LayerStack, dcu: float, dcl: float,
+                            cell_size: float, wavelength: float,
+                            polarization: str) -> float:
     """Fundamental effective index of the grating section with each toothed
     layer replaced by its duty-cycle-averaged permittivity.
 
     This is the propagation constant that sets the outcoupling angle via the
     grating equation; it is lower than the unperturbed waveguide index.
     """
-    return _duty_averaged_index(stack, params.dcu, params.dcl, cell_size,
-                                wavelength, polarization)
-
-
-# a design's teeth share one pair of duty cycles, so its pitches and TM
-# angles all take one slab solve
-@functools.lru_cache(maxsize=128)
-def _duty_averaged_index(stack: LayerStack, dcu: float, dcl: float,
-                         cell_size: float, wavelength: float,
-                         polarization: str) -> float:
+    for name, duty in (("dcu", dcu), ("dcl", dcl)):
+        if not 0.0 <= duty <= 1.0:
+            raise ValueError(f"{name} outside [0, 1]")
     d = cell_size
     clad = stack.cladding_index
     nz = int(round((sum(l.thickness for l in stack.layers) + 2 * CLAD_PAD)
@@ -657,8 +654,7 @@ def _duty_averaged_index(stack: LayerStack, dcu: float, dcl: float,
     z = np.arange(nz) * d - CLAD_PAD
     n = np.full(nz, clad)
     # the averaged column has no teeth to offset
-    duties = types.SimpleNamespace(dcu=dcu, dcl=dcl, dx=0.0)
-    for layer, zb, teeth in _cross_section(stack, duties):
+    for layer, zb, teeth in _cross_section(stack, (dcu, 0.0), (dcl, 0.0)):
         sel = (z >= zb) & (z < zb + layer.thickness)
         if teeth is None:
             n[sel] = layer.refractive_index
@@ -670,15 +666,17 @@ def _duty_averaged_index(stack: LayerStack, dcu: float, dcl: float,
     return n_eff
 
 
-def grating_angle_sine(stack: LayerStack, params, cell_size: float,
-                       wavelength: float, polarization: str) -> float:
-    """Sine of the first-order outcoupling angle in the cladding: the
-    forward grating equation (n_eff - wavelength / pitch) / n_clad with the
-    duty-averaged index of ``grating_effective_index``.  Outside [-1, 1]
-    the period does not outcouple the mode."""
-    n_eff = grating_effective_index(stack, params, cell_size, wavelength,
-                                    polarization)
-    return (n_eff - wavelength / params.pitch) / stack.cladding_index
+def grating_angle(stack: LayerStack, params, cell_size: float,
+                  wavelength: float, polarization: str) -> float:
+    """First-order outcoupling angle in the cladding, rad: the forward
+    grating equation sin(theta) = (n_eff - wavelength / pitch) / n_clad
+    with the duty-averaged index of ``grating_effective_index``.  NaN when
+    the order does not propagate (|sin(theta)| >= 1): the period does not
+    outcouple the mode."""
+    n_eff = grating_effective_index(stack, params.dcu, params.dcl, cell_size,
+                                    wavelength, polarization)
+    s = (n_eff - wavelength / params.pitch) / stack.cladding_index
+    return float(np.arcsin(s)) if abs(s) < 1.0 else np.nan
 
 
 _reference_cache: dict = {}
@@ -786,15 +784,12 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
     # desired-order window around the grating-equation angle (in cladding),
     # using the duty-averaged local effective index of the toothed section
     try:
-        sin_t = grating_angle_sine(stack, params, cell_size, wavelength,
-                                   polarization)
-    except ValueError:
-        sin_t = np.nan
-    target = float(np.arcsin(sin_t)) if abs(sin_t) <= 1 else np.nan
+        target = grating_angle(stack, params, cell_size, wavelength,
+                               polarization)
+    except ValueError:  # the averaged section guides no mode
+        target = np.nan
 
     e_top, _ = mon_top.phasors()
-    xs = (np.arange(meta["i_in"], meta["i_out"] + 1)
-          - meta["x_origin_index"]) * cell_size
     e_top = np.asarray(e_top) / np.sqrt(norm)
 
     result = CellResult(
@@ -802,7 +797,7 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
         p_trans=p_trans, p_reflected=p_reflected,
         length=meta["length"], peak_angle=np.nan, target_angle=target,
         n_cladding=stack.cladding_index, wavelength=wavelength,
-        cell_size=cell_size, top_field=e_top, top_x=xs,
+        cell_size=cell_size, top_field=e_top,
         periods_run=periods, polarization=polarization)
     spec = far_field_angle_spectrum(result)
     result.peak_angle = spec.peak_angle
@@ -834,14 +829,6 @@ def extract_kappa_alpha(result: CellResult):
     ratio = 0.0 if p_t == 0 else min(max(result.p_d / p_t, 0.0), 1.0)
     kappa = total * ratio
     return kappa, total - kappa
-
-
-def directivity(result: CellResult) -> float:
-    """Fraction of the diffracted power leaving the grating upward."""
-    denom = result.p_up + result.p_down
-    if denom <= 0:
-        raise DirectivityUndefinedError("no diffracted power")
-    return result.p_up / denom
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .geometry import LayerStack, default_stack
 
 MIN_FEATURE = 0.12e-6
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class LibraryError(Exception):
@@ -73,7 +73,6 @@ class LibraryEntry:
     kappa: float            # 1/m
     alpha: float            # 1/m
     fom: float
-    directivity: float = float("nan")
     peak_angle: float = float("nan")
     periods_run: int = 0    # optical periods the solver ran the cell for
     closure: float = float("nan")  # |1 - sum of the four monitor powers|
@@ -95,20 +94,12 @@ def figure_of_merit(kappa: float, alpha: float) -> float:
 
 def feature_check(params: UnitCellParams,
                   min_feature: float = MIN_FEATURE) -> list:
-    """Widths of every tooth/gap feature below the fabrication minimum.
+    """(layer, kind, width) of every tooth/gap feature below the
+    fabrication minimum.
 
     An empty list means the cell is manufacturable.
     """
-    violations = []
-    for layer, duty in (("upper", params.dcu), ("lower", params.dcl)):
-        if duty in (0.0, 1.0):
-            # a removed or solid layer has no edges, hence no feature
-            continue
-        for kind, width in (("tooth", duty * params.pitch),
-                            ("gap", (1.0 - duty) * params.pitch)):
-            if width < min_feature:
-                violations.append((layer, kind, width))
-    return violations
+    return [f for f in fdtd.feature_widths(params) if f[2] < min_feature]
 
 
 def pitch_for_angle(angle: float, dcu: float, dcl: float,
@@ -121,8 +112,7 @@ def pitch_for_angle(angle: float, dcu: float, dcl: float,
     index itself is pitch-independent in the zone-averaged model, so a
     single pass suffices).
     """
-    probe = UnitCellParams(pitch=1e-6, dcu=dcu, dcl=dcl, dx=0.0, delta=0.0)
-    n_local = fdtd.grating_effective_index(stack, probe, cell_size,
+    n_local = fdtd.grating_effective_index(stack, dcu, dcl, cell_size,
                                            wavelength, polarization)
     denom = n_local - stack.cladding_index * np.sin(angle)
     if denom <= 0:
@@ -154,10 +144,6 @@ def evaluate_cell(params: UnitCellParams, angle: float,
                                 cell_size=config.cell_size)
     kappa, alpha = fdtd.extract_kappa_alpha(result)
     try:
-        direct = fdtd.directivity(result)
-    except fdtd.DirectivityUndefinedError:
-        direct = float("nan")
-    try:
         fom = figure_of_merit(kappa, alpha)
     except FigureOfMeritUndefinedError:
         # no measured loss, as in a well-suppressed half-pitch cell
@@ -165,7 +151,7 @@ def evaluate_cell(params: UnitCellParams, angle: float,
     return LibraryEntry(angle=angle,
                         delta_frac=params.delta / (params.pitch / 2),
                         params=params, kappa=kappa, alpha=alpha, fom=fom,
-                        directivity=direct, peak_angle=result.peak_angle,
+                        peak_angle=result.peak_angle,
                         periods_run=result.periods_run,
                         closure=abs(1.0 - (result.p_trans
                                            + result.p_reflected
@@ -286,18 +272,12 @@ class ParamLibrary:
     complete: bool = True
     provenance: dict = field(default_factory=dict)
 
-    def entry(self, i: int, j: int) -> LibraryEntry:
-        return self.entries[(i, j)]
-
     def kappa_grid(self) -> np.ndarray:
         k = np.full((len(self.angles), len(self.delta_fracs)), np.nan)
         for (i, j), e in self.entries.items():
             if e.error is None:
                 k[i, j] = e.kappa
         return k
-
-    def kappa_max(self, angle: float) -> float:
-        return self._interp_column(angle, 0)[0]
 
     def _angle_weights(self, angle: float):
         a = np.asarray(self.angles)

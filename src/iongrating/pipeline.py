@@ -325,6 +325,9 @@ def _run_library(config, path):
         summary["cells_evaluated"] = sum(
             e.search_nfev if e.delta_frac == 0.0 else 1 for e in entries)
         summary["max_search_nfev"] = max(e.search_nfev for e in entries)
+        # Nelder-Mead status 1: the search stopped at MAX_SEARCH_NFEV
+        summary["searches_at_cap"] = sum(e.search_status == 1
+                                         for e in entries)
     return summary
 
 
@@ -382,11 +385,11 @@ def _tm_teeth(config, teeth):
     cell = _cell_size(config)
     out = []
     for t in teeth:
-        s = fdtd.grating_angle_sine(config.stack, t.params, cell,
-                                    config.wavelength, "TM")
-        if not -1.0 < s < 1.0:
+        angle = fdtd.grating_angle(config.stack, t.params, cell,
+                                   config.wavelength, "TM")
+        if np.isnan(angle):
             continue  # this period does not outcouple the TM mode
-        out.append(dataclasses.replace(t, angle=float(np.arcsin(s))))
+        out.append(dataclasses.replace(t, angle=angle))
     if not out:
         raise ValueError("no tooth outcouples the TM mode")
     return out
@@ -621,7 +624,8 @@ _REPORT = (
         ("max periods run", ("max_periods_run",), str),
         ("max energy closure", ("max_closure",), _float),
         ("cells evaluated", ("cells_evaluated",), str),
-        ("max search evaluations", ("max_search_nfev",), str))),
+        ("max search evaluations", ("max_search_nfev",), str),
+        ("searches at their cap", ("searches_at_cap",), str))),
     ("design", "design", (
         ("teeth", ("n_teeth",), str),
         ("clamped / truncated teeth", ("n_clamped", "n_truncated"), str),

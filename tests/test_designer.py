@@ -17,7 +17,7 @@ from iongrating.designer import (
 from iongrating.geometry import (GratingFootprint, IonPose, default_stack,
                                  wavelength_in_medium)
 from iongrating.library import (LibraryEntry, ParamLibrary, UnitCellParams,
-                                feature_check, figure_of_merit)
+                                feature_check, figure_of_merit, interpolate)
 
 STACK = default_stack()
 POSE = IonPose()
@@ -340,6 +340,26 @@ def test_discretize_teeth_non_overlapping(design):
     _, _, teeth = design
     for prev, nxt in zip(teeth, teeth[1:]):
         assert nxt.x >= prev.x + prev.pitch - 1e-15
+
+
+def test_discretize_rejects_a_cell_below_min_feature(design):
+    # upper teeth of 0.3 duty below 6 degrees: 0.3 * pitch < 0.12 um
+    lib, ansatz, teeth = design
+    narrow = {key: dataclasses.replace(e, params=dataclasses.replace(
+                  e.params, dcu=0.3))
+              if e.angle < np.deg2rad(6.0) else e
+              for key, e in lib.entries.items()}
+    bad_lib = dataclasses.replace(lib, entries=narrow)
+    # the pitch ignores the duty cycles, so the teeth up to the first bad
+    # one are the good library's
+    first = next(t for t in teeth if feature_check(interpolate(
+        bad_lib, t.angle, float(ansatz(np.array([t.x]))[0])).params,
+        lib.min_feature))
+    assert 0 < teeth.index(first)
+    with pytest.raises(LayoutError, match=(
+            rf"^tooth at x={first.x * 1e6:.3f} um violates feature "
+            r"constraints: \[\('upper', 'tooth', ")):
+        discretize(ansatz, bad_lib, FOOTPRINT, POSE, STACK)
 
 
 def test_power_accounting_matches_continuous(design):

@@ -96,8 +96,8 @@ def _pitch_column(cell, duty, pol):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fdtd, "slab_mode_profile", keep)
-        fdtd._duty_averaged_index.__wrapped__(STACK, duty, duty, cell,
-                                              WAVELENGTH, pol)
+        fdtd.grating_effective_index.__wrapped__(STACK, duty, duty, cell,
+                                                 WAVELENGTH, pol)
     return seen[0]
 
 
@@ -144,15 +144,16 @@ def test_top_eigenpair_of_a_known_spectrum():
 
 def test_effective_index_cache_is_exact():
     # a tooth's index depends on its stack, duty cycles and grid alone:
-    # the cached value equals a fresh solve bit for bit, for any pitch,
-    # offset or zone shift
+    # the cached value equals a fresh solve bit for bit, whatever the
+    # cell's pitch, offset or zone shift
     cell = fdtd.default_cell_size(STACK, WAVELENGTH, 12)
-    fresh = fdtd._duty_averaged_index.__wrapped__(STACK, 0.45, 0.55, cell,
-                                                  WAVELENGTH, "TM")
+    fresh = fdtd.grating_effective_index.__wrapped__(STACK, 0.45, 0.55, cell,
+                                                     WAVELENGTH, "TM")
     for p in (params(dcu=0.45, dcl=0.55),
               params(pitch=0.27e-6, dcu=0.45, dcl=0.55, dx=0.06e-6,
                      delta=0.1e-6)):
-        n = fdtd.grating_effective_index(STACK, p, cell, WAVELENGTH, "TM")
+        n = fdtd.grating_effective_index(STACK, p.dcu, p.dcl, cell,
+                                         WAVELENGTH, "TM")
         assert n == fresh
 
 
@@ -216,15 +217,16 @@ def test_kappa_is_continuous_in_the_duty_cycle():
 
 
 def test_cross_section_teeth_follow_guiding():
-    p = params(dcu=0.5, dcl=0.4, dx=0.05e-6)
-    teeth = [t for _, _, t in fdtd._cross_section(STACK, p)]
+    p = (0.5, 0.0), (0.4, 0.05e-6)   # (duty, offset) upper, lower
+    teeth = [t for _, _, t in fdtd._cross_section(STACK, *p)]
     # the spacer is guiding but cladding-index, so it carries no teeth
     assert teeth == [(0.4, 0.05e-6), None, (0.5, 0.0)]
     lower_only = dataclasses.replace(STACK, guiding=("lower_nitride",))
-    assert [t for _, _, t in fdtd._cross_section(lower_only, p)] == [
+    assert [t for _, _, t in fdtd._cross_section(lower_only, *p)] == [
         (0.5, 0.0), None, None]
-    assert all(t is None for _, _, t in fdtd._cross_section(STACK, None))
-    bottoms = [zb for _, zb, _ in fdtd._cross_section(STACK, p)]
+    assert all(t is None
+               for _, _, t in fdtd._cross_section(STACK, None, None))
+    bottoms = [zb for _, zb, _ in fdtd._cross_section(STACK, *p)]
     assert bottoms == pytest.approx([0.0, 100e-9, 190e-9])
 
 
@@ -248,7 +250,7 @@ def test_extract_kappa_alpha_formulas():
                           length=length, peak_angle=0.0, target_angle=0.0,
                           n_cladding=1.47,
                           wavelength=WAVELENGTH, cell_size=CELL,
-                          top_field=np.zeros(4), top_x=np.zeros(4))
+                          top_field=np.zeros(4))
     kappa, alpha = fdtd.extract_kappa_alpha(res)
     assert kappa + alpha == pytest.approx(2.0 / length, rel=1e-12)
     assert kappa == pytest.approx(0.25 * 2.0 / length, rel=1e-12)
@@ -260,20 +262,9 @@ def test_extract_kappa_alpha_depletion_error():
                           peak_angle=0.0, target_angle=0.0,
                           n_cladding=1.47,
                           wavelength=WAVELENGTH, cell_size=CELL,
-                          top_field=np.zeros(4), top_x=np.zeros(4))
+                          top_field=np.zeros(4))
     with pytest.raises(fdtd.DepletionError):
         fdtd.extract_kappa_alpha(res)
-
-
-def test_directivity_undefined_without_radiation():
-    res = fdtd.CellResult(p_t=0.0, p_d=0.0, p_up=0.0, p_down=0.0,
-                          p_trans=1.0, p_reflected=0.0, length=1e-6,
-                          peak_angle=0.0, target_angle=0.0,
-                          n_cladding=1.47,
-                          wavelength=WAVELENGTH, cell_size=CELL,
-                          top_field=np.zeros(4), top_x=np.zeros(4))
-    with pytest.raises(fdtd.DirectivityUndefinedError):
-        fdtd.directivity(res)
 
 
 def test_far_field_plane_wave_oracle():
@@ -289,7 +280,7 @@ def test_far_field_plane_wave_oracle():
                           peak_angle=np.nan, target_angle=np.nan,
                           n_cladding=n_clad,
                           wavelength=WAVELENGTH, cell_size=CELL,
-                          top_field=field, top_x=x)
+                          top_field=field)
     spec = fdtd.far_field_angle_spectrum(res)
     assert abs(spec.peak_angle - theta0) < np.deg2rad(0.5)
 
@@ -576,8 +567,13 @@ def test_uniform_waveguide_transmits():
     assert balance == pytest.approx(1.0, abs=0.01)
 
 
+def _upward_share(r):
+    """Fraction of the diffracted power leaving the grating upward."""
+    return r.p_up / (r.p_up + r.p_down)
+
+
 def test_symmetric_grating_radiates_evenly(symmetric_cell):
-    assert fdtd.directivity(symmetric_cell) == pytest.approx(0.5, abs=0.02)
+    assert _upward_share(symmetric_cell) == pytest.approx(0.5, abs=0.02)
 
 
 def test_energy_conservation_within_one_percent(symmetric_cell):
@@ -614,7 +610,7 @@ def test_layer_offset_breaks_updown_symmetry(symmetric_cell):
     lam_g = WAVELENGTH / effective_index(STACK, WAVELENGTH, "TE")
     r = fdtd.run_unit_cell(params(dx=lam_g / 4), 8, WAVELENGTH, STACK,
                            "TE", cell_size=CELL)
-    assert fdtd.directivity(r) > 0.75
+    assert _upward_share(r) > 0.75
     assert r.p_up > symmetric_cell.p_up
 
 
@@ -631,7 +627,7 @@ def test_tm_polarization_runs(symmetric_cell):
                            "TM", cell_size=CELL)
     total = r.p_trans + r.p_reflected + r.p_up + r.p_down
     assert total == pytest.approx(1.0, abs=0.015)
-    assert fdtd.directivity(r) == pytest.approx(0.5, abs=0.05)
+    assert _upward_share(r) == pytest.approx(0.5, abs=0.05)
     # TM coupling to these thin high-index layers is far weaker than TE
     k_tm, _ = fdtd.extract_kappa_alpha(r)
     k_te, _ = fdtd.extract_kappa_alpha(symmetric_cell)

@@ -1,6 +1,6 @@
 """Tests for unit-cell optimization and the interpolation library."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -63,10 +63,18 @@ def test_pitch_for_angle_monotone_and_consistent():
     # steeper forward angles need longer pitch
     assert pitches[0] < pitches[1] < pitches[2]
     # round trip through the grating equation
-    p = UnitCellParams(pitches[1], 0.5, 0.5, 0, 0)
-    n_loc = fdtd.grating_effective_index(stack, p, cell, 422e-9, "TE")
+    n_loc = fdtd.grating_effective_index(stack, 0.5, 0.5, cell, 422e-9, "TE")
     sin_back = (n_loc - 422e-9 / pitches[1]) / stack.cladding_index
     assert np.arcsin(sin_back) == pytest.approx(angles[1], abs=1e-9)
+
+
+def test_pitch_for_angle_rejects_a_duty_outside_the_unit_interval():
+    # duty -5 would average a layer to a negative permittivity
+    stack = default_stack()
+    cell = fdtd.default_cell_size(stack, 422e-9, 20)
+    for dcu, dcl, name in ((-5.0, 0.5, "dcu"), (0.5, 1.5, "dcl")):
+        with pytest.raises(ValueError, match=rf"^{name} outside \[0, 1\]$"):
+            pitch_for_angle(0.1, dcu, dcl, stack, 422e-9, "TE", cell)
 
 
 def test_cell_evaluation_loads_no_heavy_scipy(heavy_scipy_after):
@@ -213,13 +221,13 @@ def test_cell_without_measured_loss_has_no_figure_of_merit(monkeypatch):
             p_reflected=0.01, length=n_periods * params.pitch,
             peak_angle=np.nan, target_angle=0.0, n_cladding=1.47,
             wavelength=wavelength, cell_size=cell_size,
-            top_field=np.zeros(4), top_x=np.zeros(4), periods_run=43)
+            top_field=np.zeros(4), periods_run=43)
 
     monkeypatch.setattr(fdtd, "run_unit_cell", lossless)
     params = UnitCellParams(0.3e-6, 0.5, 0.5, 0.0, 0.15e-6)
     entry = library.evaluate_cell(params, 0.0, KernelConfig())
     assert (entry.kappa, entry.alpha) == (0.0, 0.0)
-    assert np.isnan(entry.fom) and np.isnan(entry.directivity)
+    assert np.isnan(entry.fom)
     assert entry.periods_run == 43
 
 
@@ -270,7 +278,8 @@ def test_interpolate_clamps_above_maximum():
 def test_interpolate_bilinear_between_angles():
     lib = _synthetic_library()
     # halfway between 4 and 8 degrees, kappa_max = 1.5e5
-    assert lib.kappa_max(np.deg2rad(6.0)) == pytest.approx(1.5e5, rel=1e-12)
+    assert interpolate(lib, np.deg2rad(6.0), 10e5).kappa == pytest.approx(
+        1.5e5, rel=1e-12)
     res = interpolate(lib, np.deg2rad(6.0), 0.75e5)
     assert res.kappa == pytest.approx(0.75e5, rel=1e-12)
 
@@ -291,6 +300,18 @@ def test_save_load_round_trip(tmp_path):
     for key, e in lib.entries.items():
         b = back.entries[key]
         assert b.kappa == e.kappa and b.params == e.params
+
+
+def test_library_fields_are_pinned_to_the_schema():
+    # a library.json entry is asdict(LibraryEntry) with its UnitCellParams:
+    # changing either field list without bumping SCHEMA_VERSION fails here
+    assert library.SCHEMA_VERSION == 2
+    assert [f.name for f in fields(LibraryEntry)] == [
+        "angle", "delta_frac", "params", "kappa", "alpha", "fom",
+        "peak_angle", "periods_run", "closure", "search_status",
+        "search_nfev", "error"]
+    assert [f.name for f in fields(UnitCellParams)] == [
+        "pitch", "dcu", "dcl", "dx", "delta"]
 
 
 def test_entry_key_covers_the_whole_stack():
@@ -355,7 +376,7 @@ def built_library(tmp_path_factory):
 def test_build_library_entries_valid(built_library):
     lib, _ = built_library
     assert lib.complete
-    e0 = lib.entry(0, 0)
+    e0 = lib.entries[(0, 0)]
     assert 0.0 < e0.fom <= 1.0
     assert e0.kappa > 0 and e0.alpha >= 0
     assert feature_check(e0.params, lib.min_feature) == []
@@ -365,7 +386,7 @@ def test_build_library_entries_valid(built_library):
         assert 0.0 <= e.closure <= 0.05
     # the search stopped at its cap
     assert (e0.search_status, e0.search_nfev) == (1, SMALL_NFEV)
-    assert lib.entry(0, 1).search_nfev == 0
+    assert lib.entries[(0, 1)].search_nfev == 0
     # average duty cycle of optimized cells stays near one half
     assert 0.5 * (e0.params.dcu + e0.params.dcl) == pytest.approx(0.5,
                                                                   abs=0.1)
@@ -373,7 +394,7 @@ def test_build_library_entries_valid(built_library):
 
 def test_half_pitch_entry_suppressed(built_library):
     lib, _ = built_library
-    assert lib.entry(0, 1).kappa <= 0.05 * lib.entry(0, 0).kappa
+    assert lib.entries[(0, 1)].kappa <= 0.05 * lib.entries[(0, 0)].kappa
 
 
 def test_build_is_resumable_and_matches_single_optimization(built_library):
@@ -381,9 +402,9 @@ def test_build_is_resumable_and_matches_single_optimization(built_library):
     # resumed build reads every entry from cache and reproduces the library
     again = build_library([ANGLE], delta_fracs=[0.0, 1.0],
                           config=SMALL_KERNEL, cache_dir=cache)
-    assert again.entry(0, 0).kappa == lib.entry(0, 0).kappa
-    assert again.entry(0, 0).params == lib.entry(0, 0).params
+    assert again.entries[(0, 0)].kappa == lib.entries[(0, 0)].kappa
+    assert again.entries[(0, 0)].params == lib.entries[(0, 0)].params
     # a 1x1 grid is exactly the single-cell optimization
     one = build_library([ANGLE], delta_fracs=[0.0], config=SMALL_KERNEL,
                         cache_dir=cache)
-    assert one.entry(0, 0).kappa == lib.entry(0, 0).kappa
+    assert one.entries[(0, 0)].kappa == lib.entries[(0, 0)].kappa

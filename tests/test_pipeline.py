@@ -318,7 +318,7 @@ def test_cold_run_solves_two_slab_modes(tmp_path, monkeypatch):
         calls.append(args[3])
         return solve(*args)
 
-    fdtd._duty_averaged_index.cache_clear()
+    fdtd.grating_effective_index.cache_clear()
     monkeypatch.setattr(fdtd, "slab_mode_profile", counted)
     cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
     pipeline.run_pipeline(cfg)
@@ -355,11 +355,13 @@ def test_fdtd_library_summary_reports_solver_diagnostics(tmp_path,
     # two capped searches and four shifted cells
     assert summary["max_search_nfev"] == 5
     assert summary["cells_evaluated"] == 2 * 5 + 4
+    assert summary["searches_at_cap"] == 2
     text = pipeline.report(manifest)
     assert "max periods run           60" in text
     assert "max energy closure        0.03" in text
     assert "cells evaluated           14" in text
     assert "max search evaluations    5" in text
+    assert "searches at their cap     2" in text
     # entries served from the entry cache count their cells the same
     cached = dataclasses.replace(cfg, output_dir=str(tmp_path / "again"),
                                  library={**cfg.library,
@@ -374,7 +376,7 @@ def test_analytic_manifest_has_no_solver_diagnostics(run_dir):
     out, _, manifest = run_dir
     summary = manifest["stages"]["library"]["summary"]
     for key in ("max_periods_run", "max_closure", "cells_evaluated",
-                "max_search_nfev"):
+                "max_search_nfev", "searches_at_cap"):
         assert key not in summary
     assert "NaN" not in (out / "manifest.json").read_text()
     assert "unit-cell solver" not in pipeline.report(manifest)
@@ -398,7 +400,7 @@ def test_failed_library_entries_fail_the_stage(tmp_path, monkeypatch):
     calls.clear()
     lib = pipeline._build_library(cfg)
     assert len(calls) == liblib.MAX_SEARCH_NFEV
-    assert lib.entry(0, 1).error == (
+    assert lib.entries[(0, 1)].error == (
         "LibraryError: the delta = 0 entry at 8.00 deg failed, so there is "
         "no geometry to shift")
     # and the CLI turns it into a single error line
@@ -427,6 +429,25 @@ def test_missing_library_file_fails_before_solver(tmp_path):
     with pytest.raises(pipeline.StageError, match="library required") as exc:
         pipeline.run_pipeline(cfg)
     assert exc.value.stage == "library"
+
+
+def test_schema_1_library_file_is_one_stage_error_line(tmp_path):
+    # a library written before its entries lost ``directivity``
+    lib_path = tmp_path / "lib.json"
+    liblib.save_library(pipeline.analytic_library(load_config()), lib_path)
+    doc = json.loads(lib_path.read_text())
+    doc["schema"] = 1
+    for entry in doc["entries"]:
+        entry["directivity"] = float("nan")
+    lib_path.write_text(json.dumps(doc))
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({
+        **FAST, "library": {"mode": "file", "path": str(lib_path)}}))
+    result = CliRunner().invoke(main, ["library", "--config", str(cfg_path),
+                                       "--out", str(tmp_path / "run")])
+    _assert_one_error_line(result, "stage-error")
+    assert result.stderr == ("stage-error: library: unsupported library "
+                             "schema 1\n")
 
 
 def test_rewritten_library_file_recomputes(tmp_path):
@@ -605,7 +626,7 @@ def test_propagation_change_recomputes_only_the_field_stages(run_dir,
 def test_no_tm_tooth_is_a_propagate_stage_error(tmp_path, monkeypatch):
     # the TM teeth are built inside the propagate stage, which the error
     # line names
-    monkeypatch.setattr(fdtd, "grating_angle_sine", lambda *a, **k: 2.0)
+    monkeypatch.setattr(fdtd, "grating_angle", lambda *a, **k: np.nan)
     result = CliRunner().invoke(main, ["propagate", "--out",
                                        str(tmp_path)])
     _assert_one_error_line(result, "stage-error")
@@ -875,6 +896,61 @@ def test_analytic_library_apodization():
     assert kappas[-1] == pytest.approx(0.0, abs=1e-6 * kappas[0])
 
 
+def _grating_equation_setup():
+    """The default config, its unit-cell grid, duty pair and angle grid."""
+    cfg = load_config()
+    lib = cfg.library
+    return (cfg, pipeline._cell_size(cfg), lib["duty_upper"],
+            lib["duty_lower"], np.deg2rad(lib["angles_deg"]))
+
+
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+def test_grating_equation_forward_inverts_pitch_for_angle(pol):
+    cfg, cell, dcu, dcl, angles = _grating_equation_setup()
+
+    def angle_of(pitch):
+        return fdtd.grating_angle(
+            cfg.stack, liblib.UnitCellParams(pitch, dcu, dcl, 0.0, 0.0),
+            cell, cfg.wavelength, pol)
+
+    def pitch_of(angle):
+        return liblib.pitch_for_angle(angle, dcu, dcl, cfg.stack,
+                                      cfg.wavelength, pol, cell)
+
+    # round trips land within 1e-14 rad; they measure below 2e-16
+    for angle in angles:
+        assert angle_of(pitch_of(angle)) == pytest.approx(angle, rel=0.0,
+                                                          abs=1e-14)
+    # pitches beyond the grazing ones diffract no propagating first order
+    assert np.isnan(angle_of(1.01 * pitch_of(np.pi / 2)))
+    assert np.isnan(angle_of(0.99 * pitch_of(-np.pi / 2)))
+
+
+def test_tm_teeth_drop_exactly_the_teeth_without_a_tm_angle():
+    cfg, cell, dcu, dcl, angles = _grating_equation_setup()
+
+    def pitch_of(angle, pol):
+        return liblib.pitch_for_angle(angle, dcu, dcl, cfg.stack,
+                                      cfg.wavelength, pol, cell)
+
+    # the TE pitches of the default grid, then: a pitch between the TE
+    # and TM backward cut-offs (outcouples TE only), one between their
+    # forward cut-offs (TM only) and one beyond both
+    pitches = [pitch_of(a, "TE") for a in angles] + [
+        0.5 * (pitch_of(-np.pi / 2, "TE") + pitch_of(-np.pi / 2, "TM")),
+        0.5 * (pitch_of(np.pi / 2, "TE") + pitch_of(np.pi / 2, "TM")),
+        1.01 * pitch_of(np.pi / 2, "TM")]
+    teeth = [designer.ToothSpec(
+        x=i * 1e-6, params=liblib.UnitCellParams(p, dcu, dcl, 0.0, 0.0),
+        angle=0.0, kappa=1e5, alpha=0.0) for i, p in enumerate(pitches)]
+    tm_angles = [fdtd.grating_angle(cfg.stack, t.params, cell,
+                                    cfg.wavelength, "TM") for t in teeth]
+    tm = pipeline._tm_teeth(cfg, teeth)
+    kept = [(t.x, a) for t, a in zip(teeth, tm_angles) if not np.isnan(a)]
+    assert [(t.x, t.angle) for t in tm] == kept
+    assert len(kept) == len(teeth) - 2
+
+
 def test_tm_teeth_take_their_own_duty_cycles():
     cfg = load_config()
     cell = pipeline._cell_size(cfg)
@@ -889,7 +965,8 @@ def test_tm_teeth_take_their_own_duty_cycles():
     tm = pipeline._tm_teeth(cfg, teeth)
     assert len(tm) == 2
     for t, t_tm in zip(teeth, tm):
-        n_tm = fdtd.grating_effective_index(cfg.stack, t.params, cell,
+        n_tm = fdtd.grating_effective_index(cfg.stack, t.params.dcu,
+                                            t.params.dcl, cell,
                                             cfg.wavelength, "TM")
         expected = np.arcsin((n_tm - cfg.wavelength / t.pitch)
                              / cfg.stack.cladding_index)
