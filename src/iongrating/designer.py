@@ -513,11 +513,13 @@ def discretize(ansatz: KappaAnsatz, library: ParamLibrary,
     """
     teeth = []
     x = 0.0
-    guard = int(footprint.x_extent / (library.min_feature * 2)) + 10
+    # a library (a file's, say) may tighten the process minimum, not relax it
+    min_feature = max(library.min_feature, MIN_FEATURE)
+    guard = int(footprint.x_extent / (min_feature * 2)) + 10
     while x < footprint.x_extent and len(teeth) < guard:
         angle = diffraction_angle_at(x, pose, stack)
         res = interpolate(library, angle, float(ansatz(np.array([x]))[0]))
-        bad = feature_check(res.params, library.min_feature)
+        bad = feature_check(res.params, min_feature)
         if bad:
             raise LayoutError(f"tooth at x={x * 1e6:.3f} um violates "
                               f"feature constraints: {bad}")

@@ -624,6 +624,13 @@ def feature_widths(params):
             yield layer, "gap", (1.0 - duty) * params.pitch
 
 
+def check_duty(**duties) -> None:
+    """Raise ValueError naming the first duty cycle outside [0, 1]."""
+    for name, duty in duties.items():
+        if not 0.0 <= duty <= 1.0:
+            raise ValueError(f"{name} outside [0, 1]")
+
+
 def _check_resolution(params, cell_size: float):
     for _, _, f in feature_widths(params):
         if f < 4 * cell_size:
@@ -644,9 +651,7 @@ def grating_effective_index(stack: LayerStack, dcu: float, dcl: float,
     This is the propagation constant that sets the outcoupling angle via the
     grating equation; it is lower than the unperturbed waveguide index.
     """
-    for name, duty in (("dcu", dcu), ("dcl", dcl)):
-        if not 0.0 <= duty <= 1.0:
-            raise ValueError(f"{name} outside [0, 1]")
+    check_duty(dcu=dcu, dcl=dcl)
     d = cell_size
     clad = stack.cladding_index
     nz = int(round((sum(l.thickness for l in stack.layers) + 2 * CLAD_PAD)

@@ -57,10 +57,7 @@ class UnitCellParams:
     def __post_init__(self):
         if self.pitch <= 0:
             raise ValueError("pitch must be positive")
-        for name in ("dcu", "dcl"):
-            d = getattr(self, name)
-            if not 0.0 <= d <= 1.0:
-                raise ValueError(f"{name} outside [0, 1]")
+        fdtd.check_duty(dcu=self.dcu, dcl=self.dcl)
         if not 0.0 <= self.delta <= self.pitch / 2 + 1e-15:
             raise ValueError("delta outside [0, pitch/2]")
 

@@ -450,6 +450,26 @@ def test_schema_1_library_file_is_one_stage_error_line(tmp_path):
                              "schema 1\n")
 
 
+def test_library_file_cannot_relax_the_process_minimum_feature(tmp_path):
+    # upper teeth of 0.3 duty are 112 nm at the first tooth: below the
+    # process's 0.12 um, above the 0.05 um the file declares
+    lib = pipeline.analytic_library(load_config(overrides={
+        "library": {"duty_upper": 0.3}}))
+    lib_path = tmp_path / "lib.json"
+    liblib.save_library(dataclasses.replace(lib, min_feature=0.05e-6),
+                        lib_path)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({
+        **FAST, "library": {"mode": "file", "path": str(lib_path)}}))
+    result = CliRunner().invoke(main, ["design", "--config", str(cfg_path),
+                                       "--out", str(tmp_path / "run")])
+    _assert_one_error_line(result, "stage-error")
+    assert result.stderr.startswith(
+        "stage-error: design: tooth at x=0.000 um violates feature "
+        "constraints: [('upper', 'tooth', 1.1")
+    assert not list((tmp_path / "run").rglob("layout.txt"))
+
+
 def test_rewritten_library_file_recomputes(tmp_path):
     lib_path = tmp_path / "lib.json"
     base = load_config()
