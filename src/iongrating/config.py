@@ -103,11 +103,12 @@ _UNCAPPED_FIT = ("designer.kappa_max", math.inf)
 
 def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
     """``override`` laid over ``base``; a section whose default is a
-    mapping only takes a mapping, and a key whose default is a float takes
-    a string that parses as one (PyYAML reads ``1e6`` and ``6.0e5`` as
-    strings).  No value may hold a NaN, which every comparison would let
-    through, nor an infinity, except ``designer.kappa_max``.  The errors
-    name the dotted key."""
+    mapping only takes a mapping, and a key whose default is a number
+    takes a string that parses as one (PyYAML reads ``1e6`` and ``6.0e5``
+    as strings).  A key whose default is an int takes only an integral
+    value, as an int.  No value may hold a NaN, which every comparison
+    would let through, nor an infinity, except ``designer.kappa_max``.
+    The errors name the dotted key."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in out:
@@ -119,7 +120,7 @@ def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
                                 f"{type(value).__name__}")
             out[key] = _deep_merge(out[key], value, f"{name}.")
             continue
-        if isinstance(out[key], float) and isinstance(value, str):
+        if isinstance(out[key], (int, float)) and isinstance(value, str):
             try:
                 value = float(value)
             except ValueError:
@@ -132,6 +133,12 @@ def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
                 raise ValueError(f"{where}: expected a number, got nan")
             raise ValueError(f"{where}: expected a finite number, got "
                              f"{number}")
+        if isinstance(out[key], int):
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            if type(value) is not int:
+                raise ValueError(f"{name}: expected an integer, got "
+                                 f"{value!r}")
         out[key] = value
     return out
 
@@ -173,10 +180,6 @@ class PipelineConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
-        for stage in ("detection", "timing"):
-            if self.seeds.get(stage) is None:
-                raise ValueError(f"missing seed for stochastic stage "
-                                 f"{stage!r}")
         if self.library["mode"] not in ("analytic", "fdtd", "file"):
             raise ValueError(f"unknown library mode "
                              f"{self.library['mode']!r}")
@@ -194,7 +197,7 @@ class PipelineConfig:
     def from_dict(cls, data: dict) -> "PipelineConfig":
         merged = _deep_merge(default_config_dict(), data)
         det = dict(merged["detection"])
-        trials = int(det.pop("trials"))
+        trials = det.pop("trials")
         return cls(
             wavelength=float(merged["wavelength"]),
             stack=_stack_from_entry(merged["stack"]),

@@ -7,6 +7,7 @@ Carlo routines use a counter-based generator with an explicit seed.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,9 +115,9 @@ class DetectionConfig:
     shelving_failure: float = 0.005  # probability the shelf pulse fails
 
     def __post_init__(self):
-        if self.bright_rate < 0 or self.dark_rate < 0:
+        if not (self.bright_rate >= 0 and self.dark_rate >= 0):
             raise ValueError("count rates must be nonnegative")
-        if self.window <= 0:
+        if not self.window > 0:
             raise ValueError("detection window must be positive")
         if self.threshold < 1:
             raise ValueError("threshold must be at least one count")
@@ -137,11 +138,23 @@ class DetectionConfig:
 
 
 def bright_fidelity_analytic(config: DetectionConfig) -> float:
-    """P(at least ``threshold`` counts) for a bright ion, Poisson model."""
-    # scipy.special loads at first use, off the package import
-    from scipy.special import pdtrc
+    """P(at least ``threshold`` counts) for a bright ion, Poisson model.
 
-    return float(pdtrc(config.threshold - 1, config.poisson_mean))
+    Sums the smaller tail from its largest term, so none overflows, until
+    a term adds under 1e-17: up from P(N = k) when the mean is below k,
+    else down from P(N = k - 1) for 1 - P(N < k), where P(N < k) < 1/2.
+    """
+    k, mu = config.threshold, config.poisson_mean
+    if mu == 0.0:
+        return 0.0
+    upper = mu < k
+    j = k if upper else k - 1
+    term, total = math.exp(j * math.log(mu) - mu - math.lgamma(j + 1)), 0.0
+    while term > 1e-17 * total:
+        total += term
+        j += 1 if upper else -1
+        term *= mu / j if upper else (j + 1) / mu
+    return total if upper else 1.0 - total
 
 
 def _dark_counts(config: DetectionConfig, trials: int,

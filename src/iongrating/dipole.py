@@ -1,14 +1,22 @@
 """The ion's fluorescence on the grating aperture: the longitudinal target
 intensity profile used by the grating designer, and the aperture's
-solid-angle fraction and sigma share from the same trace of the rays."""
+solid-angle fraction and sigma share from the same trace of the rays.
 
+The 256-node Gauss-Legendre rule on [-1, 1] ships as nodes and weights in
+``gauss_legendre_256.npy``, written once by ``np.save(path,
+np.stack(np.polynomial.legendre.leggauss(256)))``.
+"""
+
+import os
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from . import constants
 from .geometry import GratingFootprint, IonPose, refracted_ray
+
+GAUSS_LEGENDRE_256 = os.path.join(os.path.dirname(__file__),
+                                  "gauss_legendre_256.npy")
 
 
 class EmissionProfile(NamedTuple):
@@ -24,38 +32,6 @@ class EmissionProfile(NamedTuple):
     intensity: np.ndarray
     solid_angle_fraction: float
     sigma_share: float
-
-
-def _gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
-    equal bit for bit to ``np.polynomial.legendre.leggauss(n)``.
-
-    leggauss takes the first nodes from a dense eigvalsh of the symmetric
-    Legendre companion matrix; that matrix is the Jacobi matrix (zero
-    diagonal, off-diagonal k/sqrt((2k-1)(2k+1)) built as legcompanion
-    builds it), so LAPACK's root-free tridiagonal QL (sterf) gives them
-    without a threaded dense solve.  The Newton polish, weights and
-    symmetrization are leggauss's own.
-    """
-    # scipy.linalg loads at first use, off the package import
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
-    x = eigvalsh_tridiagonal(np.zeros(n), off, lapack_driver="sterf")
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    dy = legendre.legval(x, c)
-    df = legendre.legval(x, legendre.legder(c))
-    x -= dy / df
-    fm = legendre.legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return x, w
 
 
 def ion_intensity_profile(footprint: GratingFootprint, pose: IonPose,
@@ -82,7 +58,7 @@ def ion_intensity_profile(footprint: GratingFootprint, pose: IonPose,
         raise ValueError(f"footprint {footprint.x_extent:g} m x "
                          f"{footprint.y_extent:g} m has no area")
     xs = np.linspace(0.0, footprint.x_extent, n_points)
-    gy, wy = _gauss_legendre(256)
+    gy, wy = np.load(GAUSS_LEGENDRE_256)
     hy = footprint.y_extent / 2
     ys = hy * gy
     X, Y = np.meshgrid(xs, ys, indexing="ij")

@@ -172,14 +172,21 @@ def angular_spectrum_propagate(fieldgrid: FieldGrid, dz: float,
     k = 2 * np.pi * medium_index / fieldgrid.wavelength
     kx = 2 * np.pi * np.fft.fftfreq(nx, d=s)
     ky = 2 * np.pi * np.fft.fftfreq(ny, d=s)
-    kz_sq = k**2 - kx[None, :] ** 2 - ky[:, None] ** 2
-    prop = kz_sq >= 0.0
-    kz = np.sqrt(np.abs(kz_sq))
-    transfer = np.where(prop, np.exp(1j * kz * dz),
-                        np.exp(-kz * abs(dz)))
+    # in place: one float grid holds kz^2, kz, then the evanescent decay
+    kz = k**2 - kx[None, :] ** 2 - ky[:, None] ** 2
+    prop = kz >= 0.0
+    np.sqrt(np.abs(kz, out=kz), out=kz)
+    transfer = 1j * kz
+    transfer *= dz
+    np.exp(transfer, out=transfer)
+    kz *= -abs(dz)
+    np.copyto(transfer, np.exp(kz, out=kz), where=~prop)
+    del kz, prop
     spec = np.fft.fft2(fieldgrid.data)
-    out = np.fft.ifft2(spec * transfer)
-    return replace(fieldgrid, data=out, z=fieldgrid.z + dz)
+    spec *= transfer
+    # ifftn over both axes is ifft2, whose out= numpy ignores
+    np.fft.ifftn(spec, out=spec)
+    return replace(fieldgrid, data=spec, z=fieldgrid.z + dz)
 
 
 def propagate_to_height(fieldgrid: FieldGrid, z_target: float,

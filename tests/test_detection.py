@@ -1,6 +1,7 @@
 """Tests for loss ledgers, calibration, fidelity, timing, and Rabi decay."""
 
 import csv
+import decimal
 
 import numpy as np
 import pytest
@@ -100,6 +101,9 @@ def test_config_validation():
         DetectionConfig(bright_rate=-1.0)
     with pytest.raises(ValueError):
         DetectionConfig(window=0.0)
+    for field in ("bright_rate", "dark_rate", "window"):
+        with pytest.raises(ValueError):
+            DetectionConfig(**{field: float("nan")})
     with pytest.raises(ValueError):
         DetectionConfig(threshold=0)
     with pytest.raises(ValueError):
@@ -122,14 +126,62 @@ def test_bright_fidelity_analytic():
     assert bright_fidelity_analytic(DetectionConfig(bright_rate=0.0)) == 0.0
 
 
-def test_bright_fidelity_matches_scipy_stats_poisson_bit_for_bit():
+def _exact_poisson_tails(mu: float, thresholds: int) -> list:
+    """P(N >= k) for k = 1 .. ``thresholds`` at the binary value of ``mu``,
+    in one pass of 400-digit decimal arithmetic: the smallest tail on the
+    grid below, about 1e-262, keeps more than 100 correct digits."""
+    ctx = decimal.Context(prec=400, Emin=-10**6)
+    m = decimal.Decimal(mu)
+    term, below, tails = ctx.exp(ctx.minus(m)), decimal.Decimal(0), []
+    for j in range(thresholds):
+        below = ctx.add(below, term)
+        tails.append(ctx.subtract(1, below))
+        term = ctx.divide(ctx.multiply(term, m), j + 1)
+    return tails
+
+
+def test_bright_fidelity_matches_exact_poisson_tail():
+    # no worse than scipy's pdtrc on this grid: both stay within 2e-13 of
+    # the exact tail (measured 1.28e-13 here, 1.23e-13 for pdtrc)
     means = np.concatenate([[0.0], np.logspace(-3, 3, 201)])
     thresholds = np.arange(1, 61)
-    expected = poisson.sf(thresholds[:, None] - 1, means[None, :])
-    got = np.array([[bright_fidelity_analytic(DetectionConfig(
-        bright_rate=mu, window=1.0, threshold=int(k))) for mu in means]
-        for k in thresholds])
-    assert np.array_equal(got, expected)
+    scipy_sf = poisson.sf(thresholds[:, None] - 1, means[None, :])
+    worst = {"package": 0.0, "scipy": 0.0}
+    for i, mu in enumerate(means):
+        exact = _exact_poisson_tails(float(mu), len(thresholds))
+        for k, tail in zip(thresholds, exact):
+            got = {"package": bright_fidelity_analytic(DetectionConfig(
+                       bright_rate=float(mu), window=1.0, threshold=int(k))),
+                   "scipy": float(scipy_sf[k - 1, i])}
+            for name, value in got.items():
+                if tail == 0:
+                    assert value == 0.0
+                    continue
+                rel = float(abs(decimal.Decimal(value) - tail) / tail)
+                worst[name] = max(worst[name], rel)
+    assert worst["package"] <= 2e-13
+    assert worst["scipy"] <= 2e-13
+
+
+def test_bright_fidelity_default_is_scipy_stats_poisson_bit_for_bit():
+    cfg = DetectionConfig()
+    assert bright_fidelity_analytic(cfg) == poisson.sf(0, cfg.poisson_mean)
+
+
+@pytest.mark.parametrize("rate, threshold, expected", [
+    (0.0, 1, 0.0),           # no light, no count
+    (0.0, 60, 0.0),
+    (1e3, 1, 1.0),           # e^-1000 underflows: certainly bright
+    (1e3, 60, 1.0),
+    (1e-3, 200, 0.0),        # mu^200 / 200! underflows; no overflow
+    # e^-mu underflows, and the largest term mu^899 / 899! is e^990
+    (1e3, 900, float(poisson.sf(899, 1e3))),
+], ids=["mu-0-k-1", "mu-0-k-60", "mu-1e3-k-1", "mu-1e3-k-60",
+        "mu-1e-3-k-200", "mu-1e3-k-900"])
+def test_bright_fidelity_edge_cases(rate, threshold, expected):
+    assert bright_fidelity_analytic(DetectionConfig(
+        bright_rate=rate, window=1.0, threshold=threshold)) == \
+        pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_cli_import_loads_only_scipy_core(heavy_scipy_after):

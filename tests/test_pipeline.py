@@ -1154,7 +1154,8 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
 
 @pytest.mark.parametrize("entry, message", [
     ({"library": 5}, "library: expected a mapping, got int"),
-    ({"detection": {"threshold": "a"}}, "detection: '<' not supported"),
+    ({"detection": {"threshold": "a"}},
+     "detection.threshold: expected a number, got 'a'"),
     ({"footprint": [1, 2]}, "footprint: expected a mapping, got list"),
     ({"pose": {"height_above_surface": "a"}},
      "pose.height_above_surface: expected a number, got 'a'"),
@@ -1225,6 +1226,40 @@ def test_exponent_numbers_are_floats(tmp_path):
                                        "--out", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["kappa_peak"] == pytest.approx(1e6)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("detection: {threshold: 2.5}\n",
+     "detection.threshold: expected an integer, got 2.5"),
+    ("detection: {threshold: true}\n",
+     "detection.threshold: expected an integer, got True"),
+    ("detection: {bins: 2.5}\n",
+     "detection.bins: expected an integer, got 2.5"),
+], ids=["threshold-fraction", "threshold-bool", "bins-fraction"])
+def test_integer_key_rejects_a_non_integer(tmp_path, text, message):
+    # a fractional threshold once meant N >= 2 to the analytic fidelity and
+    # N >= 3 to the Monte Carlo
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    result = CliRunner().invoke(main, ["detect", "--config", str(bad),
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"config-error: {message}"]
+
+
+def test_integer_key_takes_an_integral_exponent(tmp_path):
+    # PyYAML reads 2e5 as a string; an integral value becomes an int
+    path = tmp_path / "cfg.yaml"
+    path.write_text("detection: {trials: 2e5, threshold: 2.0}\n")
+    cfg = load_config(path)
+    assert type(cfg.detection_trials) is int
+    assert cfg.detection_trials == 200000
+    assert type(cfg.detection.threshold) is int
+    assert cfg.detection.threshold == 2
+    # the same values as the defaults give the same stage keys
+    path.write_text("detection: {trials: 2e5, threshold: 1.0}\n")
+    assert pipeline._config_slices(load_config(path)) == \
+        pipeline._config_slices(load_config())
 
 
 def test_infinite_float_stays_a_number(tmp_path):
@@ -1453,15 +1488,24 @@ def test_warm_cli_run_loads_only_scipy_core(run_dir, tmp_path,
     assert heavy_scipy_after(code) == []
 
 
-def test_cold_default_run_loads_no_scipy_optimize(tmp_path,
-                                                  heavy_scipy_after):
-    # the design fit solves in-package, so of the heavy subpackages a cold
-    # default run loads only the emission quadrature's scipy.linalg and
-    # the detection model's scipy.special
+def test_cold_default_run_loads_no_heavy_scipy(tmp_path, heavy_scipy_after):
+    # the design fit solves in-package, the emission quadrature is a
+    # shipped table and the Poisson tail is summed in math, so a cold
+    # default run loads none of the heavy subpackages
     code = ("from iongrating import config, pipeline\n"
             "pipeline.run_pipeline(config.load_config(overrides="
             f"{{'output_dir': {str(tmp_path)!r}}}))")
-    assert heavy_scipy_after(code) == ["linalg", "special"]
+    assert heavy_scipy_after(code) == []
+
+
+@pytest.mark.parametrize("verb", ["design", "detect"])
+def test_cold_design_and_detect_verbs_load_no_heavy_scipy(
+        tmp_path, heavy_scipy_after, verb):
+    code = ("from iongrating.cli import main\n"
+            f"main([{verb!r}, '--out', {str(tmp_path)!r}], "
+            "standalone_mode=False)")
+    assert heavy_scipy_after(code) == []
+    assert (tmp_path / "manifest.json").exists()
 
 
 def test_cli_has_no_jobs_option_or_map_verb():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import fresnel
 
+from iongrating.constants import N_SIO2
 from iongrating.designer import ToothSpec
 from iongrating.geometry import GratingFootprint, IonPose, default_stack
 from iongrating.library import UnitCellParams
@@ -106,6 +107,49 @@ def test_evanescent_components_decay_both_directions():
     for dz in (0.2e-6, -0.2e-6):
         out = angular_spectrum_propagate(g, dz)
         assert out.power() < g.power()
+
+
+def _out_of_place_propagate(g, dz, medium_index):
+    """The out-of-place transfer-function product that the in-place
+    propagation replaced, kept as its oracle."""
+    ny, nx = g.data.shape
+    k = 2 * np.pi * medium_index / g.wavelength
+    kx = 2 * np.pi * np.fft.fftfreq(nx, d=g.pixel_size)
+    ky = 2 * np.pi * np.fft.fftfreq(ny, d=g.pixel_size)
+    kz_sq = k**2 - kx[None, :] ** 2 - ky[:, None] ** 2
+    prop = kz_sq >= 0.0
+    kz = np.sqrt(np.abs(kz_sq))
+    transfer = np.where(prop, np.exp(1j * kz * dz),
+                        np.exp(-kz * abs(dz)))
+    return np.fft.ifft2(np.fft.fft2(g.data) * transfer)
+
+
+def _spot(shape):
+    # a 2-pixel-wide spot carries spatial frequencies beyond k0
+    data = np.zeros(shape, dtype=complex)
+    data[31:33, 31:33] = 1.0
+    return FieldGrid(data, 0.1e-6)
+
+
+@pytest.mark.parametrize("grid, dz, medium_index", [
+    (lambda: gaussian_field(2e-6, shape=(128, 128)), 20e-6, 1.0),
+    (lambda: gaussian_field(2e-6, shape=(96, 128)), -7.3e-6, N_SIO2),
+    (lambda: _spot((64, 80)), 0.2e-6, 1.0),
+    (lambda: _spot((64, 80)), -0.2e-6, N_SIO2),
+], ids=["forward", "backward-cladding", "evanescent-forward",
+        "evanescent-backward"])
+def test_in_place_propagation_matches_out_of_place_bit_for_bit(
+        grid, dz, medium_index):
+    g = grid()
+    before = g.data.copy()
+    out = angular_spectrum_propagate(g, dz, medium_index)
+    expected = _out_of_place_propagate(g, dz, medium_index)
+    # the same bits, signs of zeros included
+    assert np.array_equal(out.data.view(np.float64),
+                          expected.view(np.float64))
+    assert np.array_equal(g.data.view(np.float64),
+                          before.view(np.float64))
+    assert not np.shares_memory(out.data, g.data)
 
 
 def test_undersampled_grid_rejected():
