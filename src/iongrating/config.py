@@ -121,8 +121,11 @@ def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
             out[key] = _deep_merge(out[key], value, f"{name}.")
             continue
         if isinstance(out[key], (int, float)) and isinstance(value, str):
+            # an int key's integer literal stays exact beyond 2**53
+            exact = (isinstance(out[key], int)
+                     and value.strip().lstrip("+-").isdigit())
             try:
-                value = float(value)
+                value = int(value) if exact else float(value)
             except ValueError:
                 raise ValueError(f"{name}: expected a number, got "
                                  f"{value!r}") from None

@@ -563,77 +563,59 @@ def slab_index(tooth: ToothSpec, n_clad: float, wavelength: float) -> float:
     return n_clad * np.sin(tooth.angle) + wavelength / tooth.pitch
 
 
-def _exit_path_length(x, y, focus, cladding_thickness: float,
-                      n_clad: float):
-    """Optical path from grating-plane points up to the focal point, with
-    one refraction at the cladding/vacuum interface (Fermat).  Vectorized
-    over ``x`` and ``y``."""
-    fx, fy, fz = focus  # fz measured above the cladding/vacuum interface
-    rho = np.hypot(fx - x, fy - y)
-    theta_v = ray_vacuum_angle(rho, fz, cladding_thickness, n_clad)
-    s = np.sin(theta_v) / n_clad
-    return n_clad * cladding_thickness / np.sqrt(1.0 - s * s) \
-        + fz / np.cos(theta_v)
-
-
-# curve_tooth solves each offset to this many meters, within this bracket
+# curve_tooth's Newton tolerance (m) and step cap
 _CURVE_TOL = 1e-10
-_MAX_OFFSET = 5e-6
+_CURVE_STEPS = 50
 
 
-def curve_tooth(tooth: ToothSpec, focus, stack: LayerStack, pose: IonPose,
+def curve_tooth(teeth, focus, stack: LayerStack, pose: IonPose,
                 wavelength: float = DESIGN_WAVELENGTH,
-                y_samples=None) -> list:
-    """Per-y longitudinal offsets making the total optical path constant.
+                y_samples=None) -> None:
+    """Curve every tooth in place so that slab light reaches the focus in
+    phase.
 
-    For each y the offset u solves n u + exit path(x+u, y) = exit path(x,
-    0), with n the tooth's :func:`slab_index`, for all y at once, by
-    bracketed false position (Illinois variant) to 1e-10 m.  Samples that
-    fail to bracket a root within 5 um truncate the tooth (flag set).
+    For a tooth at x and each y the offset u solves n u + exit(x + u, y) =
+    exit(x, 0), with n the tooth's :func:`slab_index` and exit the
+    refracted (Fermat) optical path up to the focus.  The left side has
+    slope n - sin(theta_v) cos(phi) >= n - 1 > 0 and is convex in u, so
+    Newton from u = 0 needs no bracket; all teeth and samples step
+    together, one ray solve per step, until every step is below 1e-10 m.
+    A sample still stepping, or not finite, at the step cap is dropped and
+    its tooth flagged ``truncated``.
     """
     if y_samples is None:
         y_samples = np.linspace(-15e-6, 15e-6, 61)
-    n_clad = stack.cladding_index
-    n_slab = slab_index(tooth, n_clad, wavelength)
-    t_c = pose.cladding_thickness
     ys = np.atleast_1d(np.asarray(y_samples, dtype=float))
+    n_clad, t_c = stack.cladding_index, pose.cladding_thickness
+    fx, fy, fz = focus  # fz measured above the cladding/vacuum interface
+    x = np.array([t.x for t in teeth])[:, None]
+    n = np.array([slab_index(t, n_clad, wavelength) for t in teeth])[:, None]
 
-    def total(u, y):
-        return n_slab * u + _exit_path_length(tooth.x + u, y, focus, t_c,
-                                              n_clad)
+    def exit_path(u, y):
+        """The exit path from (x + u, y) and its slope in u."""
+        dx = fx - (x + u)
+        rho = np.hypot(dx, fy - y)
+        theta_v = ray_vacuum_angle(rho, fz, t_c, n_clad)
+        s = np.sin(theta_v) / n_clad
+        path = n_clad * t_c / np.sqrt(1.0 - s * s) + fz / np.cos(theta_v)
+        # d path / d rho is the ray invariant sin(theta_v)
+        slope = -np.divide(np.sin(theta_v) * dx, rho,
+                           out=np.zeros_like(rho), where=rho > 0)
+        return path, slope
 
-    # the y = 0 reference and both bracket ends in one evaluation
-    n = len(ys)
-    ends = total(np.concatenate([[0.0], np.full(n, -_MAX_OFFSET),
-                                 np.full(n, _MAX_OFFSET)]),
-                 np.concatenate([[0.0], ys, ys]))
-    f_lo, f_hi = ends[1:n + 1] - ends[0], ends[n + 1:] - ends[0]
-    bracketed = f_lo * f_hi <= 0
-    if not np.all(bracketed):
-        tooth.truncated = True
-    ys, f_lo, f_hi = ys[bracketed], f_lo[bracketed], f_hi[bracketed]
-    lo = np.full_like(ys, -_MAX_OFFSET)
-    hi = np.full_like(ys, _MAX_OFFSET)
-    u = np.where(f_lo == 0.0, lo, hi)
-    side = np.zeros(ys.shape, dtype=int)   # endpoint kept last step
-    for _ in range(200):
-        denom = np.where(f_hi != f_lo, f_hi - f_lo, 1.0)
-        nxt = np.clip(hi - f_hi * (hi - lo) / denom, lo, hi)
-        if np.all(np.abs(nxt - u) < _CURVE_TOL):
-            u = nxt
+    ref = exit_path(0.0, 0.0)[0]
+    u = np.zeros((len(teeth), len(ys)))
+    for _ in range(_CURVE_STEPS):
+        path, slope = exit_path(u, ys)
+        step = (n * u + path - ref) / (n + slope)
+        u = u - step
+        done = np.abs(step) < _CURVE_TOL
+        if done.all():
             break
-        u = nxt
-        f_u = total(u, ys) - ends[0]
-        left = f_u * f_lo > 0      # root lies in [u, hi]
-        # Illinois: halve the function value at an endpoint kept twice
-        f_hi = np.where(left & (side == 1), 0.5 * f_hi, f_hi)
-        f_lo = np.where(~left & (side == -1), 0.5 * f_lo, f_lo)
-        lo, f_lo = np.where(left, u, lo), np.where(left, f_u, f_lo)
-        hi, f_hi = np.where(left, hi, u), np.where(left, f_hi, f_u)
-        side = np.where(left, 1, -1)
-    samples = [(float(y), float(v)) for y, v in zip(ys, u)]
-    tooth.curvature = samples
-    return samples
+    for tooth, row, ok in zip(teeth, u, done):
+        tooth.curvature = [(float(y), float(v))
+                           for y, v in zip(ys[ok], row[ok])]
+        tooth.truncated = not ok.all()
 
 
 # ---------------------------------------------------------------------------

@@ -119,10 +119,12 @@ class DetectionConfig:
             raise ValueError("count rates must be nonnegative")
         if not self.window > 0:
             raise ValueError("detection window must be positive")
-        if self.threshold < 1:
-            raise ValueError("threshold must be at least one count")
-        if self.bins < 1:
-            raise ValueError("need at least one time bin")
+        # a fractional count would sit between two integer thresholds
+        for name in ("threshold", "bins"):
+            value = getattr(self, name)
+            if not (float(value).is_integer() and value >= 1):
+                raise ValueError(f"{name} must be a whole number, at least "
+                                 f"1, got {value!r}")
         if not 0.0 <= self.shelving_failure <= 1.0:
             raise ValueError("shelving failure is a probability")
         if self.d_lifetime <= 0:

@@ -342,9 +342,8 @@ def _run_design(config, path):
                                 config.stack)
     focus = (config.pose.x_ion, config.pose.y_ion,
              config.pose.height_above_surface)
-    for tooth in teeth:
-        designer.curve_tooth(tooth, focus, config.stack, config.pose,
-                             config.wavelength)
+    designer.curve_tooth(teeth, focus, config.stack, config.pose,
+                         config.wavelength)
     zone_period = designer.default_zone_period(config.stack,
                                                config.wavelength)
     layout = designer.emit_layout(teeth, zone_period, config.footprint,

@@ -62,9 +62,8 @@ def focused_teeth():
             angle=angle, kappa=k, alpha=0.05e6))
         xx += pitch
     focus = (pose.x_ion, 0.0, pose.height_above_surface)
-    for t in teeth:
-        curve_tooth(t, focus, stack, pose,
-                    y_samples=np.linspace(-15e-6, 15e-6, 31))
+    curve_tooth(teeth, focus, stack, pose,
+                y_samples=np.linspace(-15e-6, 15e-6, 31))
     return teeth
 
 

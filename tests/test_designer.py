@@ -399,16 +399,17 @@ def test_curve_tooth_zero_offset_on_axis():
     pose = IonPose()
     focus = (POSE.x_ion, 0.0, POSE.height_above_surface)
     tooth = _plain_tooth()
-    samples = curve_tooth(tooth, focus, STACK, pose,
-                          y_samples=np.array([0.0]))
+    curve_tooth([tooth], focus, STACK, pose, y_samples=np.array([0.0]))
+    samples = tooth.curvature
     assert samples[0] == (0.0, pytest.approx(0.0, abs=1e-9))
 
 
 def test_curve_tooth_even_in_y():
     focus = (POSE.x_ion, 0.0, POSE.height_above_surface)
     ys = np.array([-8e-6, -3e-6, 3e-6, 8e-6])
-    samples = curve_tooth(_plain_tooth(), focus, STACK, POSE,
-                          y_samples=ys)
+    tooth = _plain_tooth()
+    curve_tooth([tooth], focus, STACK, POSE, y_samples=ys)
+    samples = tooth.curvature
     d = dict(samples)
     assert d[-8e-6] == pytest.approx(d[8e-6], abs=1e-12)
     assert d[-3e-6] == pytest.approx(d[3e-6], abs=1e-12)
@@ -427,7 +428,8 @@ def test_curve_tooth_analytic_oracle():
         n_slab, rel=1e-14)
     focus = (tooth.x, 0.0, zf)
     ys = np.linspace(-10e-6, 10e-6, 9)
-    samples = curve_tooth(tooth, focus, STACK, pose, y_samples=ys)
+    curve_tooth([tooth], focus, STACK, pose, y_samples=ys)
+    samples = tooth.curvature
     for y, u in samples:
         expected = (n_slab * zf
                     - np.sqrt(n_slab**2 * zf**2 + (n_slab**2 - 1) * y**2)

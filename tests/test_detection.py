@@ -108,6 +108,10 @@ def test_config_validation():
         DetectionConfig(threshold=0)
     with pytest.raises(ValueError):
         DetectionConfig(bins=0)
+    # a fractional count threshold or bin number is refused by name
+    for field in ("threshold", "bins"):
+        with pytest.raises(ValueError, match=field):
+            DetectionConfig(**{field: 2.5})
     with pytest.raises(ValueError):
         DetectionConfig(shelving_failure=1.5)
 

@@ -212,27 +212,107 @@ def test_design_summary_reports_fit_starts(run_dir):
     assert f"fit status per start      {statuses}" in text
 
 
-def test_design_summary_counts_clamped_and_truncated_teeth(tmp_path):
-    # an ion 25 um off axis puts the outer curve samples of some teeth
-    # beyond the offset bracket, and a weak library cannot meet every
-    # fitted kappa
-    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path),
+@pytest.fixture(scope="module")
+def offaxis_run(tmp_path_factory):
+    # an ion 25 um off axis needs curve offsets beyond 5 um, and a weak
+    # library cannot meet every fitted kappa
+    out = tmp_path_factory.mktemp("offaxis")
+    cfg = load_config(overrides={**FAST, "output_dir": str(out),
                                  "pose": {"y_ion": 25e-6},
                                  "library": {"kappa0": 0.2e6}})
-    manifest = pipeline.run_pipeline(cfg, stages=["design"])
-    entry = manifest["stages"]["design"]
-    summary = entry["summary"]
-    teeth = json.loads((tmp_path / "design" / "teeth.json").read_text())
+    return out, cfg, pipeline.run_pipeline(cfg, stages=["design"])
+
+
+def test_design_summary_counts_clamped_and_truncated_teeth(offaxis_run):
+    out, _, manifest = offaxis_run
+    summary = manifest["stages"]["design"]["summary"]
+    teeth = json.loads((out / "design" / "teeth.json").read_text())
     # both flags are JSON bools, also where the library clamped the tooth
     assert all(type(t["clamped"]) is bool and type(t["truncated"]) is bool
                for t in teeth)
     n_clamped = sum(t["clamped"] for t in teeth)
     n_truncated = sum(t["truncated"] for t in teeth)
     assert n_clamped == 14
-    assert 0 < n_truncated < len(teeth) and n_clamped < len(teeth)
+    # every curve sample converges, however far off axis
+    assert n_truncated == 0 and n_clamped < len(teeth)
+    assert all(len(t["curvature"]) == 61 for t in teeth)
     assert (summary["n_clamped"], summary["n_truncated"]) == (
         n_clamped, n_truncated)
     assert (f"clamped / truncated teeth {n_clamped} / {n_truncated}"
+            in pipeline.report(manifest))
+
+
+def _exit_path(x, y, focus, pose, n_clad):
+    """Optical path from grating points (x, y) up to ``focus``, found apart
+    from the designer's ray solve: Fermat's minimum over the horizontal
+    run r of the refraction point, by bisection of its slope on [0, rho]."""
+    fx, fy, fz = focus
+    t_c = pose.cladding_thickness
+    rho = np.hypot(fx - np.asarray(x), fy - np.asarray(y))
+    lo, hi = np.zeros_like(rho), rho.copy()
+    for _ in range(200):
+        r = 0.5 * (lo + hi)
+        rising = (n_clad * r / np.hypot(r, t_c)
+                  - (rho - r) / np.hypot(rho - r, fz)) > 0
+        lo, hi = np.where(rising, lo, r), np.where(rising, r, hi)
+    r = 0.5 * (lo + hi)
+    return n_clad * np.hypot(r, t_c) + np.hypot(rho - r, fz)
+
+
+@pytest.mark.parametrize("run", ["run_dir", "offaxis_run"])
+def test_curved_teeth_meet_the_equal_path_rule(run, request):
+    # n u + exit(x + u, y) = exit(x, 0) at every sample of every tooth
+    out, cfg, _ = request.getfixturevalue(run)
+    teeth = pipeline._read_teeth(out / "design" / "teeth.json")
+    pose, n_clad = cfg.pose, cfg.stack.cladding_index
+    focus = (pose.x_ion, pose.y_ion, pose.height_above_surface)
+    offsets = []
+    for t in teeth:
+        y, u = np.array(t.curvature).T
+        assert len(y) == 61 and not t.truncated
+        n = designer.slab_index(t, n_clad, cfg.wavelength)
+        residual = (n * u + _exit_path(t.x + u, y, focus, pose, n_clad)
+                    - _exit_path(t.x, 0.0, focus, pose, n_clad))
+        assert np.max(np.abs(residual)) <= 1e-12
+        offsets.append(u)
+    if pose.y_ion:
+        # offsets beyond 5 um are solved, not cut off
+        assert np.max(np.abs(offsets)) > 5e-6
+
+
+def test_curve_tooth_solves_all_teeth_together(run_dir, monkeypatch):
+    # one ray solve per Newton step for the whole design, not per tooth
+    out, cfg, _ = run_dir
+    teeth = pipeline._read_teeth(out / "design" / "teeth.json")
+    stored = [t.curvature for t in teeth]
+    solve, calls = designer.ray_vacuum_angle, []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(designer, "ray_vacuum_angle", counted)
+    focus = (cfg.pose.x_ion, cfg.pose.y_ion, cfg.pose.height_above_surface)
+    designer.curve_tooth(teeth, focus, cfg.stack, cfg.pose, cfg.wavelength)
+    assert len(teeth) == 99 and len(calls) <= 8
+    assert [t.curvature for t in teeth] == stored
+
+
+def test_unconverged_curve_samples_truncate_their_teeth(tmp_path,
+                                                         monkeypatch):
+    # a single Newton step leaves every off-axis sample unconverged: it is
+    # dropped, and the tooth is flagged and counted
+    monkeypatch.setattr(designer, "_CURVE_STEPS", 1)
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
+    manifest = pipeline.run_pipeline(cfg, stages=["design"])
+    summary = manifest["stages"]["design"]["summary"]
+    teeth = json.loads((tmp_path / "design" / "teeth.json").read_text())
+    assert all(t["truncated"] for t in teeth)
+    assert all(len(t["curvature"]) == 1 for t in teeth)
+    assert all(abs(y) < 1e-18 and abs(u) < 1e-18
+               for t in teeth for y, u in t["curvature"])
+    assert summary["n_truncated"] == len(teeth) == 99
+    assert (f"clamped / truncated teeth {summary['n_clamped']} / 99"
             in pipeline.report(manifest))
 
 
@@ -1235,7 +1315,10 @@ def test_exponent_numbers_are_floats(tmp_path):
      "detection.threshold: expected an integer, got True"),
     ("detection: {bins: 2.5}\n",
      "detection.bins: expected an integer, got 2.5"),
-], ids=["threshold-fraction", "threshold-bool", "bins-fraction"])
+    ("detection: {threshold: '2.5'}\n",
+     "detection.threshold: expected an integer, got 2.5"),
+], ids=["threshold-fraction", "threshold-bool", "bins-fraction",
+        "threshold-fraction-string"])
 def test_integer_key_rejects_a_non_integer(tmp_path, text, message):
     # a fractional threshold once meant N >= 2 to the analytic fidelity and
     # N >= 3 to the Monte Carlo
@@ -1260,6 +1343,9 @@ def test_integer_key_takes_an_integral_exponent(tmp_path):
     path.write_text("detection: {trials: 2e5, threshold: 1.0}\n")
     assert pipeline._config_slices(load_config(path)) == \
         pipeline._config_slices(load_config())
+    # an integer literal is not rounded through a float beyond 2**53
+    path.write_text("seeds: {detection: '12345678901234567891'}\n")
+    assert load_config(path).seeds["detection"] == 12345678901234567891
 
 
 def test_infinite_float_stays_a_number(tmp_path):
