@@ -8,17 +8,24 @@ boundaries, a guided-mode line source, and single-frequency phasor monitors
 from which diffraction observables (P_T, P_D, up/down split, emission
 angle) are extracted.
 
-Fields, update coefficients and CPML memory are float32.  CPML memory
-lives only in the absorbing slabs, where its recursion coefficients are
-nonzero: the x slabs of each field are two blocks of whole rows, and its z
-slabs one strided band whose chunks each join the end of one row to the
-start of the next.  The monitors copy their raw lines into one period of
-rows per step, and once per period fold them into double-precision
-phasors, step by step in order, so the sums equal a per-step accumulation
-bit for bit.  A step allocates no grid-sized array.  A run stops once the
-four monitor fluxes are measured steady: after one transit of the grid
-plus the source ramp, the largest change of a flux relative to itself
-must stay below 1e-5 for three consecutive optical periods.
+Fields, update coefficients and CPML memory are float32, stored as (z, x)
+rows with x fastest; ``F``, ``Ga`` and ``Gb`` are (x, z)-indexed views of
+them.  CPML memory lives only in the absorbing slabs, where its recursion
+coefficients are nonzero: the z slabs of each field are its first and last
+rows, advanced together as one two-block view, and its x slabs one strided
+band whose chunks each join the end of one row to the start of the next.
+For TE both in-plane updates take the one scalar dt / (mu0 d), so Ga and
+Gb store H divided by it (``g_scale``) and F's coefficient carries it;
+that saves two grid passes per step, and the monitors multiply it back in
+double precision.  TM stores its fields unscaled.  A step is one bound
+list of numpy ufunc calls over fixed views and allocates no grid-sized
+array.  The monitors copy their raw lines into one period of rows per
+step, and once per period fold them into double-precision phasors, step by
+step in order, so the sums equal a per-step accumulation bit for bit.  A
+run stops once the four monitor fluxes are measured steady: after one
+transit of the grid plus the source ramp, the largest change of a flux
+relative to itself must stay below 1e-5 for three consecutive optical
+periods.
 """
 
 import functools
@@ -136,25 +143,27 @@ def _pml_profiles(n: int, d: float, dt: float):
 
 
 def _cpml_slabs(diff: np.ndarray, b: np.ndarray, a: np.ndarray):
-    """(slab of diff, psi, b, a, scratch) for the PML_CELLS + 1 rows at
-    each end of ``diff``, in its dtype; beyond them b = a = 0, so psi
-    stays 0."""
+    """(slabs, psi, b, a, scratch) for the z slabs of the contiguous
+    ``diff``: its first and last PML_CELLS + 1 rows as one two-block view,
+    so one ufunc call covers both.  ``b`` and ``a`` hold one value per row
+    of ``diff``; the arrays are in its dtype."""
     w = PML_CELLS + 1
-    slabs = []
-    for s in (slice(None, w), slice(-w, None)):
-        d = diff[s]
-        b_s, a_s = (np.broadcast_to(p[s, None], d.shape).astype(d.dtype)
-                    for p in (b, a))
-        slabs.append((d, np.zeros_like(d), b_s, a_s, np.empty_like(d)))
-    return slabs
+    rows, n = diff.shape
+    shape = (2, w, n)
+    slabs = np.lib.stride_tricks.as_strided(
+        diff, shape, ((rows - w) * diff.strides[0],) + diff.strides)
+    b_s, a_s = (np.broadcast_to(np.stack([p[:w], p[-w:]])[:, :, None],
+                                shape).astype(diff.dtype) for p in (b, a))
+    return (slabs, np.zeros(shape, diff.dtype), b_s, a_s,
+            np.empty(shape, diff.dtype))
 
 
-def _cpml_band(buf: np.ndarray, nz: int, rows: int, pad: int,
+def _cpml_band(buf: np.ndarray, nx: int, rows: int, pad: int,
                b: np.ndarray, a: np.ndarray):
-    """[(band, psi, b, a, scratch)] for the z slabs of ``rows`` rows of nz
+    """(band, psi, b, a, scratch) for the x slabs of ``rows`` rows of nx
     nodes, stored in ``buf`` from offset PML_CELLS + 2 on.
 
-    Chunk k of the band starts at offset k * nz and holds the right slab of
+    Chunk k of the band starts at offset k * nx and holds the right slab of
     row k - 1, ``pad`` padding nodes and the left slab of row k, so both
     ends of every row take one strided pass.  The slabs span the
     PML_CELLS + 1 nodes at each end of ``b`` and ``a``; on the padding,
@@ -163,7 +172,7 @@ def _cpml_band(buf: np.ndarray, nz: int, rows: int, pad: int,
     w = PML_CELLS + 1
     shape = (rows + 1, 2 * w + pad)
     band = np.lib.stride_tricks.as_strided(
-        buf, shape, (nz * buf.itemsize, buf.itemsize))
+        buf, shape, (nx * buf.itemsize, buf.itemsize))
 
     def coeffs(p):
         chunk = np.concatenate([p[-w:], np.zeros(pad), p[:w]])
@@ -172,16 +181,16 @@ def _cpml_band(buf: np.ndarray, nz: int, rows: int, pad: int,
         c[-1, w + pad:] = 0.0
         return c
 
-    return [(band, np.zeros(shape, buf.dtype), coeffs(b), coeffs(a),
-             np.empty(shape, buf.dtype))]
+    return (band, np.zeros(shape, buf.dtype), coeffs(b), coeffs(a),
+            np.empty(shape, buf.dtype))
 
 
-def _add_psi(slabs):
-    """Advance each slab's CPML recursion and add it to its difference."""
-    for d, psi, b, a, scratch in slabs:
-        psi *= b
-        psi += np.multiply(a, d, out=scratch)
-        d += psi
+def _psi_ops(cpml):
+    """The ops that advance one CPML recursion, psi = b psi + a d, and add
+    psi to its difference d."""
+    d, psi, b, a, scratch = cpml
+    return [(np.multiply, psi, b, psi), (np.multiply, a, d, scratch),
+            (np.add, psi, scratch, psi), (np.add, d, psi, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +307,8 @@ class Fdtd2D:
     """Single-frequency 2D FDTD run over a fixed index map.
 
     A simulation owns its grid exclusively; results are bit-deterministic
-    for a fixed grid, step count, and geometry.
+    for a fixed grid, step count, and geometry.  ``Ga`` and ``Gb`` hold
+    the in-plane field divided by ``g_scale``.
     """
 
     def __init__(self, material: MaterialMap, wavelength: float,
@@ -326,55 +336,79 @@ class Fdtd2D:
     def _init_fields(self):
         nx, nz = self.grid.nx, self.grid.nz
         d, dt = self.grid.cell_size, self.grid.time_step
-        eps = self.material.epsr
+        eps = np.ascontiguousarray(self.material.epsr.T)
 
-        # Every array is float32 and stored as whole rows of nz nodes, so
-        # each update is one contiguous pass.  Ga's one padding column
-        # feeds only F's first and last column, whose update coefficient
-        # is 0.
+        # Every array is float32 and stored as (nz, nx) rows, x fastest;
+        # F, Ga and Gb are (x, z)-indexed views of them.  Gb's one padding
+        # column feeds only F's first and last column, whose update
+        # coefficient is 0.
         f32 = np.float32
-        self.F = np.zeros((nx, nz), f32)         # out-of-plane field
-        self._ga = np.zeros((nx, nz), f32)       # Ga plus its padding
-        self.Ga = self._ga[:, :-1]               # in-plane, d/dz partner
-        self.Gb = np.zeros((nx - 1, nz), f32)    # in-plane, d/dx partner
-
-        if self.polarization == "TE":
-            # F=Ey; Ga=Hx at (i, j+1/2); Gb=Hz at (i+1/2, j)
-            sign = 1.0
-            cF = dt / (constants.EPS0 * eps[1:-1] * d)
-            cGa = cGb = dt / (constants.MU0 * d)
-        else:
-            # F=Hy; Ga=Ex at (i, j+1/2); Gb=Ez at (i+1/2, j)
-            sign = -1.0
-            cF = np.full((nx - 2, nz), dt / (constants.MU0 * d))
-            eps_a = 0.5 * (eps[:, :-1] + eps[:, 1:])
-            eps_b = 0.5 * (eps[:-1, :] + eps[1:, :])
-            cGa = np.pad(dt / (constants.EPS0 * eps_a * d), ((0, 0), (0, 1)))
-            cGb = dt / (constants.EPS0 * eps_b * d)
-        cF[:, [0, -1]] = 0.0
-        # update coefficients with the curl signs folded in
-        self.cGa, self.cGb, self.cF = (np.asarray(c, f32) for c in
-                                       (sign * cGa, -sign * cGb, sign * cF))
+        f = np.zeros((nz, nx), f32)              # out-of-plane field
+        ga = np.zeros((nz - 1, nx), f32)         # in-plane, d/dz partner
+        gb = np.zeros((nz, nx), f32)             # d/dx partner + padding
+        self.F, self.Ga, self.Gb = f.T, ga.T, gb[:, :-1].T
 
         # two difference buffers, each used twice per step: along z for Ga
-        # and then (its first nx - 2 rows) for F; along x likewise.  The z
+        # and then (its first nz - 2 rows) for F; along x likewise.  The x
         # buffer has PML_CELLS + 2 spare nodes before it and PML_CELLS + 1
-        # after, for the chunks of its CPML bands at rows -1 and nx
+        # after, for the chunks of its CPML bands at rows -1 and nz
         w = PML_CELLS + 1
-        dz = np.zeros(w + 1 + nx * nz + w, f32)
-        self._dFz = dz[w + 1:w + 1 + nx * nz].reshape(nx, nz)
-        self._dFx = np.empty((nx - 1, nz), f32)
-        self._dGaz = self._dFz[:-2]
-        self._dGbx = self._dFx[:-1]
+        dFz = np.empty((nz - 1, nx), f32)
+        dx = np.zeros(w + 1 + nz * nx + w, f32)
+        dFx = dx[w + 1:w + 1 + nz * nx].reshape(nz, nx)
+        self._dFz, self._dGaz = dFz, dFz[:-1]
+        self._dFx, self._dGbx = dFx, dFx[:-2]
+
+        if self.polarization == "TE":
+            # F=Ey; Ga=Hx at (i, j+1/2); Gb=Hz at (i+1/2, j).  Both H
+            # updates take the one scalar dt / (mu0 d), so Ga and Gb hold
+            # H divided by it (g_scale) and F's coefficient carries it;
+            # LineMonitor.fold multiplies it back in double precision
+            self.g_scale = dt / (constants.MU0 * d)
+            cF = dt / (constants.EPS0 * eps[1:-1] * d) * self.g_scale
+            g_ops = ([(np.add, ga, dFz, ga)],
+                     [(np.subtract, gb, dFx, gb)])
+        else:
+            # F=Hy; Ga=Ex at (i, j+1/2); Gb=Ez at (i+1/2, j); the curl
+            # signs are folded into the coefficients
+            self.g_scale = 1.0
+            cF = -np.full((nz - 2, nx), dt / (constants.MU0 * d))
+            eps_a = 0.5 * (eps[:-1] + eps[1:])
+            eps_b = 0.5 * (eps[:, :-1] + eps[:, 1:])
+            cGa = np.asarray(-(dt / (constants.EPS0 * eps_a * d)), f32)
+            cGb = np.asarray(np.pad(dt / (constants.EPS0 * eps_b * d),
+                                    ((0, 0), (0, 1))), f32)
+            g_ops = ([(np.multiply, dFz, cGa, dFz), (np.add, ga, dFz, ga)],
+                     [(np.multiply, dFx, cGb, dFx), (np.add, gb, dFx, gb)])
+        cF[:, [0, -1]] = 0.0
+        cF = np.asarray(cF, f32)
 
         (bex, aex), (bhx, ahx) = _pml_profiles(nx, d, dt)
         (bez, aez), (bhz, ahz) = _pml_profiles(nz, d, dt)
-        # Ga's z differences fill columns 0..nz-2 of each row, and F's
-        # columns 1..nz-2
-        self._psi_Ga = _cpml_band(dz, nz, nx, 1, bhz, ahz)
-        self._psi_Gb = _cpml_slabs(self._dFx, bhx, ahx)
-        self._psi_Fx = _cpml_slabs(self._dGbx, bex[1:-1], aex[1:-1])
-        self._psi_Fz = _cpml_band(dz, nz, nx - 2, 2, bez[1:-1], aez[1:-1])
+        # the z slabs of each field are the first and last rows of its z
+        # differences, one two-block view; the x slabs one strided band in
+        # the x buffer.  Gb's x differences fill columns 0..nx-2 of each
+        # row, and F's columns 1..nx-2
+        self._psi_Ga = _cpml_slabs(dFz, bhz, ahz)
+        self._psi_Gb = _cpml_band(dx, nx, nz, 1, bhx, ahx)
+        self._psi_Fx = _cpml_band(dx, nx, nz - 2, 2, bex[1:-1], aex[1:-1])
+        self._psi_Fz = _cpml_slabs(self._dGaz, bez[1:-1], aez[1:-1])
+
+        # the step, bound once as (ufunc, a, b, out) over these views.  The
+        # x differences take one pass over the flat rows: the difference
+        # that straddles two rows lands in a padding column
+        dGaz, dGbx = self._dGaz, self._dGbx
+        fl, gbl, dxl = f.reshape(-1), gb.reshape(-1), dFx.reshape(-1)
+        self._ops = [
+            (np.subtract, f[1:], f[:-1], dFz), *_psi_ops(self._psi_Ga),
+            *g_ops[0],
+            (np.subtract, fl[1:], fl[:-1], dxl[:-1]), *_psi_ops(self._psi_Gb),
+            *g_ops[1],
+            (np.subtract, gbl[nx:-nx], gbl[nx - 1:-nx - 1], dGbx.reshape(-1)),
+            *_psi_ops(self._psi_Fx),
+            (np.subtract, ga[1:], ga[:-1], dGaz), *_psi_ops(self._psi_Fz),
+            (np.subtract, dGaz, dGbx, dGaz), (np.multiply, dGaz, cF, dGaz),
+            (np.add, f[1:-1], dGaz, f[1:-1])]
         self.step_index = 0
 
     def add_line_source(self, i: int, profile: np.ndarray):
@@ -386,36 +420,13 @@ class Fdtd2D:
     # -- stepping ---------------------------------------------------------
 
     def _step(self):
-        F, ga, Gb = self.F, self._ga, self.Gb
-        # z differences in one pass over the flat rows: the difference that
-        # straddles two rows lands in a padding column
-        f, g, nz = F.reshape(-1), ga.reshape(-1), self.grid.nz
-
-        dFz = self._dFz
-        np.subtract(f[1:], f[:-1], out=dFz.reshape(-1)[:-1])
-        _add_psi(self._psi_Ga)
-        dFz *= self.cGa
-        ga += dFz
-
-        dFx = np.subtract(F[1:], F[:-1], out=self._dFx)
-        _add_psi(self._psi_Gb)
-        dFx *= self.cGb
-        Gb += dFx
-
-        dGbx = np.subtract(Gb[1:], Gb[:-1], out=self._dGbx)
-        _add_psi(self._psi_Fx)
-        dGaz = self._dGaz
-        np.subtract(g[nz:-nz], g[nz - 1:-nz - 1], out=dGaz.reshape(-1))
-        _add_psi(self._psi_Fz)
-        dGaz -= dGbx
-        dGaz *= self.cF
-        F[1:-1] += dGaz
-
+        for op, a, b, out in self._ops:
+            op(a, b, out)
         self.step_index += 1
         if self.source is not None:
             i, profile = self.source
-            F[i, :] += profile * _drive(self.step_index * self.grid.time_step,
-                                        self.omega)
+            t = self.step_index * self.grid.time_step
+            self.F[i] += profile * _drive(t, self.omega)
 
     def run_periods(self, n_periods: int, accumulators=None):
         """Advance n_periods.  If accumulators are given, each step copies
@@ -457,11 +468,13 @@ class LineMonitor:
         else:
             lines = sim.F[s, i], sim.Ga[s, i - 1], sim.Ga[s, i]
         # one period of the raw float32 lines, copied in step by step, and
-        # the double-precision work arrays that fold them
+        # the double-precision work arrays that fold them; the in-plane
+        # lines are averaged and scaled back by the factor 0.5 g_scale
         n = len(lines[0])
         self._rows = np.empty((3, sim.steps_per_period, n), np.float32)
         self.copies = list(zip(self._rows, lines))
         self._wide = np.empty((sim.steps_per_period, n))
+        self._half_g = 0.5 * sim.g_scale
         self._terms = np.empty((sim.steps_per_period, n), complex)
         self.reset()
 
@@ -485,7 +498,7 @@ class LineMonitor:
         self._f = self._fold(self._f, ph_f)
         np.copyto(wide, ga_rows)
         wide += gb_rows
-        wide *= 0.5
+        wide *= self._half_g
         self._g = self._fold(self._g, ph_g)
         self._n += len(ph_f)
 

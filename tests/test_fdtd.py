@@ -291,15 +291,22 @@ def test_grid_rejects_overlapping_absorbing_layers():
         fdtd.SimulationGrid(cell_size=CELL, time_step=dt, nx=27, nz=50)
 
 
-def _full_grid_cpml(sim):
+def _full_grid_cpml(sim, prescaled=True):
     """Coefficients, CPML profiles and psi arrays over the whole grid, as
-    the full-grid update kept them, in the dtype of the fields."""
+    the full-grid update kept them, in the dtype of the fields.
+
+    TE is ``prescaled`` as the kernel steps it: Ga and Gb hold H divided
+    by dt / (mu0 d), which F's coefficient then carries.  Unscaled, it is
+    the update on H itself.
+    """
     nx, nz = sim.grid.nx, sim.grid.nz
     d, dt = sim.grid.cell_size, sim.grid.time_step
     eps = sim.material.epsr
     if sim.polarization == "TE":
         cF = dt / (constants.EPS0 * eps * d)
         cGa = cGb = dt / (constants.MU0 * d)
+        if prescaled:
+            cF, cGa, cGb = cF * cGa, 1.0, 1.0
     else:
         cF = np.full((nx, nz), dt / (constants.MU0 * d))
         cGa = dt / (constants.EPS0 * 0.5 * (eps[:, :-1] + eps[:, 1:]) * d)
@@ -349,6 +356,8 @@ def _full_grid_step(sim, c):
 
 @pytest.mark.parametrize("pol", ["TE", "TM"])
 def test_slab_cpml_step_matches_full_grid_update(pol):
+    # bit for bit, TE in the kernel's prescaled arithmetic: this pins the
+    # CPML slabs and bands, not the scaling
     # a coarse grating cell whose source sits 0.35 um from the left PML
     cell = 3 * CELL
     material = fdtd.unit_cell_material_map(STACK, params(), 4, cell)
@@ -374,6 +383,37 @@ def test_slab_cpml_step_matches_full_grid_update(pol):
     assert not np.any(state["psi_Fz"][:, w:-w])
 
 
+def test_prescaled_te_step_tracks_the_unscaled_update():
+    # the same 150 steps on H itself: F and H agree within 32 float32
+    # epsilons of each field's peak (the two round differently)
+    lean, full = _coarse_sim("TE"), _coarse_sim("TE")
+    state = _full_grid_cpml(full, prescaled=False)
+    for _ in range(150):
+        lean._step()
+        _full_grid_step(full, state)
+    g = lean.g_scale
+    assert g == pytest.approx(lean.grid.time_step
+                              / (constants.MU0 * lean.grid.cell_size))
+    tol = 32 * np.finfo(np.float32).eps
+    for new, old in ((lean.F, full.F), (g * lean.Ga.astype(float), full.Ga),
+                     (g * lean.Gb.astype(float), full.Gb)):
+        peak = np.max(np.abs(old))
+        assert peak > 0
+        assert np.max(np.abs(new - old.astype(float))) <= tol * peak
+
+
+def test_coarse_te_cell_keeps_the_unscaled_results():
+    # pinned from the kernel that stepped H unscaled; the run stops at a
+    # flux change of 1e-5 per period, so its results are defined to that
+    r = fdtd.run_unit_cell(params(pitch=0.32e-6), 4, WAVELENGTH, STACK, "TE",
+                           cell_size=2 * CELL)
+    kappa, alpha = fdtd.extract_kappa_alpha(r)
+    assert r.periods_run == 54
+    assert kappa == pytest.approx(222468.42726661952, rel=1e-5)
+    assert alpha == pytest.approx(277049.1232637531, rel=1e-5)
+    assert r.p_up == pytest.approx(0.2403889003212748, rel=1e-5)
+
+
 def _coarse_sim(pol):
     """A driven simulation of the coarse grating cell of the slab test."""
     cell = 3 * CELL
@@ -389,24 +429,24 @@ def test_cpml_bands_are_zero_off_the_slabs():
     sim = _coarse_sim("TE")
     nx, nz = sim.grid.nx, sim.grid.nz
     w = fdtd.PML_CELLS + 1
-    (be, ae), (bh, ah) = fdtd._pml_profiles(nz, sim.grid.cell_size,
+    (be, ae), (bh, ah) = fdtd._pml_profiles(nx, sim.grid.cell_size,
                                             sim.grid.time_step)
-    # Ga's z differences sit at the nz - 1 half nodes, F's at the nz - 2
+    # Gb's x differences sit at the nx - 1 half nodes, F's at the nx - 2
     # inner integer nodes
-    bands = [(sim._psi_Ga[0], nx, 1, bh, ah),
-             (sim._psi_Fz[0], nx - 2, 2, be[1:-1], ae[1:-1])]
-    for band, rows, pad, b_z, a_z in bands:
+    bands = [(sim._psi_Gb, nz, 1, bh, ah),
+             (sim._psi_Fx, nz - 2, 2, be[1:-1], ae[1:-1])]
+    for band, rows, pad, b_x, a_x in bands:
         _, _, b, a, _ = band
         assert b.shape == a.shape == (rows + 1, 2 * w + pad)
-        for c, c_z in ((b, b_z), (a, a_z)):
+        for c, c_x in ((b, b_x), (a, a_x)):
             # padding columns, row -1 and the row past the last
             assert not np.any(c[:, w:w + pad])
             assert not np.any(c[0, :w])
             assert not np.any(c[-1, w + pad:])
             # the profile's ends on every row that exists
-            c_z = c_z.astype(np.float32)
-            assert np.all(c[1:, :w] == c_z[-w:])
-            assert np.all(c[:-1, w + pad:] == c_z[:w])
+            c_x = c_x.astype(np.float32)
+            assert np.all(c[1:, :w] == c_x[-w:])
+            assert np.all(c[:-1, w + pad:] == c_x[:w])
     for _ in range(150):
         sim._step()
     for (_, psi, _, _, _), _, pad, _, _ in bands:
@@ -414,15 +454,21 @@ def test_cpml_bands_are_zero_off_the_slabs():
         assert not np.any(psi[0, :w])
         assert not np.any(psi[-1, w + pad:])
         assert np.any(psi[1:, :w]) and np.any(psi[:-1, w + pad:])
-    # chunk k views the right slab of row k - 1, the padding and the left
-    # slab of row k
-    d_ga, d_fz = sim._psi_Ga[0][0], sim._psi_Fz[0][0]
-    dFz, dGaz = sim._dFz, sim._dGaz
-    assert np.array_equal(d_ga[1:, :w], dFz[:, nz - 1 - w:nz - 1])
-    assert np.array_equal(d_ga[1:, w], dFz[:, nz - 1])
-    assert np.array_equal(d_ga[:-1, w + 1:], dFz[:, :w])
-    assert np.array_equal(d_fz[1:, :w], dGaz[:, nz - 1 - w:nz - 1])
-    assert np.array_equal(d_fz[:-1, w + 2:], dGaz[:, 1:w + 1])
+    # chunk k views the right slab of z-row k - 1, the padding and the
+    # left slab of z-row k
+    d_gb, d_fx = sim._psi_Gb[0], sim._psi_Fx[0]
+    dFx, dGbx = sim._dFx, sim._dGbx
+    assert np.array_equal(d_gb[1:, :w], dFx[:, nx - 1 - w:nx - 1])
+    assert np.array_equal(d_gb[1:, w], dFx[:, nx - 1])
+    assert np.array_equal(d_gb[:-1, w + 1:], dFx[:, :w])
+    assert np.array_equal(d_fx[1:, :w], dGbx[:, nx - 1 - w:nx - 1])
+    assert np.array_equal(d_fx[:-1, w + 2:], dGbx[:, 1:w + 1])
+    # the z slabs are one two-block view of the first and last w rows
+    for (d, _, _, _, _), diff in ((sim._psi_Ga, sim._dFz),
+                                  (sim._psi_Fz, sim._dGaz)):
+        assert np.shares_memory(d, diff)
+        assert np.array_equal(d[0], diff[:w])
+        assert np.array_equal(d[1], diff[-w:])
 
 
 class _StepwiseMonitor:
@@ -437,10 +483,12 @@ class _StepwiseMonitor:
         i, s = self.index, self.span
         if self.orientation == "v":
             f = sim.F[i, s].astype(float)
-            g = 0.5 * (sim.Gb[i - 1, s].astype(float) + sim.Gb[i, s])
+            g = sim.Gb[i - 1, s].astype(float) + sim.Gb[i, s]
         else:
             f = sim.F[s, i].astype(float)
-            g = 0.5 * (sim.Ga[s, i - 1].astype(float) + sim.Ga[s, i])
+            g = sim.Ga[s, i - 1].astype(float) + sim.Ga[s, i]
+        # G is stored divided by the simulation's g_scale
+        g *= 0.5 * sim.g_scale
         self._f = self._f + f * ph_f
         self._g = self._g + g * ph_g
         self._n += 1
