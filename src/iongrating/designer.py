@@ -124,10 +124,8 @@ def ideal_kappa(i_ion, x, alpha=0.0, kappa_cap: float = 1e8):
 @dataclass
 class FitStart:
     """Outcome of one least-squares start of :func:`fit_kappa`."""
-    status: int              # 0 = the evaluation cap, 1 = gtol,
-                             # 2 = ftol, 3 = xtol, 4 = ftol and xtol
-                             # (scipy's least_squares codes), -1 = the
-                             # start raised (no usable residual)
+    status: int              # 0 = the evaluation cap, 1 = gtol, 2 = ftol,
+                             # 3 = xtol, -1 = raised (no usable residual)
     nfev: int                # residual evaluations of this start
     relative_l2: float       # ||I_fit - I_ion|| / ||I_ion|| at its optimum
 
@@ -142,185 +140,109 @@ class FitReport:
 
 
 # ---------------------------------------------------------------------------
-# The fit's two solvers.  Each follows its scipy.optimize counterpart step
-# for step, so the fit gives scipy's numbers to the last bit and a design
-# run does not load scipy.optimize.
+# The fit's two solvers, plain numpy so that a design run does not load
+# scipy.optimize: a trust-region least squares whose step is exact, from one
+# SVD per iterate, and a golden-section search for the start's rate.
 
-def _bounded_minimum(f, lo, hi, xatol):
-    """The minimizer of ``f`` on [lo, hi] by Brent's bounded search of
-    golden sections and parabolic steps: ``scipy.optimize.minimize_scalar(
-    f, bounds=(lo, hi), method="bounded", options={"xatol": xatol}).x``."""
-    golden = 0.5 * (3.0 - math.sqrt(5.0))
-    sqrt_eps = math.sqrt(2.2e-16)
+_GTOL = _FTOL = _XTOL = 1e-8  # _least_squares' gradient, cost, step tolerances
+
+
+def _golden_minimum(f, lo, hi, xatol):
+    """The minimizer of a unimodal ``f`` on [lo, hi] to within ``xatol``:
+    the better inner point of a golden-section bracket ``xatol`` wide."""
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
     a, b = lo, hi
-    # x is the best point so far, w the second best, v the one before w
-    v = w = x = a + golden * (b - a)
-    fv = fw = fx = f(x)
-    num = 1
-    rat = e = 0.0
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(x) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        # scipy's default maxiter is 500
-        if not np.abs(x - xm) > tol2 - 0.5 * (b - a) or num >= 500:
-            return x
-        parabolic = False
-        if np.abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r, e = e, rat
-            if (np.abs(p) < np.abs(0.5 * q * r)
-                    and q * (a - x) < p < q * (b - x)):
-                parabolic = True
-                rat = p / q
-                u = x + rat
-                if (u - a) < tol2 or (b - u) < tol2:
-                    rat = tol1 * (np.sign(xm - x) + ((xm - x) == 0))
-        if not parabolic:
-            e = a - x if x >= xm else b - x
-            rat = golden * e
-        u = x + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = f(u)
-        num += 1
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xatol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
         else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return c if fc <= fd else d
 
 
-def _trust_region_step(uf, s, v, delta, alpha, m):
-    """The step p minimizing ||J p + f|| subject to ||p|| <= delta, from
-    the SVD J = U diag(s) v^T of an m-row Jacobian and uf = U^T f, with the
-    Levenberg-Marquardt parameter it took (More 1977).  ``alpha`` is the
-    previous parameter, the root search's first guess: scipy's
-    ``solve_lsq_trust_region``."""
-    norm = np.linalg.norm
+def _trust_region_step(s, uf, vt, delta):
+    """The p minimizing ||J p + f|| subject to ||p|| <= delta, from the SVD
+    J = U diag(s) vt cut to its rank, uf = U^T f (More 1977): Gauss-Newton
+    if it fits, else p(lam) = -(J^T J + lam)^-1 J^T f at 1/||p(lam)|| =
+    1/delta.  That function of lam is concave and increasing, so Newton
+    from lam = 0 climbs to the root without overshooting it."""
     suf = s * uf
-
-    def phi_and_derivative(alpha):
-        denom = s**2 + alpha
-        p_norm = norm(suf / denom)
-        return p_norm - delta, -np.sum(suf**2 / denom**3) / p_norm
-
-    alpha_upper = norm(suf) / delta
-    alpha_lower = 0.0
-    if m >= len(v) and s[-1] > np.finfo(float).eps * m * s[0]:
-        p = -v.dot(uf / s)       # full rank: try the Gauss-Newton step
-        if norm(p) <= delta:
-            return p, 0.0
-        phi, phi_prime = phi_and_derivative(0.0)
-        alpha_lower = -phi / phi_prime
-    elif alpha == 0:
-        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
-    for _ in range(10):
-        if alpha < alpha_lower or alpha > alpha_upper:
-            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
-        phi, phi_prime = phi_and_derivative(alpha)
-        if phi < 0:
-            alpha_upper = alpha
-        ratio = phi / phi_prime
-        alpha_lower = max(alpha_lower, alpha - ratio)
-        alpha -= (phi + delta) * ratio / delta
-        if np.abs(phi) < 0.01 * delta:
+    lam = 0.0
+    for _ in range(20):
+        d = s * s + lam
+        q = suf / d
+        q_norm = np.linalg.norm(q)
+        if lam == 0.0 and q_norm <= delta:
+            return -vt.T.dot(q)
+        lam += (q_norm - delta) / delta * q_norm**2 / np.sum(q * q / d)
+        if abs(q_norm - delta) <= 1e-6 * delta:
             break
-    p = -v.dot(suf / (s**2 + alpha))
-    p *= delta / norm(p)
-    return p, alpha
+    q = suf / (s * s + lam)
+    return -vt.T.dot(q * (delta / np.linalg.norm(q)))
 
 
 def _least_squares(fun, x0, jac, max_nfev):
-    """Minimize 0.5 ||fun(x)||^2 from ``x0``, given the Jacobian ``jac``:
-    ``scipy.optimize.least_squares(fun, x0, jac=jac, max_nfev=max_nfev)``,
-    the unbounded trust-region method with an exact solve from one SVD per
-    iterate, linear loss, x_scale 1 and ftol = xtol = gtol = 1e-8.
+    """Minimize 0.5 ||fun(x)||^2 from ``x0`` given the Jacobian ``jac``.
 
-    Returns (x, fun(x), status, nfev), with scipy's status codes (see
-    :class:`FitStart`).  Raises ValueError, as scipy does, when the
-    residuals at ``x0`` or a Jacobian are not finite.
+    The trust radius starts at norm(x0) (1 if 0), falls to a quarter of
+    the step below a reduction ratio of 0.25 and doubles above 0.75 on a
+    step that reaches it.  Returns (x, fun(x), status, nfev) with the
+    codes of :class:`FitStart`; raises ValueError when the residuals at
+    ``x0`` or a Jacobian are not finite.
     """
     norm = np.linalg.norm
-    tol = 1e-8
     x = np.array(x0, dtype=float)
     f = fun(x)
     if not np.all(np.isfinite(f)):
         raise ValueError("residuals are not finite at the start")
-    J = jac(x)
-    # scipy answers a point equal to the last one evaluated from memory
-    x_seen, f_seen = x, f
     nfev = 1
     cost = 0.5 * np.dot(f, f)
-    g = J.T.dot(f)
     delta = norm(x) or 1.0
-    alpha = 0.0
-    status = None
     while True:
-        if norm(g, ord=np.inf) < tol:
-            status = 1
-        if status is not None or nfev == max_nfev:
-            break
+        J = jac(x)
         if not np.all(np.isfinite(J)):
             raise ValueError("the Jacobian is not finite")
+        g = J.T.dot(f)
+        if norm(g, ord=np.inf) < _GTOL:
+            return x, f, 1, nfev
         u, s, vt = np.linalg.svd(J, full_matrices=False)
-        # scipy.linalg.svd returns column-major factors; the same memory
-        # order sums the products below in the same order, to the last bit
-        uf = np.asfortranarray(u).T.dot(f)
-        v = np.ascontiguousarray(vt.T)
-        actual = -1
-        while actual <= 0 and nfev < max_nfev:
-            step, alpha = _trust_region_step(uf, s, v, delta, alpha, len(f))
-            js = J.dot(step)
-            predicted = -(0.5 * np.dot(js, js) + np.dot(step, g))
-            x_new = x + step
-            if not np.array_equal(x_new, x_seen):
-                x_seen, f_seen = x_new, fun(x_new)
-            f_new = f_seen
-            nfev += 1
+        uf = u.T.dot(f)
+        rank = s > np.finfo(float).eps * max(J.shape) * s[0]
+        s, uf, vt = s[rank], uf[rank], vt[rank]
+        status, actual = 0, 0.0
+        while not (status or actual > 0):
+            if nfev == max_nfev:
+                return x, f, 0, nfev
+            step = _trust_region_step(s, uf, vt, delta)
             step_norm = norm(step)
+            f_new = fun(x + step)
+            nfev += 1
             if not np.all(np.isfinite(f_new)):
                 delta = 0.25 * step_norm
                 continue
             cost_new = 0.5 * np.dot(f_new, f_new)
             actual = cost - cost_new
-            if predicted > 0:
-                ratio = actual / predicted
-            elif predicted == actual == 0:
-                ratio = 1
-            else:
-                ratio = 0
-            delta_new = delta
+            js = J.dot(step)
+            predicted = -(0.5 * np.dot(js, js) + np.dot(step, g))
+            ratio = actual / predicted if predicted > 0 else 0.0
             if ratio < 0.25:
-                delta_new = 0.25 * step_norm
+                delta = 0.25 * step_norm
             elif ratio > 0.75 and step_norm > 0.95 * delta:
-                delta_new = delta * 2.0
-            ftol_met = actual < tol * cost and ratio > 0.25
-            xtol_met = step_norm < tol * (tol + norm(x))
-            if ftol_met or xtol_met:
-                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
-                break
-            alpha *= delta / delta_new
-            delta = delta_new
+                delta *= 2.0
+            if actual < _FTOL * cost and ratio > 0.25:
+                status = 2
+            elif step_norm < _XTOL * (_XTOL + norm(x)):
+                status = 3
         if actual > 0:
-            x, f, cost = x_new, f_new, cost_new
-            J = jac(x)
-            g = J.T.dot(f)
-    return x, f, 0 if status is None else status, nfev
+            x, f, cost = x + step, f_new, cost_new
+        if status:
+            return x, f, status, nfev
 
 
 def _fit_ansatz_to_curve(x, target, length, cap):
@@ -328,7 +250,7 @@ def _fit_ansatz_to_curve(x, target, length, cap):
     by its overshoot of ``cap`` so that it starts inside the cap wall.
 
     Linear in (a, b, c, d, A) for fixed exponential rate B; the rate is
-    found by a bounded scalar search.  A start above the cap begins deep
+    found by a golden-section search.  A start above the cap begins deep
     in the wall penalty, which the least squares first clears by switching
     the exponential off, and then stalls.
     """
@@ -337,13 +259,10 @@ def _fit_ansatz_to_curve(x, target, length, cap):
     def solve(bexp):
         m = np.column_stack([basis, np.exp(bexp * x)])
         coef, *_ = np.linalg.lstsq(m, target, rcond=None)
-        resid = float(np.sum((m @ coef - target) ** 2))
-        return coef, resid
+        return coef, float(np.sum((m @ coef - target) ** 2))
 
-    def cost(bexp):
-        return solve(bexp)[1]
-
-    bexp = _bounded_minimum(cost, 0.0, 30.0 / length, xatol=1e-4 / length)
+    bexp = _golden_minimum(lambda b: solve(b)[1], 0.0, 30.0 / length,
+                           xatol=1e-4 / length)
     coef, _ = solve(bexp)
     ansatz = KappaAnsatz(*coef, B=float(bexp), length=float(length))
     ansatz.d -= max(float(np.max(ansatz(x))) - cap, 0.0)

@@ -444,9 +444,10 @@ class Fdtd2D:
                 self._step()
                 for rows, line in copies:
                     rows[k] = line
+            # G steps before F: after step k, F is at k dt, G at (k - 1/2) dt
             t = (self.step_index - spp + 1 + np.arange(spp)) * dt
             ph_f = np.exp(1j * self.omega * t)
-            ph_g = np.exp(1j * self.omega * (t + 0.5 * dt))
+            ph_g = np.exp(1j * self.omega * (t - 0.5 * dt))
             for acc in accumulators:
                 acc.fold(ph_f, ph_g)
 

@@ -178,17 +178,13 @@ def test_11_propagation_oracles(kappa_vs_delta):
     rms = np.sqrt(np.mean((row - oracle) ** 2))
     assert rms < 0.02 * np.sqrt(np.mean(oracle**2))
 
-    # unit-cell solver conserves energy; strongly shifted zones radiate
-    # partly outside the monitor box, so the tight closure is asserted on
-    # the unshifted cell and a loose one on the rest
-    result = kappa_vs_delta[0]
-    total = (result.p_trans + result.p_reflected + result.p_up
-             + result.p_down)
-    assert total == pytest.approx(1.0, abs=0.01)
-    for result in kappa_vs_delta[1:]:
+    # unit-cell solver conserves energy on every zone shift: the cells
+    # close within 7e-4 (up to 0.027 with the in-plane field dated a step
+    # late, which skews the reflected flux where waves meet)
+    for result in kappa_vs_delta:
         total = (result.p_trans + result.p_reflected + result.p_up
                  + result.p_down)
-        assert total == pytest.approx(1.0, abs=0.05)
+        assert total == pytest.approx(1.0, abs=1e-3)
 
 
 def test_12_end_to_end_focus(focused_design):

@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy import optimize
 from scipy.optimize import minimize_scalar
 
 from iongrating import designer, dipole
@@ -232,42 +231,50 @@ def test_fit_jacobian_matches_central_differences(monkeypatch, ion_profile):
 
 # (x_ion, height above surface, kappa_max, alpha): the two poses and caps
 # of ROADMAP item 6 whose starts stopped at the evaluation cap (start 1 of
-# the second still does), an uncapped fit and a lossy one
+# the second still does, and start 0 of the first does again), an
+# uncapped fit and a lossy one
 FIT_ORACLE_GRID = [(26e-6, 60e-6, 0.4e6, 0.0), (28e-6, 40e-6, 0.25e6, 0.0),
                    (28e-6, 50e-6, np.inf, 0.0), (28e-6, 50e-6, 0.6e6, 5e4)]
 
 
-def test_fit_solvers_match_scipy_bit_for_bit(monkeypatch):
-    # scipy.optimize is the oracle: both in-package solvers must give its
-    # numbers exactly, cap-hit starts (status 0) included
-    ports = designer._least_squares, designer._bounded_minimum
-    statuses = set()
+def test_fit_solvers_agree_with_scipy(monkeypatch):
+    # scipy.optimize is the oracle.  No fit ends more than 1e-3 above the
+    # relative L2 of the fit with its least_squares and bounded
+    # minimize_scalar patched in (at most 1.3e-9 above on this grid, and
+    # 0.0086 below on the first pose), and each golden-section rate lies
+    # within xatol of minimize_scalar's on the same cost
+    from scipy.optimize import least_squares, minimize_scalar
 
-    def least_squares(fun, x0, jac, max_nfev):
-        ref = optimize.least_squares(fun, x0, jac=jac, max_nfev=max_nfev)
-        x, f, status, nfev = ports[0](fun, x0, jac, max_nfev)
-        assert np.array_equal(x, ref.x)
-        assert np.array_equal(f, ref.fun)
-        assert (status, nfev) == (ref.status, ref.nfev)
-        statuses.add(status)
-        return x, f, status, nfev
+    def bounded(f, lo, hi, xatol):
+        return minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                               options={"xatol": xatol}).x
 
-    def bounded_minimum(f, lo, hi, xatol):
-        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                              options={"xatol": xatol})
-        best = ports[1](f, lo, hi, xatol)
-        assert best == ref.x
-        return best
+    golden = designer._golden_minimum
 
-    monkeypatch.setattr(designer, "_least_squares", least_squares)
-    monkeypatch.setattr(designer, "_bounded_minimum", bounded_minimum)
+    def checked_golden(f, lo, hi, xatol):
+        rate = golden(f, lo, hi, xatol)
+        assert abs(rate - bounded(f, lo, hi, xatol)) <= xatol
+        return rate
+
+    def scipy_least_squares(fun, x0, jac, max_nfev):
+        res = least_squares(fun, x0, jac=jac, max_nfev=max_nfev)
+        return res.x, res.fun, res.status, res.nfev
+
     for x_ion, height, kappa_max, alpha in FIT_ORACLE_GRID:
         emission = dipole.ion_intensity_profile(
             FOOTPRINT, IonPose(x_ion=x_ion, height_above_surface=height),
             512, n_cladding=STACK.cladding_index)
-        fit_kappa(emission.intensity, emission.x, alpha=alpha,
-                  kappa_max=kappa_max)
-    assert {0, 2, 3} <= statuses
+        reports = []
+        for patches in ({"_golden_minimum": checked_golden},
+                        {"_golden_minimum": bounded,
+                         "_least_squares": scipy_least_squares}):
+            with monkeypatch.context() as m:
+                for name, solver in patches.items():
+                    m.setattr(designer, name, solver)
+                reports.append(fit_kappa(emission.intensity, emission.x,
+                                         alpha=alpha, kappa_max=kappa_max)[1])
+        own, ref = reports
+        assert own.relative_l2 <= ref.relative_l2 + 1e-3
 
 
 # ---------------------------------------------------------------------------

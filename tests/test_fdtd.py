@@ -403,15 +403,16 @@ def test_prescaled_te_step_tracks_the_unscaled_update():
 
 
 def test_coarse_te_cell_keeps_the_unscaled_results():
-    # pinned from the kernel that stepped H unscaled; the run stops at a
-    # flux change of 1e-5 per period, so its results are defined to that
+    # pinned from the kernel that stepped H unscaled, with the in-plane
+    # phasors dated half a step before F; the run stops at a flux change
+    # of 1e-5 per period, so its results are defined to that
     r = fdtd.run_unit_cell(params(pitch=0.32e-6), 4, WAVELENGTH, STACK, "TE",
                            cell_size=2 * CELL)
     kappa, alpha = fdtd.extract_kappa_alpha(r)
     assert r.periods_run == 54
-    assert kappa == pytest.approx(222468.42726661952, rel=1e-5)
-    assert alpha == pytest.approx(277049.1232637531, rel=1e-5)
-    assert r.p_up == pytest.approx(0.2403889003212748, rel=1e-5)
+    assert kappa == pytest.approx(224024.82973623482, rel=1e-5)
+    assert alpha == pytest.approx(285870.7930559028, rel=1e-5)
+    assert r.p_up == pytest.approx(0.24063902588447159, rel=1e-5)
 
 
 def _coarse_sim(pol):
@@ -516,7 +517,8 @@ def test_buffered_monitor_matches_stepwise_accumulation(pol):
         sim._step()
         t = sim.step_index * sim.grid.time_step
         ph_f = np.exp(1j * sim.omega * t)
-        ph_g = np.exp(1j * sim.omega * (t + 0.5 * sim.grid.time_step))
+        # the in-plane field lags F by half a step
+        ph_g = np.exp(1j * sim.omega * (t - 0.5 * sim.grid.time_step))
         for m in stepwise:
             m.accumulate(sim, ph_f, ph_g)
     assert np.array_equal(buffered_sim.F, sim.F)

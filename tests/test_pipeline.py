@@ -112,6 +112,20 @@ def test_manifest_versions_are_the_imported_modules(run_dir):
                                       "scipy": scipy.__version__}
 
 
+def test_pyproject_version_is_the_package_version():
+    # only __version__ reaches the stage keys, and both are bumped by hand;
+    # a regex reads the file, since Python 3.10 has no tomllib
+    import re
+    from pathlib import Path
+    from iongrating import __version__
+    text = (Path(__file__).resolve().parents[1]
+            / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text,
+                        re.M | re.S).group(1)
+    version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.M)
+    assert version and version.group(1) == __version__
+
+
 def test_rerun_is_fully_cached(run_dir):
     out, cfg, _ = run_dir
     before = (out / "manifest.json").read_text()
