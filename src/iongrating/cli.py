@@ -35,7 +35,7 @@ _out_option = click.option("--out", "out_dir", type=click.Path(),
 
 
 def _common(fn):
-    return _config_option(_seed_option(_out_option(fn)))
+    return _config_option(_out_option(fn))
 
 
 def _load(config_path, seed, out_dir):
@@ -82,21 +82,23 @@ def init_config(path):
     click.echo(f"wrote {path}")
 
 
-def _stage_verb(name, stage):
-    @main.command(name)
-    @_common
-    def verb(config_path, seed, out_dir):
+def _stage_verb(stage, seeded=False):
+    """The verb that runs ``stage``; only a verb whose stages draw random
+    numbers takes ``--seed``."""
+    def verb(config_path, out_dir, seed=None):
         cfg = _load(config_path, seed, out_dir)
         manifest = _run_stages(cfg, [stage])
         _echo_stage(manifest, stage)
     verb.__doc__ = f"Run the pipeline through the {stage} stage."
-    return verb
+    if seeded:
+        verb = _seed_option(verb)
+    return main.command(stage)(_common(verb))
 
 
-library = _stage_verb("library", "library")
-design = _stage_verb("design", "design")
-overlap_cmd = _stage_verb("overlap", "overlap")
-detect = _stage_verb("detect", "detect")
+library = _stage_verb("library")
+design = _stage_verb("design")
+overlap_cmd = _stage_verb("overlap")
+detect = _stage_verb("detect", seeded=True)
 
 
 @main.command()
@@ -104,10 +106,10 @@ detect = _stage_verb("detect", "detect")
 @click.option("--dz", type=float, default=None,
               help="Propagate the stored TE ion-plane field by this extra "
               "distance (m) in vacuum.")
-def propagate(config_path, seed, out_dir, dz):
+def propagate(config_path, out_dir, dz):
     """Synthesize the near fields of the teeth and propagate them to the
     ion plane (or the TE ion-plane field further by --dz)."""
-    cfg = _load(config_path, seed, out_dir)
+    cfg = _load(config_path, None, out_dir)
     if dz is not None and not np.isfinite(dz):
         _fail("propagation-error", f"dz must be finite, got {dz:g}")
     if dz is not None and dz <= -cfg.pose.height_above_surface:
@@ -138,7 +140,8 @@ def propagate(config_path, seed, out_dir, dz):
 
 @main.command()
 @_common
-def pipeline_cmd(config_path, seed, out_dir):
+@_seed_option
+def pipeline_cmd(config_path, out_dir, seed):
     """Run every stage and print the report."""
     cfg = _load(config_path, seed, out_dir)
     click.echo(pipeline.report(_run_stages(cfg)))
@@ -148,8 +151,7 @@ main.add_command(pipeline_cmd, "pipeline")
 
 
 @main.command("report")
-@_config_option
-@_out_option
+@_common
 def report_cmd(config_path, out_dir):
     """Render the report for an existing run manifest."""
     cfg = _load(config_path, None, out_dir)

@@ -146,6 +146,26 @@ def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
     return out
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _raster(propagation: dict) -> dict:
+    """``propagation`` with its shape as two ints, each from an integral
+    number; any other shape, or a pixel size that is not positive, raises
+    ValueError naming the key."""
+    shape, pixel_size = propagation["shape"], propagation["pixel_size"]
+    if not (isinstance(shape, (list, tuple)) and len(shape) == 2
+            and all(_is_number(n) and n > 0 and n % 1 == 0
+                    for n in shape)):
+        raise ValueError(f"propagation.shape: expected two positive "
+                         f"integers, got {shape!r}")
+    if not (_is_number(pixel_size) and pixel_size > 0):
+        raise ValueError(f"propagation.pixel_size: expected a positive "
+                         f"number, got {pixel_size!r}")
+    return {**propagation, "shape": [int(n) for n in shape]}
+
+
 def _section(name: str, build, entry: dict):
     """``build(**entry)``, with errors prefixed by the section name."""
     try:
@@ -192,6 +212,7 @@ class PipelineConfig:
             raise ValueError("library.kappa0 must be positive")
         if not self.library["alpha0"] >= 0:
             raise ValueError("library.alpha0 must not be negative")
+        self.propagation = _raster(self.propagation)
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir: expected a string, got "
                              f"{type(self.output_dir).__name__}")

@@ -630,24 +630,29 @@ def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
     return GratingLayout(upper=upper, lower=lower, zone_period=zone_period)
 
 
+# rows that export_layout formats in one call: their vertices are Python
+# ints only a block at a time
+_LAYOUT_BLOCK_ROWS = 4096
+
+
 def export_layout(layout: GratingLayout, path) -> None:
     """Write the layout as a lossless polygon table.
 
     Schema: one line per polygon, ``layer index x0 y0 x1 y1 ...`` with
     vertices in integer nanometers.  Each layer is rounded as one array
-    and formatted in one call.
+    and formatted and written a block of rows at a time.
     """
-    lines = [f"# grating layout, zone_period_nm="
-             f"{round(layout.zone_period * 1e9)}"]
-    for layer_id, polys in (("upper", layout.upper),
-                            ("lower", layout.lower)):
-        n = len(polys)
-        if not n:
-            continue
-        nm = np.rint(polys * 1e9).astype(np.int64).reshape(n, -1)
-        rows = np.column_stack([np.arange(n), nm])
-        row = layer_id + " %d" * rows.shape[1]
-        lines.append("\n".join([row] * n) % tuple(rows.ravel().tolist()))
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-
+        f.write(f"# grating layout, zone_period_nm="
+                f"{round(layout.zone_period * 1e9)}\n")
+        for layer_id, polys in (("upper", layout.upper),
+                                ("lower", layout.lower)):
+            n = len(polys)
+            if not n:
+                continue
+            nm = np.rint(polys * 1e9).astype(np.int64).reshape(n, -1)
+            rows = np.column_stack([np.arange(n), nm])
+            row = layer_id + " %d" * rows.shape[1] + "\n"
+            for start in range(0, n, _LAYOUT_BLOCK_ROWS):
+                block = rows[start:start + _LAYOUT_BLOCK_ROWS]
+                f.write(row * len(block) % tuple(block.ravel().tolist()))

@@ -395,22 +395,32 @@ def _tm_teeth(config, teeth):
 
 
 def _run_propagate(config, path):
-    shape = tuple(config.propagation["shape"])
-    s = config.propagation["pixel_size"]
     teeth = _read_teeth(path["teeth.json"])
     summary = {}
-    for pol, pol_teeth in (("TE", teeth), ("TM", _tm_teeth(config, teeth))):
-        near = propagation.synthesize_near_field(
-            pol_teeth, config.footprint, config.stack, config.wavelength,
-            polarization=pol, shape=shape, pixel_size=s)
-        at_ion = propagation.propagate_to_height(
-            near, config.pose.z_ion, config.pose.cladding_thickness,
-            config.stack.cladding_index).normalize()
-        propagation.save_field(at_ion, path[f"ion_plane_{pol.lower()}.npz"])
-        x, y = _peak_position(at_ion, (config.pose.x_ion, config.pose.y_ion))
+    for pol in ("TE", "TM"):
+        # each polarization's grids are gone before the next one starts
+        x, y = _propagate_polarization(
+            config, pol, teeth if pol == "TE" else _tm_teeth(config, teeth),
+            path[f"ion_plane_{pol.lower()}.npz"])
         summary[f"peak_x_{pol.lower()}"] = x
         summary[f"peak_y_{pol.lower()}"] = y
     return summary
+
+
+def _propagate_polarization(config, pol, teeth, field_path):
+    """Write one polarization's unit-power ion-plane field; returns the
+    (x, y) of its peak nearest the ion."""
+    near = propagation.synthesize_near_field(
+        teeth, config.footprint, config.stack, config.wavelength,
+        polarization=pol, shape=tuple(config.propagation["shape"]),
+        pixel_size=config.propagation["pixel_size"])
+    at_ion = propagation.propagate_to_height(
+        near, config.pose.z_ion, config.pose.cladding_thickness,
+        config.stack.cladding_index)
+    del near  # so that normalize() does not hold three grids
+    at_ion = at_ion.normalize()
+    propagation.save_field(at_ion, field_path)
+    return _peak_position(at_ion, (config.pose.x_ion, config.pose.y_ion))
 
 
 def _peak_position(fieldgrid, ion_xy):

@@ -148,7 +148,8 @@ def _edge_energy_fraction(data: np.ndarray) -> float:
 
 
 def angular_spectrum_propagate(fieldgrid: FieldGrid, dz: float,
-                               medium_index: float = 1.0) -> FieldGrid:
+                               medium_index: float = 1.0,
+                               out: np.ndarray | None = None) -> FieldGrid:
     """Propagate the sampled field by ``dz`` through a uniform medium.
 
     Exact scalar plane-wave decomposition: each spatial frequency advances
@@ -156,19 +157,31 @@ def angular_spectrum_propagate(fieldgrid: FieldGrid, dz: float,
     components are attenuated (never amplified, regardless of the sign of
     ``dz``).  Raises PaddingError when more than 1% of the energy sits
     within two pixels of the grid edge.
+
+    As in numpy, ``out`` is a complex array of the field's shape that
+    receives the result, which then holds it as its ``data``; it may be
+    ``fieldgrid.data`` itself, so that the step allocates no output grid.
+    The result is the same, bit for bit, either way.
     """
     s = fieldgrid.pixel_size
     lam_m = fieldgrid.wavelength / medium_index
     if s > lam_m / 2:
         raise ValueError(f"pixel size {s * 1e9:.0f} nm undersamples the "
                          f"medium wavelength {lam_m * 1e9:.0f} nm")
+    data = fieldgrid.data
+    if out is not None and out.shape != data.shape:
+        raise ValueError(f"out has shape {out.shape}, the field "
+                         f"{data.shape}")
     if dz == 0.0:
-        return replace(fieldgrid, data=fieldgrid.data.copy())
-    if _edge_energy_fraction(fieldgrid.data) > 0.01:
+        if out is None:
+            return replace(fieldgrid, data=data.copy())
+        np.copyto(out, data)
+        return replace(fieldgrid, data=out)
+    if _edge_energy_fraction(data) > 0.01:
         raise PaddingError("more than 1% of the field energy lies within "
                            "2 pixels of the grid edge; pad the grid")
 
-    ny, nx = fieldgrid.data.shape
+    ny, nx = data.shape
     k = 2 * np.pi * medium_index / fieldgrid.wavelength
     kx = 2 * np.pi * np.fft.fftfreq(nx, d=s)
     ky = 2 * np.pi * np.fft.fftfreq(ny, d=s)
@@ -182,7 +195,10 @@ def angular_spectrum_propagate(fieldgrid: FieldGrid, dz: float,
     kz *= -abs(dz)
     np.copyto(transfer, np.exp(kz, out=kz), where=~prop)
     del kz, prop
-    spec = np.fft.fft2(fieldgrid.data)
+    if out is None:
+        out = np.empty_like(data, dtype=np.result_type(data.dtype, 1j))
+    # fftn with out= transforms each axis in out: no axis temporary
+    spec = np.fft.fftn(data, out=out)
     spec *= transfer
     # ifftn over both axes is ifft2, whose out= numpy ignores
     np.fft.ifftn(spec, out=spec)
@@ -193,17 +209,22 @@ def propagate_to_height(fieldgrid: FieldGrid, z_target: float,
                         cladding_thickness: float,
                         n_cladding: float = N_SIO2) -> FieldGrid:
     """Propagate from the grating plane to ``z_target`` above it,
-    traversing the cladding first and vacuum afterwards."""
+    traversing the cladding first and vacuum afterwards.
+
+    Both steps work in one new grid: the input is left as it is, and the
+    vacuum step overwrites the cladding step's result."""
     if z_target < fieldgrid.z:
         raise ValueError("target plane below the current plane")
-    out = fieldgrid
-    in_clad = min(max(cladding_thickness - out.z, 0.0), z_target - out.z)
+    field = fieldgrid
+    in_clad = min(max(cladding_thickness - field.z, 0.0), z_target - field.z)
     if in_clad > 0.0:
-        out = angular_spectrum_propagate(out, in_clad, n_cladding)
-    remaining = z_target - out.z
+        field = angular_spectrum_propagate(field, in_clad, n_cladding)
+    remaining = z_target - field.z
     if remaining > 0.0:
-        out = angular_spectrum_propagate(out, remaining, 1.0)
-    return out
+        field = angular_spectrum_propagate(
+            field, remaining, 1.0,
+            out=None if field is fieldgrid else field.data)
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +283,14 @@ def save_field(fieldgrid: FieldGrid, path) -> None:
             # zip64 lets a member pass 2 GiB (a 16384^2 complex grid)
             with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w",
                               force_zip64=True) as fh:
-                np.lib.format.write_array(fh, array, allow_pickle=False)
+                if array.flags.c_contiguous:
+                    # write_array's bytes, without the copy of the grid
+                    # it buffers through a file object that is not a file
+                    np.lib.format.write_array_header_1_0(
+                        fh, np.lib.format.header_data_from_array_1_0(array))
+                    fh.write(memoryview(array))
+                else:
+                    np.lib.format.write_array(fh, array, allow_pickle=False)
 
 
 def load_field(path) -> FieldGrid:

@@ -604,10 +604,8 @@ def test_export_import_round_trip(tmp_path):
     assert path.read_text() == path2.read_text()
 
 
-def test_export_matches_per_vertex_writer(tmp_path, focused_teeth):
-    # byte-for-byte reference: the table written one vertex at a time
-    layout = emit_layout(focused_teeth, default_zone_period(STACK),
-                         FOOTPRINT, STACK)
+def _per_vertex_table(layout):
+    """Byte-for-byte reference: the table written one vertex at a time."""
     lines = [f"# grating layout, zone_period_nm="
              f"{round(layout.zone_period * 1e9)}"]
     for layer_id, polys in (("upper", layout.upper),
@@ -616,9 +614,27 @@ def test_export_matches_per_vertex_writer(tmp_path, focused_teeth):
             coords = " ".join(f"{round(x * 1e9)} {round(y * 1e9)}"
                               for x, y in poly)
             lines.append(f"{layer_id} {i} {coords}")
+    return "\n".join(lines) + "\n"
+
+
+def test_export_matches_per_vertex_writer(tmp_path, focused_teeth,
+                                          monkeypatch):
+    layout = emit_layout(focused_teeth, default_zone_period(STACK),
+                         FOOTPRINT, STACK)
+    # more rows than one block in each layer
+    assert min(len(layout.upper), len(layout.lower)) > \
+        designer._LAYOUT_BLOCK_ROWS
     path = tmp_path / "layout.txt"
     export_layout(layout, path)
-    assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+    assert path.read_text(encoding="utf-8") == _per_vertex_table(layout)
+    # a block that ends inside each layer, and an empty layer
+    monkeypatch.setattr(designer, "_LAYOUT_BLOCK_ROWS", 7)
+    one_layer = GratingLayout(upper=layout.upper[:30],
+                              lower=np.empty((0, 4, 2)),
+                              zone_period=layout.zone_period)
+    for case in (layout, one_layer):
+        export_layout(case, path)
+        assert path.read_text(encoding="utf-8") == _per_vertex_table(case)
 
 
 def test_export_empty_layout(tmp_path):

@@ -49,6 +49,37 @@ def test_config_validation():
         PipelineConfig.from_dict({"detection": {"trials": 100}})
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"shape": [512.5, 512]},
+     "propagation.shape: expected two positive integers, got [512.5, 512]"),
+    ({"shape": [512]},
+     "propagation.shape: expected two positive integers, got [512]"),
+    ({"shape": [0, 512]},
+     "propagation.shape: expected two positive integers, got [0, 512]"),
+    ({"pixel_size": -1e-7},
+     "propagation.pixel_size: expected a positive number, got -1e-07"),
+], ids=["shape-fraction", "shape-one-int", "shape-zero",
+        "pixel-size-negative"])
+def test_cli_propagation_raster_is_checked_at_load(tmp_path, entry,
+                                                   message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump({"propagation": entry}))
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["propagate", "--config", str(bad),
+                                       "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"config-error: {message}"]
+    assert not out.exists()  # no stage ran
+
+
+def test_propagation_shape_takes_integral_numbers():
+    cfg = load_config(overrides={"propagation": {"shape": [512.0, 512]}})
+    assert cfg.propagation["shape"] == [512, 512]
+    assert all(type(n) is int for n in cfg.propagation["shape"])
+    assert pipeline._config_slices(cfg) == pipeline._config_slices(
+        load_config())
+
+
 def test_override_layering(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"pose": {"x_ion": 30e-6}}))
@@ -1208,12 +1239,31 @@ def test_cli_report_and_ledger(run_dir):
     assert "-47.68" in result.output
 
 
+def test_cold_propagate_makes_four_propagation_steps(tmp_path,
+                                                    monkeypatch):
+    step = propagation.angular_spectrum_propagate
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(args[1])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(propagation, "angular_spectrum_propagate", counted)
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
+    pipeline.run_pipeline(cfg, stages=["propagate"])
+    # the cladding and vacuum steps of TE and TM, each with its distance
+    # as the second positional argument
+    assert len(steps) == 4 and all(dz > 0.0 for dz in steps)
+
+
 def test_cli_report_takes_no_seed(run_dir):
+    # only detect and pipeline run a stage that draws random numbers
     out, _, _ = run_dir
     runner = CliRunner()
-    result = runner.invoke(main, ["report", "--out", str(out),
-                                  "--seed", "1"])
-    assert result.exit_code == 2 and "--seed" in result.output
+    for verb in ("report", "library", "design", "propagate", "overlap"):
+        result = runner.invoke(main, [verb, "--out", str(out),
+                                      "--seed", "1"])
+        assert result.exit_code == 2 and "--seed" in result.output, verb
     result = runner.invoke(main, ["report", "--out", str(out)])
     assert result.exit_code == 0 and "run summary" in result.output
 

@@ -1,5 +1,7 @@
 """Tests for scalar field synthesis, propagation, and field I/O."""
 
+import io
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -150,6 +152,21 @@ def test_in_place_propagation_matches_out_of_place_bit_for_bit(
     assert np.array_equal(g.data.view(np.float64),
                           before.view(np.float64))
     assert not np.shares_memory(out.data, g.data)
+    # into the input's own data: the same bits, and no new grid
+    work = FieldGrid(before, g.pixel_size, x0=g.x0, y0=g.y0)
+    into = angular_spectrum_propagate(work, dz, medium_index, out=before)
+    assert into.data is before and into.z == out.z
+    assert np.array_equal(into.data.view(np.float64),
+                          expected.view(np.float64))
+
+
+def test_propagation_out_array():
+    g = gaussian_field(2e-6, shape=(32, 48))
+    out = np.zeros_like(g.data)
+    same = angular_spectrum_propagate(g, 0.0, out=out)
+    assert same.data is out and np.array_equal(out, g.data)
+    with pytest.raises(ValueError, match="out has shape"):
+        angular_spectrum_propagate(g, 1e-6, out=out.T)
 
 
 def test_undersampled_grid_rejected():
@@ -196,10 +213,26 @@ def test_propagate_to_height_splits_media():
                               n_cladding=1.47)
     manual = angular_spectrum_propagate(
         angular_spectrum_propagate(g, 5e-6, 1.47), 7e-6, 1.0)
-    assert np.allclose(out.data, manual.data)
+    assert np.array_equal(out.data, manual.data)
     assert out.z == pytest.approx(12e-6)
     with pytest.raises(ValueError):
         propagate_to_height(out, 1e-6, 5e-6)
+
+
+def test_propagate_to_height_holds_at_most_three_grids():
+    g = gaussian_field(2e-6, shape=(512, 512))
+    before = g.data.copy()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        out = propagate_to_height(g, 12e-6, cladding_thickness=5e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result's grid, one float and one complex transfer grid: 2.6
+    assert peak - start <= 3 * g.data.nbytes
+    assert np.array_equal(g.data, before)
+    assert not np.shares_memory(out.data, g.data)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +410,22 @@ def test_field_io_rejects_intensity_only_file(tmp_path):
             np.lib.format.write_array(fh, np.asarray(True))
     with pytest.raises(ValueError, match=r"meas\.npz: data is float64"):
         load_field(bad)
+
+
+@pytest.mark.parametrize("transposed", [False, True],
+                         ids=["c-contiguous", "transposed"])
+def test_field_io_data_member_is_write_array_bytes(tmp_path, transposed):
+    data = angular_spectrum_propagate(
+        gaussian_field(1e-6, shape=(48, 64)), 2e-6).data
+    data = data.T if transposed else data
+    assert data.flags.c_contiguous != transposed
+    path = tmp_path / "field.npz"
+    save_field(FieldGrid(data, 0.1e-6), path)
+    expected = io.BytesIO()
+    np.lib.format.write_array(expected, data, allow_pickle=False)
+    with zipfile.ZipFile(path) as archive:
+        assert archive.read("data.npy") == expected.getvalue()
+    assert np.array_equal(load_field(path).data, data)
 
 
 def test_field_io_rewrite_is_byte_identical(tmp_path):
