@@ -3,19 +3,19 @@
 Every verb reads a layered YAML configuration (defaults overridden by
 ``--config``), writes only inside the output directory, and exits nonzero
 on error with a single-line ``error-code: message`` diagnostic on stderr.
+numpy and the stage modules are imported by the verbs that compute, so a
+verb that finds its work done starts without them.
 """
 
 import json
+import math
 import os
 import sys
 
 import click
-import numpy as np
 
-from . import detection, pipeline
+from . import pipeline
 from .config import load_config, write_default_config
-from .propagation import (angular_spectrum_propagate, beam_cross_section,
-                          load_field, save_field)
 
 
 def _fail(code: str, message: str):
@@ -110,13 +110,15 @@ def propagate(config_path, out_dir, dz):
     """Synthesize the near fields of the teeth and propagate them to the
     ion plane (or the TE ion-plane field further by --dz)."""
     cfg = _load(config_path, None, out_dir)
-    if dz is not None and not np.isfinite(dz):
+    if dz is not None and not math.isfinite(dz):
         _fail("propagation-error", f"dz must be finite, got {dz:g}")
     if dz is not None and dz <= -cfg.pose.height_above_surface:
         _fail("propagation-error", f"dz {dz:g} m reaches the chip surface, "
               f"{cfg.pose.height_above_surface:g} m below the ion plane")
     manifest = _run_stages(cfg, ["propagate"])
     if dz is not None:
+        from .propagation import (angular_spectrum_propagate,
+                                  beam_cross_section, load_field, save_field)
         base = os.path.join(cfg.output_dir, "propagate", "ion_plane_te.npz")
         try:
             field = angular_spectrum_propagate(load_field(base), dz)
@@ -174,6 +176,7 @@ def report_cmd(config_path, out_dir):
               default="measured", show_default=True)
 def ledger(which):
     """Print a photon-loss ledger and its total."""
+    from . import detection
     builders = {"measured": detection.measured_loss_ledger,
                 "emission": detection.emission_loss_ledger,
                 "improved": detection.improved_loss_ledger}
@@ -199,6 +202,8 @@ def ledger(which):
               help="Write t,P(ground) CSV here instead of stdout.")
 def rabi(omega0, eta_ld, n_bar, t_max, points, out_path):
     """Tabulate thermally-damped Rabi oscillations."""
+    import numpy as np
+    from . import detection
     try:
         model = detection.RabiModel(omega0=omega0, eta_ld=eta_ld,
                                     n_bar=n_bar)

@@ -4,6 +4,11 @@ A run is described by one YAML file; anything omitted falls back to the
 built-in defaults (the nominal device geometry and detection parameters).
 Every stochastic stage carries an explicit seed so runs are reproducible
 bit for bit.
+
+The dataclasses a configuration holds (the layer stack, the grating
+footprint, the ion pose and the detection parameters) live here, and
+``geometry`` and ``detection`` re-export them, so that loading a
+configuration imports no numpy.
 """
 
 import copy
@@ -12,19 +17,147 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .constants import DESIGN_WAVELENGTH
-from .detection import DetectionConfig
-from .geometry import GratingFootprint, IonPose, Layer, LayerStack, \
-    default_stack
+from . import constants
 
-__all__ = ["PipelineConfig", "default_config_dict", "load_config",
-           "write_default_config"]
+__all__ = ["DetectionConfig", "GratingFootprint", "IonPose", "Layer",
+           "LayerStack", "PipelineConfig", "default_config_dict",
+           "default_stack", "load_config", "write_default_config"]
 
+
+# ---------------------------------------------------------------------------
+# Device geometry
+
+@dataclass(frozen=True)
+class Layer:
+    name: str
+    thickness: float        # m
+    refractive_index: float
+
+    def __post_init__(self):
+        if self.thickness <= 0:
+            raise ValueError(f"layer {self.name!r}: thickness must be > 0")
+        if self.refractive_index < 1:
+            raise ValueError(f"layer {self.name!r}: index must be >= 1")
+
+
+@dataclass(frozen=True)
+class LayerStack:
+    """Vertical cross-section of the chip around the grating.
+
+    ``layers`` are ordered bottom to top and describe the finite inner
+    layers; semi-infinite claddings of index ``cladding_index`` bound the
+    stack on both sides.  ``guiding`` names the layers that form the grating
+    waveguide (the two grating layers plus the spacer between them).
+    """
+    layers: tuple[Layer, ...]
+    cladding_index: float = constants.N_SIO2
+    guiding: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        names = [l.name for l in self.layers]
+        for g in self.guiding:
+            if g not in names:
+                raise ValueError(f"guiding layer {g!r} not in stack")
+
+
+def default_stack() -> LayerStack:
+    """The bilayer silicon nitride grating stack used throughout."""
+    return LayerStack(
+        layers=(
+            Layer("lower_nitride", 100e-9, constants.N_SIN),
+            Layer("spacer_oxide", 90e-9, constants.N_SIO2),
+            Layer("upper_nitride", 100e-9, constants.N_SIN),
+        ),
+        cladding_index=constants.N_SIO2,
+        guiding=("lower_nitride", "spacer_oxide", "upper_nitride"),
+    )
+
+
+@dataclass(frozen=True)
+class GratingFootprint:
+    """Grating aperture: starts at x=0, centered on y=0."""
+    x_extent: float = 30e-6
+    y_extent: float = 30e-6
+
+    def __post_init__(self):
+        if self.x_extent < 0 or self.y_extent < 0:
+            raise ValueError("footprint extents must be >= 0")
+
+    @property
+    def area(self) -> float:
+        return self.x_extent * self.y_extent
+
+
+@dataclass(frozen=True)
+class IonPose:
+    """Emitter position relative to the grating plane.
+
+    The ion sits ``height_above_surface`` of vacuum above the chip surface;
+    ``cladding_thickness`` of oxide separates the surface from the grating.
+    """
+    x_ion: float = 28e-6
+    y_ion: float = 0.0
+    height_above_surface: float = 50e-6
+    cladding_thickness: float = 5e-6
+
+    def __post_init__(self):
+        if self.height_above_surface <= 0:
+            raise ValueError("height_above_surface must be > 0")
+        if self.cladding_thickness < 0:
+            raise ValueError("cladding_thickness must be >= 0")
+
+    @property
+    def z_ion(self) -> float:
+        """Total standoff from the grating plane."""
+        return self.height_above_surface + self.cladding_thickness
+
+
+# ---------------------------------------------------------------------------
+# State detection
+
+@dataclass
+class DetectionConfig:
+    bright_rate: float = 297.0       # counts/s from the bright state
+    dark_rate: float = 8.1           # counts/s background (scatter 4.3,
+    #                                  detector 3.0, other 0.8)
+    window: float = 0.008            # s
+    threshold: int = 1               # counts: bright iff counts >= this
+    bins: int = 10                   # adaptive-readout time bins
+    d_lifetime: float = 0.39         # s, metastable dark-state lifetime
+    shelving_failure: float = 0.005  # probability the shelf pulse fails
+
+    def __post_init__(self):
+        if not (self.bright_rate >= 0 and self.dark_rate >= 0):
+            raise ValueError("count rates must be nonnegative")
+        if not self.window > 0:
+            raise ValueError("detection window must be positive")
+        # a fractional count would sit between two integer thresholds
+        for name in ("threshold", "bins"):
+            value = getattr(self, name)
+            if not (float(value).is_integer() and value >= 1):
+                raise ValueError(f"{name} must be a whole number, at least "
+                                 f"1, got {value!r}")
+        if not 0.0 <= self.shelving_failure <= 1.0:
+            raise ValueError("shelving failure is a probability")
+        if self.d_lifetime <= 0:
+            raise ValueError("dark-state lifetime must be positive")
+
+    @property
+    def poisson_mean(self) -> float:
+        return self.bright_rate * self.window
+
+    @property
+    def signal_to_background(self) -> float:
+        return self.bright_rate / self.dark_rate
+
+
+# ---------------------------------------------------------------------------
+# The run configuration
 
 def default_config_dict() -> dict:
     """Built-in defaults for every stage (nominal device values)."""
     return {
-        "wavelength": DESIGN_WAVELENGTH,
+        "wavelength": constants.DESIGN_WAVELENGTH,
         "stack": None,               # null -> built-in default stack
         "footprint": {"x_extent": 30e-6, "y_extent": 30e-6},
         "pose": {"x_ion": 28e-6, "y_ion": 0.0,

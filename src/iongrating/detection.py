@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# defined with the configuration, which loads no numpy
+from .config import DetectionConfig
+
 __all__ = [
     "DetectionConfig", "LedgerEntry", "LossLedger", "RabiModel",
     "adaptive_timing", "bright_fidelity_analytic", "dark_fidelity_mc",
@@ -102,42 +105,6 @@ def ratio_method(eff_free: float, sigma_free: float,
 
 # ---------------------------------------------------------------------------
 # State detection
-
-@dataclass
-class DetectionConfig:
-    bright_rate: float = 297.0       # counts/s from the bright state
-    dark_rate: float = 8.1           # counts/s background (scatter 4.3,
-    #                                  detector 3.0, other 0.8)
-    window: float = 0.008            # s
-    threshold: int = 1               # counts: bright iff counts >= this
-    bins: int = 10                   # adaptive-readout time bins
-    d_lifetime: float = 0.39         # s, metastable dark-state lifetime
-    shelving_failure: float = 0.005  # probability the shelf pulse fails
-
-    def __post_init__(self):
-        if not (self.bright_rate >= 0 and self.dark_rate >= 0):
-            raise ValueError("count rates must be nonnegative")
-        if not self.window > 0:
-            raise ValueError("detection window must be positive")
-        # a fractional count would sit between two integer thresholds
-        for name in ("threshold", "bins"):
-            value = getattr(self, name)
-            if not (float(value).is_integer() and value >= 1):
-                raise ValueError(f"{name} must be a whole number, at least "
-                                 f"1, got {value!r}")
-        if not 0.0 <= self.shelving_failure <= 1.0:
-            raise ValueError("shelving failure is a probability")
-        if self.d_lifetime <= 0:
-            raise ValueError("dark-state lifetime must be positive")
-
-    @property
-    def poisson_mean(self) -> float:
-        return self.bright_rate * self.window
-
-    @property
-    def signal_to_background(self) -> float:
-        return self.bright_rate / self.dark_rate
-
 
 def bright_fidelity_analytic(config: DetectionConfig) -> float:
     """P(at least ``threshold`` counts) for a bright ion, Poisson model.

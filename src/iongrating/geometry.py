@@ -1,5 +1,8 @@
 """Chip layer stack, grating aperture, emitter pose, and derived geometry.
 
+The stack, aperture and pose dataclasses are defined in ``config``, which
+loads no numpy, and re-exported here.
+
 Provides the refracted ion-to-plane ray: a ray leaves the ion in vacuum,
 bends at the cladding surface and reaches the grating plane at horizontal
 distance rho.
@@ -10,96 +13,11 @@ sees), the solid-angle fraction subtended by the aperture, and the
 designer's diffraction angles and focusing curvature.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import constants
-
-
-@dataclass(frozen=True)
-class Layer:
-    name: str
-    thickness: float        # m
-    refractive_index: float
-
-    def __post_init__(self):
-        if self.thickness <= 0:
-            raise ValueError(f"layer {self.name!r}: thickness must be > 0")
-        if self.refractive_index < 1:
-            raise ValueError(f"layer {self.name!r}: index must be >= 1")
-
-
-@dataclass(frozen=True)
-class LayerStack:
-    """Vertical cross-section of the chip around the grating.
-
-    ``layers`` are ordered bottom to top and describe the finite inner
-    layers; semi-infinite claddings of index ``cladding_index`` bound the
-    stack on both sides.  ``guiding`` names the layers that form the grating
-    waveguide (the two grating layers plus the spacer between them).
-    """
-    layers: tuple[Layer, ...]
-    cladding_index: float = constants.N_SIO2
-    guiding: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        names = [l.name for l in self.layers]
-        for g in self.guiding:
-            if g not in names:
-                raise ValueError(f"guiding layer {g!r} not in stack")
-
-
-def default_stack() -> LayerStack:
-    """The bilayer silicon nitride grating stack used throughout."""
-    return LayerStack(
-        layers=(
-            Layer("lower_nitride", 100e-9, constants.N_SIN),
-            Layer("spacer_oxide", 90e-9, constants.N_SIO2),
-            Layer("upper_nitride", 100e-9, constants.N_SIN),
-        ),
-        cladding_index=constants.N_SIO2,
-        guiding=("lower_nitride", "spacer_oxide", "upper_nitride"),
-    )
-
-
-@dataclass(frozen=True)
-class GratingFootprint:
-    """Grating aperture: starts at x=0, centered on y=0."""
-    x_extent: float = 30e-6
-    y_extent: float = 30e-6
-
-    def __post_init__(self):
-        if self.x_extent < 0 or self.y_extent < 0:
-            raise ValueError("footprint extents must be >= 0")
-
-    @property
-    def area(self) -> float:
-        return self.x_extent * self.y_extent
-
-
-@dataclass(frozen=True)
-class IonPose:
-    """Emitter position relative to the grating plane.
-
-    The ion sits ``height_above_surface`` of vacuum above the chip surface;
-    ``cladding_thickness`` of oxide separates the surface from the grating.
-    """
-    x_ion: float = 28e-6
-    y_ion: float = 0.0
-    height_above_surface: float = 50e-6
-    cladding_thickness: float = 5e-6
-
-    def __post_init__(self):
-        if self.height_above_surface <= 0:
-            raise ValueError("height_above_surface must be > 0")
-        if self.cladding_thickness < 0:
-            raise ValueError("cladding_thickness must be >= 0")
-
-    @property
-    def z_ion(self) -> float:
-        """Total standoff from the grating plane."""
-        return self.height_above_surface + self.cladding_thickness
+from .config import (GratingFootprint, IonPose, Layer, LayerStack,
+                     default_stack)
 
 
 def wavelength_in_medium(wavelength: float, n_medium: float) -> float:

@@ -10,19 +10,20 @@ other files than its stage writes is recomputed) and is rewritten after
 each recomputed stage; ``artifact_stats.json`` beside it lets a rerun
 take an unchanged artifact's checksum from its stat signature, so a
 fully cached run reads no artifact byte and writes no file.
+
+The stage modules, numpy with them, are imported by the code that runs a
+stage, so a run that finds every stage cached, and a report, load none.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import sys
 import warnings
 
-import numpy as np
-import scipy
-
-from . import __version__, designer, detection, dipole, fdtd, \
-    library as liblib, overlap, propagation
+from . import __version__
 from .config import PipelineConfig
 
 __all__ = ["StageError", "STAGES", "analytic_library", "report",
@@ -54,6 +55,19 @@ def _stage_key(name: str, cfg_slice, upstream_keys) -> str:
                        "upstream": upstream_keys, "version": __version__},
                       sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
+
+
+@functools.cache
+def _numpy_scipy_versions() -> dict:
+    """numpy's and scipy's version strings, looked up once: from the
+    modules when numpy is loaded, as it is after any stage has run, else
+    from the installed distributions, which loads no numpy."""
+    if "numpy" in sys.modules:
+        import numpy
+        import scipy
+        return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    from importlib import metadata
+    return {name: metadata.version(name) for name in ("numpy", "scipy")}
 
 
 def _write_json(path, payload) -> None:
@@ -220,12 +234,14 @@ def _config_slices(config: PipelineConfig) -> dict:
 def _cell_size(config: PipelineConfig) -> float:
     """The unit-cell grid spacing every effective index is taken on, TE
     and TM alike."""
+    from . import fdtd
     return fdtd.default_cell_size(config.stack, config.wavelength,
                                   config.library["points_per_wavelength"])
 
 
-def analytic_library(config: PipelineConfig) -> liblib.ParamLibrary:
-    """Design-grade library from the grating equation, no field solver.
+def analytic_library(config: PipelineConfig):
+    """Design-grade ``library.ParamLibrary`` from the grating equation, no
+    field solver.
 
     Pitches come from the duty-averaged local effective index on the
     unit-cell grid of ``library.points_per_wavelength``; the coupling
@@ -233,6 +249,8 @@ def analytic_library(config: PipelineConfig) -> liblib.ParamLibrary:
     kappa(delta) = kappa0 cos^2(pi delta / pitch), which vanishes at the
     half-pitch shift.  Labeled analytic in the provenance.
     """
+    import numpy as np
+    from . import library as liblib
     lib_cfg = config.library
     angles, fracs = liblib.sorted_grids(
         [np.deg2rad(a) for a in lib_cfg["angles_deg"]],
@@ -258,7 +276,9 @@ def analytic_library(config: PipelineConfig) -> liblib.ParamLibrary:
                                provenance={"mode": "analytic"})
 
 
-def _build_library(config: PipelineConfig) -> liblib.ParamLibrary:
+def _build_library(config: PipelineConfig):
+    import numpy as np
+    from . import library as liblib
     mode = config.library["mode"]
     if mode == "analytic":
         return analytic_library(config)
@@ -285,6 +305,8 @@ def _build_library(config: PipelineConfig) -> liblib.ParamLibrary:
 # name -> path), and returns its summary dict.
 
 def _run_emission(config, path):
+    import numpy as np
+    from . import dipole
     emission = dipole.ion_intensity_profile(
         config.footprint, config.pose, 512,
         n_cladding=config.stack.cladding_index)
@@ -299,6 +321,8 @@ def _run_emission(config, path):
 
 
 def _run_library(config, path):
+    import numpy as np
+    from . import library as liblib
     lib = _build_library(config)
     if not lib.complete:
         failed = [e for e in lib.entries.values() if e.error is not None]
@@ -332,6 +356,8 @@ def _run_library(config, path):
 
 
 def _run_design(config, path):
+    import numpy as np
+    from . import designer, library as liblib
     x, profile = np.loadtxt(path["emission_profile.csv"], delimiter=",",
                             unpack=True)
     lib = liblib.load_library(path["library.json"])
@@ -349,7 +375,10 @@ def _run_design(config, path):
     layout = designer.emit_layout(teeth, zone_period, config.footprint,
                                   config.stack, config.wavelength)
     designer.export_layout(layout, path["layout.txt"])
-    _write_json(path["teeth.json"], [dataclasses.asdict(t) for t in teeth])
+    # asdict would copy every curvature pair; json needs only the cell's
+    # parameters as a mapping
+    _write_json(path["teeth.json"],
+                [{**vars(t), "params": vars(t.params)} for t in teeth])
     drained, residual = designer.tooth_power_accounting(teeth)
     return {"n_teeth": len(teeth),
             "n_clamped": sum(bool(t.clamped) for t in teeth),
@@ -366,6 +395,7 @@ def _run_design(config, path):
 
 def _read_teeth(path) -> list:
     """The teeth that ``_run_design`` wrote to ``teeth.json``."""
+    from . import designer, library as liblib
     with open(path) as fh:
         rows = json.load(fh)
     return [designer.ToothSpec(**{
@@ -381,6 +411,8 @@ def _tm_teeth(config, teeth):
     is the source of the TE/TM focal displacement.  Each tooth takes the
     TM index of its own duty cycles.
     """
+    import numpy as np
+    from . import fdtd
     cell = _cell_size(config)
     out = []
     for t in teeth:
@@ -410,17 +442,18 @@ def _run_propagate(config, path):
 def _propagate_polarization(config, pol, teeth, field_path):
     """Write one polarization's unit-power ion-plane field; returns the
     (x, y) of its peak nearest the ion."""
-    near = propagation.synthesize_near_field(
+    from . import propagation
+    field = propagation.synthesize_near_field(
         teeth, config.footprint, config.stack, config.wavelength,
         polarization=pol, shape=tuple(config.propagation["shape"]),
         pixel_size=config.propagation["pixel_size"])
-    at_ion = propagation.propagate_to_height(
-        near, config.pose.z_ion, config.pose.cladding_thickness,
-        config.stack.cladding_index)
-    del near  # so that normalize() does not hold three grids
-    at_ion = at_ion.normalize()
-    propagation.save_field(at_ion, field_path)
-    return _peak_position(at_ion, (config.pose.x_ion, config.pose.y_ion))
+    # the steps overwrite the near field, and its normalized copy replaces
+    # it: the stage holds one field grid outside normalize()
+    field = propagation.propagate_to_height(
+        field, config.pose.z_ion, config.pose.cladding_thickness,
+        config.stack.cladding_index, out=field.data).normalize()
+    propagation.save_field(field, field_path)
+    return _peak_position(field, (config.pose.x_ion, config.pose.y_ion))
 
 
 def _peak_position(fieldgrid, ion_xy):
@@ -429,6 +462,8 @@ def _peak_position(fieldgrid, ion_xy):
     Pixels within a relative 1e-9 of the maximum count as tied, so last-bit
     noise cannot choose the side of a mirror-symmetric field; an exact
     distance tie goes to +y."""
+    import numpy as np
+    from . import propagation
     intensity, i_max, _ = propagation.beam_cross_section(fieldgrid)
     rows, cols = np.nonzero(intensity >= i_max * (1.0 - 1e-9))
     x, y = fieldgrid.x[cols], fieldgrid.y[rows]
@@ -438,6 +473,8 @@ def _peak_position(fieldgrid, ion_xy):
 
 
 def _run_overlap(config, path):
+    import numpy as np
+    from . import overlap, propagation
     te, tm = (propagation.load_field(path[f"ion_plane_{pol}.npz"])
               for pol in ("te", "tm"))
     pose = config.pose
@@ -465,6 +502,7 @@ def _run_overlap(config, path):
 
 
 def _run_detect(config, path):
+    from . import detection
     cfg = config.detection
     trials = config.detection_trials
     bright = detection.bright_fidelity_analytic(cfg)
@@ -551,8 +589,7 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
     artifact_stats = _ArtifactStats(out_dir)
     header = {"config_hash": _stage_key("config", config.raw, {}),
               "versions": {"iongrating": __version__,
-                           "numpy": np.__version__,
-                           "scipy": scipy.__version__}}
+                           **_numpy_scipy_versions()}}
     entries, cached, keys, reasons = {}, [], {}, {}
 
     def write_manifest():

@@ -207,23 +207,27 @@ def angular_spectrum_propagate(fieldgrid: FieldGrid, dz: float,
 
 def propagate_to_height(fieldgrid: FieldGrid, z_target: float,
                         cladding_thickness: float,
-                        n_cladding: float = N_SIO2) -> FieldGrid:
+                        n_cladding: float = N_SIO2,
+                        out: np.ndarray | None = None) -> FieldGrid:
     """Propagate from the grating plane to ``z_target`` above it,
     traversing the cladding first and vacuum afterwards.
 
-    Both steps work in one new grid: the input is left as it is, and the
-    vacuum step overwrites the cladding step's result."""
+    Both steps work in one grid, and the vacuum step overwrites the
+    cladding step's result.  That grid is ``out`` when given, as in
+    :func:`angular_spectrum_propagate`: it may be ``fieldgrid.data``
+    itself, so that the steps allocate no field grid.  Otherwise it is a
+    new one, and the input is left as it is."""
     if z_target < fieldgrid.z:
         raise ValueError("target plane below the current plane")
     field = fieldgrid
     in_clad = min(max(cladding_thickness - field.z, 0.0), z_target - field.z)
     if in_clad > 0.0:
-        field = angular_spectrum_propagate(field, in_clad, n_cladding)
+        field = angular_spectrum_propagate(field, in_clad, n_cladding,
+                                           out=out)
+        out = field.data
     remaining = z_target - field.z
     if remaining > 0.0:
-        field = angular_spectrum_propagate(
-            field, remaining, 1.0,
-            out=None if field is fieldgrid else field.data)
+        field = angular_spectrum_propagate(field, remaining, 1.0, out=out)
     return field
 
 

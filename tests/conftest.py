@@ -1,5 +1,5 @@
 """Shared fixtures: a footprint-spanning focused design field, and a
-probe of the scipy subpackages a fresh interpreter loads."""
+probe of the heavy modules a fresh interpreter loads."""
 
 import json
 import os
@@ -16,17 +16,17 @@ from iongrating.geometry import GratingFootprint, IonPose, default_stack
 from iongrating.library import UnitCellParams, pitch_for_angle
 
 WAVELENGTH = 422e-9
-HEAVY_SCIPY = ("optimize", "linalg", "special", "stats", "integrate")
+HEAVY = ("numpy", "scipy.optimize", "scipy.linalg", "scipy.special",
+         "scipy.stats", "scipy.integrate")
 
 
-def _heavy_scipy_after(code: str) -> list:
-    """The subpackages of ``HEAVY_SCIPY`` that a fresh interpreter holds
-    after running ``code`` against this tree's ``src``."""
+def _heavy_after(code: str) -> list:
+    """The modules of ``HEAVY`` that a fresh interpreter holds after
+    running ``code`` against this tree's ``src``, sorted."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
     probe = (f"{code}\nimport json, sys\nprint(json.dumps(sorted("
-             f"m[6:] for m in sys.modules if m[6:] in {HEAVY_SCIPY!r} "
-             f"and m.startswith('scipy.'))))")
+             f"m for m in {HEAVY!r} if m in sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", probe], check=True,
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
@@ -34,10 +34,10 @@ def _heavy_scipy_after(code: str) -> list:
 
 
 @pytest.fixture(scope="session")
-def heavy_scipy_after():
-    """``_heavy_scipy_after``: every CLI verb pays its imports at start-up,
-    so the tests pin which code loads which scipy subpackage."""
-    return _heavy_scipy_after
+def heavy_after():
+    """``_heavy_after``: every CLI verb pays its imports at start-up, so
+    the tests pin which code loads numpy and which scipy subpackage."""
+    return _heavy_after
 
 
 @pytest.fixture(scope="session")

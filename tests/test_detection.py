@@ -188,12 +188,12 @@ def test_bright_fidelity_edge_cases(rate, threshold, expected):
         pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
-def test_cli_import_loads_only_scipy_core(heavy_scipy_after):
+def test_cli_import_loads_only_scipy_core(heavy_after):
     # scipy.stats costs a third of the start-up of every CLI verb, and
     # scipy.integrate is needed only by a reference integral; the
     # optimize, linalg and special imports wait for the code that calls
-    # them
-    assert heavy_scipy_after("import iongrating.cli") == []
+    # them, and numpy for a verb that computes
+    assert heavy_after("import iongrating.cli") == []
 
 
 def test_dark_fidelity_default():

@@ -143,6 +143,32 @@ def test_manifest_versions_are_the_imported_modules(run_dir):
                                       "scipy": scipy.__version__}
 
 
+@pytest.mark.parametrize("preload", ["", "import numpy"],
+                         ids=["without-numpy", "with-numpy"])
+def test_manifest_versions_in_a_fresh_process(run_dir, tmp_path,
+                                              heavy_after, preload):
+    # a warm run that holds no numpy reads the versions of the installed
+    # distributions; one that does reads its modules, and then loads no
+    # importlib.metadata
+    import scipy
+    from iongrating import __version__
+    out, cfg, _ = run_dir
+    pipeline.run_pipeline(cfg)
+    dump = tmp_path / "versions.json"
+    overrides = {**FAST, "output_dir": str(out)}
+    code = (f"{preload}\nimport json, sys\n"
+            "from iongrating import config, pipeline\n"
+            "m = pipeline.run_pipeline(config.load_config(overrides="
+            f"{overrides!r}))\n"
+            f"open({str(dump)!r}, 'w').write(json.dumps(m['versions']))\n"
+            "assert 'numpy' not in sys.modules "
+            "or 'importlib.metadata' not in sys.modules")
+    assert heavy_after(code) == (["numpy"] if preload else [])
+    assert json.loads(dump.read_text()) == {"iongrating": __version__,
+                                            "numpy": np.__version__,
+                                            "scipy": scipy.__version__}
+
+
 def test_pyproject_version_is_the_package_version():
     # only __version__ reaches the stage keys, and both are bumped by hand;
     # a regex reads the file, since Python 3.10 has no tomllib
@@ -1623,9 +1649,10 @@ def test_cli_rabi_nonfinite_parameter_is_an_error(option, value):
 
 
 def test_warm_cli_run_loads_only_scipy_core(run_dir, tmp_path,
-                                             heavy_scipy_after):
+                                             heavy_after):
     # a warm pipeline and its report compute nothing, so they import no
-    # solver: that is most of a warm CLI run's start-up
+    # stage module and no numpy: that was most of a warm CLI run's
+    # start-up
     out, cfg, _ = run_dir
     # undo any other test's stage keys, so every stage below is a hit
     pipeline.run_pipeline(cfg)
@@ -1635,26 +1662,33 @@ def test_warm_cli_run_loads_only_scipy_core(run_dir, tmp_path,
             "for verb in ('pipeline', 'report'):\n"
             f"    main([verb, '--config', {str(cfg_path)!r}], "
             "standalone_mode=False)")
-    assert heavy_scipy_after(code) == []
+    assert heavy_after(code) == []
 
 
-def test_cold_default_run_loads_no_heavy_scipy(tmp_path, heavy_scipy_after):
+def test_cold_default_run_loads_no_heavy_scipy(tmp_path, heavy_after):
     # the design fit solves in-package, the emission quadrature is a
     # shipped table and the Poisson tail is summed in math, so a cold
     # default run loads none of the heavy subpackages
     code = ("from iongrating import config, pipeline\n"
             "pipeline.run_pipeline(config.load_config(overrides="
             f"{{'output_dir': {str(tmp_path)!r}}}))")
-    assert heavy_scipy_after(code) == []
+    assert heavy_after(code) == ["numpy"]
+
+
+@pytest.mark.parametrize("module", ["config", "pipeline"])
+def test_import_loads_no_numpy(heavy_after, module):
+    # numpy alone is most of a fresh interpreter's import time; the stage
+    # modules load it when a stage runs
+    assert heavy_after(f"import iongrating.{module}") == []
 
 
 @pytest.mark.parametrize("verb", ["design", "detect"])
 def test_cold_design_and_detect_verbs_load_no_heavy_scipy(
-        tmp_path, heavy_scipy_after, verb):
+        tmp_path, heavy_after, verb):
     code = ("from iongrating.cli import main\n"
             f"main([{verb!r}, '--out', {str(tmp_path)!r}], "
             "standalone_mode=False)")
-    assert heavy_scipy_after(code) == []
+    assert heavy_after(code) == ["numpy"]
     assert (tmp_path / "manifest.json").exists()
 
 

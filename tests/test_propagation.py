@@ -233,6 +233,19 @@ def test_propagate_to_height_holds_at_most_three_grids():
     assert peak - start <= 3 * g.data.nbytes
     assert np.array_equal(g.data, before)
     assert not np.shares_memory(out.data, g.data)
+    # into the input's own data: the same bits, without the result's grid
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        into = propagate_to_height(g, 12e-6, cladding_thickness=5e-6,
+                                   out=g.data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2 * g.data.nbytes
+    assert into.data is g.data and into.z == out.z
+    assert np.array_equal(into.data.view(np.float64),
+                          out.data.view(np.float64))
 
 
 # ---------------------------------------------------------------------------
