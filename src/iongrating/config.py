@@ -15,8 +15,6 @@ import copy
 import math
 from dataclasses import dataclass, field
 
-import yaml
-
 from . import constants
 
 __all__ = ["DetectionConfig", "GratingFootprint", "IonPose", "Layer",
@@ -376,6 +374,8 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     """Defaults, overlaid by the YAML file at ``path``, then ``overrides``."""
     data = {}
     if path is not None:
+        # yaml is imported only where a file is read or written
+        import yaml
         with open(path) as fh:
             try:
                 loaded = yaml.safe_load(fh)
@@ -394,6 +394,7 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
 
 def write_default_config(path) -> None:
     """Emit the annotated default configuration as a YAML template."""
+    import yaml
     defaults = default_config_dict()
     with open(path, "w") as fh:
         fh.write("# pipeline configuration (all values are defaults)\n")

@@ -290,7 +290,10 @@ def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf):
     k_ideal = ideal_kappa(i_target, x, alpha, kappa_cap=cap)
     start = _fit_ansatz_to_curve(x, k_ideal, length, cap)
 
-    k_scale = max(float(np.median(k_ideal)), 1.0)
+    # the median as np.median takes it, the mean of the middle one or two
+    # values, from a sort: np.median would import numpy.ma
+    k_sorted, n = np.sort(k_ideal), len(k_ideal)
+    k_scale = max(float(np.mean(k_sorted[(n - 1) // 2:n // 2 + 1])), 1.0)
     scale = np.array([length**-3, length**-2, length**-1, 1.0,
                       1.0, np.nan]) * k_scale
     scale[5] = 1.0 / length
@@ -630,8 +633,8 @@ def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
     return GratingLayout(upper=upper, lower=lower, zone_period=zone_period)
 
 
-# rows that export_layout formats in one call: their vertices are Python
-# ints only a block at a time
+# polygons that export_layout rounds and formats in one call: their
+# vertices are integer arrays and Python ints only a block at a time
 _LAYOUT_BLOCK_ROWS = 4096
 
 
@@ -639,20 +642,18 @@ def export_layout(layout: GratingLayout, path) -> None:
     """Write the layout as a lossless polygon table.
 
     Schema: one line per polygon, ``layer index x0 y0 x1 y1 ...`` with
-    vertices in integer nanometers.  Each layer is rounded as one array
-    and formatted and written a block of rows at a time.
+    vertices in integer nanometers.  Each layer is rounded, formatted and
+    written a block of polygons at a time.
     """
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"# grating layout, zone_period_nm="
                 f"{round(layout.zone_period * 1e9)}\n")
         for layer_id, polys in (("upper", layout.upper),
                                 ("lower", layout.lower)):
-            n = len(polys)
-            if not n:
-                continue
-            nm = np.rint(polys * 1e9).astype(np.int64).reshape(n, -1)
-            rows = np.column_stack([np.arange(n), nm])
-            row = layer_id + " %d" * rows.shape[1] + "\n"
-            for start in range(0, n, _LAYOUT_BLOCK_ROWS):
-                block = rows[start:start + _LAYOUT_BLOCK_ROWS]
+            for start in range(0, len(polys), _LAYOUT_BLOCK_ROWS):
+                nm = np.rint(polys[start:start + _LAYOUT_BLOCK_ROWS] * 1e9)
+                block = np.column_stack([
+                    np.arange(start, start + len(nm)),
+                    nm.astype(np.int64).reshape(len(nm), -1)])
+                row = layer_id + " %d" * block.shape[1] + "\n"
                 f.write(row * len(block) % tuple(block.ravel().tolist()))

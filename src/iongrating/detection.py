@@ -130,11 +130,13 @@ def _dark_counts(config: DetectionConfig, trials: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Counts collected from a nominally dark (shelved) ion."""
     shelf_failed = rng.random(trials) < config.shelving_failure
-    t_decay = rng.exponential(config.d_lifetime, trials)
-    bright_time = np.clip(config.window - t_decay, 0.0, None)
-    bright_time[shelf_failed] = config.window
+    # one buffer holds the decay time, the bright time, then its mean count
+    t = rng.exponential(config.d_lifetime, trials)
+    np.clip(np.subtract(config.window, t, out=t), 0.0, None, out=t)
+    t[shelf_failed] = config.window
+    del shelf_failed
     counts = rng.poisson(config.dark_rate * config.window, trials)
-    counts += rng.poisson(config.bright_rate * bright_time)
+    counts += rng.poisson(np.multiply(config.bright_rate, t, out=t))
     return counts
 
 

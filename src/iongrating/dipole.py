@@ -61,10 +61,9 @@ def ion_intensity_profile(footprint: GratingFootprint, pose: IonPose,
     gy, wy = np.load(GAUSS_LEGENDRE_256)
     hy = footprint.y_extent / 2
     ys = hy * gy
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-
-    theta, dens = refracted_ray(np.hypot(X - pose.x_ion, Y - pose.y_ion),
-                                pose.height_above_surface,
+    # (x, y) distances broadcast from the two axes, without a mesh
+    rho = np.hypot((xs - pose.x_ion)[:, None], (ys - pose.y_ion)[None, :])
+    theta, dens = refracted_ray(rho, pose.height_above_surface,
                                 pose.cladding_thickness, n_cladding)
     w = hy * wy
     profile = dens @ w

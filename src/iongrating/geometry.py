@@ -31,23 +31,39 @@ def wavelength_in_medium(wavelength: float, n_medium: float) -> float:
 # Solid angle through the refracting cladding
 
 def _horizontal_reach(theta, height: float, cladding_thickness: float,
-                      n_clad: float):
+                      n_clad: float, out=None):
     """Horizontal run of a ray leaving a point ``height`` above the
     cladding/vacuum interface at vacuum polar angle ``theta``, down through
     ``cladding_thickness`` of cladding to the grating plane (Snell at the
-    interface).  Vectorized over ``theta``."""
-    s = np.sin(theta) / n_clad
-    return (height * np.tan(theta)
-            + cladding_thickness * s / np.sqrt(1.0 - s * s))
+    interface).  Vectorized over ``theta``; as in numpy, ``out`` receives
+    the result, and one more array of theta's shape is scratch."""
+    s = np.sin(theta, out=out)
+    s /= n_clad
+    root = np.multiply(s, s, out=np.empty_like(theta))
+    np.sqrt(np.subtract(1.0, root, out=root), out=root)
+    s *= cladding_thickness
+    s /= root
+    tan = np.tan(theta, out=root)
+    tan *= height
+    s += tan
+    return s
 
 
 def _reach_slope(theta, height: float, cladding_thickness: float,
-                 n_clad: float):
-    """Derivative of :func:`_horizontal_reach` with respect to theta."""
-    s = np.sin(theta) / n_clad
-    return (height / np.cos(theta) ** 2
-            + cladding_thickness * (np.cos(theta) / n_clad)
-            / (1.0 - s * s) ** 1.5)
+                 n_clad: float, out=None):
+    """Derivative of :func:`_horizontal_reach` with respect to theta, with
+    ``out`` and one scratch array as there."""
+    q = np.sin(theta, out=np.empty_like(theta))
+    q /= n_clad
+    np.multiply(q, q, out=q)
+    np.power(np.subtract(1.0, q, out=q), 1.5, out=q)
+    slope = np.cos(theta, out=out)
+    slope /= n_clad
+    slope *= cladding_thickness
+    slope /= q
+    cos2 = np.square(np.cos(theta, out=q), out=q)
+    slope += np.divide(height, cos2, out=cos2)
+    return slope
 
 
 def ray_vacuum_angle(rho, height: float, cladding_thickness: float,
@@ -59,26 +75,33 @@ def ray_vacuum_angle(rho, height: float, cladding_thickness: float,
     Newton's method starts at the paraxial angle and converges
     quadratically, and a step leaving the shrinking bracket falls back to
     bisection.  Iterates until the largest step, Newton or bisection, is
-    below 1e-15 rad.
+    below 1e-15 rad.  The iteration holds six arrays of rho's shape, rho
+    among them, and one scratch array at a time.
     """
     rho = np.asarray(rho, dtype=float)
     z_eff = height + cladding_thickness / n_clad
-    theta = np.arctan(rho / z_eff)
+    theta = np.empty_like(rho)
+    np.arctan(np.divide(rho, z_eff, out=theta), out=theta)
     lo, hi = np.zeros_like(theta), np.full_like(theta, np.pi / 2)
+    f, slope = np.empty_like(theta), np.empty_like(theta)
     for _ in range(100):
-        f = _horizontal_reach(theta, height, cladding_thickness, n_clad) - rho
-        slope = _reach_slope(theta, height, cladding_thickness, n_clad)
-        lo = np.where(f < 0.0, theta, lo)
-        hi = np.where(f > 0.0, theta, hi)
-        nxt = theta - f / slope
+        _horizontal_reach(theta, height, cladding_thickness, n_clad, f)
+        f -= rho
+        _reach_slope(theta, height, cladding_thickness, n_clad, slope)
+        np.copyto(lo, theta, where=f < 0.0)
+        np.copyto(hi, theta, where=f > 0.0)
+        # the Newton step overwrites f
+        nxt = np.subtract(theta, np.divide(f, slope, out=f), out=f)
         outside = (nxt < lo) | (nxt > hi)
         if outside.any():
             # once the bracket is an ulp wide, Newton leaves it and the
             # bisection step is the one that must meet the tolerance
-            nxt = np.where(outside, 0.5 * (lo + hi), nxt)
-        if np.max(np.abs(nxt - theta)) <= 1e-15:
+            mid = np.multiply(np.add(lo, hi, out=slope), 0.5, out=slope)
+            np.copyto(nxt, mid, where=outside)
+        step = np.abs(np.subtract(nxt, theta, out=slope), out=slope)
+        if np.max(step) <= 1e-15:
             return nxt
-        theta = nxt
+        theta, f = nxt, theta
     return theta
 
 
@@ -95,8 +118,9 @@ def refracted_ray(rho, height: float, cladding_thickness: float,
     rho = np.asarray(rho, dtype=float)
     theta = ray_vacuum_angle(rho, height, cladding_thickness, n_clad)
     slope = _reach_slope(theta, height, cladding_thickness, n_clad)
+    slope *= rho
     z_eff = height + cladding_thickness / n_clad
-    weight = np.divide(np.sin(theta), rho * slope,
+    weight = np.divide(np.sin(theta), slope,
                        out=np.full_like(rho, 1.0 / z_eff**2), where=rho > 0)
     return theta, weight
 

@@ -288,12 +288,6 @@ class ParamLibrary:
         t = (angle - a[i]) / (a[i + 1] - a[i])
         return i, i + 1, float(np.clip(t, 0.0, 1.0))
 
-    def _interp_column(self, angle: float, j: int):
-        i0, i1, t = self._angle_weights(angle)
-        e0, e1 = self.entries[(i0, j)], self.entries[(i1, j)]
-        return (_lerp(e0.kappa, e1.kappa, t), _lerp(e0.alpha, e1.alpha, t),
-                _blend_params(e0.params, e1.params, t))
-
 
 @dataclass
 class InterpolationResult:
@@ -315,12 +309,22 @@ def interpolate(library: ParamLibrary, angle: float,
         raise ValueError("kappa_target must be nonnegative")
     if not library.complete:
         raise LibraryError("library has failed entries; rebuild first")
-    cols = [library._interp_column(angle, j)
-            for j in range(len(library.delta_fracs))]
-    kappas = np.array([c[0] for c in cols])
+    # the angle's weights once; every delta column's kappa, and the
+    # alpha and geometry of only the one or two columns returned
+    i0, i1, t = library._angle_weights(angle)
+    pairs = [(library.entries[(i0, j)], library.entries[(i1, j)])
+             for j in range(len(library.delta_fracs))]
+    kappa_cols = [_lerp(e0.kappa, e1.kappa, t) for e0, e1 in pairs]
+    kappas = np.array(kappa_cols)
+
+    def column(j):
+        e0, e1 = pairs[j]
+        return (_lerp(e0.alpha, e1.alpha, t),
+                _blend_params(e0.params, e1.params, t))
+
     if kappa_target >= kappas[0]:
-        kappa, alpha, params = cols[0]
-        return InterpolationResult(params, kappa, alpha,
+        alpha, params = column(0)
+        return InterpolationResult(params, kappa_cols[0], alpha,
                                    clamped=bool(kappa_target > kappas[0]))
     # kappa decreases with delta; find the bracketing delta interval
     j = int(np.searchsorted(-kappas, -kappa_target, side="left"))
@@ -328,8 +332,8 @@ def interpolate(library: ParamLibrary, angle: float,
     k_hi, k_lo = kappas[j - 1], kappas[j]
     s = 0.0 if k_hi == k_lo else (k_hi - kappa_target) / (k_hi - k_lo)
     s = float(np.clip(s, 0.0, 1.0))
-    _, a_hi, p_hi = cols[j - 1]
-    _, a_lo, p_lo = cols[j]
+    a_hi, p_hi = column(j - 1)
+    a_lo, p_lo = column(j)
     return InterpolationResult(_blend_params(p_hi, p_lo, s),
                                float(_lerp(k_hi, k_lo, s)),
                                float(_lerp(a_hi, a_lo, s)), clamped=False)

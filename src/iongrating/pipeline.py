@@ -70,13 +70,18 @@ def _numpy_scipy_versions() -> dict:
     return {name: metadata.version(name) for name in ("numpy", "scipy")}
 
 
-def _write_json(path, payload) -> None:
+def _write_json(path, payload, indent=2) -> None:
     """Write through a temporary file and rename, so an interrupted write
-    never leaves a truncated file behind."""
+    never leaves a truncated file behind.
+
+    The text is made in one ``json.dumps`` call: ``json.dump`` writes it a
+    token at a time, and only ``dumps`` without an indent runs the C
+    encoder."""
+    text = json.dumps(payload, indent=indent, sort_keys=True, default=float)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+            fh.write(text)
             fh.write("\n")
         os.replace(tmp, path)
     finally:
@@ -376,9 +381,10 @@ def _run_design(config, path):
                                   config.stack, config.wavelength)
     designer.export_layout(layout, path["layout.txt"])
     # asdict would copy every curvature pair; json needs only the cell's
-    # parameters as a mapping
+    # parameters as a mapping.  Written compact, through the C encoder
     _write_json(path["teeth.json"],
-                [{**vars(t), "params": vars(t.params)} for t in teeth])
+                [{**vars(t), "params": vars(t.params)} for t in teeth],
+                indent=None)
     drained, residual = designer.tooth_power_accounting(teeth)
     return {"n_teeth": len(teeth),
             "n_clamped": sum(bool(t.clamped) for t in teeth),
@@ -447,11 +453,12 @@ def _propagate_polarization(config, pol, teeth, field_path):
         teeth, config.footprint, config.stack, config.wavelength,
         polarization=pol, shape=tuple(config.propagation["shape"]),
         pixel_size=config.propagation["pixel_size"])
-    # the steps overwrite the near field, and its normalized copy replaces
-    # it: the stage holds one field grid outside normalize()
+    # the steps, then the normalization, overwrite the near field: the
+    # stage holds one field grid
     field = propagation.propagate_to_height(
         field, config.pose.z_ion, config.pose.cladding_thickness,
-        config.stack.cladding_index, out=field.data).normalize()
+        config.stack.cladding_index, out=field.data)
+    field = field.normalize(out=field.data)
     propagation.save_field(field, field_path)
     return _peak_position(field, (config.pose.x_ion, config.pose.y_ion))
 

@@ -61,14 +61,20 @@ class FieldGrid:
         return self.y0 + self.pixel_size * np.arange(self.data.shape[0])
 
     def power(self) -> float:
-        return float(np.sum(np.abs(self.data) ** 2) * self.pixel_size**2)
+        intensity = np.abs(self.data)
+        return float(np.sum(np.square(intensity, out=intensity))
+                     * self.pixel_size**2)
 
-    def normalize(self) -> "FieldGrid":
-        """Scaled copy with unit power (sum |E|^2 s^2 = 1)."""
+    def normalize(self, out: np.ndarray | None = None) -> "FieldGrid":
+        """Copy scaled to unit power (sum |E|^2 s^2 = 1).
+
+        As in numpy, ``out`` receives the scaled samples, and may be
+        ``data`` itself, so that the field is scaled in its own grid."""
         p = self.power()
         if p <= 0.0:
             raise ValueError("cannot normalize an all-zero field")
-        return replace(self, data=self.data / np.sqrt(p), normalized=True)
+        return replace(self, data=np.divide(self.data, np.sqrt(p), out=out),
+                       normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +137,7 @@ def synthesize_near_field(teeth, footprint, stack,
 
     result = FieldGrid(grid, pixel_size, z=0.0, polarization=polarization,
                        x0=x0, y0=y0, wavelength=wavelength)
-    return result.normalize()
+    return result.normalize(out=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +145,8 @@ def synthesize_near_field(teeth, footprint, stack,
 
 def _edge_energy_fraction(data: np.ndarray) -> float:
     """Share of the energy within two pixels of the grid edge."""
-    p = np.abs(data) ** 2
-    total = p.sum()
+    p = np.abs(data)
+    total = np.square(p, out=p).sum()
     if total == 0.0:
         return 0.0
     interior = p[2:-2, 2:-2].sum()
@@ -183,10 +189,15 @@ def angular_spectrum_propagate(fieldgrid: FieldGrid, dz: float,
 
     ny, nx = data.shape
     k = 2 * np.pi * medium_index / fieldgrid.wavelength
-    kx = 2 * np.pi * np.fft.fftfreq(nx, d=s)
-    ky = 2 * np.pi * np.fft.fftfreq(ny, d=s)
+    # fftfreq is antisymmetric, so kz^2 = k^2 - kx^2 - ky^2 takes one value
+    # per distinct (ky^2, kx^2): a quarter of the grid's, which the
+    # transfer is evaluated on and read from through the inverse indices
+    kx2, col = np.unique((2 * np.pi * np.fft.fftfreq(nx, d=s)) ** 2,
+                         return_inverse=True)
+    ky2, row_of = np.unique((2 * np.pi * np.fft.fftfreq(ny, d=s)) ** 2,
+                            return_inverse=True)
     # in place: one float grid holds kz^2, kz, then the evanescent decay
-    kz = k**2 - kx[None, :] ** 2 - ky[:, None] ** 2
+    kz = k**2 - kx2[None, :] - ky2[:, None]
     prop = kz >= 0.0
     np.sqrt(np.abs(kz, out=kz), out=kz)
     transfer = 1j * kz
@@ -199,7 +210,9 @@ def angular_spectrum_propagate(fieldgrid: FieldGrid, dz: float,
         out = np.empty_like(data, dtype=np.result_type(data.dtype, 1j))
     # fftn with out= transforms each axis in out: no axis temporary
     spec = np.fft.fftn(data, out=out)
-    spec *= transfer
+    row = np.empty(nx, dtype=transfer.dtype)
+    for j, r in enumerate(row_of):
+        spec[j] *= np.take(transfer[r], col, out=row)
     # ifftn over both axes is ifft2, whose out= numpy ignores
     np.fft.ifftn(spec, out=spec)
     return replace(fieldgrid, data=spec, z=fieldgrid.z + dz)
@@ -240,11 +253,12 @@ def beam_cross_section(fieldgrid: FieldGrid):
     Returns ``(intensity, i_max, (row, col))`` where the intensity grid
     satisfies sum(I) * s^2 = 1 and ``i_max`` is the brightest pixel value.
     """
-    intensity = np.abs(fieldgrid.data) ** 2
+    intensity = np.abs(fieldgrid.data)
+    np.square(intensity, out=intensity)
     total = intensity.sum() * fieldgrid.pixel_size**2
     if total <= 0.0:
         raise ValueError("zero field has no cross section")
-    intensity = intensity / total
+    intensity /= total
     idx = np.unravel_index(np.argmax(intensity), intensity.shape)
     return intensity, float(intensity[idx]), (int(idx[0]), int(idx[1]))
 

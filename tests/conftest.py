@@ -16,8 +16,8 @@ from iongrating.geometry import GratingFootprint, IonPose, default_stack
 from iongrating.library import UnitCellParams, pitch_for_angle
 
 WAVELENGTH = 422e-9
-HEAVY = ("numpy", "scipy.optimize", "scipy.linalg", "scipy.special",
-         "scipy.stats", "scipy.integrate")
+HEAVY = ("numpy", "numpy.ma", "scipy.optimize", "scipy.linalg",
+         "scipy.special", "scipy.stats", "scipy.integrate", "yaml")
 
 
 def _heavy_after(code: str) -> list:

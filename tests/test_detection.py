@@ -2,6 +2,7 @@
 
 import csv
 import decimal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,43 @@ def test_dark_fidelity_monotone():
     p2, _ = dark_fidelity_mc(DetectionConfig(window=0.03),
                              trials=2 * 10**5, seed=3)
     assert p1 < p0 and p2 < p0
+
+
+def _dark_counts_reference(config, trials, rng):
+    """The dark counts drawn with a fresh array per step: the oracle of
+    the buffer-reusing draw."""
+    shelf_failed = rng.random(trials) < config.shelving_failure
+    t_decay = rng.exponential(config.d_lifetime, trials)
+    bright_time = np.clip(config.window - t_decay, 0.0, None)
+    bright_time[shelf_failed] = config.window
+    counts = rng.poisson(config.dark_rate * config.window, trials)
+    counts += rng.poisson(config.bright_rate * bright_time)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [1, 9])
+def test_dark_counts_match_fresh_array_draw(seed):
+    # a shelving failure rate high enough that many trials start bright
+    for cfg in (DetectionConfig(), DetectionConfig(shelving_failure=0.3)):
+        hist = histogram_sim(cfg, "dark", trials=50000, seed=seed)
+        rng = np.random.Generator(np.random.Philox(seed))
+        ref = np.bincount(_dark_counts_reference(cfg, 50000, rng))
+        assert np.array_equal(hist, ref)
+
+
+def test_dark_fidelity_allocates_under_three_count_arrays():
+    cfg = DetectionConfig()
+    dark_fidelity_mc(cfg, trials=200000, seed=1)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        dark_fidelity_mc(cfg, trials=200000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the bright-time buffer, the counts and the second Poisson draw, 1.6
+    # MB each
+    assert peak - start < 5e6
 
 
 def test_dark_fidelity_trial_floor():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,20 @@ def test_emission_needs_no_dense_eigensolve(monkeypatch, nominal):
     got = ion_intensity_profile(GratingFootprint(), IonPose(), 512)
     assert np.array_equal(got.intensity, nominal.intensity)
     assert got.solid_angle_fraction == nominal.solid_angle_fraction
+
+
+def test_emission_allocates_under_eight_megabytes(nominal):
+    # 512 x 256 quadrature nodes, 1.05 MB per array: the ray solve's six
+    # arrays, the distances among them, and one scratch; no (x, y) mesh
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        got = ion_intensity_profile(GratingFootprint(), IonPose(), 512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 8e6
+    assert np.array_equal(got.intensity, nominal.intensity)
 
 
 class TestFractionOnAperture:

@@ -196,6 +196,53 @@ def test_ray_inverse_matches_brentq(height, cladding, n_clad):
     assert np.allclose(back, rho, rtol=1e-12, atol=1e-18)
 
 
+def _ray_vacuum_angle_reference(rho, height, cladding_thickness, n_clad):
+    """The Newton-bisection solve with fresh arrays at every step, as
+    written out before the solve reused its buffers: its oracle."""
+    def reach(theta):
+        s = np.sin(theta) / n_clad
+        return (height * np.tan(theta)
+                + cladding_thickness * s / np.sqrt(1.0 - s * s))
+
+    def slope(theta):
+        s = np.sin(theta) / n_clad
+        return (height / np.cos(theta) ** 2
+                + cladding_thickness * (np.cos(theta) / n_clad)
+                / (1.0 - s * s) ** 1.5)
+
+    rho = np.asarray(rho, dtype=float)
+    theta = np.arctan(rho / (height + cladding_thickness / n_clad))
+    lo, hi = np.zeros_like(theta), np.full_like(theta, np.pi / 2)
+    for _ in range(100):
+        f = reach(theta) - rho
+        lo = np.where(f < 0.0, theta, lo)
+        hi = np.where(f > 0.0, theta, hi)
+        nxt = theta - f / slope(theta)
+        outside = (nxt < lo) | (nxt > hi)
+        nxt = np.where(outside, 0.5 * (lo + hi), nxt)
+        if np.max(np.abs(nxt - theta)) <= 1e-15:
+            return nxt
+        theta = nxt
+    return theta
+
+
+@pytest.mark.parametrize("height, cladding, n_clad", [
+    (60e-6, 10e-6, 1.47), (30e-6, 0.0, 1.47), (45e-6, 8e-6, 1.0)])
+def test_ray_inverse_in_reused_buffers_is_the_fresh_array_solve(
+        height, cladding, n_clad):
+    pose, footprint = IonPose(), GratingFootprint()
+    gy, _ = np.polynomial.legendre.leggauss(256)
+    x, y = np.meshgrid(np.linspace(0.0, footprint.x_extent, 512),
+                       footprint.y_extent / 2 * gy, indexing="ij")
+    rho = np.hypot(x - pose.x_ion, y - pose.y_ion)
+    rho[0, :3] = 0.0, 1e-12, 1e-30
+    for r in (rho, 12e-6):
+        got = ray_vacuum_angle(r, height, cladding, n_clad)
+        ref = _ray_vacuum_angle_reference(r, height, cladding, n_clad)
+        assert np.array_equal(np.asarray(got).view(np.int64),
+                              np.asarray(ref).view(np.int64))
+
+
 def test_ray_inverse_stops_once_converged(monkeypatch):
     # the 512 x 256 emission grid of the nominal pose: the bisection step
     # taken once the bracket is an ulp wide must end the iteration

@@ -284,6 +284,45 @@ def test_interpolate_bilinear_between_angles():
     assert res.kappa == pytest.approx(0.75e5, rel=1e-12)
 
 
+def _interpolate_every_column(lib, angle, kappa_target):
+    """The lookup that blended all delta columns, each with its own
+    angle weights: the oracle of one that blends only those returned."""
+    def column(j):
+        i0, i1, t = lib._angle_weights(angle)
+        e0, e1 = lib.entries[(i0, j)], lib.entries[(i1, j)]
+        return (library._lerp(e0.kappa, e1.kappa, t),
+                library._lerp(e0.alpha, e1.alpha, t),
+                library._blend_params(e0.params, e1.params, t))
+
+    cols = [column(j) for j in range(len(lib.delta_fracs))]
+    kappas = np.array([c[0] for c in cols])
+    if kappa_target >= kappas[0]:
+        kappa, alpha, params = cols[0]
+        return library.InterpolationResult(
+            params, kappa, alpha, clamped=bool(kappa_target > kappas[0]))
+    j = int(np.searchsorted(-kappas, -kappa_target, side="left"))
+    j = min(max(j, 1), len(kappas) - 1)
+    k_hi, k_lo = kappas[j - 1], kappas[j]
+    s = 0.0 if k_hi == k_lo else (k_hi - kappa_target) / (k_hi - k_lo)
+    s = float(np.clip(s, 0.0, 1.0))
+    _, a_hi, p_hi = cols[j - 1]
+    _, a_lo, p_lo = cols[j]
+    return library.InterpolationResult(
+        library._blend_params(p_hi, p_lo, s),
+        float(library._lerp(k_hi, k_lo, s)),
+        float(library._lerp(a_hi, a_lo, s)), clamped=False)
+
+
+def test_interpolate_blends_only_returned_columns_exactly():
+    lib = _synthetic_library()
+    for angle in np.deg2rad([4.0, 5.3, 8.0, 9.99, 12.0]):
+        for target in (0.0, 1234.5, 0.6e5, 1e5, 2.2e5, 10e5):
+            got = interpolate(lib, angle, target)
+            ref = _interpolate_every_column(lib, angle, target)
+            assert got == ref
+            assert type(got.kappa) is type(ref.kappa)
+
+
 def test_interpolate_outside_hull_raises():
     lib = _synthetic_library()
     with pytest.raises(ExtrapolationError):

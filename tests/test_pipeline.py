@@ -351,6 +351,21 @@ def test_curved_teeth_meet_the_equal_path_rule(run, request):
         assert np.max(np.abs(offsets)) > 5e-6
 
 
+def test_teeth_read_back_alike_from_compact_and_indented_files(run_dir,
+                                                              tmp_path):
+    # teeth.json is written compact; the indented form that earlier
+    # runs wrote reads back as the same teeth
+    out, _, _ = run_dir
+    compact = out / "design" / "teeth.json"
+    assert "\n " not in compact.read_text()
+    indented = tmp_path / "teeth.json"
+    indented.write_text(json.dumps(json.loads(compact.read_text()),
+                                   indent=2, sort_keys=True) + "\n")
+    teeth = pipeline._read_teeth(compact)
+    assert len(teeth) == 99
+    assert pipeline._read_teeth(indented) == teeth
+
+
 def test_curve_tooth_solves_all_teeth_together(run_dir, monkeypatch):
     # one ray solve per Newton step for the whole design, not per tooth
     out, cfg, _ = run_dir
@@ -1652,7 +1667,7 @@ def test_warm_cli_run_loads_only_scipy_core(run_dir, tmp_path,
                                              heavy_after):
     # a warm pipeline and its report compute nothing, so they import no
     # stage module and no numpy: that was most of a warm CLI run's
-    # start-up
+    # start-up.  Reading the YAML file loads yaml, and nothing else does
     out, cfg, _ = run_dir
     # undo any other test's stage keys, so every stage below is a hit
     pipeline.run_pipeline(cfg)
@@ -1662,7 +1677,7 @@ def test_warm_cli_run_loads_only_scipy_core(run_dir, tmp_path,
             "for verb in ('pipeline', 'report'):\n"
             f"    main([verb, '--config', {str(cfg_path)!r}], "
             "standalone_mode=False)")
-    assert heavy_after(code) == []
+    assert heavy_after(code) == ["yaml"]
 
 
 def test_cold_default_run_loads_no_heavy_scipy(tmp_path, heavy_after):

@@ -40,6 +40,16 @@ def test_normalize_unit_power():
     assert g.normalized
 
 
+def test_normalize_into_own_grid_is_the_copy():
+    g = FieldGrid(2.0 * gaussian_field(2e-6, shape=(64, 64)).data, 0.1e-6)
+    copy = g.normalize()
+    data = g.data
+    into = g.normalize(out=data)
+    assert into.data is data and into.normalized
+    assert np.array_equal(into.data.view(np.float64),
+                          copy.data.view(np.float64))
+
+
 def test_normalize_zero_field_rejected():
     g = FieldGrid(np.zeros((8, 8), dtype=complex), 0.1e-6)
     with pytest.raises(ValueError):
@@ -112,8 +122,9 @@ def test_evanescent_components_decay_both_directions():
 
 
 def _out_of_place_propagate(g, dz, medium_index):
-    """The out-of-place transfer-function product that the in-place
-    propagation replaced, kept as its oracle."""
+    """The out-of-place product with the transfer on the whole (ky, kx)
+    grid, which the in-place, distinct-frequency propagation replaced,
+    kept as its oracle."""
     ny, nx = g.data.shape
     k = 2 * np.pi * medium_index / g.wavelength
     kx = 2 * np.pi * np.fft.fftfreq(nx, d=g.pixel_size)
@@ -133,13 +144,36 @@ def _spot(shape):
     return FieldGrid(data, 0.1e-6)
 
 
+def _speckle(shape):
+    """Seeded complex noise 8 pixels clear of the edges: energy in every
+    spatial-frequency band, the evanescent ones included."""
+    rng = np.random.default_rng(34)
+    inner = (shape[0] - 16, shape[1] - 16)
+    data = np.zeros(shape, dtype=complex)
+    data[8:-8, 8:-8] = (rng.standard_normal(inner)
+                        + 1j * rng.standard_normal(inner))
+    return FieldGrid(data, 0.1e-6)
+
+
+# the transfer is evaluated once per distinct (ky^2, kx^2) and read row by
+# row: the speckle cases hold the full-grid bits for even and odd sides,
+# both directions and the evanescent bands
 @pytest.mark.parametrize("grid, dz, medium_index", [
     (lambda: gaussian_field(2e-6, shape=(128, 128)), 20e-6, 1.0),
     (lambda: gaussian_field(2e-6, shape=(96, 128)), -7.3e-6, N_SIO2),
     (lambda: _spot((64, 80)), 0.2e-6, 1.0),
     (lambda: _spot((64, 80)), -0.2e-6, N_SIO2),
+    (lambda: _speckle((512, 512)), 5e-6, N_SIO2),
+    (lambda: _speckle((512, 512)), -3e-6, 1.0),
+    (lambda: _speckle((255, 257)), 0.2e-6, 1.0),
+    (lambda: _speckle((255, 257)), -5e-6, N_SIO2),
+    (lambda: _speckle((96, 64)), 3e-6, 1.0),
+    (lambda: _speckle((96, 64)), -0.2e-6, N_SIO2),
 ], ids=["forward", "backward-cladding", "evanescent-forward",
-        "evanescent-backward"])
+        "evanescent-backward", "speckle-512-forward",
+        "speckle-512-backward", "speckle-odd-forward",
+        "speckle-odd-backward", "speckle-96x64-forward",
+        "speckle-96x64-backward"])
 def test_in_place_propagation_matches_out_of_place_bit_for_bit(
         grid, dz, medium_index):
     g = grid()
@@ -158,6 +192,21 @@ def test_in_place_propagation_matches_out_of_place_bit_for_bit(
     assert into.data is before and into.z == out.z
     assert np.array_equal(into.data.view(np.float64),
                           expected.view(np.float64))
+
+
+def test_in_place_step_allocates_under_one_field():
+    g = gaussian_field(2e-6, shape=(512, 512))
+    angular_spectrum_propagate(g, 5e-6, N_SIO2, out=g.data)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        angular_spectrum_propagate(g, 5e-6, N_SIO2, out=g.data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the edge check's float grid (2.1 MB) and a quarter-grid transfer;
+    # no kz or transfer grid of the field's shape
+    assert peak - start < 2.5e6
 
 
 def test_propagation_out_array():
