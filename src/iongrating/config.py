@@ -339,10 +339,18 @@ class PipelineConfig:
                              f"{self.library['mode']!r}")
         if self.detection_trials < 10**4:
             raise ValueError("detection trials must be at least 1e4")
+        if not self.wavelength > 0:
+            raise ValueError("wavelength must be positive")
         if not self.library["kappa0"] > 0:
             raise ValueError("library.kappa0 must be positive")
         if not self.library["alpha0"] >= 0:
             raise ValueError("library.alpha0 must not be negative")
+        if not self.library["points_per_wavelength"] > 0:
+            raise ValueError("library.points_per_wavelength must be positive")
+        if not self.designer["kappa_max"] > 0:
+            raise ValueError("designer.kappa_max must be positive")
+        if not self.designer["alpha"] >= 0:
+            raise ValueError("designer.alpha must not be negative")
         self.propagation = _raster(self.propagation)
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir: expected a string, got "

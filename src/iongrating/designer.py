@@ -485,31 +485,30 @@ def slab_index(tooth: ToothSpec, n_clad: float, wavelength: float) -> float:
     return n_clad * np.sin(tooth.angle) + wavelength / tooth.pitch
 
 
-# curve_tooth's Newton tolerance (m) and step cap
+# curve_tooth's Newton tolerance (m), step cap and sample spacing (m)
 _CURVE_TOL = 1e-10
 _CURVE_STEPS = 50
+_CURVE_SAMPLE_SPACING = 0.5e-6
 
 
-def curve_tooth(teeth, focus, stack: LayerStack, pose: IonPose,
-                wavelength: float = DESIGN_WAVELENGTH,
-                y_samples=None) -> None:
-    """Curve every tooth in place so that slab light reaches the focus in
-    phase.
+def curve_tooth(teeth, footprint: GratingFootprint, stack: LayerStack,
+                pose: IonPose, wavelength: float = DESIGN_WAVELENGTH) -> None:
+    """Curve every tooth in place so that slab light reaches the ion in
+    phase, sampled every 0.5 um across the footprint's width.
 
     For a tooth at x and each y the offset u solves n u + exit(x + u, y) =
     exit(x, 0), with n the tooth's :func:`slab_index` and exit the
-    refracted (Fermat) optical path up to the focus.  The left side has
+    refracted (Fermat) optical path up to the ion.  The left side has
     slope n - sin(theta_v) cos(phi) >= n - 1 > 0 and is convex in u, so
     Newton from u = 0 needs no bracket; all teeth and samples step
     together, one ray solve per step, until every step is below 1e-10 m.
     A sample still stepping, or not finite, at the step cap is dropped and
     its tooth flagged ``truncated``.
     """
-    if y_samples is None:
-        y_samples = np.linspace(-15e-6, 15e-6, 61)
-    ys = np.atleast_1d(np.asarray(y_samples, dtype=float))
+    w = footprint.y_extent
+    ys = np.linspace(-w / 2, w / 2, round(w / _CURVE_SAMPLE_SPACING) + 1)
     n_clad, t_c = stack.cladding_index, pose.cladding_thickness
-    fx, fy, fz = focus  # fz measured above the cladding/vacuum interface
+    fx, fy, fz = pose.x_ion, pose.y_ion, pose.height_above_surface
     x = np.array([t.x for t in teeth])[:, None]
     n = np.array([slab_index(t, n_clad, wavelength) for t in teeth])[:, None]
 
@@ -555,13 +554,12 @@ def default_zone_period(stack: LayerStack,
                         wavelength: float = DESIGN_WAVELENGTH) -> float:
     """Largest comfortable sub-wavelength A/B zone period.
 
-    0.9x the wavelength in the cladding, provided each half-period zone
-    still clears the fabrication minimum.
+    0.9x the wavelength in the cladding, raised so that each half-period
+    zone clears the fabrication minimum; LayoutError if that is not
+    sub-wavelength.
     """
     lam_m = wavelength_in_medium(wavelength, stack.cladding_index)
-    period = 0.9 * lam_m
-    if period / 2 < MIN_FEATURE:
-        period = 2 * MIN_FEATURE
+    period = max(0.9 * lam_m, 2 * MIN_FEATURE)
     if period >= lam_m:
         raise LayoutError("no zone period satisfies both the sub-wavelength "
                           "and minimum-feature constraints")
@@ -584,10 +582,10 @@ def curvature_offsets(tooth: ToothSpec, y) -> np.ndarray:
     return np.interp(y, ys, us)
 
 
-def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
-                stack: LayerStack,
+def emit_layout(teeth, footprint: GratingFootprint, stack: LayerStack,
                 wavelength: float = DESIGN_WAVELENGTH) -> GratingLayout:
-    """Stripe the footprint into A/B zones and emit per-layer polygons.
+    """Stripe the footprint into A/B zones of :func:`default_zone_period`
+    and emit per-layer polygons.
 
     Zone A carries each tooth as designed; zone B repeats it shifted
     longitudinally by the tooth's phase shift delta.  Vertices snap to
@@ -595,12 +593,7 @@ def emit_layout(teeth, zone_period: float, footprint: GratingFootprint,
     (n, 4, 2) array of rectangles, listed stripe by stripe, tooth by tooth
     within a stripe.
     """
-    lam_m = wavelength_in_medium(wavelength, stack.cladding_index)
-    if not zone_period < lam_m:
-        raise LayoutError(f"zone period {zone_period * 1e9:.0f} nm is not "
-                          f"sub-wavelength ({lam_m * 1e9:.0f} nm)")
-    if zone_period / 2 < MIN_FEATURE:
-        raise LayoutError("zone width below the fabrication minimum")
+    zone_period = default_zone_period(stack, wavelength)
     half_w = footprint.y_extent / 2
     n_stripes = int(np.ceil(footprint.y_extent / (zone_period / 2)))
     stripe = np.arange(n_stripes)

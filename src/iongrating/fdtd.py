@@ -59,6 +59,7 @@ MARGIN_IN = 1.3e-6        # guide before the grating: source, input monitor
 MARGIN_OUT = 1.0e-6       # guide after the grating: output monitor
 ANGULAR_WINDOW = np.deg2rad(20.0)  # half-width of the desired order, rad
 MAX_PERIODS = 400         # optical periods a run may take to turn steady
+STEADY_REL_TOL = 1e-5     # largest per-period flux change that is steady
 PAD_FACTOR = 8            # zero padding of the top-monitor FFT
 
 
@@ -702,11 +703,11 @@ _reference_cache: dict = {}
 
 
 def _run_to_steady_state(sim: Fdtd2D, monitors, min_periods: int,
-                         max_periods: int, rel_tol: float = 1e-5):
+                         max_periods: int):
     """Step min_periods, then measure the monitor fluxes over each further
     period until the largest change of a flux relative to itself stays
-    below rel_tol for three consecutive periods.  Returns the periods
-    run."""
+    below STEADY_REL_TOL for three consecutive periods.  Returns the
+    periods run."""
     sim.run_periods(min_periods)
     prev, change, steady = None, np.nan, 0
     for n in range(min_periods, max_periods):
@@ -717,14 +718,14 @@ def _run_to_steady_state(sim: Fdtd2D, monitors, min_periods: int,
         if prev is not None:
             change = float(np.max(np.abs(powers - prev)
                                   / np.maximum(np.abs(powers), 1e-300)))
-            steady = steady + 1 if change < rel_tol else 0
+            steady = steady + 1 if change < STEADY_REL_TOL else 0
             if steady == 3:
                 return n + 1
         prev = powers
     raise ConvergenceError(
         f"monitors not steady after {max_periods} optical periods: last "
         f"relative flux change {change:.3g} per period, tolerance "
-        f"{rel_tol:g} for 3 periods in a row")
+        f"{STEADY_REL_TOL:g} for 3 periods in a row")
 
 
 def _simulate(material: MaterialMap, wavelength: float, polarization: str,

@@ -16,11 +16,9 @@ stage, so a run that finds every stage cached, and a report, load none.
 """
 
 import dataclasses
-import functools
 import hashlib
 import json
 import os
-import sys
 import warnings
 
 from . import __version__
@@ -57,17 +55,18 @@ def _stage_key(name: str, cfg_slice, upstream_keys) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
-@functools.cache
-def _numpy_scipy_versions() -> dict:
-    """numpy's and scipy's version strings, looked up once: from the
-    modules when numpy is loaded, as it is after any stage has run, else
-    from the installed distributions, which loads no numpy."""
-    if "numpy" in sys.modules:
+def _versions(document) -> dict:
+    """The package's, numpy's and scipy's version strings for a manifest.
+    A run that recomputed nothing made no artifact, and passes the
+    manifest it read as ``document``: numpy's and scipy's are then those
+    it holds, if it holds both, else those of the modules."""
+    kept = (document or {}).get("versions")
+    if not (isinstance(kept, dict) and {"numpy", "scipy"} <= kept.keys()):
         import numpy
         import scipy
-        return {"numpy": numpy.__version__, "scipy": scipy.__version__}
-    from importlib import metadata
-    return {name: metadata.version(name) for name in ("numpy", "scipy")}
+        kept = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    return {"iongrating": __version__, "numpy": kept["numpy"],
+            "scipy": kept["scipy"]}
 
 
 def _write_json(path, payload, indent=2) -> None:
@@ -213,10 +212,10 @@ def _config_slices(config: PipelineConfig) -> dict:
     det = {k: getattr(config.detection, k)
            for k in ("bright_rate", "dark_rate", "window", "threshold",
                      "bins", "d_lifetime", "shelving_failure")}
-    # entry caches key on their own content, so the cache directory never
-    # changes a result
-    lib = {**base, **{k: v for k, v in config.library.items()
-                      if k != "cache_dir"}}
+    # the unit cells see no footprint and no pose; entry caches key on
+    # their own content, so the cache directory never changes a result
+    lib = {"wavelength": config.wavelength, "stack": base["stack"],
+           **{k: v for k, v in config.library.items() if k != "cache_dir"}}
     path = config.library.get("path")
     if config.library["mode"] == "file" and path and os.path.isfile(path):
         # a rewritten library file must recompute the stage
@@ -371,14 +370,10 @@ def _run_design(config, path):
         profile, x, alpha=dz_cfg["alpha"], kappa_max=dz_cfg["kappa_max"])
     teeth = designer.discretize(ansatz, lib, config.footprint, config.pose,
                                 config.stack)
-    focus = (config.pose.x_ion, config.pose.y_ion,
-             config.pose.height_above_surface)
-    designer.curve_tooth(teeth, focus, config.stack, config.pose,
+    designer.curve_tooth(teeth, config.footprint, config.stack, config.pose,
                          config.wavelength)
-    zone_period = designer.default_zone_period(config.stack,
-                                               config.wavelength)
-    layout = designer.emit_layout(teeth, zone_period, config.footprint,
-                                  config.stack, config.wavelength)
+    layout = designer.emit_layout(teeth, config.footprint, config.stack,
+                                  config.wavelength)
     designer.export_layout(layout, path["layout.txt"])
     # asdict would copy every curvature pair; json needs only the cell's
     # parameters as a mapping.  Written compact, through the C encoder
@@ -396,7 +391,7 @@ def _run_design(config, path):
             "fit_nfev": [s.nfev for s in fit.starts],
             "drained_power": float(np.sum(drained)),
             "undiffracted_power": residual,
-            "zone_period": zone_period}
+            "zone_period": layout.zone_period}
 
 
 def _read_teeth(path) -> list:
@@ -594,15 +589,15 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
     manifest_path = os.path.join(out_dir, "manifest.json")
     document, previous, malformed = _read_previous_stages(manifest_path)
     artifact_stats = _ArtifactStats(out_dir)
-    header = {"config_hash": _stage_key("config", config.raw, {}),
-              "versions": {"iongrating": __version__,
-                           **_numpy_scipy_versions()}}
+    config_hash = _stage_key("config", config.raw, {})
     entries, cached, keys, reasons = {}, [], {}, {}
 
     def write_manifest():
         nonlocal document
         merged = {**previous, **entries}
-        manifest = {**header,
+        ran = len(entries) > len(cached)
+        manifest = {"config_hash": config_hash,
+                    "versions": _versions(None if ran else document),
                     "stages": {n: merged[n] for n in STAGES if n in merged}}
         if manifest != document:
             _write_json(manifest_path, manifest)

@@ -61,9 +61,7 @@ def focused_teeth():
             params=UnitCellParams(pitch, 0.5, 0.5, 0.06e-6, 0.0),
             angle=angle, kappa=k, alpha=0.05e6))
         xx += pitch
-    focus = (pose.x_ion, 0.0, pose.height_above_surface)
-    curve_tooth(teeth, focus, stack, pose,
-                y_samples=np.linspace(-15e-6, 15e-6, 31))
+    curve_tooth(teeth, footprint, stack, pose)
     return teeth
 
 

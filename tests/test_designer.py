@@ -15,8 +15,9 @@ from iongrating.designer import (
 )
 from iongrating.geometry import (GratingFootprint, IonPose, default_stack,
                                  wavelength_in_medium)
-from iongrating.library import (LibraryEntry, ParamLibrary, UnitCellParams,
-                                feature_check, figure_of_merit, interpolate)
+from iongrating.library import (MIN_FEATURE, LibraryEntry, ParamLibrary,
+                                UnitCellParams, feature_check,
+                                figure_of_merit, interpolate)
 
 STACK = default_stack()
 POSE = IonPose()
@@ -403,40 +404,51 @@ def _plain_tooth(x=10e-6, pitch=0.3e-6):
 
 
 def test_curve_tooth_zero_offset_on_axis():
-    pose = IonPose()
-    focus = (POSE.x_ion, 0.0, POSE.height_above_surface)
     tooth = _plain_tooth()
-    curve_tooth([tooth], focus, STACK, pose, y_samples=np.array([0.0]))
-    samples = tooth.curvature
-    assert samples[0] == (0.0, pytest.approx(0.0, abs=1e-9))
+    curve_tooth([tooth], FOOTPRINT, STACK, POSE)
+    y, u = min(tooth.curvature, key=lambda s: abs(s[0]))
+    assert y == pytest.approx(0.0, abs=1e-18)
+    assert u == pytest.approx(0.0, abs=1e-9)
+
+
+def test_curve_tooth_samples_the_footprint_width():
+    # 0.5 um apart from edge to edge, the default 30 um the same 61 floats
+    # as an explicit grid
+    tooth = _plain_tooth()
+    curve_tooth([tooth], FOOTPRINT, STACK, POSE)
+    ys = [y for y, _ in tooth.curvature]
+    assert ys == np.linspace(-15e-6, 15e-6, 61).tolist()
+    curve_tooth([tooth], GratingFootprint(y_extent=7e-6), STACK, POSE)
+    assert [y for y, _ in tooth.curvature] == pytest.approx(
+        np.arange(-3.5e-6, 3.6e-6, 0.5e-6), abs=1e-18)
 
 
 def test_curve_tooth_even_in_y():
-    focus = (POSE.x_ion, 0.0, POSE.height_above_surface)
-    ys = np.array([-8e-6, -3e-6, 3e-6, 8e-6])
     tooth = _plain_tooth()
-    curve_tooth([tooth], focus, STACK, POSE, y_samples=ys)
-    samples = tooth.curvature
-    d = dict(samples)
-    assert d[-8e-6] == pytest.approx(d[8e-6], abs=1e-12)
-    assert d[-3e-6] == pytest.approx(d[3e-6], abs=1e-12)
+    curve_tooth([tooth], GratingFootprint(y_extent=16e-6), STACK, POSE)
+    ys, us = np.array(tooth.curvature).T
+    assert len(ys) == 33
+    assert ys[[0, 10, -11, -1]] == pytest.approx(
+        [-8e-6, -3e-6, 3e-6, 8e-6], abs=1e-18)
+    assert us == pytest.approx(us[::-1], abs=1e-12)
+    assert us[0] < us[10] < 0.0
 
 
 def test_curve_tooth_analytic_oracle():
-    # zero cladding, collimated slab light, focus right above the tooth:
+    # zero cladding, collimated slab light, ion right above the tooth:
     # n u + sqrt(u^2 + y^2 + zf^2) = zf has the closed-form negative root;
     # the tooth's pitch sets its grating-equation slab index n
     n_slab = 1.8
     zf = 50e-6
-    pose = IonPose(cladding_thickness=0.0)
     pitch = 422e-9 / (n_slab - STACK.cladding_index * np.sin(0.1))
     tooth = _plain_tooth(x=12e-6, pitch=pitch)
     assert slab_index(tooth, STACK.cladding_index, 422e-9) == pytest.approx(
         n_slab, rel=1e-14)
-    focus = (tooth.x, 0.0, zf)
-    ys = np.linspace(-10e-6, 10e-6, 9)
-    curve_tooth([tooth], focus, STACK, pose, y_samples=ys)
+    pose = IonPose(x_ion=tooth.x, height_above_surface=zf,
+                   cladding_thickness=0.0)
+    curve_tooth([tooth], GratingFootprint(y_extent=20e-6), STACK, pose)
     samples = tooth.curvature
+    assert len(samples) == 41
     for y, u in samples:
         expected = (n_slab * zf
                     - np.sqrt(n_slab**2 * zf**2 + (n_slab**2 - 1) * y**2)
@@ -450,8 +462,19 @@ def test_curve_tooth_analytic_oracle():
 def test_default_zone_period_constraints():
     period = default_zone_period(STACK)
     lam_m = wavelength_in_medium(422e-9, STACK.cladding_index)
-    assert period < lam_m
+    assert period == 0.9 * lam_m
     assert period / 2 >= 0.12e-6
+
+
+def test_default_zone_period_clamps_to_the_feature_minimum():
+    # 0.9 of 422 nm / 1.65 leaves half-zones narrower than 0.12 um; twice
+    # the minimum, 0.24 um, is still below the 256 nm in the cladding
+    stack = dataclasses.replace(STACK, cladding_index=1.65)
+    assert default_zone_period(stack) == 2 * MIN_FEATURE
+    assert default_zone_period(stack) == pytest.approx(0.24e-6, abs=1e-18)
+    # at 1.8 the wavelength in the cladding, 234 nm, is below 0.24 um
+    with pytest.raises(LayoutError, match="sub-wavelength"):
+        default_zone_period(dataclasses.replace(STACK, cladding_index=1.8))
 
 
 def _tiny_teeth(delta=0.0):
@@ -468,8 +491,8 @@ def _tiny_teeth(delta=0.0):
 def test_emit_layout_zone_b_shift():
     period = default_zone_period(STACK)
     fp = GratingFootprint(x_extent=1e-6, y_extent=4 * period)
-    plain = emit_layout(_tiny_teeth(0.0), period, fp, STACK)
-    shifted = emit_layout(_tiny_teeth(0.15e-6), period, fp, STACK)
+    plain = emit_layout(_tiny_teeth(0.0), fp, STACK)
+    shifted = emit_layout(_tiny_teeth(0.15e-6), fp, STACK)
     # with delta = 0, A and B stripes carry identical x spans
     xs = sorted({p[0][0] for p in plain.upper})
     assert len(xs) == 3
@@ -488,9 +511,8 @@ def polygon_is_simple(poly) -> bool:
 
 
 def test_emit_layout_polygons_pass_audits():
-    period = default_zone_period(STACK)
     fp = GratingFootprint(x_extent=1e-6, y_extent=3e-6)
-    layout = emit_layout(_tiny_teeth(0.1e-6), period, fp, STACK)
+    layout = emit_layout(_tiny_teeth(0.1e-6), fp, STACK)
     assert len(layout.upper) and len(layout.lower)
     # concatenate: on arrays, upper + lower adds vertex by vertex
     for poly in np.concatenate([layout.upper, layout.lower]):
@@ -540,7 +562,7 @@ def test_emit_layout_matches_per_stripe_reference(focused_teeth):
                                              0.3 * t.pitch))
              for t in focused_teeth]
     teeth[3].curvature = []          # an uncurved tooth among curved ones
-    layout = emit_layout(teeth, period, FOOTPRINT, STACK)
+    layout = emit_layout(teeth, FOOTPRINT, STACK)
     upper, lower = _per_stripe_layout(teeth, period, FOOTPRINT)
     assert layout.upper.shape == (len(upper), 4, 2)
     assert layout.lower.shape == (len(lower), 4, 2)
@@ -551,15 +573,6 @@ def test_emit_layout_matches_per_stripe_reference(focused_teeth):
     assert np.array_equal(np.signbit(both), np.signbit(
         np.concatenate([np.array(upper), np.array(lower)])))
     assert not np.any(np.signbit(both) & (both == 0.0))
-
-
-def test_emit_layout_rejects_bad_zone_period():
-    fp = GratingFootprint(x_extent=1e-6, y_extent=2e-6)
-    lam_m = wavelength_in_medium(422e-9, STACK.cladding_index)
-    with pytest.raises(LayoutError):
-        emit_layout(_tiny_teeth(), 1.1 * lam_m, fp, STACK)
-    with pytest.raises(LayoutError):
-        emit_layout(_tiny_teeth(), 0.2e-6, fp, STACK)
 
 
 def import_layout(path) -> GratingLayout:
@@ -584,9 +597,8 @@ def import_layout(path) -> GratingLayout:
 
 
 def test_export_import_round_trip(tmp_path):
-    period = default_zone_period(STACK)
     fp = GratingFootprint(x_extent=1e-6, y_extent=2e-6)
-    layout = emit_layout(_tiny_teeth(0.1e-6), period, fp, STACK)
+    layout = emit_layout(_tiny_teeth(0.1e-6), fp, STACK)
     path = tmp_path / "layout.txt"
     export_layout(layout, path)
     back = import_layout(path)
@@ -619,8 +631,7 @@ def _per_vertex_table(layout):
 
 def test_export_matches_per_vertex_writer(tmp_path, focused_teeth,
                                           monkeypatch):
-    layout = emit_layout(focused_teeth, default_zone_period(STACK),
-                         FOOTPRINT, STACK)
+    layout = emit_layout(focused_teeth, FOOTPRINT, STACK)
     # more rows than one block in each layer
     assert min(len(layout.upper), len(layout.lower)) > \
         designer._LAYOUT_BLOCK_ROWS

@@ -147,9 +147,8 @@ def test_manifest_versions_are_the_imported_modules(run_dir):
                          ids=["without-numpy", "with-numpy"])
 def test_manifest_versions_in_a_fresh_process(run_dir, tmp_path,
                                               heavy_after, preload):
-    # a warm run that holds no numpy reads the versions of the installed
-    # distributions; one that does reads its modules, and then loads no
-    # importlib.metadata
+    # a warm run keeps the versions of the manifest it read, so it loads
+    # neither numpy nor importlib.metadata to look them up
     import scipy
     from iongrating import __version__
     out, cfg, _ = run_dir
@@ -161,12 +160,32 @@ def test_manifest_versions_in_a_fresh_process(run_dir, tmp_path,
             "m = pipeline.run_pipeline(config.load_config(overrides="
             f"{overrides!r}))\n"
             f"open({str(dump)!r}, 'w').write(json.dumps(m['versions']))\n"
-            "assert 'numpy' not in sys.modules "
-            "or 'importlib.metadata' not in sys.modules")
+            "assert 'importlib.metadata' not in sys.modules")
     assert heavy_after(code) == (["numpy"] if preload else [])
     assert json.loads(dump.read_text()) == {"iongrating": __version__,
                                             "numpy": np.__version__,
                                             "scipy": scipy.__version__}
+
+
+def test_a_run_that_recomputes_nothing_keeps_the_versions_it_read(tmp_path):
+    import scipy
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
+    pipeline.run_pipeline(cfg, stages=["detect"])
+    path = tmp_path / "manifest.json"
+    document = json.loads(path.read_text())
+    document["versions"]["numpy"] = "0.0"
+    path.write_text(json.dumps(document))
+    kept = pipeline.run_pipeline(cfg, stages=["detect"])
+    assert kept["cached_stages"] == ["detect"]
+    assert kept["versions"]["numpy"] == "0.0"
+    # without a usable entry, the modules' versions
+    del document["versions"]
+    path.write_text(json.dumps(document))
+    rewritten = pipeline.run_pipeline(cfg, stages=["detect"])
+    assert rewritten["cached_stages"] == ["detect"]
+    assert json.loads(path.read_text())["versions"] == {
+        "iongrating": pipeline.__version__, "numpy": np.__version__,
+        "scipy": scipy.__version__}
 
 
 def test_pyproject_version_is_the_package_version():
@@ -212,6 +231,15 @@ def test_library_seed_change_recomputes_nothing(tmp_path):
     manifest = pipeline.run_pipeline(cfg, stages=["design"])
     assert set(manifest["cached_stages"]) == {"emission", "library",
                                               "design"}
+
+
+def test_moving_the_ion_keeps_the_library(tmp_path):
+    # the unit cells depend on the stack and the wavelength, not the pose
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
+    pipeline.run_pipeline(cfg, stages=["design"])
+    manifest = pipeline.run_pipeline(_move_ion(cfg, None), stages=["design"])
+    assert manifest["cache_reasons"] == {
+        "emission": "key-changed", "library": "hit", "design": "key-changed"}
 
 
 def test_version_change_recomputes_every_stage(run_dir, tmp_path,
@@ -294,6 +322,15 @@ def offaxis_run(tmp_path_factory):
     return out, cfg, pipeline.run_pipeline(cfg, stages=["design"])
 
 
+@pytest.fixture(scope="module")
+def wide_run(tmp_path_factory):
+    # a footprint 40 um wide: the curvature must reach its +-20 um edges
+    out = tmp_path_factory.mktemp("wide")
+    cfg = load_config(overrides={**FAST, "output_dir": str(out),
+                                 "footprint": {"y_extent": 40e-6}})
+    return out, cfg, pipeline.run_pipeline(cfg, stages=["overlap"])
+
+
 def test_design_summary_counts_clamped_and_truncated_teeth(offaxis_run):
     out, _, manifest = offaxis_run
     summary = manifest["stages"]["design"]["summary"]
@@ -330,17 +367,20 @@ def _exit_path(x, y, focus, pose, n_clad):
     return n_clad * np.hypot(r, t_c) + np.hypot(rho - r, fz)
 
 
-@pytest.mark.parametrize("run", ["run_dir", "offaxis_run"])
+@pytest.mark.parametrize("run", ["run_dir", "offaxis_run", "wide_run"])
 def test_curved_teeth_meet_the_equal_path_rule(run, request):
-    # n u + exit(x + u, y) = exit(x, 0) at every sample of every tooth
+    # n u + exit(x + u, y) = exit(x, 0) at every sample of every tooth,
+    # and the samples span the footprint's width 0.5 um apart
     out, cfg, _ = request.getfixturevalue(run)
     teeth = pipeline._read_teeth(out / "design" / "teeth.json")
     pose, n_clad = cfg.pose, cfg.stack.cladding_index
     focus = (pose.x_ion, pose.y_ion, pose.height_above_surface)
+    half_w = cfg.footprint.y_extent / 2
     offsets = []
     for t in teeth:
         y, u = np.array(t.curvature).T
-        assert len(y) == 61 and not t.truncated
+        assert len(y) == round(2 * half_w / 0.5e-6) + 1 and not t.truncated
+        assert (y[0], y[-1]) == (-half_w, half_w)
         n = designer.slab_index(t, n_clad, cfg.wavelength)
         residual = (n * u + _exit_path(t.x + u, y, focus, pose, n_clad)
                     - _exit_path(t.x, 0.0, focus, pose, n_clad))
@@ -349,6 +389,31 @@ def test_curved_teeth_meet_the_equal_path_rule(run, request):
     if pose.y_ion:
         # offsets beyond 5 um are solved, not cut off
         assert np.max(np.abs(offsets)) > 5e-6
+
+
+def test_a_wide_footprint_is_curved_to_its_edges(wide_run, run_dir):
+    # the layout's outer stripes take offsets interpolated between samples
+    # 0.5 um apart, so they meet the rule to the interpolation error
+    # (2.3e-10 m); offsets held at their +-15 um values miss it by 1.5e-6 m
+    out, cfg, manifest = wide_run
+    teeth = pipeline._read_teeth(out / "design" / "teeth.json")
+    pose, n_clad = cfg.pose, cfg.stack.cladding_index
+    focus = (pose.x_ion, pose.y_ion, pose.height_above_surface)
+    half_w = cfg.footprint.y_extent / 2
+    half_zone = manifest["stages"]["design"]["summary"]["zone_period"] / 2
+    y0 = -half_w + np.arange(int(np.ceil(2 * half_w / half_zone))) * half_zone
+    y1 = np.minimum(y0 + half_zone, half_w)
+    outer = 0.5 * (y0 + y1)[[0, -1]]
+    assert np.all(np.abs(outer) > 19.9e-6)
+    for t in teeth:
+        u = designer.curvature_offsets(t, outer)
+        n = designer.slab_index(t, n_clad, cfg.wavelength)
+        residual = (n * u + _exit_path(t.x + u, outer, focus, pose, n_clad)
+                    - _exit_path(t.x, 0.0, focus, pose, n_clad))
+        assert np.max(np.abs(residual)) <= 1e-9
+    # so the wider aperture collects more at the ion than the nominal one
+    eta = manifest["stages"]["overlap"]["summary"]["eta_at_ion"]
+    assert eta > run_dir[2]["stages"]["overlap"]["summary"]["eta_at_ion"]
 
 
 def test_teeth_read_back_alike_from_compact_and_indented_files(run_dir,
@@ -378,8 +443,8 @@ def test_curve_tooth_solves_all_teeth_together(run_dir, monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(designer, "ray_vacuum_angle", counted)
-    focus = (cfg.pose.x_ion, cfg.pose.y_ion, cfg.pose.height_above_surface)
-    designer.curve_tooth(teeth, focus, cfg.stack, cfg.pose, cfg.wavelength)
+    designer.curve_tooth(teeth, cfg.footprint, cfg.stack, cfg.pose,
+                         cfg.wavelength)
     assert len(teeth) == 99 and len(calls) <= 8
     assert [t.curvature for t in teeth] == stored
 
@@ -1375,6 +1440,14 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
      "pose.height_above_surface: expected a finite number, got inf"),
     ({"designer": {"kappa_max": float("-inf")}},
      "designer.kappa_max: expected a finite number, got -inf"),
+    ({"designer": {"kappa_max": 0.0}}, "designer.kappa_max must be positive"),
+    ({"designer": {"kappa_max": -1e5}},
+     "designer.kappa_max must be positive"),
+    ({"designer": {"alpha": -1e3}}, "designer.alpha must not be negative"),
+    ({"wavelength": 0.0}, "wavelength must be positive"),
+    ({"wavelength": -422e-9}, "wavelength must be positive"),
+    ({"library": {"points_per_wavelength": 0}},
+     "library.points_per_wavelength must be positive"),
 ], ids=["library-not-a-mapping", "threshold-not-a-number",
         "footprint-a-list", "pose-height-not-a-number",
         "kappa0-not-a-number", "kappa0-negative", "kappa0-zero",
@@ -1382,7 +1455,9 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
         "kappa-max-nan-string", "threshold-nan", "seed-nan",
         "angles-deg-nan", "delta-fracs-nan", "layer-thickness-nan",
         "angles-deg-inf", "delta-fracs-inf", "pose-height-inf",
-        "kappa-max-minus-inf"])
+        "kappa-max-minus-inf", "kappa-max-zero", "kappa-max-negative",
+        "alpha-negative", "wavelength-zero", "wavelength-negative",
+        "points-per-wavelength-zero"])
 def test_cli_config_value_of_wrong_type_is_a_config_error(tmp_path, entry,
                                                           message):
     bad = tmp_path / "bad.yaml"
