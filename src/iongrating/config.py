@@ -236,8 +236,9 @@ def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
     """``override`` laid over ``base``; a section whose default is a
     mapping only takes a mapping, and a key whose default is a number
     takes a string that parses as one (PyYAML reads ``1e6`` and ``6.0e5``
-    as strings).  A key whose default is an int takes only an integral
-    value, as an int.  No value may hold a NaN, which every comparison
+    as strings).  A key whose default is a float takes only a number, not
+    a bool, and one whose default is an int only an integral value, as an
+    int.  No value may hold a NaN, which every comparison
     would let through, nor an infinity, except ``designer.kappa_max``.
     The errors name the dotted key."""
     out = copy.deepcopy(base)
@@ -260,6 +261,8 @@ def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
             except ValueError:
                 raise ValueError(f"{name}: expected a number, got "
                                  f"{value!r}") from None
+        if isinstance(out[key], float) and not _is_number(value):
+            raise ValueError(f"{name}: expected a number, got {value!r}")
         bad = _first_nonfinite(value, name)
         if bad is not None and bad != _UNCAPPED_FIT:
             where, number = bad
@@ -345,6 +348,8 @@ class PipelineConfig:
             raise ValueError("library.kappa0 must be positive")
         if not self.library["alpha0"] >= 0:
             raise ValueError("library.alpha0 must not be negative")
+        if not self.library["n_periods"] >= 4:
+            raise ValueError("library.n_periods must be at least 4")
         if not self.library["points_per_wavelength"] > 0:
             raise ValueError("library.points_per_wavelength must be positive")
         if not self.designer["kappa_max"] > 0:

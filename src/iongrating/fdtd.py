@@ -19,13 +19,17 @@ Gb store H divided by it (``g_scale``) and F's coefficient carries it;
 that saves two grid passes per step, and the monitors multiply it back in
 double precision.  TM stores its fields unscaled.  A step is one bound
 list of numpy ufunc calls over fixed views and allocates no grid-sized
-array.  The monitors copy their raw lines into one period of rows per
-step, and once per period fold them into double-precision phasors, step by
-step in order, so the sums equal a per-step accumulation bit for bit.  A
-run stops once the four monitor fluxes are measured steady: after one
-transit of the grid plus the source ramp, the largest change of a flux
-relative to itself must stay below 1e-5 for three consecutive optical
-periods.
+array.  Every grid-sized output of a step, and every CPML psi and scratch
+array, starts on a 64-byte line (``_aligned_zeros``).  On AVX-512 hosts
+numpy's vector loops store a float32 output that does not at about half
+the speed, whatever the alignment of the inputs, and numpy's allocator
+returns no such line.  The layout moves no result bit.  The monitors copy
+their raw lines into one period of rows per step, and once per period
+fold them into double-precision phasors, step by step in order, so the
+sums equal a per-step accumulation bit for bit.  A run stops once the
+four monitor fluxes are measured steady: after one transit of the grid
+plus the source ramp, the largest change of a flux relative to itself
+must stay below 1e-5 for three consecutive optical periods.
 """
 
 import functools
@@ -61,6 +65,7 @@ ANGULAR_WINDOW = np.deg2rad(20.0)  # half-width of the desired order, rad
 MAX_PERIODS = 400         # optical periods a run may take to turn steady
 STEADY_REL_TOL = 1e-5     # largest per-period flux change that is steady
 PAD_FACTOR = 8            # zero padding of the top-monitor FFT
+LINE = 64                 # bytes: the cache line every step output starts on
 
 
 @dataclass(frozen=True)
@@ -143,11 +148,20 @@ def _pml_profiles(n: int, d: float, dt: float):
     return (b_e, a_e), (b_h, a_h)
 
 
+def _aligned_zeros(shape: tuple, first: int = 0) -> np.ndarray:
+    """Zeroed float32 array of ``shape`` whose flat element ``first``
+    starts on a LINE-byte boundary, cut from a slightly larger buffer."""
+    size = math.prod(shape)
+    buf = np.zeros(size + LINE // 4, np.float32)
+    skip = (-(buf.ctypes.data + 4 * first) % LINE) // 4
+    return buf[skip:skip + size].reshape(shape)
+
+
 def _cpml_slabs(diff: np.ndarray, b: np.ndarray, a: np.ndarray):
     """(slabs, psi, b, a, scratch) for the z slabs of the contiguous
     ``diff``: its first and last PML_CELLS + 1 rows as one two-block view,
     so one ufunc call covers both.  ``b`` and ``a`` hold one value per row
-    of ``diff``; the arrays are in its dtype."""
+    of ``diff``; the arrays are float32, as ``diff`` is."""
     w = PML_CELLS + 1
     rows, n = diff.shape
     shape = (2, w, n)
@@ -155,8 +169,7 @@ def _cpml_slabs(diff: np.ndarray, b: np.ndarray, a: np.ndarray):
         diff, shape, ((rows - w) * diff.strides[0],) + diff.strides)
     b_s, a_s = (np.broadcast_to(np.stack([p[:w], p[-w:]])[:, :, None],
                                 shape).astype(diff.dtype) for p in (b, a))
-    return (slabs, np.zeros(shape, diff.dtype), b_s, a_s,
-            np.empty(shape, diff.dtype))
+    return slabs, _aligned_zeros(shape), b_s, a_s, _aligned_zeros(shape)
 
 
 def _cpml_band(buf: np.ndarray, nx: int, rows: int, pad: int,
@@ -182,8 +195,8 @@ def _cpml_band(buf: np.ndarray, nx: int, rows: int, pad: int,
         c[-1, w + pad:] = 0.0
         return c
 
-    return (band, np.zeros(shape, buf.dtype), coeffs(b), coeffs(a),
-            np.empty(shape, buf.dtype))
+    return (band, _aligned_zeros(shape), coeffs(b), coeffs(a),
+            _aligned_zeros(shape))
 
 
 def _psi_ops(cpml):
@@ -342,11 +355,11 @@ class Fdtd2D:
         # Every array is float32 and stored as (nz, nx) rows, x fastest;
         # F, Ga and Gb are (x, z)-indexed views of them.  Gb's one padding
         # column feeds only F's first and last column, whose update
-        # coefficient is 0.
+        # coefficient is 0.  F's update writes from its second row on.
         f32 = np.float32
-        f = np.zeros((nz, nx), f32)              # out-of-plane field
-        ga = np.zeros((nz - 1, nx), f32)         # in-plane, d/dz partner
-        gb = np.zeros((nz, nx), f32)             # d/dx partner + padding
+        f = _aligned_zeros((nz, nx), nx)         # out-of-plane field
+        ga = _aligned_zeros((nz - 1, nx))        # in-plane, d/dz partner
+        gb = _aligned_zeros((nz, nx))            # d/dx partner + padding
         self.F, self.Ga, self.Gb = f.T, ga.T, gb[:, :-1].T
 
         # two difference buffers, each used twice per step: along z for Ga
@@ -354,8 +367,8 @@ class Fdtd2D:
         # buffer has PML_CELLS + 2 spare nodes before it and PML_CELLS + 1
         # after, for the chunks of its CPML bands at rows -1 and nz
         w = PML_CELLS + 1
-        dFz = np.empty((nz - 1, nx), f32)
-        dx = np.zeros(w + 1 + nz * nx + w, f32)
+        dFz = _aligned_zeros((nz - 1, nx))
+        dx = _aligned_zeros((w + 1 + nz * nx + w,), w + 1)
         dFx = dx[w + 1:w + 1 + nz * nx].reshape(nz, nx)
         self._dFz, self._dGaz = dFz, dFz[:-1]
         self._dFx, self._dGbx = dFx, dFx[:-2]

@@ -415,15 +415,86 @@ def test_coarse_te_cell_keeps_the_unscaled_results():
     assert r.p_up == pytest.approx(0.24063902588447159, rel=1e-5)
 
 
-def _coarse_sim(pol):
-    """A driven simulation of the coarse grating cell of the slab test."""
-    cell = 3 * CELL
+def _driven_sim(pol, cell):
+    """A driven simulation of the 4-period grating cell of the slab test."""
     material = fdtd.unit_cell_material_map(STACK, params(), 4, cell)
     col = material.n[material.meta["i_in"] - 2, :]
     _, profile = fdtd.slab_mode_profile(col, cell, WAVELENGTH, pol)
     sim = fdtd.Fdtd2D(material, WAVELENGTH, pol)
     sim.add_line_source(material.meta["i_src"], profile)
     return sim
+
+
+def _coarse_sim(pol):
+    """A driven simulation of the coarse grating cell of the slab test."""
+    return _driven_sim(pol, 3 * CELL)
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+@pytest.mark.parametrize("cells, nx", [(2, 160), (3, 115)])
+def test_step_outputs_start_on_a_cache_line(pol, cells, nx):
+    # numpy stores a float32 ufunc output about twice as fast when it
+    # starts on a 64-byte line; every out of the step except the strided
+    # CPML difference views is grid-sized, or a CPML psi or scratch array
+    sim = _driven_sim(pol, cells * CELL)
+    assert sim.grid.nx == nx
+    cpml = [sim._psi_Ga, sim._psi_Gb, sim._psi_Fx, sim._psi_Fz]
+    views = [c[0] for c in cpml]
+    outs = [out for *_, out in sim._ops
+            if not any(out is v for v in views)]
+    assert len(outs) == len(sim._ops) - 4
+    grid = [o for o in outs if o.size >= (sim.grid.nz - 2) * nx]
+    assert len(grid) == (9 if pol == "TE" else 11)
+    for a in outs + [c[i] for c in cpml for i in (1, 4)]:
+        assert _address(a) % fdtd.LINE == 0
+
+
+def _misaligned(aligned_zeros):
+    """``aligned_zeros`` with its aligned element moved 4 bytes past the
+    line."""
+    def zeros(shape, first=0):
+        flat = aligned_zeros((math.prod(shape) + 1,), first)
+        return flat[1:].reshape(shape)
+    return zeros
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+def test_step_results_do_not_depend_on_the_layout(pol, monkeypatch):
+    aligned = _coarse_sim(pol)
+    monkeypatch.setattr(fdtd, "_aligned_zeros",
+                        _misaligned(fdtd._aligned_zeros))
+    shifted = _coarse_sim(pol)
+    assert _address(shifted._dFz) % fdtd.LINE == 4
+    for _ in range(150):
+        aligned._step()
+        shifted._step()
+    for name in ("F", "Ga", "Gb"):
+        assert np.any(getattr(aligned, name))
+        assert _same_bits(getattr(aligned, name), getattr(shifted, name))
+
+
+def test_unit_cell_results_do_not_depend_on_the_layout(monkeypatch):
+    # a last-bit change can move the stop rule's periods_run by one
+    def run():
+        monkeypatch.setattr(fdtd, "_reference_cache", {})
+        return fdtd.run_unit_cell(params(pitch=0.32e-6), 4, WAVELENGTH,
+                                  STACK, "TE", cell_size=2 * CELL)
+    aligned = run()
+    monkeypatch.setattr(fdtd, "_aligned_zeros",
+                        _misaligned(fdtd._aligned_zeros))
+    shifted = run()
+    assert shifted.periods_run == aligned.periods_run
+    for f in dataclasses.fields(fdtd.CellResult):
+        assert _same_bits(getattr(aligned, f.name),
+                          getattr(shifted, f.name)), f.name
 
 
 def test_cpml_bands_are_zero_off_the_slabs():

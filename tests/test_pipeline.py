@@ -1448,6 +1448,17 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
     ({"wavelength": -422e-9}, "wavelength must be positive"),
     ({"library": {"points_per_wavelength": 0}},
      "library.points_per_wavelength must be positive"),
+    ({"library": {"mode": "fdtd", "n_periods": 3}},
+     "library.n_periods must be at least 4"),
+    ({"designer": {"kappa_max": True}},
+     "designer.kappa_max: expected a number, got True"),
+    ({"wavelength": True}, "wavelength: expected a number, got True"),
+    ({"designer": {"alpha": [1]}},
+     "designer.alpha: expected a number, got [1]"),
+    ({"pose": {"height_above_surface": [1]}},
+     "pose.height_above_surface: expected a number, got [1]"),
+    ({"designer": {"alpha": {"a": 1}}},
+     "designer.alpha: expected a number, got {'a': 1}"),
 ], ids=["library-not-a-mapping", "threshold-not-a-number",
         "footprint-a-list", "pose-height-not-a-number",
         "kappa0-not-a-number", "kappa0-negative", "kappa0-zero",
@@ -1457,7 +1468,8 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
         "angles-deg-inf", "delta-fracs-inf", "pose-height-inf",
         "kappa-max-minus-inf", "kappa-max-zero", "kappa-max-negative",
         "alpha-negative", "wavelength-zero", "wavelength-negative",
-        "points-per-wavelength-zero"])
+        "points-per-wavelength-zero", "n-periods-below-4", "kappa-max-bool",
+        "wavelength-bool", "alpha-list", "height-list", "alpha-mapping"])
 def test_cli_config_value_of_wrong_type_is_a_config_error(tmp_path, entry,
                                                           message):
     bad = tmp_path / "bad.yaml"
