@@ -234,50 +234,76 @@ _UNCAPPED_FIT = ("designer.kappa_max", math.inf)
 
 def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
     """``override`` laid over ``base``; a section whose default is a
-    mapping only takes a mapping, and a key whose default is a number
-    takes a string that parses as one (PyYAML reads ``1e6`` and ``6.0e5``
-    as strings).  A key whose default is a float takes only a number, not
-    a bool, and one whose default is an int only an integral value, as an
-    int.  No value may hold a NaN, which every comparison
-    would let through, nor an infinity, except ``designer.kappa_max``.
-    The errors name the dotted key."""
+    mapping only takes a mapping, a key whose default is a number takes
+    what :func:`_number` does, and one whose default is a list of floats a
+    non-empty list of such numbers.  No other value may hold a NaN, which
+    every comparison would let through, nor an infinity.  The errors name
+    the dotted key."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in out:
             raise KeyError(f"unknown configuration key {key!r}")
-        name = f"{prefix}{key}"
-        if isinstance(out[key], dict):
+        name, default = f"{prefix}{key}", out[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise TypeError(f"{name}: expected a mapping, got "
                                 f"{type(value).__name__}")
-            out[key] = _deep_merge(out[key], value, f"{name}.")
+            out[key] = _deep_merge(default, value, f"{name}.")
             continue
-        if isinstance(out[key], (int, float)) and isinstance(value, str):
-            # an int key's integer literal stays exact beyond 2**53
-            exact = (isinstance(out[key], int)
-                     and value.strip().lstrip("+-").isdigit())
-            try:
-                value = int(value) if exact else float(value)
-            except ValueError:
-                raise ValueError(f"{name}: expected a number, got "
-                                 f"{value!r}") from None
-        if isinstance(out[key], float) and not _is_number(value):
-            raise ValueError(f"{name}: expected a number, got {value!r}")
-        bad = _first_nonfinite(value, name)
-        if bad is not None and bad != _UNCAPPED_FIT:
-            where, number = bad
-            if math.isnan(number):
-                raise ValueError(f"{where}: expected a number, got nan")
-            raise ValueError(f"{where}: expected a finite number, got "
-                             f"{number}")
-        if isinstance(out[key], int):
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            if type(value) is not int:
-                raise ValueError(f"{name}: expected an integer, got "
-                                 f"{value!r}")
+        if isinstance(default, (int, float)):
+            value = _number(value, default, name)
+        elif isinstance(default, list) and isinstance(default[0], float):
+            if not (isinstance(value, list) and value):
+                raise ValueError(f"{name}: expected a non-empty list of "
+                                 f"numbers, got {value!r}")
+            value = [_number(v, 0.0, f"{name}[{i}]")
+                     for i, v in enumerate(value)]
+        else:
+            bad = _first_nonfinite(value, name)
+            if bad is not None:
+                _nonfinite(*bad)
         out[key] = value
     return out
+
+
+def _number(value, default, name: str):
+    """``value`` for the key ``name`` whose default is the number
+    ``default``: a string that parses as a number (PyYAML reads ``1e6``
+    and ``6.0e5`` as strings) counts as one, and no value may be NaN or
+    infinite, except an uncapped ``designer.kappa_max``.  A float default
+    takes a number but not a bool, and stores it as a float, so that a
+    later merge types a value against the default, not against an earlier
+    file; an int default takes only an integral value, as an int."""
+    if isinstance(value, str):
+        # an int key's integer literal stays exact beyond 2**53
+        exact = (isinstance(default, int)
+                 and value.strip().lstrip("+-").isdigit())
+        try:
+            value = int(value) if exact else float(value)
+        except ValueError:
+            raise ValueError(f"{name}: expected a number, got "
+                             f"{value!r}") from None
+    if isinstance(value, float) and not math.isfinite(value) and (
+            (name, value) != _UNCAPPED_FIT):
+        _nonfinite(name, value)
+    if isinstance(default, float):
+        if not _is_number(value):
+            raise ValueError(f"{name}: expected a number, got {value!r}")
+        try:
+            return float(value)
+        except OverflowError:
+            _nonfinite(name, math.inf)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return value
+
+
+def _nonfinite(name: str, number: float):
+    if math.isnan(number):
+        raise ValueError(f"{name}: expected a number, got nan")
+    raise ValueError(f"{name}: expected a finite number, got {number}")
 
 
 def _is_number(value) -> bool:
@@ -309,15 +335,26 @@ def _section(name: str, build, entry: dict):
 
 
 def _stack_from_entry(entry) -> LayerStack:
+    """The built-in stack for null, else the stack of a mapping with
+    ``layers`` (each a name, thickness and refractive_index),
+    ``cladding_index`` and, optionally, ``guiding``; errors name ``stack``."""
     if entry is None:
         return default_stack()
-    layers = tuple(Layer(l["name"], float(l["thickness"]),
-                         float(l["refractive_index"]))
-                   for l in entry["layers"])
-    guiding = tuple(entry.get("guiding", [l.name for l in layers]))
-    return LayerStack(layers=layers,
-                      cladding_index=float(entry["cladding_index"]),
-                      guiding=guiding)
+    if not isinstance(entry, dict):
+        raise TypeError(f"stack: expected a mapping or null, got "
+                        f"{type(entry).__name__}")
+    try:
+        layers = tuple(Layer(l["name"], float(l["thickness"]),
+                             float(l["refractive_index"]))
+                       for l in entry["layers"])
+        guiding = tuple(entry.get("guiding", [l.name for l in layers]))
+        return LayerStack(layers=layers,
+                          cladding_index=float(entry["cladding_index"]),
+                          guiding=guiding)
+    except KeyError as exc:
+        raise ValueError(f"stack: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"stack: {exc}") from None
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Longitudinal grating design: from a target intensity profile to a layout.
 
-The design chain: fit a smooth scattering-strength profile kappa(x) whose
+The design chain: derive the scattering-strength profile kappa(x) whose
 diffracted intensity replicates the target, discretize it tooth by tooth
 against the unit-cell library, curve each tooth for transverse focusing by
 the equal-optical-path rule, and emit/export the two-layer polygon layout
@@ -9,6 +9,7 @@ with phase-shift apodization zones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,50 +22,19 @@ from .library import (MIN_FEATURE, ParamLibrary, UnitCellParams,
                       feature_check, interpolate)
 
 
-class FitDivergenceError(Exception):
-    """Raised when the coefficient search fails to produce a usable fit."""
-
-
 class LayoutError(Exception):
     """Raised for layouts violating feature or zone-period constraints."""
 
 
 # ---------------------------------------------------------------------------
-# Scattering-strength ansatz and intensity bookkeeping
-
-@dataclass
-class KappaAnsatz:
-    """kappa(x) = a x^3 + b x^2 + c x + d + A exp(B x), valid on [0, length].
-
-    Coefficients carry the units that make kappa come out in 1/m with x in
-    meters.
-    """
-    a: float
-    b: float
-    c: float
-    d: float
-    A: float
-    B: float
-    length: float
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return (self.a * x**3 + self.b * x**2 + self.c * x + self.d
-                + self.A * np.exp(self.B * x))
-
-    def coefficients(self):
-        return np.array([self.a, self.b, self.c, self.d, self.A, self.B])
-
+# Scattering strength and intensity bookkeeping
 
 def cumulative_trapezoid(y, x):
-    """Running trapezoid integral of ``y`` over ``x`` along the first axis,
-    starting at 0: ``scipy.integrate.cumulative_trapezoid(y, x, axis=0,
-    initial=0)`` with the same arithmetic, without loading
-    ``scipy.integrate``."""
-    y = np.asarray(y)
-    d = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    res = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
-    return np.concatenate([np.zeros((1,) + res.shape[1:], res.dtype), res])
+    """Running trapezoid integral of ``y`` over ``x``, starting at 0:
+    ``scipy.integrate.cumulative_trapezoid(y, x, initial=0)`` with the same
+    arithmetic, without loading ``scipy.integrate``."""
+    res = np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+    return np.concatenate([np.zeros(1, res.dtype), res])
 
 
 def _as_profile(f, x):
@@ -87,12 +57,7 @@ def diffracted_intensity(kappa, alpha, x):
     a = _as_profile(alpha, x)
     if np.any(k < 0) or np.any(a < 0):
         raise ValueError("kappa and alpha must be nonnegative")
-    return k * _guided_fraction(k, a, x)
-
-
-def _guided_fraction(k, a, x):
-    """Guided power left at each x: exp(-int_0^x [k+a] dx')."""
-    return np.exp(-cumulative_trapezoid(k + a, x))
+    return k * np.exp(-cumulative_trapezoid(k + a, x))
 
 
 def residual_power(kappa, alpha, x) -> float:
@@ -122,29 +87,12 @@ def ideal_kappa(i_ion, x, alpha=0.0, kappa_cap: float = 1e8):
 
 
 @dataclass
-class FitStart:
-    """Outcome of one least-squares start of :func:`fit_kappa`."""
-    status: int              # 0 = the evaluation cap, 1 = gtol, 2 = ftol,
-                             # 3 = xtol, -1 = raised (no usable residual)
-    nfev: int                # residual evaluations of this start
-    relative_l2: float       # ||I_fit - I_ion|| / ||I_ion|| at its optimum
-
-
-@dataclass
 class FitReport:
     relative_l2: float       # ||I_fit - I_ion|| / ||I_ion||
     residual_power: float    # guided power left at the grating end
     infeasible: bool         # kappa_max too small to deplete the guide
-    n_evaluations: int       # residual plus Jacobian evaluations
-    starts: list             # FitStart per start
-
-
-# ---------------------------------------------------------------------------
-# The fit's two solvers, plain numpy so that a design run does not load
-# scipy.optimize: a trust-region least squares whose step is exact, from one
-# SVD per iterate, and a golden-section search for the start's rate.
-
-_GTOL = _FTOL = _XTOL = 1e-8  # _least_squares' gradient, cost, step tolerances
+    n_evaluations: int       # cost evaluations of the drain-target search
+    drain_target: float      # s: kappa(x) is exact for the target s I_ion
 
 
 def _golden_minimum(f, lo, hi, xatol):
@@ -166,225 +114,55 @@ def _golden_minimum(f, lo, hi, xatol):
     return c if fc <= fd else d
 
 
-def _trust_region_step(s, uf, vt, delta):
-    """The p minimizing ||J p + f|| subject to ||p|| <= delta, from the SVD
-    J = U diag(s) vt cut to its rank, uf = U^T f (More 1977): Gauss-Newton
-    if it fits, else p(lam) = -(J^T J + lam)^-1 J^T f at 1/||p(lam)|| =
-    1/delta.  That function of lam is concave and increasing, so Newton
-    from lam = 0 climbs to the root without overshooting it."""
-    suf = s * uf
-    lam = 0.0
-    for _ in range(20):
-        d = s * s + lam
-        q = suf / d
-        q_norm = np.linalg.norm(q)
-        if lam == 0.0 and q_norm <= delta:
-            return -vt.T.dot(q)
-        lam += (q_norm - delta) / delta * q_norm**2 / np.sum(q * q / d)
-        if abs(q_norm - delta) <= 1e-6 * delta:
-            break
-    q = suf / (s * s + lam)
-    return -vt.T.dot(q * (delta / np.linalg.norm(q)))
-
-
-def _least_squares(fun, x0, jac, max_nfev):
-    """Minimize 0.5 ||fun(x)||^2 from ``x0`` given the Jacobian ``jac``.
-
-    The trust radius starts at norm(x0) (1 if 0), falls to a quarter of
-    the step below a reduction ratio of 0.25 and doubles above 0.75 on a
-    step that reaches it.  Returns (x, fun(x), status, nfev) with the
-    codes of :class:`FitStart`; raises ValueError when the residuals at
-    ``x0`` or a Jacobian are not finite.
-    """
-    norm = np.linalg.norm
-    x = np.array(x0, dtype=float)
-    f = fun(x)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("residuals are not finite at the start")
-    nfev = 1
-    cost = 0.5 * np.dot(f, f)
-    delta = norm(x) or 1.0
-    while True:
-        J = jac(x)
-        if not np.all(np.isfinite(J)):
-            raise ValueError("the Jacobian is not finite")
-        g = J.T.dot(f)
-        if norm(g, ord=np.inf) < _GTOL:
-            return x, f, 1, nfev
-        u, s, vt = np.linalg.svd(J, full_matrices=False)
-        uf = u.T.dot(f)
-        rank = s > np.finfo(float).eps * max(J.shape) * s[0]
-        s, uf, vt = s[rank], uf[rank], vt[rank]
-        status, actual = 0, 0.0
-        while not (status or actual > 0):
-            if nfev == max_nfev:
-                return x, f, 0, nfev
-            step = _trust_region_step(s, uf, vt, delta)
-            step_norm = norm(step)
-            f_new = fun(x + step)
-            nfev += 1
-            if not np.all(np.isfinite(f_new)):
-                delta = 0.25 * step_norm
-                continue
-            cost_new = 0.5 * np.dot(f_new, f_new)
-            actual = cost - cost_new
-            js = J.dot(step)
-            predicted = -(0.5 * np.dot(js, js) + np.dot(step, g))
-            ratio = actual / predicted if predicted > 0 else 0.0
-            if ratio < 0.25:
-                delta = 0.25 * step_norm
-            elif ratio > 0.75 and step_norm > 0.95 * delta:
-                delta *= 2.0
-            if actual < _FTOL * cost and ratio > 0.25:
-                status = 2
-            elif step_norm < _XTOL * (_XTOL + norm(x)):
-                status = 3
-        if actual > 0:
-            x, f, cost = x + step, f_new, cost_new
-        if status:
-            return x, f, status, nfev
-
-
-def _fit_ansatz_to_curve(x, target, length, cap):
-    """Least-squares ansatz coefficients for a sampled kappa curve, lowered
-    by its overshoot of ``cap`` so that it starts inside the cap wall.
-
-    Linear in (a, b, c, d, A) for fixed exponential rate B; the rate is
-    found by a golden-section search.  A start above the cap begins deep
-    in the wall penalty, which the least squares first clears by switching
-    the exponential off, and then stalls.
-    """
-    basis = np.column_stack([x**3, x**2, x, np.ones_like(x)])
-
-    def solve(bexp):
-        m = np.column_stack([basis, np.exp(bexp * x)])
-        coef, *_ = np.linalg.lstsq(m, target, rcond=None)
-        return coef, float(np.sum((m @ coef - target) ** 2))
-
-    bexp = _golden_minimum(lambda b: solve(b)[1], 0.0, 30.0 / length,
-                           xatol=1e-4 / length)
-    coef, _ = solve(bexp)
-    ansatz = KappaAnsatz(*coef, B=float(bexp), length=float(length))
-    ansatz.d -= max(float(np.max(ansatz(x))) - cap, 0.0)
-    return ansatz
-
-
 def fit_kappa(i_ion, x, alpha=0.0, kappa_max: float = np.inf):
-    """Fit the smooth kappa(x) ansatz so its diffracted intensity matches
-    a normalized target profile.
+    """The scattering strength kappa(x) whose diffracted intensity follows
+    a normalized target profile, sampled on ``x``, under kappa <= kappa_max.
 
-    The pointwise-ideal kappa is computed and the ansatz fit to that curve
-    directly; from there, and from a slow-exponential start, the
-    coefficients are refined by least squares on the intensity mismatch
-    with penalties enforcing 0 <= kappa <= kappa_max.  The residual is
-    closed-form in kappa exp(-int kappa), so its Jacobian is analytic.
+    kappa is :func:`ideal_kappa` of the target scaled by a drain target s
+    in (0, 1], capped at kappa_max: exact for s I_ion until it meets the
+    cap, constant after.  A golden-section search picks s on the relative
+    L2 mismatch of the diffracted intensity to I_ion, combined by hypot,
+    when capped, with a penalty on guided power left beyond 5 % at the end.
+    Uncapped, the cap is 50 / length, at which a uniform kappa would leave
+    e^-50 of the light.
 
-    Returns (KappaAnsatz, FitReport).
+    Returns (kappa, FitReport), kappa as a callable interpolating the
+    samples.
     """
     x = np.asarray(x, dtype=float)
     i_target = _as_profile(i_ion, x)
-    a_prof = _as_profile(alpha, x)
-    length = float(x[-1])
     capped = bool(np.isfinite(kappa_max))
-    cap = kappa_max if capped else 50.0 / length
-    k_ideal = ideal_kappa(i_target, x, alpha, kappa_cap=cap)
-    start = _fit_ansatz_to_curve(x, k_ideal, length, cap)
-
-    # the median as np.median takes it, the mean of the middle one or two
-    # values, from a sort: np.median would import numpy.ma
-    k_sorted, n = np.sort(k_ideal), len(k_ideal)
-    k_scale = max(float(np.mean(k_sorted[(n - 1) // 2:n // 2 + 1])), 1.0)
-    scale = np.array([length**-3, length**-2, length**-1, 1.0,
-                      1.0, np.nan]) * k_scale
-    scale[5] = 1.0 / length
+    cap = kappa_max if capped else 50.0 / float(x[-1])
     i_norm = float(np.linalg.norm(i_target))
     evaluations = 0
 
-    def unpack(z):
-        return KappaAnsatz(*(z * scale)[:5], B=float(z[5] * scale[5]),
-                           length=length)
+    def profile(s):
+        return ideal_kappa(s * i_target, x, alpha, kappa_cap=cap)
 
-    def forward(z):
-        """Raw and clipped kappa, and the diffracted intensity with the
-        attenuation factor it carries."""
-        k_raw = unpack(z)(x)
-        k = np.clip(k_raw, 0.0, kappa_max if capped else None)
-        atten = _guided_fraction(k, a_prof, x)
-        return k_raw, k, k * atten, atten
+    def mismatch(k):
+        i_fit = diffracted_intensity(k, alpha, x)
+        return float(np.linalg.norm(i_fit - i_target) / i_norm)
 
-    def residuals(z):
+    def cost(s):
         nonlocal evaluations
         evaluations += 1
-        k_raw, k, i_fit, _ = forward(z)
-        # soft walls keep kappa inside [0, kappa_max]
-        rows = [(i_fit - i_target) / i_norm,
-                100.0 * np.minimum(k_raw / k_scale, 0.0)]
-        if capped:
-            rows.append(100.0 * np.maximum((k_raw - kappa_max) / kappa_max,
-                                           0.0))
-            # when the profile match is capped, still drain the guide:
-            # penalize residual power beyond a few percent at the end
-            r_end = residual_power(k, alpha, x)
-            rows.append(np.array([10.0 * max(r_end - 0.05, 0.0)]))
-        return np.concatenate(rows)
+        k = profile(s)
+        if not capped:
+            return mismatch(k)
+        drain = 10.0 * max(residual_power(k, alpha, x) - 0.05, 0.0)
+        return math.hypot(mismatch(k), drain)
 
-    def jacobian(z):
-        nonlocal evaluations
-        evaluations += 1
-        k_raw, k, _, atten = forward(z)
-        c = z * scale
-        grow = np.exp(c[5] * x)
-        # d kappa_raw / d z_j for the six scaled coefficients
-        dk_raw = np.column_stack([x**3, x**2, x, np.ones_like(x), grow,
-                                  c[4] * x * grow]) * scale
-        inside = (k_raw > 0.0) & (k_raw < kappa_max)
-        dk = dk_raw * inside[:, None]
-        d_atten = cumulative_trapezoid(dk, x)
-        d_i = (dk - k[:, None] * d_atten) * atten[:, None]
-        rows = [d_i / i_norm,
-                (100.0 / k_scale) * dk_raw * (k_raw < 0.0)[:, None]]
-        if capped:
-            rows.append((100.0 / kappa_max) * dk_raw
-                        * (k_raw > kappa_max)[:, None])
-            r_end = residual_power(k, alpha, x)
-            d_end = -10.0 * r_end * np.trapezoid(dk, x, axis=0)
-            rows.append(d_end[None, :] * (r_end > 0.05))
-        return np.concatenate(rows)
-
-    n_match = len(x)
-    starts = [start.coefficients() / scale,
-              np.array([0.0, 0.0, 0.0, 0.5, 1e-3, 3.0])]
-    best_z, best_val = None, np.inf
-    outcomes = []
-    for z_init in starts:
-        try:
-            # converging starts need well under 200 evaluations; the cap
-            # bounds the cost of a stuck one, which reports status 0
-            z, f, status, nfev = _least_squares(residuals, z_init, jacobian,
-                                                max_nfev=1000)
-        except (ValueError, FloatingPointError):
-            outcomes.append(FitStart(status=-1, nfev=0, relative_l2=np.nan))
-            continue
-        val = float(np.linalg.norm(f[:n_match]))
-        outcomes.append(FitStart(status=status, nfev=nfev, relative_l2=val))
-        if np.isfinite(val) and val < best_val:
-            best_val, best_z = val, z
-    if best_z is None:
-        raise FitDivergenceError("no coefficient start converged")
-
-    ansatz = unpack(best_z)
-    k_fit = np.clip(ansatz(x), 0.0, kappa_max if capped else None)
-    i_fit = diffracted_intensity(k_fit, alpha, x)
-    rel_l2 = float(np.linalg.norm(i_fit - i_target) / i_norm)
-    res_power = residual_power(k_fit, alpha, x)
+    s = _golden_minimum(cost, 0.0, 1.0, xatol=1e-6)
+    k = profile(s)
+    res_power = residual_power(k, alpha, x)
     # the constraint is hopeless when even constant kappa_max leaves more
     # than 10% of the light in the guide
-    infeasible = (capped and np.exp(-kappa_max * length) > 0.10
-                  and res_power > 0.10)
-    report = FitReport(relative_l2=rel_l2, residual_power=res_power,
+    infeasible = bool(capped and np.exp(-kappa_max * x[-1]) > 0.10
+                      and res_power > 0.10)
+    report = FitReport(relative_l2=mismatch(k), residual_power=res_power,
                        infeasible=infeasible, n_evaluations=evaluations,
-                       starts=outcomes)
-    return ansatz, report
+                       drain_target=s)
+    return functools.partial(np.interp, xp=x, fp=k), report
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +202,13 @@ class ToothSpec:
         return self.params.pitch
 
 
-def discretize(ansatz: KappaAnsatz, library: ParamLibrary,
+def discretize(kappa, library: ParamLibrary,
                footprint: GratingFootprint, pose: IonPose,
                stack: LayerStack) -> list:
     """March along the grating, assigning one library cell per tooth.
 
     At each position the required diffraction angle fixes the pitch (via
-    the library's grating-equation cells) and the ansatz fixes the kappa
+    the library's grating-equation cells) and ``kappa(x)`` fixes the kappa
     target, met by choosing the phase shift; x advances by the local pitch.
     """
     teeth = []
@@ -440,7 +218,7 @@ def discretize(ansatz: KappaAnsatz, library: ParamLibrary,
     guard = int(footprint.x_extent / (min_feature * 2)) + 10
     while x < footprint.x_extent and len(teeth) < guard:
         angle = diffraction_angle_at(x, pose, stack)
-        res = interpolate(library, angle, float(ansatz(np.array([x]))[0]))
+        res = interpolate(library, angle, float(kappa(np.array([x]))[0]))
         bad = feature_check(res.params, min_feature)
         if bad:
             raise LayoutError(f"tooth at x={x * 1e6:.3f} um violates "

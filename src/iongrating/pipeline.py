@@ -366,9 +366,9 @@ def _run_design(config, path):
                             unpack=True)
     lib = liblib.load_library(path["library.json"])
     dz_cfg = config.designer
-    ansatz, fit = designer.fit_kappa(
+    kappa, fit = designer.fit_kappa(
         profile, x, alpha=dz_cfg["alpha"], kappa_max=dz_cfg["kappa_max"])
-    teeth = designer.discretize(ansatz, lib, config.footprint, config.pose,
+    teeth = designer.discretize(kappa, lib, config.footprint, config.pose,
                                 config.stack)
     designer.curve_tooth(teeth, config.footprint, config.stack, config.pose,
                          config.wavelength)
@@ -387,8 +387,8 @@ def _run_design(config, path):
             "fit_relative_l2": fit.relative_l2,
             "fit_residual_power": fit.residual_power,
             "fit_infeasible": bool(fit.infeasible),
-            "fit_status": [s.status for s in fit.starts],
-            "fit_nfev": [s.nfev for s in fit.starts],
+            "fit_drain_target": fit.drain_target,
+            "fit_nfev": fit.n_evaluations,
             "drained_power": float(np.sum(drained)),
             "undiffracted_power": residual,
             "zone_period": layout.zone_period}
@@ -655,8 +655,9 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
 _float = "{:.4g}".format
 
 
-def _list(values) -> str:
-    return " ".join(map(str, values)) or "n/a"
+def _count(value) -> str:
+    # a list is a per-start count, written before 0.5.12
+    return "n/a" if isinstance(value, list) else str(value)
 
 
 # (title, stage, rows); each row is (label, summary keys, format), and a
@@ -678,8 +679,8 @@ _REPORT = (
         ("teeth", ("n_teeth",), str),
         ("clamped / truncated teeth", ("n_clamped", "n_truncated"), str),
         ("fit relative L2", ("fit_relative_l2",), _float),
-        ("fit status per start", ("fit_status",), _list),
-        ("fit evaluations per start", ("fit_nfev",), _list),
+        ("fit drain target", ("fit_drain_target",), _float),
+        ("fit evaluations", ("fit_nfev",), _count),
         ("undiffracted power", ("undiffracted_power",), _float))),
     ("collection", "overlap", (
         ("eta at ion (field)", ("eta_at_ion",), _float),

@@ -47,15 +47,15 @@ def focused_teeth():
     pose = IonPose()
     footprint = GratingFootprint()
     emission = dipole.ion_intensity_profile(footprint, pose, 512)
-    ansatz, _ = fit_kappa(emission.intensity, emission.x, alpha=0.0,
-                          kappa_max=0.6e6)
+    kappa, _ = fit_kappa(emission.intensity, emission.x, alpha=0.0,
+                         kappa_max=0.6e6)
     cell = fdtd.default_cell_size(stack, WAVELENGTH, 20)
     teeth, xx = [], 0.0
     while xx < footprint.x_extent:
         angle = diffraction_angle_at(xx, pose, stack)
         pitch = pitch_for_angle(angle, 0.5, 0.5, stack, WAVELENGTH, "TE",
                                 cell)
-        k = max(float(ansatz(np.array([xx]))[0]), 0.0)
+        k = float(kappa(np.array([xx]))[0])
         teeth.append(ToothSpec(
             x=xx,
             params=UnitCellParams(pitch, 0.5, 0.5, 0.06e-6, 0.0),
