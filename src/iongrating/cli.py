@@ -28,7 +28,8 @@ _config_option = click.option(
     help="YAML configuration overriding the built-in defaults.")
 _seed_option = click.option(
     "--seed", type=int, default=None,
-    help="Override the detection and timing seeds with this value.")
+    help="Override the detection and timing seeds with this value, a "
+    "non-negative integer.")
 _out_option = click.option("--out", "out_dir", type=click.Path(),
                            default=None,
                            help="Output directory (default from config).")

@@ -152,141 +152,149 @@ class DetectionConfig:
 # ---------------------------------------------------------------------------
 # The run configuration
 
-def default_config_dict() -> dict:
-    """Built-in defaults for every stage (nominal device values)."""
-    return {
-        "wavelength": constants.DESIGN_WAVELENGTH,
-        "stack": None,               # null -> built-in default stack
-        "footprint": {"x_extent": 30e-6, "y_extent": 30e-6},
-        "pose": {"x_ion": 28e-6, "y_ion": 0.0,
-                 "height_above_surface": 50e-6,
-                 "cladding_thickness": 5e-6},
-        "library": {
-            "mode": "analytic",      # analytic | fdtd | file
-            "path": None,            # required for mode: file
-            "angles_deg": [-4.0, 0.0, 4.0, 8.0, 12.0, 16.0, 20.0],
-            "delta_fracs": [0.0, 0.25, 0.5, 0.75, 1.0],
-            "n_periods": 8,
-            "points_per_wavelength": 16,
-            "kappa0": 1.0e6,         # analytic-mode peak coupling, 1/m
-            "alpha0": 0.05e6,        # analytic-mode parasitic loss, 1/m
-            "duty_upper": 0.5,
-            "duty_lower": 0.5,
-            "layer_offset": 0.06e-6,
-            "cache_dir": None,
-        },
-        "designer": {
-            "alpha": 0.0,
-            "kappa_max": 0.6e6,
-        },
-        "propagation": {"shape": [512, 512], "pixel_size": 0.1e-6},
-        "detection": {
-            "bright_rate": 297.0,
-            "dark_rate": 8.1,
-            "window": 0.008,
-            "threshold": 1,
-            "bins": 10,
-            "d_lifetime": 0.39,
-            "shelving_failure": 0.005,
-            "trials": 200000,
-        },
-        "seeds": {"library": 0, "detection": 1, "timing": 2},
-        "output_dir": "runs",
-    }
+_MODES = ("analytic", "fdtd", "file")
 
-
-_CONFIG_COMMENTS = {
-    "wavelength": "fluorescence wavelength, m",
-    "stack": "null selects the built-in SiN/SiO2/SiN bilayer stack",
-    "footprint": "grating extent, m",
-    "pose": "ion standoff: 50 um vacuum above 5 um oxide, 28 um along x",
-    "library": "unit-cell table; analytic mode needs no field solver",
-    "designer": "longitudinal profile fit and tooth layout options",
-    "propagation": "scalar field raster (pixels, pixel size in m)",
-    "detection": "counts/s rates, window s, readout and shelving model",
-    "seeds": "explicit seeds of the Monte Carlo detection and timing "
-             "stages; library is unused and still accepted for old configs",
-    "output_dir": "all artifacts are written below this directory",
+# The configuration schema, nested as the YAML file is: each top-level key
+# holds the comment ``init-config`` writes above it and one row or a
+# section of rows.  A row is (default, kind, bound, modes), trailing Nones
+# left out: ``_typed`` reads the kind, the bound is (">", 0) or (">=", n),
+# and a library mode outside ``modes`` takes the key only at its default.
+# The footprint, pose and detection dataclasses check their own values.
+_TABLE = {
+    "wavelength": ("fluorescence wavelength, m",
+                   (constants.DESIGN_WAVELENGTH, "float", (">", 0))),
+    "stack": ("null selects the built-in SiN/SiO2/SiN bilayer stack",
+              (None, "stack")),
+    "footprint": ("grating extent, m", {
+        "x_extent": (30e-6, "float"),
+        "y_extent": (30e-6, "float")}),
+    "pose": ("ion standoff: 50 um vacuum above 5 um oxide, 28 um along x", {
+        "x_ion": (28e-6, "float"),
+        "y_ion": (0.0, "float"),
+        "height_above_surface": (50e-6, "float"),
+        "cladding_thickness": (5e-6, "float")}),
+    "library": ("unit-cell table; analytic mode needs no field solver", {
+        "mode": ("analytic", "mode"),
+        "path": (None, "path", None, ("file",)),
+        "angles_deg": ([-4.0, 0.0, 4.0, 8.0, 12.0, 16.0, 20.0], "floats",
+                       None, ("analytic", "fdtd")),
+        "delta_fracs": ([0.0, 0.25, 0.5, 0.75, 1.0], "floats", None,
+                        ("analytic", "fdtd")),
+        "n_periods": (8, "int", (">=", 4), ("fdtd",)),
+        # every mode: the TM teeth take their angles on this grid
+        "points_per_wavelength": (16, "int", (">", 0)),
+        "kappa0": (1.0e6, "float", (">", 0), ("analytic",)),  # peak, 1/m
+        "alpha0": (0.05e6, "float", (">=", 0), ("analytic",)),  # loss, 1/m
+        "duty_upper": (0.5, "float", None, ("analytic",)),
+        "duty_lower": (0.5, "float", None, ("analytic",)),
+        "layer_offset": (0.06e-6, "float", None, ("analytic",)),
+        "cache_dir": (None, "path", None, ("fdtd",))}),
+    "designer": ("longitudinal profile fit and tooth layout options", {
+        "alpha": (0.0, "float", (">=", 0)),
+        # +inf is an uncapped fit
+        "kappa_max": (0.6e6, "float|inf", (">", 0))}),
+    "propagation": ("scalar field raster (pixels, pixel size in m)", {
+        "shape": ([512, 512], "shape"),
+        "pixel_size": (0.1e-6, "float", (">", 0))}),
+    "detection": ("counts/s rates, window s, readout and shelving model", {
+        "bright_rate": (297.0, "float"),
+        "dark_rate": (8.1, "float"),
+        "window": (0.008, "float"),
+        "threshold": (1, "int"),
+        "bins": (10, "int"),
+        "d_lifetime": (0.39, "float"),
+        "shelving_failure": (0.005, "float"),
+        "trials": (200000, "int", (">=", 10**4))}),
+    "seeds": ("explicit seeds of the Monte Carlo detection and timing "
+              "stages; library is unused and still accepted for old "
+              "configs", {"library": (0, "int", (">=", 0)),
+                          "detection": (1, "int", (">=", 0)),
+                          "timing": (2, "int", (">=", 0))}),
+    "output_dir": ("all artifacts are written below this directory",
+                   ("runs", "str")),
 }
 
 
-def _first_nonfinite(value, name: str):
-    """The dotted name and value of the first NaN or infinity inside
-    ``value`` (a number, or lists and mappings of them), or None."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else (name, value)
-    if isinstance(value, dict):
-        items = ((f"{name}.{k}", v) for k, v in value.items())
-    elif isinstance(value, list):
-        items = ((f"{name}[{i}]", v) for i, v in enumerate(value))
-    else:
-        return None
-    for inner, v in items:
-        found = _first_nonfinite(v, inner)
-        if found is not None:
-            return found
-    return None
+def default_config_dict() -> dict:
+    """Built-in defaults for every stage (nominal device values)."""
+    return copy.deepcopy({
+        key: {k: row[0] for k, row in body.items()}
+        if isinstance(body, dict) else body[0]
+        for key, (_, body) in _TABLE.items()})
 
 
-# the one value where infinity means something: an uncapped kappa(x) fit
-_UNCAPPED_FIT = ("designer.kappa_max", math.inf)
-
-
-def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
-    """``override`` laid over ``base``; a section whose default is a
-    mapping only takes a mapping, a key whose default is a number takes
-    what :func:`_number` does, and one whose default is a list of floats a
-    non-empty list of such numbers.  No other value may hold a NaN, which
-    every comparison would let through, nor an infinity.  The errors name
-    the dotted key."""
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if key not in out:
+def _overlay(merged: dict, layer: dict) -> None:
+    """Lay ``layer`` over ``merged``, each value typed by its row; errors
+    name the dotted key."""
+    for key, value in layer.items():
+        if key not in _TABLE:
             raise KeyError(f"unknown configuration key {key!r}")
-        name, default = f"{prefix}{key}", out[key]
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise TypeError(f"{name}: expected a mapping, got "
-                                f"{type(value).__name__}")
-            out[key] = _deep_merge(default, value, f"{name}.")
+        body = _TABLE[key][1]
+        if not isinstance(body, dict):
+            merged[key] = _typed(key, body[1], value)
             continue
-        if isinstance(default, (int, float)):
-            value = _number(value, default, name)
-        elif isinstance(default, list) and isinstance(default[0], float):
-            if not (isinstance(value, list) and value):
-                raise ValueError(f"{name}: expected a non-empty list of "
-                                 f"numbers, got {value!r}")
-            value = [_number(v, 0.0, f"{name}[{i}]")
-                     for i, v in enumerate(value)]
-        else:
-            bad = _first_nonfinite(value, name)
-            if bad is not None:
-                _nonfinite(*bad)
-        out[key] = value
-    return out
+        if not isinstance(value, dict):
+            raise TypeError(f"{key}: expected a mapping, got "
+                            f"{type(value).__name__}")
+        for sub, v in value.items():
+            if sub not in body:
+                raise KeyError(f"unknown configuration key {sub!r}")
+            merged[key][sub] = _typed(f"{key}.{sub}", body[sub][1], v)
 
 
-def _number(value, default, name: str):
-    """``value`` for the key ``name`` whose default is the number
-    ``default``: a string that parses as a number (PyYAML reads ``1e6``
-    and ``6.0e5`` as strings) counts as one, and no value may be NaN or
-    infinite, except an uncapped ``designer.kappa_max``.  A float default
-    takes a number but not a bool, and stores it as a float, so that a
-    later merge types a value against the default, not against an earlier
-    file; an int default takes only an integral value, as an int."""
+def _typed(name: str, kind: str, value):
+    """``value`` for the key ``name`` as a row of ``kind`` stores it, or
+    ValueError naming the key: ``floats`` is a non-empty list of floats,
+    ``shape`` two positive integers, ``path`` a string or null, and the
+    number kinds are :func:`_number`'s."""
+    if kind == "floats":
+        if not (isinstance(value, list) and value):
+            raise ValueError(f"{name}: expected a non-empty list of "
+                             f"numbers, got {value!r}")
+        return [_number(v, "float", f"{name}[{i}]")
+                for i, v in enumerate(value)]
+    if kind == "shape":
+        if not (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(_is_number(n) and n > 0 and n % 1 == 0
+                        for n in value)):
+            raise ValueError(f"{name}: expected two positive integers, "
+                             f"got {value!r}")
+        return [int(n) for n in value]
+    if kind == "mode":
+        if value not in _MODES:
+            raise ValueError(f"{name}: expected a library mode "
+                             f"({', '.join(_MODES)}), got {value!r}")
+        return value
+    if kind == "stack":
+        _stack_from_entry(value)
+        return value
+    if kind in ("str", "path"):
+        if not (isinstance(value, str) or (value is None and kind == "path")):
+            raise ValueError(f"{name}: expected a string"
+                             f"{' or null' * (kind == 'path')}, got "
+                             f"{type(value).__name__}")
+        return value
+    return _number(value, kind, name)
+
+
+def _number(value, kind: str, name: str):
+    """``value`` for the key ``name`` of the number ``kind``: a string
+    that parses as a number (PyYAML reads ``1e6`` and ``6.0e5`` as
+    strings) counts as one, and only ``float|inf`` takes a non-finite
+    value, +inf.  ``float`` takes no bool and stores a float; ``int``
+    takes an integral value and stores an int."""
     if isinstance(value, str):
         # an int key's integer literal stays exact beyond 2**53
-        exact = (isinstance(default, int)
-                 and value.strip().lstrip("+-").isdigit())
+        exact = kind == "int" and value.strip().lstrip("+-").isdigit()
         try:
             value = int(value) if exact else float(value)
         except ValueError:
             raise ValueError(f"{name}: expected a number, got "
                              f"{value!r}") from None
-    if isinstance(value, float) and not math.isfinite(value) and (
-            (name, value) != _UNCAPPED_FIT):
+    if isinstance(value, float) and not math.isfinite(value) and not (
+            kind == "float|inf" and value == math.inf):
         _nonfinite(name, value)
-    if isinstance(default, float):
+    if kind != "int":
         if not _is_number(value):
             raise ValueError(f"{name}: expected a number, got {value!r}")
         try:
@@ -310,20 +318,26 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _raster(propagation: dict) -> dict:
-    """``propagation`` with its shape as two ints, each from an integral
-    number; any other shape, or a pixel size that is not positive, raises
-    ValueError naming the key."""
-    shape, pixel_size = propagation["shape"], propagation["pixel_size"]
-    if not (isinstance(shape, (list, tuple)) and len(shape) == 2
-            and all(_is_number(n) and n > 0 and n % 1 == 0
-                    for n in shape)):
-        raise ValueError(f"propagation.shape: expected two positive "
-                         f"integers, got {shape!r}")
-    if not (_is_number(pixel_size) and pixel_size > 0):
-        raise ValueError(f"propagation.pixel_size: expected a positive "
-                         f"number, got {pixel_size!r}")
-    return {**propagation, "shape": [int(n) for n in shape]}
+def _check(merged: dict) -> None:
+    """Raise ValueError naming the first key out of its bound, or off its
+    default under a library mode that does not read it."""
+    mode = merged["library"]["mode"]
+    rows = ((key, sub, row) for key, (_, body) in _TABLE.items()
+            for sub, row in (body.items() if isinstance(body, dict)
+                             else [(None, body)]))
+    for key, sub, row in rows:
+        default, _, bound, modes = row + (None,) * (4 - len(row))
+        name = key if sub is None else f"{key}.{sub}"
+        value = merged[key] if sub is None else merged[key][sub]
+        if bound is not None:
+            op, n = bound
+            if not (value > n if op == ">" else value >= n):
+                rule = ("be positive" if op == ">" else
+                        "not be negative" if n == 0 else f"be at least {n}")
+                raise ValueError(f"{name} must {rule}, got {value!r}")
+        if modes is not None and mode not in modes and value != default:
+            raise ValueError(f"{name}: not read in {mode} mode (read in "
+                             f"{' and '.join(modes)} mode)")
 
 
 def _section(name: str, build, entry: dict):
@@ -337,29 +351,34 @@ def _section(name: str, build, entry: dict):
 def _stack_from_entry(entry) -> LayerStack:
     """The built-in stack for null, else the stack of a mapping with
     ``layers`` (each a name, thickness and refractive_index),
-    ``cladding_index`` and, optionally, ``guiding``; errors name ``stack``."""
+    ``cladding_index`` and, optionally, ``guiding``; its numbers take the
+    float rule of :func:`_number`, and errors name ``stack``."""
     if entry is None:
         return default_stack()
     if not isinstance(entry, dict):
         raise TypeError(f"stack: expected a mapping or null, got "
                         f"{type(entry).__name__}")
     try:
-        layers = tuple(Layer(l["name"], float(l["thickness"]),
-                             float(l["refractive_index"]))
-                       for l in entry["layers"])
+        layers = tuple(_section("stack", Layer, {
+            "name": l["name"],
+            **{k: _number(l[k], "float", f"stack.layers[{i}].{k}")
+               for k in ("thickness", "refractive_index")}})
+            for i, l in enumerate(entry["layers"]))
+        cladding = _number(entry["cladding_index"], "float",
+                           "stack.cladding_index")
         guiding = tuple(entry.get("guiding", [l.name for l in layers]))
-        return LayerStack(layers=layers,
-                          cladding_index=float(entry["cladding_index"]),
-                          guiding=guiding)
     except KeyError as exc:
         raise ValueError(f"stack: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ValueError(f"stack: {exc}") from None
+    return _section("stack", LayerStack, {
+        "layers": layers, "cladding_index": cladding, "guiding": guiding})
 
 
 @dataclass
 class PipelineConfig:
-    """Validated, typed view of one run configuration."""
+    """Typed view of one run configuration, as :meth:`from_dict` and
+    :func:`load_config` build it."""
     wavelength: float
     stack: LayerStack
     footprint: GratingFootprint
@@ -373,38 +392,18 @@ class PipelineConfig:
     output_dir: str
     raw: dict = field(repr=False, default_factory=dict)
 
-    def __post_init__(self):
-        if self.library["mode"] not in ("analytic", "fdtd", "file"):
-            raise ValueError(f"unknown library mode "
-                             f"{self.library['mode']!r}")
-        if self.detection_trials < 10**4:
-            raise ValueError("detection trials must be at least 1e4")
-        if not self.wavelength > 0:
-            raise ValueError("wavelength must be positive")
-        if not self.library["kappa0"] > 0:
-            raise ValueError("library.kappa0 must be positive")
-        if not self.library["alpha0"] >= 0:
-            raise ValueError("library.alpha0 must not be negative")
-        if not self.library["n_periods"] >= 4:
-            raise ValueError("library.n_periods must be at least 4")
-        if not self.library["points_per_wavelength"] > 0:
-            raise ValueError("library.points_per_wavelength must be positive")
-        if not self.designer["kappa_max"] > 0:
-            raise ValueError("designer.kappa_max must be positive")
-        if not self.designer["alpha"] >= 0:
-            raise ValueError("designer.alpha must not be negative")
-        self.propagation = _raster(self.propagation)
-        if not isinstance(self.output_dir, str):
-            raise ValueError(f"output_dir: expected a string, got "
-                             f"{type(self.output_dir).__name__}")
-
     @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        merged = _deep_merge(default_config_dict(), data)
+    def from_dict(cls, *layers: dict) -> "PipelineConfig":
+        """The defaults overlaid by each of ``layers`` in turn, each value
+        typed by its row, then checked once by :func:`_check`."""
+        merged = default_config_dict()
+        for layer in layers:
+            _overlay(merged, layer)
+        _check(merged)
         det = dict(merged["detection"])
         trials = det.pop("trials")
         return cls(
-            wavelength=float(merged["wavelength"]),
+            wavelength=merged["wavelength"],
             stack=_stack_from_entry(merged["stack"]),
             footprint=_section("footprint", GratingFootprint,
                                merged["footprint"]),
@@ -432,14 +431,10 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
             except yaml.YAMLError as exc:
                 raise ValueError(f"{path}: malformed YAML: "
                                  f"{' '.join(str(exc).split())}") from exc
-        if loaded is not None:
-            if not isinstance(loaded, dict):
-                raise ValueError(f"{path}: configuration must be a mapping")
-            data = loaded
-    if overrides:
-        data = _deep_merge(_deep_merge(default_config_dict(), data),
-                           overrides)
-    return PipelineConfig.from_dict(data)
+        if not isinstance(loaded, (dict, type(None))):
+            raise ValueError(f"{path}: configuration must be a mapping")
+        data = loaded or {}
+    return PipelineConfig.from_dict(data, overrides or {})
 
 
 def write_default_config(path) -> None:
@@ -449,6 +444,6 @@ def write_default_config(path) -> None:
     with open(path, "w") as fh:
         fh.write("# pipeline configuration (all values are defaults)\n")
         for key, value in defaults.items():
-            fh.write(f"\n# {_CONFIG_COMMENTS[key]}\n")
+            fh.write(f"\n# {_TABLE[key][0]}\n")
             fh.write(yaml.safe_dump({key: value}, sort_keys=False,
                                     default_flow_style=False))

@@ -209,9 +209,6 @@ def _config_slices(config: PipelineConfig) -> dict:
     base = {"wavelength": config.wavelength,
             "stack": dataclasses.asdict(config.stack),
             "footprint": rays["footprint"], "pose": rays["pose"]}
-    det = {k: getattr(config.detection, k)
-           for k in ("bright_rate", "dark_rate", "window", "threshold",
-                     "bins", "d_lifetime", "shelving_failure")}
     # the unit cells see no footprint and no pose; entry caches key on
     # their own content, so the cache directory never changes a result
     lib = {"wavelength": config.wavelength, "stack": base["stack"],
@@ -226,7 +223,8 @@ def _config_slices(config: PipelineConfig) -> dict:
         "design": {**base, **config.designer},
         "propagate": {**base, **config.propagation},
         "overlap": base,
-        "detect": {**det, "trials": config.detection_trials,
+        "detect": {**dataclasses.asdict(config.detection),
+                   "trials": config.detection_trials,
                    "seed_detection": config.seeds["detection"],
                    "seed_timing": config.seeds["timing"]},
     }

@@ -1,6 +1,7 @@
 """Configuration layering, stage orchestration/caching, and the CLI."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -12,8 +13,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from iongrating import designer, fdtd, library as liblib, overlap, \
-    pipeline, propagation
+from iongrating import config, designer, fdtd, library as liblib, \
+    overlap, pipeline, propagation
 from iongrating.cli import main
 from iongrating.config import (PipelineConfig, default_config_dict,
                                load_config, write_default_config)
@@ -57,7 +58,7 @@ def test_config_validation():
     ({"shape": [0, 512]},
      "propagation.shape: expected two positive integers, got [0, 512]"),
     ({"pixel_size": -1e-7},
-     "propagation.pixel_size: expected a positive number, got -1e-07"),
+     "propagation.pixel_size must be positive, got -1e-07"),
 ], ids=["shape-fraction", "shape-one-int", "shape-zero",
         "pixel-size-negative"])
 def test_cli_propagation_raster_is_checked_at_load(tmp_path, entry,
@@ -1473,6 +1474,20 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
      "library.angles_deg: expected a non-empty list of numbers, got []"),
     ({"library": {"delta_fracs": [0, True]}},
      "library.delta_fracs[1]: expected a number, got True"),
+    ({"seeds": {"detection": -1}},
+     "seeds.detection must not be negative, got -1"),
+    ({"library": {"mode": "fdtd", "cache_dir": 5}},
+     "library.cache_dir: expected a string or null, got int"),
+    ({"library": {"mode": "file", "path": 5}},
+     "library.path: expected a string or null, got int"),
+    ({"library": {"n_periods": 9}},
+     "library.n_periods: not read in analytic mode"),
+    ({"library": {"mode": "fdtd", "kappa0": 2.0e6}},
+     "library.kappa0: not read in fdtd mode"),
+    ({"library": {"mode": "file", "path": "X", "angles_deg": [0.0]}},
+     "library.angles_deg: not read in file mode"),
+    # typed by its row, not by the --out override laid over it
+    ({"output_dir": 5}, "output_dir: expected a string, got int"),
 ], ids=["library-not-a-mapping", "threshold-not-a-number",
         "footprint-a-list", "pose-height-not-a-number",
         "kappa0-not-a-number", "kappa0-negative", "kappa0-zero",
@@ -1485,7 +1500,10 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
         "points-per-wavelength-zero", "n-periods-below-4", "kappa-max-bool",
         "wavelength-bool", "alpha-list", "height-list", "alpha-mapping",
         "wavelength-overflow", "stack-int", "stack-no-cladding",
-        "angles-deg-string", "angles-deg-empty", "delta-fracs-bool"])
+        "angles-deg-string", "angles-deg-empty", "delta-fracs-bool",
+        "seed-negative", "cache-dir-int", "path-int",
+        "analytic-n-periods", "fdtd-kappa0", "file-angles-deg",
+        "output-dir-int"])
 def test_cli_config_value_of_wrong_type_is_a_config_error(tmp_path, entry,
                                                           message):
     bad = tmp_path / "bad.yaml"
@@ -1575,6 +1593,97 @@ def test_overrides_are_typed_against_the_defaults(tmp_path):
     raw = load_config(path).raw
     assert type(raw["pose"]["y_ion"]) is float
     assert [type(v) for v in raw["library"]["delta_fracs"]] == [float] * 2
+
+
+def test_cli_negative_seed_is_a_config_error(tmp_path):
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["pipeline", "--seed", "-1",
+                                       "--out", str(out)])
+    _assert_one_error_line(result, "config-error")
+    assert result.stderr == ("config-error: seeds.detection must not be "
+                             "negative, got -1\n")
+    assert not out.exists()  # no stage ran
+
+
+def test_init_config_bytes_are_pinned(tmp_path):
+    # the template as 0.5.12 wrote it
+    path = tmp_path / "default.yaml"
+    write_default_config(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "e6fee4c697d60bbb69417cf16b232f210e153866b3673a77e723e4dfa3e68833")
+
+
+def test_every_default_passes_its_own_kind_and_bound():
+    for key, (comment, body) in config._TABLE.items():
+        assert comment
+        section = body if isinstance(body, dict) else {None: body}
+        for sub, row in section.items():
+            name = key if sub is None else f"{key}.{sub}"
+            default, kind = row[:2]
+            typed = config._typed(name, kind, default)
+            assert typed == default and type(typed) is type(default), name
+    # every bound holds at the defaults
+    config._check(default_config_dict())
+    assert PipelineConfig.from_dict(default_config_dict()).raw == \
+        default_config_dict()
+
+
+# the library keys each mode reads, written out here rather than taken
+# from the configuration table
+MODE_READS = {
+    "analytic": {"angles_deg", "delta_fracs", "points_per_wavelength",
+                 "kappa0", "alpha0", "duty_upper", "duty_lower",
+                 "layer_offset"},
+    "fdtd": {"angles_deg", "delta_fracs", "n_periods",
+             "points_per_wavelength", "cache_dir"},
+    "file": {"path", "points_per_wavelength"},
+}
+LIBRARY_CHANGES = {
+    "path": "other.json", "angles_deg": [0.0, 8.0],
+    "delta_fracs": [0.0, 1.0], "n_periods": 9, "points_per_wavelength": 12,
+    "kappa0": 2.0e6, "alpha0": 1.0e4, "duty_upper": 0.4, "duty_lower": 0.4,
+    "layer_offset": 0.1e-6, "cache_dir": "cells"}
+
+
+def _stage_keys(cfg) -> dict:
+    """Every stage's key, as ``run_pipeline`` derives it."""
+    slices, keys = pipeline._config_slices(cfg), {}
+    for name in pipeline.STAGES:
+        keys[name] = pipeline._stage_key(
+            name, slices[name],
+            {d: keys[d] for d in pipeline._STAGES[name][0]})
+    return keys
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_READS))
+def test_each_mode_takes_only_the_library_keys_it_reads(mode):
+    assert set(LIBRARY_CHANGES) == set(default_config_dict()["library"]) - {
+        "mode"}
+    base = {"mode": mode, "path": "lib.json" if mode == "file" else None}
+    before = _stage_keys(load_config(overrides={"library": base}))
+    for key, value in LIBRARY_CHANGES.items():
+        overrides = {"library": {**base, key: value}}
+        if key not in MODE_READS[mode]:
+            with pytest.raises(ValueError, match=(
+                    rf"^library\.{key}: not read in {mode} mode")):
+                load_config(overrides=overrides)
+            continue
+        after = _stage_keys(load_config(overrides=overrides))
+        # entry caches key on their own content, so no stage key holds
+        # the cache directory
+        moved = key != "cache_dir"
+        assert (after["library"] != before["library"]) is moved, key
+        assert (after["propagate"] != before["propagate"]) is moved, key
+
+
+def test_analytic_run_with_n_periods_at_its_default_is_cached(run_dir,
+                                                              tmp_path):
+    # a key the mode does not read can only hold its default
+    copy, _ = _settled_copy(run_dir, tmp_path)
+    cfg = load_config(overrides={**FAST, "output_dir": str(copy),
+                                 "library": {"n_periods": 8}})
+    manifest = pipeline.run_pipeline(cfg)
+    assert manifest["cache_reasons"] == dict.fromkeys(pipeline.STAGES, "hit")
 
 
 def test_null_output_dir_is_a_config_error(tmp_path, monkeypatch):
