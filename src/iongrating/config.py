@@ -153,12 +153,14 @@ class DetectionConfig:
 # The run configuration
 
 _MODES = ("analytic", "fdtd", "file")
+_FRACTION = ("in", (0, 1))
 
 # The configuration schema, nested as the YAML file is: each top-level key
 # holds the comment ``init-config`` writes above it and one row or a
 # section of rows.  A row is (default, kind, bound, modes), trailing Nones
-# left out: ``_typed`` reads the kind, the bound is (">", 0) or (">=", n),
-# and a library mode outside ``modes`` takes the key only at its default.
+# left out: ``_typed`` reads the kind, the bound is (">", 0), (">=", n) or
+# ("in", (0, 1)), a list's bound holds for each entry, and a library mode
+# outside ``modes`` takes the key only at its default.
 # The footprint, pose and detection dataclasses check their own values.
 _TABLE = {
     "wavelength": ("fluorescence wavelength, m",
@@ -178,15 +180,16 @@ _TABLE = {
         "path": (None, "path", None, ("file",)),
         "angles_deg": ([-4.0, 0.0, 4.0, 8.0, 12.0, 16.0, 20.0], "floats",
                        None, ("analytic", "fdtd")),
-        "delta_fracs": ([0.0, 0.25, 0.5, 0.75, 1.0], "floats", None,
+        # fractions of pitch / 2
+        "delta_fracs": ([0.0, 0.25, 0.5, 0.75, 1.0], "floats", _FRACTION,
                         ("analytic", "fdtd")),
         "n_periods": (8, "int", (">=", 4), ("fdtd",)),
         # every mode: the TM teeth take their angles on this grid
         "points_per_wavelength": (16, "int", (">", 0)),
         "kappa0": (1.0e6, "float", (">", 0), ("analytic",)),  # peak, 1/m
         "alpha0": (0.05e6, "float", (">=", 0), ("analytic",)),  # loss, 1/m
-        "duty_upper": (0.5, "float", None, ("analytic",)),
-        "duty_lower": (0.5, "float", None, ("analytic",)),
+        "duty_upper": (0.5, "float", _FRACTION, ("analytic",)),
+        "duty_lower": (0.5, "float", _FRACTION, ("analytic",)),
         "layer_offset": (0.06e-6, "float", None, ("analytic",)),
         "cache_dir": (None, "path", None, ("fdtd",))}),
     "designer": ("longitudinal profile fit and tooth layout options", {
@@ -330,14 +333,25 @@ def _check(merged: dict) -> None:
         name = key if sub is None else f"{key}.{sub}"
         value = merged[key] if sub is None else merged[key][sub]
         if bound is not None:
-            op, n = bound
-            if not (value > n if op == ">" else value >= n):
-                rule = ("be positive" if op == ">" else
-                        "not be negative" if n == 0 else f"be at least {n}")
-                raise ValueError(f"{name} must {rule}, got {value!r}")
+            items = (enumerate(value) if isinstance(value, list)
+                     else [(None, value)])
+            for i, v in items:
+                _check_bound(name if i is None else f"{name}[{i}]", v, bound)
         if modes is not None and mode not in modes and value != default:
             raise ValueError(f"{name}: not read in {mode} mode (read in "
                              f"{' and '.join(modes)} mode)")
+
+
+def _check_bound(name: str, value, bound) -> None:
+    op, n = bound
+    if op == "in":
+        if not n[0] <= value <= n[1]:
+            raise ValueError(f"{name} must lie in [{n[0]}, {n[1]}], got "
+                             f"{value!r}")
+    elif not (value > n if op == ">" else value >= n):
+        rule = ("be positive" if op == ">" else
+                "not be negative" if n == 0 else f"be at least {n}")
+        raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
 def _section(name: str, build, entry: dict):

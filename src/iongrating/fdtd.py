@@ -29,7 +29,10 @@ fold them into double-precision phasors, step by step in order, so the
 sums equal a per-step accumulation bit for bit.  A run stops once the
 four monitor fluxes are measured steady: after one transit of the grid
 plus the source ramp, the largest change of a flux relative to itself
-must stay below 1e-5 for three consecutive optical periods.
+must stay below 1e-5 for three consecutive optical periods.  A unit-cell
+run holds one simulation at a time: the tooth-free reference is freed
+before the grating run starts, and its index map is a read-only view of
+the grating map's first column.
 """
 
 import functools
@@ -94,10 +97,6 @@ class MaterialMap:
     def __post_init__(self):
         if np.any(self.n < 1.0):
             raise ValueError("refractive indices must be >= 1")
-
-    @property
-    def epsr(self):
-        return self.n**2
 
 
 @dataclass
@@ -350,7 +349,9 @@ class Fdtd2D:
     def _init_fields(self):
         nx, nz = self.grid.nx, self.grid.nz
         d, dt = self.grid.cell_size, self.grid.time_step
-        eps = np.ascontiguousarray(self.material.epsr.T)
+        # eps_r as (nz, nx) rows; the TE coefficient chain runs in place
+        # in it
+        eps = np.square(self.material.n.T, order="C")
 
         # Every array is float32 and stored as (nz, nx) rows, x fastest;
         # F, Ga and Gb are (x, z)-indexed views of them.  Gb's one padding
@@ -379,7 +380,11 @@ class Fdtd2D:
             # H divided by it (g_scale) and F's coefficient carries it;
             # LineMonitor.fold multiplies it back in double precision
             self.g_scale = dt / (constants.MU0 * d)
-            cF = dt / (constants.EPS0 * eps[1:-1] * d) * self.g_scale
+            cF = eps[1:-1]
+            cF *= constants.EPS0
+            cF *= d
+            np.divide(dt, cF, out=cF)
+            cF *= self.g_scale
             g_ops = ([(np.add, ga, dFz, ga)],
                      [(np.subtract, gb, dFx, gb)])
         else:
@@ -765,6 +770,24 @@ def _simulate(material: MaterialMap, wavelength: float, polarization: str,
     return sim, monitors, periods
 
 
+def _reference_run(grating: MaterialMap, wavelength: float,
+                   polarization: str):
+    """(monitor fluxes, n_eff, mode profile) of the tooth-free reference
+    spanning the grating map's domain and grid.  Its simulation is freed
+    on return, before the grating run builds its own."""
+    meta, d = grating.meta, grating.cell_size
+    # the grating map's first column lies in the left PML, before any
+    # tooth; a read-only view repeats it across the domain
+    reference = MaterialMap(
+        n=np.broadcast_to(grating.n[:1], grating.n.shape),
+        cell_size=d, meta=dict(meta))
+    col = reference.n[meta["i_in"] - 2, :]
+    n_eff, profile = slab_mode_profile(col, d, wavelength, polarization)
+    sim, monitors, _ = _simulate(reference, wavelength, polarization,
+                                 profile)
+    return [m.flux(sim) for m in monitors], n_eff, profile
+
+
 def run_unit_cell(params, n_periods: int, wavelength: float,
                   stack: LayerStack, polarization: str,
                   cell_size: float) -> CellResult:
@@ -788,18 +811,8 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
     ref_key = (stack, wavelength, polarization, round(cell_size * 1e12),
                grating.n.shape)
     if ref_key not in _reference_cache:
-        # tooth-free reference spanning the identical domain and grid: the
-        # grating map's first column lies in the left PML, before any tooth
-        reference = MaterialMap(
-            n=np.repeat(grating.n[:1], grating.n.shape[0], axis=0),
-            cell_size=cell_size, meta=dict(meta))
-        col = reference.n[meta["i_in"] - 2, :]
-        n_eff, profile = slab_mode_profile(col, cell_size, wavelength,
-                                           polarization)
-        sim_r, mons_r, _ = _simulate(reference, wavelength, polarization,
-                                     profile)
-        ref_flux = [m.flux(sim_r) for m in mons_r]
-        _reference_cache[ref_key] = (ref_flux, n_eff, profile)
+        _reference_cache[ref_key] = _reference_run(grating, wavelength,
+                                                   polarization)
     ref_flux, n_eff, profile = _reference_cache[ref_key]
     # normalize to the guided power actually delivered through the section
     # in the tooth-free reference; stray launch radiation then cancels

@@ -680,9 +680,12 @@ _REPORT = (
         ("fit drain target", ("fit_drain_target",), _float),
         ("fit evaluations", ("fit_nfev",), _count),
         ("undiffracted power", ("undiffracted_power",), _float))),
+    ("focus", "propagate", (
+        ("TE focus x / y", ("peak_x_te", "peak_y_te"), _float),
+        ("TM focus x / y", ("peak_x_tm", "peak_y_tm"), _float))),
     ("collection", "overlap", (
         ("eta at ion (field)", ("eta_at_ion",), _float),
-        ("map peak at x", ("peak_x",), _float),
+        ("TE+TM map peak at x", ("peak_x",), _float),
         ("crosstalk", (), None),
         ("TM/TE power ratio", ("tm_te_power_ratio",), _float),
         ("TM suppression (dB)", ("tm_suppression_db",), _float),

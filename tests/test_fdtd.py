@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -301,7 +302,7 @@ def _full_grid_cpml(sim, prescaled=True):
     """
     nx, nz = sim.grid.nx, sim.grid.nz
     d, dt = sim.grid.cell_size, sim.grid.time_step
-    eps = sim.material.epsr
+    eps = sim.material.n**2
     if sim.polarization == "TE":
         cF = dt / (constants.EPS0 * eps * d)
         cGa = cGb = dt / (constants.MU0 * d)
@@ -571,12 +572,13 @@ class _StepwiseMonitor:
 
 @pytest.mark.parametrize("pol", ["TE", "TM"])
 def test_buffered_monitor_matches_stepwise_accumulation(pol):
+    # four lines of four lengths, each folded through its own work rows
     buffered_sim, stepwise_sim = _coarse_sim(pol), _coarse_sim(pol)
     meta = buffered_sim.material.meta
-    zspan = slice(meta["j_bot"], meta["j_top"] + 1)
-    xspan = slice(meta["i_in"], meta["i_out"] + 1)
-    lines = [("v", meta["i_in"], zspan), ("v", meta["i_out"], zspan),
-             ("h", meta["j_top"], xspan), ("h", meta["j_bot"], xspan)]
+    j0, j1, i0, i1 = meta["j_bot"], meta["j_top"], meta["i_in"], meta["i_out"]
+    lines = [("v", i0, slice(j0, j1 + 1)), ("v", i1, slice(j0 + 3, j1 + 1)),
+             ("h", j1, slice(i0, i1 + 1)), ("h", j0, slice(i0 + 5, i1 + 1))]
+    assert len({s.stop - s.start for _, _, s in lines}) == 4
     buffered = [fdtd.LineMonitor(buffered_sim, *l) for l in lines]
     stepwise = [_StepwiseMonitor(*l) for l in lines]
     warm, periods = 12, 3
@@ -761,6 +763,65 @@ def test_runs_are_deterministic(symmetric_cell):
     assert r.p_t == symmetric_cell.p_t
     assert r.p_up == symmetric_cell.p_up
     assert np.array_equal(r.top_field, symmetric_cell.top_field)
+
+
+def test_reference_simulation_is_freed_before_the_grating_run(monkeypatch):
+    # the cached reference keeps its fluxes, index and profile, not its
+    # simulation
+    monkeypatch.setattr(fdtd, "_reference_cache", {})
+    built, alive = [], []
+
+    class Recorded(fdtd.Fdtd2D):
+        def __init__(self, *args, **kwargs):
+            alive.append([ref() is not None for ref in built])
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(fdtd, "Fdtd2D", Recorded)
+    fdtd.run_unit_cell(params(pitch=0.32e-6), 4, WAVELENGTH, STACK, "TE",
+                       cell_size=2 * CELL)
+    assert alive == [[], [False]]
+
+
+def _traced_simulation_size(p, n_periods, cell):
+    """Traced bytes of one simulation of the unit cell ``p``: its index
+    map, fields, CPML arrays and four monitors."""
+    tracemalloc.start()
+    try:
+        material = fdtd.unit_cell_material_map(STACK, p, n_periods, cell)
+        meta = material.meta
+        col = material.n[meta["i_in"] - 2, :]
+        _, profile = fdtd.slab_mode_profile(col, cell, WAVELENGTH, "TE")
+        sim = fdtd.Fdtd2D(material, WAVELENGTH, "TE")
+        zspan = slice(meta["j_bot"], meta["j_top"] + 1)
+        xspan = slice(meta["i_in"], meta["i_out"] + 1)
+        monitors = [fdtd.LineMonitor(sim, "v", meta[i], zspan)
+                    for i in ("i_in", "i_out")]
+        monitors += [fdtd.LineMonitor(sim, "h", meta[j], xspan)
+                     for j in ("j_top", "j_bot")]
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return size
+
+
+def test_unit_cell_run_holds_one_simulation_at_a_time(monkeypatch):
+    # a run that makes its reference peaks at the grating's index map, one
+    # simulation and the set-up's float64 grid: the reference map is a
+    # view of the grating map's first column
+    p, cell = params(pitch=0.32e-6), 2 * CELL
+    # the effective-index cache outlives the run, so fill it beforehand
+    fdtd.grating_angle(STACK, p, cell, WAVELENGTH, "TE")
+    one = _traced_simulation_size(p, 4, cell)
+    monkeypatch.setattr(fdtd, "_reference_cache", {})
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        fdtd.run_unit_cell(p, 4, WAVELENGTH, STACK, "TE", cell_size=cell)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 1.5 * one
 
 
 def test_reference_cache_keeps_one_reference_per_wavelength(monkeypatch):

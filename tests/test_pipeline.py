@@ -1287,6 +1287,13 @@ def test_report_contents_and_determinism(run_dir):
     assert "-47.68" in text and "0.11" in text   # measured ledger total
     assert "-47.90" in text and "-28.10" in text
     assert len(text.splitlines()) < 60
+    # each polarization's focus, and the summed map's peak labelled so
+    prop = manifest["stages"]["propagate"]["summary"]
+    for pol in ("te", "tm"):
+        assert (f"  {pol.upper()} focus x / y            "
+                f"{prop[f'peak_x_{pol}']:.4g} / {prop[f'peak_y_{pol}']:.4g}\n"
+                ) in text
+    assert "  TE+TM map peak at x       " in text
 
 
 def test_report_empty_and_partial():
@@ -1304,6 +1311,12 @@ def test_report_empty_and_partial():
     older = {"stages": {"overlap": {"summary": {
         "eta_at_ion": 0.0089, "eta_peak": 0.0099, "peak_x": 2.6e-5}}}}
     assert "TM/TE power ratio         n/a" in pipeline.report(older)
+    # a propagate summary without the TM focus
+    older = {"stages": {"propagate": {"summary": {
+        "peak_x_te": 2.8e-5, "peak_y_te": 0.0}}}}
+    text = pipeline.report(older)
+    assert "  TE focus x / y            2.8e-05 / 0\n" in text
+    assert "  TM focus x / y            n/a / n/a\n" in text
     # a count missing from a design summary prints as n/a, as values do,
     # and so do the per-start fit counts written before 0.5.12
     older = {"stages": {"design": {"summary": {
@@ -1488,6 +1501,12 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
      "library.angles_deg: not read in file mode"),
     # typed by its row, not by the --out override laid over it
     ({"output_dir": 5}, "output_dir: expected a string, got int"),
+    ({"library": {"duty_upper": 2.0}},
+     "library.duty_upper must lie in [0, 1], got 2.0"),
+    ({"library": {"duty_lower": -0.1}},
+     "library.duty_lower must lie in [0, 1], got -0.1"),
+    ({"library": {"delta_fracs": [0.0, 3.0]}},
+     "library.delta_fracs[1] must lie in [0, 1], got 3.0"),
 ], ids=["library-not-a-mapping", "threshold-not-a-number",
         "footprint-a-list", "pose-height-not-a-number",
         "kappa0-not-a-number", "kappa0-negative", "kappa0-zero",
@@ -1503,7 +1522,8 @@ def test_cli_malformed_yaml_is_a_config_error(tmp_path):
         "angles-deg-string", "angles-deg-empty", "delta-fracs-bool",
         "seed-negative", "cache-dir-int", "path-int",
         "analytic-n-periods", "fdtd-kappa0", "file-angles-deg",
-        "output-dir-int"])
+        "output-dir-int", "duty-upper-above-1", "duty-lower-negative",
+        "delta-frac-above-1"])
 def test_cli_config_value_of_wrong_type_is_a_config_error(tmp_path, entry,
                                                           message):
     bad = tmp_path / "bad.yaml"
