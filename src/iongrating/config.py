@@ -184,8 +184,8 @@ _TABLE = {
         "delta_fracs": ([0.0, 0.25, 0.5, 0.75, 1.0], "floats", _FRACTION,
                         ("analytic", "fdtd")),
         "n_periods": (8, "int", (">=", 4), ("fdtd",)),
-        # every mode: the TM teeth take their angles on this grid
-        "points_per_wavelength": (16, "int", (">", 0)),
+        # the grating equation's unit-cell grid; a file names its own
+        "points_per_wavelength": (16, "int", (">", 0), ("analytic", "fdtd")),
         "kappa0": (1.0e6, "float", (">", 0), ("analytic",)),  # peak, 1/m
         "alpha0": (0.05e6, "float", (">=", 0), ("analytic",)),  # loss, 1/m
         "duty_upper": (0.5, "float", _FRACTION, ("analytic",)),

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import fdtd
 from .constants import DESIGN_WAVELENGTH
 from .geometry import (GratingFootprint, IonPose, LayerStack,
                        ray_vacuum_angle, wavelength_in_medium)
 from .library import (MIN_FEATURE, ParamLibrary, UnitCellParams,
-                      feature_check, interpolate)
+                      feature_check, interpolate, pitch_for_angle)
 
 
 class LayoutError(Exception):
@@ -204,29 +205,36 @@ class ToothSpec:
 
 def discretize(kappa, library: ParamLibrary,
                footprint: GratingFootprint, pose: IonPose,
-               stack: LayerStack) -> list:
+               stack: LayerStack,
+               wavelength: float = DESIGN_WAVELENGTH) -> list:
     """March along the grating, assigning one library cell per tooth.
 
-    At each position the required diffraction angle fixes the pitch (via
-    the library's grating-equation cells) and ``kappa(x)`` fixes the kappa
-    target, met by choosing the phase shift; x advances by the local pitch.
+    At each position ``kappa(x)`` fixes the kappa target, met by choosing
+    the phase shift, and the required diffraction angle fixes the pitch by
+    the TE grating equation on the library's grid; x advances by it.
     """
     teeth = []
     x = 0.0
+    cell = fdtd.default_cell_size(stack, wavelength, library.provenance["ppw"])
     # a library (a file's, say) may tighten the process minimum, not relax it
     min_feature = max(library.min_feature, MIN_FEATURE)
     guard = int(footprint.x_extent / (min_feature * 2)) + 10
     while x < footprint.x_extent and len(teeth) < guard:
         angle = diffraction_angle_at(x, pose, stack)
         res = interpolate(library, angle, float(kappa(np.array([x]))[0]))
-        bad = feature_check(res.params, min_feature)
+        u = res.params
+        pitch = pitch_for_angle(angle, u.dcu, u.dcl, stack, wavelength, "TE",
+                                cell)
+        params = UnitCellParams(pitch, u.dcu, u.dcl, u.dx * pitch,
+                                u.delta * pitch)
+        bad = feature_check(params, min_feature)
         if bad:
             raise LayoutError(f"tooth at x={x * 1e6:.3f} um violates "
                               f"feature constraints: {bad}")
-        teeth.append(ToothSpec(x=x, params=res.params, angle=angle,
+        teeth.append(ToothSpec(x=x, params=params, angle=angle,
                                kappa=res.kappa, alpha=res.alpha,
                                clamped=res.clamped))
-        x += res.params.pitch
+        x += pitch
     # non-overlap by construction: each tooth advances by its own pitch
     return teeth
 
@@ -256,11 +264,23 @@ def slab_index(tooth: ToothSpec, n_clad: float, wavelength: float) -> float:
     n_clad sin(angle) + wavelength / pitch.
 
     The slab light is collimated along +x, so its phase at a tooth
-    shifted by u along x advances by k0 * slab_index * u.  TM teeth carry
-    the angle the TM index gives (``pipeline._tm_teeth``), so they get
-    that index back.
+    shifted by u along x advances by k0 * slab_index * u: the index of the
+    polarization whose angle the tooth carries (:func:`emitting_teeth`).
     """
     return n_clad * np.sin(tooth.angle) + wavelength / tooth.pitch
+
+
+def emitting_teeth(teeth, polarization: str, stack: LayerStack,
+                   cell_size: float, wavelength: float) -> list:
+    """The teeth that outcouple the ``polarization`` slab mode, each at its
+    ``fdtd.grating_angle`` (TM's is shallower); ValueError if none does."""
+    angles = [fdtd.grating_angle(stack, t.params, cell_size, wavelength,
+                                 polarization) for t in teeth]
+    out = [replace(t, angle=a) for t, a in zip(teeth, angles)
+           if not np.isnan(a)]
+    if not out:
+        raise ValueError(f"no tooth outcouples the {polarization} mode")
+    return out
 
 
 # curve_tooth's Newton tolerance (m), step cap and sample spacing (m)

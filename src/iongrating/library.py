@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -114,7 +114,7 @@ def pitch_for_angle(angle: float, dcu: float, dcl: float,
     denom = n_local - stack.cladding_index * np.sin(angle)
     if denom <= 0:
         raise LibraryError("angle unreachable: effective index too low")
-    return wavelength / denom
+    return float(wavelength / denom)
 
 
 @dataclass
@@ -253,10 +253,11 @@ def _lerp(a, b, t):
 
 def _blend_params(a: UnitCellParams, b: UnitCellParams,
                   t: float) -> UnitCellParams:
-    """Field-by-field :func:`_lerp` of two cell geometries."""
-    return UnitCellParams(**{f.name: _lerp(getattr(a, f.name),
-                                           getattr(b, f.name), t)
-                             for f in fields(UnitCellParams)})
+    """:func:`_lerp` of two cells at unit pitch: the duty cycles, and dx and
+    delta as fractions of the pitch, which the grating equation sets."""
+    return UnitCellParams(1.0, _lerp(a.dcu, b.dcu, t), _lerp(a.dcl, b.dcl, t),
+                          _lerp(a.dx / a.pitch, b.dx / b.pitch, t),
+                          _lerp(a.delta / a.pitch, b.delta / b.pitch, t))
 
 
 @dataclass
@@ -291,7 +292,7 @@ class ParamLibrary:
 
 @dataclass
 class InterpolationResult:
-    params: UnitCellParams
+    params: UnitCellParams   # at unit pitch: see _blend_params
     kappa: float
     alpha: float
     clamped: bool
@@ -299,11 +300,11 @@ class InterpolationResult:
 
 def interpolate(library: ParamLibrary, angle: float,
                 kappa_target: float) -> InterpolationResult:
-    """Cell geometry achieving ``kappa_target`` at ``angle``.
+    """Cell geometry achieving ``kappa_target`` at ``angle``, at unit pitch.
 
     Bilinear in (angle, delta); the phase shift is solved so the
     interpolated kappa matches the target, clamping at the angle's maximum
-    (delta = 0) with the ``clamped`` flag set.
+    (delta = 0, s = 0 below) with the ``clamped`` flag set.
     """
     if kappa_target < 0:
         raise ValueError("kappa_target must be nonnegative")
@@ -314,18 +315,13 @@ def interpolate(library: ParamLibrary, angle: float,
     i0, i1, t = library._angle_weights(angle)
     pairs = [(library.entries[(i0, j)], library.entries[(i1, j)])
              for j in range(len(library.delta_fracs))]
-    kappa_cols = [_lerp(e0.kappa, e1.kappa, t) for e0, e1 in pairs]
-    kappas = np.array(kappa_cols)
+    kappas = np.array([_lerp(e0.kappa, e1.kappa, t) for e0, e1 in pairs])
 
     def column(j):
         e0, e1 = pairs[j]
         return (_lerp(e0.alpha, e1.alpha, t),
                 _blend_params(e0.params, e1.params, t))
 
-    if kappa_target >= kappas[0]:
-        alpha, params = column(0)
-        return InterpolationResult(params, kappa_cols[0], alpha,
-                                   clamped=bool(kappa_target > kappas[0]))
     # kappa decreases with delta; find the bracketing delta interval
     j = int(np.searchsorted(-kappas, -kappa_target, side="left"))
     j = min(max(j, 1), len(kappas) - 1)
@@ -336,7 +332,8 @@ def interpolate(library: ParamLibrary, angle: float,
     a_lo, p_lo = column(j)
     return InterpolationResult(_blend_params(p_hi, p_lo, s),
                                float(_lerp(k_hi, k_lo, s)),
-                               float(_lerp(a_hi, a_lo, s)), clamped=False)
+                               float(_lerp(a_hi, a_lo, s)),
+                               clamped=bool(kappa_target > kappas[0]))
 
 
 def sorted_grids(angles, delta_fracs):
@@ -476,6 +473,8 @@ def load_library(path) -> ParamLibrary:
         doc = json.load(f)
     if doc.get("schema") != SCHEMA_VERSION:
         raise LibraryError(f"unsupported library schema {doc.get('schema')}")
+    if "ppw" not in doc.get("provenance", {}):
+        raise LibraryError("library provenance lacks 'ppw', its cell grid")
     entries = {}
     for rec in doc["entries"]:
         i, j = rec.pop("i"), rec.pop("j")

@@ -233,14 +233,6 @@ def _config_slices(config: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 # Library construction
 
-def _cell_size(config: PipelineConfig) -> float:
-    """The unit-cell grid spacing every effective index is taken on, TE
-    and TM alike."""
-    from . import fdtd
-    return fdtd.default_cell_size(config.stack, config.wavelength,
-                                  config.library["points_per_wavelength"])
-
-
 def analytic_library(config: PipelineConfig):
     """Design-grade ``library.ParamLibrary`` from the grating equation, no
     field solver.
@@ -249,16 +241,17 @@ def analytic_library(config: PipelineConfig):
     unit-cell grid of ``library.points_per_wavelength``; the coupling
     strength follows the two-zone interference model
     kappa(delta) = kappa0 cos^2(pi delta / pitch), which vanishes at the
-    half-pitch shift.  Labeled analytic in the provenance.
+    half-pitch shift.  Labeled analytic in the provenance, with its grid.
     """
     import numpy as np
-    from . import library as liblib
+    from . import fdtd, library as liblib
     lib_cfg = config.library
     angles, fracs = liblib.sorted_grids(
         [np.deg2rad(a) for a in lib_cfg["angles_deg"]],
         lib_cfg["delta_fracs"])
     dcu, dcl = lib_cfg["duty_upper"], lib_cfg["duty_lower"]
-    cell = _cell_size(config)
+    ppw = lib_cfg["points_per_wavelength"]
+    cell = fdtd.default_cell_size(config.stack, config.wavelength, ppw)
     entries = {}
     for i, angle in enumerate(angles):
         pitch = liblib.pitch_for_angle(angle, dcu, dcl, config.stack,
@@ -275,7 +268,7 @@ def analytic_library(config: PipelineConfig):
                                                         alpha))
     return liblib.ParamLibrary(angles=angles, delta_fracs=fracs,
                                entries=entries,
-                               provenance={"mode": "analytic"})
+                               provenance={"mode": "analytic", "ppw": ppw})
 
 
 def _build_library(config: PipelineConfig):
@@ -367,7 +360,7 @@ def _run_design(config, path):
     kappa, fit = designer.fit_kappa(
         profile, x, alpha=dz_cfg["alpha"], kappa_max=dz_cfg["kappa_max"])
     teeth = designer.discretize(kappa, lib, config.footprint, config.pose,
-                                config.stack)
+                                config.stack, config.wavelength)
     designer.curve_tooth(teeth, config.footprint, config.stack, config.pose,
                          config.wavelength)
     layout = designer.emit_layout(teeth, config.footprint, config.stack,
@@ -402,39 +395,19 @@ def _read_teeth(path) -> list:
         "curvature": [tuple(s) for s in row["curvature"]]}) for row in rows]
 
 
-def _tm_teeth(config, teeth):
-    """Teeth reinterpreted for the TM slab mode.
-
-    The pitch is fixed by the TE design, so the lower TM effective index
-    steers TM emission to a shallower angle via the grating equation; this
-    is the source of the TE/TM focal displacement.  Each tooth takes the
-    TM index of its own duty cycles.
-    """
-    import numpy as np
-    from . import fdtd
-    cell = _cell_size(config)
-    out = []
-    for t in teeth:
-        angle = fdtd.grating_angle(config.stack, t.params, cell,
-                                   config.wavelength, "TM")
-        if np.isnan(angle):
-            continue  # this period does not outcouple the TM mode
-        out.append(dataclasses.replace(t, angle=angle))
-    if not out:
-        raise ValueError("no tooth outcouples the TM mode")
-    return out
-
-
 def _run_propagate(config, path):
+    from . import designer, fdtd, library as liblib
     teeth = _read_teeth(path["teeth.json"])
+    ppw = liblib.load_library(path["library.json"]).provenance["ppw"]
+    cell = fdtd.default_cell_size(config.stack, config.wavelength, ppw)
     summary = {}
-    for pol in ("TE", "TM"):
+    for pol in ("te", "tm"):
         # each polarization's grids are gone before the next one starts
-        x, y = _propagate_polarization(
-            config, pol, teeth if pol == "TE" else _tm_teeth(config, teeth),
-            path[f"ion_plane_{pol.lower()}.npz"])
-        summary[f"peak_x_{pol.lower()}"] = x
-        summary[f"peak_y_{pol.lower()}"] = y
+        emitting = designer.emitting_teeth(teeth, pol.upper(), config.stack,
+                                           cell, config.wavelength)
+        summary[f"peak_x_{pol}"], summary[f"peak_y_{pol}"] = \
+            _propagate_polarization(config, pol.upper(), emitting,
+                                    path[f"ion_plane_{pol}.npz"])
     return summary
 
 
@@ -532,8 +505,8 @@ _STAGES = {
     "library": ((), ("library.json",), _run_library),
     "design": (("emission", "library"), ("layout.txt", "teeth.json"),
                _run_design),
-    "propagate": (("design",), ("ion_plane_te.npz", "ion_plane_tm.npz"),
-                  _run_propagate),
+    "propagate": (("design", "library"),
+                  ("ion_plane_te.npz", "ion_plane_tm.npz"), _run_propagate),
     "overlap": (("propagate",), ("collection_map.csv",), _run_overlap),
     "detect": ((), ("ledger_measured.csv", "ledger_emission_based.csv",
                     "ledger_improved.csv"), _run_detect),
@@ -653,15 +626,21 @@ def run_pipeline(config: PipelineConfig, out_dir=None,
 _float = "{:.4g}".format
 
 
+def _share_of_te_peak(s):
+    """eta at the ion over the TE map's peak; None without both."""
+    if {"eta_at_ion", "eta_peak_te"} <= s.keys():
+        return s["eta_at_ion"] / s["eta_peak_te"]
+
+
 def _count(value) -> str:
     # a list is a per-start count, written before 0.5.12
     return "n/a" if isinstance(value, list) else str(value)
 
 
-# (title, stage, rows); each row is (label, summary keys, format), and a
-# row without keys is a heading.  A section is printed when its stage's
-# summary holds any of its keys: analytic libraries carry no solver
-# diagnostics.
+# (title, stage, rows); each row is (label, summary keys, format), a key
+# may be a function of the summary, and a row without keys is a heading.
+# A section is printed when its stage's summary holds any of its keys:
+# analytic libraries carry no solver diagnostics.
 _REPORT = (
     ("geometry", "emission", (
         ("solid-angle fraction", ("solid_angle_fraction",), _float),
@@ -685,6 +664,7 @@ _REPORT = (
         ("TM focus x / y", ("peak_x_tm", "peak_y_tm"), _float))),
     ("collection", "overlap", (
         ("eta at ion (field)", ("eta_at_ion",), _float),
+        ("eta at ion / TE map peak", (_share_of_te_peak,), "{:.3f}".format),
         ("TE+TM map peak at x", ("peak_x",), _float),
         ("crosstalk", (), None),
         ("TM/TE power ratio", ("tm_te_power_ratio",), _float),
@@ -717,8 +697,9 @@ def report(manifest: dict) -> str:
             if not keys:
                 lines += ["", label]
                 continue
-            values = ("n/a" if summary.get(k) is None else fmt(summary[k])
+            values = (k(summary) if callable(k) else summary.get(k)
                       for k in keys)
+            values = ("n/a" if v is None else fmt(v) for v in values)
             lines.append(f"  {label:<25} {' / '.join(values)}")
         if stage == "detect":
             lines.append("  loss ledgers (dB):")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from iongrating import designer, dipole
+from iongrating import designer, dipole, fdtd
 from iongrating.designer import (
     GratingLayout, LayoutError, ToothSpec, curve_tooth,
     default_zone_period, diffracted_intensity, diffraction_angle_at,
@@ -17,8 +17,9 @@ from iongrating.geometry import (GratingFootprint, IonPose, default_stack,
                                  wavelength_in_medium)
 from iongrating.library import (MIN_FEATURE, LibraryEntry, ParamLibrary,
                                 UnitCellParams, feature_check,
-                                figure_of_merit, interpolate)
+                                figure_of_merit, pitch_for_angle)
 
+WAVELENGTH = 422e-9
 STACK = default_stack()
 POSE = IonPose()
 FOOTPRINT = GratingFootprint()
@@ -233,8 +234,9 @@ def test_fit_solvers_agree_with_scipy(monkeypatch):
 # ---------------------------------------------------------------------------
 # Discretization against a synthetic library
 
-def _linear_library(pitch0=0.36e-6, slope=-4e-6):
-    """kappa_max generous; pitch varies linearly with angle."""
+def _linear_library(pitch0=0.36e-6):
+    """kappa_max generous; the cells' pitches only scale dx and delta,
+    since the grating equation sets each tooth's pitch."""
     angles = list(np.deg2rad(np.linspace(-4.0, 22.0, 14)))
     fracs = [0.0, 0.5, 1.0]
     entries = {}
@@ -248,7 +250,8 @@ def _linear_library(pitch0=0.36e-6, slope=-4e-6):
                                       f * pitch / 2),
                 kappa=kappa, alpha=0.1e6,
                 fom=figure_of_merit(max(kappa, 1.0), 0.1e6))
-    return ParamLibrary(angles=angles, delta_fracs=fracs, entries=entries)
+    return ParamLibrary(angles=angles, delta_fracs=fracs, entries=entries,
+                        provenance={"ppw": 16})
 
 
 @pytest.fixture(scope="module")
@@ -302,24 +305,65 @@ def test_discretize_teeth_non_overlapping(design):
         assert nxt.x >= prev.x + prev.pitch - 1e-15
 
 
-def test_discretize_rejects_a_cell_below_min_feature(design):
-    # upper teeth of 0.3 duty below 6 degrees: 0.3 * pitch < 0.12 um
-    lib, kappa, teeth = design
+def test_discretize_rejects_a_cell_below_min_feature(design, monkeypatch):
+    # cells of 0.3 upper duty below 6 degrees: 0.3 * pitch < 0.12 um
+    lib, kappa, _ = design
     narrow = {key: dataclasses.replace(e, params=dataclasses.replace(
                   e.params, dcu=0.3))
               if e.angle < np.deg2rad(6.0) else e
               for key, e in lib.entries.items()}
     bad_lib = dataclasses.replace(lib, entries=narrow)
-    # the pitch ignores the duty cycles, so the teeth up to the first bad
-    # one are the good library's
-    first = next(t for t in teeth if feature_check(interpolate(
-        bad_lib, t.angle, float(kappa(np.array([t.x]))[0])).params,
-        lib.min_feature))
-    assert 0 < teeth.index(first)
-    with pytest.raises(LayoutError, match=(
-            rf"^tooth at x={first.x * 1e6:.3f} um violates feature "
-            r"constraints: \[\('upper', 'tooth', ")):
+    checked = []
+
+    def spy(params, min_feature):
+        checked.append(params)
+        return feature_check(params, min_feature)
+
+    monkeypatch.setattr(designer, "feature_check", spy)
+    with pytest.raises(LayoutError) as exc:
         discretize(kappa, bad_lib, FOOTPRINT, POSE, STACK)
+    # x advances by each checked cell's pitch, and only the last one fails
+    *good, bad = checked
+    assert good and not any(feature_check(p, lib.min_feature) for p in good)
+    assert feature_check(bad, lib.min_feature)
+    x = sum(p.pitch for p in good)
+    assert str(exc.value).startswith(
+        f"tooth at x={x * 1e6:.3f} um violates feature constraints: "
+        "[('upper', 'tooth', ")
+
+
+def _two_angle_library(cell):
+    """Cells at -4 and 20 degrees only, of two duty pairs, each at its
+    grating-equation pitch on the unit-cell grid ``cell``."""
+    angles = list(np.deg2rad([-4.0, 20.0]))
+    fracs = [0.0, 1.0]
+    entries = {}
+    for i, (a, duties) in enumerate(zip(angles, [(0.5, 0.5), (0.55, 0.45)])):
+        pitch = pitch_for_angle(a, *duties, STACK, WAVELENGTH, "TE", cell)
+        for j, f in enumerate(fracs):
+            kappa = 4e5 * (1 - f)
+            entries[(i, j)] = LibraryEntry(
+                angle=a, delta_frac=f,
+                params=UnitCellParams(pitch, *duties, 0.2 * pitch,
+                                      f * pitch / 2),
+                kappa=kappa, alpha=1e4,
+                fom=figure_of_merit(max(kappa, 1.0), 1e4))
+    return ParamLibrary(angles=angles, delta_fracs=fracs, entries=entries,
+                        provenance={"ppw": 16})
+
+
+def test_teeth_aim_where_the_design_says(ion_profile):
+    # a pitch blended between these cells aims a tooth up to 2.3 degrees
+    # off; the grating equation aims every tooth at the ion
+    x, prof = ion_profile
+    cell = fdtd.default_cell_size(STACK, WAVELENGTH, 16)
+    kappa, _ = fit_kappa(prof, x, alpha=0.0, kappa_max=4e5)
+    teeth = discretize(kappa, _two_angle_library(cell), FOOTPRINT, POSE,
+                       STACK)
+    assert len(teeth) > 90
+    errors = [fdtd.grating_angle(STACK, t.params, cell, WAVELENGTH, "TE")
+              - diffraction_angle_at(t.x, POSE, STACK) for t in teeth]
+    assert np.max(np.abs(errors)) < 1e-9
 
 
 def test_power_accounting_matches_continuous(design):

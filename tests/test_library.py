@@ -249,14 +249,18 @@ def _synthetic_library():
                 angle=a, delta_frac=f, params=params, kappa=kappa,
                 alpha=0.2 * k0, fom=figure_of_merit(kappa, 0.2 * k0)
                 if kappa + 0.2 * k0 > 0 else 0.0)
-    return ParamLibrary(angles=angles, delta_fracs=fracs, entries=entries)
+    return ParamLibrary(angles=angles, delta_fracs=fracs, entries=entries,
+                        provenance={"ppw": 16})
 
 
 def test_interpolate_node_identity():
     lib = _synthetic_library()
     res = interpolate(lib, np.deg2rad(8.0), 2e5 * 0.5)
     assert res.kappa == pytest.approx(1e5, rel=1e-12)
-    assert res.params.delta == pytest.approx(0.5 * 0.31e-6 / 2, rel=1e-12)
+    # the cell at unit pitch: dx and delta are fractions of the pitch
+    assert res.params.pitch == 1.0
+    assert res.params.delta == pytest.approx(0.5 / 2, rel=1e-12)
+    assert res.params.dx == pytest.approx(0.05e-6 / 0.31e-6, rel=1e-12)
     assert not res.clamped
 
 
@@ -264,7 +268,7 @@ def test_interpolate_zero_target_returns_max_suppression():
     lib = _synthetic_library()
     res = interpolate(lib, np.deg2rad(4.0), 0.0)
     assert res.kappa == pytest.approx(0.0, abs=1e-9)
-    assert res.params.delta == pytest.approx(0.3e-6 / 2, rel=1e-12)
+    assert res.params.delta == pytest.approx(1.0 / 2, rel=1e-12)
 
 
 def test_interpolate_clamps_above_maximum():
@@ -284,6 +288,15 @@ def test_interpolate_bilinear_between_angles():
     assert res.kappa == pytest.approx(0.75e5, rel=1e-12)
 
 
+def _blend_fractions(a, b, t):
+    """Two cells blended at unit pitch: duty cycles, and dx and delta as
+    fractions of each cell's pitch."""
+    def fractions(p):
+        return p.dcu, p.dcl, p.dx / p.pitch, p.delta / p.pitch
+    return UnitCellParams(1.0, *(library._lerp(u, v, t) for u, v in
+                                 zip(fractions(a), fractions(b))))
+
+
 def _interpolate_every_column(lib, angle, kappa_target):
     """The lookup that blended all delta columns, each with its own
     angle weights: the oracle of one that blends only those returned."""
@@ -292,7 +305,7 @@ def _interpolate_every_column(lib, angle, kappa_target):
         e0, e1 = lib.entries[(i0, j)], lib.entries[(i1, j)]
         return (library._lerp(e0.kappa, e1.kappa, t),
                 library._lerp(e0.alpha, e1.alpha, t),
-                library._blend_params(e0.params, e1.params, t))
+                _blend_fractions(e0.params, e1.params, t))
 
     cols = [column(j) for j in range(len(lib.delta_fracs))]
     kappas = np.array([c[0] for c in cols])
@@ -308,7 +321,7 @@ def _interpolate_every_column(lib, angle, kappa_target):
     _, a_hi, p_hi = cols[j - 1]
     _, a_lo, p_lo = cols[j]
     return library.InterpolationResult(
-        library._blend_params(p_hi, p_lo, s),
+        _blend_fractions(p_hi, p_lo, s),
         float(library._lerp(k_hi, k_lo, s)),
         float(library._lerp(a_hi, a_lo, s)), clamped=False)
 
@@ -334,6 +347,7 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "lib.json"
     save_library(lib, path)
     back = load_library(path)
+    assert back.provenance == lib.provenance
     assert back.angles == lib.angles
     assert back.delta_fracs == lib.delta_fracs
     for key, e in lib.entries.items():

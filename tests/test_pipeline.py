@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import time
 import warnings
@@ -142,6 +143,16 @@ def test_manifest_versions_are_the_imported_modules(run_dir):
     assert run_dir[2]["versions"] == {"iongrating": __version__,
                                       "numpy": np.__version__,
                                       "scipy": scipy.__version__}
+
+
+def test_package_version_is_the_project_version():
+    # every stage key holds __version__, so the two must move together
+    from iongrating import __version__
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "pyproject.toml")
+    with open(path, encoding="utf-8") as fh:
+        versions = re.findall(r'^version = "([^"]*)"$', fh.read(), re.M)
+    assert versions == [__version__]
 
 
 @pytest.mark.parametrize("preload", ["", "import numpy"],
@@ -685,6 +696,45 @@ def test_schema_1_library_file_is_one_stage_error_line(tmp_path):
                              "schema 1\n")
 
 
+def test_library_file_without_its_grid_is_one_stage_error_line(tmp_path):
+    lib_path = tmp_path / "lib.json"
+    liblib.save_library(pipeline.analytic_library(load_config()), lib_path)
+    doc = json.loads(lib_path.read_text())
+    del doc["provenance"]["ppw"]
+    lib_path.write_text(json.dumps(doc))
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({
+        **FAST, "library": {"mode": "file", "path": str(lib_path)}}))
+    result = CliRunner().invoke(main, ["library", "--config", str(cfg_path),
+                                       "--out", str(tmp_path / "run")])
+    _assert_one_error_line(result, "stage-error")
+    assert result.stderr == ("stage-error: library: library provenance "
+                             "lacks 'ppw', its cell grid\n")
+
+
+def test_library_file_designs_on_its_own_grid(tmp_path):
+    # a file written at 12 points per wavelength designs and emits as the
+    # analytic mode does at 12, under the config's default of 16
+    coarse = load_config(overrides={
+        **FAST, "output_dir": str(tmp_path / "analytic"),
+        "library": {"points_per_wavelength": 12}})
+    lib_path = tmp_path / "lib.json"
+    liblib.save_library(pipeline.analytic_library(coarse), lib_path)
+    from_file = load_config(overrides={
+        **FAST, "output_dir": str(tmp_path / "file"),
+        "library": {"mode": "file", "path": str(lib_path)}})
+    runs = [pipeline.run_pipeline(cfg, stages=["propagate"])["stages"]
+            for cfg in (coarse, from_file)]
+    assert runs[0]["propagate"]["summary"] == runs[1]["propagate"]["summary"]
+    teeth = [(tmp_path / run / "design" / "teeth.json").read_bytes()
+             for run in ("analytic", "file")]
+    assert teeth[0] == teeth[1]
+    fields = [propagation.load_field(tmp_path / run / "propagate"
+                                     / "ion_plane_tm.npz").data
+              for run in ("analytic", "file")]
+    np.testing.assert_array_equal(*fields)
+
+
 def test_library_file_cannot_relax_the_process_minimum_feature(tmp_path):
     # upper teeth of 0.3 duty are 112 nm at the first tooth: below the
     # process's 0.12 um, above the 0.05 um the file declares
@@ -879,9 +929,11 @@ def test_propagation_change_recomputes_only_the_field_stages(run_dir,
 
 
 def test_no_tm_tooth_is_a_propagate_stage_error(tmp_path, monkeypatch):
-    # the TM teeth are built inside the propagate stage, which the error
-    # line names
-    monkeypatch.setattr(fdtd, "grating_angle", lambda *a, **k: np.nan)
+    # the emitting teeth are built inside the propagate stage, which the
+    # error line names; the TE teeth still emit
+    grating_angle = fdtd.grating_angle
+    monkeypatch.setattr(fdtd, "grating_angle", lambda *a: (
+        np.nan if a[-1] == "TM" else grating_angle(*a)))
     result = CliRunner().invoke(main, ["propagate", "--out",
                                        str(tmp_path)])
     _assert_one_error_line(result, "stage-error")
@@ -1152,11 +1204,15 @@ def test_analytic_library_apodization():
 
 
 def _grating_equation_setup():
-    """The default config, its unit-cell grid, duty pair and angle grid."""
+    """The default config, its library's unit-cell grid, duty pair and
+    angle grid."""
     cfg = load_config()
     lib = cfg.library
-    return (cfg, pipeline._cell_size(cfg), lib["duty_upper"],
-            lib["duty_lower"], np.deg2rad(lib["angles_deg"]))
+    cell = fdtd.default_cell_size(
+        cfg.stack, cfg.wavelength,
+        pipeline.analytic_library(cfg).provenance["ppw"])
+    return (cfg, cell, lib["duty_upper"], lib["duty_lower"],
+            np.deg2rad(lib["angles_deg"]))
 
 
 @pytest.mark.parametrize("pol", ["TE", "TM"])
@@ -1181,7 +1237,8 @@ def test_grating_equation_forward_inverts_pitch_for_angle(pol):
     assert np.isnan(angle_of(0.99 * pitch_of(-np.pi / 2)))
 
 
-def test_tm_teeth_drop_exactly_the_teeth_without_a_tm_angle():
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+def test_emitting_teeth_drop_exactly_the_teeth_without_an_angle(pol):
     cfg, cell, dcu, dcl, angles = _grating_equation_setup()
 
     def pitch_of(angle, pol):
@@ -1198,36 +1255,42 @@ def test_tm_teeth_drop_exactly_the_teeth_without_a_tm_angle():
     teeth = [designer.ToothSpec(
         x=i * 1e-6, params=liblib.UnitCellParams(p, dcu, dcl, 0.0, 0.0),
         angle=0.0, kappa=1e5, alpha=0.0) for i, p in enumerate(pitches)]
-    tm_angles = [fdtd.grating_angle(cfg.stack, t.params, cell,
-                                    cfg.wavelength, "TM") for t in teeth]
-    tm = pipeline._tm_teeth(cfg, teeth)
-    kept = [(t.x, a) for t, a in zip(teeth, tm_angles) if not np.isnan(a)]
-    assert [(t.x, t.angle) for t in tm] == kept
+    angles_out = [fdtd.grating_angle(cfg.stack, t.params, cell,
+                                     cfg.wavelength, pol) for t in teeth]
+    emitting = designer.emitting_teeth(teeth, pol, cfg.stack, cell,
+                                       cfg.wavelength)
+    kept = [(t.x, a) for t, a in zip(teeth, angles_out) if not np.isnan(a)]
+    assert [(t.x, t.angle) for t in emitting] == kept
     assert len(kept) == len(teeth) - 2
+    # the default grid's TE pitches emit TE at their own angles
+    if pol == "TE":
+        assert [t.angle for t in emitting[:len(angles)]] == pytest.approx(
+            angles, rel=0.0, abs=1e-14)
 
 
-def test_tm_teeth_take_their_own_duty_cycles():
-    cfg = load_config()
-    cell = pipeline._cell_size(cfg)
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+def test_emitting_teeth_take_their_own_duty_cycles(pol):
+    cfg, cell, *_ = _grating_equation_setup()
     teeth = []
     for duty in (0.4, 0.6):
-        pitch = liblib.pitch_for_angle(np.deg2rad(8.0), duty, duty,
+        pitch = liblib.pitch_for_angle(np.deg2rad(8.0), 0.5, 0.5,
                                        cfg.stack, cfg.wavelength, "TE", cell)
         params = liblib.UnitCellParams(pitch, duty, duty, 0.06e-6, 0.0)
         teeth.append(designer.ToothSpec(x=0.0, params=params,
                                         angle=np.deg2rad(8.0), kappa=1e5,
                                         alpha=0.0))
-    tm = pipeline._tm_teeth(cfg, teeth)
-    assert len(tm) == 2
-    for t, t_tm in zip(teeth, tm):
-        n_tm = fdtd.grating_effective_index(cfg.stack, t.params.dcu,
-                                            t.params.dcl, cell,
-                                            cfg.wavelength, "TM")
-        expected = np.arcsin((n_tm - cfg.wavelength / t.pitch)
+    emitting = designer.emitting_teeth(teeth, pol, cfg.stack, cell,
+                                       cfg.wavelength)
+    assert len(emitting) == 2
+    for t, t_out in zip(teeth, emitting):
+        n_eff = fdtd.grating_effective_index(cfg.stack, t.params.dcu,
+                                             t.params.dcl, cell,
+                                             cfg.wavelength, pol)
+        expected = np.arcsin((n_eff - cfg.wavelength / t.pitch)
                              / cfg.stack.cladding_index)
-        assert t_tm.angle == expected
-    # the two duty pairs differ in TM index by far more than the last bit
-    assert abs(tm[0].angle - tm[1].angle) > np.deg2rad(0.1)
+        assert t_out.angle == expected
+    # the two duty pairs differ in index by far more than the last bit
+    assert abs(emitting[0].angle - emitting[1].angle) > np.deg2rad(0.1)
 
 
 def test_run_summaries_are_physical(run_dir):
@@ -1294,6 +1357,9 @@ def test_report_contents_and_determinism(run_dir):
                 f"{prop[f'peak_x_{pol}']:.4g} / {prop[f'peak_y_{pol}']:.4g}\n"
                 ) in text
     assert "  TE+TM map peak at x       " in text
+    over = manifest["stages"]["overlap"]["summary"]
+    assert (f"  eta at ion / TE map peak  "
+            f"{over['eta_at_ion'] / over['eta_peak_te']:.3f}\n") in text
 
 
 def test_report_empty_and_partial():
@@ -1311,6 +1377,7 @@ def test_report_empty_and_partial():
     older = {"stages": {"overlap": {"summary": {
         "eta_at_ion": 0.0089, "eta_peak": 0.0099, "peak_x": 2.6e-5}}}}
     assert "TM/TE power ratio         n/a" in pipeline.report(older)
+    assert "eta at ion / TE map peak  n/a" in pipeline.report(older)
     # a propagate summary without the TM focus
     older = {"stages": {"propagate": {"summary": {
         "peak_x_te": 2.8e-5, "peak_y_te": 0.0}}}}
@@ -1656,7 +1723,8 @@ MODE_READS = {
                  "layer_offset"},
     "fdtd": {"angles_deg", "delta_fracs", "n_periods",
              "points_per_wavelength", "cache_dir"},
-    "file": {"path", "points_per_wavelength"},
+    # a library file names its own unit-cell grid
+    "file": {"path"},
 }
 LIBRARY_CHANGES = {
     "path": "other.json", "angles_deg": [0.0, 8.0],
