@@ -29,7 +29,13 @@ fold them into double-precision phasors, step by step in order, so the
 sums equal a per-step accumulation bit for bit.  A run stops once the
 four monitor fluxes are measured steady: after one transit of the grid
 plus the source ramp, the largest change of a flux relative to itself
-must stay below 1e-5 for three consecutive optical periods.  A unit-cell
+must stay below 1e-5 for three consecutive optical periods.  The time
+step is a whole fraction of the optical period within COURANT of the 2D
+Courant limit n_min d / (c sqrt 2) of the map's lowest index n_min: the
+fastest wave on the grid sets the limit, and a unit cell holds no vacuum,
+so its cladding's index (1.47 by default) lengthens the step by that
+factor over the vacuum step: on the default stack a period takes 24
+steps at 12 points per wavelength and 32 at 16.  A unit-cell
 run holds one simulation at a time: the tooth-free reference is freed
 before the grating run starts, and its index map is a read-only view of
 the grating map's first column.
@@ -71,17 +77,39 @@ PAD_FACTOR = 8            # zero padding of the top-monitor FFT
 LINE = 64                 # bytes: the cache line every step output starts on
 
 
+def courant_limit(cell_size: float, n_min: float) -> float:
+    """The 2D Yee stability limit on the time step, s, of square cells of
+    ``cell_size`` whose lowest refractive index is ``n_min``: the fastest
+    wave on the grid travels at c / n_min (Taflove & Hagness,
+    Computational Electrodynamics, 3rd ed., ch. 4)."""
+    return n_min * cell_size / (constants.C0 * np.sqrt(2.0))
+
+
+def time_step(n: np.ndarray, cell_size: float, wavelength: float):
+    """(steps per optical period, time step in s) of the index map ``n``
+    on cells of ``cell_size``: the fewest whole steps per period of
+    ``wavelength`` that keep the step within COURANT of the Courant limit
+    of the map's lowest index."""
+    dt_max = COURANT * courant_limit(cell_size, float(np.min(n)))
+    period = wavelength / constants.C0
+    steps = int(np.ceil(period / dt_max))
+    return steps, period / steps
+
+
 @dataclass(frozen=True)
 class SimulationGrid:
-    """Uniform Yee grid with absorbing boundary layers."""
+    """Uniform Yee grid with absorbing boundary layers.  Its time step may
+    not exceed the Courant limit of its lowest index ``n_min``, where waves
+    travel fastest."""
     cell_size: float      # m
     time_step: float      # s
     nx: int
     nz: int
+    n_min: float          # lowest refractive index on the grid
 
     def __post_init__(self):
-        courant = self.cell_size / (constants.C0 * np.sqrt(2.0))
-        if self.time_step > courant * (1 + 1e-12):
+        limit = courant_limit(self.cell_size, self.n_min)
+        if self.time_step > limit * (1 + 1e-12):
             raise ValueError("time step exceeds the Courant limit")
         if min(self.nx, self.nz) < 2 * PML_CELLS + 4:
             raise ValueError("grid too small for its absorbing layers")
@@ -320,8 +348,10 @@ class Fdtd2D:
     """Single-frequency 2D FDTD run over a fixed index map.
 
     A simulation owns its grid exclusively; results are bit-deterministic
-    for a fixed grid, step count, and geometry.  ``Ga`` and ``Gb`` hold
-    the in-plane field divided by ``g_scale``.
+    for a fixed grid, step count, and geometry.  It steps at the map's
+    ``time_step``, within COURANT of the Courant limit of the map's lowest
+    index.  ``Ga`` and ``Gb`` hold the in-plane field divided by
+    ``g_scale``.
     """
 
     def __init__(self, material: MaterialMap, wavelength: float,
@@ -334,11 +364,8 @@ class Fdtd2D:
 
         d = material.cell_size
         nx, nz = material.n.shape
-        dt_max = COURANT * d / (constants.C0 * np.sqrt(2.0))
-        period = wavelength / constants.C0
-        self.steps_per_period = int(np.ceil(period / dt_max))
-        dt = period / self.steps_per_period
-        self.grid = SimulationGrid(d, dt, nx, nz)
+        self.steps_per_period, dt = time_step(material.n, d, wavelength)
+        self.grid = SimulationGrid(d, dt, nx, nz, float(np.min(material.n)))
         self.omega = 2 * np.pi * constants.C0 / wavelength
 
         self._init_fields()
@@ -774,7 +801,9 @@ def _reference_run(grating: MaterialMap, wavelength: float,
                    polarization: str):
     """(monitor fluxes, n_eff, mode profile) of the tooth-free reference
     spanning the grating map's domain and grid.  Its simulation is freed
-    on return, before the grating run builds its own."""
+    on return, before the grating run builds its own.  No tooth lowers a
+    layer's index below the cladding's, so the reference map's lowest
+    index, and with it the time step, is the grating map's."""
     meta, d = grating.meta, grating.cell_size
     # the grating map's first column lies in the left PML, before any
     # tooth; a read-only view repeats it across the domain

@@ -37,6 +37,7 @@ SIGMA_MODE_PROJECTION_SQ = (2.0 / 3.0) * (1.0 / 2.0)
 @dataclass
 class CouplingResult:
     eta: float               # total TE + TM field-overlap coupling
+    eta_te: float = float("nan")  # its TE part; NaN when not given
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -152,7 +153,7 @@ def coupling_at_point(field_te: FieldGrid, field_tm: FieldGrid,
         raise ValueError(f"ion position ({x * 1e6:.2f}, {y * 1e6:.2f}) um "
                          f"outside the field grid")
     eta_te, eta_tm = _mode_etas(field_te, field_tm, (j, i), projection_sq)
-    return CouplingResult(float(eta_te + eta_tm))
+    return CouplingResult(float(eta_te + eta_tm), float(eta_te))
 
 
 def collection_map(field_te: FieldGrid, field_tm: FieldGrid,

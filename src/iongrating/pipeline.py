@@ -317,7 +317,7 @@ def _run_emission(config, path):
 
 def _run_library(config, path):
     import numpy as np
-    from . import library as liblib
+    from . import fdtd, library as liblib
     lib = _build_library(config)
     if not lib.complete:
         failed = [e for e in lib.entries.values() if e.error is not None]
@@ -337,6 +337,13 @@ def _run_library(config, path):
         # diagnostics of the solver runs; analytic entries have none, and
         # their NaN closure must stay out of the manifest
         entries = lib.entries.values()
+        # every cell's lowest index is its tooth-free reference's, so all
+        # share one time step: periods run times this is steps run
+        cell = fdtd.default_cell_size(config.stack, config.wavelength,
+                                      config.library["points_per_wavelength"])
+        summary["steps_per_period"], _ = fdtd.time_step(
+            fdtd.unit_cell_material_map(config.stack, None, 0, cell).n,
+            cell, config.wavelength)
         summary["max_periods_run"] = max(e.periods_run for e in entries)
         summary["max_closure"] = float(max(e.closure for e in entries))
         # each delta = 0 entry stores its search's evaluations, and each
@@ -465,6 +472,7 @@ def _run_overlap(config, path):
     np.savetxt(path["collection_map.csv"], m.eta, delimiter=",",
                fmt="%.17g")
     return {"eta_at_ion": at_ion.eta,
+            "eta_at_ion_te": at_ion.eta_te,
             "eta_peak": float(m.eta.max()),
             "eta_peak_te": float(m.eta_te.max()),
             "eta_peak_tm": float(m.eta_tm.max()),
@@ -627,9 +635,9 @@ _float = "{:.4g}".format
 
 
 def _share_of_te_peak(s):
-    """eta at the ion over the TE map's peak; None without both."""
-    if {"eta_at_ion", "eta_peak_te"} <= s.keys():
-        return s["eta_at_ion"] / s["eta_peak_te"]
+    """The TE eta at the ion over the TE map's peak; None without both."""
+    if {"eta_at_ion_te", "eta_peak_te"} <= s.keys():
+        return s["eta_at_ion_te"] / s["eta_peak_te"]
 
 
 def _count(value) -> str:
@@ -647,6 +655,7 @@ _REPORT = (
         ("per-mode bound", ("per_mode_bound",), _float),
         ("sigma share", ("sigma_share",), _float))),
     ("unit-cell solver", "library", (
+        ("steps per period", ("steps_per_period",), str),
         ("max periods run", ("max_periods_run",), str),
         ("max energy closure", ("max_closure",), _float),
         ("cells evaluated", ("cells_evaluated",), str),

@@ -33,10 +33,48 @@ def symmetric_cell():
 # Validation and cheap unit-level checks
 
 def test_grid_rejects_courant_violation():
-    dt_max = CELL / (constants.C0 * np.sqrt(2.0))
-    with pytest.raises(ValueError):
-        fdtd.SimulationGrid(cell_size=CELL, time_step=1.01 * dt_max,
-                            nx=50, nz=50)
+    # the limit is its own medium's: a step past the vacuum limit passes
+    # in the cladding, and 1.01 times the cladding's limit does not
+    n_clad = STACK.cladding_index
+    limit = n_clad * CELL / (constants.C0 * np.sqrt(2.0))
+    assert fdtd.courant_limit(CELL, n_clad) == limit
+    fdtd.SimulationGrid(cell_size=CELL, time_step=limit, nx=50, nz=50,
+                        n_min=n_clad)
+    fdtd.SimulationGrid(cell_size=CELL, time_step=1.01 * limit / n_clad,
+                        nx=50, nz=50, n_min=n_clad)
+    with pytest.raises(ValueError, match="Courant"):
+        fdtd.SimulationGrid(cell_size=CELL, time_step=1.01 * limit,
+                            nx=50, nz=50, n_min=n_clad)
+    with pytest.raises(ValueError, match="Courant"):
+        fdtd.SimulationGrid(cell_size=CELL, time_step=limit, nx=50, nz=50,
+                            n_min=1.0)
+
+
+@pytest.mark.parametrize("ppw, steps", [(12, 24), (16, 32)])
+def test_default_stack_steps_at_the_cladding_limit(ppw, steps):
+    # the cladding (1.47) is the cell's lowest index, so a period takes
+    # 1.47 times fewer steps than at the vacuum limit (36 and 47)
+    cell = fdtd.default_cell_size(STACK, WAVELENGTH, ppw)
+    material = fdtd.unit_cell_material_map(STACK, params(), 4, cell)
+    assert np.min(material.n) == STACK.cladding_index
+    sim = fdtd.Fdtd2D(material, WAVELENGTH, "TE")
+    assert sim.steps_per_period == steps
+    assert (sim.steps_per_period, sim.grid.time_step) == fdtd.time_step(
+        material.n, cell, WAVELENGTH)
+    period = WAVELENGTH / constants.C0
+    assert sim.grid.time_step == period / steps
+    limit = fdtd.courant_limit(cell, STACK.cladding_index)
+    assert (fdtd.COURANT * limit * (steps - 1) / steps < sim.grid.time_step
+            <= fdtd.COURANT * limit)
+
+
+def test_vacuum_region_keeps_the_vacuum_step():
+    cell = fdtd.default_cell_size(STACK, WAVELENGTH, 12)
+    material = fdtd.unit_cell_material_map(STACK, params(), 4, cell)
+    material.n[20:30, 5:10] = 1.0
+    sim = fdtd.Fdtd2D(material, WAVELENGTH, "TE")
+    assert sim.steps_per_period == 36
+    assert sim.grid.n_min == 1.0
 
 
 def test_unresolved_feature_raises():
@@ -289,7 +327,8 @@ def test_far_field_plane_wave_oracle():
 def test_grid_rejects_overlapping_absorbing_layers():
     dt = 0.5 * CELL / (constants.C0 * np.sqrt(2.0))
     with pytest.raises(ValueError):
-        fdtd.SimulationGrid(cell_size=CELL, time_step=dt, nx=27, nz=50)
+        fdtd.SimulationGrid(cell_size=CELL, time_step=dt, nx=27, nz=50,
+                            n_min=1.0)
 
 
 def _full_grid_cpml(sim, prescaled=True):
@@ -404,16 +443,17 @@ def test_prescaled_te_step_tracks_the_unscaled_update():
 
 
 def test_coarse_te_cell_keeps_the_unscaled_results():
-    # pinned from the kernel that stepped H unscaled, with the in-plane
-    # phasors dated half a step before F; the run stops at a flux change
-    # of 1e-5 per period, so its results are defined to that
+    # first pinned from the kernel that stepped H unscaled, with the
+    # in-plane phasors dated half a step before F, and re-pinned at the
+    # cladding's Courant step (periods 54 -> 43); the run stops at a flux
+    # change of 1e-5 per period, so its results are defined to that
     r = fdtd.run_unit_cell(params(pitch=0.32e-6), 4, WAVELENGTH, STACK, "TE",
                            cell_size=2 * CELL)
     kappa, alpha = fdtd.extract_kappa_alpha(r)
-    assert r.periods_run == 54
-    assert kappa == pytest.approx(224024.82973623482, rel=1e-5)
-    assert alpha == pytest.approx(285870.7930559028, rel=1e-5)
-    assert r.p_up == pytest.approx(0.24063902588447159, rel=1e-5)
+    assert r.periods_run == 43
+    assert kappa == pytest.approx(221194.50030922613, rel=1e-5)
+    assert alpha == pytest.approx(280018.38193381566, rel=1e-5)
+    assert r.p_up == pytest.approx(0.23779002865274898, rel=1e-5)
 
 
 def _driven_sim(pol, cell):
@@ -763,6 +803,46 @@ def test_runs_are_deterministic(symmetric_cell):
     assert r.p_t == symmetric_cell.p_t
     assert r.p_up == symmetric_cell.p_up
     assert np.array_equal(r.top_field, symmetric_cell.top_field)
+
+
+def test_reference_and_grating_runs_share_the_time_step(monkeypatch):
+    # the reference map is the grating map's first column repeated, whose
+    # lowest index is the grating map's
+    monkeypatch.setattr(fdtd, "_reference_cache", {})
+    grids = []
+
+    class Recorded(fdtd.Fdtd2D):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            grids.append((np.min(self.material.n), self.grid,
+                          self.steps_per_period))
+
+    monkeypatch.setattr(fdtd, "Fdtd2D", Recorded)
+    fdtd.run_unit_cell(params(pitch=0.32e-6, delta=0.16e-6), 4, WAVELENGTH,
+                       STACK, "TE", cell_size=2 * CELL)
+    (n_ref, ref, spp_ref), (n_grating, grating, spp) = grids
+    assert n_ref == n_grating == STACK.cladding_index
+    assert ref.time_step == grating.time_step
+    assert spp_ref == spp
+
+
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+def test_long_step_stays_stable_for_max_periods(pol):
+    # a driven coarse cell for MAX_PERIODS at the cladding's step: the
+    # field is finite, and its peak over the last 100 periods is that of
+    # periods 100-200, where the run is long steady
+    sim = _driven_sim(pol, 2 * CELL)
+    peaks = np.empty(fdtd.MAX_PERIODS)
+    for k in range(fdtd.MAX_PERIODS):
+        peak = 0.0
+        for _ in range(sim.steps_per_period):
+            sim._step()
+            peak = max(peak, float(np.max(np.abs(sim.F))))
+        peaks[k] = peak
+    assert np.all(np.isfinite(peaks))
+    steady = np.max(peaks[100:200])
+    assert steady > 0
+    assert np.max(peaks[-100:]) == pytest.approx(steady, rel=1e-3)
 
 
 def test_reference_simulation_is_freed_before_the_grating_run(monkeypatch):

@@ -89,6 +89,16 @@ def test_eq3_matches_eq5_exactly():
     assert abs(eta3 - eta5) <= 0.02 * eta5
 
 
+def test_point_coupling_reports_its_te_part():
+    te, tm = _random_field_pair()
+    x, y = te.x[7], te.y[5]
+    both = coupling_at_point(te, tm, x, y)
+    te_only = coupling_at_point(te, tm, x, y,
+                                projection_sq=(SIGMA_MODE_PROJECTION_SQ, 0.0))
+    assert both.eta_te == te_only.eta == te_only.eta_te
+    assert 0.0 < both.eta_te < both.eta
+
+
 def test_coupling_requires_normalized_fields():
     te, tm = _random_field_pair()
     raw = FieldGrid(te.data * 3.0, te.pixel_size, polarization="TE")

@@ -596,6 +596,15 @@ def test_fdtd_library_summary_reports_solver_diagnostics(tmp_path,
                     "delta_fracs": [0.0, 0.5, 1.0]}})
     manifest = pipeline.run_pipeline(cfg, stages=["library"])
     summary = manifest["stages"]["library"]["summary"]
+    # the step of every unit cell at the library's grid: a period is 32
+    # steps at the default 16 points per wavelength
+    assert cfg.library["points_per_wavelength"] == 16
+    cell = liblib.KernelConfig(wavelength=cfg.wavelength,
+                               stack=cfg.stack).cell_size
+    sim = fdtd.Fdtd2D(fdtd.unit_cell_material_map(
+        cfg.stack, liblib.UnitCellParams(0.3e-6, 0.5, 0.5, 0.0, 0.0), 4,
+        cell), cfg.wavelength, "TE")
+    assert summary["steps_per_period"] == sim.steps_per_period == 32
     assert summary["max_periods_run"] == 60
     assert summary["max_closure"] == pytest.approx(0.03)
     # two capped searches and four shifted cells
@@ -603,6 +612,7 @@ def test_fdtd_library_summary_reports_solver_diagnostics(tmp_path,
     assert summary["cells_evaluated"] == 2 * 5 + 4
     assert summary["searches_at_cap"] == 2
     text = pipeline.report(manifest)
+    assert "steps per period          32" in text
     assert "max periods run           60" in text
     assert "max energy closure        0.03" in text
     assert "cells evaluated           14" in text
@@ -621,8 +631,8 @@ def test_fdtd_library_summary_reports_solver_diagnostics(tmp_path,
 def test_analytic_manifest_has_no_solver_diagnostics(run_dir):
     out, _, manifest = run_dir
     summary = manifest["stages"]["library"]["summary"]
-    for key in ("max_periods_run", "max_closure", "cells_evaluated",
-                "max_search_nfev", "searches_at_cap"):
+    for key in ("steps_per_period", "max_periods_run", "max_closure",
+                "cells_evaluated", "max_search_nfev", "searches_at_cap"):
         assert key not in summary
     assert "NaN" not in (out / "manifest.json").read_text()
     assert "unit-cell solver" not in pipeline.report(manifest)
@@ -1359,7 +1369,21 @@ def test_report_contents_and_determinism(run_dir):
     assert "  TE+TM map peak at x       " in text
     over = manifest["stages"]["overlap"]["summary"]
     assert (f"  eta at ion / TE map peak  "
-            f"{over['eta_at_ion'] / over['eta_peak_te']:.3f}\n") in text
+            f"{over['eta_at_ion_te'] / over['eta_peak_te']:.3f}\n") in text
+
+
+def test_share_of_te_peak_compares_te_with_te(run_dir):
+    # the TE eta at the ion is part of the TE map, so it cannot exceed
+    # the map's peak; the TE+TM eta at the ion can
+    _, _, manifest = run_dir
+    over = manifest["stages"]["overlap"]["summary"]
+    assert 0.0 < over["eta_at_ion_te"] < over["eta_at_ion"]
+    assert over["eta_at_ion_te"] <= over["eta_peak_te"]
+    # a summary whose TE+TM eta at the ion exceeds the TE map's peak
+    summary = {"eta_at_ion": 0.0064, "eta_at_ion_te": 0.0052,
+               "eta_peak_te": 0.0055}
+    text = pipeline.report({"stages": {"overlap": {"summary": summary}}})
+    assert "  eta at ion / TE map peak  0.945\n" in text
 
 
 def test_report_empty_and_partial():
