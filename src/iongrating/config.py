@@ -197,8 +197,8 @@ _TABLE = {
         # +inf is an uncapped fit
         "kappa_max": (0.6e6, "float|inf", (">", 0))}),
     "propagation": ("scalar field raster (pixels, pixel size in m)", {
-        "shape": ([512, 512], "shape"),
-        "pixel_size": (0.1e-6, "float", (">", 0))}),
+        "shape": ([256, 256], "shape"),
+        "pixel_size": (0.2e-6, "float", (">", 0))}),
     "detection": ("counts/s rates, window s, readout and shelving model", {
         "bright_rate": (297.0, "float"),
         "dark_rate": (8.1, "float"),

@@ -18,6 +18,7 @@ stage, so a run that finds every stage cached, and a report, load none.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import warnings
 
@@ -407,7 +408,10 @@ def _run_propagate(config, path):
     teeth = _read_teeth(path["teeth.json"])
     ppw = liblib.load_library(path["library.json"]).provenance["ppw"]
     cell = fdtd.default_cell_size(config.stack, config.wavelength, ppw)
-    summary = {}
+    # the raster, and the ion it passes through, for the focus offsets
+    summary = {"shape": config.propagation["shape"],
+               "pixel_size": config.propagation["pixel_size"],
+               "x_ion": config.pose.x_ion, "y_ion": config.pose.y_ion}
     for pol in ("te", "tm"):
         # each polarization's grids are gone before the next one starts
         emitting = designer.emitting_teeth(teeth, pol.upper(), config.stack,
@@ -426,11 +430,12 @@ def _propagate_polarization(config, pol, teeth, field_path):
         teeth, config.footprint, config.stack, config.wavelength,
         polarization=pol, shape=tuple(config.propagation["shape"]),
         pixel_size=config.propagation["pixel_size"])
-    # the steps, then the normalization, overwrite the near field: the
-    # stage holds one field grid
+    # the transfer, then the normalization, overwrite the near field: the
+    # stage holds one field grid, whose raster passes through the ion
     field = propagation.propagate_to_height(
         field, config.pose.z_ion, config.pose.cladding_thickness,
-        config.stack.cladding_index, out=field.data)
+        config.stack.cladding_index, out=field.data,
+        sample_at=(config.pose.x_ion, config.pose.y_ion))
     field = field.normalize(out=field.data)
     propagation.save_field(field, field_path)
     return _peak_position(field, (config.pose.x_ion, config.pose.y_ion))
@@ -458,11 +463,15 @@ def _run_overlap(config, path):
     te, tm = (propagation.load_field(path[f"ion_plane_{pol}.npz"])
               for pol in ("te", "tm"))
     pose = config.pose
+    # the ion is a pixel centre of the fields, so a raster at their pixel
+    # reads each pixel within +-8 um of it once; the +-5 um map is its
+    # middle window
+    s = te.pixel_size
+    n, half = (math.floor(r / s * (1.0 + 1e-9)) for r in (8e-6, 5e-6))
     full = overlap.collection_map(
-        te, tm, (pose.x_ion - 8e-6, pose.x_ion + 8e-6),
-        (pose.y_ion - 8e-6, pose.y_ion + 8e-6), 0.1e-6)
-    # the +-5 um map at 0.2 um is the stride-2 window of that raster
-    w = slice(30, -30, 2)
+        te, tm, (pose.x_ion - n * s, pose.x_ion + n * s),
+        (pose.y_ion - n * s, pose.y_ion + n * s), s)
+    w = slice(n - half, n + half + 1)
     m = overlap.CollectionMap(full.x[w], full.y[w], full.eta[w, w],
                               full.eta_te[w, w], full.eta_tm[w, w],
                               z=full.z)
@@ -640,6 +649,21 @@ def _share_of_te_peak(s):
         return s["eta_at_ion_te"] / s["eta_peak_te"]
 
 
+def _focus_offset(pol, axis):
+    """The summary's ``pol`` focus less the ion along ``axis``; None
+    without both, as before 0.5.15."""
+    def offset(s):
+        if {f"peak_{axis}_{pol}", f"{axis}_ion"} <= s.keys():
+            return s[f"peak_{axis}_{pol}"] - s[f"{axis}_ion"]
+    return offset
+
+
+def _raster(s):
+    """The ion-plane raster as "ny x nx x pixel m"; None before 0.5.15."""
+    if {"shape", "pixel_size"} <= s.keys():
+        return " x ".join(map(str, s["shape"])) + f" x {s['pixel_size']:.4g} m"
+
+
 def _count(value) -> str:
     # a list is a per-start count, written before 0.5.12
     return "n/a" if isinstance(value, list) else str(value)
@@ -670,7 +694,12 @@ _REPORT = (
         ("undiffracted power", ("undiffracted_power",), _float))),
     ("focus", "propagate", (
         ("TE focus x / y", ("peak_x_te", "peak_y_te"), _float),
-        ("TM focus x / y", ("peak_x_tm", "peak_y_tm"), _float))),
+        ("TM focus x / y", ("peak_x_tm", "peak_y_tm"), _float),
+        ("TE focus - ion x / y",
+         (_focus_offset("te", "x"), _focus_offset("te", "y")), _float),
+        ("TM focus - ion x / y",
+         (_focus_offset("tm", "x"), _focus_offset("tm", "y")), _float),
+        ("ion-plane raster", (_raster,), str))),
     ("collection", "overlap", (
         ("eta at ion (field)", ("eta_at_ion",), _float),
         ("eta at ion / TE map peak", (_share_of_te_peak,), "{:.3f}".format),

@@ -5,8 +5,14 @@ polarization) on a uniform (x, y) grid.  ``synthesize_near_field`` builds
 the field at the grating plane from the per-tooth design solution with a
 local-plane-wave model; ``angular_spectrum_propagate`` moves a sampled
 field between parallel planes exactly (within the scalar approximation),
-attenuating evanescent components.  The cladding traversal uses the
-cladding index for its thickness, then vacuum above.
+attenuating evanescent components.  ``propagate_to_height`` carries the
+near field through the cladding and the vacuum above it in one transfer
+on the band that reaches the vacuum, |k_t| <= k0 (the band-limited
+angular spectrum of Matsushima & Shimobaba, Opt. Express 17, 19662
+(2009)), so the raster need only resolve half the vacuum wavelength; a
+phase ramp in the same transfer moves the raster by under a pixel, so
+that a given point (the ion) is a pixel centre (Matsushima, Opt. Express
+18, 18453 (2010)).
 """
 
 import zipfile
@@ -153,6 +159,48 @@ def _edge_energy_fraction(data: np.ndarray) -> float:
     return float(1.0 - interior / total)
 
 
+def _distinct_frequencies(shape, pixel_size):
+    """(kx^2, column index, ky^2, row index) of a grid's spatial
+    frequencies.
+
+    fftfreq is antisymmetric, so kx^2 + ky^2 takes one value per distinct
+    (ky^2, kx^2): a quarter of the grid's.  A transfer that depends on
+    them alone is evaluated on that quarter grid and read from it through
+    the inverse indices."""
+    (ky2, row_of), (kx2, col) = (
+        np.unique((2 * np.pi * np.fft.fftfreq(n, d=pixel_size)) ** 2,
+                  return_inverse=True) for n in shape)
+    return kx2, col, ky2, row_of
+
+
+def _apply_transfer(data, transfer, col, row_of, out, ramps=None):
+    """ifft(fft(data) * transfer[row_of][:, col] * ramp_y[:, None] *
+    ramp_x) in ``out``, or in a new grid when it is None, row by row.
+
+    ``ramps`` is an optional (ramp_x, ramp_y) pair of separable factors,
+    one per column and one per row."""
+    if out is None:
+        out = np.empty_like(data, dtype=np.result_type(data.dtype, 1j))
+    # fftn with out= transforms each axis in out: no axis temporary
+    spec = np.fft.fftn(data, out=out)
+    row = np.empty(data.shape[1], dtype=transfer.dtype)
+    for j, r in enumerate(row_of):
+        np.take(transfer[r], col, out=row)
+        if ramps is not None:
+            row *= ramps[0]
+            row *= ramps[1][j]
+        spec[j] *= row
+    # ifftn over both axes is ifft2, whose out= numpy ignores
+    np.fft.ifftn(spec, out=spec)
+    return spec
+
+
+def _check_padding(data: np.ndarray) -> None:
+    if _edge_energy_fraction(data) > 0.01:
+        raise PaddingError("more than 1% of the field energy lies within "
+                           "2 pixels of the grid edge; pad the grid")
+
+
 def angular_spectrum_propagate(fieldgrid: FieldGrid, dz: float,
                                medium_index: float = 1.0,
                                out: np.ndarray | None = None) -> FieldGrid:
@@ -183,19 +231,10 @@ def angular_spectrum_propagate(fieldgrid: FieldGrid, dz: float,
             return replace(fieldgrid, data=data.copy())
         np.copyto(out, data)
         return replace(fieldgrid, data=out)
-    if _edge_energy_fraction(data) > 0.01:
-        raise PaddingError("more than 1% of the field energy lies within "
-                           "2 pixels of the grid edge; pad the grid")
+    _check_padding(data)
 
-    ny, nx = data.shape
     k = 2 * np.pi * medium_index / fieldgrid.wavelength
-    # fftfreq is antisymmetric, so kz^2 = k^2 - kx^2 - ky^2 takes one value
-    # per distinct (ky^2, kx^2): a quarter of the grid's, which the
-    # transfer is evaluated on and read from through the inverse indices
-    kx2, col = np.unique((2 * np.pi * np.fft.fftfreq(nx, d=s)) ** 2,
-                         return_inverse=True)
-    ky2, row_of = np.unique((2 * np.pi * np.fft.fftfreq(ny, d=s)) ** 2,
-                            return_inverse=True)
+    kx2, col, ky2, row_of = _distinct_frequencies(data.shape, s)
     # in place: one float grid holds kz^2, kz, then the evanescent decay
     kz = k**2 - kx2[None, :] - ky2[:, None]
     prop = kz >= 0.0
@@ -206,42 +245,82 @@ def angular_spectrum_propagate(fieldgrid: FieldGrid, dz: float,
     kz *= -abs(dz)
     np.copyto(transfer, np.exp(kz, out=kz), where=~prop)
     del kz, prop
-    if out is None:
-        out = np.empty_like(data, dtype=np.result_type(data.dtype, 1j))
-    # fftn with out= transforms each axis in out: no axis temporary
-    spec = np.fft.fftn(data, out=out)
-    row = np.empty(nx, dtype=transfer.dtype)
-    for j, r in enumerate(row_of):
-        spec[j] *= np.take(transfer[r], col, out=row)
-    # ifftn over both axes is ifft2, whose out= numpy ignores
-    np.fft.ifftn(spec, out=spec)
+    spec = _apply_transfer(data, transfer, col, row_of, out)
     return replace(fieldgrid, data=spec, z=fieldgrid.z + dz)
 
 
 def propagate_to_height(fieldgrid: FieldGrid, z_target: float,
                         cladding_thickness: float,
                         n_cladding: float = N_SIO2,
-                        out: np.ndarray | None = None) -> FieldGrid:
+                        out: np.ndarray | None = None,
+                        sample_at=None) -> FieldGrid:
     """Propagate from the grating plane to ``z_target`` above it,
     traversing the cladding first and vacuum afterwards.
 
-    Both steps work in one grid, and the vacuum step overwrites the
-    cladding step's result.  That grid is ``out`` when given, as in
+    Both media are one transfer, exp(i (kz_clad d_clad + kz_vac d_vac)),
+    applied by one FFT pair on the band that propagates through every
+    medium on the path: |k_t| <= k0 once the path reaches vacuum.  The
+    rest of the spectrum reflects totally at the cladding's top or decays
+    in the vacuum, and is dropped, so the pixel need only resolve that
+    band: at most half the vacuum wavelength.  Raises PaddingError when
+    more than 1% of the input's energy sits within two pixels of the grid
+    edge.
+
+    ``sample_at`` is an (x, y) point that the result samples exactly: a
+    phase ramp exp(i (kx dx + ky dy)) in the same transfer moves the
+    raster by under half a pixel per axis, so that the point is a pixel
+    centre, and the result's ``x0`` and ``y0`` carry the move.
+
+    The result is in ``out`` when given, as in
     :func:`angular_spectrum_propagate`: it may be ``fieldgrid.data``
-    itself, so that the steps allocate no field grid.  Otherwise it is a
+    itself, so that the step allocates no field grid.  Otherwise it is a
     new one, and the input is left as it is."""
     if z_target < fieldgrid.z:
         raise ValueError("target plane below the current plane")
-    field = fieldgrid
-    in_clad = min(max(cladding_thickness - field.z, 0.0), z_target - field.z)
-    if in_clad > 0.0:
-        field = angular_spectrum_propagate(field, in_clad, n_cladding,
-                                           out=out)
-        out = field.data
-    remaining = z_target - field.z
-    if remaining > 0.0:
-        field = angular_spectrum_propagate(field, remaining, 1.0, out=out)
-    return field
+    data = fieldgrid.data
+    if out is not None and out.shape != data.shape:
+        raise ValueError(f"out has shape {out.shape}, the field "
+                         f"{data.shape}")
+    in_clad = min(max(cladding_thickness - fieldgrid.z, 0.0),
+                  z_target - fieldgrid.z)
+    in_vac = z_target - fieldgrid.z - in_clad
+    n_band = 1.0 if in_vac > 0.0 else n_cladding
+    s = fieldgrid.pixel_size
+    lam_band = fieldgrid.wavelength / n_band
+    if s > lam_band / 2:
+        raise ValueError(f"pixel size {s * 1e9:.0f} nm undersamples the "
+                         f"band that reaches the target, wavelength "
+                         f"{lam_band * 1e9:.0f} nm")
+    _check_padding(data)
+
+    k0 = 2 * np.pi / fieldgrid.wavelength
+    kx2, col, ky2, row_of = _distinct_frequencies(data.shape, s)
+    # the band's kz^2; a medium of index n adds k0^2 (n^2 - n_band^2)
+    kz2 = (k0 * n_band) ** 2 - kx2[None, :] - ky2[:, None]
+    outside = kz2 < 0.0
+    transfer = np.zeros(kz2.shape, dtype=complex)
+    kz = np.empty_like(kz2)
+    for dz, n in ((in_clad, n_cladding), (in_vac, 1.0)):
+        if dz > 0.0:
+            np.add(kz2, k0**2 * (n**2 - n_band**2), out=kz)
+            np.sqrt(np.maximum(kz, 0.0, out=kz), out=kz)
+            kz *= dz
+            transfer.imag += kz
+    del kz, kz2
+    np.exp(transfer, out=transfer)
+    transfer[outside] = 0.0
+    x0, y0, ramps = fieldgrid.x0, fieldgrid.y0, None
+    if sample_at is not None:
+        # the sub-pixel offsets of the point from the raster, and the ramps
+        # that sample the field that much further along each axis
+        dx, dy = ((p - p0) - round((p - p0) / s) * s
+                  for p, p0 in zip(sample_at, (x0, y0)))
+        x0, y0 = x0 + dx, y0 + dy
+        ny, nx = data.shape
+        ramps = (np.exp(2j * np.pi * dx * np.fft.fftfreq(nx, d=s)),
+                 np.exp(2j * np.pi * dy * np.fft.fftfreq(ny, d=s)))
+    spec = _apply_transfer(data, transfer, col, row_of, out, ramps)
+    return replace(fieldgrid, data=spec, z=z_target, x0=x0, y0=y0)
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,8 @@ def test_cli_propagation_raster_is_checked_at_load(tmp_path, entry,
 
 
 def test_propagation_shape_takes_integral_numbers():
-    cfg = load_config(overrides={"propagation": {"shape": [512.0, 512]}})
-    assert cfg.propagation["shape"] == [512, 512]
+    cfg = load_config(overrides={"propagation": {"shape": [256.0, 256]}})
+    assert cfg.propagation["shape"] == [256, 256]
     assert all(type(n) is int for n in cfg.propagation["shape"])
     assert pipeline._config_slices(cfg) == pipeline._config_slices(
         load_config())
@@ -518,7 +518,7 @@ def test_field_artifacts_are_npz(run_dir):
     assert sorted(paths) == [os.path.join("propagate", "ion_plane_te.npz"),
                              os.path.join("propagate", "ion_plane_tm.npz")]
     for rel in paths:
-        assert propagation.load_field(out / rel).data.shape == (512, 512)
+        assert propagation.load_field(out / rel).data.shape == (256, 256)
 
 
 def test_cold_runs_record_identical_checksums(run_dir, tmp_path):
@@ -1323,6 +1323,58 @@ def test_run_summaries_are_physical(run_dir):
     assert s["detect"]["bright_fidelity"] == pytest.approx(0.907, abs=2e-3)
 
 
+def test_overlap_reads_each_field_pixel_once(tmp_path, monkeypatch):
+    # at a 0.16 um pixel, a 0.1 um ion raster read 41 field pixels per
+    # axis once and 60 twice, so the crosstalk sums weighted them unequally
+    maps = []
+    collection_map = overlap.collection_map
+
+    def recorded(*args, **kwargs):
+        maps.append(collection_map(*args, **kwargs))
+        return maps[-1]
+
+    monkeypatch.setattr(overlap, "collection_map", recorded)
+    s = 0.16e-6
+    cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path),
+                                 "propagation": {"shape": [320, 320],
+                                                 "pixel_size": s}})
+    pipeline.run_pipeline(cfg, stages=["overlap"])
+    te = propagation.load_field(tmp_path / "propagate" / "ion_plane_te.npz")
+    (full,) = maps
+    for raster, grid, ion in ((full.x, te.x, cfg.pose.x_ion),
+                              (full.y, te.y, cfg.pose.y_ion)):
+        # 50 pixels either side of the ion's: every one within +-8 um, once
+        pixels = np.rint((raster - grid[0]) / s).astype(int)
+        assert np.array_equal(pixels, pixels[0] + np.arange(101))
+        assert np.allclose(raster, grid[pixels], rtol=0.0, atol=1e-6 * s)
+        assert raster[50] == pytest.approx(ion, abs=1e-6 * s)
+    # the saved map is the +-5 um window of the same pixels
+    saved = np.loadtxt(tmp_path / "overlap" / "collection_map.csv",
+                       delimiter=",")
+    assert np.array_equal(saved, full.eta[19:82, 19:82])
+
+
+def test_off_grid_ion_is_read_on_a_pixel_centre(tmp_path):
+    # x_ion 28.07 um lies 0.35 of a pixel off the default raster, on the
+    # TE focus's flank: read at the nearest pixel of a 0.1 um raster, eta
+    # at the ion was 4.1 % above the 0.05 um reference; on the shifted
+    # raster it is 0.08 % above
+    etas = {}
+    for raster in ({}, {"shape": [1024, 1024], "pixel_size": 0.05e-6}):
+        cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path),
+                                     "pose": {"x_ion": 28.07e-6},
+                                     "propagation": raster})
+        manifest = pipeline.run_pipeline(cfg, stages=["overlap"])
+        s = cfg.propagation["pixel_size"]
+        etas[s] = manifest["stages"]["overlap"]["summary"]["eta_at_ion"]
+        for pol in ("te", "tm"):
+            field = propagation.load_field(
+                tmp_path / "propagate" / f"ion_plane_{pol}.npz")
+            assert np.abs(field.x - 28.07e-6).min() < 1e-6 * s
+            assert np.abs(field.y - 0.0).min() < 1e-6 * s
+    assert etas[0.2e-6] == pytest.approx(etas[0.05e-6], rel=5e-3)
+
+
 def test_collection_map_is_the_window_of_the_crosstalk_raster(run_dir):
     # the stage rasters +-8 um once; its saved +-5 um map must equal a
     # direct raster at the map's own extent and step
@@ -1353,7 +1405,7 @@ def test_default_design_reaches_the_per_mode_bound(run_dir):
 
 
 def test_report_contents_and_determinism(run_dir):
-    _, _, manifest = run_dir
+    _, cfg, manifest = run_dir
     text = pipeline.report(manifest)
     assert text == pipeline.report(manifest)
     assert "solid-angle fraction" in text and "sigma share" in text
@@ -1367,6 +1419,14 @@ def test_report_contents_and_determinism(run_dir):
                 f"{prop[f'peak_x_{pol}']:.4g} / {prop[f'peak_y_{pol}']:.4g}\n"
                 ) in text
     assert "  TE+TM map peak at x       " in text
+    # each focus less the ion, and the raster the fields are on
+    pose = cfg.pose
+    for pol in ("te", "tm"):
+        assert (f"  {pol.upper()} focus - ion x / y      "
+                f"{prop[f'peak_x_{pol}'] - pose.x_ion:.4g} / "
+                f"{prop[f'peak_y_{pol}'] - pose.y_ion:.4g}\n") in text
+    assert "  TE focus - ion x / y      2e-07 / 0\n" in text
+    assert "  ion-plane raster          256 x 256 x 2e-07 m\n" in text
     over = manifest["stages"]["overlap"]["summary"]
     assert (f"  eta at ion / TE map peak  "
             f"{over['eta_at_ion_te'] / over['eta_peak_te']:.3f}\n") in text
@@ -1408,6 +1468,10 @@ def test_report_empty_and_partial():
     text = pipeline.report(older)
     assert "  TE focus x / y            2.8e-05 / 0\n" in text
     assert "  TM focus x / y            n/a / n/a\n" in text
+    # nor the ion or the raster, which 0.5.15 added
+    assert "  TE focus - ion x / y      n/a / n/a\n" in text
+    assert "  TM focus - ion x / y      n/a / n/a\n" in text
+    assert "  ion-plane raster          n/a\n" in text
     # a count missing from a design summary prints as n/a, as values do,
     # and so do the per-start fit counts written before 0.5.12
     older = {"stages": {"design": {"summary": {
@@ -1455,21 +1519,19 @@ def test_cli_report_and_ledger(run_dir):
     assert "-47.68" in result.output
 
 
-def test_cold_propagate_makes_four_propagation_steps(tmp_path,
-                                                    monkeypatch):
-    step = propagation.angular_spectrum_propagate
-    steps = []
-
-    def counted(*args, **kwargs):
-        steps.append(args[1])
-        return step(*args, **kwargs)
-
-    monkeypatch.setattr(propagation, "angular_spectrum_propagate", counted)
+def test_cold_propagate_makes_one_fft_pair_per_field(tmp_path,
+                                                     monkeypatch):
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _name=name, _fft=getattr(np.fft, name),
+                    **kwargs):
+            calls.append((_name, args[0].shape))
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
     cfg = load_config(overrides={**FAST, "output_dir": str(tmp_path)})
     pipeline.run_pipeline(cfg, stages=["propagate"])
-    # the cladding and vacuum steps of TE and TM, each with its distance
-    # as the second positional argument
-    assert len(steps) == 4 and all(dz > 0.0 for dz in steps)
+    # the cladding and the vacuum are one transfer: TE's pair, then TM's
+    assert calls == [("fftn", (256, 256)), ("ifftn", (256, 256))] * 2
 
 
 def test_cli_report_takes_no_seed(run_dir):
@@ -1717,11 +1779,12 @@ def test_cli_negative_seed_is_a_config_error(tmp_path):
 
 
 def test_init_config_bytes_are_pinned(tmp_path):
-    # the template as 0.5.12 wrote it
+    # the template as 0.5.12 wrote it, with 0.5.15's 256 x 256 raster of
+    # 0.2 um pixels
     path = tmp_path / "default.yaml"
     write_default_config(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "e6fee4c697d60bbb69417cf16b232f210e153866b3673a77e723e4dfa3e68833")
+        "7432e1d7b32c7ee9a542914a8443ceba5718c035321a0f4e8332c6dc74bb5322")
 
 
 def test_every_default_passes_its_own_kind_and_bound():
