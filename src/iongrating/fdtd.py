@@ -35,8 +35,12 @@ Courant limit n_min d / (c sqrt 2) of the map's lowest index n_min: the
 fastest wave on the grid sets the limit, and a unit cell holds no vacuum,
 so its cladding's index (1.47 by default) lengthens the step by that
 factor over the vacuum step: on the default stack a period takes 24
-steps at 12 points per wavelength and 32 at 16.  A unit-cell
-run holds one simulation at a time: the tooth-free reference is freed
+steps at 12 points per wavelength and 32 at 16.  The absorbers are
+PML_CELLS = 8 cells of cubic grading, added outside the interior, so no
+interior node depends on them.  Against 24 cells of quartic grading, on
+16 library cells at -4 to 20 deg, they move kappa by at most 2.6e-4 and
+alpha by 4.8e-4 (relative) at 12 points per wavelength.  A unit-cell run
+holds one simulation at a time: the tooth-free reference is freed
 before the grating run starts, and its index map is a read-only view of
 the grating map's first column.
 """
@@ -63,7 +67,8 @@ class ResolutionError(ValueError):
     """Geometry is unresolvable at the chosen cell size."""
 
 
-PML_CELLS = 12            # absorbing-layer thickness on every boundary
+PML_CELLS = 8             # absorbing-layer thickness on every boundary
+PML_GRADING = 3           # power of the absorbers' conductivity grading
 COURANT = 0.99            # time step as a fraction of the 2D Courant limit
 RAMP_PERIODS = 5.0        # raised-cosine turn-on of the line source
 # unit-cell margins around the layer stack and the grating section, m
@@ -153,8 +158,15 @@ class CellResult:
 
 def _pml_profiles(n: int, d: float, dt: float):
     """(b, a) CPML recursion coefficients at integer and half-integer nodes:
-    a grading of order 4 and a frequency shift falling from 0.24 S/m."""
-    pml, m, alpha_max = PML_CELLS, 4, 0.24
+    a conductivity graded by the PML_GRADING power of the depth, up to
+    0.8 (m + 1) / (eta0 d), and a frequency shift falling from 0.24 S/m
+    (Roden & Gedney 2000; Taflove & Hagness, 3rd ed., ch. 7).  Against 24
+    quartic cells, PML_CELLS = 8 cubic cells move a library cell's kappa
+    by at most 2.6e-4 and its alpha by 4.8e-4 (relative) at 12 points per
+    wavelength, 2.0e-4 and 3.8e-4 at 16; 8 quartic cells move kappa by
+    1.8e-3.  At 8 points per wavelength they move a half-pitch cell's
+    kappa by 1e-3."""
+    pml, m, alpha_max = PML_CELLS, PML_GRADING, 0.24
     sigma_max = 0.8 * (m + 1) / (constants.ETA0 * d)
 
     def coeffs(depth_frac):
