@@ -1,12 +1,13 @@
 """2D finite-difference time-domain kernel (effective-index reduced) for
 short fixed-period grating sections.
 
-The kernel simulates the chip cross-section in the xz plane with the
-out-of-plane-field formulation for either slab polarization (TE: Ey out of
-plane; TM: Hy out of plane), graded-conductivity convolutional PML on all
-boundaries, a guided-mode line source, and single-frequency phasor monitors
-from which diffraction observables (P_T, P_D, up/down split, emission
-angle) are extracted.
+The kernel simulates the chip cross-section in the xz plane for the TE
+slab mode only, Ey out of plane with Hx and Hz in it: the grating couples
+the ion's light into TE.  The TM update (Hy out of plane) was last in
+commit 552d0b1.  Graded-conductivity convolutional PML absorbs on every
+boundary, a guided-mode line source launches the mode, and
+single-frequency phasor monitors give the diffraction observables (P_T,
+P_D, up/down split, emission angle).
 
 Fields, update coefficients and CPML memory are float32, stored as (z, x)
 rows with x fastest; ``F``, ``Ga`` and ``Gb`` are (x, z)-indexed views of
@@ -14,35 +15,34 @@ them.  CPML memory lives only in the absorbing slabs, where its recursion
 coefficients are nonzero: the z slabs of each field are its first and last
 rows, advanced together as one two-block view, and its x slabs one strided
 band whose chunks each join the end of one row to the start of the next.
-For TE both in-plane updates take the one scalar dt / (mu0 d), so Ga and
-Gb store H divided by it (``g_scale``) and F's coefficient carries it;
-that saves two grid passes per step, and the monitors multiply it back in
-double precision.  TM stores its fields unscaled.  A step is one bound
-list of numpy ufunc calls over fixed views and allocates no grid-sized
-array.  Every grid-sized output of a step, and every CPML psi and scratch
-array, starts on a 64-byte line (``_aligned_zeros``).  On AVX-512 hosts
-numpy's vector loops store a float32 output that does not at about half
-the speed, whatever the alignment of the inputs, and numpy's allocator
-returns no such line.  The layout moves no result bit.  The monitors copy
-their raw lines into one period of rows per step, and once per period
-fold them into double-precision phasors, step by step in order, so the
-sums equal a per-step accumulation bit for bit.  A run stops once the
-four monitor fluxes are measured steady: after one transit of the grid
-plus the source ramp, the largest change of a flux relative to itself
-must stay below 1e-5 for three consecutive optical periods.  The time
-step is a whole fraction of the optical period within COURANT of the 2D
-Courant limit n_min d / (c sqrt 2) of the map's lowest index n_min: the
-fastest wave on the grid sets the limit, and a unit cell holds no vacuum,
-so its cladding's index (1.47 by default) lengthens the step by that
-factor over the vacuum step: on the default stack a period takes 24
-steps at 12 points per wavelength and 32 at 16.  The absorbers are
-PML_CELLS = 8 cells of cubic grading, added outside the interior, so no
-interior node depends on them.  Against 24 cells of quartic grading, on
-16 library cells at -4 to 20 deg, they move kappa by at most 2.6e-4 and
-alpha by 4.8e-4 (relative) at 12 points per wavelength.  A unit-cell run
-holds one simulation at a time: the tooth-free reference is freed
-before the grating run starts, and its index map is a read-only view of
-the grating map's first column.
+Both H updates take the one scalar dt / (mu0 d), so Ga and Gb store H
+divided by it (``g_scale``) and F's coefficient carries it; that saves two
+grid passes per step, and the monitors multiply it back in double
+precision.  A step is one bound list of numpy ufunc calls over fixed views
+and allocates no grid-sized array.  Every grid-sized output of a step, and
+every CPML psi and scratch array, starts on a 64-byte line
+(``_aligned_zeros``).  On AVX-512 hosts numpy's vector loops store a
+float32 output that does not at about half the speed, whatever the
+alignment of the inputs, and numpy's allocator returns no such line.  The
+layout moves no result bit.  The monitors copy their raw lines into one
+period of rows per step, and once per period fold them into
+double-precision phasors, step by step in order, so the sums equal a
+per-step accumulation bit for bit.  A run stops once the four monitor
+fluxes are measured steady: after one transit of the grid plus the source
+ramp, the largest change of a flux relative to itself must stay below 1e-5
+for three consecutive optical periods.  The time step is a whole fraction
+of the optical period within COURANT of the 2D Courant limit n_min d / (c
+sqrt 2) of the map's lowest index n_min: the fastest wave on the grid sets
+the limit, and a unit cell holds no vacuum, so its cladding's index (1.47
+by default) lengthens the step by that factor over the vacuum step: on the
+default stack a period takes 24 steps at 12 points per wavelength and 32
+at 16.  The absorbers are PML_CELLS = 8 cells of cubic grading, added
+outside the interior, so no interior node depends on them.  Against 24
+cells of quartic grading, on 16 library cells at -4 to 20 deg, they move
+kappa by at most 2.6e-4 and alpha by 4.8e-4 (relative) at 12 points per
+wavelength.  A unit-cell run holds one simulation at a time: the tooth-free
+reference is freed before the grating run starts, and its index map is a
+read-only view of the grating map's first column.
 """
 
 import functools
@@ -150,7 +150,6 @@ class CellResult:
     cell_size: float
     top_field: np.ndarray # complex phasor along the top monitor
     periods_run: int = 0
-    polarization: str = "TE"
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +356,8 @@ def _drive(t: float, omega: float) -> float:
 
 
 class Fdtd2D:
-    """Single-frequency 2D FDTD run over a fixed index map.
+    """Single-frequency 2D TE FDTD run over a fixed index map: ``F`` is
+    Ey, ``Ga`` Hx and ``Gb`` Hz.
 
     A simulation owns its grid exclusively; results are bit-deterministic
     for a fixed grid, step count, and geometry.  It steps at the map's
@@ -366,13 +366,9 @@ class Fdtd2D:
     ``g_scale``.
     """
 
-    def __init__(self, material: MaterialMap, wavelength: float,
-                 polarization: str):
-        if polarization not in ("TE", "TM"):
-            raise ValueError("polarization must be 'TE' or 'TM'")
+    def __init__(self, material: MaterialMap, wavelength: float):
         self.material = material
         self.wavelength = wavelength
-        self.polarization = polarization
 
         d = material.cell_size
         nx, nz = material.n.shape
@@ -388,8 +384,7 @@ class Fdtd2D:
     def _init_fields(self):
         nx, nz = self.grid.nx, self.grid.nz
         d, dt = self.grid.cell_size, self.grid.time_step
-        # eps_r as (nz, nx) rows; the TE coefficient chain runs in place
-        # in it
+        # eps_r as (nz, nx) rows; F's coefficient chain runs in place in it
         eps = np.square(self.material.n.T, order="C")
 
         # Every array is float32 and stored as (nz, nx) rows, x fastest;
@@ -413,31 +408,16 @@ class Fdtd2D:
         self._dFz, self._dGaz = dFz, dFz[:-1]
         self._dFx, self._dGbx = dFx, dFx[:-2]
 
-        if self.polarization == "TE":
-            # F=Ey; Ga=Hx at (i, j+1/2); Gb=Hz at (i+1/2, j).  Both H
-            # updates take the one scalar dt / (mu0 d), so Ga and Gb hold
-            # H divided by it (g_scale) and F's coefficient carries it;
-            # LineMonitor.fold multiplies it back in double precision
-            self.g_scale = dt / (constants.MU0 * d)
-            cF = eps[1:-1]
-            cF *= constants.EPS0
-            cF *= d
-            np.divide(dt, cF, out=cF)
-            cF *= self.g_scale
-            g_ops = ([(np.add, ga, dFz, ga)],
-                     [(np.subtract, gb, dFx, gb)])
-        else:
-            # F=Hy; Ga=Ex at (i, j+1/2); Gb=Ez at (i+1/2, j); the curl
-            # signs are folded into the coefficients
-            self.g_scale = 1.0
-            cF = -np.full((nz - 2, nx), dt / (constants.MU0 * d))
-            eps_a = 0.5 * (eps[:-1] + eps[1:])
-            eps_b = 0.5 * (eps[:, :-1] + eps[:, 1:])
-            cGa = np.asarray(-(dt / (constants.EPS0 * eps_a * d)), f32)
-            cGb = np.asarray(np.pad(dt / (constants.EPS0 * eps_b * d),
-                                    ((0, 0), (0, 1))), f32)
-            g_ops = ([(np.multiply, dFz, cGa, dFz), (np.add, ga, dFz, ga)],
-                     [(np.multiply, dFx, cGb, dFx), (np.add, gb, dFx, gb)])
+        # F=Ey; Ga=Hx at (i, j+1/2); Gb=Hz at (i+1/2, j).  Both H updates
+        # take the one scalar dt / (mu0 d), so Ga and Gb hold H divided by
+        # it (g_scale) and F's coefficient carries it; LineMonitor.fold
+        # multiplies it back in double precision
+        self.g_scale = dt / (constants.MU0 * d)
+        cF = eps[1:-1]
+        cF *= constants.EPS0
+        cF *= d
+        np.divide(dt, cF, out=cF)
+        cF *= self.g_scale
         cF[:, [0, -1]] = 0.0
         cF = np.asarray(cF, f32)
 
@@ -459,9 +439,9 @@ class Fdtd2D:
         fl, gbl, dxl = f.reshape(-1), gb.reshape(-1), dFx.reshape(-1)
         self._ops = [
             (np.subtract, f[1:], f[:-1], dFz), *_psi_ops(self._psi_Ga),
-            *g_ops[0],
+            (np.add, ga, dFz, ga),
             (np.subtract, fl[1:], fl[:-1], dxl[:-1]), *_psi_ops(self._psi_Gb),
-            *g_ops[1],
+            (np.subtract, gb, dFx, gb),
             (np.subtract, gbl[nx:-nx], gbl[nx - 1:-nx - 1], dGbx.reshape(-1)),
             *_psi_ops(self._psi_Fx),
             (np.subtract, ga[1:], ga[:-1], dGaz), *_psi_ops(self._psi_Fz),
@@ -568,16 +548,10 @@ class LineMonitor:
         """Cycle-averaged power through the line, per unit out-of-plane
         length: +x for vertical lines, +z for horizontal lines."""
         f, g = self.phasors()
-        d = sim.grid.cell_size
-        if sim.polarization == "TE":
-            # v: S_x = Ey Hz ; h: S_z = -Ey Hx
-            s = np.real(f * np.conj(g))
-            s = s if self.orientation == "v" else -s
-        else:
-            # v: S_x = -Ez Hy ; h: S_z = Ex Hy
-            s = np.real(np.conj(f) * g)
-            s = -s if self.orientation == "v" else s
-        return 0.5 * float(np.sum(s)) * d
+        # v: S_x = Ey Hz ; h: S_z = -Ey Hx
+        s = np.real(f * np.conj(g))
+        s = s if self.orientation == "v" else -s
+        return 0.5 * float(np.sum(s)) * sim.grid.cell_size
 
 
 # ---------------------------------------------------------------------------
@@ -785,10 +759,10 @@ def _run_to_steady_state(sim: Fdtd2D, monitors, min_periods: int,
         f"{STEADY_REL_TOL:g} for 3 periods in a row")
 
 
-def _simulate(material: MaterialMap, wavelength: float, polarization: str,
-              profile: np.ndarray, max_periods: int = MAX_PERIODS):
+def _simulate(material: MaterialMap, wavelength: float,
+              profile: np.ndarray):
     meta = material.meta
-    sim = Fdtd2D(material, wavelength, polarization)
+    sim = Fdtd2D(material, wavelength)
     sim.add_line_source(meta["i_src"], profile)
 
     nz, nx = sim.grid.nz, sim.grid.nx
@@ -805,12 +779,11 @@ def _simulate(material: MaterialMap, wavelength: float, polarization: str,
     transit = nx * sim.grid.cell_size * n_max / constants.C0
     period = wavelength / constants.C0
     min_periods = int(np.ceil(transit / period + RAMP_PERIODS))
-    periods = _run_to_steady_state(sim, monitors, min_periods, max_periods)
+    periods = _run_to_steady_state(sim, monitors, min_periods, MAX_PERIODS)
     return sim, monitors, periods
 
 
-def _reference_run(grating: MaterialMap, wavelength: float,
-                   polarization: str):
+def _reference_run(grating: MaterialMap, wavelength: float):
     """(monitor fluxes, n_eff, mode profile) of the tooth-free reference
     spanning the grating map's domain and grid.  Its simulation is freed
     on return, before the grating run builds its own.  No tooth lowers a
@@ -823,9 +796,8 @@ def _reference_run(grating: MaterialMap, wavelength: float,
         n=np.broadcast_to(grating.n[:1], grating.n.shape),
         cell_size=d, meta=dict(meta))
     col = reference.n[meta["i_in"] - 2, :]
-    n_eff, profile = slab_mode_profile(col, d, wavelength, polarization)
-    sim, monitors, _ = _simulate(reference, wavelength, polarization,
-                                 profile)
+    n_eff, profile = slab_mode_profile(col, d, wavelength, "TE")
+    sim, monitors, _ = _simulate(reference, wavelength, profile)
     return [m.flux(sim) for m in monitors], n_eff, profile
 
 
@@ -840,8 +812,12 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
     itself per optical period, three periods in a row), and returns
     flux-derived powers normalized to unit input.
     A tooth-free reference run calibrates the input power; references are
-    cached per stack/wavelength/grid/polarization.
+    cached per stack, wavelength and grid.  The kernel steps TE only: any
+    other ``polarization`` raises ValueError.
     """
+    if polarization != "TE":
+        raise ValueError(f"the unit-cell solver steps TE only, not "
+                         f"{polarization!r}")
     if n_periods < 4:
         raise ValueError("n_periods must be >= 4")
     _check_resolution(params, cell_size)
@@ -849,18 +825,15 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
     grating = unit_cell_material_map(stack, params, n_periods, cell_size)
     meta = grating.meta
 
-    ref_key = (stack, wavelength, polarization, round(cell_size * 1e12),
-               grating.n.shape)
+    ref_key = (stack, wavelength, round(cell_size * 1e12), grating.n.shape)
     if ref_key not in _reference_cache:
-        _reference_cache[ref_key] = _reference_run(grating, wavelength,
-                                                   polarization)
+        _reference_cache[ref_key] = _reference_run(grating, wavelength)
     ref_flux, n_eff, profile = _reference_cache[ref_key]
     # normalize to the guided power actually delivered through the section
     # in the tooth-free reference; stray launch radiation then cancels
     norm = ref_flux[1]
 
-    sim, monitors, periods = _simulate(grating, wavelength, polarization,
-                                       profile)
+    sim, monitors, periods = _simulate(grating, wavelength, profile)
     mon_in, mon_out, mon_top, mon_bot = monitors
     p_trans = mon_out.flux(sim) / norm
     p_up = max((mon_top.flux(sim) - ref_flux[2]) / norm, 0.0)
@@ -885,7 +858,7 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
         length=meta["length"], peak_angle=np.nan, target_angle=target,
         n_cladding=stack.cladding_index, wavelength=wavelength,
         cell_size=cell_size, top_field=e_top,
-        periods_run=periods, polarization=polarization)
+        periods_run=periods)
     spec = far_field_angle_spectrum(result)
     result.peak_angle = spec.peak_angle
     if np.isnan(target):
@@ -946,10 +919,8 @@ def far_field_angle_spectrum(result: CellResult) -> AngleSpectrum:
     kx = 2 * np.pi * np.fft.fftfreq(npad, dx)
     prop = np.abs(kx) < k0n
     kz = np.sqrt(np.maximum(k0n**2 - kx[prop] ** 2, 0.0))
-    if result.polarization == "TE":
-        coef = kz / (2 * omega * constants.MU0)
-    else:
-        coef = kz / (2 * omega * constants.EPS0 * result.n_cladding**2)
+    # the TE plane wave's upward flux per |Ey|^2
+    coef = kz / (2 * omega * constants.MU0)
     power = coef * np.abs(ft[prop]) ** 2 * dx / npad
     theta = np.arcsin(kx[prop] / k0n)
     order = np.argsort(theta)

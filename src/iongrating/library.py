@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field, asdict, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -119,13 +120,17 @@ def pitch_for_angle(angle: float, dcu: float, dcl: float,
 
 @dataclass
 class KernelConfig:
-    """Settings forwarded to the unit-cell solver for library evaluation."""
+    """Settings forwarded to the unit-cell solver for library evaluation.
+
+    ``polarization`` and ``min_feature`` are constants, not settings: the
+    solver steps TE cells only, and every library built from a config
+    keeps the fabrication minimum MIN_FEATURE."""
+    polarization: ClassVar[str] = "TE"
+    min_feature: ClassVar[float] = MIN_FEATURE
     wavelength: float = 422e-9
     stack: LayerStack = field(default_factory=default_stack)
-    polarization: str = "TE"
     n_periods: int = 8
     points_per_wavelength: int = 16
-    min_feature: float = MIN_FEATURE
 
     @property
     def cell_size(self) -> float:

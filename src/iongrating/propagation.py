@@ -202,20 +202,15 @@ def _check_padding(data: np.ndarray) -> None:
 
 
 def angular_spectrum_propagate(fieldgrid: FieldGrid, dz: float,
-                               medium_index: float = 1.0,
-                               out: np.ndarray | None = None) -> FieldGrid:
+                               medium_index: float = 1.0) -> FieldGrid:
     """Propagate the sampled field by ``dz`` through a uniform medium.
 
     Exact scalar plane-wave decomposition: each spatial frequency advances
     by exp(i kz dz) with kz = sqrt((k0 n)^2 - kx^2 - ky^2).  Evanescent
     components are attenuated (never amplified, regardless of the sign of
     ``dz``).  Raises PaddingError when more than 1% of the energy sits
-    within two pixels of the grid edge.
-
-    As in numpy, ``out`` is a complex array of the field's shape that
-    receives the result, which then holds it as its ``data``; it may be
-    ``fieldgrid.data`` itself, so that the step allocates no output grid.
-    The result is the same, bit for bit, either way.
+    within two pixels of the grid edge.  The result is a new grid, and
+    the input is left as it is.
     """
     s = fieldgrid.pixel_size
     lam_m = fieldgrid.wavelength / medium_index
@@ -223,14 +218,8 @@ def angular_spectrum_propagate(fieldgrid: FieldGrid, dz: float,
         raise ValueError(f"pixel size {s * 1e9:.0f} nm undersamples the "
                          f"medium wavelength {lam_m * 1e9:.0f} nm")
     data = fieldgrid.data
-    if out is not None and out.shape != data.shape:
-        raise ValueError(f"out has shape {out.shape}, the field "
-                         f"{data.shape}")
     if dz == 0.0:
-        if out is None:
-            return replace(fieldgrid, data=data.copy())
-        np.copyto(out, data)
-        return replace(fieldgrid, data=out)
+        return replace(fieldgrid, data=data.copy())
     _check_padding(data)
 
     k = 2 * np.pi * medium_index / fieldgrid.wavelength
@@ -245,7 +234,7 @@ def angular_spectrum_propagate(fieldgrid: FieldGrid, dz: float,
     kz *= -abs(dz)
     np.copyto(transfer, np.exp(kz, out=kz), where=~prop)
     del kz, prop
-    spec = _apply_transfer(data, transfer, col, row_of, out)
+    spec = _apply_transfer(data, transfer, col, row_of, None)
     return replace(fieldgrid, data=spec, z=fieldgrid.z + dz)
 
 
@@ -271,10 +260,10 @@ def propagate_to_height(fieldgrid: FieldGrid, z_target: float,
     raster by under half a pixel per axis, so that the point is a pixel
     centre, and the result's ``x0`` and ``y0`` carry the move.
 
-    The result is in ``out`` when given, as in
-    :func:`angular_spectrum_propagate`: it may be ``fieldgrid.data``
-    itself, so that the step allocates no field grid.  Otherwise it is a
-    new one, and the input is left as it is."""
+    As in numpy, ``out`` is a complex array of the field's shape that
+    receives the result, which then holds it as its ``data``; it may be
+    ``fieldgrid.data`` itself, so that the step allocates no field grid.
+    Otherwise the result is a new one, and the input is left as it is."""
     if z_target < fieldgrid.z:
         raise ValueError("target plane below the current plane")
     data = fieldgrid.data

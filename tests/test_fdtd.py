@@ -16,6 +16,9 @@ from transfer_matrix import effective_index
 WAVELENGTH = 422e-9
 STACK = geometry.default_stack()
 CELL = fdtd.default_cell_size(STACK, WAVELENGTH, 16)
+# the polarizations the kernel steps: TE only (the TM update was last in
+# commit 552d0b1); the kernel tests run over each
+KERNEL_POLARIZATIONS = ["TE"]
 
 
 def params(pitch=0.30e-6, dcu=0.5, dcl=0.5, dx=0.0, delta=0.0):
@@ -57,7 +60,7 @@ def test_default_stack_steps_at_the_cladding_limit(ppw, steps):
     cell = fdtd.default_cell_size(STACK, WAVELENGTH, ppw)
     material = fdtd.unit_cell_material_map(STACK, params(), 4, cell)
     assert np.min(material.n) == STACK.cladding_index
-    sim = fdtd.Fdtd2D(material, WAVELENGTH, "TE")
+    sim = fdtd.Fdtd2D(material, WAVELENGTH)
     assert sim.steps_per_period == steps
     assert (sim.steps_per_period, sim.grid.time_step) == fdtd.time_step(
         material.n, cell, WAVELENGTH)
@@ -72,7 +75,7 @@ def test_vacuum_region_keeps_the_vacuum_step():
     cell = fdtd.default_cell_size(STACK, WAVELENGTH, 12)
     material = fdtd.unit_cell_material_map(STACK, params(), 4, cell)
     material.n[20:30, 5:10] = 1.0
-    sim = fdtd.Fdtd2D(material, WAVELENGTH, "TE")
+    sim = fdtd.Fdtd2D(material, WAVELENGTH)
     assert sim.steps_per_period == 36
     assert sim.grid.n_min == 1.0
 
@@ -86,6 +89,14 @@ def test_unresolved_feature_raises():
 def test_too_few_periods_rejected():
     with pytest.raises(ValueError):
         fdtd.run_unit_cell(params(), 2, WAVELENGTH, STACK, "TE",
+                           cell_size=CELL)
+
+
+@pytest.mark.parametrize("polarization", ["TM", "te"])
+def test_unit_cell_rejects_any_polarization_but_te(polarization):
+    # the kernel steps TE only; a TM cell is refused before any solve
+    with pytest.raises(ValueError, match="TE only"):
+        fdtd.run_unit_cell(params(), 8, WAVELENGTH, STACK, polarization,
                            cell_size=CELL)
 
 
@@ -365,22 +376,16 @@ def _full_grid_cpml(sim, prescaled=True):
     """Coefficients, CPML profiles and psi arrays over the whole grid, as
     the full-grid update kept them, in the dtype of the fields.
 
-    TE is ``prescaled`` as the kernel steps it: Ga and Gb hold H divided
-    by dt / (mu0 d), which F's coefficient then carries.  Unscaled, it is
+    ``prescaled``, as the kernel steps, Ga and Gb hold H divided by
+    dt / (mu0 d), which F's coefficient then carries.  Unscaled, it is
     the update on H itself.
     """
     nx, nz = sim.grid.nx, sim.grid.nz
     d, dt = sim.grid.cell_size, sim.grid.time_step
-    eps = sim.material.n**2
-    if sim.polarization == "TE":
-        cF = dt / (constants.EPS0 * eps * d)
-        cGa = cGb = dt / (constants.MU0 * d)
-        if prescaled:
-            cF, cGa, cGb = cF * cGa, 1.0, 1.0
-    else:
-        cF = np.full((nx, nz), dt / (constants.MU0 * d))
-        cGa = dt / (constants.EPS0 * 0.5 * (eps[:, :-1] + eps[:, 1:]) * d)
-        cGb = dt / (constants.EPS0 * 0.5 * (eps[:-1, :] + eps[1:, :]) * d)
+    cF = dt / (constants.EPS0 * sim.material.n**2 * d)
+    cGa = cGb = dt / (constants.MU0 * d)
+    if prescaled:
+        cF, cGa, cGb = cF * cGa, 1.0, 1.0
     (bex, aex), (bhx, ahx) = fdtd._pml_profiles(nx, d, dt)
     (bez, aez), (bhz, ahz) = fdtd._pml_profiles(nz, d, dt)
     state = dict(
@@ -397,17 +402,16 @@ def _full_grid_cpml(sim, prescaled=True):
 def _full_grid_step(sim, c):
     """One step of the full-grid CPML update, psi carried everywhere."""
     F, Ga, Gb = sim.F, sim.Ga, sim.Gb
-    sign = 1.0 if sim.polarization == "TE" else -1.0
 
     dFz = F[:, 1:] - F[:, :-1]
     c["psi_Ga"] *= c["bhz"]
     c["psi_Ga"] += c["ahz"] * dFz
-    Ga += sign * c["cGa"] * (dFz + c["psi_Ga"])
+    Ga += c["cGa"] * (dFz + c["psi_Ga"])
 
     dFx = F[1:, :] - F[:-1, :]
     c["psi_Gb"] *= c["bhx"]
     c["psi_Gb"] += c["ahx"] * dFx
-    Gb += -sign * c["cGb"] * (dFx + c["psi_Gb"])
+    Gb -= c["cGb"] * (dFx + c["psi_Gb"])
 
     dGbx = Gb[1:, :] - Gb[:-1, :]
     c["psi_Fx"] *= c["bex"]
@@ -415,7 +419,7 @@ def _full_grid_step(sim, c):
     dGaz = Ga[:, 1:] - Ga[:, :-1]
     c["psi_Fz"] *= c["bez"]
     c["psi_Fz"] += c["aez"] * dGaz
-    F[1:-1, 1:-1] += sign * c["cF"][1:-1, 1:-1] * (
+    F[1:-1, 1:-1] += c["cF"][1:-1, 1:-1] * (
         (dGaz + c["psi_Fz"])[1:-1, :] - (dGbx + c["psi_Fx"])[:, 1:-1])
 
     sim.step_index += 1
@@ -424,16 +428,16 @@ def _full_grid_step(sim, c):
                                      sim.omega)
 
 
-@pytest.mark.parametrize("pol", ["TE", "TM"])
+@pytest.mark.parametrize("pol", KERNEL_POLARIZATIONS)
 def test_slab_cpml_step_matches_full_grid_update(pol):
-    # bit for bit, TE in the kernel's prescaled arithmetic: this pins the
+    # bit for bit, in the kernel's prescaled arithmetic: this pins the
     # CPML slabs and bands, not the scaling
     # a coarse grating cell whose source sits 0.35 um from the left PML
     cell = 3 * CELL
     material = fdtd.unit_cell_material_map(STACK, params(), 4, cell)
     col = material.n[material.meta["i_in"] - 2, :]
     _, profile = fdtd.slab_mode_profile(col, cell, WAVELENGTH, pol)
-    lean, full = (fdtd.Fdtd2D(material, WAVELENGTH, pol) for _ in range(2))
+    lean, full = (fdtd.Fdtd2D(material, WAVELENGTH) for _ in range(2))
     for sim in (lean, full):
         sim.add_line_source(material.meta["i_src"], profile)
     state = _full_grid_cpml(full)
@@ -492,7 +496,7 @@ def _driven_sim(pol, cell):
     material = fdtd.unit_cell_material_map(STACK, params(), 4, cell)
     col = material.n[material.meta["i_in"] - 2, :]
     _, profile = fdtd.slab_mode_profile(col, cell, WAVELENGTH, pol)
-    sim = fdtd.Fdtd2D(material, WAVELENGTH, pol)
+    sim = fdtd.Fdtd2D(material, WAVELENGTH)
     sim.add_line_source(material.meta["i_src"], profile)
     return sim
 
@@ -506,7 +510,7 @@ def _address(a):
     return a.__array_interface__["data"][0]
 
 
-@pytest.mark.parametrize("pol", ["TE", "TM"])
+@pytest.mark.parametrize("pol", KERNEL_POLARIZATIONS)
 @pytest.mark.parametrize("cells, nx", [(2, 136 + 2 * fdtd.PML_CELLS),
                                        (3, 91 + 2 * fdtd.PML_CELLS)])
 def test_step_outputs_start_on_a_cache_line(pol, cells, nx):
@@ -522,7 +526,7 @@ def test_step_outputs_start_on_a_cache_line(pol, cells, nx):
             if not any(out is v for v in views)]
     assert len(outs) == len(sim._ops) - 4
     grid = [o for o in outs if o.size >= (sim.grid.nz - 2) * nx]
-    assert len(grid) == (9 if pol == "TE" else 11)
+    assert len(grid) == 9
     for a in outs + [c[i] for c in cpml for i in (1, 4)]:
         assert _address(a) % fdtd.LINE == 0
 
@@ -540,7 +544,7 @@ def _same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-@pytest.mark.parametrize("pol", ["TE", "TM"])
+@pytest.mark.parametrize("pol", KERNEL_POLARIZATIONS)
 def test_step_results_do_not_depend_on_the_layout(pol, monkeypatch):
     aligned = _coarse_sim(pol)
     monkeypatch.setattr(fdtd, "_aligned_zeros",
@@ -678,7 +682,7 @@ class _StepwiseMonitor:
         return 2.0 * self._f / self._n, 2.0 * self._g / self._n
 
 
-@pytest.mark.parametrize("pol", ["TE", "TM"])
+@pytest.mark.parametrize("pol", KERNEL_POLARIZATIONS)
 def test_buffered_monitor_matches_stepwise_accumulation(pol):
     # four lines of four lengths, each folded through its own work rows
     buffered_sim, stepwise_sim = _coarse_sim(pol), _coarse_sim(pol)
@@ -758,7 +762,7 @@ def test_steady_state_needs_three_quiet_periods_in_a_row():
         fdtd._run_to_steady_state(short, [short], 0, 6)
 
 
-def test_unsteady_run_reports_its_last_change():
+def test_unsteady_run_reports_its_last_change(monkeypatch):
     # a coarse grating cell stopped two periods past the one-transit guard
     cell = 3 * CELL
     material = fdtd.unit_cell_material_map(STACK, params(), 4, cell)
@@ -767,8 +771,9 @@ def test_unsteady_run_reports_its_last_change():
     nx = material.n.shape[0]
     transit = nx * cell * float(np.max(material.n)) / WAVELENGTH
     guard = int(np.ceil(transit + fdtd.RAMP_PERIODS))
+    monkeypatch.setattr(fdtd, "MAX_PERIODS", guard + 2)
     with pytest.raises(fdtd.ConvergenceError) as exc:
-        fdtd._simulate(material, WAVELENGTH, "TE", profile, guard + 2)
+        fdtd._simulate(material, WAVELENGTH, profile)
     match = re.search(r"after (\d+) optical periods: last relative flux "
                       r"change (\S+) per period, tolerance 1e-05",
                       str(exc.value))
@@ -788,7 +793,7 @@ def test_uniform_waveguide_transmits():
         STACK, params(pitch=0.25e-6, dcu=1.0, dcl=1.0), 8, CELL)
     col = material.n[material.meta["i_in"] - 2, :]
     _, profile = fdtd.slab_mode_profile(col, CELL, WAVELENGTH, "TE")
-    sim, monitors, _ = fdtd._simulate(material, WAVELENGTH, "TE", profile)
+    sim, monitors, _ = fdtd._simulate(material, WAVELENGTH, profile)
     p_in = monitors[0].flux(sim)
     p_out = monitors[1].flux(sim)
     assert p_out / p_in > 0.97
@@ -853,18 +858,6 @@ def test_half_pitch_zone_shift_suppresses_kappa(symmetric_cell):
     assert k_half <= 0.05 * k0
 
 
-def test_tm_polarization_runs(symmetric_cell):
-    r = fdtd.run_unit_cell(params(pitch=0.32e-6), 6, WAVELENGTH, STACK,
-                           "TM", cell_size=CELL)
-    total = r.p_trans + r.p_reflected + r.p_up + r.p_down
-    assert total == pytest.approx(1.0, abs=0.015)
-    assert _upward_share(r) == pytest.approx(0.5, abs=0.05)
-    # TM coupling to these thin high-index layers is far weaker than TE
-    k_tm, _ = fdtd.extract_kappa_alpha(r)
-    k_te, _ = fdtd.extract_kappa_alpha(symmetric_cell)
-    assert k_tm < 0.5 * k_te
-
-
 def test_runs_are_deterministic(symmetric_cell):
     r = fdtd.run_unit_cell(params(), 8, WAVELENGTH, STACK, "TE",
                            cell_size=CELL)
@@ -894,7 +887,7 @@ def test_reference_and_grating_runs_share_the_time_step(monkeypatch):
     assert spp_ref == spp
 
 
-@pytest.mark.parametrize("pol", ["TE", "TM"])
+@pytest.mark.parametrize("pol", KERNEL_POLARIZATIONS)
 def test_long_step_stays_stable_for_max_periods(pol):
     # a driven coarse cell for MAX_PERIODS at the cladding's step: the
     # field is finite, and its peak over the last 100 periods is that of
@@ -940,7 +933,7 @@ def _traced_simulation_size(p, n_periods, cell):
         meta = material.meta
         col = material.n[meta["i_in"] - 2, :]
         _, profile = fdtd.slab_mode_profile(col, cell, WAVELENGTH, "TE")
-        sim = fdtd.Fdtd2D(material, WAVELENGTH, "TE")
+        sim = fdtd.Fdtd2D(material, WAVELENGTH)
         zspan = slice(meta["j_bot"], meta["j_top"] + 1)
         xspan = slice(meta["i_in"], meta["i_out"] + 1)
         monitors = [fdtd.LineMonitor(sim, "v", meta[i], zspan)

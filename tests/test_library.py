@@ -174,9 +174,22 @@ def test_search_box_is_manufacturable():
     assert search_bounds(np.deg2rad(-4.0), config)[0][1] < 0.51
 
 
-def test_search_rejects_an_unmanufacturable_angle():
+def test_search_rejects_an_unmanufacturable_angle(monkeypatch):
+    monkeypatch.setattr(KernelConfig, "min_feature", 0.2e-6)
     with pytest.raises(LibraryError, match="no manufacturable duty cycle"):
-        search_bounds(np.deg2rad(-4.0), KernelConfig(min_feature=0.2e-6))
+        search_bounds(np.deg2rad(-4.0), KernelConfig())
+
+
+@pytest.mark.parametrize("constant", ["polarization", "min_feature"])
+def test_kernel_constants_are_not_settings(constant):
+    # the solver steps TE only and the feature minimum is MIN_FEATURE:
+    # both stay readable on every config, and neither can be set
+    config = KernelConfig()
+    assert (config.polarization, config.min_feature) == (
+        "TE", library.MIN_FEATURE)
+    assert constant not in {f.name for f in fields(config)}
+    with pytest.raises(TypeError):
+        KernelConfig(**{constant: getattr(config, constant)})
 
 
 def test_search_scores_uncoupled_cells_as_infeasible(monkeypatch):

@@ -603,7 +603,7 @@ def test_fdtd_library_summary_reports_solver_diagnostics(tmp_path,
                                stack=cfg.stack).cell_size
     sim = fdtd.Fdtd2D(fdtd.unit_cell_material_map(
         cfg.stack, liblib.UnitCellParams(0.3e-6, 0.5, 0.5, 0.0, 0.0), 4,
-        cell), cfg.wavelength, "TE")
+        cell), cfg.wavelength)
     assert summary["steps_per_period"] == sim.steps_per_period == 32
     assert summary["max_periods_run"] == 60
     assert summary["max_closure"] == pytest.approx(0.03)
