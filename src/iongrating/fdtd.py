@@ -24,10 +24,13 @@ every CPML psi and scratch array, starts on a 64-byte line
 (``_aligned_zeros``).  On AVX-512 hosts numpy's vector loops store a
 float32 output that does not at about half the speed, whatever the
 alignment of the inputs, and numpy's allocator returns no such line.  The
-layout moves no result bit.  The monitors copy their raw lines into one
-period of rows per step, and once per period fold them into
-double-precision phasors, step by step in order, so the sums equal a
-per-step accumulation bit for bit.  A run stops once the four monitor
+layout moves no result bit.  F's update coefficient is built straight
+into its float32 array a block of rows at a time, with no float64 copy of
+the grid, so set-up peaks less than a float32 grid above what it keeps.
+The monitors copy their raw lines into one period of rows per step, and
+at the end of each period fold them into that period's double-precision
+phasors, step by step in order, so the sums equal a per-step
+accumulation bit for bit.  A run stops once the four monitor
 fluxes are measured steady: after one transit of the grid plus the source
 ramp, the largest change of a flux relative to itself must stay below 1e-5
 for three consecutive optical periods.  The time step is a whole fraction
@@ -384,8 +387,6 @@ class Fdtd2D:
     def _init_fields(self):
         nx, nz = self.grid.nx, self.grid.nz
         d, dt = self.grid.cell_size, self.grid.time_step
-        # eps_r as (nz, nx) rows; F's coefficient chain runs in place in it
-        eps = np.square(self.material.n.T, order="C")
 
         # Every array is float32 and stored as (nz, nx) rows, x fastest;
         # F, Ga and Gb are (x, z)-indexed views of them.  Gb's one padding
@@ -411,15 +412,22 @@ class Fdtd2D:
         # F=Ey; Ga=Hx at (i, j+1/2); Gb=Hz at (i+1/2, j).  Both H updates
         # take the one scalar dt / (mu0 d), so Ga and Gb hold H divided by
         # it (g_scale) and F's coefficient carries it; LineMonitor.fold
-        # multiplies it back in double precision
+        # multiplies it back in double precision.  F's coefficient
+        # dt g_scale / (eps0 eps_r d) is built 16 (z) rows at a time: each
+        # block of eps_r = n^2 runs the chain in place in the map's dtype
+        # and is cast into the float32 cF, so no float64 copy of the grid
+        # is made
         self.g_scale = dt / (constants.MU0 * d)
-        cF = eps[1:-1]
-        cF *= constants.EPS0
-        cF *= d
-        np.divide(dt, cF, out=cF)
-        cF *= self.g_scale
-        cF[:, [0, -1]] = 0.0
-        cF = np.asarray(cF, f32)
+        n_inner = self.material.n.T[1:-1]
+        cF = np.empty(n_inner.shape, f32)
+        for j in range(0, len(cF), 16):
+            block = np.square(n_inner[j:j + 16])
+            block *= constants.EPS0
+            block *= d
+            np.divide(dt, block, out=block)
+            block *= self.g_scale
+            block[:, [0, -1]] = 0.0
+            cF[j:j + 16] = block
 
         (bex, aex), (bhx, ahx) = _pml_profiles(nx, d, dt)
         (bez, aez), (bhz, ahz) = _pml_profiles(nz, d, dt)
@@ -469,7 +477,7 @@ class Fdtd2D:
     def run_periods(self, n_periods: int, accumulators=None):
         """Advance n_periods.  If accumulators are given, each step copies
         their lines into rows, and each period they fold the rows into
-        their phasors."""
+        that period's phasors, so they end with the last period's."""
         spp = self.steps_per_period
         if accumulators is None:
             for _ in range(n_periods * spp):
@@ -515,34 +523,29 @@ class LineMonitor:
         self._wide = np.empty((sim.steps_per_period, n))
         self._half_g = 0.5 * sim.g_scale
         self._terms = np.empty((sim.steps_per_period, n), complex)
-        self.reset()
+        self._f = self._g = np.zeros(n, complex)
 
-    def reset(self):
-        self._f = 0.0
-        self._g = 0.0
-        self._n = 0
-
-    def _fold(self, acc, ph):
-        """acc plus the work rows at phases ph.  numpy sums axis 0 row by
+    def _fold(self, ph):
+        """The work rows summed at phases ph.  numpy sums axis 0 row by
         row, in order, so this equals adding them step by step."""
-        terms = np.multiply(self._wide, ph[:, None], out=self._terms)
-        terms[0] += acc
-        return terms.sum(axis=0)
+        return np.multiply(self._wide, ph[:, None], out=self._terms).sum(0)
 
     def fold(self, ph_f: np.ndarray, ph_g: np.ndarray):
-        """Add one period of recorded lines at the phases of their steps."""
+        """Take the phasor sums of the period of lines just recorded, at
+        the phases of their steps; they replace the previous period's."""
         f_rows, ga_rows, gb_rows = self._rows
         wide = self._wide
         np.copyto(wide, f_rows)
-        self._f = self._fold(self._f, ph_f)
+        self._f = self._fold(ph_f)
         np.copyto(wide, ga_rows)
         wide += gb_rows
         wide *= self._half_g
-        self._g = self._fold(self._g, ph_g)
-        self._n += len(ph_f)
+        self._g = self._fold(ph_g)
 
     def phasors(self):
-        return 2.0 * self._f / self._n, 2.0 * self._g / self._n
+        """(F, G) phasors over the last period folded; zero before one."""
+        spp = len(self._terms)
+        return 2.0 * self._f / spp, 2.0 * self._g / spp
 
     def flux(self, sim: Fdtd2D) -> float:
         """Cycle-averaged power through the line, per unit out-of-plane
@@ -742,8 +745,6 @@ def _run_to_steady_state(sim: Fdtd2D, monitors, min_periods: int,
     sim.run_periods(min_periods)
     prev, change, steady = None, np.nan, 0
     for n in range(min_periods, max_periods):
-        for m in monitors:
-            m.reset()
         sim.run_periods(1, accumulators=monitors)
         powers = np.array([m.flux(sim) for m in monitors])
         if prev is not None:

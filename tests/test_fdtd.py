@@ -693,12 +693,12 @@ def test_buffered_monitor_matches_stepwise_accumulation(pol):
     assert len({s.stop - s.start for _, _, s in lines}) == 4
     buffered = [fdtd.LineMonitor(buffered_sim, *l) for l in lines]
     stepwise = [_StepwiseMonitor(*l) for l in lines]
-    warm, periods = 12, 3
+    warm = 12
     buffered_sim.run_periods(warm)
-    buffered_sim.run_periods(periods, accumulators=buffered)
+    buffered_sim.run_periods(1, accumulators=buffered)
     sim = stepwise_sim
     sim.run_periods(warm)
-    for _ in range(periods * sim.steps_per_period):
+    for _ in range(sim.steps_per_period):
         sim._step()
         t = sim.step_index * sim.grid.time_step
         ph_f = np.exp(1j * sim.omega * t)
@@ -733,6 +733,24 @@ def test_monitored_periods_allocate_no_grid_array():
     assert peak - start < sim.grid.nx * sim.grid.nz * 4
 
 
+def test_simulation_setup_peaks_below_one_float32_grid_above_its_arrays():
+    # F's update coefficient is built a block of rows at a time, straight
+    # into float32: a float64 copy of the index map alone would peak two
+    # float32 grids above what the simulation keeps
+    material = fdtd.unit_cell_material_map(STACK, params(), 8, CELL)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        sim = fdtd.Fdtd2D(material, WAVELENGTH)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid = sim.grid.nx * sim.grid.nz * 4
+    # F, Ga, Gb, the two difference buffers and cF are six float32 grids
+    assert kept - start > 6 * grid
+    assert peak - kept <= grid
+
+
 class _ScriptedRun:
     """A simulation and monitor in one whose flux after each optical period
     follows a script."""
@@ -743,9 +761,6 @@ class _ScriptedRun:
 
     def run_periods(self, n_periods, accumulators=None):
         self.periods += n_periods
-
-    def reset(self):
-        pass
 
     def flux(self, sim):
         return self.fluxes[self.periods - 1]
@@ -948,7 +963,7 @@ def _traced_simulation_size(p, n_periods, cell):
 
 def test_unit_cell_run_holds_one_simulation_at_a_time(monkeypatch):
     # a run that makes its reference peaks at the grating's index map, one
-    # simulation and the set-up's float64 grid: the reference map is a
+    # simulation and its set-up's row blocks: the reference map is a
     # view of the grating map's first column
     p, cell = params(pitch=0.32e-6), 2 * CELL
     # the effective-index cache outlives the run, so fill it beforehand
