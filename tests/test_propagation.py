@@ -174,7 +174,7 @@ def _speckle(shape):
         "speckle-512-backward", "speckle-odd-forward",
         "speckle-odd-backward", "speckle-96x64-forward",
         "speckle-96x64-backward"])
-def test_distinct_frequency_transfer_matches_the_full_grid_bit_for_bit(
+def test_in_place_propagation_matches_out_of_place_bit_for_bit(
         grid, dz, medium_index):
     g = grid()
     before = g.data.copy()
