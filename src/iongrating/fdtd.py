@@ -46,11 +46,7 @@ cells of quartic grading, on 16 library cells at -4 to 20 deg, they move
 kappa by at most 2.6e-4 and alpha by 4.8e-4 (relative) at 12 points per
 wavelength.  A unit-cell run holds one simulation at a time: the tooth-free
 reference is freed before the grating run starts, and its index map is a
-read-only view of the grating map's first column.  One reference serves
-every grid whose length rounds up to the same multiple of REF_BIN = 16
-cells: it runs on that rounded length and keeps its in and out fluxes
-and the per-node flux densities of its top and bottom lines, from which
-``_Reference.fluxes`` reads them as on each shorter grid.
+read-only view of the grating map's first column.
 """
 
 import functools
@@ -87,7 +83,6 @@ ANGULAR_WINDOW = np.deg2rad(20.0)  # half-width of the desired order, rad
 MAX_PERIODS = 400         # optical periods a run may take to turn steady
 STEADY_REL_TOL = 1e-5     # largest per-period flux change that is steady
 PAD_FACTOR = 8            # zero padding of the top-monitor FFT
-REF_BIN = 16              # grid lengths, cells, that share one reference
 LINE = 64                 # bytes: the cache line every step output starts on
 
 
@@ -553,24 +548,14 @@ class LineMonitor:
         spp = len(self._terms)
         return 2.0 * self._f / spp, 2.0 * self._g / spp
 
-    def densities(self) -> np.ndarray:
-        """Twice the cycle-averaged Poynting component through each node
-        of the line: +x for vertical lines, +z for horizontal lines."""
-        f, g = self.phasors()
-        # v: S_x = Ey Hz ; h: S_z = -Ey Hx
-        s = np.real(f * np.conj(g))
-        return s if self.orientation == "v" else -s
-
     def flux(self, sim: Fdtd2D) -> float:
         """Cycle-averaged power through the line, per unit out-of-plane
         length: +x for vertical lines, +z for horizontal lines."""
-        return _line_flux(self.densities(), sim.grid.cell_size)
-
-
-def _line_flux(densities: np.ndarray, cell_size: float) -> float:
-    """The flux through nodes of a monitor line, from their
-    ``LineMonitor.densities``."""
-    return 0.5 * float(np.sum(densities)) * cell_size
+        f, g = self.phasors()
+        # v: S_x = Ey Hz ; h: S_z = -Ey Hx
+        s = np.real(f * np.conj(g))
+        s = s if self.orientation == "v" else -s
+        return 0.5 * float(np.sum(s)) * sim.grid.cell_size
 
 
 # ---------------------------------------------------------------------------
@@ -760,10 +745,8 @@ def _run_to_steady_state(sim: Fdtd2D, monitors, min_periods: int,
     the periods run.
 
     The largest flux is a unit cell's guided input, so every monitor is
-    resolved to the same fraction of the input power: a delta = 0 cell's
-    output flux, about a quarter of its input, no longer runs 68-72
-    periods to settle to 1e-5 of itself (55-62 now), for kappa and alpha
-    within 4.1e-6 and 3.7e-5 of a 200-period run."""
+    resolved to the same fraction of the input power, however small its
+    own share of it."""
     sim.run_periods(min_periods)
     prev, change, steady = None, np.nan, 0
     for n in range(min_periods, max_periods):
@@ -806,58 +789,22 @@ def _simulate(material: MaterialMap, wavelength: float,
     return sim, monitors, periods
 
 
-@dataclass(frozen=True)
-class _Reference:
-    """What a grating cell needs of the tooth-free reference run of its
-    band: the in and out fluxes, the per-node ``LineMonitor.densities``
-    of the top and bottom lines, and the launched mode profile."""
-    p_in: float
-    p_out: float
-    top: np.ndarray
-    bottom: np.ndarray
-    cell_size: float
-    profile: np.ndarray
-
-    def fluxes(self, nodes: int):
-        """(in, out, top, bottom) fluxes of the reference read on lines of
-        ``nodes`` nodes from its input column, as on a shorter grid.
-
-        The top and bottom fluxes sum the first ``nodes`` densities.  The
-        out flux is the reference's own plus what leaves through the top
-        minus what enters through the bottom past the shorter out column:
-        a tooth-free guide conserves power.  Reading the reference's own
-        out column instead, up to 15 cells on, moved the alpha of seeded
-        12-points-per-wavelength cells by up to 8.8e-5 (delta = 0) and
-        5.0e-4 (half pitch), against 1.3e-5 and 7.3e-5 with this
-        correction."""
-        d = self.cell_size
-        beyond = (_line_flux(self.top[nodes:], d)
-                  - _line_flux(self.bottom[nodes:], d))
-        return (self.p_in, self.p_out + beyond,
-                _line_flux(self.top[:nodes], d),
-                _line_flux(self.bottom[:nodes], d))
-
-
-def _reference_run(grating: MaterialMap, nx: int,
-                   wavelength: float) -> _Reference:
-    """The tooth-free reference on the grating map's grid lengthened to
-    ``nx`` cells, its out column moved along.  Its simulation is freed on
-    return, before the grating run builds its own.  No tooth lowers a
+def _reference_run(grating: MaterialMap, wavelength: float):
+    """(monitor fluxes, n_eff, mode profile) of the tooth-free reference
+    spanning the grating map's domain and grid.  Its simulation is freed
+    on return, before the grating run builds its own.  No tooth lowers a
     layer's index below the cladding's, so the reference map's lowest
     index, and with it the time step, is the grating map's."""
     meta, d = grating.meta, grating.cell_size
     # the grating map's first column lies in the left PML, before any
     # tooth; a read-only view repeats it across the domain
     reference = MaterialMap(
-        n=np.broadcast_to(grating.n[:1], (nx, grating.n.shape[1])),
-        cell_size=d,
-        meta=dict(meta, i_out=meta["i_out"] + nx - grating.n.shape[0]))
+        n=np.broadcast_to(grating.n[:1], grating.n.shape),
+        cell_size=d, meta=dict(meta))
     col = reference.n[meta["i_in"] - 2, :]
-    _, profile = slab_mode_profile(col, d, wavelength, "TE")
+    n_eff, profile = slab_mode_profile(col, d, wavelength, "TE")
     sim, monitors, _ = _simulate(reference, wavelength, profile)
-    mon_in, mon_out, mon_top, mon_bot = monitors
-    return _Reference(mon_in.flux(sim), mon_out.flux(sim),
-                      mon_top.densities(), mon_bot.densities(), d, profile)
+    return [m.flux(sim) for m in monitors], n_eff, profile
 
 
 def run_unit_cell(params, n_periods: int, wavelength: float,
@@ -871,9 +818,8 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
     the largest, the input, per optical period, three periods in a row),
     and returns flux-derived powers normalized to unit input.
     A tooth-free reference run calibrates the input power; references are
-    cached per stack, wavelength, cell size and band of REF_BIN grid
-    lengths, and run on the band's longest grid (see ``_Reference``).  The
-    kernel steps TE only: any other ``polarization`` raises ValueError.
+    cached per stack, wavelength and grid.  The kernel steps TE only: any
+    other ``polarization`` raises ValueError.
     """
     if polarization != "TE":
         raise ValueError(f"the unit-cell solver steps TE only, not "
@@ -885,20 +831,15 @@ def run_unit_cell(params, n_periods: int, wavelength: float,
     grating = unit_cell_material_map(stack, params, n_periods, cell_size)
     meta = grating.meta
 
-    nx, nz = grating.n.shape
-    ref_nx = -(-nx // REF_BIN) * REF_BIN
-    ref_key = (stack, wavelength, round(cell_size * 1e12), ref_nx, nz)
+    ref_key = (stack, wavelength, round(cell_size * 1e12), grating.n.shape)
     if ref_key not in _reference_cache:
-        _reference_cache[ref_key] = _reference_run(grating, ref_nx,
-                                                   wavelength)
-    reference = _reference_cache[ref_key]
-    ref_flux = reference.fluxes(meta["i_out"] - meta["i_in"] + 1)
+        _reference_cache[ref_key] = _reference_run(grating, wavelength)
+    ref_flux, n_eff, profile = _reference_cache[ref_key]
     # normalize to the guided power actually delivered through the section
     # in the tooth-free reference; stray launch radiation then cancels
     norm = ref_flux[1]
 
-    sim, monitors, periods = _simulate(grating, wavelength,
-                                       reference.profile)
+    sim, monitors, periods = _simulate(grating, wavelength, profile)
     mon_in, mon_out, mon_top, mon_bot = monitors
     p_trans = mon_out.flux(sim) / norm
     p_up = max((mon_top.flux(sim) - ref_flux[2]) / norm, 0.0)
